@@ -1,10 +1,10 @@
 """Reliability benchmarking for reward models.
 
 Measures how reliably a reward model's top-ranked responses track an
-oracle's quality judgments: quantile reliability curves with a resampling
-estimator, closed-form best-of-n curve families, classical ranking
-metrics, diverse prompt selection, and synthetic distributions with known
-limits for end-to-end validation.
+oracle's quality judgments: quantile reliability curves computed as exact
+expectations over response subsets, closed-form best-of-n curve families,
+classical ranking metrics, diverse prompt selection, and synthetic
+distributions with known limits for end-to-end validation.
 """
 
 from .bon import (

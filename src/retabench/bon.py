@@ -7,8 +7,9 @@ over pool ranks r with hypergeometric weights
     w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n),
 
 i.e. the probability that the pool's rank-r response lands at subset rank
-k. This turns an O(C(N, n)) enumeration into an O(N) dot product per
-(n, prompt); the equivalence is property-tested against brute force.
+k (``ranking.subset_rank_table``). This turns an O(C(N, n)) enumeration
+into an O(N) dot product per (n, prompt); the equivalence is
+property-tested against brute force.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import BenchmarkDataset, RmScoreTable
 from .errors import InvalidConfig
-from .ranking import RankedResponses, rank_by_table
+from .ranking import RankedResponses, oracle_matrix, subset_rank_table, subset_rank_weights
 from .reta import _spread
-
-# Exact integer binomials below this pool size; log-gamma above (overflow-safe).
-_EXACT_COMB_LIMIT = 50
 
 
 def kl_best_of_n(n: int) -> float:
@@ -38,55 +35,25 @@ def kl_best_of_n(n: int) -> float:
     return math.log(n) - (n - 1) / n
 
 
-def subset_rank_weights(pool_size: int, n: int, k: int) -> np.ndarray:
-    """Probability that pool rank r (1-based) is subset rank k; length pool_size."""
-    if not 1 <= k <= n <= pool_size:
-        raise InvalidConfig(f"need 1 <= k <= n <= N, got k={k}, n={n}, N={pool_size}")
-    if pool_size <= _EXACT_COMB_LIMIT:
-        denom = math.comb(pool_size, n)
-        weights = [
-            math.comb(r - 1, k - 1) * math.comb(pool_size - r, n - k) / denom
-            for r in range(1, pool_size + 1)
-        ]
-        return np.asarray(weights, dtype=np.float64)
-    r = np.arange(1, pool_size + 1, dtype=np.float64)
-    valid = (r - 1 >= k - 1) & (pool_size - r >= n - k)
-    log_w = np.full(pool_size, -np.inf)
-    rv = r[valid]
-    log_w[valid] = (
-        _log_comb(rv - 1, k - 1)
-        + _log_comb(pool_size - rv, n - k)
-        - _log_comb(np.float64(pool_size), n)
-    )
-    return np.exp(log_w)
-
-
-def _log_comb(a, b) -> np.ndarray:
-    return gammaln(a + 1.0) - gammaln(np.float64(b) + 1.0) - gammaln(a - b + 1.0)
-
-
 def bon_estimate(ranked_all: RankedResponses, n: int) -> float:
     """Expected oracle score of the RM's best pick within a uniform n-subset."""
-    weights = subset_rank_weights(len(ranked_all), n, 1)
-    return float(weights @ ranked_all.oracle_scores)
+    return rank_k_of_n_estimate(ranked_all, 1, n)
 
 
 def rank_k_of_n_estimate(ranked_all: RankedResponses, k: int, n: int) -> float:
     """Expected oracle score of the RM's k-th pick within a uniform n-subset."""
-    weights = subset_rank_weights(len(ranked_all), n, k)
-    return float(weights @ ranked_all.oracle_scores)
+    return float(subset_rank_weights(len(ranked_all), n, k) @ ranked_all.oracle_scores)
 
 
 def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
     """Expected mean oracle score of the RM's top m within a uniform n-subset."""
-    pool = len(ranked_all)
-    if not 1 <= m <= n <= pool:
-        raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool}")
-    averaged = np.zeros(pool)
-    for k in range(1, m + 1):
-        averaged += subset_rank_weights(pool, n, k)
-    averaged /= m
-    return float(averaged @ ranked_all.oracle_scores)
+    return float(_top_m_weights(len(ranked_all), m, n) @ ranked_all.oracle_scores)
+
+
+def _top_m_weights(pool_size: int, m: int, n: int) -> np.ndarray:
+    if not 1 <= m <= n <= pool_size:
+        raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool_size}")
+    return subset_rank_table(pool_size, n)[:m].sum(axis=0) / m
 
 
 @dataclass(frozen=True)
@@ -119,12 +86,14 @@ class BonVariant:
     def min_n(self) -> int:
         return 1 if self.param is None else self.param
 
+    def weights(self, pool_size: int, n: int) -> np.ndarray:
+        """Weights over pool ranks whose dot product with oracle scores is the estimate."""
+        if self.kind == "best_m_of_n":
+            return _top_m_weights(pool_size, self.param, n)
+        return subset_rank_weights(pool_size, n, 1 if self.param is None else self.param)
+
     def estimate(self, ranked: RankedResponses, n: int) -> float:
-        if self.kind == "best_of_n":
-            return bon_estimate(ranked, n)
-        if self.kind == "rank_k_of_n":
-            return rank_k_of_n_estimate(ranked, self.param, n)
-        return best_m_of_n_estimate(ranked, self.param, n)
+        return float(self.weights(len(ranked), n) @ ranked.oracle_scores)
 
 
 @dataclass
@@ -167,10 +136,10 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
-    rankings = [rank_by_table(dataset, table, pid) for pid in dataset.prompt_ids()]
+    oracle = oracle_matrix(dataset, table)
     points = []
     for n in grid:
-        values = [variant.estimate(ranked, n) for ranked in rankings]
+        values = (oracle @ variant.weights(pool, n)).tolist()
         points.append(BonPoint(n=n, value=math.fsum(values) / len(values),
                                std_error=_spread(values)))
     return BonCurve(

@@ -1,8 +1,10 @@
 """Command-line pipeline: prompt sampling, synthetic generation, validation,
 metric computation, and curve export.
 
-Exit codes: 0 success, 2 input/validation error, 3 computation error.
-Failures emit a machine-readable JSON object on stderr. All randomness
+Exit codes: 0 success, 2 input/validation error (a file that cannot be
+read or written counts as one), 3 computation error. Failures emit a
+machine-readable JSON object on stderr, and results are computed before
+any file is written, so a failed check writes nothing. All randomness
 flows from the ``--seed`` flag; no command consults the clock, the
 environment, or OS entropy, so reruns with the same arguments produce
 byte-identical output files.
@@ -46,7 +48,11 @@ EXIT_COMPUTE = 3
 
 # Keys that exist on the namespace but are not part of a command's tunable
 # config (and so are not overridable from a config file).
-_NON_CONFIG_KEYS = {"command", "func", "config"}
+_NON_CONFIG_KEYS = {"command", "func", "config", "parser"}
+
+# JSON types a config-file value may take for each argparse ``type``; a
+# flag without a type takes a string, a store_true switch a boolean.
+_JSON_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 # Operational knobs that cannot change results; excluded from the canonical
 # config echo and hash so outputs stay byte-identical across thread counts
@@ -84,8 +90,28 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     unknown = set(overrides) - known
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    actions = {action.dest: action for action in args.parser._actions}
     for key, value in overrides.items():
-        setattr(args, key, value)
+        setattr(args, key, _config_value(actions[key], value))
+
+
+def _config_value(action: argparse.Action, value):
+    """A config-file value, checked and converted as its flag's argument would be."""
+    if value is None and action.default is None and not action.required:
+        return None
+    many = action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction)
+    items = value if many and isinstance(value, list) else [value]
+    expected = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
+    if (many and not isinstance(value, list)) or (action.nargs == "+" and not items) or any(
+            isinstance(item, bool) != (bool in expected) or not isinstance(item, expected)
+            for item in items):
+        raise InvalidConfig(f"config value for {action.dest} has the wrong type: {value!r}")
+    if action.type is not None:
+        items = [action.type(item) for item in items]
+    if action.choices is not None and any(item not in action.choices for item in items):
+        raise InvalidConfig(f"config value for {action.dest} must be one of "
+                            f"{list(action.choices)}, got {value!r}")
+    return items if many else items[0]
 
 
 def _config_hash(config: dict) -> str:
@@ -184,7 +210,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _reta_config(args: argparse.Namespace, normalize: bool) -> RetaConfig:
     return RetaConfig(
-        resamples=args.resamples,
         n_range_low_coeff=args.n_low_coeff,
         n_range_high_coeff=args.n_high_coeff,
         n_exponent=args.n_exponent,
@@ -194,24 +219,25 @@ def _reta_config(args: argparse.Namespace, normalize: bool) -> RetaConfig:
 
 
 def _cmd_reta(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
     tables = _load_tables(dataset, args.rm_scores)
     etas = args.eta if args.eta else default_eta_grid()
+    curves = [reta_curve(dataset, table, etas, _reta_config(args, normalize=True))
+              for table in tables]
+    raws = [reta_curve(dataset, table, etas, _reta_config(args, normalize=False))
+            for table in tables] if args.raw_variant else []
     out_dir = Path(args.output_dir)
     echo = _canonical_config(args)
     _write_config_echo(echo, out_dir, "reta")
     provenance = _provenance(echo)
-    for table in tables:
-        curve = reta_curve(dataset, table, etas, _reta_config(args, normalize=True),
-                           threads=args.threads)
-        write_curve_csv(curve, out_dir / f"reta_{table.rm_name}.csv", provenance)
+    for curve in curves:
+        write_curve_csv(curve, out_dir / f"reta_{curve.rm_name}.csv", provenance)
         write_per_prompt_csv(curve, dataset,
-                             out_dir / f"reta_{table.rm_name}_per_prompt.csv", provenance)
-        if args.raw_variant:
-            raw = reta_curve(dataset, table, etas, _reta_config(args, normalize=False),
-                             threads=args.threads)
-            write_curve_csv(raw, out_dir / f"reta_{table.rm_name}_unnormalized.csv",
-                            provenance)
+                             out_dir / f"reta_{curve.rm_name}_per_prompt.csv", provenance)
+    for raw in raws:
+        write_curve_csv(raw, out_dir / f"reta_{raw.rm_name}_unnormalized.csv", provenance)
     return EXIT_OK
 
 
@@ -224,13 +250,13 @@ def _cmd_bon(args: argparse.Namespace) -> int:
         variant = BonVariant("rank_k_of_n", args.rank_k)
     else:
         variant = BonVariant("best_m_of_n", args.best_m)
+    curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
     out_dir = Path(args.output_dir)
     echo = _canonical_config(args)
     _write_config_echo(echo, out_dir, "bon")
     provenance = _provenance(echo)
-    for table in tables:
-        curve = bon_curve(dataset, table, variant, args.n_values or None)
-        write_bon_csv(curve, out_dir / f"bon_{table.rm_name}_{variant.label}.csv",
+    for curve in curves:
+        write_bon_csv(curve, out_dir / f"bon_{curve.rm_name}_{variant.label}.csv",
                       provenance)
     return EXIT_OK
 
@@ -313,12 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, action="append", default=None,
                    help="curve point (repeatable, strictly decreasing); "
                         "default: 15-point log grid from 1 to 1/128")
-    p.add_argument("--resamples", type=int, default=200)
     p.add_argument("--n-low-coeff", dest="n_low_coeff", type=float, default=3.0)
     p.add_argument("--n-high-coeff", dest="n_high_coeff", type=float, default=5.0)
     p.add_argument("--n-exponent", dest="n_exponent", type=float, default=2.0 / 3.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect, since the "
+                        "estimate is exact and computed in one thread")
     p.add_argument("--raw-variant", dest="raw_variant", action="store_true",
                    help="also emit the curve without the per-prompt normalizer")
     p.add_argument("--output-dir", dest="output_dir", required=True)
@@ -360,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config overriding flags")
     p.set_defaults(func=_cmd_export)
 
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
@@ -378,9 +407,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RetabenchError as exc:
         _emit_error(exc)
         return EXIT_COMPUTE
+    except OSError as exc:
+        _emit_error(exc)
+        return EXIT_INPUT
 
 
-def _emit_error(exc: RetabenchError) -> None:
+def _emit_error(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 

@@ -1,4 +1,6 @@
-"""Deterministic response rankings shared by all estimators and metrics.
+"""Deterministic response rankings, and the subset-rank weights that turn
+expectations over response subsets into dot products with them, shared by
+all estimators and metrics.
 
 Responses are ordered by reward-model score descending; exact score ties
 are broken by ascending response id so that every ranking is a stable,
@@ -11,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .dataset import BenchmarkDataset, RmScoreTable
 from .errors import EmptySelection, InvalidConfig
@@ -99,3 +102,42 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
     if count == 0:
         raise EmptySelection(f"floor(eta*n) = 0 for eta={eta}, n={n}")
     return [int(i) for i in ranked.order[:count]]
+
+
+def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:
+    """(prompts, N) oracle scores; row i is prompt i ordered by the table's ranking."""
+    return np.stack([rank_by_table(dataset, table, pid).oracle_scores
+                     for pid in dataset.prompt_ids()])
+
+
+def _rank_weights(pool_size: int, n: int, ranks: np.ndarray) -> np.ndarray:
+    """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n) for subset ranks k in ``ranks``.
+
+    Binomials are taken in log space through log m! = gammaln(m + 1), so
+    large pools cannot overflow.
+    """
+    log_fact = gammaln(np.arange(pool_size + 1, dtype=np.float64) + 1.0)
+    r = np.arange(1, pool_size + 1)
+    k = ranks[:, None]
+    skipped_above = r - k
+    skipped_below = pool_size - r - (n - k)
+    valid = (skipped_above >= 0) & (skipped_below >= 0)
+    log_w = (log_fact[r - 1] - log_fact[k - 1] - log_fact[np.maximum(skipped_above, 0)]
+             + log_fact[pool_size - r] - log_fact[n - k]
+             - log_fact[np.maximum(skipped_below, 0)]
+             - log_fact[pool_size] + log_fact[n] + log_fact[pool_size - n])
+    return np.where(valid, np.exp(log_w), 0.0)
+
+
+def subset_rank_weights(pool_size: int, n: int, k: int) -> np.ndarray:
+    """Probability that pool rank r (1-based) is subset rank k; length pool_size."""
+    if not 1 <= k <= n <= pool_size:
+        raise InvalidConfig(f"need 1 <= k <= n <= N, got k={k}, n={n}, N={pool_size}")
+    return _rank_weights(pool_size, n, np.array([k]))[0]
+
+
+def subset_rank_table(pool_size: int, n: int) -> np.ndarray:
+    """(n, pool_size) array whose row k-1 is ``subset_rank_weights(pool_size, n, k)``."""
+    if not 1 <= n <= pool_size:
+        raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={pool_size}")
+    return _rank_weights(pool_size, n, np.arange(1, n + 1))

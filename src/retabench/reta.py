@@ -3,29 +3,29 @@
 The headline quantity is the expected oracle quality of the responses a
 reward model places in its top ``eta`` fraction, divided by the average
 oracle quality of the whole response pool, so 1.0 is the random-selection
-baseline. Per prompt it is estimated by drawing size-``n`` response
-subsets without replacement, summing oracle scores over the model's top
-``floor(eta*n)`` picks within each subset (with a fractional-rank
-correction that keeps the estimate continuous when ``eta*n`` is not an
-integer), rescaling by ``N/(eta*n)``, and normalizing by the total oracle
-score. Estimates are averaged over a grid of subset sizes proportional to
-``N**(2/3)`` to balance quantile bias against resampling variance.
+baseline. Per prompt and subset size ``n`` it is the expectation, over
+uniform size-``n`` response subsets drawn without replacement, of the
+oracle total of the model's top ``floor(eta*n)`` picks within the subset
+(with a fractional-rank correction that keeps the value continuous when
+``eta*n`` is not an integer), rescaled by ``N/(eta*n)`` and normalized by
+the pool's total oracle score. Values are averaged over a grid of subset
+sizes proportional to ``N**(2/3)``.
 
-All randomness is counter-based: the draws for a given (seed, prompt, n)
-are a pure function of those values, so results do not depend on thread
-scheduling or evaluation order.
+The expectation is computed exactly rather than sampled: with the
+subset-rank weights of ``ranking.subset_rank_table`` it is one dot
+product per (prompt, n, eta), so estimates carry no Monte Carlo error and
+involve no randomness. ``exhaustive_reta`` enumerates every subset as an
+independent reference.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     InvalidConfig,
     TooManySubsets,
 )
-from .ranking import RankedResponses, eta_parts, rank_by_table
+from .ranking import RankedResponses, eta_parts, oracle_matrix, subset_rank_table
 
 MAX_ENUMERATED_SUBSETS = 1_000_000
 
@@ -49,21 +49,21 @@ _GRID_SNAP_TOL = 1e-9
 class RetaConfig:
     """Estimation parameters.
 
-    ``exhaustive=True`` replaces Monte Carlo draws with full enumeration of
-    all n-subsets (only feasible for small N; intended for verification).
+    Subset sizes run over ``[ceil(lo * N**e), floor(hi * N**e)]`` with
+    ``lo``, ``hi`` and ``e`` the ``n_range_*`` coefficients and
+    ``n_exponent``. ``normalize=False`` reports the selection's mean oracle
+    score without dividing by the pool mean. The estimate is exact and does
+    not depend on ``seed``; ``convergence_experiment`` derives its
+    synthetic datasets from it.
     """
 
-    resamples: int = 200
     n_range_low_coeff: float = 3.0
     n_range_high_coeff: float = 5.0
     n_exponent: float = 2.0 / 3.0
     seed: int = 0
     normalize: bool = True
-    exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.resamples < 1:
-            raise InvalidConfig(f"resamples must be positive, got {self.resamples}")
         if self.n_range_low_coeff <= 0 or self.n_range_high_coeff <= 0:
             raise InvalidConfig("n-range coefficients must be positive")
         if self.n_range_low_coeff > self.n_range_high_coeff:
@@ -119,96 +119,54 @@ def resample_sizes(num_responses: int, config: RetaConfig) -> list[int]:
     return list(range(low, high + 1))
 
 
-def _prompt_stream(seed: int, prompt_id: str, n: int) -> np.random.Generator:
-    # Counter-based stream keyed by (seed, prompt, n); resample r consumes
-    # row r of one batched draw, so results are schedule-independent.
-    digest = hashlib.blake2b(prompt_id.encode("utf-8"), digest_size=8).digest()
-    prompt_key = int.from_bytes(digest, "big")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, prompt_key, n])))
+def _values_at_n(oracle: np.ndarray, prompt_ids: Sequence[str], n: int,
+                 etas: Sequence[float], normalize: bool) -> np.ndarray:
+    """RETA at subset size ``n`` for every (eta, prompt), shape (len(etas), prompts).
 
-
-def _draw_subsets(rng: np.random.Generator, total: int, n: int, count: int) -> np.ndarray:
-    """``count`` uniform n-subsets of range(total), as (count, n) rank indices."""
-    if n == total:
-        return np.broadcast_to(np.arange(total, dtype=np.intp), (count, total))
-    keys = rng.random((count, total))
-    return np.argpartition(keys, n - 1, axis=1)[:, :n]
-
-
-def _enumerate_subsets(total: int, n: int) -> np.ndarray:
-    size = math.comb(total, n)
-    if size > MAX_ENUMERATED_SUBSETS:
-        raise TooManySubsets(f"C({total},{n}) = {size} exceeds {MAX_ENUMERATED_SUBSETS}")
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(total), n)),
-        dtype=np.intp, count=size * n)
-    return combos.reshape(size, n)
-
-
-def _subset_bodies(oracle_ranked: np.ndarray, subsets: np.ndarray,
-                   count: int, delta: float) -> np.ndarray:
-    """Per-subset selection totals.
-
-    ``subsets`` holds global rank indices (0 = best by RM); a subset's own
-    ranking is just its indices in ascending order. The total is the sum of
-    oracle scores over the best ``count`` ranks plus, when ``delta > 0``,
-    the fractional-rank terms at ranks ``count`` and ``count + 1``. A rank-0
-    term (when ``count`` is 0) does not exist and contributes nothing.
+    Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
+    With eta*n = c + delta, a subset's selection total is its top c oracle
+    scores plus delta*(1-delta) times rank c and delta**2 times rank c+1,
+    so its expectation weights pool rank r by
+    cum_c(r) + delta*(1-delta)*w_c(r) + delta**2*w_{c+1}(r), with w_k the
+    subset-rank weights and cum_c = w_1 + ... + w_c. At eta == 1 the
+    expected total of a uniform n-subset is exactly n/N of the pool's.
     """
-    n = subsets.shape[1]
-    if count == 0:
-        best = subsets.min(axis=1)
-        return (delta * delta) * oracle_ranked[best]
-    if count >= n:
-        return oracle_ranked[subsets].sum(axis=1)
-    if delta == 0.0:
-        top = np.partition(subsets, count - 1, axis=1)[:, :count]
-        return oracle_ranked[top].sum(axis=1)
-    part = np.partition(subsets, count, axis=1)
-    top = part[:, :count]
-    main = oracle_ranked[top].sum(axis=1)
-    rank_c = top.max(axis=1)        # rank ``count`` within the subset
-    rank_c1 = part[:, count]        # rank ``count + 1``
-    return main + delta * (delta * oracle_ranked[rank_c1]
-                           + (1.0 - delta) * oracle_ranked[rank_c])
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
+    pool = oracle.shape[1]
+    totals = oracle.sum(axis=1)
+    degenerate = totals <= 0.0
+    if degenerate.any():
+        prompt_id = prompt_ids[int(np.argmax(degenerate))]
+        raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
+    # row k is w_k; row 0 stands for the empty rank 0
+    weights = np.vstack([np.zeros(pool), subset_rank_table(pool, n)])
+    cumulative = np.cumsum(weights, axis=0)
+    values = np.empty((len(etas), len(oracle)))
+    for row, eta in zip(values, etas):
+        count, delta = eta_parts(eta, n)
+        scaled = count + delta  # eta * n with float noise snapped off
+        if eta == 1.0:
+            mean = totals / pool
+            row[:] = mean / mean if normalize else mean
+        elif scaled == 0.0:
+            row[:] = 0.0
+        else:
+            coef = cumulative[count] + delta * (1.0 - delta) * weights[count]
+            if delta > 0.0:
+                coef += delta * delta * weights[count + 1]
+            body = oracle @ coef
+            row[:] = pool * body / (scaled * totals) if normalize else body / scaled
+    return values
 
 
 def reta_point_estimate(ranked_all: RankedResponses, eta: float, n: int,
                         config: RetaConfig) -> float:
-    """Estimate at a single (eta, n) for one prompt's full ranked pool.
-
-    At eta == 1 the subset expectation collapses algebraically (every
-    subset is fully selected and a uniform n-subset's expected total is
-    n/N of the pool total), so the exact value is returned directly: 1.0
-    when normalizing, the pool's mean oracle score otherwise.
-    """
-    total_responses = len(ranked_all)
-    if not 1 <= n <= total_responses:
-        raise InvalidConfig(f"n={n} outside [1, {total_responses}]")
-    if not 0.0 < eta <= 1.0:
-        raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
-    oracle = ranked_all.oracle_scores
-    pool_total = float(oracle.sum())
-    if pool_total <= 0.0:
-        raise DegenerateDenominator(f"prompt {ranked_all.prompt_id!r} has zero total oracle score")
-    mean_score = pool_total / total_responses
-    if eta == 1.0:
-        return mean_score / mean_score if config.normalize else mean_score
-
-    count, delta = eta_parts(eta, n)
-    if count == 0 and delta == 0.0:
-        return 0.0
-    if config.exhaustive:
-        subsets = _enumerate_subsets(total_responses, n)
-    else:
-        rng = _prompt_stream(config.seed, ranked_all.prompt_id, n)
-        subsets = _draw_subsets(rng, total_responses, n, config.resamples)
-    bodies = _subset_bodies(oracle, subsets, count, delta)
-    mean_body = float(bodies.mean())
-    scaled = count + delta  # eta * n with float noise snapped off
-    if config.normalize:
-        return total_responses * mean_body / (scaled * pool_total)
-    return mean_body / scaled
+    """Exact RETA at a single (eta, n) for one prompt's full ranked pool."""
+    values = _values_at_n(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
+                          n, [eta], config.normalize)
+    return float(values[0, 0])
 
 
 def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
@@ -244,14 +202,6 @@ def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
     return total * expectation / ((count + delta) * pool_total)
 
 
-def _map_prompts(func: Callable[[str], float], prompt_ids: Sequence[str],
-                 threads: int) -> list[float]:
-    if threads <= 1:
-        return [func(pid) for pid in prompt_ids]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, prompt_ids))
-
-
 def _spread(values: Sequence[float]) -> float:
     """Standard error across prompts: sample stddev / sqrt(k); 0 for k == 1."""
     k = len(values)
@@ -260,43 +210,46 @@ def _spread(values: Sequence[float]) -> float:
     return float(np.std(np.asarray(values, dtype=np.float64), ddof=1)) / math.sqrt(k)
 
 
-def reta_estimate(dataset: BenchmarkDataset, table: RmScoreTable, eta: float,
-                  config: RetaConfig | None = None, *, threads: int = 1) -> RetaEstimate:
-    """Full estimate at one eta: averaged over the n grid and all prompts."""
-    config = config or RetaConfig()
+def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
+                 etas: Sequence[float], config: RetaConfig) -> list[RetaEstimate]:
+    """Estimates at every eta, each averaged over the n grid and all prompts;
+    each n's weight table is built once and serves every eta."""
     grid = resample_sizes(dataset.responses_per_prompt, config)
-
-    def one_prompt(prompt_id: str) -> float:
-        ranked = rank_by_table(dataset, table, prompt_id)
-        values = [reta_point_estimate(ranked, eta, n, config) for n in grid]
-        return math.fsum(values) / len(values)
-
     prompt_ids = dataset.prompt_ids()
-    values = _map_prompts(one_prompt, prompt_ids, threads)
-    per_prompt = dict(zip(prompt_ids, values))
-    return RetaEstimate(
-        eta=eta,
-        value=math.fsum(values) / len(values),
-        per_prompt=per_prompt,
-        std_error=_spread(values),
-        n_values_used=list(grid),
-    )
+    oracle = oracle_matrix(dataset, table)
+    sums = np.zeros((len(etas), len(prompt_ids)))
+    for n in grid:
+        sums += _values_at_n(oracle, prompt_ids, n, etas, config.normalize)
+    points = []
+    for eta, row in zip(etas, sums):
+        values = (row / len(grid)).tolist()
+        points.append(RetaEstimate(
+            eta=eta,
+            value=math.fsum(values) / len(values),
+            per_prompt=dict(zip(prompt_ids, values)),
+            std_error=_spread(values),
+            n_values_used=list(grid),
+        ))
+    return points
+
+
+def reta_estimate(dataset: BenchmarkDataset, table: RmScoreTable, eta: float,
+                  config: RetaConfig | None = None) -> RetaEstimate:
+    """Full estimate at one eta: averaged over the n grid and all prompts."""
+    return _reta_points(dataset, table, [eta], config or RetaConfig())[0]
 
 
 def reta_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                eta_grid: Sequence[float] | None = None,
-               config: RetaConfig | None = None, *, threads: int = 1) -> RetaCurve:
+               config: RetaConfig | None = None) -> RetaCurve:
     """One estimate per eta over a strictly decreasing grid in (0, 1]."""
     etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
     if not etas:
         raise InvalidConfig("eta grid is empty")
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise InvalidConfig(f"eta {eta} outside (0, 1]")
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidConfig("eta grid must be strictly decreasing")
-    points = [reta_estimate(dataset, table, eta, config, threads=threads) for eta in etas]
-    return RetaCurve(rm_name=table.rm_name, points=points)
+    return RetaCurve(rm_name=table.rm_name,
+                     points=_reta_points(dataset, table, etas, config or RetaConfig()))
 
 
 def write_curve_csv(curve: RetaCurve, path: str | Path,

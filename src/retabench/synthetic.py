@@ -254,8 +254,7 @@ class ConvergencePoint:
 
 def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
                            num_prompts: int,
-                           config: RetaConfig | None = None, *,
-                           threads: int = 1) -> list[ConvergencePoint]:
+                           config: RetaConfig | None = None) -> list[ConvergencePoint]:
     """Estimate at each pool size N and report the gap to the analytic limit."""
     config = config or RetaConfig()
     limit = analytic_reta(spec, eta)
@@ -263,7 +262,7 @@ def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
     for pool_size in n_list:
         dataset_seed = config.seed + pool_size  # distinct data per pool size
         dataset, table = gen_synthetic(spec, num_prompts, pool_size, dataset_seed)
-        estimate = reta_estimate(dataset, table, eta, config, threads=threads)
+        estimate = reta_estimate(dataset, table, eta, config)
         points.append(ConvergencePoint(
             responses_per_prompt=pool_size,
             eta=eta,

@@ -59,19 +59,24 @@ def test_c03_estimator_exactness():
     rng = np.random.default_rng(77)
     worst = 0.0
     checked = 0
-    config = rb.RetaConfig(exhaustive=True)
+    full_pool = empty_floor = 0
+    config = rb.RetaConfig()
     for size in range(2, 9):
         oracle = rng.uniform(0.5, 9.5, size=size)
         rm = rng.standard_normal(size)
         ranked = make_ranked(list(oracle), list(rm))
         for n in range(1, size + 1):
-            for eta in (0.2, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0):
+            for eta in (0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0):
                 fast = rb.reta_point_estimate(ranked, eta, n, config)
                 slow = rb.exhaustive_reta(ranked, eta, n)
                 worst = max(worst, abs(fast - slow))
                 checked += 1
-    report("criterion 3 (estimator exactness)", worst <= 1e-12,
-           f"{checked} (N, n, eta) cases, worst |MC-enum - exhaustive| = {worst:.2e}")
+                full_pool += n == size
+                empty_floor += rb.eta_parts(eta, n)[0] == 0
+    report("criterion 3 (estimator exactness)",
+           worst <= 1e-12 and full_pool > 0 and empty_floor > 0,
+           f"{checked} (N, n, eta) cases ({full_pool} with n = N, {empty_floor} with "
+           f"floor(eta*n) = 0), worst |exact - exhaustive| = {worst:.2e}")
 
 
 def test_c04_eta_one_identity():
@@ -303,7 +308,7 @@ def test_c10_cli_determinism(tmp_path):
         ["validate", "--dataset", str(data), "--rm-scores", scores],
         tmp_path / "v1", tmp_path / "v2")
     reta_args = ["reta", "--dataset", str(data), "--rm-scores", scores,
-                 "--eta", "0.5", "--eta", "0.25", "--resamples", "80", "--seed", "4"]
+                 "--eta", "0.5", "--eta", "0.25", "--seed", "4"]
     checks["reta"] = _run_twice(reta_args, tmp_path / "r1", tmp_path / "r2")
     checks["bon"] = _run_twice(
         ["bon", "--dataset", str(data), "--rm-scores", scores,

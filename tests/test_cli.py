@@ -71,7 +71,7 @@ def test_reta_default_grid_and_raw_variant(synth_dir, tmp_path):
     out = tmp_path / "out"
     code = main(["reta", "--dataset", str(synth_dir),
                  "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
-                 "--resamples", "50", "--seed", "9", "--raw-variant",
+                 "--seed", "9", "--raw-variant",
                  "--output-dir", str(out)])
     assert code == 0
     curve = (out / "reta_synthetic-rm.csv").read_text().splitlines()
@@ -195,8 +195,7 @@ def test_export_round_trip(synth_dir, tmp_path):
 def test_command_reruns_are_byte_identical(synth_dir, tmp_path):
     args_template = ["reta", "--dataset", str(synth_dir),
                      "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
-                     "--eta", "0.5", "--eta", "0.25", "--resamples", "60",
-                     "--seed", "4"]
+                     "--eta", "0.5", "--eta", "0.25", "--seed", "4"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(args_template + ["--output-dir", str(out_a)]) == 0
     assert main(args_template + ["--output-dir", str(out_b)]) == 0
@@ -209,9 +208,57 @@ def test_command_reruns_are_byte_identical(synth_dir, tmp_path):
 def test_threads_do_not_change_output(synth_dir, tmp_path):
     base = ["reta", "--dataset", str(synth_dir),
             "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
-            "--eta", "0.25", "--resamples", "60", "--seed", "4"]
+            "--eta", "0.25", "--seed", "4"]
     out_1, out_4 = tmp_path / "t1", tmp_path / "t4"
     assert main(base + ["--threads", "1", "--output-dir", str(out_1)]) == 0
     assert main(base + ["--threads", "4", "--output-dir", str(out_4)]) == 0
     assert (out_1 / "reta_synthetic-rm.csv").read_bytes() == \
         (out_4 / "reta_synthetic-rm.csv").read_bytes()
+
+
+def run_with_config(synth_dir, tmp_path, overrides, command):
+    config_path = tmp_path / "override.json"
+    config_path.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    code = main([command, "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                 "--config", str(config_path), "--output-dir", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("reta", {"eta": 0.25}),
+    ("reta", {"threads": "4"}),
+    ("bon", {"best_m": "4"}),
+])
+def test_config_file_wrong_type_exits_2(synth_dir, tmp_path, capsys, command, overrides):
+    code, out = run_with_config(synth_dir, tmp_path, overrides, command)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eta", "0.5", "--threads", "0"],
+    ["--eta", "0.5", "--eta", "0.9"],  # grid not decreasing
+], ids=["threads-0", "rising-eta-grid"])
+def test_bad_reta_flags_exit_2_without_output(synth_dir, tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code = main(["reta", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                 *flags, "--output-dir", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
+def test_unwritable_output_dir_exits_2(synth_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = main(["reta", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                 "--eta", "0.5", "--output-dir", str(blocker / "out")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] in ("FileExistsError", "NotADirectoryError")
+    assert str(blocker) in error["message"]

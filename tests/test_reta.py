@@ -64,8 +64,8 @@ def test_exhaustive_matches_hand_example():
     expected = enumeration_oracle([4.0, 3.0, 2.0, 1.0], 0.5, 2)
     assert expected == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert exhaustive_reta(ranked, 0.5, 2) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    config = RetaConfig(exhaustive=True)
-    assert reta_point_estimate(ranked, 0.5, 2, config) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    value = reta_point_estimate(ranked, 0.5, 2, RetaConfig())
+    assert value == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_exhaustive_single_subset_case():
@@ -98,12 +98,13 @@ def test_eta_one_estimate_zero_spread():
 
 
 def test_enumeration_mode_matches_exhaustive_small():
+    # n runs up to N, and eta = 0.1 keeps floor(eta*n) = 0 for every n here
     rng = np.random.default_rng(7)
-    config = RetaConfig(exhaustive=True)
+    config = RetaConfig()
     for size in (4, 6):
         ranked = random_ranked(rng, size)
         for n in range(1, size + 1):
-            for eta in (0.25, 1.0 / 3.0, 0.7, 1.0):
+            for eta in (0.1, 0.25, 1.0 / 3.0, 0.7, 1.0):
                 fast = reta_point_estimate(ranked, eta, n, config)
                 slow = exhaustive_reta(ranked, eta, n)
                 assert fast == pytest.approx(slow, abs=1e-12), (size, n, eta)
@@ -213,11 +214,30 @@ def test_seed_determinism_and_threads():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 6, 32, seed=4)
     config = RetaConfig(seed=77)
-    one = reta_estimate(dataset, table, 0.25, config, threads=1)
-    again = reta_estimate(dataset, table, 0.25, config, threads=1)
-    multi = reta_estimate(dataset, table, 0.25, config, threads=4)
-    assert one.value == again.value == multi.value
-    assert one.per_prompt == again.per_prompt == multi.per_prompt
+    one = reta_estimate(dataset, table, 0.25, config)
+    again = reta_estimate(dataset, table, 0.25, config)
+    assert one.value == again.value
+    assert one.per_prompt == again.per_prompt
+
+
+def test_seed_does_not_change_estimate():
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+    dataset, table = gen_synthetic(spec, 5, 32, seed=8)
+    first = reta_estimate(dataset, table, 0.3, RetaConfig(seed=1))
+    second = reta_estimate(dataset, table, 0.3, RetaConfig(seed=2))
+    assert first.per_prompt == second.per_prompt
+
+
+def test_curve_points_equal_single_estimates():
+    spec = DistSpec.noisy_gaussian(0.6, 7.0)
+    dataset, table = gen_synthetic(spec, 6, 64, seed=12)
+    config = RetaConfig(seed=3)
+    curve = reta_curve(dataset, table, None, config)
+    for point in curve.points:
+        single = reta_estimate(dataset, table, point.eta, config)
+        assert point.value == single.value, point.eta
+        assert point.std_error == single.std_error, point.eta
+        assert point.per_prompt == single.per_prompt, point.eta
 
 
 def test_estimate_aggregation_invariants():
@@ -243,7 +263,7 @@ def test_independent_rm_curve_hugs_baseline():
     # every point of the default 15-point grid stays within 3 standard errors
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 12, 256, seed=13)
-    curve = reta_curve(dataset, table, None, RetaConfig(seed=21, resamples=40))
+    curve = reta_curve(dataset, table, None, RetaConfig(seed=21))
     assert len(curve.points) == 15
     for point in curve.points:
         margin = max(3.0 * point.std_error, 0.01)  # eta=1 has zero spread
@@ -253,8 +273,8 @@ def test_independent_rm_curve_hugs_baseline():
 def test_default_curve_shape():
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
     dataset, table = gen_synthetic(spec, 3, 16, seed=1)
-    config = RetaConfig(seed=2, resamples=50, n_range_low_coeff=1.0,
-                        n_range_high_coeff=2.0, n_exponent=0.5)
+    config = RetaConfig(seed=2, n_range_low_coeff=1.0, n_range_high_coeff=2.0,
+                        n_exponent=0.5)
     curve = reta_curve(dataset, table, None, config)
     assert len(curve.points) == 15
     assert curve.points[0].eta == 1.0
@@ -293,15 +313,13 @@ def test_too_many_subsets_guard():
     ranked = random_ranked(rng, 40)
     with pytest.raises(TooManySubsets):
         exhaustive_reta(ranked, 0.5, 20)
-    with pytest.raises(TooManySubsets):
-        reta_point_estimate(ranked, 0.5, 20, RetaConfig(exhaustive=True))
 
 
 def test_csv_exports(tmp_path):
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
     dataset, table = gen_synthetic(spec, 3, 8, seed=5)
-    config = RetaConfig(seed=1, resamples=20, n_range_low_coeff=0.5,
-                        n_range_high_coeff=1.0, n_exponent=1.0)
+    config = RetaConfig(seed=1, n_range_low_coeff=0.5, n_range_high_coeff=1.0,
+                        n_exponent=1.0)
     curve = reta_curve(dataset, table, [1.0, 0.5], config)
     curve_path = tmp_path / "curve.csv"
     write_curve_csv(curve, curve_path, "prov")

@@ -174,7 +174,7 @@ def test_convergence_error_shrinks_with_pool_size():
     for pool in (8, 32):
         errors = []
         for seed in range(10):
-            config = RetaConfig(seed=seed, resamples=60, n_range_low_coeff=1.0,
+            config = RetaConfig(seed=seed, n_range_low_coeff=1.0,
                                 n_range_high_coeff=2.0, n_exponent=0.5)
             point = convergence_experiment(spec, 0.25, [pool], 12, config)[0]
             errors.append(point.abs_error)
@@ -184,7 +184,7 @@ def test_convergence_error_shrinks_with_pool_size():
 
 def test_convergence_experiment_rows(tmp_path):
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
-    config = RetaConfig(seed=1, resamples=50, n_range_low_coeff=1.0,
+    config = RetaConfig(seed=1, n_range_low_coeff=1.0,
                         n_range_high_coeff=2.0, n_exponent=0.5)
     points = convergence_experiment(spec, 0.25, [16, 32], 8, config)
     assert [p.responses_per_prompt for p in points] == [16, 32]
