@@ -40,11 +40,9 @@ from .dpp import (
     DppModel,
     DppSampleConfig,
     build_dpp,
-    default_chain_steps,
     diversity_score,
     sample_kdpp,
     subset_log_det,
-    swap_log_ratio,
 )
 from .labeler import JUDGE_TEMPLATE, Labeler, OfflineLabeler
 from .metrics import (

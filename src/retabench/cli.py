@@ -30,7 +30,7 @@ from .dataset import (
     write_benchmark,
     write_rm_scores,
 )
-from .dpp import DppSampleConfig, build_dpp, default_chain_steps, sample_kdpp
+from .dpp import DppSampleConfig, build_dpp, sample_kdpp
 from .errors import ComputationError, InputError, InvalidConfig, RetabenchError
 from .metrics import load_win_labels, metric_report, write_metrics_csv
 from .reta import (
@@ -146,9 +146,7 @@ def _load_tables(dataset, paths: Sequence[str]):
 def _cmd_sample_prompts(args: argparse.Namespace) -> int:
     prompts = load_candidate_prompts(args.candidates)
     model = build_dpp(prompts)
-    config = DppSampleConfig(k=args.k, seed=args.seed, epsilon=args.epsilon,
-                             max_steps=args.max_steps)
-    selected = sample_kdpp(model, config)
+    selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,13 +155,9 @@ def _cmd_sample_prompts(args: argparse.Namespace) -> int:
     ids = [prompts[i].prompt_id for i in selected]
     (out_dir / "selected_prompts.txt").write_text(
         "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
-    steps = (config.max_steps if config.max_steps is not None
-             else default_chain_steps(model.num_candidates, config.k, config.epsilon))
     provenance = {
         "seed": args.seed,
         "lambda": model.lam,
-        "steps": steps,
-        "epsilon": args.epsilon,
         "k": args.k,
         "num_candidates": model.num_candidates,
     }
@@ -312,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
     p.add_argument("--k", type=int, required=True, help="number of prompts to select")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--output-dir", dest="output_dir", required=True)
     p.add_argument("--config", default=None, help="JSON config overriding flags")
     p.set_defaults(func=_cmd_sample_prompts)

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 from .errors import (
     DuplicateId,
     DuplicateScore,
+    InvalidConfig,
     MalformedRecord,
     MissingScore,
     NonFiniteScore,
@@ -161,6 +162,11 @@ def _warn_unknown_keys(obj: dict, known: set[str], source: str, line: int,
                                     f"unknown key {key!r} ignored"))
 
 
+def _check_max_oracle_score(value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise InvalidConfig(f"max_oracle_score must be positive and finite, got {value}")
+
+
 def load_benchmark(path: str | Path, *,
                    max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE,
                    name: str | None = None) -> BenchmarkDataset:
@@ -171,6 +177,7 @@ def load_benchmark(path: str | Path, *,
     scale, and boundedness is required by the estimators downstream).
     All prompts must carry the same number of responses.
     """
+    _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
     prompts_path = directory / PROMPTS_FILE
     responses_path = directory / RESPONSES_FILE
@@ -409,7 +416,12 @@ def validate_dataset(dataset: BenchmarkDataset,
                      tables: Sequence[RmScoreTable] = (),
                      *,
                      max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE) -> ValidationReport:
-    """Aggregate all invariant checks into a report; never raises, never mutates."""
+    """Aggregate all invariant checks into a report; never mutates.
+
+    Raises only ``InvalidConfig`` for a ``max_oracle_score`` that is not
+    positive and finite; every problem in the data becomes an issue.
+    """
+    _check_max_oracle_score(max_oracle_score)
     issues: list[ValidationIssue] = list(dataset.load_warnings)
 
     seen_prompts: set[str] = set()

@@ -1,11 +1,14 @@
 """Diverse prompt selection via fixed-size determinantal point processes.
 
-The kernel is a scaled Gram matrix of candidate embeddings, with the scale
-chosen so all eigenvalues stay below 1. Size-k subsets are sampled with a
-swap Markov chain: propose replacing one member with one outsider and
-accept with probability min(1, det(K_new)/det(K_old)). Determinant ratios
-are evaluated in O(k^2) per step through Cholesky row deletion/insertion,
-with a periodic from-scratch refactorization to bound numerical drift.
+The kernel is a scaled Gram matrix ``lam * E @ E.T`` of candidate
+embeddings, with the scale chosen so all eigenvalues stay below 1. Its rank
+is at most the embedding dimension d, so size-k subsets are drawn exactly
+from the spectrum of the d x d dual kernel ``lam * E.T @ E`` (Kulesza &
+Taskar 2012, Alg. 8 then Alg. 1): k eigenvectors are picked through the
+elementary symmetric polynomials of the eigenvalues, mapped to unit
+vectors over the candidates, and the projection DPP they span is sampled
+one candidate at a time. The cost is O(N d^2) for the dual kernel plus
+O(N k^3) for the projection rounds, with no step count or mixing time.
 """
 
 from __future__ import annotations
@@ -15,21 +18,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dataset import PromptRecord
 from .errors import (
     DegenerateInit,
     InvalidConfig,
     MissingEmbedding,
-    NumericalBreakdown,
     ZeroMatrix,
 )
 
 _EIGENVALUE_CEILING = 0.99
+# dual-kernel eigenvalues at or below this fraction of the largest are
+# rounding noise of a rank-deficient Gram matrix, not directions
 _SINGULAR_REL_TOL = 1e-12
-_REFACTOR_EVERY = 1000
-_INIT_ATTEMPTS = 100
 
 
 @dataclass
@@ -47,6 +48,14 @@ class DppModel:
 
 @dataclass(frozen=True)
 class DppSampleConfig:
+    """Subset size ``k`` and the ``seed`` of the sampler's Philox stream.
+
+    ``epsilon`` and ``max_steps`` have no effect: the sampler is exact and
+    takes no steps. They are still validated because the benchmark tracer
+    in ``perfbench/tracing.py`` reads both on every traced ``sample_kdpp``
+    call; remove them once it no longer does.
+    """
+
     k: int
     seed: int = 0
     epsilon: float = 0.01
@@ -61,11 +70,6 @@ class DppSampleConfig:
             raise InvalidConfig("max_steps must be non-negative")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidConfig("seed must fit in 64 unsigned bits")
-
-
-def default_chain_steps(num_candidates: int, k: int, epsilon: float) -> int:
-    """Swap-chain length for an epsilon-approximate sample."""
-    return math.ceil(num_candidates * k * math.log(1.0 / epsilon))
 
 
 def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
@@ -106,83 +110,17 @@ def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:
     return float(logdet)
 
 
-def _chol_delete(factor: np.ndarray, position: int) -> np.ndarray:
-    """Cholesky factor of K with row/column ``position`` removed, O(k^2).
-
-    Deleting a row of L leaves one superdiagonal entry per trailing row;
-    Givens rotations applied to column pairs restore lower-triangular form
-    without changing L @ L.T.
-    """
-    k = factor.shape[0]
-    work = np.delete(factor, position, axis=0)
-    for col in range(position, k - 1):
-        a = work[col, col]
-        b = work[col, col + 1]
-        r = math.hypot(a, b)
-        if r == 0.0:
-            continue
-        c, s = a / r, b / r
-        left = c * work[:, col] + s * work[:, col + 1]
-        right = -s * work[:, col] + c * work[:, col + 1]
-        work[:, col] = left
-        work[:, col + 1] = right
-    return np.ascontiguousarray(work[:, : k - 1])
-
-
-def _schur_complement(factor_rest: np.ndarray, cross: np.ndarray, diag: float) -> float:
-    """diag - cross^T K_rest^{-1} cross given the Cholesky factor of K_rest."""
-    if factor_rest.shape[0] == 0:
-        return diag
-    solved = solve_triangular(factor_rest, cross, lower=True, check_finite=False)
-    return diag - float(solved @ solved)
-
-
-def _chol_insert(factor_rest: np.ndarray, cross: np.ndarray, diag: float) -> np.ndarray:
-    """Cholesky factor after appending one index with kernel column ``cross``."""
-    size = factor_rest.shape[0]
-    out = np.zeros((size + 1, size + 1))
-    out[:size, :size] = factor_rest
-    if size:
-        solved = solve_triangular(factor_rest, cross, lower=True, check_finite=False)
-        out[size, :size] = solved
-        rem = diag - float(solved @ solved)
-    else:
-        rem = diag
-    if rem <= 0.0:
-        raise np.linalg.LinAlgError("subset kernel not positive definite")
-    out[size, size] = math.sqrt(rem)
-    return out
-
-
-def swap_log_ratio(model: DppModel, subset: Sequence[int], position: int,
-                   candidate: int, factor: np.ndarray | None = None) -> float:
-    """log of det(K with subset[position] -> candidate) / det(K of subset).
-
-    Computed incrementally from the subset's Cholesky factor (built here if
-    not supplied) as the ratio of two Schur complements against the shared
-    remainder. Returns -inf when the swapped-in subset is singular.
-    """
-    subset = list(subset)
-    kernel = model.kernel
-    idx = np.asarray(subset, dtype=np.intp)
-    if factor is None:
-        factor = np.linalg.cholesky(kernel[np.ix_(idx, idx)])
-    rest_factor = _chol_delete(factor, position)
-    rest = np.delete(idx, position)
-    removed = subset[position]
-    s_out = _schur_complement(rest_factor, kernel[rest, removed], kernel[removed, removed])
-    s_in = _schur_complement(rest_factor, kernel[rest, candidate],
-                             kernel[candidate, candidate])
-    if not (math.isfinite(s_out) and math.isfinite(s_in)) or s_out <= 0.0:
-        raise NumericalBreakdown(
-            f"non-finite determinant ratio at swap {removed} -> {candidate}")
-    if s_in <= _SINGULAR_REL_TOL * max(kernel[candidate, candidate], 1e-300):
-        return -math.inf
-    return math.log(s_in) - math.log(s_out)
+def _elementary_symmetric(eigenvalues: np.ndarray, k: int) -> np.ndarray:
+    """(k+1, d+1) table whose entry [l, n] is e_l of the first n eigenvalues."""
+    table = np.zeros((k + 1, len(eigenvalues) + 1))
+    table[0] = 1.0
+    for n, value in enumerate(eigenvalues, start=1):
+        table[1:, n] = table[1:, n - 1] + value * table[:-1, n - 1]
+    return table
 
 
 def sample_kdpp(model: DppModel, config: DppSampleConfig) -> list[int]:
-    """An epsilon-approximate size-k sample; sorted candidate indices.
+    """An exact size-k sample; sorted candidate indices.
 
     Deterministic for a given (model, config). Subsets with linearly
     dependent embeddings have zero determinant and are never emitted.
@@ -191,73 +129,44 @@ def sample_kdpp(model: DppModel, config: DppSampleConfig) -> list[int]:
     k = config.k
     if k > total:
         raise InvalidConfig(f"k={k} exceeds candidate count {total}")
-    if k > np.linalg.matrix_rank(model.embeddings):
-        raise DegenerateInit(f"embedding rank below k={k}")
+    embeddings = model.embeddings
+    eigenvalues, vectors = np.linalg.eigh(model.lam * (embeddings.T @ embeddings))
+    keep = eigenvalues > _SINGULAR_REL_TOL * eigenvalues[-1]
+    # descending, so each table column holds the largest eigenvalues and
+    # products of many small ones cannot underflow it
+    eigenvalues, vectors = eigenvalues[keep][::-1], vectors[:, keep][:, ::-1]
+    if k > len(eigenvalues):
+        raise DegenerateInit(f"embedding rank {len(eigenvalues)} below k={k}")
     if k == total:
         return list(range(total))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed])))
-    kernel = model.kernel
+    table = _elementary_symmetric(eigenvalues, k)
+    chosen = []
+    for n in range(len(eigenvalues), 0, -1):
+        if len(chosen) == k:
+            break
+        need = k - len(chosen)
+        # keeps eigenvector n with probability lambda_n e_{need-1}^{n-1} / e_need^n,
+        # which is exactly 1 once need == n
+        if rng.random() * table[need, n] < eigenvalues[n - 1] * table[need - 1, n - 1]:
+            chosen.append(n - 1)
 
-    factor = None
-    subset: list[int] = []
-    for _ in range(_INIT_ATTEMPTS):
-        attempt = [int(i) for i in rng.choice(total, size=k, replace=False)]
-        idx = np.asarray(attempt, dtype=np.intp)
-        try:
-            factor = np.linalg.cholesky(kernel[np.ix_(idx, idx)])
-        except np.linalg.LinAlgError:
-            continue
-        scale = float(np.max(np.diag(kernel)))
-        if float(np.min(np.diag(factor))) ** 2 <= _SINGULAR_REL_TOL * max(scale, 1e-300):
-            factor = None
-            continue
-        subset = attempt
-        break
-    if factor is None:
-        raise DegenerateInit(f"no non-singular initial subset found in {_INIT_ATTEMPTS} tries")
-
-    steps = (config.max_steps if config.max_steps is not None
-             else default_chain_steps(total, k, config.epsilon))
-    in_subset = np.zeros(total, dtype=bool)
-    in_subset[subset] = True
-    outside = [i for i in range(total) if not in_subset[i]]
-
-    for step in range(steps):
-        position = int(rng.integers(k))
-        candidate = outside[int(rng.integers(len(outside)))]
-        rest_factor = _chol_delete(factor, position)
-        rest = np.asarray([subset[i] for i in range(k) if i != position], dtype=np.intp)
-        removed = subset[position]
-        s_out = _schur_complement(rest_factor, kernel[rest, removed],
-                                  kernel[removed, removed])
-        s_in = _schur_complement(rest_factor, kernel[rest, candidate],
-                                 kernel[candidate, candidate])
-        if not (math.isfinite(s_out) and math.isfinite(s_in)) or s_out <= 0.0:
-            # refactorize once before giving up; drift can poison the factor
-            idx = np.asarray(subset, dtype=np.intp)
-            factor = np.linalg.cholesky(kernel[np.ix_(idx, idx)])
-            rest_factor = _chol_delete(factor, position)
-            s_out = _schur_complement(rest_factor, kernel[rest, removed],
-                                      kernel[removed, removed])
-            s_in = _schur_complement(rest_factor, kernel[rest, candidate],
-                                     kernel[candidate, candidate])
-            if not (math.isfinite(s_out) and math.isfinite(s_in)) or s_out <= 0.0:
-                raise NumericalBreakdown(
-                    f"determinant ratio not finite at step {step}")
-        u = rng.random()
-        # u * s_out < s_in is u < min(1, det ratio); singular targets never pass
-        accept = (s_in > _SINGULAR_REL_TOL * max(kernel[candidate, candidate], 1e-300)
-                  and u * s_out < s_in)
-        if accept:
-            outside[outside.index(candidate)] = removed
-            subset = [subset[i] for i in range(k) if i != position] + [candidate]
-            factor = _chol_insert(rest_factor, kernel[rest, candidate],
-                                  kernel[candidate, candidate])
-        if (step + 1) % _REFACTOR_EVERY == 0:
-            idx = np.asarray(subset, dtype=np.intp)
-            factor = np.linalg.cholesky(kernel[np.ix_(idx, idx)])
-    return sorted(subset)
+    # unit primal eigenvectors E u / |E u|; sample the projection DPP they span
+    basis = embeddings @ vectors[:, chosen]
+    basis /= np.linalg.norm(basis, axis=0)
+    selected: list[int] = []
+    while True:
+        weights = np.einsum("ij,ij->i", basis, basis)
+        weights[selected] = 0.0  # rounding leaves picked rows near, not at, zero
+        item = int(rng.choice(total, p=weights / weights.sum()))
+        selected.append(item)
+        if len(selected) == k:
+            return sorted(selected)
+        # keep the part of the span that vanishes at item, then re-orthonormalise
+        pivot = int(np.argmax(np.abs(basis[item])))
+        basis = basis - np.outer(basis[:, pivot] / basis[item, pivot], basis[item])
+        basis, _ = np.linalg.qr(np.delete(basis, pivot, axis=1))
 
 
 def diversity_score(model: DppModel, subset: Sequence[int]) -> float:

@@ -134,11 +134,7 @@ class ZeroMatrix(InputError):
 
 
 class DegenerateInit(ComputationError):
-    """No non-singular initial subset exists (embedding rank below k)."""
-
-
-class NumericalBreakdown(ComputationError):
-    """A determinant ratio stopped being finite during chain sampling."""
+    """No size-k subset has a non-zero determinant (embedding rank below k)."""
 
 
 # --- synthetic distributions --------------------------------------------------

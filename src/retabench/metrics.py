@@ -64,24 +64,38 @@ def hit_rate(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
     return 100.0 * hits / gt_size
 
 
-def _selection_oracle_rank(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
-                           j: int) -> int:
-    selected = ranked_rm.response_ids[j - 1]
-    return ranked_oracle.response_ids.index(selected) + 1
+def _rankings(dataset: BenchmarkDataset, table: RmScoreTable
+              ) -> list[tuple[RankedResponses, RankedResponses]]:
+    """Each prompt's (RM ranking, oracle ranking), in prompt order."""
+    return [(rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid))
+            for pid in dataset.prompt_ids()]
+
+
+def _selection_oracle_ranks(rankings: list[tuple[RankedResponses, RankedResponses]],
+                            j: int) -> list[int]:
+    """Per prompt, the oracle rank of the RM's j-th ranked response."""
+    if j < 1:
+        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
+    ranks = []
+    for rm, oracle in rankings:
+        if j > len(rm):
+            raise InvalidConfig(f"selection rank {j} exceeds pool size {len(rm)}")
+        ranks.append(oracle.response_ids.index(rm.response_ids[j - 1]) + 1)
+    return ranks
+
+
+def _mrr(ranks: list[int]) -> float:
+    return math.fsum(1.0 / rank for rank in ranks) / len(ranks)
+
+
+def _ndcg(ranks: list[int], j: int) -> float:
+    ideal = 1.0 / math.log2(1 + j)
+    return math.fsum((1.0 / math.log2(1 + rank)) / ideal for rank in ranks) / len(ranks)
 
 
 def mrr_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
     """Mean reciprocal oracle rank of the RM's j-th ranked response."""
-    if j < 1:
-        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
-    reciprocal = []
-    for prompt_id in dataset.prompt_ids():
-        rm = rank_by_table(dataset, table, prompt_id)
-        if j > len(rm):
-            raise InvalidConfig(f"selection rank {j} exceeds pool size {len(rm)}")
-        oracle = rank_by_oracle(dataset, prompt_id)
-        reciprocal.append(1.0 / _selection_oracle_rank(rm, oracle, j))
-    return math.fsum(reciprocal) / len(reciprocal)
+    return _mrr(_selection_oracle_ranks(_rankings(dataset, table), j))
 
 
 def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
@@ -90,18 +104,7 @@ def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1
     A selection at oracle rank r scores 1/log2(1+r), normalized by
     1/log2(1+j); for j = 1 this lies in [0, 1] with 1.0 for a perfect model.
     """
-    if j < 1:
-        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
-    ideal = 1.0 / math.log2(1 + j)
-    gains = []
-    for prompt_id in dataset.prompt_ids():
-        rm = rank_by_table(dataset, table, prompt_id)
-        if j > len(rm):
-            raise InvalidConfig(f"selection rank {j} exceeds pool size {len(rm)}")
-        oracle = rank_by_oracle(dataset, prompt_id)
-        rank = _selection_oracle_rank(rm, oracle, j)
-        gains.append((1.0 / math.log2(1 + rank)) / ideal)
-    return math.fsum(gains) / len(gains)
+    return _ndcg(_selection_oracle_ranks(_rankings(dataset, table), j), j)
 
 
 def pairwise_accuracy(table: RmScoreTable, dataset: BenchmarkDataset) -> float:
@@ -172,20 +175,17 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     """All comparison metrics for one RM, averaged across prompts."""
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
                else default_hit_rate_cutoffs(dataset.responses_per_prompt))
-    hit_rates: dict[int, float] = {}
-    for k in cutoffs:
-        per_prompt = []
-        for prompt_id in dataset.prompt_ids():
-            rm = rank_by_table(dataset, table, prompt_id)
-            oracle = rank_by_oracle(dataset, prompt_id)
-            per_prompt.append(hit_rate(rm, oracle, eta, k))
-        hit_rates[k] = math.fsum(per_prompt) / len(per_prompt)
+    rankings = _rankings(dataset, table)
+    hit_rates = {
+        k: math.fsum(hit_rate(rm, oracle, eta, k) for rm, oracle in rankings) / len(rankings)
+        for k in cutoffs}
+    ranks = _selection_oracle_ranks(rankings, selection_rank)
     win = win_rate_aggregate(win_labels)[0] if win_labels is not None else None
     return MetricReport(
         rm_name=table.rm_name,
         hit_rate=hit_rates,
-        mrr=mrr_at_selection(dataset, table, selection_rank),
-        ndcg=ndcg_at_selection(dataset, table, selection_rank),
+        mrr=_mrr(ranks),
+        ndcg=_ndcg(ranks, selection_rank),
         selection_rank_j=selection_rank,
         pairwise_accuracy=pairwise_accuracy(table, dataset),
         win_rate=win,

@@ -64,8 +64,8 @@ class RetaConfig:
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_range_low_coeff <= 0 or self.n_range_high_coeff <= 0:
-            raise InvalidConfig("n-range coefficients must be positive")
+        if not (0 < self.n_range_low_coeff < math.inf and 0 < self.n_range_high_coeff < math.inf):
+            raise InvalidConfig("n-range coefficients must be positive and finite")
         if self.n_range_low_coeff > self.n_range_high_coeff:
             raise InvalidConfig("n_range_low_coeff must not exceed n_range_high_coeff")
         if not 0.0 < self.n_exponent <= 1.0:

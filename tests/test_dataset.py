@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from retabench import (
 from retabench.errors import (
     DuplicateId,
     DuplicateScore,
+    InvalidConfig,
     MalformedRecord,
     MissingScore,
     NonFiniteScore,
@@ -87,6 +89,15 @@ def test_oracle_score_above_bound_rejected(tmp_path):
         load_benchmark(directory)
     dataset = load_benchmark(directory, max_oracle_score=20.0)
     assert dataset.responses_per_prompt == 2
+
+
+def test_bad_max_oracle_score_rejected(tiny_dataset_dir):
+    dataset = load_benchmark(tiny_dataset_dir)
+    for bound in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidConfig):
+            load_benchmark(tiny_dataset_dir, max_oracle_score=bound)
+        with pytest.raises(InvalidConfig):
+            validate_dataset(dataset, max_oracle_score=bound)
 
 
 def test_duplicate_ids_rejected(tmp_path):

@@ -1,21 +1,22 @@
-"""Kernel construction and swap-chain sampling."""
+"""Kernel construction and exact k-DPP sampling."""
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from retabench import (
     DppSampleConfig,
     PromptRecord,
     build_dpp,
-    default_chain_steps,
     diversity_score,
     sample_kdpp,
     subset_log_det,
-    swap_log_ratio,
 )
 from retabench.errors import DegenerateInit, InvalidConfig, MissingEmbedding, ZeroMatrix
 
@@ -79,29 +80,7 @@ def test_seed_determinism():
     assert isinstance(other, list) and len(other) == 4
 
 
-def test_incremental_ratio_matches_direct_determinants():
-    rng = np.random.default_rng(3)
-    model = build_dpp(records(rng.standard_normal((12, 7))))
-    subset = [0, 2, 5, 7, 9]
-    worst = 0.0
-    for position in range(5):
-        for candidate in (1, 3, 4, 6, 8, 10, 11):
-            incremental = swap_log_ratio(model, subset, position, candidate)
-            swapped = [s for i, s in enumerate(subset) if i != position] + [candidate]
-            direct = subset_log_det(model, swapped) - subset_log_det(model, subset)
-            worst = max(worst, abs(incremental - direct))
-    assert worst <= 1e-9
-
-
-def test_swap_ratio_into_singular_subset_is_zero_probability():
-    matrix = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    model = build_dpp(records(matrix))
-    # replacing member 2 of {0, 2} with duplicate 1 gives a singular kernel
-    assert swap_log_ratio(model, [0, 2], 1, 1) == -math.inf
-
-
 def test_chain_steps_default():
-    assert default_chain_steps(100, 10, 0.01) == math.ceil(1000 * math.log(100.0))
     config = DppSampleConfig(k=3, seed=0)
     assert config.max_steps is None
     with pytest.raises(InvalidConfig):
@@ -127,3 +106,32 @@ def test_sampled_subsets_are_valid():
         assert len(set(subset)) == 6
         assert subset == sorted(subset)
         assert subset_log_det(model, subset) > -math.inf
+
+
+def test_duplicate_heavy_model_samples():
+    # 1000 copies of e1 plus e2 and e3: rank 3, and every size-3 subset
+    # with non-zero determinant holds e2, e3 and one copy of e1
+    matrix = np.zeros((1002, 3))
+    matrix[:1000, 0] = 1.0
+    matrix[1000, 1] = matrix[1001, 2] = 1.0
+    model = build_dpp(records(matrix))
+    for seed in range(20):
+        subset = sample_kdpp(model, DppSampleConfig(k=3, seed=seed))
+        assert subset[0] < 1000 and subset[1:] == [1000, 1001]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_samples_follow_subset_determinants(k):
+    # non-orthogonal: 7 candidates in 4 dimensions, dual eigenvalues 0.12..0.99
+    model = build_dpp(records(np.random.default_rng(15).standard_normal((7, 4))))
+    subsets = list(itertools.combinations(range(7), k))
+    dets = np.array([math.exp(subset_log_det(model, s)) for s in subsets])
+    draws = 2000
+    expected = draws * dets / dets.sum()
+    assert expected.min() >= 5.0
+    counts = collections.Counter(
+        tuple(sample_kdpp(model, DppSampleConfig(k=k, seed=seed))) for seed in range(draws))
+    assert set(counts) <= set(subsets)
+    observed = np.array([counts.get(s, 0) for s in subsets])
+    chi_stat = float(((observed - expected) ** 2 / expected).sum())
+    assert chi_stat <= chi2.isf(6.3e-5, len(subsets) - 1)  # c09's ~4-sigma level

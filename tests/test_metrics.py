@@ -190,6 +190,25 @@ def test_metric_report_and_csv(big_uniform, tmp_path):
     assert lines[2].startswith("oracle,50.0,100.0,100.0,1.0,1.0,1,100.0,50.0")
 
 
+def test_metric_report_matches_standalone_metrics(big_uniform):
+    dataset = big_uniform
+    # a scrambled RM: scores follow no monotone map of the oracle
+    scrambled = build_table({
+        pid: [math.sin(97.0 * r.oracle_score + i) for i, r in enumerate(dataset.responses[pid])]
+        for pid in dataset.prompt_ids()
+    }, rm_name="scrambled")
+    report = metric_report(dataset, scrambled, eta=0.25, selection_rank=2)
+    assert report.mrr == mrr_at_selection(dataset, scrambled, 2)
+    assert report.ndcg == ndcg_at_selection(dataset, scrambled, 2)
+    assert report.pairwise_accuracy == pairwise_accuracy(scrambled, dataset)
+    assert 0.0 < report.mrr < 1.0 and 0.0 < report.ndcg < 1.0
+    for k in (32, 64, 128):
+        per_prompt = [hit_rate(rank_by_table(dataset, scrambled, pid),
+                               rank_by_oracle(dataset, pid), 0.25, k)
+                      for pid in dataset.prompt_ids()]
+        assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
+
+
 def test_metrics_invariant_under_monotone_transform(big_uniform):
     dataset = big_uniform
     oracle = oracle_score_table(dataset)
