@@ -82,7 +82,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise InvalidConfig(f"config file not found: {path}")
     try:
         overrides = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer past Python's digit limit
         raise InvalidConfig(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise InvalidConfig("config file must hold a JSON object")
@@ -107,7 +108,10 @@ def _config_value(action: argparse.Action, value):
             for item in items):
         raise InvalidConfig(f"config value for {action.dest} has the wrong type: {value!r}")
     if action.type is not None:
-        items = [action.type(item) for item in items]
+        try:
+            items = [action.type(item) for item in items]
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidConfig(f"config value for {action.dest} is out of range") from exc
     if action.choices is not None and any(item not in action.choices for item in items):
         raise InvalidConfig(f"config value for {action.dest} must be one of "
                             f"{list(action.choices)}, got {value!r}")
@@ -170,7 +174,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise InvalidConfig(f"spec file not found: {spec_path}")
-    spec = DistSpec.from_json(spec_path.read_text(encoding="utf-8"))
+    try:
+        text = spec_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"spec file is not valid UTF-8: {exc}") from exc
+    spec = DistSpec.from_json(text)
     dataset, table = gen_synthetic(
         spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
     out_dir = Path(args.output_dir)

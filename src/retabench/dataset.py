@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -40,9 +41,11 @@ DEFAULT_MAX_ORACLE_SCORE = 10.0
 _EMBEDDING_NORM_TOL = 1e-6
 _ORACLE_SAMPLES_TOL = 1e-9
 
-_PROMPT_KEYS = {"prompt_id", "text", "embedding", "perplexity"}
-_RESPONSE_KEYS = {"prompt_id", "response_id", "text", "oracle_score", "oracle_samples"}
-_SCORE_KEYS = {"prompt_id", "response_id", "rm_name", "score"}
+_PROMPT_KEYS = frozenset({"prompt_id", "text", "embedding", "perplexity"})
+_RESPONSE_KEYS = frozenset(
+    {"prompt_id", "response_id", "text", "oracle_score", "oracle_samples"})
+_SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
+_FLOAT_TYPE = frozenset({float})
 
 
 @dataclass(frozen=True)
@@ -126,20 +129,50 @@ class RmScoreTable:
         return self.scores[key]
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file.
+
+    Each stripped line is decoded by one call of the C scanner behind
+    ``json.loads``; on a stripped line it accepts exactly what
+    ``json.loads`` accepts, so ``json.loads`` runs only on a line the
+    scanner rejects, to raise the same error text.
+    """
     source = path.name
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    try:
+                        obj, end = _scan_once(line, 0)
+                    except StopIteration:
+                        end = -1
+                    if end != len(line):
+                        obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    # JSONDecodeError, or an integer past Python's digit limit
+                    raise MalformedRecord(source, line_no, "-", f"invalid JSON: {exc}") from exc
+                if type(obj) is not dict:
+                    raise MalformedRecord(source, line_no, "-", "record is not a JSON object")
+                yield line_no, obj
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(source, _first_undecodable_line(path), "-",
+                                  f"not valid UTF-8: {exc.reason}") from exc
+
+
+def _first_undecodable_line(path: Path) -> int | None:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(source, line_no, "-", f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecord(source, line_no, "-", "record is not a JSON object")
-            yield line_no, obj
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
 
 
 def _req_str(obj: dict, key: str, source: str, line: int) -> str:
@@ -152,10 +185,32 @@ def _req_str(obj: dict, key: str, source: str, line: int) -> str:
 def _as_float(value, key: str, source: str, line: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedRecord(source, line, key, "must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise MalformedRecord(source, line, key, "number too large for a float") from exc
 
 
-def _warn_unknown_keys(obj: dict, known: set[str], source: str, line: int,
+def _float_array(raw, key: str, source: str, line: int) -> tuple[float, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise MalformedRecord(source, line, key, "must be a non-empty array")
+    if _FLOAT_TYPE.issuperset(map(type, raw)):
+        return tuple(raw)
+    return tuple(_as_float(v, key, source, line) for v in raw)
+
+
+def _embedding(raw, dim: int | None, source: str, line: int) -> tuple[float, ...]:
+    """A finite embedding whose dimension matches ``dim`` (None: any)."""
+    embedding = _float_array(raw, "embedding", source, line)
+    if not all(map(math.isfinite, embedding)):
+        raise MalformedRecord(source, line, "embedding", "contains non-finite values")
+    if dim is not None and len(embedding) != dim:
+        raise MalformedRecord(source, line, "embedding",
+                              f"dimension {len(embedding)} != {dim}")
+    return embedding
+
+
+def _warn_unknown_keys(obj: dict, known: frozenset[str], source: str, line: int,
                        sink: list[ValidationIssue]) -> None:
     for key in sorted(set(obj) - known):
         sink.append(ValidationIssue("warning", f"{source}:{line}",
@@ -189,27 +244,23 @@ def load_benchmark(path: str | Path, *,
     warnings: list[ValidationIssue] = []
     prompts: dict[str, PromptRecord] = {}
     embedding_dim: int | None = None
+    source = PROMPTS_FILE
+    # Each record loop tests the common valid case in one expression and
+    # falls back to the checking helpers, in their order, only when it fails.
     for line_no, obj in _iter_jsonl(prompts_path):
-        source = PROMPTS_FILE
-        _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
-        pid = _req_str(obj, "prompt_id", source, line_no)
-        text = _req_str(obj, "text", source, line_no)
+        if not _PROMPT_KEYS.issuperset(obj):
+            _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
+        pid, text = obj.get("prompt_id"), obj.get("text")
+        if not (type(pid) is str and pid and type(text) is str and text):
+            pid = _req_str(obj, "prompt_id", source, line_no)
+            text = _req_str(obj, "text", source, line_no)
         if pid in prompts:
             raise DuplicateId("prompt", pid)
-        embedding = None
-        if obj.get("embedding") is not None:
-            raw = obj["embedding"]
-            if not isinstance(raw, list) or not raw:
-                raise MalformedRecord(source, line_no, "embedding", "must be a non-empty array")
-            embedding = tuple(_as_float(v, "embedding", source, line_no) for v in raw)
-            if any(not math.isfinite(v) for v in embedding):
-                raise MalformedRecord(source, line_no, "embedding", "contains non-finite values")
-            if embedding_dim is None:
-                embedding_dim = len(embedding)
-            elif len(embedding) != embedding_dim:
-                raise MalformedRecord(source, line_no, "embedding",
-                                      f"dimension {len(embedding)} != {embedding_dim}")
-            norm = math.sqrt(math.fsum(v * v for v in embedding))
+        embedding = obj.get("embedding")
+        if embedding is not None:
+            embedding = _embedding(embedding, embedding_dim, source, line_no)
+            embedding_dim = len(embedding)
+            norm = math.sqrt(math.fsum(map(operator.mul, embedding, embedding)))
             if abs(norm - 1.0) > _EMBEDDING_NORM_TOL:
                 raise MalformedRecord(source, line_no, "embedding",
                                       f"norm {norm!r} not within {_EMBEDDING_NORM_TOL} of 1")
@@ -224,33 +275,35 @@ def load_benchmark(path: str | Path, *,
         raise MalformedRecord(PROMPTS_FILE, None, "-", "no prompt records")
 
     responses: dict[str, dict[str, ResponseRecord]] = {pid: {} for pid in prompts}
+    source = RESPONSES_FILE
     for line_no, obj in _iter_jsonl(responses_path):
-        source = RESPONSES_FILE
-        _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
-        pid = _req_str(obj, "prompt_id", source, line_no)
-        rid = _req_str(obj, "response_id", source, line_no)
-        if pid not in responses:
+        if not _RESPONSE_KEYS.issuperset(obj):
+            _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
+        pid, rid = obj.get("prompt_id"), obj.get("response_id")
+        if not (type(pid) is str and pid and type(rid) is str and rid):
+            pid = _req_str(obj, "prompt_id", source, line_no)
+            rid = _req_str(obj, "response_id", source, line_no)
+        by_id = responses.get(pid)
+        if by_id is None:
             raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
-        if rid in responses[pid]:
+        if rid in by_id:
             raise DuplicateId("response", f"{pid}/{rid}")
-        if "oracle_score" not in obj:
-            raise MalformedRecord(source, line_no, "oracle_score", "required")
-        score = _as_float(obj["oracle_score"], "oracle_score", source, line_no)
-        if not math.isfinite(score) or score <= 0:
-            raise NonPositiveOracleScore(pid, rid, score)
-        if score > max_oracle_score:
+        score = obj.get("oracle_score")
+        if type(score) is not float:
+            if "oracle_score" not in obj:
+                raise MalformedRecord(source, line_no, "oracle_score", "required")
+            score = _as_float(score, "oracle_score", source, line_no)
+        if not 0.0 < score <= max_oracle_score:
+            if not math.isfinite(score) or score <= 0:
+                raise NonPositiveOracleScore(pid, rid, score)
             raise MalformedRecord(source, line_no, "oracle_score",
                                   f"{score} exceeds configured maximum {max_oracle_score}")
         text = obj.get("text")
-        if text is not None and not isinstance(text, str):
+        if text is not None and type(text) is not str:
             raise MalformedRecord(source, line_no, "text", "must be a string")
-        samples = None
-        if obj.get("oracle_samples") is not None:
-            raw = obj["oracle_samples"]
-            if not isinstance(raw, list) or not raw:
-                raise MalformedRecord(source, line_no, "oracle_samples",
-                                      "must be a non-empty array")
-            samples = tuple(_as_float(v, "oracle_samples", source, line_no) for v in raw)
+        samples = obj.get("oracle_samples")
+        if samples is not None:
+            samples = _float_array(samples, "oracle_samples", source, line_no)
             if any(not math.isfinite(v) or v <= 0 for v in samples):
                 raise MalformedRecord(source, line_no, "oracle_samples",
                                       "samples must be positive reals")
@@ -258,7 +311,7 @@ def load_benchmark(path: str | Path, *,
             if abs(mean - score) > _ORACLE_SAMPLES_TOL:
                 raise MalformedRecord(source, line_no, "oracle_samples",
                                       f"mean {mean!r} does not match oracle_score {score!r}")
-        responses[pid][rid] = ResponseRecord(pid, rid, score, text, samples)
+        by_id[rid] = ResponseRecord(pid, rid, score, text, samples)
 
     ordered_prompts = [prompts[pid] for pid in sorted(prompts)]
     counts = {pid: len(responses[pid]) for pid in prompts}
@@ -295,26 +348,18 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
     seen: set[str] = set()
     dim: int | None = None
     for line_no, obj in _iter_jsonl(source_path):
-        pid = _req_str(obj, "prompt_id", source, line_no)
+        pid, text = obj.get("prompt_id"), obj.get("text", "")
+        if not (type(pid) is str and pid):
+            pid = _req_str(obj, "prompt_id", source, line_no)
         if pid in seen:
             raise DuplicateId("prompt", pid)
         seen.add(pid)
-        text = obj.get("text", "")
-        if not isinstance(text, str):
+        if type(text) is not str:
             raise MalformedRecord(source, line_no, "text", "must be a string")
-        embedding = None
-        if obj.get("embedding") is not None:
-            raw = obj["embedding"]
-            if not isinstance(raw, list) or not raw:
-                raise MalformedRecord(source, line_no, "embedding", "must be a non-empty array")
-            embedding = tuple(_as_float(v, "embedding", source, line_no) for v in raw)
-            if any(not math.isfinite(v) for v in embedding):
-                raise MalformedRecord(source, line_no, "embedding", "contains non-finite values")
-            if dim is None:
-                dim = len(embedding)
-            elif len(embedding) != dim:
-                raise MalformedRecord(source, line_no, "embedding",
-                                      f"dimension {len(embedding)} != {dim}")
+        embedding = obj.get("embedding")
+        if embedding is not None:
+            embedding = _embedding(embedding, dim, source, line_no)
+            dim = len(embedding)
         prompts.append(PromptRecord(pid, text, embedding))
     if not prompts:
         raise MalformedRecord(source, None, "-", "no candidate prompts")
@@ -359,18 +404,24 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
     rm_name: str | None = None
     source = score_path.name
     for line_no, obj in _iter_jsonl(score_path):
-        _warn_unknown_keys(obj, _SCORE_KEYS, source, line_no, warnings)
-        pid = _req_str(obj, "prompt_id", source, line_no)
-        rid = _req_str(obj, "response_id", source, line_no)
-        this_rm = _req_str(obj, "rm_name", source, line_no)
-        if rm_name is None:
+        if not _SCORE_KEYS.issuperset(obj):
+            _warn_unknown_keys(obj, _SCORE_KEYS, source, line_no, warnings)
+        pid, rid, this_rm = obj.get("prompt_id"), obj.get("response_id"), obj.get("rm_name")
+        if not (type(pid) is str and pid and type(rid) is str and rid
+                and type(this_rm) is str and this_rm):
+            pid = _req_str(obj, "prompt_id", source, line_no)
+            rid = _req_str(obj, "response_id", source, line_no)
+            this_rm = _req_str(obj, "rm_name", source, line_no)
+        if this_rm != rm_name:
+            if rm_name is not None:
+                raise MalformedRecord(source, line_no, "rm_name",
+                                      f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
             rm_name = this_rm
-        elif this_rm != rm_name:
-            raise MalformedRecord(source, line_no, "rm_name",
-                                  f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
-        if "score" not in obj:
-            raise MalformedRecord(source, line_no, "score", "required")
-        value = _as_float(obj["score"], "score", source, line_no)
+        value = obj.get("score")
+        if type(value) is not float:
+            if "score" not in obj:
+                raise MalformedRecord(source, line_no, "score", "required")
+            value = _as_float(value, "score", source, line_no)
         pair = (pid, rid)
         if pair not in valid_pairs:
             raise UnknownPair(pair)
@@ -381,9 +432,11 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
         scores[pair] = value
     if rm_name is None:
         raise MalformedRecord(source, None, "-", "no score records")
-    for pair in sorted(valid_pairs):
-        if pair not in scores:
-            raise MissingScore(pair)
+    # every stored pair is a distinct valid pair, so equal counts mean full cover
+    if len(scores) != len(valid_pairs):
+        for pair in sorted(valid_pairs):
+            if pair not in scores:
+                raise MissingScore(pair)
     return RmScoreTable(rm_name=rm_name, scores=scores, load_warnings=warnings)
 
 

@@ -163,10 +163,20 @@ def sample_kdpp(model: DppModel, config: DppSampleConfig) -> list[int]:
         selected.append(item)
         if len(selected) == k:
             return sorted(selected)
-        # keep the part of the span that vanishes at item, then re-orthonormalise
-        pivot = int(np.argmax(np.abs(basis[item])))
-        basis = basis - np.outer(basis[:, pivot] / basis[item, pivot], basis[item])
-        basis, _ = np.linalg.qr(np.delete(basis, pivot, axis=1))
+        basis = _condition(basis, item)
+
+
+def _condition(basis: np.ndarray, item: int) -> np.ndarray:
+    """Orthonormal basis of the part of span(basis) that vanishes at row ``item``.
+
+    With K = basis @ basis.T the projection kernel, the result spans the
+    kernel K - K[:, item] K[item, :] / K[item, item] of the projection DPP
+    conditioned on ``item`` having been picked.
+    """
+    pivot = int(np.argmax(np.abs(basis[item])))
+    basis = basis - np.outer(basis[:, pivot] / basis[item, pivot], basis[item])
+    basis, _ = np.linalg.qr(np.delete(basis, pivot, axis=1))
+    return basis
 
 
 def diversity_score(model: DppModel, subset: Sequence[int]) -> float:

@@ -23,7 +23,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import RankedResponses, eta_parts, rank_by_oracle, rank_by_table
+from .ranking import RankedResponses, _id_ranks, _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
 _OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}
@@ -52,6 +52,14 @@ def hit_rate(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
     n = len(ranked_rm)
     if len(ranked_oracle) != n or set(ranked_rm.response_ids) != set(ranked_oracle.response_ids):
         raise InvalidConfig("rankings must cover the same response set")
+    gt_size = _ground_truth_size(n, eta, k)
+    ground_truth = set(ranked_oracle.response_ids[:gt_size])
+    hits = sum(1 for rid in ranked_rm.response_ids[:k] if rid in ground_truth)
+    return 100.0 * hits / gt_size
+
+
+def _ground_truth_size(n: int, eta: float, k: int) -> int:
+    """floor(eta*N), after checking eta and the cutoff K against the pool size N."""
     if not 0.0 < eta < 1.0:
         raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
     if not 1 <= k <= n:
@@ -59,29 +67,24 @@ def hit_rate(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
     gt_size, _ = eta_parts(eta, n)
     if gt_size == 0:
         raise EmptyGroundTruth(f"floor(eta*N) = 0 for eta={eta}, N={n}")
-    ground_truth = set(ranked_oracle.response_ids[:gt_size])
-    hits = sum(1 for rid in ranked_rm.response_ids[:k] if rid in ground_truth)
-    return 100.0 * hits / gt_size
+    return gt_size
 
 
-def _rankings(dataset: BenchmarkDataset, table: RmScoreTable
-              ) -> list[tuple[RankedResponses, RankedResponses]]:
-    """Each prompt's (RM ranking, oracle ranking), in prompt order."""
-    return [(rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid))
-            for pid in dataset.prompt_ids()]
+def _rankings(dataset: BenchmarkDataset, rm: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """(prompts, N) array whose entry [i, r] is the 0-based oracle rank of
+    the response that prompt i's RM scores ``rm`` rank at r + 1."""
+    id_ranks = _id_ranks(dataset)
+    oracle_rank = np.argsort(_rank_orders(oracle, id_ranks), axis=1)
+    return np.take_along_axis(oracle_rank, _rank_orders(rm, id_ranks), axis=1)
 
 
-def _selection_oracle_ranks(rankings: list[tuple[RankedResponses, RankedResponses]],
-                            j: int) -> list[int]:
+def _selection_oracle_ranks(rankings: np.ndarray, j: int) -> list[int]:
     """Per prompt, the oracle rank of the RM's j-th ranked response."""
     if j < 1:
         raise InvalidConfig(f"selection rank must be >= 1, got {j}")
-    ranks = []
-    for rm, oracle in rankings:
-        if j > len(rm):
-            raise InvalidConfig(f"selection rank {j} exceeds pool size {len(rm)}")
-        ranks.append(oracle.response_ids.index(rm.response_ids[j - 1]) + 1)
-    return ranks
+    if j > rankings.shape[1]:
+        raise InvalidConfig(f"selection rank {j} exceeds pool size {rankings.shape[1]}")
+    return (rankings[:, j - 1] + 1).tolist()
 
 
 def _mrr(ranks: list[int]) -> float:
@@ -95,7 +98,8 @@ def _ndcg(ranks: list[int], j: int) -> float:
 
 def mrr_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
     """Mean reciprocal oracle rank of the RM's j-th ranked response."""
-    return _mrr(_selection_oracle_ranks(_rankings(dataset, table), j))
+    rankings = _rankings(dataset, *_score_matrices(dataset, table))
+    return _mrr(_selection_oracle_ranks(rankings, j))
 
 
 def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
@@ -104,7 +108,8 @@ def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1
     A selection at oracle rank r scores 1/log2(1+r), normalized by
     1/log2(1+j); for j = 1 this lies in [0, 1] with 1.0 for a perfect model.
     """
-    return _ndcg(_selection_oracle_ranks(_rankings(dataset, table), j), j)
+    rankings = _rankings(dataset, *_score_matrices(dataset, table))
+    return _ndcg(_selection_oracle_ranks(rankings, j), j)
 
 
 def pairwise_accuracy(table: RmScoreTable, dataset: BenchmarkDataset) -> float:
@@ -113,15 +118,16 @@ def pairwise_accuracy(table: RmScoreTable, dataset: BenchmarkDataset) -> float:
     Pairs with equal oracle scores are excluded; pairs the RM scores
     equally count half.
     """
+    return _pairwise_accuracy(dataset, *_score_matrices(dataset, table))
+
+
+def _pairwise_accuracy(dataset: BenchmarkDataset, rm: np.ndarray, oracle: np.ndarray) -> float:
+    first, second = np.triu_indices(rm.shape[1], k=1)
     per_prompt = []
-    for prompt_id in dataset.prompt_ids():
-        responses = dataset.responses[prompt_id]
-        oracle = np.asarray([r.oracle_score for r in responses])
-        rm = np.asarray([table.score(prompt_id, r.response_id) for r in responses])
-        oracle_sign = np.sign(oracle[:, None] - oracle[None, :])
-        rm_sign = np.sign(rm[:, None] - rm[None, :])
-        upper = np.triu(np.ones_like(oracle_sign, dtype=bool), k=1)
-        comparable = upper & (oracle_sign != 0)
+    for prompt_id, rm_row, oracle_row in zip(dataset.prompt_ids(), rm, oracle):
+        oracle_sign = np.sign(oracle_row[first] - oracle_row[second])
+        rm_sign = np.sign(rm_row[first] - rm_row[second])
+        comparable = oracle_sign != 0
         num_comparable = int(comparable.sum())
         if num_comparable == 0:
             raise NoComparablePairs(f"prompt {prompt_id!r}: all oracle scores equal")
@@ -175,10 +181,13 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     """All comparison metrics for one RM, averaged across prompts."""
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
                else default_hit_rate_cutoffs(dataset.responses_per_prompt))
-    rankings = _rankings(dataset, table)
-    hit_rates = {
-        k: math.fsum(hit_rate(rm, oracle, eta, k) for rm, oracle in rankings) / len(rankings)
-        for k in cutoffs}
+    rm, oracle = _score_matrices(dataset, table)
+    rankings = _rankings(dataset, rm, oracle)
+    hit_rates = {}
+    for k in cutoffs:
+        gt_size = _ground_truth_size(rankings.shape[1], eta, k)
+        hits = (rankings[:, :k] < gt_size).sum(axis=1)
+        hit_rates[k] = math.fsum((100.0 * hits / gt_size).tolist()) / len(rankings)
     ranks = _selection_oracle_ranks(rankings, selection_rank)
     win = win_rate_aggregate(win_labels)[0] if win_labels is not None else None
     return MetricReport(
@@ -187,7 +196,7 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
         mrr=_mrr(ranks),
         ndcg=_ndcg(ranks, selection_rank),
         selection_rank_j=selection_rank,
-        pairwise_accuracy=pairwise_accuracy(table, dataset),
+        pairwise_accuracy=_pairwise_accuracy(dataset, rm, oracle),
         win_rate=win,
     )
 

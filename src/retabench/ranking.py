@@ -104,10 +104,36 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
     return [int(i) for i in ranked.order[:count]]
 
 
+def _score_matrices(dataset: BenchmarkDataset,
+                    table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
+    """(table scores, oracle scores), each (prompts, N) in the stored response order."""
+    rows = [(pid, dataset.responses[pid]) for pid in dataset.prompt_ids()]
+    rm = np.array([[table.score(pid, r.response_id) for r in row] for pid, row in rows],
+                  dtype=np.float64)
+    oracle = np.array([[r.oracle_score for r in row] for _, row in rows], dtype=np.float64)
+    return rm, oracle
+
+
+def _id_ranks(dataset: BenchmarkDataset) -> np.ndarray:
+    """(prompts, N) rank of each stored response's id within its prompt."""
+    by_id = []
+    for pid in dataset.prompt_ids():
+        ids = [r.response_id for r in dataset.responses[pid]]
+        by_id.append(sorted(range(len(ids)), key=ids.__getitem__))
+    return np.argsort(by_id, axis=1)  # the inverse of each row's permutation
+
+
+def _rank_orders(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
+    """Row i holds prompt i's stored indices by score descending, ties by
+    ascending response id: the ``order`` of ``_build_ranking``, for every
+    prompt in one sort."""
+    return np.lexsort((id_ranks, -scores), axis=1)
+
+
 def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:
     """(prompts, N) oracle scores; row i is prompt i ordered by the table's ranking."""
-    return np.stack([rank_by_table(dataset, table, pid).oracle_scores
-                     for pid in dataset.prompt_ids()])
+    rm, oracle = _score_matrices(dataset, table)
+    return np.take_along_axis(oracle, _rank_orders(rm, _id_ranks(dataset)), axis=1)
 
 
 def _rank_weights(pool_size: int, n: int, ranks: np.ndarray) -> np.ndarray:

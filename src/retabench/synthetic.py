@@ -47,32 +47,33 @@ class DistSpec:
         if self.kind not in KINDS:
             raise UnsupportedSpec(f"unknown distribution kind {self.kind!r}")
         p = self.params
+        if not isinstance(p, dict):
+            raise InvalidConfig(f"spec params must be an object, got {p!r}")
         if self.kind in ("deterministic_uniform", "independent"):
             low, high = p.get("low"), p.get("high")
-            if low is None or high is None or not (0.0 <= low < high):
+            if low is None or high is None or not (
+                    0.0 <= _real("low", low) < _real("high", high)):
                 raise InvalidConfig(
                     f"{self.kind} requires 0 <= low < high, got low={low}, high={high}")
         elif self.kind == "noisy_gaussian":
             rho, offset = p.get("rho"), p.get("offset")
-            if rho is None or not -1.0 <= rho <= 1.0:
+            if rho is None or not -1.0 <= _real("rho", rho) <= 1.0:
                 raise InvalidConfig(f"noisy_gaussian requires rho in [-1, 1], got {rho}")
-            if offset is None or offset < _MIN_GAUSSIAN_OFFSET:
+            if offset is None or _real("offset", offset) < _MIN_GAUSSIAN_OFFSET:
                 raise InvalidConfig(
                     f"noisy_gaussian requires offset >= {_MIN_GAUSSIAN_OFFSET}, got {offset}")
         else:  # custom_table
             atoms = p.get("atoms")
-            if not atoms:
+            if not isinstance(atoms, (list, tuple)) or not atoms:
                 raise InvalidConfig("custom_table requires a non-empty atom list")
             total = 0.0
             for atom in atoms:
-                if len(atom) != 3:
+                if not isinstance(atom, (list, tuple)) or len(atom) != 3:
                     raise InvalidConfig("each atom must be (rm_score, oracle_score, prob)")
-                y, j, prob = atom
-                if not math.isfinite(y):
-                    raise InvalidConfig(f"atom rm score must be finite, got {y}")
-                if not (math.isfinite(j) and j > 0):
+                y, j, prob = (_real("atom entry", value) for value in atom)
+                if not j > 0:
                     raise InvalidConfig(f"atom oracle score must be positive, got {j}")
-                if not (math.isfinite(prob) and prob > 0):
+                if not prob > 0:
                     raise InvalidConfig(f"atom probability must be positive, got {prob}")
                 total += prob
             if abs(total - 1.0) > _PROB_SUM_TOL:
@@ -104,7 +105,11 @@ class DistSpec:
 
     @classmethod
     def from_json(cls, text: str) -> DistSpec:
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, or an integer past Python's digit limit
+            raise InvalidConfig(f"spec is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InvalidConfig("spec file must hold a JSON object")
         unknown = set(obj) - {"kind", "params"}
@@ -112,8 +117,10 @@ class DistSpec:
             raise InvalidConfig(f"unknown spec keys: {sorted(unknown)}")
         kind = obj.get("kind")
         params = obj.get("params", {})
-        if kind == "custom_table" and "atoms" in params:
-            params = dict(params, atoms=[tuple(a) for a in params["atoms"]])
+        if kind == "custom_table" and isinstance(params, dict) and isinstance(
+                params.get("atoms"), list):
+            params = dict(params, atoms=[tuple(a) if isinstance(a, list) else a
+                                         for a in params["atoms"]])
         return cls(kind, params)
 
     def to_json(self) -> str:
@@ -121,6 +128,17 @@ class DistSpec:
         if self.kind == "custom_table":
             params["atoms"] = [list(a) for a in params["atoms"]]
         return json.dumps({"kind": self.kind, "params": params}, sort_keys=True)
+
+
+def _real(name: str, value) -> float:
+    """A spec number as a float; InvalidConfig unless it is a finite real."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InvalidConfig(f"spec {name} must be a finite number, got {value!r}")
 
 
 def _draw_pairs(spec: DistSpec, rng: np.random.Generator,

@@ -88,3 +88,21 @@ def random_ranked(rng: np.random.Generator, size: int, prompt_id: str = "p0"):
     dataset = build_dataset({prompt_id: list(oracle)})
     table = build_table({prompt_id: list(rm)})
     return rank_by_table(dataset, table, prompt_id)
+
+
+def unordered_ties_dataset(seed: int = 3, prompts: int = 6, size: int = 12):
+    """Hand-built dataset whose responses are not stored in id order, with
+    exact score ties, including 0.0 against -0.0, on both score sides."""
+    rng = np.random.default_rng(seed)
+    prompt_ids = [f"p{i}" for i in range(prompts)]
+    responses, scores = {}, {}
+    for pid in prompt_ids:
+        ids = [f"r{j:02d}" for j in rng.permutation(size)]
+        oracle = rng.integers(1, 4, size).astype(float)
+        rm = rng.integers(-1, 2, size) * rng.choice([1.0, 2.0], size)
+        rm[rng.random(size) < 0.3] = -0.0
+        responses[pid] = [ResponseRecord(pid, rid, float(o)) for rid, o in zip(ids, oracle)]
+        scores.update({(pid, rid): float(v) for rid, v in zip(ids, rm)})
+    dataset = BenchmarkDataset("unordered", [PromptRecord(pid, "t") for pid in prompt_ids],
+                               responses, size)
+    return dataset, RmScoreTable("rm", scores)

@@ -276,3 +276,75 @@ def test_bad_max_oracle_score_exits_2_without_output(synth_dir, tmp_path, capsys
         assert code == 2, value
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
         assert not out.exists()
+
+
+def _corrupt_copy(synth_dir: Path, tmp_path: Path, name: str, line: bytes) -> Path:
+    """A copy of the synthetic dataset whose file ``name`` gains ``line`` after line 1."""
+    data = tmp_path / "corrupt"
+    data.mkdir()
+    for path in synth_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    first, rest = (data / name).read_bytes().split(b"\n", 1)
+    (data / name).write_bytes(first + b"\n" + line + b"\n" + rest)
+    return data
+
+
+@pytest.mark.parametrize("name, line", [
+    ("rm_scores.jsonl",
+     b'{"prompt_id": "p0000", "response_id": "r001", "rm_name": "synthetic-rm", "score": '
+     + b"9" * 401 + b"}"),
+    ("responses.jsonl",
+     b'{"prompt_id": "p0000", "response_id": "r999", "oracle_score": ' + b"9" * 5001 + b"}"),
+    ("prompts.jsonl", b'{"prompt_id": "p\xff", "text": "t"}'),
+], ids=["401-digit-score", "5001-digit-oracle-score", "byte-0xff"])
+def test_unreadable_input_line_exits_2_without_output(synth_dir, tmp_path, capsys, name, line):
+    data = _corrupt_copy(synth_dir, tmp_path, name, line)
+    out = tmp_path / "out"
+    code = main(["reta", "--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl"),
+                 "--eta", "0.5", "--output-dir", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MalformedRecord"
+    assert error["message"].startswith(f"{name}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"seed": ' + b"9" * 5001 + b"}",
+    b'{"max_oracle_score": ' + b"9" * 401 + b"}",
+    b'{"seed": 1}\xff',
+], ids=["5001-digit-int", "401-digit-float", "byte-0xff"])
+def test_unreadable_config_file_exits_2_without_output(synth_dir, tmp_path, capsys, content):
+    config_path = tmp_path / "override.json"
+    config_path.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["reta", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"), "--eta", "0.5",
+                 "--config", str(config_path), "--output-dir", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"{",
+    b'{"kind": "noisy_gaussian", "params": 5}',
+    b'{"kind": "noisy_gaussian", "params": null}',
+    b'{"kind": "noisy_gaussian", "params": {"rho": "x", "offset": 7.0}}',
+    b'{"kind": "noisy_gaussian", "params": {"rho": 0.5, "offset": ' + b"9" * 401 + b"}}",
+    b'{"kind": "independent", "params": {"low": 0, "high": ' + b"9" * 5001 + b"}}",
+    b'{"kind": "independent", "params": {"low": true, "high": 2.0}}',
+    b'{"kind": "custom_table", "params": {"atoms": [5]}}',
+    b'{"kind": "custom_table", "params": {"atoms": [[1.0, "x", 1.0]]}}',
+    b'{"kind": "independent", "params": {"low": 0.0, "high": 1.0}}\xff',
+], ids=["truncated", "params-int", "params-null", "rho-string", "offset-401-digits",
+        "high-5001-digits", "low-bool", "atom-int", "atom-string", "byte-0xff"])
+def test_bad_spec_exits_2_without_output(tmp_path, capsys, content):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(spec_path), "--num-prompts", "2",
+                 "--num-responses", "4", "--output-dir", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not out.exists()

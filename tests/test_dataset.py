@@ -246,3 +246,162 @@ def test_load_candidate_prompts(tmp_path):
     assert prompts[0].embedding == (3.0, 4.0)  # no unit-norm requirement
     with pytest.raises(MalformedRecord):
         load_candidate_prompts(tmp_path / "absent.jsonl")
+
+
+# --- reader parity: every bad line fails as the line-by-line json.loads reader did
+
+def _score_line(pid: str, rid: str, score: str = "1.0", rm_name: str = '"rm"') -> str:
+    return (f'{{"prompt_id": "{pid}", "response_id": "{rid}", "rm_name": {rm_name}, '
+            f'"score": {score}}}')
+
+
+@pytest.mark.parametrize("bad_line, error, message", [
+    ("{} x", MalformedRecord,
+     "field '-': invalid JSON: Extra data: line 1 column 4 (char 3)"),
+    ('{"prompt_id": "p1"', MalformedRecord,
+     "field '-': invalid JSON: Expecting ',' delimiter: line 1 column 19 (char 18)"),
+    ("[1, 2]", MalformedRecord, "field '-': record is not a JSON object"),
+    ("\ufeff" + _score_line("p1", "a"), MalformedRecord,
+     "field '-': invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (_score_line("p1", "a", score="true"), MalformedRecord, "field 'score': must be a number"),
+    (_score_line("p1", "a", score='"1.0"'), MalformedRecord, "field 'score': must be a number"),
+    (_score_line("", "a"), MalformedRecord, "field 'prompt_id': required non-empty string"),
+    (_score_line("p1", "", rm_name="5"), MalformedRecord,
+     "field 'response_id': required non-empty string"),
+    (_score_line("p1", "a", rm_name='""'), MalformedRecord,
+     "field 'rm_name': required non-empty string"),
+    (_score_line("p1", "a", rm_name='"other"'), MalformedRecord,
+     "field 'rm_name': mixed rm names in one file: 'rm' vs 'other'"),
+    ('{"prompt_id": "p1", "response_id": "a", "rm_name": "rm"}', MalformedRecord,
+     "field 'score': required"),
+    (_score_line("p1", "a", score="NaN"), NonFiniteScore,
+     "score for pair ('p1', 'a') is not finite: nan"),
+    (_score_line("p1", "zz"), UnknownPair,
+     "score for pair ('p1', 'zz') not present in the dataset"),
+    (_score_line("p2", "c"), DuplicateScore, "more than one score for pair ('p2', 'c')"),
+], ids=["extra-data", "truncated", "not-object", "bom", "bool-score", "string-score",
+        "empty-prompt-id", "empty-response-id", "empty-rm-name", "mixed-rm-names",
+        "missing-score", "nan-score", "unknown-pair", "duplicate-pair"])
+def test_score_reader_errors(tiny_dataset_dir, tmp_path, bad_line, error, message):
+    dataset = load_benchmark(tiny_dataset_dir)
+    path = tmp_path / "rm_scores.jsonl"
+    # a blank line and a padded record come first, so the bad line is line 4
+    path.write_text("\n   \t\n  " + _score_line("p2", "c") + " \n" + bad_line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(error) as info:
+        ingest_rm_scores(dataset, path)
+    if error is MalformedRecord:
+        assert (info.value.line, str(info.value)) == (4, f"rm_scores.jsonl:4: {message}")
+    else:
+        assert str(info.value) == message
+
+
+def test_score_reader_accepts_padding_int_scores_and_unknown_keys(tiny_dataset_dir, tmp_path):
+    dataset = load_benchmark(tiny_dataset_dir)
+    pairs = list(dataset.iter_pairs())
+    lines = [_score_line(pid, rid, score=str(i)) for i, (pid, rid) in enumerate(pairs)]
+    lines[1] = "  " + lines[1] + "\t"
+    lines[2] = lines[2][:-1] + ', "note": "x"}'
+    path = tmp_path / "rm_scores.jsonl"
+    path.write_text("\n" + "\n\n".join(lines) + "\n", encoding="utf-8")
+    table = ingest_rm_scores(dataset, path)
+    assert table.scores == {pair: float(i) for i, pair in enumerate(pairs)}
+    assert all(type(v) is float for v in table.scores.values())
+    assert [(w.severity, w.location, w.message) for w in table.load_warnings] == [
+        ("warning", "rm_scores.jsonl:6", "unknown key 'note' ignored")]
+
+
+def _response_line(rid: str, score: str = "1.0", extra: str = "") -> str:
+    return f'{{"prompt_id": "p1", "response_id": "{rid}", "oracle_score": {score}{extra}}}'
+
+
+@pytest.mark.parametrize("bad_line, error, message", [
+    (_response_line("c", score="true"), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_score': must be a number"),
+    ('{"prompt_id": "p1", "response_id": "c"}', MalformedRecord,
+     "responses.jsonl:2: field 'oracle_score': required"),
+    (_response_line(""), MalformedRecord,
+     "responses.jsonl:2: field 'response_id': required non-empty string"),
+    ('{"prompt_id": "p9", "response_id": "c", "oracle_score": 1.0}', MalformedRecord,
+     "responses.jsonl:2: field 'prompt_id': unknown prompt 'p9'"),
+    (_response_line("a"), DuplicateId, "duplicate response id: 'p1/a'"),
+    (_response_line("c", score="NaN"), NonPositiveOracleScore,
+     "oracle score for ('p1', 'c') is nan, must be > 0"),
+    (_response_line("c", score="0"), NonPositiveOracleScore,
+     "oracle score for ('p1', 'c') is 0.0, must be > 0"),
+    (_response_line("c", score="11"), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_score': 11.0 exceeds configured maximum 10.0"),
+    (_response_line("c", extra=', "text": 3'), MalformedRecord,
+     "responses.jsonl:2: field 'text': must be a string"),
+    (_response_line("c", extra=', "oracle_samples": []'), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_samples': must be a non-empty array"),
+    (_response_line("c", extra=', "oracle_samples": [1, false]'), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_samples': must be a number"),
+    (_response_line("c", extra=', "oracle_samples": [1.0, -1.0]'), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_samples': samples must be positive reals"),
+], ids=["bool-score", "missing-score", "empty-id", "unknown-prompt", "duplicate",
+        "nan-score", "zero-score", "above-maximum", "text-type", "empty-samples",
+        "bool-sample", "negative-sample"])
+def test_response_reader_errors(tmp_path, bad_line, error, message):
+    directory = write_dataset_dir(tmp_path / "d", [{"prompt_id": "p1", "text": "t"}], [])
+    (directory / "responses.jsonl").write_text(
+        _response_line("a") + "\n" + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(error) as info:
+        load_benchmark(directory)
+    assert str(info.value) == message
+
+
+def test_int_scores_and_samples_load_as_floats(tmp_path):
+    prompts = [{"prompt_id": "p1", "text": "t", "embedding": [0, 1]}]
+    responses = [
+        {"prompt_id": "p1", "response_id": "a", "oracle_score": 2, "oracle_samples": [1, 3.0]},
+        {"prompt_id": "p1", "response_id": "b", "oracle_score": 2.5},
+    ]
+    dataset = load_benchmark(write_dataset_dir(tmp_path / "d", prompts, responses))
+    assert dataset.prompts[0].embedding == (0.0, 1.0)
+    first = dataset.responses["p1"][0]
+    assert (first.oracle_score, first.oracle_samples) == (2.0, (1.0, 3.0))
+    values = [*dataset.prompts[0].embedding, first.oracle_score, *first.oracle_samples]
+    assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("embedding, message", [
+    ("[]", "must be a non-empty array"),
+    ('[1.0, "x"]', "must be a number"),
+    ("[1.0, true]", "must be a number"),
+    ("[NaN, 1.0]", "contains non-finite values"),
+    ("[1.0, 0.0, 0.0]", "dimension 3 != 2"),
+])
+def test_embedding_errors(tmp_path, embedding, message):
+    lines = ['{"prompt_id": "a", "text": "x", "embedding": [0.6, 0.8]}',
+             f'{{"prompt_id": "b", "text": "y", "embedding": {embedding}}}']
+    path = tmp_path / "prompts.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        load_candidate_prompts(path)
+    assert str(info.value) == f"prompts.jsonl:2: field 'embedding': {message}"
+    responses = [{"prompt_id": pid, "response_id": rid, "oracle_score": 1.0}
+                 for pid in ("a", "b") for rid in ("r1", "r2")]
+    write_jsonl(tmp_path / "responses.jsonl", responses)
+    with pytest.raises(MalformedRecord) as info:
+        load_benchmark(tmp_path)
+    assert str(info.value) == f"prompts.jsonl:2: field 'embedding': {message}"
+
+
+@pytest.mark.parametrize("bad_line, field, message", [
+    (_score_line("p1", "b", score="9" * 401).encode(), "score", "number too large for a float"),
+    (_score_line("p1", "b", score="9" * 5001).encode(), "-",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    (b'{"prompt_id": "p1", "response_id": "\xff"}', "-", "not valid UTF-8: invalid start byte"),
+    (b"[" * 100_000, "-", "invalid JSON: maximum recursion depth exceeded"),
+], ids=["401-digit-score", "5001-digit-score", "byte-0xff", "deep-nesting"])
+def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_line, field,
+                                                message):
+    dataset = load_benchmark(tiny_dataset_dir)
+    path = tmp_path / "rm_scores.jsonl"
+    path.write_bytes(_score_line("p1", "a").encode() + b"\n" + bad_line + b"\n")
+    with pytest.raises(MalformedRecord) as info:
+        ingest_rm_scores(dataset, path)
+    assert (info.value.line, info.value.field) == (2, field)
+    assert str(info.value).startswith(f"rm_scores.jsonl:2: field '{field}': {message}")

@@ -18,6 +18,7 @@ from retabench import (
     sample_kdpp,
     subset_log_det,
 )
+from retabench.dpp import _condition
 from retabench.errors import DegenerateInit, InvalidConfig, MissingEmbedding, ZeroMatrix
 
 
@@ -135,3 +136,21 @@ def test_samples_follow_subset_determinants(k):
     observed = np.array([counts.get(s, 0) for s in subsets])
     chi_stat = float(((observed - expected) ** 2 / expected).sum())
     assert chi_stat <= chi2.isf(6.3e-5, len(subsets) - 1)  # c09's ~4-sigma level
+
+
+def test_conditioning_spans_the_conditioned_projection_kernel():
+    # each projection round of sample_kdpp conditions the basis on its pick;
+    # after every round the basis must be orthonormal, vanish at the picked
+    # row and span K - K[:, i] K[i, :] / K_ii, so its squared row norms
+    # (the next round's weights) are K_jj - K_ij^2 / K_ii
+    basis, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((9, 4)))
+    for item in (2, 7, 4):
+        kernel = basis @ basis.T
+        expected = kernel - np.outer(kernel[:, item], kernel[item]) / kernel[item, item]
+        basis = _condition(basis, item)
+        rank = basis.shape[1]
+        assert rank == kernel.trace().round() - 1
+        assert np.allclose(basis.T @ basis, np.eye(rank), atol=1e-12)
+        assert np.allclose(basis[item], 0.0, atol=1e-12)
+        assert np.allclose(np.einsum("ij,ij->i", basis, basis), np.diag(expected), atol=1e-12)
+        assert np.allclose(basis @ basis.T, expected, atol=1e-12)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from retabench import (
@@ -30,7 +31,7 @@ from retabench.errors import (
     NoComparablePairs,
 )
 
-from conftest import build_dataset, build_table, write_jsonl
+from conftest import build_dataset, build_table, unordered_ties_dataset, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +220,52 @@ def test_metrics_invariant_under_monotone_transform(big_uniform):
     assert mrr_at_selection(dataset, transformed, 1) == mrr_at_selection(dataset, oracle, 1)
     assert ndcg_at_selection(dataset, transformed, 2) == ndcg_at_selection(dataset, oracle, 2)
     assert pairwise_accuracy(transformed, dataset) == pairwise_accuracy(oracle, dataset)
+
+
+def reference_pairwise_accuracy(table, dataset) -> float:
+    """The per-prompt N x N sign-matrix form of pairwise accuracy."""
+    per_prompt = []
+    for prompt_id in dataset.prompt_ids():
+        responses = dataset.responses[prompt_id]
+        oracle = np.asarray([r.oracle_score for r in responses])
+        rm = np.asarray([table.score(prompt_id, r.response_id) for r in responses])
+        oracle_sign = np.sign(oracle[:, None] - oracle[None, :])
+        rm_sign = np.sign(rm[:, None] - rm[None, :])
+        comparable = np.triu(oracle_sign != 0, k=1)
+        agree = int((comparable & (rm_sign == oracle_sign)).sum())
+        rm_ties = int((comparable & (rm_sign == 0)).sum())
+        per_prompt.append(100.0 * (agree + 0.5 * rm_ties) / int(comparable.sum()))
+    return math.fsum(per_prompt) / len(per_prompt)
+
+
+@pytest.mark.parametrize("selection_rank", [1, 2, 5])
+def test_batched_metrics_match_per_prompt_rankings(selection_rank):
+    dataset, table = unordered_ties_dataset()
+    report = metric_report(dataset, table, eta=0.5, selection_rank=selection_rank)
+    pids = dataset.prompt_ids()
+    pairs = [(rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid)) for pid in pids]
+    for k in (1, 3, 6):
+        per_prompt = [hit_rate(rm, orc, 0.5, k) for rm, orc in pairs]
+        assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
+    ranks = [orc.response_ids.index(rm.response_ids[selection_rank - 1]) + 1
+             for rm, orc in pairs]
+    assert report.mrr == math.fsum(1.0 / r for r in ranks) / len(ranks)
+    ideal = 1.0 / math.log2(1 + selection_rank)
+    assert report.ndcg == math.fsum(
+        (1.0 / math.log2(1 + r)) / ideal for r in ranks) / len(ranks)
+    assert report.mrr == mrr_at_selection(dataset, table, selection_rank)
+    assert report.ndcg == ndcg_at_selection(dataset, table, selection_rank)
+    assert report.pairwise_accuracy == reference_pairwise_accuracy(table, dataset)
+    assert report.pairwise_accuracy == pairwise_accuracy(table, dataset)
+
+
+def test_metric_report_check_order():
+    dataset, table = unordered_ties_dataset()
+    with pytest.raises(InvalidConfig, match="eta"):
+        metric_report(dataset, table, eta=1.5, hit_rate_cutoffs=[99])
+    with pytest.raises(InvalidConfig, match="K=99"):
+        metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[99, 0])
+    with pytest.raises(EmptyGroundTruth):
+        metric_report(dataset, table, eta=0.01, hit_rate_cutoffs=[2, 99])
+    with pytest.raises(InvalidConfig, match="selection rank 13"):
+        metric_report(dataset, table, eta=0.5, selection_rank=13)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from retabench import beta_subset, eta_parts, rank_by_oracle, rank_by_table
-from retabench.errors import EmptySelection, InvalidConfig
+from retabench import RmScoreTable, beta_subset, eta_parts, rank_by_oracle, rank_by_table
+from retabench.errors import EmptySelection, InvalidConfig, MissingScore
+from retabench.ranking import _id_ranks, _rank_orders, _score_matrices, oracle_matrix
 
-from conftest import build_dataset, build_table
+from conftest import build_dataset, build_table, unordered_ties_dataset
 
 
 def test_rank_by_table_orders_descending():
@@ -62,3 +65,25 @@ def test_rank_by_oracle_matches_oracle_table():
     by_oracle = rank_by_oracle(dataset, "p")
     assert list(by_oracle.oracle_scores) == [4.0, 3.5, 1.0]
     assert np.all(by_oracle.rm_scores == by_oracle.oracle_scores)
+
+
+def test_batched_orders_match_per_prompt_rankings():
+    dataset, table = unordered_ties_dataset()
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in table.scores.values())
+    rm, oracle = _score_matrices(dataset, table)
+    id_ranks = _id_ranks(dataset)
+    rm_orders, oracle_orders = _rank_orders(rm, id_ranks), _rank_orders(oracle, id_ranks)
+    matrix = oracle_matrix(dataset, table)
+    for i, pid in enumerate(dataset.prompt_ids()):
+        by_table, by_oracle = rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid)
+        assert rm_orders[i].tolist() == by_table.order.tolist()
+        assert oracle_orders[i].tolist() == by_oracle.order.tolist()
+        assert matrix[i].tolist() == by_table.oracle_scores.tolist()
+
+
+def test_oracle_matrix_reads_through_score():
+    dataset, table = unordered_ties_dataset()
+    missing = dict(table.scores)
+    del missing[("p2", "r05")]
+    with pytest.raises(MissingScore):
+        oracle_matrix(dataset, RmScoreTable("rm", missing))
