@@ -7,9 +7,10 @@ over pool ranks r with hypergeometric weights
     w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n),
 
 i.e. the probability that the pool's rank-r response lands at subset rank
-k (``ranking.subset_rank_table``). This turns an O(C(N, n)) enumeration
+k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
-property-tested against brute force.
+property-tested against brute force. Best-m-of-n sums the first m rows
+of the weight table and builds no others.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dataset import BenchmarkDataset, RmScoreTable
 from .errors import InvalidConfig
-from .ranking import RankedResponses, oracle_matrix, subset_rank_table, subset_rank_weights
+from .ranking import RankedResponses, _rank_weights, oracle_matrix, subset_rank_weights
 from .reta import _spread
 
 
@@ -53,7 +54,7 @@ def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
 def _top_m_weights(pool_size: int, m: int, n: int) -> np.ndarray:
     if not 1 <= m <= n <= pool_size:
         raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool_size}")
-    return subset_rank_table(pool_size, n)[:m].sum(axis=0) / m
+    return _rank_weights(pool_size, n, np.arange(1, m + 1)).sum(axis=0) / m
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ all estimators and metrics.
 Responses are ordered by reward-model score descending; exact score ties
 are broken by ascending response id so that every ranking is a stable,
 reproducible permutation.
+
+The subset-rank weight w_k(r), the probability that pool rank r lands at
+rank k of a uniform n-subset, is the product of a factor in r, a factor
+in k and a factor in r - k. A table of any rows k is therefore one
+gather from a single vector plus two broadcast adds and one exp in log
+space, and callers build only the rows they read.
 """
 
 from __future__ import annotations
@@ -136,23 +142,30 @@ def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:
     return np.take_along_axis(oracle, _rank_orders(rm, _id_ranks(dataset)), axis=1)
 
 
-def _rank_weights(pool_size: int, n: int, ranks: np.ndarray) -> np.ndarray:
+def _rank_weights(pool_size: int, n: int, ranks: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n) for subset ranks k in ``ranks``.
 
-    Binomials are taken in log space through log m! = gammaln(m + 1), so
-    large pools cannot overflow.
+    In log space, through log m! = gammaln(m + 1) so large pools cannot
+    overflow, log w_k(r) splits into a term in r, a term in k and a term
+    g(r-k) = -log (r-k)! - log (N-n-(r-k))!, which is -inf where r-k falls
+    outside [0, N-n]. The table is therefore one gather from g, two
+    broadcast adds and one exp, and impossible placements come out as
+    exp(-inf) = 0 exactly. ``out``, if given, receives the rows.
     """
     log_fact = gammaln(np.arange(pool_size + 1, dtype=np.float64) + 1.0)
-    r = np.arange(1, pool_size + 1)
-    k = ranks[:, None]
-    skipped_above = r - k
-    skipped_below = pool_size - r - (n - k)
-    valid = (skipped_above >= 0) & (skipped_below >= 0)
-    log_w = (log_fact[r - 1] - log_fact[k - 1] - log_fact[np.maximum(skipped_above, 0)]
-             + log_fact[pool_size - r] - log_fact[n - k]
-             - log_fact[np.maximum(skipped_below, 0)]
-             - log_fact[pool_size] + log_fact[n] + log_fact[pool_size - n])
-    return np.where(valid, np.exp(log_w), 0.0)
+    spare = pool_size - n
+    # g(d) for d = r - k in [1-n, N-1], stored at index d + n - 1
+    g = np.full(pool_size + n - 1, -np.inf)
+    g[n - 1:pool_size] = -(log_fact[:spare + 1] + log_fact[spare::-1])
+    # window n-k is g(r-k) over r = 1..N; mode="clip" never clips (every
+    # index is in range) but lets take write straight into ``out``
+    windows = np.lib.stride_tricks.sliding_window_view(g, pool_size)
+    log_w = np.take(windows, n - ranks, axis=0, out=out, mode="clip")
+    log_w += log_fact[:pool_size] + log_fact[pool_size - 1::-1]  # log (r-1)! (N-r)!
+    log_w += (log_fact[n] + log_fact[spare] - log_fact[pool_size]
+              - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
+    return np.exp(log_w, out=log_w)
 
 
 def subset_rank_weights(pool_size: int, n: int, k: int) -> np.ndarray:

@@ -11,10 +11,13 @@ oracle total of the model's top ``floor(eta*n)`` picks within the subset
 the pool's total oracle score. Values are averaged over a grid of subset
 sizes proportional to ``N**(2/3)``.
 
-The expectation is computed exactly rather than sampled: with the
-subset-rank weights of ``ranking.subset_rank_table`` it is one dot
-product per (prompt, n, eta), so estimates carry no Monte Carlo error and
-involve no randomness. ``exhaustive_reta`` enumerates every subset as an
+The expectation is computed exactly rather than sampled, so estimates
+carry no Monte Carlo error and involve no randomness. Each n contributes,
+per eta, one coefficient vector over pool ranks, built from the
+subset-rank weights of ``ranking`` only down to the deepest rank the eta
+grid reads; the vectors are summed over n, and each eta's sum meets the
+(prompts x N) oracle matrix in one matrix-vector product. ``eta == 1`` is
+set exactly. ``exhaustive_reta`` enumerates every subset as an
 independent reference.
 """
 
@@ -36,7 +39,7 @@ from .errors import (
     InvalidConfig,
     TooManySubsets,
 )
-from .ranking import RankedResponses, eta_parts, oracle_matrix, subset_rank_table
+from .ranking import RankedResponses, _rank_weights, eta_parts, oracle_matrix
 
 MAX_ENUMERATED_SUBSETS = 1_000_000
 
@@ -110,8 +113,11 @@ def _snap(x: float) -> float:
 def resample_sizes(num_responses: int, config: RetaConfig) -> list[int]:
     """Integer subset-size grid: ceil(c_lo*N^e) .. floor(c_hi*N^e), clipped to [1, N]."""
     scale = num_responses ** config.n_exponent
-    low = max(1, math.ceil(_snap(config.n_range_low_coeff * scale)))
-    high = min(num_responses, math.floor(_snap(config.n_range_high_coeff * scale)))
+    # every end past N acts alike; capping there also keeps a product that
+    # overflowed to inf out of round() and ceil()
+    cap = num_responses + 1.0
+    low = max(1, math.ceil(_snap(min(config.n_range_low_coeff * scale, cap))))
+    high = min(num_responses, math.floor(_snap(min(config.n_range_high_coeff * scale, cap))))
     if low > high:
         raise EmptyNRange(
             f"no subset sizes in [{config.n_range_low_coeff}, {config.n_range_high_coeff}] "
@@ -119,17 +125,49 @@ def resample_sizes(num_responses: int, config: RetaConfig) -> list[int]:
     return list(range(low, high + 1))
 
 
-def _values_at_n(oracle: np.ndarray, prompt_ids: Sequence[str], n: int,
-                 etas: Sequence[float], normalize: bool) -> np.ndarray:
-    """RETA at subset size ``n`` for every (eta, prompt), shape (len(etas), prompts).
+def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.ndarray:
+    """(len(etas), pool) weights over pool ranks, summed over the n grid,
+    whose dot product with a prompt's oracle scores in RM-rank order is
+    the sum over n of the expected selection total divided by eta*n.
 
-    Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
     With eta*n = c + delta, a subset's selection total is its top c oracle
     scores plus delta*(1-delta) times rank c and delta**2 times rank c+1,
     so its expectation weights pool rank r by
     cum_c(r) + delta*(1-delta)*w_c(r) + delta**2*w_{c+1}(r), with w_k the
-    subset-rank weights and cum_c = w_1 + ... + w_c. At eta == 1 the
-    expected total of a uniform n-subset is exactly n/N of the pool's.
+    subset-rank weights and cum_c = w_1 + ... + w_c. Each n's table is
+    built only down to the deepest rank an eta < 1 reads; eta == 1 rows
+    stay zero, since the caller sets them exactly. Every eta's row comes
+    from the same elementwise steps whatever the other etas are.
+    """
+    coefs = np.zeros((len(etas), pool))
+    for n in grid:
+        parts = [eta_parts(eta, n) for eta in etas]
+        depth = min(n, max((count + 1 for eta, (count, _) in zip(etas, parts) if eta < 1.0),
+                           default=0))
+        # row k is w_k; row 0 stands for the empty rank 0
+        weights = np.empty((depth + 1, pool))
+        weights[0] = 0.0
+        _rank_weights(pool, n, np.arange(1, depth + 1), out=weights[1:])
+        cumulative = np.cumsum(weights, axis=0)
+        for coef, eta, (count, delta) in zip(coefs, etas, parts):
+            scaled = count + delta  # eta * n with float noise snapped off
+            if eta == 1.0 or scaled == 0.0:
+                continue
+            term = cumulative[count] + delta * (1.0 - delta) * weights[count]
+            if delta > 0.0:
+                term += delta * delta * weights[count + 1]
+            term /= scaled
+            coef += term
+    return coefs
+
+
+def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
+            etas: Sequence[float], normalize: bool) -> np.ndarray:
+    """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts).
+
+    Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
+    At eta == 1 the expected total of a uniform n-subset is exactly n/N of
+    the pool's, so that value is set exactly.
     """
     for eta in etas:
         if not 0.0 < eta <= 1.0:
@@ -140,32 +178,24 @@ def _values_at_n(oracle: np.ndarray, prompt_ids: Sequence[str], n: int,
     if degenerate.any():
         prompt_id = prompt_ids[int(np.argmax(degenerate))]
         raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
-    # row k is w_k; row 0 stands for the empty rank 0
-    weights = np.vstack([np.zeros(pool), subset_rank_table(pool, n)])
-    cumulative = np.cumsum(weights, axis=0)
     values = np.empty((len(etas), len(oracle)))
-    for row, eta in zip(values, etas):
-        count, delta = eta_parts(eta, n)
-        scaled = count + delta  # eta * n with float noise snapped off
+    for row, eta, coef in zip(values, etas, _coefficients(pool, grid, etas)):
         if eta == 1.0:
             mean = totals / pool
             row[:] = mean / mean if normalize else mean
-        elif scaled == 0.0:
-            row[:] = 0.0
         else:
-            coef = cumulative[count] + delta * (1.0 - delta) * weights[count]
-            if delta > 0.0:
-                coef += delta * delta * weights[count + 1]
             body = oracle @ coef
-            row[:] = pool * body / (scaled * totals) if normalize else body / scaled
+            row[:] = (pool * body / totals if normalize else body) / len(grid)
     return values
 
 
 def reta_point_estimate(ranked_all: RankedResponses, eta: float, n: int,
                         config: RetaConfig) -> float:
     """Exact RETA at a single (eta, n) for one prompt's full ranked pool."""
-    values = _values_at_n(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
-                          n, [eta], config.normalize)
+    if not 1 <= n <= len(ranked_all):
+        raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={len(ranked_all)}")
+    values = _values(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
+                     [n], [eta], config.normalize)
     return float(values[0, 0])
 
 
@@ -216,18 +246,14 @@ def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
     each n's weight table is built once and serves every eta."""
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
-    oracle = oracle_matrix(dataset, table)
-    sums = np.zeros((len(etas), len(prompt_ids)))
-    for n in grid:
-        sums += _values_at_n(oracle, prompt_ids, n, etas, config.normalize)
+    values = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, config.normalize)
     points = []
-    for eta, row in zip(etas, sums):
-        values = (row / len(grid)).tolist()
+    for eta, row in zip(etas, values.tolist()):
         points.append(RetaEstimate(
             eta=eta,
-            value=math.fsum(values) / len(values),
-            per_prompt=dict(zip(prompt_ids, values)),
-            std_error=_spread(values),
+            value=math.fsum(row) / len(row),
+            per_prompt=dict(zip(prompt_ids, row)),
+            std_error=_spread(row),
             n_values_used=list(grid),
         ))
     return points

@@ -187,6 +187,8 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
     Deterministic: each prompt gets its own counter-based stream keyed by
     (seed, prompt index), so generation order cannot change the data.
     """
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if num_prompts < 1:
         raise InvalidConfig(f"num_prompts must be positive, got {num_prompts}")
     if responses_per_prompt < 2:

@@ -21,6 +21,7 @@ from retabench import (
     gen_synthetic,
 )
 from retabench.errors import InvalidConfig
+from retabench.ranking import subset_rank_table
 
 from conftest import build_table, random_ranked
 from test_reta import make_ranked
@@ -134,6 +135,30 @@ def test_log_space_path_matches_exact():
     for r in (1, 5, 23, 44, 60):
         exact = math.comb(r - 1, k - 1) * math.comb(pool - r, n - k) / denominator
         assert weights[r - 1] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
+def test_rank_table_matches_exact_binomials():
+    # every (k, r) of whole tables against exact integers; the zeros must be
+    # exact wherever the placement is impossible
+    worst = 0.0
+    for pool in (2, 7, 64, 256):
+        pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(pool)]
+        for n in sorted({1, pool // 2, 121, 201, pool} & set(range(1, pool + 1))):
+            table = subset_rank_table(pool, n)
+            assert table.shape == (n, pool)
+            denominator = math.comb(pool, n)
+            for k in range(1, n + 1):
+                row = table[k - 1].tolist()
+                for r in range(1, pool + 1):
+                    above, below = pascal[r - 1], pascal[pool - r]
+                    ways = ((above[k - 1] if k <= r else 0)
+                            * (below[n - k] if n - k <= pool - r else 0))
+                    if ways == 0:
+                        assert row[r - 1] == 0.0, (pool, n, k, r)
+                    else:
+                        exact = ways / denominator  # correctly rounded
+                        worst = max(worst, abs(row[r - 1] - exact) / exact)
+    assert worst <= 1e-12
 
 
 def test_monotone_transform_invariance():

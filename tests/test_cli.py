@@ -254,6 +254,34 @@ def test_bad_reta_flags_exit_2_without_output(synth_dir, tmp_path, capsys, flags
     assert not out.exists()
 
 
+def test_reta_overflowed_n_range(synth_dir, tmp_path, capsys):
+    # 1e308 * N**(2/3) overflows to inf: a high end clips to N, a low end
+    # leaves no subset sizes
+    base = ["reta", "--dataset", str(synth_dir),
+            "--rm-scores", str(synth_dir / "rm_scores.jsonl"), "--eta", "0.5"]
+    out = tmp_path / "out"
+    assert main([*base, "--n-high-coeff", "1e308", "--output-dir", str(out)]) == 0
+    row = (out / "reta_synthetic-rm.csv").read_text().splitlines()[2].split(",")
+    assert row[5] == "32"  # n_high clipped to N
+    empty = tmp_path / "empty"
+    code = main([*base, "--n-low-coeff", "1e308", "--n-high-coeff", "1e308",
+                 "--output-dir", str(empty)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyNRange"
+    assert not empty.exists()
+
+
+def test_synth_negative_seed_exits_2_without_output(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(DistSpec.deterministic_uniform(0.0, 1.0).to_json())
+    out = tmp_path / "data"
+    code = main(["synth", "--spec", str(spec_path), "--num-prompts", "2",
+                 "--num-responses", "4", "--seed", "-1", "--output-dir", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
 def test_unwritable_output_dir_exits_2(synth_dir, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -22,7 +22,7 @@ from retabench import (
     DistSpec,
     gen_synthetic,
 )
-from retabench.ranking import RankedResponses
+from retabench.ranking import RankedResponses, eta_parts
 from retabench.errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -164,6 +164,23 @@ def test_resample_size_grid():
         resample_sizes(4, RetaConfig())
 
 
+def test_resample_sizes_clip_overflowed_ends():
+    # c * N**e overflows to inf: a high end clips to N, a low end leaves none
+    assert resample_sizes(256, RetaConfig(n_range_high_coeff=1e308)) == list(range(121, 257))
+    with pytest.raises(EmptyNRange):
+        resample_sizes(256, RetaConfig(n_range_low_coeff=1e308, n_range_high_coeff=1e308))
+
+
+def test_point_estimate_deepest_ranks_match_exhaustive():
+    # eta just below 1 reads the table's last rank; 1 - 1e-12 snaps eta*n to n
+    rng = np.random.default_rng(31)
+    ranked = random_ranked(rng, 7)
+    for n in range(1, 8):
+        for eta in (0.999, 1.0 - 1e-12):
+            fast = reta_point_estimate(ranked, eta, n, RetaConfig())
+            assert fast == pytest.approx(exhaustive_reta(ranked, eta, n), abs=1e-12), (n, eta)
+
+
 def test_monotone_transform_bit_identical():
     spec = DistSpec.noisy_gaussian(0.6, 7.0)
     dataset, table = gen_synthetic(spec, 6, 24, seed=11)
@@ -240,6 +257,65 @@ def test_curve_points_equal_single_estimates():
         assert point.per_prompt == single.per_prompt, point.eta
 
 
+def test_raw_curve_points_equal_single_estimates():
+    spec = DistSpec.noisy_gaussian(0.6, 7.0)
+    dataset, table = gen_synthetic(spec, 6, 64, seed=12)
+    config = RetaConfig(normalize=False)
+    curve = reta_curve(dataset, table, None, config)
+    for point in curve.points:
+        single = reta_estimate(dataset, table, point.eta, config)
+        assert point.value == single.value, point.eta
+        assert point.std_error == single.std_error, point.eta
+        assert point.per_prompt == single.per_prompt, point.eta
+    assert curve.points[0].eta == 1.0
+    for pid, value in curve.points[0].per_prompt.items():
+        pool_mean = float(np.sum(rank_by_table(dataset, table, pid).oracle_scores)) / 64
+        assert value == pool_mean, pid
+
+
+def exact_reta_at(oracle_by_rank, eta, grid):
+    """RETA averaged over ``grid`` from exact integer binomials; reads only
+    ranks up to floor(eta*n) + 1, so it is cheap for small eta."""
+    pool = len(oracle_by_rank)
+    total = math.fsum(oracle_by_rank)
+    per_n = []
+    for n in grid:
+        count, delta = eta_parts(eta, n)
+        denominator = math.comb(pool, n)
+
+        def weight(k, r):
+            if not 1 <= k <= n:
+                return 0.0
+            return math.comb(r - 1, k - 1) * math.comb(pool - r, n - k) / denominator
+
+        body = math.fsum(
+            score * (math.fsum(weight(k, r) for k in range(1, count + 1))
+                     + delta * (1.0 - delta) * weight(count, r)
+                     + delta * delta * weight(count + 1, r))
+            for r, score in enumerate(oracle_by_rank, start=1))
+        per_n.append(pool * body / ((count + delta) * total))
+    return math.fsum(per_n) / len(per_n)
+
+
+def test_paper_scale_curve_matches_exact_binomials():
+    # N = 256 and the default grid: the two smallest etas (floor(eta*n) = 0
+    # for part of the n grid) against exact integers, and eta = 1 exactly
+    spec = DistSpec.noisy_gaussian(0.6, 7.0)
+    dataset, table = gen_synthetic(spec, 3, 256, seed=5)
+    config = RetaConfig()
+    grid = resample_sizes(256, config)
+    curve = reta_curve(dataset, table, None, config)
+    assert curve.points[0].eta == 1.0
+    assert all(v == 1.0 for v in curve.points[0].per_prompt.values())
+    smallest = curve.points[-2:]
+    assert any(eta_parts(smallest[-1].eta, n)[0] == 0 for n in grid)
+    for point in smallest:
+        for pid, value in point.per_prompt.items():
+            oracle = rank_by_table(dataset, table, pid).oracle_scores.tolist()
+            expected = exact_reta_at(oracle, point.eta, grid)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (point.eta, pid)
+
+
 def test_estimate_aggregation_invariants():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 5, 16, seed=6)
@@ -306,6 +382,15 @@ def test_degenerate_denominator_guard():
         reta_point_estimate(ranked, 0.5, 2, RetaConfig())
     with pytest.raises(DegenerateDenominator):
         exhaustive_reta(ranked, 0.5, 2)
+
+
+def test_point_estimate_rejects_subset_size_outside_pool():
+    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+    for n in (0, 5):
+        with pytest.raises(InvalidConfig):
+            reta_point_estimate(ranked, 0.5, n, RetaConfig())
+        with pytest.raises(InvalidConfig):
+            reta_point_estimate(ranked, 1.0, n, RetaConfig())
 
 
 def test_too_many_subsets_guard():
