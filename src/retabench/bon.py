@@ -25,7 +25,13 @@ import numpy as np
 
 from .dataset import BenchmarkDataset, RmScoreTable
 from .errors import InvalidConfig
-from .ranking import RankedResponses, _rank_weights, oracle_matrix, subset_rank_weights
+from .ranking import (
+    RankedResponses,
+    _log_factorials,
+    _rank_weights,
+    oracle_matrix,
+    subset_rank_weights,
+)
 from .reta import _spread
 
 
@@ -54,7 +60,7 @@ def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
 def _top_m_weights(pool_size: int, m: int, n: int) -> np.ndarray:
     if not 1 <= m <= n <= pool_size:
         raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool_size}")
-    return _rank_weights(pool_size, n, np.arange(1, m + 1)).sum(axis=0) / m
+    return _rank_weights(_log_factorials(pool_size), n, np.arange(1, m + 1)).sum(axis=0) / m
 
 
 @dataclass(frozen=True)

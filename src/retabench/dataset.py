@@ -47,6 +47,9 @@ _RESPONSE_KEYS = frozenset(
 _SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
 _FLOAT_TYPE = frozenset({float})
 
+# json.dumps quotes strings with this (ensure_ascii is its default)
+_json_str = json.encoder.encode_basestring_ascii
+
 
 @dataclass(frozen=True)
 class PromptRecord:
@@ -366,31 +369,47 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
     return prompts
 
 
+def _json_value(value) -> str:
+    """``json.dumps(value)``, with strings and finite floats spelled directly."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_list(values) -> str:
+    return f"[{', '.join(map(_json_value, values))}]"
+
+
 def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
-    """Write a dataset back to prompts.jsonl / responses.jsonl (canonical order)."""
+    """Write a dataset back to prompts.jsonl / responses.jsonl (canonical order).
+
+    Each line is the bytes ``json.dumps`` gives for the record's dict.
+    """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
+    prompts = sorted(dataset.prompts, key=lambda p: p.prompt_id)
     with open(directory / PROMPTS_FILE, "w", encoding="utf-8") as fh:
-        for prompt in sorted(dataset.prompts, key=lambda p: p.prompt_id):
-            obj: dict = {"prompt_id": prompt.prompt_id, "text": prompt.text}
+        for prompt in prompts:
+            line = (f'{{"prompt_id": {_json_value(prompt.prompt_id)}, '
+                    f'"text": {_json_value(prompt.text)}')
             if prompt.embedding is not None:
-                obj["embedding"] = list(prompt.embedding)
+                line += f', "embedding": {_json_list(prompt.embedding)}'
             if prompt.perplexity is not None:
-                obj["perplexity"] = prompt.perplexity
-            fh.write(json.dumps(obj, sort_keys=False) + "\n")
+                line += f', "perplexity": {_json_value(prompt.perplexity)}'
+            fh.write(line + "}\n")
     with open(directory / RESPONSES_FILE, "w", encoding="utf-8") as fh:
-        for prompt in sorted(dataset.prompts, key=lambda p: p.prompt_id):
+        for prompt in prompts:
             for resp in sorted(dataset.responses[prompt.prompt_id], key=lambda r: r.response_id):
-                obj = {
-                    "prompt_id": resp.prompt_id,
-                    "response_id": resp.response_id,
-                    "oracle_score": resp.oracle_score,
-                }
+                line = (f'{{"prompt_id": {_json_value(resp.prompt_id)}, '
+                        f'"response_id": {_json_value(resp.response_id)}, '
+                        f'"oracle_score": {_json_value(resp.oracle_score)}')
                 if resp.text is not None:
-                    obj["text"] = resp.text
+                    line += f', "text": {_json_value(resp.text)}'
                 if resp.oracle_samples is not None:
-                    obj["oracle_samples"] = list(resp.oracle_samples)
-                fh.write(json.dumps(obj, sort_keys=False) + "\n")
+                    line += f', "oracle_samples": {_json_list(resp.oracle_samples)}'
+                fh.write(line + "}\n")
 
 
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:
@@ -441,18 +460,19 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
 
 
 def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
-    """Write a score table as rm_scores.jsonl in canonical (sorted) order."""
+    """Write a score table as rm_scores.jsonl in canonical (sorted) order.
+
+    Each line is the bytes ``json.dumps`` gives for the record's dict.
+    """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    rm_name = _json_value(table.rm_name)
+    scores = table.scores
     with open(out, "w", encoding="utf-8") as fh:
-        for (pid, rid) in sorted(table.scores):
-            obj = {
-                "prompt_id": pid,
-                "response_id": rid,
-                "rm_name": table.rm_name,
-                "score": table.scores[(pid, rid)],
-            }
-            fh.write(json.dumps(obj, sort_keys=False) + "\n")
+        for pair in sorted(scores):
+            pid, rid = pair
+            fh.write(f'{{"prompt_id": {_json_value(pid)}, "response_id": {_json_value(rid)}, '
+                     f'"rm_name": {rm_name}, "score": {_json_value(scores[pair])}}}\n')
 
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:

@@ -39,7 +39,7 @@ from .errors import (
     InvalidConfig,
     TooManySubsets,
 )
-from .ranking import RankedResponses, _rank_weights, eta_parts, oracle_matrix
+from .ranking import RankedResponses, _log_factorials, _rank_weights, eta_parts, oracle_matrix
 
 MAX_ENUMERATED_SUBSETS = 1_000_000
 
@@ -140,6 +140,7 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     from the same elementwise steps whatever the other etas are.
     """
     coefs = np.zeros((len(etas), pool))
+    log_fact = _log_factorials(pool)
     for n in grid:
         parts = [eta_parts(eta, n) for eta in etas]
         depth = min(n, max((count + 1 for eta, (count, _) in zip(etas, parts) if eta < 1.0),
@@ -147,7 +148,7 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
         # row k is w_k; row 0 stands for the empty rank 0
         weights = np.empty((depth + 1, pool))
         weights[0] = 0.0
-        _rank_weights(pool, n, np.arange(1, depth + 1), out=weights[1:])
+        _rank_weights(log_fact, n, np.arange(1, depth + 1), out=weights[1:])
         cumulative = np.cumsum(weights, axis=0)
         for coef, eta, (count, delta) in zip(coefs, etas, parts):
             scaled = count + delta  # eta * n with float noise snapped off
@@ -161,6 +162,12 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     return coefs
 
 
+def _check_etas(etas: Sequence[float]) -> None:
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
+
+
 def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
             etas: Sequence[float], normalize: bool) -> np.ndarray:
     """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts).
@@ -169,9 +176,6 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
     At eta == 1 the expected total of a uniform n-subset is exactly n/N of
     the pool's, so that value is set exactly.
     """
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
     pool = oracle.shape[1]
     totals = oracle.sum(axis=1)
     degenerate = totals <= 0.0
@@ -194,6 +198,7 @@ def reta_point_estimate(ranked_all: RankedResponses, eta: float, n: int,
     """Exact RETA at a single (eta, n) for one prompt's full ranked pool."""
     if not 1 <= n <= len(ranked_all):
         raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={len(ranked_all)}")
+    _check_etas([eta])
     values = _values(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
                      [n], [eta], config.normalize)
     return float(values[0, 0])
@@ -244,6 +249,7 @@ def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
                  etas: Sequence[float], config: RetaConfig) -> list[RetaEstimate]:
     """Estimates at every eta, each averaged over the n grid and all prompts;
     each n's weight table is built once and serves every eta."""
+    _check_etas(etas)  # before the grid, whose errors would hide a bad eta
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
     values = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, config.normalize)

@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import (
     BenchmarkDataset,
@@ -233,8 +233,8 @@ def analytic_reta(spec: DistSpec, eta: float) -> float:
         return 1.0
     if spec.kind == "noisy_gaussian":
         # Y is standard normal; E[Z | Y >= z_eta] = rho * pdf(z_eta) / eta.
-        z_eta = norm.isf(eta)
-        return (p["offset"] + p["rho"] * norm.pdf(z_eta) / eta) / p["offset"]
+        z_eta = -NormalDist().inv_cdf(eta)
+        return (p["offset"] + p["rho"] * NormalDist().pdf(z_eta) / eta) / p["offset"]
     if spec.kind == "custom_table":
         # Top-eta tail expectation: walk rm-score levels from the top and,
         # when eta lands inside a level, draw from it proportionally. This

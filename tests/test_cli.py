@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retabench
 from retabench import DistSpec, load_benchmark, ingest_rm_scores
 from retabench.cli import main
 
@@ -376,3 +380,84 @@ def test_bad_spec_exits_2_without_output(tmp_path, capsys, content):
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eta", ["nan", "0"])
+def test_bad_eta_is_reported_before_the_n_grid(tmp_path, capsys, eta):
+    # at N = 16 the default n range [3, 5] * N^(2/3) holds no subset size,
+    # so checking the grid first would report EmptyNRange
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(DistSpec.deterministic_uniform(0.0, 1.0).to_json())
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--num-prompts", "4",
+                 "--num-responses", "16", "--output-dir", str(data)]) == 0
+    out = tmp_path / "out"
+    code = main(["reta", "--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl"),
+                 "--eta", eta, "--output-dir", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InvalidConfig"
+    assert "eta must be in (0, 1]" in error["message"]
+    assert not out.exists()
+
+
+# Runs every command with any import of scipy failing: the package needs
+# numpy only, and scipy stays a test dependency.
+_WITHOUT_SCIPY = r"""
+import json
+import math
+import sys
+from pathlib import Path
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import retabench
+from retabench.cli import main
+
+root = Path(sys.argv[1])
+spec = root / "spec.json"
+spec.write_text(retabench.DistSpec.deterministic_uniform(1.0, 5.0).to_json())
+assert retabench.analytic_reta(retabench.DistSpec.noisy_gaussian(0.5), 0.25) > 1.0
+data = root / "data"
+tables = ["--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl")]
+with open(root / "candidates.jsonl", "w", encoding="utf-8") as fh:
+    for i in range(12):  # unit vectors spiralling over the sphere
+        z = (i + 0.5) / 6.0 - 1.0
+        r = math.sqrt(1.0 - z * z)
+        fh.write(json.dumps({"prompt_id": f"c{i:02d}", "text": "t",
+                             "embedding": [r * math.cos(2.4 * i), r * math.sin(2.4 * i), z]})
+                 + "\n")
+runs = [
+    ["synth", "--spec", str(spec), "--num-prompts", "3", "--num-responses", "32",
+     "--output-dir", str(data)],
+    ["validate", *tables],
+    ["reta", *tables, "--raw-variant", "--output-dir", str(root / "reta")],
+    ["bon", *tables, "--variant", "best_m_of_n", "--best-m", "4",
+     "--output-dir", str(root / "bon")],
+    ["metrics", *tables, "--output-dir", str(root / "metrics")],
+    ["export", *tables, "--output-dir", str(root / "export")],
+    ["sample-prompts", "--candidates", str(root / "candidates.jsonl"), "--k", "3",
+     "--output-dir", str(root / "sample")],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+print("ok")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = str(Path(retabench.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"

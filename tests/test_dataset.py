@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from retabench import (
+    BenchmarkDataset,
+    PromptRecord,
+    ResponseRecord,
+    RmScoreTable,
     ingest_rm_scores,
     load_benchmark,
     load_candidate_prompts,
@@ -199,6 +205,76 @@ def test_score_round_trip(tiny_dataset_dir, tmp_path):
     write_rm_scores(table, path)
     reloaded = ingest_rm_scores(dataset, path)
     assert reloaded == table
+
+
+# ids that exercise every escape json.dumps makes, and values that are not
+# plain finite floats
+ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\t", "na\u00efve \u2028",
+           "astral \U0001F600", "/slash"]
+ODD_VALUES = [-0.0, 5e-324, 1e308, np.float64(0.1), np.float64(-0.0), 3, True,
+              math.nan, math.inf, -math.inf, 0.1 + 0.2]
+
+
+def _dumps_rm_scores(table: RmScoreTable, path: Path) -> None:
+    """The writer's former path, one json.dumps per record: the reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for (pid, rid) in sorted(table.scores):
+            obj = {"prompt_id": pid, "response_id": rid, "rm_name": table.rm_name,
+                   "score": table.scores[(pid, rid)]}
+            fh.write(json.dumps(obj, sort_keys=False) + "\n")
+
+
+def _dumps_benchmark(dataset: BenchmarkDataset, directory: Path) -> None:
+    """The writer's former path, one json.dumps per record: the reference."""
+    directory.mkdir(parents=True)
+    prompts = sorted(dataset.prompts, key=lambda p: p.prompt_id)
+    with open(directory / "prompts.jsonl", "w", encoding="utf-8") as fh:
+        for prompt in prompts:
+            obj: dict = {"prompt_id": prompt.prompt_id, "text": prompt.text}
+            if prompt.embedding is not None:
+                obj["embedding"] = list(prompt.embedding)
+            if prompt.perplexity is not None:
+                obj["perplexity"] = prompt.perplexity
+            fh.write(json.dumps(obj, sort_keys=False) + "\n")
+    with open(directory / "responses.jsonl", "w", encoding="utf-8") as fh:
+        for prompt in prompts:
+            for resp in sorted(dataset.responses[prompt.prompt_id], key=lambda r: r.response_id):
+                obj = {"prompt_id": resp.prompt_id, "response_id": resp.response_id,
+                       "oracle_score": resp.oracle_score}
+                if resp.text is not None:
+                    obj["text"] = resp.text
+                if resp.oracle_samples is not None:
+                    obj["oracle_samples"] = list(resp.oracle_samples)
+                fh.write(json.dumps(obj, sort_keys=False) + "\n")
+
+
+def test_writers_match_json_dumps_bytes(tmp_path):
+    values = ODD_VALUES * 2
+    prompts, responses, scores = [], {}, {}
+    for i, pid in enumerate(ODD_IDS):
+        prompts.append(PromptRecord(
+            pid, f"text of {pid}",
+            embedding=None if i == 0 else tuple(values[i:i + 4]) if i % 2 else (),
+            perplexity=None if i == 1 else values[i]))
+        responses[pid] = [
+            ResponseRecord(pid, rid, values[i + j],
+                           text=None if j == 0 else f"{rid} answers {pid}",
+                           oracle_samples=None if j == 1 else tuple(values[j:j + 3]))
+            for j, rid in enumerate(ODD_IDS)]
+        for j, rid in enumerate(ODD_IDS):
+            scores[(pid, rid)] = values[i + j]
+    dataset = BenchmarkDataset(name="odd", prompts=prompts, responses=responses,
+                               responses_per_prompt=len(ODD_IDS))
+    table = RmScoreTable(rm_name='rm "\u00e9\U0001F600', scores=scores)
+
+    write_rm_scores(table, tmp_path / "scores.jsonl")
+    _dumps_rm_scores(table, tmp_path / "reference.jsonl")
+    assert (tmp_path / "scores.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    write_benchmark(dataset, tmp_path / "written")
+    _dumps_benchmark(dataset, tmp_path / "reference")
+    for name in ("prompts.jsonl", "responses.jsonl"):
+        assert (tmp_path / "written" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes()
 
 
 def test_validate_ok(tiny_dataset_dir, tmp_path):

@@ -6,10 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from retabench import RmScoreTable, beta_subset, eta_parts, rank_by_oracle, rank_by_table
 from retabench.errors import EmptySelection, InvalidConfig, MissingScore
-from retabench.ranking import _id_ranks, _rank_orders, _score_matrices, oracle_matrix
+from retabench.ranking import (
+    _id_ranks,
+    _log_factorials,
+    _rank_orders,
+    _score_matrices,
+    oracle_matrix,
+)
 
 from conftest import build_dataset, build_table, unordered_ties_dataset
 
@@ -87,3 +94,11 @@ def test_oracle_matrix_reads_through_score():
     del missing[("p2", "r05")]
     with pytest.raises(MissingScore):
         oracle_matrix(dataset, RmScoreTable("rm", missing))
+
+
+def test_log_factorials_match_gammaln():
+    log_fact = _log_factorials(100_000)
+    assert log_fact.dtype == np.float64 and len(log_fact) == 100_001
+    assert log_fact[0] == 0.0 and log_fact[1] == 0.0
+    reference = gammaln(np.arange(2, 100_001, dtype=np.float64) + 1.0)
+    assert np.max(np.abs(log_fact[2:] - reference) / reference) <= 1e-15

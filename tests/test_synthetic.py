@@ -83,6 +83,14 @@ def test_analytic_gaussian_against_monte_carlo():
         assert analytic_reta(spec, eta) == pytest.approx(estimate, abs=0.01)
 
 
+def test_analytic_gaussian_matches_scipy_reference():
+    rho, offset = 0.65, 7.0
+    spec = DistSpec.noisy_gaussian(rho, offset)
+    for eta in (0.5, 0.1, 2.0 ** -7, 1e-6, 0.999):
+        expected = (offset + rho * norm.pdf(norm.isf(eta)) / eta) / offset
+        assert analytic_reta(spec, eta) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_analytic_custom_table():
     atoms = [(0.0, 1.0, 0.25), (1.0, 2.0, 0.25), (2.0, 3.0, 0.25), (3.0, 4.0, 0.25)]
     spec = DistSpec.custom_table(atoms)
