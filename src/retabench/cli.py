@@ -134,6 +134,15 @@ def _write_config_echo(config: dict, output_dir: Path, command: str) -> None:
     path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _file_part(rm_name: str) -> str:
+    """``rm_name`` for use in a file name inside ``--output-dir``.
+
+    ``%``, ``/`` and ``\\`` are percent-encoded, ``%`` first so that distinct
+    names keep distinct file names; a name without them is unchanged.
+    """
+    return rm_name.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+
+
 def _load_tables(dataset, paths: Sequence[str]):
     tables = []
     for path in paths:
@@ -235,11 +244,12 @@ def _cmd_reta(args: argparse.Namespace) -> int:
     _write_config_echo(echo, out_dir, "reta")
     provenance = _provenance(echo)
     for curve in curves:
-        write_curve_csv(curve, out_dir / f"reta_{curve.rm_name}.csv", provenance)
-        write_per_prompt_csv(curve, dataset,
-                             out_dir / f"reta_{curve.rm_name}_per_prompt.csv", provenance)
+        stem = f"reta_{_file_part(curve.rm_name)}"
+        write_curve_csv(curve, out_dir / f"{stem}.csv", provenance)
+        write_per_prompt_csv(curve, dataset, out_dir / f"{stem}_per_prompt.csv", provenance)
     for raw in raws:
-        write_curve_csv(raw, out_dir / f"reta_{raw.rm_name}_unnormalized.csv", provenance)
+        write_curve_csv(raw, out_dir / f"reta_{_file_part(raw.rm_name)}_unnormalized.csv",
+                        provenance)
     return EXIT_OK
 
 
@@ -258,7 +268,7 @@ def _cmd_bon(args: argparse.Namespace) -> int:
     _write_config_echo(echo, out_dir, "bon")
     provenance = _provenance(echo)
     for curve in curves:
-        write_bon_csv(curve, out_dir / f"bon_{curve.rm_name}_{variant.label}.csv",
+        write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
                       provenance)
     return EXIT_OK
 
@@ -285,7 +295,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir)
     write_benchmark(dataset, out_dir)
     for table in tables:
-        write_rm_scores(table, out_dir / f"rm_scores_{table.rm_name}.jsonl")
+        write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
     _write_config_echo(_canonical_config(args), out_dir, "export")
     return EXIT_OK
 

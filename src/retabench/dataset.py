@@ -9,7 +9,10 @@ model.
 Loading is deterministic: prompts are ordered by ``prompt_id`` and
 responses by ``response_id``, so two loads of the same directory yield
 identical in-memory objects. Loaded datasets and tables are immutable and
-safe to share across threads.
+safe to share across threads. A dataset builds its array columns (the
+pair index, the oracle matrix and the rank columns) once, on first use,
+which relies on that immutability: a dataset changed after a column was
+read would keep the stale column.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateId,
@@ -61,7 +67,7 @@ class PromptRecord:
     perplexity: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseRecord:
     """One scored response. ``oracle_score`` is the (averaged) judge score."""
 
@@ -112,9 +118,50 @@ class BenchmarkDataset:
         return [r.oracle_score for r in self.responses[prompt_id]]
 
     def iter_pairs(self) -> Iterator[tuple[str, str]]:
-        for prompt in self.prompts:
-            for resp in self.responses[prompt.prompt_id]:
-                yield (prompt.prompt_id, resp.response_id)
+        return iter(self._pair_index)
+
+    @cached_property
+    def _pair_index(self) -> dict[tuple[str, str], int]:
+        """Flat position of each (prompt_id, response_id), prompts in order and
+        each prompt's responses in stored order; a prompt without a response
+        list contributes no pairs, and a repeated pair keeps its first position."""
+        pairs = dict.fromkeys(
+            (pid, resp.response_id)
+            for pid in self.prompt_ids() for resp in self.responses.get(pid, ()))
+        return dict(zip(pairs, range(len(pairs))))
+
+    @cached_property
+    def _oracle_scores(self) -> np.ndarray:
+        """(prompts, N) oracle scores in the stored response order; read-only."""
+        return _frozen(np.array([self.oracle_scores(pid) for pid in self.prompt_ids()],
+                                dtype=np.float64))
+
+    @cached_property
+    def _id_ranks(self) -> np.ndarray:
+        """(prompts, N) rank of each stored response's id within its prompt; read-only."""
+        by_id = []
+        for pid in self.prompt_ids():
+            ids = [r.response_id for r in self.responses[pid]]
+            by_id.append(sorted(range(len(ids)), key=ids.__getitem__))
+        return _frozen(np.argsort(by_id, axis=1))  # the inverse of each row's permutation
+
+    @cached_property
+    def _oracle_ranks(self) -> np.ndarray:
+        """(prompts, N) 0-based oracle rank of each stored response, ties by
+        ascending response id; read-only."""
+        return _frozen(np.argsort(_rank_orders(self._oracle_scores, self._id_ranks), axis=1))
+
+
+def _rank_orders(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
+    """Row i holds prompt i's stored indices by score descending, ties by
+    ascending response id (``id_ranks`` gives each stored response's id
+    rank), for every prompt in one sort."""
+    return np.lexsort((id_ranks, -scores), axis=1)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -413,13 +460,17 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
 
 
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:
-    """Read an rm_scores.jsonl file covering exactly the dataset's pairs."""
+    """Read an rm_scores.jsonl file covering exactly the dataset's pairs.
+
+    The table's scores are keyed in the dataset's pair order, whatever
+    the order of the file.
+    """
     score_path = Path(path)
     if not score_path.is_file():
         raise MalformedRecord(str(score_path), None, "-", "file not found")
     warnings: list[ValidationIssue] = []
-    valid_pairs = set(dataset.iter_pairs())
-    scores: dict[tuple[str, str], float] = {}
+    index = dataset._pair_index
+    values: list[float | None] = [None] * len(index)
     rm_name: str | None = None
     source = score_path.name
     for line_no, obj in _iter_jsonl(score_path):
@@ -435,6 +486,8 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
             if rm_name is not None:
                 raise MalformedRecord(source, line_no, "rm_name",
                                       f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
+            if "\0" in this_rm:
+                raise MalformedRecord(source, line_no, "rm_name", "contains a NUL character")
             rm_name = this_rm
         value = obj.get("score")
         if type(value) is not float:
@@ -442,21 +495,20 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
                 raise MalformedRecord(source, line_no, "score", "required")
             value = _as_float(value, "score", source, line_no)
         pair = (pid, rid)
-        if pair not in valid_pairs:
+        position = index.get(pair)
+        if position is None:
             raise UnknownPair(pair)
-        if pair in scores:
+        if values[position] is not None:
             raise DuplicateScore(pair)
         if not math.isfinite(value):
             raise NonFiniteScore(pair, value)
-        scores[pair] = value
+        values[position] = value
     if rm_name is None:
         raise MalformedRecord(source, None, "-", "no score records")
-    # every stored pair is a distinct valid pair, so equal counts mean full cover
-    if len(scores) != len(valid_pairs):
-        for pair in sorted(valid_pairs):
-            if pair not in scores:
-                raise MissingScore(pair)
-    return RmScoreTable(rm_name=rm_name, scores=scores, load_warnings=warnings)
+    if None in values:
+        raise MissingScore(min(pair for pair, value in zip(index, values) if value is None))
+    return RmScoreTable(rm_name=rm_name, scores=dict(zip(index, values)),
+                        load_warnings=warnings)
 
 
 def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
@@ -547,7 +599,7 @@ def validate_dataset(dataset: BenchmarkDataset,
                     issues.append(ValidationIssue(
                         "error", rloc, "oracle_samples mean does not match oracle_score"))
 
-    expected_pairs = set(dataset.iter_pairs())
+    expected_pairs = dataset._pair_index.keys()
     seen_rm_names: set[str] = set()
     for table in tables:
         loc = f"table:{table.rm_name}"

@@ -14,6 +14,7 @@ O(N k^3) for the projection rounds, with no step count or mixing time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,7 +78,10 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
 
     The scale is 0.99 / s_max^2 with s_max the largest singular value of
     the embedding matrix, which makes the kernel invariant to a common
-    rescaling of all embeddings.
+    rescaling of all embeddings. Raises ``ZeroMatrix`` when every embedding
+    is zero, and ``InvalidConfig`` when s_max^2 is not a finite normal
+    float (embeddings so small or so large that the scale underflows or
+    overflows).
     """
     if not prompts:
         raise InvalidConfig("no candidate prompts")
@@ -96,7 +100,11 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     s_max = float(np.linalg.svd(embeddings, compute_uv=False)[0])
     if s_max == 0.0:
         raise ZeroMatrix("all candidate embeddings are zero")
-    lam = _EIGENVALUE_CEILING / (s_max * s_max)
+    s_max_squared = s_max * s_max
+    if not sys.float_info.min <= s_max_squared <= sys.float_info.max:
+        raise InvalidConfig(f"embedding scale out of range: the largest singular value "
+                            f"{s_max!r} squares to {s_max_squared!r}")
+    lam = _EIGENVALUE_CEILING / s_max_squared
     kernel = lam * (embeddings @ embeddings.T)
     return DppModel(embeddings=embeddings, lam=lam, kernel=kernel)
 

@@ -70,12 +70,11 @@ def _ground_truth_size(n: int, eta: float, k: int) -> int:
     return gt_size
 
 
-def _rankings(dataset: BenchmarkDataset, rm: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+def _rankings(dataset: BenchmarkDataset, rm: np.ndarray) -> np.ndarray:
     """(prompts, N) array whose entry [i, r] is the 0-based oracle rank of
     the response that prompt i's RM scores ``rm`` rank at r + 1."""
-    id_ranks = _id_ranks(dataset)
-    oracle_rank = np.argsort(_rank_orders(oracle, id_ranks), axis=1)
-    return np.take_along_axis(oracle_rank, _rank_orders(rm, id_ranks), axis=1)
+    rm_orders = _rank_orders(rm, _id_ranks(dataset))
+    return np.take_along_axis(dataset._oracle_ranks, rm_orders, axis=1)
 
 
 def _selection_oracle_ranks(rankings: np.ndarray, j: int) -> list[int]:
@@ -98,7 +97,7 @@ def _ndcg(ranks: list[int], j: int) -> float:
 
 def mrr_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
     """Mean reciprocal oracle rank of the RM's j-th ranked response."""
-    rankings = _rankings(dataset, *_score_matrices(dataset, table))
+    rankings = _rankings(dataset, _score_matrices(dataset, table)[0])
     return _mrr(_selection_oracle_ranks(rankings, j))
 
 
@@ -108,7 +107,7 @@ def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1
     A selection at oracle rank r scores 1/log2(1+r), normalized by
     1/log2(1+j); for j = 1 this lies in [0, 1] with 1.0 for a perfect model.
     """
-    rankings = _rankings(dataset, *_score_matrices(dataset, table))
+    rankings = _rankings(dataset, _score_matrices(dataset, table)[0])
     return _ndcg(_selection_oracle_ranks(rankings, j), j)
 
 
@@ -182,7 +181,7 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
                else default_hit_rate_cutoffs(dataset.responses_per_prompt))
     rm, oracle = _score_matrices(dataset, table)
-    rankings = _rankings(dataset, rm, oracle)
+    rankings = _rankings(dataset, rm)
     hit_rates = {}
     for k in cutoffs:
         gt_size = _ground_truth_size(rankings.shape[1], eta, k)

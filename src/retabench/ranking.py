@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable
-from .errors import EmptySelection, InvalidConfig
+from .dataset import BenchmarkDataset, RmScoreTable, _rank_orders
+from .errors import EmptySelection, InvalidConfig, MissingScore
 
 # eta*n computed in floats can land a few ulp away from an exact integer
 # (e.g. (1/3)*3 == 0.999...); snap within this tolerance before flooring.
@@ -111,28 +111,20 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
 
 def _score_matrices(dataset: BenchmarkDataset,
                     table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
-    """(table scores, oracle scores), each (prompts, N) in the stored response order."""
-    rows = [(pid, dataset.responses[pid]) for pid in dataset.prompt_ids()]
-    rm = np.array([[table.score(pid, r.response_id) for r in row] for pid, row in rows],
-                  dtype=np.float64)
-    oracle = np.array([[r.oracle_score for r in row] for _, row in rows], dtype=np.float64)
-    return rm, oracle
+    """(table scores, oracle scores), each (prompts, N) in the stored response
+    order; the oracle matrix is the dataset's read-only column."""
+    index = dataset._pair_index
+    try:
+        rm = np.fromiter(map(table.scores.__getitem__, index), np.float64, count=len(index))
+    except KeyError:
+        raise MissingScore(next(pair for pair in index if pair not in table.scores)) from None
+    oracle = dataset._oracle_scores
+    return rm.reshape(oracle.shape), oracle
 
 
 def _id_ranks(dataset: BenchmarkDataset) -> np.ndarray:
     """(prompts, N) rank of each stored response's id within its prompt."""
-    by_id = []
-    for pid in dataset.prompt_ids():
-        ids = [r.response_id for r in dataset.responses[pid]]
-        by_id.append(sorted(range(len(ids)), key=ids.__getitem__))
-    return np.argsort(by_id, axis=1)  # the inverse of each row's permutation
-
-
-def _rank_orders(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
-    """Row i holds prompt i's stored indices by score descending, ties by
-    ascending response id: the ``order`` of ``_build_ranking``, for every
-    prompt in one sort."""
-    return np.lexsort((id_ranks, -scores), axis=1)
+    return dataset._id_ranks
 
 
 def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:

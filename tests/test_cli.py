@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -461,3 +462,82 @@ def test_commands_run_without_scipy(tmp_path):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+def _renamed_scores(synth_dir: Path, path: Path, rm_name: str) -> Path:
+    """The synthetic score file with every record's rm_name set to ``rm_name``."""
+    records = [json.loads(line) for line in
+               (synth_dir / "rm_scores.jsonl").read_text(encoding="utf-8").splitlines()]
+    write_jsonl(path, [{**record, "rm_name": rm_name} for record in records])
+    return path
+
+
+def _files_under(root: Path) -> set[Path]:
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
+# per command, the files named after each rm_name; the first one holds the name
+_RM_NAME_FILES = {
+    "reta": ["reta_{}.csv", "reta_{}_per_prompt.csv"],
+    "bon": ["bon_{}_best_of_n.csv"],
+    "export": ["rm_scores_{}.jsonl"],
+}
+
+
+def _stored_rm_name(path: Path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.suffix == ".jsonl":
+        return json.loads(lines[0])["rm_name"]
+    return next(csv.reader(lines[2:]))[0]  # the first row after provenance and header
+
+
+@pytest.mark.parametrize("command", sorted(_RM_NAME_FILES))
+def test_rm_names_stay_inside_output_dir(synth_dir, tmp_path, command):
+    names = {"../../../x": "..%2F..%2F..%2Fx", "org/model": "org%2Fmodel",
+             "a\\b": "a%5Cb", "50%/x": "50%25%2Fx", "50%2Fx": "50%252Fx",
+             "plain-rm": "plain-rm"}
+    scores = [str(_renamed_scores(synth_dir, tmp_path / f"scores{i}.jsonl", name))
+              for i, name in enumerate(names)]
+    before = _files_under(tmp_path)
+    out = tmp_path / "a" / "b" / "c" / "out"
+    code = main([command, "--dataset", str(synth_dir), "--rm-scores", *scores,
+                 "--output-dir", str(out)])
+    assert code == 0
+    written = _files_under(tmp_path) - before
+    assert all(out in path.parents for path in written)
+    for name, part in names.items():
+        paths = [out / template.format(part) for template in _RM_NAME_FILES[command]]
+        assert all(path.parent == out and path.is_file() for path in paths), paths
+        assert _stored_rm_name(paths[0]) == name  # the contents keep the raw name
+
+
+@pytest.mark.parametrize("command", sorted(_RM_NAME_FILES))
+def test_nul_in_rm_name_exits_2_without_output(synth_dir, tmp_path, capsys, command):
+    scores = _renamed_scores(synth_dir, tmp_path / "scores.jsonl", "a\u0000b")
+    before = _files_under(tmp_path)
+    out = tmp_path / "out"
+    code = main([command, "--dataset", str(synth_dir), "--rm-scores", str(scores),
+                 "--output-dir", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MalformedRecord"
+    assert error["message"] == "scores.jsonl:1: field 'rm_name': contains a NUL character"
+    assert _files_under(tmp_path) == before and not out.exists()
+
+
+@pytest.mark.parametrize("embeddings, k", [
+    ([[1e-300, 1e-300], [1e-300, -1e-300]], 2),
+    ([[1e300, 0.0], [0.0, 1e300]], 1),
+], ids=["underflow", "overflow"])
+def test_sample_prompts_extreme_scale_exits_2_without_output(tmp_path, capsys, embeddings, k):
+    path = tmp_path / "candidates.jsonl"
+    write_jsonl(path, [{"prompt_id": f"c{i}", "text": "x", "embedding": row}
+                       for i, row in enumerate(embeddings)])
+    out = tmp_path / "out"
+    code = main(["sample-prompts", "--candidates", str(path), "--k", str(k),
+                 "--output-dir", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InvalidConfig"
+    assert error["message"].startswith("embedding scale out of range")
+    assert not out.exists()

@@ -172,6 +172,30 @@ def test_ingest_missing_pair(tiny_dataset_dir, tmp_path):
         ingest_rm_scores(dataset, path)
 
 
+def test_ingest_names_the_smallest_missing_pair(tiny_dataset_dir, tmp_path):
+    dataset = load_benchmark(tiny_dataset_dir)
+    pairs = list(dataset.iter_pairs())
+    kept = [pair for i, pair in enumerate(pairs) if i not in (1, 4)][::-1]
+    path = tmp_path / "rm_scores.jsonl"
+    write_jsonl(path, scores_records(kept, [1.0] * len(kept)))
+    with pytest.raises(MissingScore) as info:
+        ingest_rm_scores(dataset, path)
+    assert info.value.pair == min(pairs[1], pairs[4])
+
+
+def test_ingest_is_independent_of_file_order(tiny_dataset_dir, tmp_path):
+    dataset = load_benchmark(tiny_dataset_dir)
+    pairs = list(dataset.iter_pairs())
+    records = scores_records(pairs, [0.5 * i for i in range(len(pairs))])
+    write_jsonl(tmp_path / "sorted.jsonl", records)
+    shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+    assert shuffled != records
+    write_jsonl(tmp_path / "shuffled.jsonl", shuffled)
+    table = ingest_rm_scores(dataset, tmp_path / "shuffled.jsonl")
+    assert table == ingest_rm_scores(dataset, tmp_path / "sorted.jsonl")
+    assert list(table.scores) == pairs
+
+
 def test_ingest_unknown_pair(tiny_dataset_dir, tmp_path):
     dataset = load_benchmark(tiny_dataset_dir)
     pairs = list(dataset.iter_pairs()) + [("p9", "zz")]
@@ -309,6 +333,16 @@ def test_validate_embedding_dim_mismatch():
     report = validate_dataset(dataset)
     assert not report.ok
     assert any("dimension mismatch" in issue.message for issue in report.errors())
+
+
+def test_validate_reports_a_prompt_without_response_list():
+    prompts = [PromptRecord("p1", "t"), PromptRecord("p2", "t")]
+    responses = {"p1": [ResponseRecord("p1", f"r{i}", 1.0 + i) for i in range(2)]}
+    dataset = BenchmarkDataset("partial", prompts, responses, 2)
+    table = RmScoreTable("rm", {("p1", "r0"): 0.0, ("p1", "r1"): 1.0})
+    report = validate_dataset(dataset, [table])
+    assert [(i.severity, i.location, i.message) for i in report.issues] == [
+        ("error", "prompt:p2", "no response list")]
 
 
 def test_load_candidate_prompts(tmp_path):

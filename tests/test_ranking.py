@@ -96,6 +96,25 @@ def test_oracle_matrix_reads_through_score():
         oracle_matrix(dataset, RmScoreTable("rm", missing))
 
 
+def test_score_matrices_name_the_first_missing_pair_in_dataset_order():
+    dataset, table = unordered_ties_dataset()
+    stored = [r.response_id for r in dataset.responses["p2"]]
+    # two missing pairs whose stored order is the reverse of their id order
+    first, second = next((a, b) for a, b in zip(stored, stored[1:]) if a > b)
+    missing = dict(table.scores)
+    del missing[("p2", first)], missing[("p2", second)]
+    with pytest.raises(MissingScore) as info:
+        _score_matrices(dataset, RmScoreTable("rm", missing))
+    assert info.value.pair == ("p2", first)
+
+
+def test_cached_oracle_ranks_match_rank_by_oracle():
+    dataset, _ = unordered_ties_dataset()
+    for i, pid in enumerate(dataset.prompt_ids()):
+        order = rank_by_oracle(dataset, pid).order
+        assert dataset._oracle_ranks[i][order].tolist() == list(range(len(order)))
+
+
 def test_log_factorials_match_gammaln():
     log_fact = _log_factorials(100_000)
     assert log_fact.dtype == np.float64 and len(log_fact) == 100_001
