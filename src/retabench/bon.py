@@ -15,7 +15,6 @@ of the weight table and builds no others.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable
+from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
 from .errors import InvalidConfig
 from .ranking import (
     RankedResponses,
@@ -160,13 +159,7 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
 def write_bon_csv(curve: BonCurve, path: str | Path,
                   header_comment: str | None = None) -> None:
     """Curve export: rm_name, variant, n, kl, value, std_error."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rm_name", "variant", "n", "kl", "value", "std_error"])
-        for point, kl in zip(curve.points, curve.kl):
-            writer.writerow([curve.rm_name, curve.variant, point.n,
-                             repr(kl), repr(point.value), repr(point.std_error)])
+    _write_csv(path, header_comment, ["rm_name", "variant", "n", "kl", "value", "std_error"],
+               ([curve.rm_name, curve.variant, point.n,
+                 repr(kl), repr(point.value), repr(point.std_error)]
+                for point, kl in zip(curve.points, curve.kl)))

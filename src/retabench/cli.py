@@ -3,11 +3,14 @@ metric computation, and curve export.
 
 Exit codes: 0 success, 2 input/validation error (a file that cannot be
 read or written counts as one), 3 computation error. Failures emit a
-machine-readable JSON object on stderr, and results are computed before
-any file is written, so a failed check writes nothing. All randomness
-flows from the ``--seed`` flag; no command consults the clock, the
-environment, or OS entropy, so reruns with the same arguments produce
-byte-identical output files.
+machine-readable JSON object on stderr. A command writes into a hidden
+staging directory inside ``--output-dir``, and its files move into place
+only once it returns, so a failed command leaves ``--output-dir`` as it
+was (and removes it if the command created it). All randomness in the
+results flows from the ``--seed`` flag; no result depends on the clock,
+the environment, or OS entropy (only the staging directory's name is
+random, and no output names it), so reruns with the same arguments
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -61,16 +68,8 @@ _OPERATIONAL_KEYS = {"output_dir", "threads"}
 
 
 def _canonical_config(args: argparse.Namespace) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in _NON_CONFIG_KEYS or key in _OPERATIONAL_KEYS:
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, (list, tuple)):
-            value = [str(v) if isinstance(v, Path) else v for v in value]
-        config[key] = value
-    return config
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in _NON_CONFIG_KEYS and key not in _OPERATIONAL_KEYS}
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -123,15 +122,14 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _provenance(config: dict) -> str:
+def _provenance(args: argparse.Namespace) -> str:
+    config = _canonical_config(args)
     seed = config.get("seed", "")
     return f"retabench={__version__} seed={seed} config={_config_hash(config)}"
 
 
-def _write_config_echo(config: dict, output_dir: Path, command: str) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    path = output_dir / f"{command}_config.json"
-    path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def _file_part(rm_name: str) -> str:
@@ -156,15 +154,10 @@ def _load_tables(dataset, paths: Sequence[str]):
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_sample_prompts(args: argparse.Namespace) -> int:
+def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path) -> int:
     prompts = load_candidate_prompts(args.candidates)
     model = build_dpp(prompts)
     selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
-
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    echo = _canonical_config(args)
-    _write_config_echo(echo, out_dir, "sample_prompts")
     ids = [prompts[i].prompt_id for i in selected]
     (out_dir / "selected_prompts.txt").write_text(
         "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
@@ -174,12 +167,11 @@ def _cmd_sample_prompts(args: argparse.Namespace) -> int:
         "k": args.k,
         "num_candidates": model.num_candidates,
     }
-    (out_dir / "sample_provenance.json").write_text(
-        json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "sample_provenance.json").write_text(_json_text(provenance), encoding="utf-8")
     return EXIT_OK
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace, out_dir: Path) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise InvalidConfig(f"spec file not found: {spec_path}")
@@ -190,32 +182,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = DistSpec.from_json(text)
     dataset, table = gen_synthetic(
         spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
-    out_dir = Path(args.output_dir)
     write_benchmark(dataset, out_dir)
     write_rm_scores(table, out_dir / "rm_scores.jsonl")
-    _write_config_echo(_canonical_config(args), out_dir, "synth")
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, out_dir: Path | None) -> int:
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
     tables = _load_tables(dataset, args.rm_scores)
     report = validate_dataset(dataset, tables, max_oracle_score=args.max_oracle_score)
-    payload = {
-        "ok": report.ok,
-        "issues": [
-            {"severity": i.severity, "location": i.location, "message": i.message}
-            for i in report.issues
-        ],
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output_dir:
-        out_dir = Path(args.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "validation_report.json").write_text(text, encoding="utf-8")
-        _write_config_echo(_canonical_config(args), out_dir, "validate")
-    else:
+    text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
+    if out_dir is None:
         sys.stdout.write(text)
+    else:
+        (out_dir / "validation_report.json").write_text(text, encoding="utf-8")
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
@@ -229,7 +209,7 @@ def _reta_config(args: argparse.Namespace, normalize: bool) -> RetaConfig:
     )
 
 
-def _cmd_reta(args: argparse.Namespace) -> int:
+def _cmd_reta(args: argparse.Namespace, out_dir: Path) -> int:
     if args.threads < 1:
         raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
@@ -239,10 +219,7 @@ def _cmd_reta(args: argparse.Namespace) -> int:
               for table in tables]
     raws = [reta_curve(dataset, table, etas, _reta_config(args, normalize=False))
             for table in tables] if args.raw_variant else []
-    out_dir = Path(args.output_dir)
-    echo = _canonical_config(args)
-    _write_config_echo(echo, out_dir, "reta")
-    provenance = _provenance(echo)
+    provenance = _provenance(args)
     for curve in curves:
         stem = f"reta_{_file_part(curve.rm_name)}"
         write_curve_csv(curve, out_dir / f"{stem}.csv", provenance)
@@ -253,7 +230,7 @@ def _cmd_reta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bon(args: argparse.Namespace) -> int:
+def _cmd_bon(args: argparse.Namespace, out_dir: Path) -> int:
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
     tables = _load_tables(dataset, args.rm_scores)
     if args.variant == "best_of_n":
@@ -263,17 +240,14 @@ def _cmd_bon(args: argparse.Namespace) -> int:
     else:
         variant = BonVariant("best_m_of_n", args.best_m)
     curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
-    out_dir = Path(args.output_dir)
-    echo = _canonical_config(args)
-    _write_config_echo(echo, out_dir, "bon")
-    provenance = _provenance(echo)
+    provenance = _provenance(args)
     for curve in curves:
         write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
                       provenance)
     return EXIT_OK
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace, out_dir: Path) -> int:
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
     tables = _load_tables(dataset, args.rm_scores)
     win_labels = load_win_labels(args.win_labels) if args.win_labels else None
@@ -282,21 +256,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                       selection_rank=args.selection_rank, win_labels=win_labels)
         for table in tables
     ]
-    out_dir = Path(args.output_dir)
-    echo = _canonical_config(args)
-    _write_config_echo(echo, out_dir, "metrics")
-    write_metrics_csv(reports, out_dir / "metrics.csv", _provenance(echo))
+    write_metrics_csv(reports, out_dir / "metrics.csv", _provenance(args))
     return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace, out_dir: Path) -> int:
     dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
     tables = _load_tables(dataset, args.rm_scores)
-    out_dir = Path(args.output_dir)
     write_benchmark(dataset, out_dir)
     for table in tables:
         write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
-    _write_config_echo(_canonical_config(args), out_dir, "export")
     return EXIT_OK
 
 
@@ -407,7 +376,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
-        return args.func(args)
+        if not args.output_dir:
+            return args.func(args, None)
+        return _run_staged(args, Path(args.output_dir))
     except InputError as exc:
         _emit_error(exc)
         return EXIT_INPUT
@@ -420,6 +391,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _emit_error(exc)
         return EXIT_INPUT
+
+
+def _run_staged(args: argparse.Namespace, out_dir: Path) -> int:
+    """Run the command into a hidden staging directory inside ``out_dir``,
+    add its config echo, then move every file into ``out_dir``.
+
+    If the command raises, the staging directory goes, and so does every
+    directory this run created on the way to ``out_dir``.
+    """
+    created = next((d for d in reversed([out_dir, *out_dir.parents]) if not d.exists()), None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        code = args.func(args, staging)
+        echo = staging / f"{args.command.replace('-', '_')}_config.json"
+        echo.write_text(_json_text(_canonical_config(args)), encoding="utf-8")
+        for entry in staging.iterdir():
+            os.replace(entry, out_dir / entry.name)
+    except BaseException:
+        shutil.rmtree(created or staging, ignore_errors=True)
+        raise
+    staging.rmdir()
+    return code
 
 
 def _emit_error(exc: Exception) -> None:

@@ -17,6 +17,7 @@ read would keep the stale column.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import operator
@@ -132,9 +133,28 @@ class BenchmarkDataset:
 
     @cached_property
     def _oracle_scores(self) -> np.ndarray:
-        """(prompts, N) oracle scores in the stored response order; read-only."""
-        return _frozen(np.array([self.oracle_scores(pid) for pid in self.prompt_ids()],
-                                dtype=np.float64))
+        """(prompts, N) oracle scores in the stored response order; read-only.
+
+        Every array column is built from this one, so it checks the shape
+        once and raises what ``load_benchmark`` raises for the same input:
+        ``NonUniformN`` for a missing or wrong-length response list, and
+        ``DuplicateId`` for the first repeated (prompt, response) pair.
+        """
+        size = self.responses_per_prompt
+        rows = []
+        for pid in self.prompt_ids():
+            row = self.oracle_scores(pid) if pid in self.responses else []
+            if len(row) != size:
+                raise NonUniformN(pid, len(row), size)
+            rows.append(row)
+        if len(self._pair_index) != len(rows) * size:
+            seen = set()
+            for pair in ((pid, r.response_id) for pid in self.prompt_ids()
+                         for r in self.responses[pid]):
+                if pair in seen:
+                    raise DuplicateId("response", "/".join(pair))
+                seen.add(pair)
+        return _frozen(np.array(rows, dtype=np.float64))
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -427,6 +447,20 @@ def _json_value(value) -> str:
 
 def _json_list(values) -> str:
     return f"[{', '.join(map(_json_value, values))}]"
+
+
+def _write_csv(path: str | Path, header_comment: str | None, columns: Sequence[str],
+               rows: Iterator[Sequence]) -> None:
+    """Write one result CSV, creating its parent directory: an optional
+    ``# <header_comment>`` line, the column names, then ``rows``."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:

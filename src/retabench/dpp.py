@@ -36,15 +36,23 @@ _SINGULAR_REL_TOL = 1e-12
 
 @dataclass
 class DppModel:
-    """Candidate embeddings with the derived kernel ``lam * E @ E.T``."""
+    """Candidate embeddings with the derived kernel ``lam * E @ E.T``.
+
+    The model keeps O(N d) state: ``kernel`` is built on each access, and
+    the sampler and ``subset_log_det`` never build it.
+    """
 
     embeddings: np.ndarray  # (num_candidates, dim)
     lam: float
-    kernel: np.ndarray      # (num_candidates, num_candidates)
 
     @property
     def num_candidates(self) -> int:
         return self.embeddings.shape[0]
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """(num_candidates, num_candidates) kernel ``lam * E @ E.T``."""
+        return self.lam * (self.embeddings @ self.embeddings.T)
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,16 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     if not sys.float_info.min <= s_max_squared <= sys.float_info.max:
         raise InvalidConfig(f"embedding scale out of range: the largest singular value "
                             f"{s_max!r} squares to {s_max_squared!r}")
-    lam = _EIGENVALUE_CEILING / s_max_squared
-    kernel = lam * (embeddings @ embeddings.T)
-    return DppModel(embeddings=embeddings, lam=lam, kernel=kernel)
+    return DppModel(embeddings=embeddings, lam=_EIGENVALUE_CEILING / s_max_squared)
 
 
 def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:
-    """log det of the kernel restricted to ``subset``; -inf if singular."""
-    idx = np.asarray(sorted(subset), dtype=np.intp)
-    sign, logdet = np.linalg.slogdet(model.kernel[np.ix_(idx, idx)])
+    """log det of the kernel restricted to ``subset``; -inf if singular.
+
+    Only the |subset| x |subset| block is built, from the subset's rows.
+    """
+    rows = model.embeddings[np.asarray(sorted(subset), dtype=np.intp)]
+    sign, logdet = np.linalg.slogdet(model.lam * (rows @ rows.T))
     if sign <= 0:
         return -math.inf
     return float(logdet)

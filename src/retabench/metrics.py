@@ -7,7 +7,6 @@ the RM scores leaves them unchanged.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _iter_jsonl, _req_str
+from .dataset import BenchmarkDataset, RmScoreTable, _iter_jsonl, _req_str, _write_csv
 from .errors import (
     EmptyGroundTruth,
     EmptyLabels,
@@ -210,19 +209,12 @@ def write_metrics_csv(reports: Iterable[MetricReport], path: str | Path,
     for report in reports:
         if sorted(report.hit_rate) != cutoffs:
             raise InvalidConfig("metric reports use different hit-rate cutoffs")
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["rm_name"] + [f"hit_rate_at_{k}" for k in cutoffs]
-            + ["ndcg", "mrr", "selection_rank", "pairwise_accuracy", "win_rate"])
-        for report in reports:
-            writer.writerow(
-                [report.rm_name]
+    _write_csv(path, header_comment,
+               ["rm_name"] + [f"hit_rate_at_{k}" for k in cutoffs]
+               + ["ndcg", "mrr", "selection_rank", "pairwise_accuracy", "win_rate"],
+               ([report.rm_name]
                 + [repr(report.hit_rate[k]) for k in cutoffs]
                 + [repr(report.ndcg), repr(report.mrr), report.selection_rank_j,
                    repr(report.pairwise_accuracy),
-                   "" if report.win_rate is None else repr(report.win_rate)])
+                   "" if report.win_rate is None else repr(report.win_rate)]
+                for report in reports))

@@ -112,13 +112,14 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
 def _score_matrices(dataset: BenchmarkDataset,
                     table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
     """(table scores, oracle scores), each (prompts, N) in the stored response
-    order; the oracle matrix is the dataset's read-only column."""
+    order; the oracle matrix is the dataset's read-only column, read first so
+    that a malformed dataset is reported before any table score."""
+    oracle = dataset._oracle_scores
     index = dataset._pair_index
     try:
         rm = np.fromiter(map(table.scores.__getitem__, index), np.float64, count=len(index))
     except KeyError:
         raise MissingScore(next(pair for pair in index if pair not in table.scores)) from None
-    oracle = dataset._oracle_scores
     return rm.reshape(oracle.shape), oracle
 
 

@@ -23,7 +23,6 @@ independent reference.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable
+from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
 from .errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -287,36 +286,18 @@ def reta_curve(dataset: BenchmarkDataset, table: RmScoreTable,
 def write_curve_csv(curve: RetaCurve, path: str | Path,
                     header_comment: str | None = None) -> None:
     """Curve export: rm_name, eta, value, std_error, n_low, n_high."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rm_name", "eta", "value", "std_error", "n_low", "n_high"])
-        for point in curve.points:
-            writer.writerow([
-                curve.rm_name, repr(point.eta), repr(point.value),
-                repr(point.std_error),
-                min(point.n_values_used), max(point.n_values_used),
-            ])
+    _write_csv(path, header_comment,
+               ["rm_name", "eta", "value", "std_error", "n_low", "n_high"],
+               ([curve.rm_name, repr(point.eta), repr(point.value), repr(point.std_error),
+                 min(point.n_values_used), max(point.n_values_used)]
+                for point in curve.points))
 
 
 def write_per_prompt_csv(curve: RetaCurve, dataset: BenchmarkDataset, path: str | Path,
                          header_comment: str | None = None) -> None:
     """Per-prompt export (metric vs. prompt perplexity): prompt_id, eta, value, perplexity."""
-    perplexity = {p.prompt_id: p.perplexity for p in dataset.prompts}
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["prompt_id", "eta", "value", "perplexity"])
-        for point in curve.points:
-            for prompt_id, value in point.per_prompt.items():
-                ppl = perplexity.get(prompt_id)
-                writer.writerow([
-                    prompt_id, repr(point.eta), repr(value),
-                    "" if ppl is None else repr(ppl),
-                ])
+    perplexity = {p.prompt_id: "" if p.perplexity is None else repr(p.perplexity)
+                  for p in dataset.prompts}
+    _write_csv(path, header_comment, ["prompt_id", "eta", "value", "perplexity"],
+               ([prompt_id, repr(point.eta), repr(value), perplexity.get(prompt_id, "")]
+                for point in curve.points for prompt_id, value in point.per_prompt.items()))

@@ -9,7 +9,6 @@ the estimator, and compare against ``analytic_reta``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .dataset import (
     PromptRecord,
     ResponseRecord,
     RmScoreTable,
+    _write_csv,
 )
 from .errors import InvalidConfig, NonPositiveOracleDraw, UnsupportedSpec
 from .reta import RetaConfig, reta_estimate
@@ -297,17 +297,8 @@ def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path: str | Path,
                           header_comment: str | None = None) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "eta", "estimate", "analytic", "abs_error",
-                         "std_error", "seed"])
-        for point in points:
-            writer.writerow([
-                point.responses_per_prompt, repr(point.eta), repr(point.estimate),
-                repr(point.analytic), repr(point.abs_error), repr(point.std_error),
-                point.seed,
-            ])
+    _write_csv(path, header_comment,
+               ["N", "eta", "estimate", "analytic", "abs_error", "std_error", "seed"],
+               ([point.responses_per_prompt, repr(point.eta), repr(point.estimate),
+                 repr(point.analytic), repr(point.abs_error), repr(point.std_error), point.seed]
+                for point in points))

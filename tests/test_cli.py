@@ -541,3 +541,57 @@ def test_sample_prompts_extreme_scale_exits_2_without_output(tmp_path, capsys, e
     assert error["error"] == "InvalidConfig"
     assert error["message"].startswith("embedding scale out of range")
     assert not out.exists()
+
+
+def _command_argv(command: str, synth_dir: Path, tmp_path: Path) -> list[str]:
+    """A run of ``command`` on small inputs, without --output-dir."""
+    data = ["--dataset", str(synth_dir), "--rm-scores", str(synth_dir / "rm_scores.jsonl")]
+    if command == "sample-prompts":
+        cands = candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+        return [command, "--candidates", str(cands), "--k", "3"]
+    if command == "synth":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(DistSpec.deterministic_uniform(0.0, 1.0).to_json())
+        return [command, "--spec", str(spec_path), "--num-prompts", "2", "--num-responses", "4"]
+    return [command, *data, *(["--eta", "0.5"] if command == "reta" else [])]
+
+
+@pytest.mark.parametrize("command", ["sample-prompts", "synth", "validate", "reta", "bon",
+                                     "metrics", "export"])
+def test_each_command_commits_its_config_echo_and_no_staging_entry(
+        synth_dir, tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*_command_argv(command, synth_dir, tmp_path), "--output-dir", str(out)]) == 0
+    names = sorted(path.name for path in out.iterdir())
+    echo = f"{command.replace('-', '_')}_config.json"
+    assert echo in names and not [name for name in names if name.startswith(".")], names
+    assert "output_dir" not in json.loads((out / echo).read_text())
+
+
+def test_validate_commits_a_failing_report(synth_dir, tmp_path, monkeypatch):
+    failing = retabench.ValidationReport([retabench.ValidationIssue("error", "here", "bad")])
+    monkeypatch.setattr("retabench.cli.validate_dataset", lambda *args, **kwargs: failing)
+    out = tmp_path / "out"
+    assert main([*_command_argv("validate", synth_dir, tmp_path), "--output-dir", str(out)]) == 2
+    assert json.loads((out / "validation_report.json").read_text())["ok"] is False
+    assert sorted(path.name for path in out.iterdir()) == [
+        "validate_config.json", "validation_report.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_RM_NAME_FILES))
+def test_failed_write_leaves_output_dir_as_it_was(synth_dir, tmp_path, capsys, command):
+    # a 300-character rm_name is a file name past the usual 255-byte limit,
+    # so the command fails after it has written some files
+    scores = _renamed_scores(synth_dir, tmp_path / "scores.jsonl", "x" * 300)
+    argv = [command, "--dataset", str(synth_dir), "--rm-scores", str(scores)]
+    fresh = tmp_path / "fresh" / "out"
+    assert main([*argv, "--output-dir", str(fresh)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+    assert not (tmp_path / "fresh").exists()
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept\n")
+    assert main([*argv, "--output-dir", str(existing)]) == 2
+    assert [path.name for path in existing.iterdir()] == ["notes.txt"]
+    assert (existing / "notes.txt").read_text() == "kept\n"

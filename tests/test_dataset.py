@@ -11,15 +11,26 @@ import pytest
 
 from retabench import (
     BenchmarkDataset,
+    BonVariant,
+    ConvergencePoint,
     PromptRecord,
     ResponseRecord,
+    RetaCurve,
+    RetaEstimate,
     RmScoreTable,
+    bon_curve,
     ingest_rm_scores,
     load_benchmark,
     load_candidate_prompts,
+    metric_report,
     oracle_score_table,
     validate_dataset,
     write_benchmark,
+    write_bon_csv,
+    write_convergence_csv,
+    write_curve_csv,
+    write_metrics_csv,
+    write_per_prompt_csv,
     write_rm_scores,
 )
 from retabench.errors import (
@@ -33,8 +44,9 @@ from retabench.errors import (
     NonUniformN,
     UnknownPair,
 )
+from retabench.ranking import oracle_matrix
 
-from conftest import scores_records, write_dataset_dir, write_jsonl
+from conftest import build_dataset, build_table, scores_records, write_dataset_dir, write_jsonl
 
 
 def test_load_minimal_dataset(tiny_dataset_dir):
@@ -515,3 +527,58 @@ def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_
         ingest_rm_scores(dataset, path)
     assert (info.value.line, info.value.field) == (2, field)
     assert str(info.value).startswith(f"rm_scores.jsonl:2: field '{field}': {message}")
+
+
+def _malformed_dataset(shape: str) -> tuple[BenchmarkDataset, RmScoreTable]:
+    """A hand-built 3-response dataset with one shape ``load_benchmark`` rejects,
+    and a table scoring every stored pair."""
+    ids = {"missing-list": {"p1": ["a", "b", "c"], "p2": None},
+           "long-list": {"p1": ["a", "b", "c", "d"]},
+           "repeated-id": {"p1": ["a", "a", "b"]}}[shape]
+    prompts = [PromptRecord(pid, "t") for pid in ids]
+    responses = {pid: [ResponseRecord(pid, rid, 1.0 + i) for i, rid in enumerate(rids)]
+                 for pid, rids in ids.items() if rids is not None}
+    table = RmScoreTable("rm", {(pid, rid): 0.5 for pid, rids in ids.items()
+                                for rid in rids or ()})
+    return BenchmarkDataset("malformed", prompts, responses, 3), table
+
+
+@pytest.mark.parametrize("shape, error, attributes", [
+    ("missing-list", NonUniformN, {"prompt_id": "p2", "count": 0, "expected": 3}),
+    ("long-list", NonUniformN, {"prompt_id": "p1", "count": 4, "expected": 3}),
+    ("repeated-id", DuplicateId, {"kind": "response", "identifier": "p1/a"}),
+])
+@pytest.mark.parametrize("estimator", ["bon_curve", "metric_report", "oracle_matrix"])
+def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attributes, estimator):
+    dataset, table = _malformed_dataset(shape)
+    call = {"bon_curve": lambda: bon_curve(dataset, table, BonVariant("best_of_n")),
+            "metric_report": lambda: metric_report(dataset, table),
+            "oracle_matrix": lambda: oracle_matrix(dataset, table)}[estimator]
+    with pytest.raises(error) as raised:
+        call()
+    assert {key: getattr(raised.value, key) for key in attributes} == attributes
+    # validation reads only the pair index, so it reports the shape instead
+    assert not validate_dataset(dataset, [table]).ok
+
+
+def test_every_csv_writer_creates_its_parent_directory(tmp_path):
+    dataset = build_dataset({"p1": [1.0, 2.0, 3.0, 4.0], "p2": [4.0, 1.0, 3.0, 2.0]})
+    table = build_table({"p1": [0.1, 0.4, 0.2, 0.3], "p2": [0.3, 0.1, 0.2, 0.4]})
+    curve = RetaCurve("rm", [RetaEstimate(0.5, 1.1, {"p1": 1.0, "p2": 1.2}, 0.1, [2, 3])])
+    point = ConvergencePoint(4, 0.5, 1.2, 1.1, 0.1, 0.05, 7)
+    writers = {
+        "curve.csv": (lambda p: write_curve_csv(curve, p, "note"), "rm_name,eta,"),
+        "per_prompt.csv": (lambda p: write_per_prompt_csv(curve, dataset, p, "note"),
+                           "prompt_id,eta,"),
+        "bon.csv": (lambda p: write_bon_csv(
+            bon_curve(dataset, table, BonVariant("best_of_n")), p, "note"), "rm_name,variant,"),
+        "metrics.csv": (lambda p: write_metrics_csv([metric_report(dataset, table)], p, "note"),
+                        "rm_name,hit_rate_at_"),
+        "convergence.csv": (lambda p: write_convergence_csv([point], p, "note"), "N,eta,"),
+    }
+    for name, (write, header) in writers.items():
+        path = tmp_path / name / "a" / "b" / name
+        write(path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"# note" and lines[1].decode().startswith(header), name
+        assert b"\r" not in path.read_bytes(), name

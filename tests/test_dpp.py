@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,3 +155,26 @@ def test_conditioning_spans_the_conditioned_projection_kernel():
         assert np.allclose(basis[item], 0.0, atol=1e-12)
         assert np.allclose(np.einsum("ij,ij->i", basis, basis), np.diag(expected), atol=1e-12)
         assert np.allclose(basis @ basis.T, expected, atol=1e-12)
+
+
+def test_model_and_sampler_keep_no_candidate_by_candidate_matrix():
+    # a 2000 x 2000 kernel alone takes 32 MB; the embeddings take 0.26 MB
+    prompts = records(np.random.default_rng(21).standard_normal((2000, 16)))
+    tracemalloc.start()
+    try:
+        model = build_dpp(prompts)
+        subset = sample_kdpp(model, DppSampleConfig(k=8, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(subset)) == 8
+    assert peak < 8 * 2 ** 20
+
+
+def test_subset_log_det_matches_the_kernel_block():
+    model = build_dpp(records(np.random.default_rng(22).standard_normal((30, 6))))
+    for subset in ([3], [0, 7, 19], [29, 4, 11, 2, 23, 16]):
+        idx = np.asarray(sorted(subset))
+        sign, expected = np.linalg.slogdet(model.kernel[np.ix_(idx, idx)])
+        assert sign > 0
+        assert subset_log_det(model, subset) == pytest.approx(expected, abs=1e-12)
