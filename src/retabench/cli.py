@@ -3,10 +3,13 @@ metric computation, and curve export.
 
 Exit codes: 0 success, 2 input/validation error (a file that cannot be
 read or written counts as one), 3 computation error. Failures emit a
-machine-readable JSON object on stderr. A command writes into a hidden
-staging directory inside ``--output-dir``, and its files move into place
-only once it returns, so a failed command leaves ``--output-dir`` as it
-was (and removes it if the command created it). All randomness in the
+machine-readable JSON object on stderr. ``main`` applies ``--config``,
+then reads and checks the command's input files (each subparser names its
+reader), so an input error is reported as itself and never touches
+``--output-dir``. Only then does the command run, into a hidden staging
+directory inside ``--output-dir``; its files move into place only once it
+returns, so a failed command leaves ``--output-dir`` as it was (and
+removes it if the command created it). All randomness in the
 results flows from the ``--seed`` flag; no result depends on the clock,
 the environment, or OS entropy (only the staging directory's name is
 random, and no output names it), so reruns with the same arguments
@@ -22,7 +25,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +41,7 @@ from .dataset import (
     write_rm_scores,
 )
 from .dpp import DppSampleConfig, build_dpp, sample_kdpp
-from .errors import ComputationError, InputError, InvalidConfig, RetabenchError
+from .errors import InputError, InvalidConfig, RetabenchError
 from .metrics import load_win_labels, metric_report, write_metrics_csv
 from .reta import (
     RetaConfig,
@@ -47,7 +50,7 @@ from .reta import (
     write_curve_csv,
     write_per_prompt_csv,
 )
-from .synthetic import DistSpec, gen_synthetic
+from .synthetic import DistSpec, _check_args, gen_synthetic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,7 +58,7 @@ EXIT_COMPUTE = 3
 
 # Keys that exist on the namespace but are not part of a command's tunable
 # config (and so are not overridable from a config file).
-_NON_CONFIG_KEYS = {"command", "func", "config", "parser"}
+_NON_CONFIG_KEYS = {"command", "func", "read", "config", "parser"}
 
 # JSON types a config-file value may take for each argparse ``type``; a
 # flag without a type takes a string, a store_true switch a boolean.
@@ -74,15 +77,12 @@ def _canonical_config(args: argparse.Namespace) -> dict:
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Values from --config take precedence over command-line flags."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
-    path = Path(args.config)
-    if not path.is_file():
-        raise InvalidConfig(f"config file not found: {path}")
     try:
-        overrides = json.loads(path.read_text(encoding="utf-8"))
+        overrides = json.loads(_read_text(args.config, "config"))
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, UnicodeDecodeError, or an integer past Python's digit limit
+        # JSONDecodeError, or an integer past Python's digit limit
         raise InvalidConfig(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise InvalidConfig("config file must hold a JSON object")
@@ -93,6 +93,16 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     actions = {action.dest: action for action in args.parser._actions}
     for key, value in overrides.items():
         setattr(args, key, _config_value(actions[key], value))
+
+
+def _read_text(path: str, what: str) -> str:
+    """A ``--config`` or ``--spec`` file's text; InvalidConfig if missing or not UTF-8."""
+    if not Path(path).is_file():
+        raise InvalidConfig(f"{what} file not found: {path}")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{what} file is not valid UTF-8: {exc}") from exc
 
 
 def _config_value(action: argparse.Action, value):
@@ -141,21 +151,34 @@ def _file_part(rm_name: str) -> str:
     return rm_name.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
 
 
-def _load_tables(dataset, paths: Sequence[str]):
-    tables = []
-    for path in paths:
-        tables.append(ingest_rm_scores(dataset, path))
+# --- input readers: each returns what its command takes after (args, out_dir) ----
+
+
+def _read_spec(args: argparse.Namespace) -> tuple:
+    spec = DistSpec.from_json(_read_text(args.spec, "spec"))
+    # gen_synthetic checks these again; checked here, they never touch --output-dir
+    _check_args(args.num_prompts, args.num_responses, args.seed, args.rm_name)
+    return (spec,)
+
+
+def _read_dataset(args: argparse.Namespace) -> tuple:
+    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
+    tables = [ingest_rm_scores(dataset, path) for path in args.rm_scores]
     names = [t.rm_name for t in tables]
     if len(set(names)) != len(names):
         raise InvalidConfig(f"duplicate rm_name among score files: {names}")
-    return tables
+    return dataset, tables
+
+
+def _read_metrics(args: argparse.Namespace) -> tuple:
+    dataset, tables = _read_dataset(args)
+    return dataset, tables, load_win_labels(args.win_labels) if args.win_labels else None
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path) -> int:
-    prompts = load_candidate_prompts(args.candidates)
+def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path, prompts) -> int:
     model = build_dpp(prompts)
     selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
     ids = [prompts[i].prompt_id for i in selected]
@@ -171,15 +194,7 @@ def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args: argparse.Namespace, out_dir: Path) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        raise InvalidConfig(f"spec file not found: {spec_path}")
-    try:
-        text = spec_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"spec file is not valid UTF-8: {exc}") from exc
-    spec = DistSpec.from_json(text)
+def _cmd_synth(args: argparse.Namespace, out_dir: Path, spec: DistSpec) -> int:
     dataset, table = gen_synthetic(
         spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
     write_benchmark(dataset, out_dir)
@@ -187,9 +202,7 @@ def _cmd_synth(args: argparse.Namespace, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace, out_dir: Path | None) -> int:
-    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
-    tables = _load_tables(dataset, args.rm_scores)
+def _cmd_validate(args: argparse.Namespace, out_dir: Path | None, dataset, tables) -> int:
     report = validate_dataset(dataset, tables, max_oracle_score=args.max_oracle_score)
     text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
     if out_dir is None:
@@ -199,25 +212,15 @@ def _cmd_validate(args: argparse.Namespace, out_dir: Path | None) -> int:
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
-def _reta_config(args: argparse.Namespace, normalize: bool) -> RetaConfig:
-    return RetaConfig(
-        n_range_low_coeff=args.n_low_coeff,
-        n_range_high_coeff=args.n_high_coeff,
-        n_exponent=args.n_exponent,
-        seed=args.seed,
-        normalize=normalize,
-    )
-
-
-def _cmd_reta(args: argparse.Namespace, out_dir: Path) -> int:
+def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
     if args.threads < 1:
         raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
-    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
-    tables = _load_tables(dataset, args.rm_scores)
     etas = args.eta if args.eta else default_eta_grid()
-    curves = [reta_curve(dataset, table, etas, _reta_config(args, normalize=True))
-              for table in tables]
-    raws = [reta_curve(dataset, table, etas, _reta_config(args, normalize=False))
+    config = RetaConfig(n_range_low_coeff=args.n_low_coeff,
+                        n_range_high_coeff=args.n_high_coeff,
+                        n_exponent=args.n_exponent, seed=args.seed)
+    curves = [reta_curve(dataset, table, etas, config) for table in tables]
+    raws = [reta_curve(dataset, table, etas, replace(config, normalize=False))
             for table in tables] if args.raw_variant else []
     provenance = _provenance(args)
     for curve in curves:
@@ -230,15 +233,9 @@ def _cmd_reta(args: argparse.Namespace, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_bon(args: argparse.Namespace, out_dir: Path) -> int:
-    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
-    tables = _load_tables(dataset, args.rm_scores)
-    if args.variant == "best_of_n":
-        variant = BonVariant("best_of_n")
-    elif args.variant == "rank_k_of_n":
-        variant = BonVariant("rank_k_of_n", args.rank_k)
-    else:
-        variant = BonVariant("best_m_of_n", args.best_m)
+def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
+    variant = BonVariant(args.variant, {"rank_k_of_n": args.rank_k,
+                                        "best_m_of_n": args.best_m}.get(args.variant))
     curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
     provenance = _provenance(args)
     for curve in curves:
@@ -247,10 +244,7 @@ def _cmd_bon(args: argparse.Namespace, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args: argparse.Namespace, out_dir: Path) -> int:
-    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
-    tables = _load_tables(dataset, args.rm_scores)
-    win_labels = load_win_labels(args.win_labels) if args.win_labels else None
+def _cmd_metrics(args: argparse.Namespace, out_dir: Path, dataset, tables, win_labels) -> int:
     reports = [
         metric_report(dataset, table, eta=args.eta,
                       selection_rank=args.selection_rank, win_labels=win_labels)
@@ -260,9 +254,7 @@ def _cmd_metrics(args: argparse.Namespace, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace, out_dir: Path) -> int:
-    dataset = load_benchmark(args.dataset, max_oracle_score=args.max_oracle_score)
-    tables = _load_tables(dataset, args.rm_scores)
+def _cmd_export(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
     write_benchmark(dataset, out_dir)
     for table in tables:
         write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
@@ -292,26 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-prompts", help="select a diverse prompt subset")
     p.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
     p.add_argument("--k", type=int, required=True, help="number of prompts to select")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_sample_prompts)
+    p.set_defaults(func=_cmd_sample_prompts,
+                   read=lambda args: (load_candidate_prompts(args.candidates),))
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--spec", required=True, help="distribution spec JSON file")
     p.add_argument("--num-prompts", dest="num_prompts", type=int, required=True)
     p.add_argument("--num-responses", dest="num_responses", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rm-name", dest="rm_name", default="synthetic-rm")
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, read=_read_spec)
 
     p = sub.add_parser("validate", help="check a dataset and score tables")
     _add_dataset_flags(p, scores_required=False)
-    p.add_argument("--output-dir", dest="output_dir", default=None)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, read=_read_dataset)
 
     p = sub.add_parser("reta", help="reliability curves over an eta grid")
     _add_dataset_flags(p)
@@ -321,15 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-low-coeff", dest="n_low_coeff", type=float, default=3.0)
     p.add_argument("--n-high-coeff", dest="n_high_coeff", type=float, default=5.0)
     p.add_argument("--n-exponent", dest="n_exponent", type=float, default=2.0 / 3.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect, since the "
                         "estimate is exact and computed in one thread")
     p.add_argument("--raw-variant", dest="raw_variant", action="store_true",
                    help="also emit the curve without the per-prompt normalizer")
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_reta)
+    p.set_defaults(func=_cmd_reta, read=_read_dataset)
 
     p = sub.add_parser("bon", help="best-of-n style curves with KL column")
     _add_dataset_flags(p)
@@ -341,10 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m for best_m_of_n")
     p.add_argument("--n-values", dest="n_values", type=int, nargs="*", default=None,
                    help="explicit n grid; default: powers of two up to N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_bon)
+    p.set_defaults(func=_cmd_bon, read=_read_dataset)
 
     p = sub.add_parser("metrics", help="hit rate / NDCG / MRR / pairwise table")
     _add_dataset_flags(p)
@@ -354,63 +333,58 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which RM pick NDCG/MRR evaluate (1 = best)")
     p.add_argument("--win-labels", dest="win_labels", default=None,
                    help="JSONL win/draw/loss labels")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=_cmd_metrics, read=_read_metrics)
 
     p = sub.add_parser("export", help="rewrite a dataset and tables canonically")
     _add_dataset_flags(p, scores_required=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_export, read=_read_dataset)
 
-    for command_parser in sub.choices.values():
-        command_parser.set_defaults(parser=command_parser)
+    for command, p in sub.choices.items():
+        if command != "validate":  # no randomness, and it can print its report instead
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--output-dir", dest="output_dir", required=command != "validate")
+        p.add_argument("--config", default=None, help="JSON config overriding flags")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_config_file(args)
+        inputs = args.read(args)
         if not args.output_dir:
-            return args.func(args, None)
-        return _run_staged(args, Path(args.output_dir))
-    except InputError as exc:
+            return args.func(args, None, *inputs)
+        return _run_staged(args, Path(args.output_dir), inputs)
+    except (InputError, OSError) as exc:
         _emit_error(exc)
         return EXIT_INPUT
-    except ComputationError as exc:
+    except RetabenchError as exc:  # a ComputationError
         _emit_error(exc)
         return EXIT_COMPUTE
-    except RetabenchError as exc:
-        _emit_error(exc)
-        return EXIT_COMPUTE
-    except OSError as exc:
-        _emit_error(exc)
-        return EXIT_INPUT
 
 
-def _run_staged(args: argparse.Namespace, out_dir: Path) -> int:
+def _run_staged(args: argparse.Namespace, out_dir: Path, inputs: tuple) -> int:
     """Run the command into a hidden staging directory inside ``out_dir``,
     add its config echo, then move every file into ``out_dir``.
 
     If the command raises, the staging directory goes, and so does every
-    directory this run created on the way to ``out_dir``.
+    directory this run created on the way to ``out_dir``. An ``OSError`` names
+    the file's place in ``out_dir``, since the staging name is random.
     """
     created = next((d for d in reversed([out_dir, *out_dir.parents]) if not d.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        code = args.func(args, staging)
+        code = args.func(args, staging, *inputs)
         echo = staging / f"{args.command.replace('-', '_')}_config.json"
         echo.write_text(_json_text(_canonical_config(args)), encoding="utf-8")
         for entry in staging.iterdir():
             os.replace(entry, out_dir / entry.name)
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(created or staging, ignore_errors=True)
+        if isinstance(exc, OSError) and str(exc.filename).startswith(str(staging)):
+            exc.filename = str(out_dir) + str(exc.filename)[len(str(staging)):]
         raise
     staging.rmdir()
     return code

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -53,6 +54,10 @@ _RESPONSE_KEYS = frozenset(
     {"prompt_id", "response_id", "text", "oracle_score", "oracle_samples"})
 _SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
 _FLOAT_TYPE = frozenset({float})
+# Fields that reach output files and file names must encode as UTF-8; JSON's
+# "\ud800" escape gives a str with a lone surrogate, which does not.
+_NAME_KEYS = frozenset({"prompt_id", "response_id", "rm_name"})
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 # json.dumps quotes strings with this (ensure_ascii is its default)
 _json_str = json.encoder.encode_basestring_ascii
@@ -249,7 +254,20 @@ def _req_str(obj: dict, key: str, source: str, line: int) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise MalformedRecord(source, line, key, "required non-empty string")
+    if key in _NAME_KEYS and _SURROGATE.search(value):
+        raise MalformedRecord(source, line, key, "cannot be encoded as UTF-8")
     return value
+
+
+def _rm_name_problem(rm_name: str) -> str | None:
+    """Why ``rm_name`` cannot name a score table (it goes into file names), or None."""
+    if not rm_name:
+        return "required non-empty string"
+    if "\0" in rm_name:
+        return "contains a NUL character"
+    if _SURROGATE.search(rm_name):
+        return "cannot be encoded as UTF-8"
+    return None
 
 
 def _as_float(value, key: str, source: str, line: int) -> float:
@@ -321,7 +339,7 @@ def load_benchmark(path: str | Path, *,
         if not _PROMPT_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
         pid, text = obj.get("prompt_id"), obj.get("text")
-        if not (type(pid) is str and pid and type(text) is str and text):
+        if not (type(pid) is str and pid and pid.isascii() and type(text) is str and text):
             pid = _req_str(obj, "prompt_id", source, line_no)
             text = _req_str(obj, "text", source, line_no)
         if pid in prompts:
@@ -350,7 +368,8 @@ def load_benchmark(path: str | Path, *,
         if not _RESPONSE_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
         pid, rid = obj.get("prompt_id"), obj.get("response_id")
-        if not (type(pid) is str and pid and type(rid) is str and rid):
+        if not (type(pid) is str and pid and pid.isascii()
+                and type(rid) is str and rid and rid.isascii()):
             pid = _req_str(obj, "prompt_id", source, line_no)
             rid = _req_str(obj, "response_id", source, line_no)
         by_id = responses.get(pid)
@@ -419,7 +438,7 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
     dim: int | None = None
     for line_no, obj in _iter_jsonl(source_path):
         pid, text = obj.get("prompt_id"), obj.get("text", "")
-        if not (type(pid) is str and pid):
+        if not (type(pid) is str and pid and pid.isascii()):
             pid = _req_str(obj, "prompt_id", source, line_no)
         if pid in seen:
             raise DuplicateId("prompt", pid)
@@ -511,8 +530,8 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
         if not _SCORE_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _SCORE_KEYS, source, line_no, warnings)
         pid, rid, this_rm = obj.get("prompt_id"), obj.get("response_id"), obj.get("rm_name")
-        if not (type(pid) is str and pid and type(rid) is str and rid
-                and type(this_rm) is str and this_rm):
+        if not (type(pid) is str and pid and pid.isascii() and type(rid) is str and rid
+                and rid.isascii() and type(this_rm) is str and this_rm and this_rm.isascii()):
             pid = _req_str(obj, "prompt_id", source, line_no)
             rid = _req_str(obj, "response_id", source, line_no)
             this_rm = _req_str(obj, "rm_name", source, line_no)
@@ -520,8 +539,9 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
             if rm_name is not None:
                 raise MalformedRecord(source, line_no, "rm_name",
                                       f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
-            if "\0" in this_rm:
-                raise MalformedRecord(source, line_no, "rm_name", "contains a NUL character")
+            problem = _rm_name_problem(this_rm)
+            if problem:
+                raise MalformedRecord(source, line_no, "rm_name", problem)
             rm_name = this_rm
         value = obj.get("score")
         if type(value) is not float:

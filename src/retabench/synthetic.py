@@ -23,6 +23,7 @@ from .dataset import (
     PromptRecord,
     ResponseRecord,
     RmScoreTable,
+    _rm_name_problem,
     _write_csv,
 )
 from .errors import InvalidConfig, NonPositiveOracleDraw, UnsupportedSpec
@@ -145,18 +146,12 @@ def _draw_pairs(spec: DistSpec, rng: np.random.Generator,
                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """(rm scores, oracle scores), oracle strictly positive."""
     p = spec.params
-    if spec.kind == "deterministic_uniform":
+    if spec.kind in ("deterministic_uniform", "independent"):
         j = rng.uniform(p["low"], p["high"], size=count)
         while np.any(j <= 0.0):
             bad = j <= 0.0
             j[bad] = rng.uniform(p["low"], p["high"], size=int(bad.sum()))
-        return j.copy(), j
-    if spec.kind == "independent":
-        j = rng.uniform(p["low"], p["high"], size=count)
-        while np.any(j <= 0.0):
-            bad = j <= 0.0
-            j[bad] = rng.uniform(p["low"], p["high"], size=int(bad.sum()))
-        y = rng.standard_normal(count)
+        y = j.copy() if spec.kind == "deterministic_uniform" else rng.standard_normal(count)
         return y, j
     if spec.kind == "noisy_gaussian":
         rho = p["rho"]
@@ -179,6 +174,20 @@ def _draw_pairs(spec: DistSpec, rng: np.random.Generator,
     return y, j
 
 
+def _check_args(num_prompts: int, responses_per_prompt: int, seed: int, rm_name: str) -> None:
+    """InvalidConfig unless ``gen_synthetic`` accepts these and its files load back."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
+    if num_prompts < 1:
+        raise InvalidConfig(f"num_prompts must be positive, got {num_prompts}")
+    if responses_per_prompt < 2:
+        raise InvalidConfig(
+            f"responses_per_prompt must be at least 2, got {responses_per_prompt}")
+    problem = _rm_name_problem(rm_name)
+    if problem:
+        raise InvalidConfig(f"rm_name {rm_name!r}: {problem}")
+
+
 def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
                   seed: int, *, name: str | None = None,
                   rm_name: str = "synthetic-rm") -> tuple[BenchmarkDataset, RmScoreTable]:
@@ -187,13 +196,7 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
     Deterministic: each prompt gets its own counter-based stream keyed by
     (seed, prompt index), so generation order cannot change the data.
     """
-    if seed < 0:
-        raise InvalidConfig(f"seed must be non-negative, got {seed}")
-    if num_prompts < 1:
-        raise InvalidConfig(f"num_prompts must be positive, got {num_prompts}")
-    if responses_per_prompt < 2:
-        raise InvalidConfig(
-            f"responses_per_prompt must be at least 2, got {responses_per_prompt}")
+    _check_args(num_prompts, responses_per_prompt, seed, rm_name)
     prompt_width = max(4, len(str(num_prompts - 1)))
     response_width = max(3, len(str(responses_per_prompt - 1)))
     prompts = []

@@ -595,3 +595,117 @@ def test_failed_write_leaves_output_dir_as_it_was(synth_dir, tmp_path, capsys, c
     assert main([*argv, "--output-dir", str(existing)]) == 2
     assert [path.name for path in existing.iterdir()] == ["notes.txt"]
     assert (existing / "notes.txt").read_text() == "kept\n"
+
+
+def _with_unencodable_id(command: str, synth_dir: Path, tmp_path: Path) -> tuple[list, str]:
+    """argv for ``command`` on inputs whose first record holds a lone
+    surrogate (JSON "\\ud800") in an id that reaches an output file, and the
+    error message expected for it."""
+    if command == "sample-prompts":
+        path = candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+        path.write_text(path.read_text().replace('"c000"', '"c\\ud800"'))
+        return ([command, "--candidates", str(path), "--k", "3"],
+                "candidates.jsonl:1: field 'prompt_id': cannot be encoded as UTF-8")
+    if command == "reta":  # prompt ids go into the per-prompt CSV
+        data = tmp_path / "unencodable"
+        data.mkdir()
+        for path in synth_dir.iterdir():
+            (data / path.name).write_text(path.read_text().replace('"p0000"', '"p\\ud800"'))
+        return ([command, "--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl"),
+                 "--eta", "0.5"], "prompts.jsonl:1: field 'prompt_id': cannot be encoded as UTF-8")
+    scores = _renamed_scores(synth_dir, tmp_path / "scores.jsonl", "m\ud800")
+    return ([command, "--dataset", str(synth_dir), "--rm-scores", str(scores)],
+            "scores.jsonl:1: field 'rm_name': cannot be encoded as UTF-8")
+
+
+@pytest.mark.parametrize("command", ["reta", "bon", "metrics", "sample-prompts"])
+def test_unencodable_id_exits_2_without_output(synth_dir, tmp_path, capsys, command):
+    argv, message = _with_unencodable_id(command, synth_dir, tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "MalformedRecord", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rm_name, via", [
+    ("", "flag"),
+    ("a\u0000b", "config"),
+    ("\udcff", "flag"),  # how a byte that is not UTF-8 in argv reaches Python
+], ids=["empty", "nul", "surrogate"])
+def test_synth_rejects_rm_names_its_readers_reject(tmp_path, capsys, rm_name, via):
+    argv = _command_argv("synth", tmp_path, tmp_path)  # synth reads no dataset
+    if via == "flag":
+        argv += ["--rm-name", rm_name]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"rm_name": rm_name}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (tmp_path / "out", blocker / "sub"):  # checked before --output-dir is made
+        assert main([*argv, "--output-dir", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "InvalidConfig"
+        assert error["message"].startswith(f"rm_name {rm_name!r}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_error_names_the_final_path(synth_dir, tmp_path, capsys):
+    scores = _renamed_scores(synth_dir, tmp_path / "scores.jsonl", "x" * 300)
+    out = tmp_path / "out"
+    argv = ["bon", "--dataset", str(synth_dir), "--rm-scores", str(scores),
+            "--output-dir", str(out)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and ".staging-" not in errors[0]
+    assert str(out / f"bon_{'x' * 300}_best_of_n.csv") in json.loads(errors[0])["message"]
+
+
+_ECHO_KEYS = {
+    "sample-prompts": {"candidates", "k", "seed"},
+    "synth": {"num_prompts", "num_responses", "rm_name", "seed", "spec"},
+    "validate": {"dataset", "max_oracle_score", "rm_scores"},
+    "reta": {"dataset", "eta", "max_oracle_score", "n_exponent", "n_high_coeff",
+             "n_low_coeff", "raw_variant", "rm_scores", "seed"},
+    "bon": {"best_m", "dataset", "max_oracle_score", "n_values", "rank_k", "rm_scores",
+            "seed", "variant"},
+    "metrics": {"dataset", "eta", "max_oracle_score", "rm_scores", "seed", "selection_rank",
+                "win_labels"},
+    "export": {"dataset", "max_oracle_score", "rm_scores", "seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_KEYS))
+def test_config_echo_keys(synth_dir, tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*_command_argv(command, synth_dir, tmp_path), "--output-dir", str(out)]) == 0
+    echo = json.loads((out / f"{command.replace('-', '_')}_config.json").read_text())
+    assert set(echo) == _ECHO_KEYS[command]
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_KEYS))
+def test_input_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, command):
+    argv = _command_argv(command, synth_dir, tmp_path)
+    flag = {"sample-prompts": "--candidates", "synth": "--spec"}.get(command, "--dataset")
+    argv[argv.index(flag) + 1] = str(tmp_path / "missing")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        assert main([*argv, "--output-dir", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == ("InvalidConfig" if command == "synth" else "MalformedRecord")
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_KEYS))
+def test_config_file_sets_seed_and_output_dir(synth_dir, tmp_path, command):
+    out = tmp_path / "from-config"
+    overrides = {"output_dir": str(out), **({} if command == "validate" else {"seed": 7})}
+    (tmp_path / "config.json").write_text(json.dumps(overrides))
+    flag_out = tmp_path / "from-flag"
+    assert main([*_command_argv(command, synth_dir, tmp_path),
+                 "--config", str(tmp_path / "config.json"), "--output-dir", str(flag_out)]) == 0
+    assert not flag_out.exists()
+    echo = json.loads((out / f"{command.replace('-', '_')}_config.json").read_text())
+    assert echo.get("seed") == overrides.get("seed")

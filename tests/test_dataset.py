@@ -582,3 +582,36 @@ def test_every_csv_writer_creates_its_parent_directory(tmp_path):
         lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"# note" and lines[1].decode().startswith(header), name
         assert b"\r" not in path.read_bytes(), name
+
+
+@pytest.mark.parametrize("name, field, line", [
+    ("prompts.jsonl", "prompt_id", 3),
+    ("responses.jsonl", "response_id", 7),
+    ("rm_scores.jsonl", "prompt_id", 1),
+    ("rm_scores.jsonl", "response_id", 1),
+    ("rm_scores.jsonl", "rm_name", 1),
+    ("candidates.jsonl", "prompt_id", 1),
+])
+def test_ids_that_cannot_be_encoded_are_malformed_records(tiny_dataset_dir, tmp_path, name,
+                                                          field, line):
+    # JSON's "\ud800" escape loads as a lone surrogate, which no UTF-8
+    # output file or file name can hold
+    bad = "x\ud800"
+    if name == "rm_scores.jsonl":
+        dataset = load_benchmark(tiny_dataset_dir)
+        records = scores_records(list(dataset.iter_pairs()), [1.0] * 6)
+        records[0][field] = bad
+        write_jsonl(tmp_path / name, records)
+        read = lambda: ingest_rm_scores(dataset, tmp_path / name)  # noqa: E731
+    elif name == "candidates.jsonl":
+        write_jsonl(tmp_path / name, [{"prompt_id": bad, "text": "t"}])
+        read = lambda: load_candidate_prompts(tmp_path / name)  # noqa: E731
+    else:  # one more record after the tiny dataset's valid ones
+        record = ({"prompt_id": bad, "text": "t"} if name == "prompts.jsonl" else
+                  {"prompt_id": "p1", "response_id": bad, "oracle_score": 1.0})
+        with open(tiny_dataset_dir / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        read = lambda: load_benchmark(tiny_dataset_dir)  # noqa: E731
+    with pytest.raises(MalformedRecord) as info:
+        read()
+    assert str(info.value) == f"{name}:{line}: field '{field}': cannot be encoded as UTF-8"

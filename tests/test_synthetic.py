@@ -207,3 +207,9 @@ def test_convergence_experiment_rows(tmp_path):
     assert lines[0] == "# prov"
     assert lines[1] == "N,eta,estimate,analytic,abs_error,std_error,seed"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("rm_name", ["", "a\u0000b", "\udcff"], ids=["empty", "nul", "surrogate"])
+def test_generator_rejects_rm_names_the_score_reader_rejects(rm_name):
+    with pytest.raises(InvalidConfig, match="^rm_name "):
+        gen_synthetic(DistSpec.independent(0.0, 1.0), 2, 4, seed=0, rm_name=rm_name)
