@@ -4,16 +4,16 @@ metric computation, and curve export.
 Exit codes: 0 success, 2 input/validation error (a file that cannot be
 read or written counts as one), 3 computation error. Failures emit a
 machine-readable JSON object on stderr. ``main`` applies ``--config``,
-then reads and checks the command's input files (each subparser names its
-reader), so an input error is reported as itself and never touches
-``--output-dir``. Only then does the command run, into a hidden staging
-directory inside ``--output-dir``; its files move into place only once it
-returns, so a failed command leaves ``--output-dir`` as it was (and
-removes it if the command created it). All randomness in the
-results flows from the ``--seed`` flag; no result depends on the clock,
-the environment, or OS entropy (only the staging directory's name is
-random, and no output names it), so reruns with the same arguments
-produce byte-identical output files.
+then reads and checks the command's input files and builds its checked
+flag values (each subparser names its reader), so an input error is
+reported as itself and never touches ``--output-dir``. Only then does the
+command run, into a hidden staging directory inside ``--output-dir``; its
+files move into place only once it returns, so a failed command leaves
+``--output-dir`` as it was (and removes it if the command created it).
+All randomness in the results flows from the ``--seed`` flag; no result
+depends on the clock, the environment, or OS entropy (only the staging
+directory's name is random, and no output names it), so reruns with the
+same arguments produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import InputError, InvalidConfig, RetabenchError
 from .metrics import load_win_labels, metric_report, write_metrics_csv
 from .reta import (
     RetaConfig,
+    _check_etas,
     default_eta_grid,
     reta_curve,
     write_curve_csv,
@@ -172,7 +173,25 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
 
 def _read_metrics(args: argparse.Namespace) -> tuple:
     dataset, tables = _read_dataset(args)
-    return dataset, tables, load_win_labels(args.win_labels) if args.win_labels else None
+    return dataset, tables, load_win_labels(args.win_labels, dataset) if args.win_labels else None
+
+
+def _read_reta(args: argparse.Namespace) -> tuple:
+    dataset, tables = _read_dataset(args)
+    if args.threads < 1:
+        raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
+    config = RetaConfig(n_range_low_coeff=args.n_low_coeff,
+                        n_range_high_coeff=args.n_high_coeff,
+                        n_exponent=args.n_exponent, seed=args.seed)
+    etas = args.eta or default_eta_grid()
+    _check_etas(etas)
+    return dataset, tables, etas, config
+
+
+def _read_bon(args: argparse.Namespace) -> tuple:
+    dataset, tables = _read_dataset(args)
+    param = {"rank_k_of_n": args.rank_k, "best_m_of_n": args.best_m}.get(args.variant)
+    return dataset, tables, BonVariant(args.variant, param)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -212,13 +231,8 @@ def _cmd_validate(args: argparse.Namespace, out_dir: Path | None, dataset, table
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
-def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
-    if args.threads < 1:
-        raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
-    etas = args.eta if args.eta else default_eta_grid()
-    config = RetaConfig(n_range_low_coeff=args.n_low_coeff,
-                        n_range_high_coeff=args.n_high_coeff,
-                        n_exponent=args.n_exponent, seed=args.seed)
+def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables, etas,
+              config: RetaConfig) -> int:
     curves = [reta_curve(dataset, table, etas, config) for table in tables]
     raws = [reta_curve(dataset, table, etas, replace(config, normalize=False))
             for table in tables] if args.raw_variant else []
@@ -233,9 +247,8 @@ def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
     return EXIT_OK
 
 
-def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
-    variant = BonVariant(args.variant, {"rank_k_of_n": args.rank_k,
-                                        "best_m_of_n": args.best_m}.get(args.variant))
+def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables,
+             variant: BonVariant) -> int:
     curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
     provenance = _provenance(args)
     for curve in curves:
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "estimate is exact and computed in one thread")
     p.add_argument("--raw-variant", dest="raw_variant", action="store_true",
                    help="also emit the curve without the per-prompt normalizer")
-    p.set_defaults(func=_cmd_reta, read=_read_dataset)
+    p.set_defaults(func=_cmd_reta, read=_read_reta)
 
     p = sub.add_parser("bon", help="best-of-n style curves with KL column")
     _add_dataset_flags(p)
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m for best_m_of_n")
     p.add_argument("--n-values", dest="n_values", type=int, nargs="*", default=None,
                    help="explicit n grid; default: powers of two up to N")
-    p.set_defaults(func=_cmd_bon, read=_read_dataset)
+    p.set_defaults(func=_cmd_bon, read=_read_bon)
 
     p = sub.add_parser("metrics", help="hit rate / NDCG / MRR / pairwise table")
     _add_dataset_flags(p)

@@ -6,13 +6,13 @@ exactly N per prompt). Reward-model scores for the same response pool are
 ingested from separate ``rm_scores.jsonl`` files, one table per tested
 model.
 
-Loading is deterministic: prompts are ordered by ``prompt_id`` and
-responses by ``response_id``, so two loads of the same directory yield
-identical in-memory objects. Loaded datasets and tables are immutable and
-safe to share across threads. A dataset builds its array columns (the
-pair index, the oracle matrix and the rank columns) once, on first use,
-which relies on that immutability: a dataset changed after a column was
-read would keep the stale column.
+A ``BenchmarkDataset`` is canonical by construction: it stores prompts
+and responses in id order and checks their shape, so two loads of the
+same directory yield identical in-memory objects. Datasets and tables are
+immutable and safe to share across threads. A dataset builds its array
+columns (the pair index, the oracle matrix and the oracle ranks) once, on
+first use, which relies on that immutability: a dataset changed after a
+column was read would keep the stale column.
 """
 
 from __future__ import annotations
@@ -105,13 +105,43 @@ class ValidationReport:
 
 @dataclass
 class BenchmarkDataset:
-    """The frozen evaluation substrate: prompts, responses, oracle scores."""
+    """The frozen evaluation substrate: prompts, responses, oracle scores.
+
+    Construction puts the dataset in canonical form and checks its shape,
+    whatever order the records come in: ``prompts`` are stored by
+    ``prompt_id`` and each prompt's responses by ``response_id``. It raises
+    what ``load_benchmark`` raises for the same shape: ``DuplicateId`` for
+    a repeated prompt or (prompt, response) id, ``NonUniformN`` for a
+    prompt whose response list is missing or does not hold exactly
+    ``responses_per_prompt`` responses, or for fewer than 2 responses per
+    prompt, and ``MalformedRecord`` for no prompts at all or for a response
+    list keyed by a prompt that is not in ``prompts``.
+    """
 
     name: str
     prompts: list[PromptRecord]
     responses: dict[str, list[ResponseRecord]]
     responses_per_prompt: int
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
+
+    def __post_init__(self) -> None:
+        self.prompts = sorted(self.prompts, key=_prompt_id)
+        ids = self.prompt_ids()
+        if not ids:
+            raise MalformedRecord(self.name, None, "-", "no prompt records")
+        _check_unique("prompt", "", ids)
+        unknown = self.responses.keys() - set(ids)
+        if unknown:
+            raise MalformedRecord(self.name, None, "prompt_id", f"unknown prompt {min(unknown)!r}")
+        size = self.responses_per_prompt
+        responses = {pid: sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids}
+        for pid, rows in responses.items():
+            if len(rows) != size:
+                raise NonUniformN(pid, len(rows), size)
+            _check_unique("response", f"{pid}/", [r.response_id for r in rows])
+        if size < 2:
+            raise NonUniformN(ids[0], size, 2)
+        self.responses = responses
 
     @property
     def num_prompts(self) -> int:
@@ -128,60 +158,39 @@ class BenchmarkDataset:
 
     @cached_property
     def _pair_index(self) -> dict[tuple[str, str], int]:
-        """Flat position of each (prompt_id, response_id), prompts in order and
-        each prompt's responses in stored order; a prompt without a response
-        list contributes no pairs, and a repeated pair keeps its first position."""
-        pairs = dict.fromkeys(
-            (pid, resp.response_id)
-            for pid in self.prompt_ids() for resp in self.responses.get(pid, ()))
-        return dict(zip(pairs, range(len(pairs))))
+        """Flat position of each (prompt_id, response_id), in id order."""
+        pairs = ((pid, r.response_id) for pid, rows in self.responses.items() for r in rows)
+        return dict(zip(pairs, range(self.num_prompts * self.responses_per_prompt)))
 
     @cached_property
     def _oracle_scores(self) -> np.ndarray:
-        """(prompts, N) oracle scores in the stored response order; read-only.
-
-        Every array column is built from this one, so it checks the shape
-        once and raises what ``load_benchmark`` raises for the same input:
-        ``NonUniformN`` for a missing or wrong-length response list, and
-        ``DuplicateId`` for the first repeated (prompt, response) pair.
-        """
-        size = self.responses_per_prompt
-        rows = []
-        for pid in self.prompt_ids():
-            row = self.oracle_scores(pid) if pid in self.responses else []
-            if len(row) != size:
-                raise NonUniformN(pid, len(row), size)
-            rows.append(row)
-        if len(self._pair_index) != len(rows) * size:
-            seen = set()
-            for pair in ((pid, r.response_id) for pid in self.prompt_ids()
-                         for r in self.responses[pid]):
-                if pair in seen:
-                    raise DuplicateId("response", "/".join(pair))
-                seen.add(pair)
-        return _frozen(np.array(rows, dtype=np.float64))
-
-    @cached_property
-    def _id_ranks(self) -> np.ndarray:
-        """(prompts, N) rank of each stored response's id within its prompt; read-only."""
-        by_id = []
-        for pid in self.prompt_ids():
-            ids = [r.response_id for r in self.responses[pid]]
-            by_id.append(sorted(range(len(ids)), key=ids.__getitem__))
-        return _frozen(np.argsort(by_id, axis=1))  # the inverse of each row's permutation
+        """(prompts, N) oracle scores, responses in id order; read-only."""
+        return _frozen(np.array([[r.oracle_score for r in rows]
+                                 for rows in self.responses.values()], dtype=np.float64))
 
     @cached_property
     def _oracle_ranks(self) -> np.ndarray:
-        """(prompts, N) 0-based oracle rank of each stored response, ties by
+        """(prompts, N) 0-based oracle rank of each response, ties by
         ascending response id; read-only."""
-        return _frozen(np.argsort(_rank_orders(self._oracle_scores, self._id_ranks), axis=1))
+        return _frozen(np.argsort(_rank_orders(self._oracle_scores), axis=1))
 
 
-def _rank_orders(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
-    """Row i holds prompt i's stored indices by score descending, ties by
-    ascending response id (``id_ranks`` gives each stored response's id
-    rank), for every prompt in one sort."""
-    return np.lexsort((id_ranks, -scores), axis=1)
+_prompt_id = operator.attrgetter("prompt_id")
+_response_id = operator.attrgetter("response_id")
+
+
+def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
+    """DuplicateId for the first repeated id of the sorted ``ids``."""
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise DuplicateId(kind, prefix + a)
+
+
+def _rank_orders(scores: np.ndarray) -> np.ndarray:
+    """Row i holds prompt i's response indices by score descending, for every
+    prompt in one sort; the sort is stable and responses are stored in id
+    order, so exact ties go by ascending response id."""
+    return np.argsort(-scores, axis=1, kind="stable")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -318,7 +327,8 @@ def load_benchmark(path: str | Path, *,
     Every response must have a strictly positive oracle score no larger
     than ``max_oracle_score`` (scores are judge outputs on a bounded
     scale, and boundedness is required by the estimators downstream).
-    All prompts must carry the same number of responses.
+    All prompts must carry the same number of responses, counted against
+    the prompt with the smallest id; the dataset checks that shape.
     """
     _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
@@ -402,23 +412,11 @@ def load_benchmark(path: str | Path, *,
                                       f"mean {mean!r} does not match oracle_score {score!r}")
         by_id[rid] = ResponseRecord(pid, rid, score, text, samples)
 
-    ordered_prompts = [prompts[pid] for pid in sorted(prompts)]
-    counts = {pid: len(responses[pid]) for pid in prompts}
-    expected = counts[ordered_prompts[0].prompt_id]
-    for prompt in ordered_prompts:
-        if counts[prompt.prompt_id] != expected:
-            raise NonUniformN(prompt.prompt_id, counts[prompt.prompt_id], expected)
-    if expected < 2:
-        raise NonUniformN(ordered_prompts[0].prompt_id, expected, 2)
-
-    ordered_responses = {
-        pid: [responses[pid][rid] for rid in sorted(responses[pid])] for pid in sorted(prompts)
-    }
     return BenchmarkDataset(
         name=name or directory.name,
-        prompts=ordered_prompts,
-        responses=ordered_responses,
-        responses_per_prompt=expected,
+        prompts=list(prompts.values()),
+        responses={pid: list(by_id.values()) for pid, by_id in responses.items()},
+        responses_per_prompt=len(responses[min(prompts)]),
         load_warnings=warnings,
     )
 
@@ -489,9 +487,8 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    prompts = sorted(dataset.prompts, key=lambda p: p.prompt_id)
     with open(directory / PROMPTS_FILE, "w", encoding="utf-8") as fh:
-        for prompt in prompts:
+        for prompt in dataset.prompts:
             line = (f'{{"prompt_id": {_json_value(prompt.prompt_id)}, '
                     f'"text": {_json_value(prompt.text)}')
             if prompt.embedding is not None:
@@ -500,8 +497,8 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
                 line += f', "perplexity": {_json_value(prompt.perplexity)}'
             fh.write(line + "}\n")
     with open(directory / RESPONSES_FILE, "w", encoding="utf-8") as fh:
-        for prompt in prompts:
-            for resp in sorted(dataset.responses[prompt.prompt_id], key=lambda r: r.response_id):
+        for rows in dataset.responses.values():
+            for resp in rows:
                 line = (f'{{"prompt_id": {_json_value(resp.prompt_id)}, '
                         f'"response_id": {_json_value(resp.response_id)}, '
                         f'"oracle_score": {_json_value(resp.oracle_score)}')
@@ -515,8 +512,8 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:
     """Read an rm_scores.jsonl file covering exactly the dataset's pairs.
 
-    The table's scores are keyed in the dataset's pair order, whatever
-    the order of the file.
+    The table's scores are keyed in the dataset's (id) pair order, whatever
+    the file's order; a missing score names the smallest missing pair.
     """
     score_path = Path(path)
     if not score_path.is_file():
@@ -560,7 +557,7 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
     if rm_name is None:
         raise MalformedRecord(source, None, "-", "no score records")
     if None in values:
-        raise MissingScore(min(pair for pair, value in zip(index, values) if value is None))
+        raise MissingScore(next(pair for pair, value in zip(index, values) if value is None))
     return RmScoreTable(rm_name=rm_name, scores=dict(zip(index, values)),
                         load_warnings=warnings)
 
@@ -595,21 +592,18 @@ def validate_dataset(dataset: BenchmarkDataset,
                      tables: Sequence[RmScoreTable] = (),
                      *,
                      max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE) -> ValidationReport:
-    """Aggregate all invariant checks into a report; never mutates.
+    """Aggregate the per-value checks into a report; never mutates.
 
-    Raises only ``InvalidConfig`` for a ``max_oracle_score`` that is not
-    positive and finite; every problem in the data becomes an issue.
+    A dataset's shape is checked when it is built. Raises only
+    ``InvalidConfig`` for a ``max_oracle_score`` that is not positive and
+    finite; every problem in the data becomes an issue.
     """
     _check_max_oracle_score(max_oracle_score)
     issues: list[ValidationIssue] = list(dataset.load_warnings)
 
-    seen_prompts: set[str] = set()
     embedding_dim: int | None = None
     for prompt in dataset.prompts:
         loc = f"prompt:{prompt.prompt_id}"
-        if prompt.prompt_id in seen_prompts:
-            issues.append(ValidationIssue("error", loc, "duplicate prompt_id"))
-        seen_prompts.add(prompt.prompt_id)
         if prompt.embedding is not None:
             if embedding_dim is None:
                 embedding_dim = len(prompt.embedding)
@@ -621,27 +615,9 @@ def validate_dataset(dataset: BenchmarkDataset,
         if prompt.perplexity is not None and prompt.perplexity <= 0:
             issues.append(ValidationIssue("error", loc, "perplexity must be positive"))
 
-    if dataset.num_prompts < 1:
-        issues.append(ValidationIssue("error", "dataset", "no prompts"))
-    if dataset.responses_per_prompt < 2:
-        issues.append(ValidationIssue("error", "dataset", "fewer than 2 responses per prompt"))
-
-    for pid in dataset.prompt_ids():
-        loc = f"prompt:{pid}"
-        if pid not in dataset.responses:
-            issues.append(ValidationIssue("error", loc, "no response list"))
-            continue
-        resp_list = dataset.responses[pid]
-        if len(resp_list) != dataset.responses_per_prompt:
-            issues.append(ValidationIssue(
-                "error", loc,
-                f"{len(resp_list)} responses, expected {dataset.responses_per_prompt}"))
-        seen_rids: set[str] = set()
-        for resp in resp_list:
+    for pid, rows in dataset.responses.items():
+        for resp in rows:
             rloc = f"response:{pid}/{resp.response_id}"
-            if resp.response_id in seen_rids:
-                issues.append(ValidationIssue("error", rloc, "duplicate response_id"))
-            seen_rids.add(resp.response_id)
             if not math.isfinite(resp.oracle_score) or resp.oracle_score <= 0:
                 issues.append(ValidationIssue("error", rloc, "oracle score must be positive"))
             elif resp.oracle_score > max_oracle_score:

@@ -22,7 +22,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import RankedResponses, _id_ranks, _rank_orders, _score_matrices, eta_parts
+from .ranking import RankedResponses, _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
 _OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}
@@ -72,8 +72,7 @@ def _ground_truth_size(n: int, eta: float, k: int) -> int:
 def _rankings(dataset: BenchmarkDataset, rm: np.ndarray) -> np.ndarray:
     """(prompts, N) array whose entry [i, r] is the 0-based oracle rank of
     the response that prompt i's RM scores ``rm`` rank at r + 1."""
-    rm_orders = _rank_orders(rm, _id_ranks(dataset))
-    return np.take_along_axis(dataset._oracle_ranks, rm_orders, axis=1)
+    return np.take_along_axis(dataset._oracle_ranks, _rank_orders(rm), axis=1)
 
 
 def _selection_oracle_ranks(rankings: np.ndarray, j: int) -> list[int]:
@@ -147,13 +146,22 @@ def win_rate_aggregate(labels: Sequence[str]) -> tuple[float, float]:
     return 100.0 * wins / len(labels), mean
 
 
-def load_win_labels(path: str | Path) -> list[str]:
-    """Read win/draw/loss outcomes from a JSONL labels file."""
+def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
+    """Read win/draw/loss outcomes from a JSONL labels file whose every
+    (prompt_id, response_id) is a pair of ``dataset``."""
+    label_path = Path(path)
+    if not label_path.is_file():
+        raise MalformedRecord(str(label_path), None, "-", "file not found")
     labels = []
-    source = Path(path).name
-    for line_no, obj in _iter_jsonl(Path(path)):
-        _req_str(obj, "prompt_id", source, line_no)
-        _req_str(obj, "response_id", source, line_no)
+    source = label_path.name
+    for line_no, obj in _iter_jsonl(label_path):
+        pid = _req_str(obj, "prompt_id", source, line_no)
+        rid = _req_str(obj, "response_id", source, line_no)
+        if (pid, rid) not in dataset._pair_index:
+            if pid not in dataset.responses:
+                raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
+            raise MalformedRecord(source, line_no, "response_id",
+                                  f"unknown response {pid + '/' + rid!r}")
         outcome = _req_str(obj, "outcome", source, line_no)
         if outcome not in _OUTCOME_VALUE:
             raise MalformedRecord(source, line_no, "outcome",

@@ -111,9 +111,9 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
 
 def _score_matrices(dataset: BenchmarkDataset,
                     table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
-    """(table scores, oracle scores), each (prompts, N) in the stored response
-    order; the oracle matrix is the dataset's read-only column, read first so
-    that a malformed dataset is reported before any table score."""
+    """(table scores, oracle scores), each (prompts, N) with responses in id
+    order; the oracle matrix is the dataset's read-only column. A missing
+    score names the smallest missing pair, as ``ingest_rm_scores`` does."""
     oracle = dataset._oracle_scores
     index = dataset._pair_index
     try:
@@ -123,15 +123,10 @@ def _score_matrices(dataset: BenchmarkDataset,
     return rm.reshape(oracle.shape), oracle
 
 
-def _id_ranks(dataset: BenchmarkDataset) -> np.ndarray:
-    """(prompts, N) rank of each stored response's id within its prompt."""
-    return dataset._id_ranks
-
-
 def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:
     """(prompts, N) oracle scores; row i is prompt i ordered by the table's ranking."""
     rm, oracle = _score_matrices(dataset, table)
-    return np.take_along_axis(oracle, _rank_orders(rm, _id_ranks(dataset)), axis=1)
+    return np.take_along_axis(oracle, _rank_orders(rm), axis=1)
 
 
 def _log_factorials(pool_size: int) -> np.ndarray:

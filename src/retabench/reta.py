@@ -162,6 +162,11 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
 
 
 def _check_etas(etas: Sequence[float]) -> None:
+    """An eta grid must be non-empty, strictly decreasing and inside (0, 1]."""
+    if not etas:
+        raise InvalidConfig("eta grid is empty")
+    if any(b >= a for a, b in zip(etas, etas[1:])):
+        raise InvalidConfig("eta grid must be strictly decreasing")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
@@ -275,10 +280,6 @@ def reta_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                config: RetaConfig | None = None) -> RetaCurve:
     """One estimate per eta over a strictly decreasing grid in (0, 1]."""
     etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
-    if not etas:
-        raise InvalidConfig("eta grid is empty")
-    if any(b >= a for a, b in zip(etas, etas[1:])):
-        raise InvalidConfig("eta grid must be strictly decreasing")
     return RetaCurve(rm_name=table.rm_name,
                      points=_reta_points(dataset, table, etas, config or RetaConfig()))
 

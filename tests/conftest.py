@@ -91,8 +91,9 @@ def random_ranked(rng: np.random.Generator, size: int, prompt_id: str = "p0"):
 
 
 def unordered_ties_dataset(seed: int = 3, prompts: int = 6, size: int = 12):
-    """Hand-built dataset whose responses are not stored in id order, with
-    exact score ties, including 0.0 against -0.0, on both score sides."""
+    """Hand-built dataset whose response lists are passed out of id order (the
+    dataset stores them sorted), with exact score ties, including 0.0
+    against -0.0, on both score sides."""
     rng = np.random.default_rng(seed)
     prompt_ids = [f"p{i}" for i in range(prompts)]
     responses, scores = {}, {}

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import retabench
-from retabench import DistSpec, load_benchmark, ingest_rm_scores
+from retabench import (
+    DistSpec,
+    ingest_rm_scores,
+    load_benchmark,
+    oracle_score_table,
+    write_rm_scores,
+)
 from retabench.cli import main
 
 from conftest import write_jsonl
@@ -709,3 +715,60 @@ def test_config_file_sets_seed_and_output_dir(synth_dir, tmp_path, command):
     assert not flag_out.exists()
     echo = json.loads((out / f"{command.replace('-', '_')}_config.json").read_text())
     assert echo.get("seed") == overrides.get("seed")
+
+
+def _win_labels(synth_dir: Path, path: Path, pair: tuple[str, str] | None) -> Path:
+    """A label file for the dataset's first pair, plus a line for ``pair``."""
+    first = next(iter(load_benchmark(synth_dir).iter_pairs()))
+    pairs = [first] if pair is None else [first, pair]
+    write_jsonl(path, [{"prompt_id": pid, "response_id": rid, "outcome": "win"}
+                       for pid, rid in pairs])
+    return path
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("unknown-pair", "labels.jsonl:2: field 'prompt_id': unknown prompt 'nope'"),
+    ("missing-file", "field '-': file not found"),
+], ids=["unknown-pair", "missing-file"])
+def test_bad_win_labels_exit_2_without_output(synth_dir, tmp_path, capsys, labels, message):
+    path = tmp_path / "labels.jsonl"
+    if labels == "unknown-pair":
+        _win_labels(synth_dir, path, ("nope", "zz"))
+    out = tmp_path / "out"
+    code = main(["metrics", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                 "--win-labels", str(path), "--output-dir", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "MalformedRecord" and error["message"].endswith(message)
+    assert not out.exists()
+
+
+def test_win_rate_pools_every_label_for_every_table(synth_dir, tmp_path):
+    out = tmp_path / "out"
+    oracle = tmp_path / "oracle.jsonl"
+    write_rm_scores(oracle_score_table(load_benchmark(synth_dir)), oracle)
+    labels = _win_labels(synth_dir, tmp_path / "labels.jsonl", None)
+    assert main(["metrics", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"), str(oracle),
+                 "--win-labels", str(labels), "--output-dir", str(out)]) == 0
+    with open(out / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["win_rate"] for row in rows] == ["100.0", "100.0"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["bon", "--variant", "rank_k_of_n", "--rank-k", "0"],
+    ["reta", "--eta", "0.5", "--threads", "0"],
+    ["reta", "--eta", "0.5", "--n-low-coeff", "nan"],
+    ["reta", "--eta", "0.5", "--eta", "0.9"],
+], ids=["bon-rank-k-0", "reta-threads-0", "reta-nan-low-coeff", "reta-rising-eta-grid"])
+def test_flag_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, flags):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        assert main([*flags, "--dataset", str(synth_dir),
+                     "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                     "--output-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+    assert blocker.read_text() == "kept\n"

@@ -44,6 +44,7 @@ from retabench.errors import (
     NonUniformN,
     UnknownPair,
 )
+from retabench.cli import main
 from retabench.ranking import oracle_matrix
 
 from conftest import build_dataset, build_table, scores_records, write_dataset_dir, write_jsonl
@@ -347,14 +348,20 @@ def test_validate_embedding_dim_mismatch():
     assert any("dimension mismatch" in issue.message for issue in report.errors())
 
 
-def test_validate_reports_a_prompt_without_response_list():
-    prompts = [PromptRecord("p1", "t"), PromptRecord("p2", "t")]
-    responses = {"p1": [ResponseRecord("p1", f"r{i}", 1.0 + i) for i in range(2)]}
-    dataset = BenchmarkDataset("partial", prompts, responses, 2)
-    table = RmScoreTable("rm", {("p1", "r0"): 0.0, ("p1", "r1"): 1.0})
-    report = validate_dataset(dataset, [table])
-    assert [(i.severity, i.location, i.message) for i in report.issues] == [
-        ("error", "prompt:p2", "no response list")]
+def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
+    # the dataset cannot be built, so the validate command reports the load error
+    directory = write_dataset_dir(
+        tmp_path / "partial",
+        [{"prompt_id": "p1", "text": "t"}, {"prompt_id": "p2", "text": "t"}],
+        [{"prompt_id": "p1", "response_id": f"r{i}", "oracle_score": 1.0 + i} for i in range(2)])
+    scores = tmp_path / "rm_scores.jsonl"
+    write_jsonl(scores, scores_records([("p1", "r0"), ("p1", "r1")], [0.0, 1.0]))
+    assert main(["validate", "--dataset", str(directory), "--rm-scores", str(scores)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "NonUniformN"
+    assert "p2" in error["message"]
 
 
 def test_load_candidate_prompts(tmp_path):
@@ -529,18 +536,14 @@ def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_
     assert str(info.value).startswith(f"rm_scores.jsonl:2: field '{field}': {message}")
 
 
-def _malformed_dataset(shape: str) -> tuple[BenchmarkDataset, RmScoreTable]:
-    """A hand-built 3-response dataset with one shape ``load_benchmark`` rejects,
-    and a table scoring every stored pair."""
-    ids = {"missing-list": {"p1": ["a", "b", "c"], "p2": None},
-           "long-list": {"p1": ["a", "b", "c", "d"]},
-           "repeated-id": {"p1": ["a", "a", "b"]}}[shape]
-    prompts = [PromptRecord(pid, "t") for pid in ids]
+def _hand_built(prompt_ids: list[str], response_ids: dict[str, list[str]],
+                size: int) -> BenchmarkDataset:
+    """A dataset with one prompt per id in ``prompt_ids`` and, for each key
+    of ``response_ids``, a response list holding those ids."""
+    prompts = [PromptRecord(pid, "t") for pid in prompt_ids]
     responses = {pid: [ResponseRecord(pid, rid, 1.0 + i) for i, rid in enumerate(rids)]
-                 for pid, rids in ids.items() if rids is not None}
-    table = RmScoreTable("rm", {(pid, rid): 0.5 for pid, rids in ids.items()
-                                for rid in rids or ()})
-    return BenchmarkDataset("malformed", prompts, responses, 3), table
+                 for pid, rids in response_ids.items()}
+    return BenchmarkDataset("hand-built", prompts, responses, size)
 
 
 @pytest.mark.parametrize("shape, error, attributes", [
@@ -550,15 +553,64 @@ def _malformed_dataset(shape: str) -> tuple[BenchmarkDataset, RmScoreTable]:
 ])
 @pytest.mark.parametrize("estimator", ["bon_curve", "metric_report", "oracle_matrix"])
 def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attributes, estimator):
-    dataset, table = _malformed_dataset(shape)
-    call = {"bon_curve": lambda: bon_curve(dataset, table, BonVariant("best_of_n")),
-            "metric_report": lambda: metric_report(dataset, table),
-            "oracle_matrix": lambda: oracle_matrix(dataset, table)}[estimator]
+    # a 3-response dataset with one shape load_benchmark rejects is rejected
+    # when it is built, so the estimator never sees it
+    prompt_ids, response_ids = {"missing-list": (["p1", "p2"], {"p1": ["a", "b", "c"]}),
+                                "long-list": (["p1"], {"p1": ["a", "b", "c", "d"]}),
+                                "repeated-id": (["p1"], {"p1": ["a", "a", "b"]})}[shape]
+    table = RmScoreTable("rm", {(pid, rid): 0.5 for pid, rids in response_ids.items()
+                                for rid in rids})
+    call = {"bon_curve": lambda d: bon_curve(d, table, BonVariant("best_of_n")),
+            "metric_report": lambda d: metric_report(d, table),
+            "oracle_matrix": lambda d: oracle_matrix(d, table)}[estimator]
+    reached = []
     with pytest.raises(error) as raised:
-        call()
+        reached.append(call(_hand_built(prompt_ids, response_ids, 3)))
     assert {key: getattr(raised.value, key) for key in attributes} == attributes
-    # validation reads only the pair index, so it reports the shape instead
-    assert not validate_dataset(dataset, [table]).ok
+    assert reached == []
+
+
+@pytest.mark.parametrize("prompt_ids, response_ids, size, error, attributes", [
+    (["p2", "p1", "p2"], {"p1": ["a", "b"], "p2": ["a", "b"]}, 2,
+     DuplicateId, {"kind": "prompt", "identifier": "p2"}),
+    (["p2", "p1"], {"p1": ["a"], "p2": ["b"]}, 1,
+     NonUniformN, {"prompt_id": "p1", "count": 1, "expected": 2}),
+    (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]}, 2,
+     MalformedRecord, {"args": ("hand-built: field 'prompt_id': unknown prompt 'p9'",)}),
+    ([], {}, 2, MalformedRecord, {"args": ("hand-built: field '-': no prompt records",)}),
+], ids=["repeated-prompt", "one-response", "unknown-prompt", "no-prompts"])
+def test_construction_rejects_bad_prompt_sets_and_sizes(prompt_ids, response_ids, size, error,
+                                                         attributes):
+    with pytest.raises(error) as raised:
+        _hand_built(prompt_ids, response_ids, size)
+    assert {key: getattr(raised.value, key) for key in attributes} == attributes
+
+
+def test_construction_stores_prompts_and_responses_in_id_order(tmp_path):
+    rng = np.random.default_rng(4)
+    prompt_ids = [f"p{i}" for i in range(5)]
+    oracle = {pid: {f"r{j:02d}": float(v) for j, v in enumerate(rng.uniform(1, 9, 8))}
+              for pid in prompt_ids}
+
+    def build(order: list[str], shuffle: bool) -> BenchmarkDataset:
+        responses = {}
+        for pid in order:
+            rids = list(rng.permutation(sorted(oracle[pid]))) if shuffle else sorted(oracle[pid])
+            responses[pid] = [ResponseRecord(pid, rid, oracle[pid][rid]) for rid in rids]
+        return BenchmarkDataset("ordered", [PromptRecord(pid, f"text {pid}") for pid in order],
+                                responses, 8)
+
+    canonical = build(prompt_ids, shuffle=False)
+    shuffled = build(list(rng.permutation(prompt_ids)), shuffle=True)
+    assert shuffled == canonical
+    assert shuffled.prompt_ids() == list(shuffled.responses) == prompt_ids
+    for pid in prompt_ids:
+        assert [r.response_id for r in shuffled.responses[pid]] == sorted(oracle[pid])
+    write_benchmark(canonical, tmp_path / "canonical")
+    write_benchmark(shuffled, tmp_path / "shuffled")
+    for name in ("prompts.jsonl", "responses.jsonl"):
+        assert (tmp_path / "shuffled" / name).read_bytes() == \
+            (tmp_path / "canonical" / name).read_bytes()
 
 
 def test_every_csv_writer_creates_its_parent_directory(tmp_path):

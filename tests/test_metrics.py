@@ -161,16 +161,40 @@ def test_win_rate_examples():
 
 
 def test_load_win_labels(tmp_path):
+    dataset = build_dataset({"p": [1.0, 2.0]})
     path = tmp_path / "labels.jsonl"
     write_jsonl(path, [
-        {"prompt_id": "p", "response_id": "a", "outcome": "win"},
-        {"prompt_id": "p", "response_id": "b", "outcome": "loss"},
+        {"prompt_id": "p", "response_id": "r000", "outcome": "win"},
+        {"prompt_id": "p", "response_id": "r001", "outcome": "loss"},
     ])
-    assert load_win_labels(path) == ["win", "loss"]
+    assert load_win_labels(path, dataset) == ["win", "loss"]
     bad = tmp_path / "bad.jsonl"
-    write_jsonl(bad, [{"prompt_id": "p", "response_id": "a", "outcome": "meh"}])
+    write_jsonl(bad, [{"prompt_id": "p", "response_id": "r000", "outcome": "meh"}])
     with pytest.raises(MalformedRecord):
-        load_win_labels(bad)
+        load_win_labels(bad, dataset)
+
+
+@pytest.mark.parametrize("pair, field, message", [
+    (("nope", "r000"), "prompt_id", "unknown prompt 'nope'"),
+    (("p", "zz"), "response_id", "unknown response 'p/zz'"),
+])
+def test_win_labels_for_pairs_the_dataset_lacks_are_malformed(tmp_path, pair, field, message):
+    dataset = build_dataset({"p": [1.0, 2.0]})
+    path = tmp_path / "labels.jsonl"
+    write_jsonl(path, [
+        {"prompt_id": "p", "response_id": "r000", "outcome": "win"},
+        {"prompt_id": pair[0], "response_id": pair[1], "outcome": "win"},
+    ])
+    with pytest.raises(MalformedRecord) as info:
+        load_win_labels(path, dataset)
+    assert str(info.value) == f"labels.jsonl:2: field '{field}': {message}"
+
+
+def test_missing_win_label_file_is_malformed_record(tmp_path):
+    path = tmp_path / "absent.jsonl"
+    with pytest.raises(MalformedRecord) as info:
+        load_win_labels(path, build_dataset({"p": [1.0, 2.0]}))
+    assert str(info.value) == f"{path}: field '-': file not found"
 
 
 def test_metric_report_and_csv(big_uniform, tmp_path):

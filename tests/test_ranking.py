@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from retabench import RmScoreTable, beta_subset, eta_parts, rank_by_oracle, rank_by_table
+from retabench import (
+    RmScoreTable,
+    beta_subset,
+    eta_parts,
+    ingest_rm_scores,
+    rank_by_oracle,
+    rank_by_table,
+    write_rm_scores,
+)
 from retabench.errors import EmptySelection, InvalidConfig, MissingScore
 from retabench.ranking import (
-    _id_ranks,
     _log_factorials,
     _rank_orders,
     _score_matrices,
@@ -78,8 +85,7 @@ def test_batched_orders_match_per_prompt_rankings():
     dataset, table = unordered_ties_dataset()
     assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in table.scores.values())
     rm, oracle = _score_matrices(dataset, table)
-    id_ranks = _id_ranks(dataset)
-    rm_orders, oracle_orders = _rank_orders(rm, id_ranks), _rank_orders(oracle, id_ranks)
+    rm_orders, oracle_orders = _rank_orders(rm), _rank_orders(oracle)
     matrix = oracle_matrix(dataset, table)
     for i, pid in enumerate(dataset.prompt_ids()):
         by_table, by_oracle = rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid)
@@ -96,16 +102,19 @@ def test_oracle_matrix_reads_through_score():
         oracle_matrix(dataset, RmScoreTable("rm", missing))
 
 
-def test_score_matrices_name_the_first_missing_pair_in_dataset_order():
+def test_score_matrices_name_the_first_missing_pair_in_dataset_order(tmp_path):
     dataset, table = unordered_ties_dataset()
-    stored = [r.response_id for r in dataset.responses["p2"]]
-    # two missing pairs whose stored order is the reverse of their id order
-    first, second = next((a, b) for a, b in zip(stored, stored[1:]) if a > b)
     missing = dict(table.scores)
-    del missing[("p2", first)], missing[("p2", second)]
-    with pytest.raises(MissingScore) as info:
-        _score_matrices(dataset, RmScoreTable("rm", missing))
-    assert info.value.pair == ("p2", first)
+    # dropped in neither the table's nor the id order
+    for pair in [("p4", "r01"), ("p2", "r07"), ("p2", "r03"), ("p3", "r00")]:
+        del missing[pair]
+    partial = RmScoreTable("rm", missing)
+    with pytest.raises(MissingScore) as from_matrices:
+        _score_matrices(dataset, partial)
+    write_rm_scores(partial, tmp_path / "rm_scores.jsonl")
+    with pytest.raises(MissingScore) as from_ingest:
+        ingest_rm_scores(dataset, tmp_path / "rm_scores.jsonl")
+    assert from_matrices.value.pair == from_ingest.value.pair == ("p2", "r03")
 
 
 def test_cached_oracle_ranks_match_rank_by_oracle():
