@@ -127,12 +127,10 @@ def default_n_grid(num_responses: int) -> list[int]:
     return grid
 
 
-def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
-              variant: BonVariant | None = None,
-              n_values: Sequence[int] | None = None) -> BonCurve:
-    """Per-n prompt means with standard errors across prompts, plus KL column."""
-    variant = variant or BonVariant("best_of_n")
-    pool = dataset.responses_per_prompt
+def _n_grid(variant: BonVariant, pool: int, n_values: Sequence[int] | None) -> list[int]:
+    """The n grid of a curve over pools of size ``pool``: ``n_values``
+    sorted and deduplicated, each inside [variant.min_n, pool], or by
+    default the powers of two in that range; never empty."""
     if n_values is None:
         grid = [n for n in default_n_grid(pool) if n >= variant.min_n]
     else:
@@ -142,6 +140,16 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
+    return grid
+
+
+def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
+              variant: BonVariant | None = None,
+              n_values: Sequence[int] | None = None) -> BonCurve:
+    """Per-n prompt means with standard errors across prompts, plus KL column."""
+    variant = variant or BonVariant("best_of_n")
+    pool = dataset.responses_per_prompt
+    grid = _n_grid(variant, pool, n_values)
     oracle = oracle_matrix(dataset, table)
     points = []
     for n in grid:

@@ -5,11 +5,13 @@ Exit codes: 0 success, 2 input/validation error (a file that cannot be
 read or written counts as one), 3 computation error. Failures emit a
 machine-readable JSON object on stderr. ``main`` applies ``--config``,
 then reads and checks the command's input files and builds its checked
-flag values (each subparser names its reader), so an input error is
-reported as itself and never touches ``--output-dir``. Only then does the
-command run, into a hidden staging directory inside ``--output-dir``; its
-files move into place only once it returns, so a failed command leaves
-``--output-dir`` as it was (and removes it if the command created it).
+flag values (each subparser names its reader), those whose check needs
+the dataset's pool size N or the candidate set included, so an input
+error is reported as itself and never touches ``--output-dir``. Only then
+does the command run, into a hidden staging directory inside
+``--output-dir``; its files move into place only once it returns, so a
+failed command leaves ``--output-dir`` as it was (and removes it if the
+command created it).
 All randomness in the results flows from the ``--seed`` flag; no result
 depends on the clock, the environment, or OS entropy (only the staging
 directory's name is random, and no output names it), so reruns with the
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .bon import BonVariant, bon_curve, write_bon_csv
+from .bon import BonVariant, _n_grid, bon_curve, write_bon_csv
 from .dataset import (
     DEFAULT_MAX_ORACLE_SCORE,
     load_benchmark,
@@ -40,13 +42,21 @@ from .dataset import (
     write_benchmark,
     write_rm_scores,
 )
-from .dpp import DppSampleConfig, build_dpp, sample_kdpp
+from .dpp import DppSampleConfig, _check_subset_size, build_dpp, sample_kdpp
 from .errors import InputError, InvalidConfig, RetabenchError
-from .metrics import load_win_labels, metric_report, write_metrics_csv
+from .metrics import (
+    _check_selection_rank,
+    _ground_truth_size,
+    default_hit_rate_cutoffs,
+    load_win_labels,
+    metric_report,
+    write_metrics_csv,
+)
 from .reta import (
     RetaConfig,
     _check_etas,
     default_eta_grid,
+    resample_sizes,
     reta_curve,
     write_curve_csv,
     write_per_prompt_csv,
@@ -153,6 +163,15 @@ def _file_part(rm_name: str) -> str:
 
 
 # --- input readers: each returns what its command takes after (args, out_dir) ----
+# A flag value whose check needs the pool size N is checked once the dataset is read.
+
+
+def _read_candidates(args: argparse.Namespace) -> tuple:
+    prompts = load_candidate_prompts(args.candidates)
+    model = build_dpp(prompts)
+    config = DppSampleConfig(k=args.k, seed=args.seed)
+    _check_subset_size(config.k, model.num_candidates)
+    return prompts, model, config
 
 
 def _read_spec(args: argparse.Namespace) -> tuple:
@@ -173,7 +192,13 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
 
 def _read_metrics(args: argparse.Namespace) -> tuple:
     dataset, tables = _read_dataset(args)
-    return dataset, tables, load_win_labels(args.win_labels, dataset) if args.win_labels else None
+    pool = dataset.responses_per_prompt
+    cutoffs = default_hit_rate_cutoffs(pool)
+    for k in cutoffs:
+        _ground_truth_size(pool, args.eta, k)
+    _check_selection_rank(args.selection_rank, pool)
+    win_labels = load_win_labels(args.win_labels, dataset) if args.win_labels else None
+    return dataset, tables, win_labels, cutoffs
 
 
 def _read_reta(args: argparse.Namespace) -> tuple:
@@ -184,22 +209,25 @@ def _read_reta(args: argparse.Namespace) -> tuple:
                         n_range_high_coeff=args.n_high_coeff,
                         n_exponent=args.n_exponent, seed=args.seed)
     etas = args.eta or default_eta_grid()
-    _check_etas(etas)
+    _check_etas(etas)  # before the n grid, whose errors would hide a bad eta
+    resample_sizes(dataset.responses_per_prompt, config)
     return dataset, tables, etas, config
 
 
 def _read_bon(args: argparse.Namespace) -> tuple:
     dataset, tables = _read_dataset(args)
     param = {"rank_k_of_n": args.rank_k, "best_m_of_n": args.best_m}.get(args.variant)
-    return dataset, tables, BonVariant(args.variant, param)
+    variant = BonVariant(args.variant, param)
+    return dataset, tables, variant, _n_grid(variant, dataset.responses_per_prompt,
+                                             args.n_values or None)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path, prompts) -> int:
-    model = build_dpp(prompts)
-    selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
+def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path, prompts, model,
+                        config: DppSampleConfig) -> int:
+    selected = sample_kdpp(model, config)
     ids = [prompts[i].prompt_id for i in selected]
     (out_dir / "selected_prompts.txt").write_text(
         "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
@@ -248,8 +276,8 @@ def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables, etas,
 
 
 def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables,
-             variant: BonVariant) -> int:
-    curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
+             variant: BonVariant, n_values: list[int]) -> int:
+    curves = [bon_curve(dataset, table, variant, n_values) for table in tables]
     provenance = _provenance(args)
     for curve in curves:
         write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
@@ -257,9 +285,10 @@ def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables,
     return EXIT_OK
 
 
-def _cmd_metrics(args: argparse.Namespace, out_dir: Path, dataset, tables, win_labels) -> int:
+def _cmd_metrics(args: argparse.Namespace, out_dir: Path, dataset, tables, win_labels,
+                 cutoffs: list[int]) -> int:
     reports = [
-        metric_report(dataset, table, eta=args.eta,
+        metric_report(dataset, table, eta=args.eta, hit_rate_cutoffs=cutoffs,
                       selection_rank=args.selection_rank, win_labels=win_labels)
         for table in tables
     ]
@@ -297,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-prompts", help="select a diverse prompt subset")
     p.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
     p.add_argument("--k", type=int, required=True, help="number of prompts to select")
-    p.set_defaults(func=_cmd_sample_prompts,
-                   read=lambda args: (load_candidate_prompts(args.candidates),))
+    p.set_defaults(func=_cmd_sample_prompts, read=_read_candidates)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--spec", required=True, help="distribution spec JSON file")

@@ -7,12 +7,13 @@ ingested from separate ``rm_scores.jsonl`` files, one table per tested
 model.
 
 A ``BenchmarkDataset`` is canonical by construction: it stores prompts
-and responses in id order and checks their shape, so two loads of the
-same directory yield identical in-memory objects. Datasets and tables are
-immutable and safe to share across threads. A dataset builds its array
-columns (the pair index, the oracle matrix and the oracle ranks) once, on
-first use, which relies on that immutability: a dataset changed after a
-column was read would keep the stale column.
+and responses in id order and checks their shape and values, so two
+loads of the same directory yield identical in-memory objects. Datasets
+and tables are immutable and safe to share across threads. A dataset
+builds each array column once: the oracle matrix when it checks the
+scores, the pair index and the oracle ranks on first use. That relies on
+the immutability: a dataset changed after a column was built would keep
+the stale column.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ class BenchmarkDataset:
     ``responses_per_prompt`` responses, or for fewer than 2 responses per
     prompt, and ``MalformedRecord`` for no prompts at all or for a response
     list keyed by a prompt that is not in ``prompts``.
+
+    It then applies the reader's value rules (the ``_*_problem``
+    predicates): ``NonPositiveOracleScore`` for an oracle score that is not
+    positive and finite, and ``MalformedRecord``, naming the dataset and
+    the record, for a response filed under another prompt's id, bad
+    ``oracle_samples``, an embedding that is not finite, unit-norm and of
+    the shared dimension, or a perplexity that is not positive and finite.
     """
 
     name: str
@@ -142,6 +150,37 @@ class BenchmarkDataset:
         if size < 2:
             raise NonUniformN(ids[0], size, 2)
         self.responses = responses
+        self._check_values()
+
+    def _check_values(self) -> None:
+        """Raise for the first record that breaks a value rule: the reader's
+        error type, naming the dataset and the record's id."""
+        dim: int | None = None
+        for prompt in self.prompts:
+            if prompt.embedding is not None:
+                self._reject(f"prompt {prompt.prompt_id!r}", "embedding",
+                             _embedding_problem(prompt.embedding, dim))
+                dim = len(prompt.embedding)
+            if prompt.perplexity is not None:
+                self._reject(f"prompt {prompt.prompt_id!r}", "perplexity",
+                             _perplexity_problem(prompt.perplexity))
+        if _oracle_score_problem(self._oracle_scores):
+            bad = next(r for rows in self.responses.values() for r in rows
+                       if _oracle_score_problem(r.oracle_score))
+            raise NonPositiveOracleScore(bad.prompt_id, bad.response_id, bad.oracle_score)
+        for pid, rows in self.responses.items():
+            for resp in rows:
+                if resp.prompt_id != pid:
+                    self._reject(f"response {pid + '/' + resp.response_id!r}", "prompt_id",
+                                 f"names prompt {resp.prompt_id!r}")
+                if resp.oracle_samples is not None:
+                    self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
+                                 _oracle_samples_problem(resp.oracle_samples, resp.oracle_score))
+
+    def _reject(self, record: str, key: str, problem: str | None) -> None:
+        """MalformedRecord naming the dataset and ``record``, if there is a problem."""
+        if problem:
+            raise MalformedRecord(self.name, None, key, f"{record}: {problem}")
 
     @property
     def num_prompts(self) -> int:
@@ -205,6 +244,16 @@ class RmScoreTable:
     rm_name: str
     scores: dict[tuple[str, str], float]
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
+
+    def __post_init__(self) -> None:
+        """Raise what ``ingest_rm_scores`` raises for an unusable ``rm_name``
+        (``MalformedRecord``) or a score that is not finite (``NonFiniteScore``)."""
+        problem = _rm_name_problem(self.rm_name)
+        if problem:
+            raise MalformedRecord(f"score table {self.rm_name!r}", None, "rm_name", problem)
+        if not all(map(math.isfinite, self.scores.values())):
+            pair = next(p for p, v in self.scores.items() if not math.isfinite(v))
+            raise NonFiniteScore(pair, self.scores[pair])
 
     def score(self, prompt_id: str, response_id: str) -> float:
         key = (prompt_id, response_id)
@@ -296,15 +345,62 @@ def _float_array(raw, key: str, source: str, line: int) -> tuple[float, ...]:
     return tuple(_as_float(v, key, source, line) for v in raw)
 
 
-def _embedding(raw, dim: int | None, source: str, line: int) -> tuple[float, ...]:
-    """A finite embedding whose dimension matches ``dim`` (None: any)."""
+def _embedding(raw, dim: int | None, source: str, line: int,
+               unit_norm: bool) -> tuple[float, ...]:
+    """The embedding read from ``raw``, checked by ``_embedding_problem``."""
     embedding = _float_array(raw, "embedding", source, line)
-    if not all(map(math.isfinite, embedding)):
-        raise MalformedRecord(source, line, "embedding", "contains non-finite values")
-    if dim is not None and len(embedding) != dim:
-        raise MalformedRecord(source, line, "embedding",
-                              f"dimension {len(embedding)} != {dim}")
+    problem = _embedding_problem(embedding, dim, unit_norm)
+    if problem:
+        raise MalformedRecord(source, line, "embedding", problem)
     return embedding
+
+
+# The value rules. Each says why a value breaks it, or None; the readers
+# raise the problem with the file and line, construction with the dataset
+# and the record's id.
+
+
+def _oracle_score_problem(score) -> str | None:
+    """Why ``score`` (one oracle score, or an array of them checked in one
+    pass) is not positive and finite, or None."""
+    if 0.0 < np.min(score) and np.max(score) < math.inf:
+        return None
+    return "must be positive and finite"
+
+
+def _oracle_samples_problem(samples: tuple[float, ...], score: float) -> str | None:
+    """Why ``samples`` cannot be the judge scores averaged into ``score``, or None."""
+    if not samples:
+        return "must be a non-empty array"
+    if not all(0.0 < v < math.inf for v in samples):
+        return "samples must be positive reals"
+    try:
+        mean = math.fsum(samples) / len(samples)
+    except OverflowError:  # a sum past the float range
+        mean = math.inf
+    if abs(mean - score) > _ORACLE_SAMPLES_TOL:
+        return f"mean {mean!r} does not match oracle_score {score!r}"
+    return None
+
+
+def _embedding_problem(embedding: tuple[float, ...], dim: int | None,
+                       unit_norm: bool = True) -> str | None:
+    """Why ``embedding`` is not finite, of dimension ``dim`` (None: any) and,
+    if ``unit_norm``, of norm 1, or None."""
+    if not all(map(math.isfinite, embedding)):
+        return "contains non-finite values"
+    if dim is not None and len(embedding) != dim:
+        return f"dimension {len(embedding)} != {dim}"
+    if unit_norm:
+        norm = math.hypot(*embedding)
+        if abs(norm - 1.0) > _EMBEDDING_NORM_TOL:
+            return f"norm {norm!r} not within {_EMBEDDING_NORM_TOL} of 1"
+    return None
+
+
+def _perplexity_problem(perplexity: float) -> str | None:
+    """Why ``perplexity`` is not positive and finite, or None."""
+    return None if 0.0 < perplexity < math.inf else "must be a positive real"
 
 
 def _warn_unknown_keys(obj: dict, known: frozenset[str], source: str, line: int,
@@ -356,17 +452,14 @@ def load_benchmark(path: str | Path, *,
             raise DuplicateId("prompt", pid)
         embedding = obj.get("embedding")
         if embedding is not None:
-            embedding = _embedding(embedding, embedding_dim, source, line_no)
+            embedding = _embedding(embedding, embedding_dim, source, line_no, unit_norm=True)
             embedding_dim = len(embedding)
-            norm = math.sqrt(math.fsum(map(operator.mul, embedding, embedding)))
-            if abs(norm - 1.0) > _EMBEDDING_NORM_TOL:
-                raise MalformedRecord(source, line_no, "embedding",
-                                      f"norm {norm!r} not within {_EMBEDDING_NORM_TOL} of 1")
-        perplexity = None
-        if obj.get("perplexity") is not None:
-            perplexity = _as_float(obj["perplexity"], "perplexity", source, line_no)
-            if not math.isfinite(perplexity) or perplexity <= 0:
-                raise MalformedRecord(source, line_no, "perplexity", "must be a positive real")
+        perplexity = obj.get("perplexity")
+        if perplexity is not None:
+            perplexity = _as_float(perplexity, "perplexity", source, line_no)
+            problem = _perplexity_problem(perplexity)
+            if problem:
+                raise MalformedRecord(source, line_no, "perplexity", problem)
         prompts[pid] = PromptRecord(pid, text, embedding, perplexity)
 
     if not prompts:
@@ -393,7 +486,7 @@ def load_benchmark(path: str | Path, *,
                 raise MalformedRecord(source, line_no, "oracle_score", "required")
             score = _as_float(score, "oracle_score", source, line_no)
         if not 0.0 < score <= max_oracle_score:
-            if not math.isfinite(score) or score <= 0:
+            if _oracle_score_problem(score):
                 raise NonPositiveOracleScore(pid, rid, score)
             raise MalformedRecord(source, line_no, "oracle_score",
                                   f"{score} exceeds configured maximum {max_oracle_score}")
@@ -403,13 +496,9 @@ def load_benchmark(path: str | Path, *,
         samples = obj.get("oracle_samples")
         if samples is not None:
             samples = _float_array(samples, "oracle_samples", source, line_no)
-            if any(not math.isfinite(v) or v <= 0 for v in samples):
-                raise MalformedRecord(source, line_no, "oracle_samples",
-                                      "samples must be positive reals")
-            mean = math.fsum(samples) / len(samples)
-            if abs(mean - score) > _ORACLE_SAMPLES_TOL:
-                raise MalformedRecord(source, line_no, "oracle_samples",
-                                      f"mean {mean!r} does not match oracle_score {score!r}")
+            problem = _oracle_samples_problem(samples, score)
+            if problem:
+                raise MalformedRecord(source, line_no, "oracle_samples", problem)
         by_id[rid] = ResponseRecord(pid, rid, score, text, samples)
 
     return BenchmarkDataset(
@@ -445,7 +534,7 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
             raise MalformedRecord(source, line_no, "text", "must be a string")
         embedding = obj.get("embedding")
         if embedding is not None:
-            embedding = _embedding(embedding, dim, source, line_no)
+            embedding = _embedding(embedding, dim, source, line_no, unit_norm=False)
             dim = len(embedding)
         prompts.append(PromptRecord(pid, text, embedding))
     if not prompts:
@@ -592,42 +681,24 @@ def validate_dataset(dataset: BenchmarkDataset,
                      tables: Sequence[RmScoreTable] = (),
                      *,
                      max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE) -> ValidationReport:
-    """Aggregate the per-value checks into a report; never mutates.
+    """The checks a dataset and its tables cannot make on their own.
 
-    A dataset's shape is checked when it is built. Raises only
-    ``InvalidConfig`` for a ``max_oracle_score`` that is not positive and
-    finite; every problem in the data becomes an issue.
+    Its errors are oracle scores above ``max_oracle_score``, a repeated
+    ``rm_name`` and a table that misses or adds pairs; its warnings are
+    the load warnings (unknown keys). The readers raise each of those
+    errors first, so for loaded data the report holds only warnings.
+    Never mutates; raises only ``InvalidConfig`` for a
+    ``max_oracle_score`` that is not positive and finite.
     """
     _check_max_oracle_score(max_oracle_score)
     issues: list[ValidationIssue] = list(dataset.load_warnings)
 
-    embedding_dim: int | None = None
-    for prompt in dataset.prompts:
-        loc = f"prompt:{prompt.prompt_id}"
-        if prompt.embedding is not None:
-            if embedding_dim is None:
-                embedding_dim = len(prompt.embedding)
-            elif len(prompt.embedding) != embedding_dim:
-                issues.append(ValidationIssue("error", loc, "embedding dimension mismatch"))
-            norm = math.sqrt(math.fsum(v * v for v in prompt.embedding))
-            if abs(norm - 1.0) > _EMBEDDING_NORM_TOL:
-                issues.append(ValidationIssue("error", loc, f"embedding norm {norm!r} != 1"))
-        if prompt.perplexity is not None and prompt.perplexity <= 0:
-            issues.append(ValidationIssue("error", loc, "perplexity must be positive"))
-
-    for pid, rows in dataset.responses.items():
-        for resp in rows:
-            rloc = f"response:{pid}/{resp.response_id}"
-            if not math.isfinite(resp.oracle_score) or resp.oracle_score <= 0:
-                issues.append(ValidationIssue("error", rloc, "oracle score must be positive"))
-            elif resp.oracle_score > max_oracle_score:
-                issues.append(ValidationIssue(
-                    "error", rloc, f"oracle score exceeds maximum {max_oracle_score}"))
-            if resp.oracle_samples:
-                mean = math.fsum(resp.oracle_samples) / len(resp.oracle_samples)
-                if abs(mean - resp.oracle_score) > _ORACLE_SAMPLES_TOL:
-                    issues.append(ValidationIssue(
-                        "error", rloc, "oracle_samples mean does not match oracle_score"))
+    rows = list(dataset.responses.values())
+    for i, j in np.argwhere(dataset._oracle_scores > max_oracle_score).tolist():
+        resp = rows[i][j]
+        issues.append(ValidationIssue(
+            "error", f"response:{resp.prompt_id}/{resp.response_id}",
+            f"oracle score exceeds maximum {max_oracle_score}"))
 
     expected_pairs = dataset._pair_index.keys()
     seen_rm_names: set[str] = set()
@@ -646,8 +717,5 @@ def validate_dataset(dataset: BenchmarkDataset,
         if extra:
             issues.append(ValidationIssue(
                 "error", loc, f"{len(extra)} unknown pairs (e.g. {min(extra)!r})"))
-        for pair, value in table.scores.items():
-            if not math.isfinite(value):
-                issues.append(ValidationIssue("error", loc, f"non-finite score for {pair!r}"))
 
     return ValidationReport(issues=issues)

@@ -142,6 +142,3 @@ class DegenerateInit(ComputationError):
 class UnsupportedSpec(InputError):
     """The distribution kind has no analytic limit implemented."""
 
-
-class NonPositiveOracleDraw(ComputationError):
-    """A generator produced a non-positive oracle score (misconfigured spec)."""

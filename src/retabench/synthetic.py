@@ -26,7 +26,7 @@ from .dataset import (
     _rm_name_problem,
     _write_csv,
 )
-from .errors import InvalidConfig, NonPositiveOracleDraw, UnsupportedSpec
+from .errors import InvalidConfig, UnsupportedSpec
 from .reta import RetaConfig, reta_estimate
 
 KINDS = ("deterministic_uniform", "independent", "noisy_gaussian", "custom_table")
@@ -206,8 +206,6 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
         prompt_id = f"p{p_idx:0{prompt_width}d}"
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, p_idx])))
         y, j = _draw_pairs(spec, rng, responses_per_prompt)
-        if np.any(j <= 0.0):
-            raise NonPositiveOracleDraw(f"prompt {prompt_id}: non-positive oracle draw")
         prompts.append(PromptRecord(prompt_id, f"synthetic prompt {p_idx}"))
         row = []
         for r_idx in range(responses_per_prompt):

@@ -690,17 +690,56 @@ def test_config_echo_keys(synth_dir, tmp_path, command):
     assert set(echo) == _ECHO_KEYS[command]
 
 
-@pytest.mark.parametrize("command", sorted(_ECHO_KEYS))
-def test_input_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, command):
-    argv = _command_argv(command, synth_dir, tmp_path)
-    flag = {"sample-prompts": "--candidates", "synth": "--spec"}.get(command, "--dataset")
-    argv[argv.index(flag) + 1] = str(tmp_path / "missing")
+def _candidates_with(tmp_path: Path, records: list[dict]) -> list[str]:
+    path = tmp_path / "bad-candidates.jsonl"
+    write_jsonl(path, records)
+    return ["--candidates", str(path)]
+
+
+def _missing(flag: str):
+    return lambda tmp_path: [flag, str(tmp_path / "missing")]
+
+
+# case id: (command, flags added to its small run, the error they raise). A
+# command's own name reads a missing input file; the other cases set a flag
+# or input whose check needs the pool size N or the candidate set.
+_INPUT_ERRORS = {
+    "bon": ("bon", _missing("--dataset"), "MalformedRecord"),
+    "export": ("export", _missing("--dataset"), "MalformedRecord"),
+    "metrics": ("metrics", _missing("--dataset"), "MalformedRecord"),
+    "reta": ("reta", _missing("--dataset"), "MalformedRecord"),
+    "sample-prompts": ("sample-prompts", _missing("--candidates"), "MalformedRecord"),
+    "synth": ("synth", _missing("--spec"), "InvalidConfig"),
+    "validate": ("validate", _missing("--dataset"), "MalformedRecord"),
+    "metrics-eta-2": ("metrics", lambda tmp_path: ["--eta", "2"], "InvalidConfig"),
+    "metrics-selection-rank-0": ("metrics", lambda tmp_path: ["--selection-rank", "0"],
+                                 "InvalidConfig"),
+    "bon-n-values-0": ("bon", lambda tmp_path: ["--n-values", "0"], "InvalidConfig"),
+    "reta-empty-n-range": ("reta", lambda tmp_path: ["--n-low-coeff", "100",
+                                                     "--n-high-coeff", "100"], "EmptyNRange"),
+    "sample-prompts-k-0": ("sample-prompts", lambda tmp_path: ["--k", "0"], "InvalidConfig"),
+    "sample-prompts-k-above-candidates": ("sample-prompts", lambda tmp_path: [
+        "--k", "5", *_candidates_with(tmp_path, [
+            {"prompt_id": "a", "text": "x", "embedding": [1.0, 0.0]},
+            {"prompt_id": "b", "text": "y", "embedding": [0.0, 1.0]}])], "InvalidConfig"),
+    "sample-prompts-seed-minus-1": ("sample-prompts", lambda tmp_path: ["--seed", "-1"],
+                                    "InvalidConfig"),
+    "sample-prompts-no-embedding": ("sample-prompts", lambda tmp_path: _candidates_with(
+        tmp_path, [{"prompt_id": "a", "text": "x", "embedding": [1.0, 0.0]},
+                   {"prompt_id": "b", "text": "y"}]), "MissingEmbedding"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_input_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, case):
+    command, flags, expected = _INPUT_ERRORS[case]
+    # a flag given twice takes its last value
+    argv = [*_command_argv(command, synth_dir, tmp_path), *flags(tmp_path)]
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
     for out in (blocker, blocker / "sub"):
         assert main([*argv, "--output-dir", str(out)]) == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == ("InvalidConfig" if command == "synth" else "MalformedRecord")
+        assert json.loads(capsys.readouterr().err)["error"] == expected
     assert blocker.read_text() == "kept\n"
 
 

@@ -166,6 +166,17 @@ def test_embedding_norm_enforced(tmp_path):
         load_benchmark(directory)
 
 
+def test_embedding_norm_past_the_float_range_is_malformed(tmp_path):
+    # the squares sum past the largest float; the norm itself does not
+    prompts = [{"prompt_id": "p1", "text": "t", "embedding": [1.3e154, 1.3e154]}]
+    responses = [{"prompt_id": "p1", "response_id": r, "oracle_score": 1.0} for r in "ab"]
+    directory = write_dataset_dir(tmp_path / "d", prompts, responses)
+    with pytest.raises(MalformedRecord) as info:
+        load_benchmark(directory)
+    assert str(info.value) == ("prompts.jsonl:1: field 'embedding': "
+                               "norm 1.8384776310850235e+154 not within 1e-06 of 1")
+
+
 def test_ingest_rm_scores(tiny_dataset_dir, tmp_path):
     dataset = load_benchmark(tiny_dataset_dir)
     pairs = list(dataset.iter_pairs())
@@ -245,11 +256,17 @@ def test_score_round_trip(tiny_dataset_dir, tmp_path):
 
 
 # ids that exercise every escape json.dumps makes, and values that are not
-# plain finite floats
+# plain floats or sit at the ends of the float range: RM scores (any finite
+# value), positive values (oracle scores, samples and perplexities) and
+# unit-norm embeddings
 ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\t", "na\u00efve \u2028",
            "astral \U0001F600", "/slash"]
 ODD_VALUES = [-0.0, 5e-324, 1e308, np.float64(0.1), np.float64(-0.0), 3, True,
-              math.nan, math.inf, -math.inf, 0.1 + 0.2]
+              -1e308, -5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+ODD_POSITIVE = [5e-324, 1e308, np.float64(0.1), 3, True, 0.1 + 0.2,
+                1.7976931348623157e308, np.float64(2.5), 1e-300, 7, 0.5]
+ODD_EMBEDDINGS = [(-0.0, 5e-324, np.float64(-0.0), True), (0.6, np.float64(0.8), -0.0, 0),
+                  (0, -1, 5e-324, 0.0), (0.1 + 0.2, 0.0, np.float64(0.0), 0.9539392014169456)]
 
 
 def _dumps_rm_scores(table: RmScoreTable, path: Path) -> None:
@@ -286,20 +303,19 @@ def _dumps_benchmark(dataset: BenchmarkDataset, directory: Path) -> None:
 
 
 def test_writers_match_json_dumps_bytes(tmp_path):
-    values = ODD_VALUES * 2
     prompts, responses, scores = [], {}, {}
     for i, pid in enumerate(ODD_IDS):
         prompts.append(PromptRecord(
             pid, f"text of {pid}",
-            embedding=None if i == 0 else tuple(values[i:i + 4]) if i % 2 else (),
-            perplexity=None if i == 1 else values[i]))
+            embedding=None if i == 0 else ODD_EMBEDDINGS[i % len(ODD_EMBEDDINGS)],
+            perplexity=None if i == 1 else ODD_POSITIVE[i]))
         responses[pid] = [
-            ResponseRecord(pid, rid, values[i + j],
+            ResponseRecord(pid, rid, ODD_POSITIVE[i + j],
                            text=None if j == 0 else f"{rid} answers {pid}",
-                           oracle_samples=None if j == 1 else tuple(values[j:j + 3]))
+                           oracle_samples=None if j == 1 else (ODD_POSITIVE[i + j],))
             for j, rid in enumerate(ODD_IDS)]
         for j, rid in enumerate(ODD_IDS):
-            scores[(pid, rid)] = values[i + j]
+            scores[(pid, rid)] = ODD_VALUES[i + j]
     dataset = BenchmarkDataset(name="odd", prompts=prompts, responses=responses,
                                responses_per_prompt=len(ODD_IDS))
     table = RmScoreTable(rm_name='rm "\u00e9\U0001F600', scores=scores)
@@ -331,21 +347,61 @@ def test_validate_duplicate_rm_name(tiny_dataset_dir):
     assert any("duplicate rm_name" in issue.message for issue in report.errors())
 
 
-def test_validate_embedding_dim_mismatch():
-    from retabench import BenchmarkDataset, PromptRecord, ResponseRecord
+def _hand_built_pair(record=None, rm_name: str = "rm",
+                     rm_score: float = 0.5) -> tuple[BenchmarkDataset, RmScoreTable]:
+    """A valid 2 x 2 dataset and its table, with ``record`` in place of the
+    prompt of its id or of p1's first response, and ``rm_name`` and
+    ``rm_score`` (for pair p1/a) in the table."""
+    prompts = [PromptRecord("p1", "t", embedding=(0.6, 0.8), perplexity=2.0),
+               PromptRecord("p2", "t", embedding=(1.0, 0.0))]
+    if isinstance(record, PromptRecord):
+        prompts = [record if p.prompt_id == record.prompt_id else p for p in prompts]
+    responses = {pid: [ResponseRecord(pid, rid, 1.0, oracle_samples=(0.5, 1.5))
+                       for rid in ("a", "b")] for pid in ("p1", "p2")}
+    if isinstance(record, ResponseRecord):
+        responses["p1"][0] = record
+    dataset = BenchmarkDataset("hand-built", prompts, responses, 2)
+    scores = dict.fromkeys(dataset.iter_pairs(), 0.5)
+    scores[("p1", "a")] = rm_score
+    return dataset, RmScoreTable(rm_name, scores)
 
-    prompts = [
-        PromptRecord("p1", "t", embedding=(1.0, 0.0)),
-        PromptRecord("p2", "t", embedding=(1.0, 0.0, 0.0)),
-    ]
-    responses = {
-        pid: [ResponseRecord(pid, f"r{i}", 1.0 + i) for i in range(2)]
-        for pid in ("p1", "p2")
-    }
-    dataset = BenchmarkDataset("bad", prompts, responses, 2)
-    report = validate_dataset(dataset)
-    assert not report.ok
-    assert any("dimension mismatch" in issue.message for issue in report.errors())
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"record": ResponseRecord("p2", "a", 1.0)}, MalformedRecord,
+     "hand-built: field 'prompt_id': response 'p1/a': names prompt 'p2'"),
+    ({"record": ResponseRecord("p1", "a", math.nan)}, NonPositiveOracleScore,
+     "oracle score for ('p1', 'a') is nan, must be > 0"),
+    ({"record": ResponseRecord("p1", "a", -1.0)}, NonPositiveOracleScore,
+     "oracle score for ('p1', 'a') is -1.0, must be > 0"),
+    ({"record": ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 3.0))}, MalformedRecord,
+     "hand-built: field 'oracle_samples': response 'p1/a': "
+     "mean 2.0 does not match oracle_score 1.0"),
+    ({"record": PromptRecord("p2", "t", embedding=(1.0, 0.0, 0.0))}, MalformedRecord,
+     "hand-built: field 'embedding': prompt 'p2': dimension 3 != 2"),
+    ({"record": PromptRecord("p2", "t", embedding=(0.5, 0.5))}, MalformedRecord,
+     "hand-built: field 'embedding': prompt 'p2': norm 0.7071067811865476 not within 1e-06 of 1"),
+    ({"record": PromptRecord("p1", "t", perplexity=math.nan)}, MalformedRecord,
+     "hand-built: field 'perplexity': prompt 'p1': must be a positive real"),
+    ({"rm_score": math.nan}, NonFiniteScore, "score for pair ('p1', 'a') is not finite: nan"),
+    ({"rm_name": ""}, MalformedRecord,
+     "score table '': field 'rm_name': required non-empty string"),
+], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
+        "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
+        "empty-rm-name"])
+def test_construction_rejects_bad_values(change, error, message):
+    # what the readers reject line by line is rejected when a hand-built
+    # dataset or table is built, so no estimator or validation sees it
+    with pytest.raises(error) as raised:
+        _hand_built_pair(**change)
+    assert str(raised.value) == message
+
+
+def test_validate_reports_each_oracle_score_above_the_bound():
+    dataset = build_dataset({"p1": [1.0, 5.0], "p2": [6.0, 2.0]})
+    report = validate_dataset(dataset, max_oracle_score=4.0)
+    assert [(i.severity, i.location, i.message) for i in report.issues] == [
+        ("error", f"response:{pair}", "oracle score exceeds maximum 4.0")
+        for pair in ("p1/r001", "p2/r000")]
 
 
 def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
@@ -469,9 +525,11 @@ def _response_line(rid: str, score: str = "1.0", extra: str = "") -> str:
      "responses.jsonl:2: field 'oracle_samples': must be a number"),
     (_response_line("c", extra=', "oracle_samples": [1.0, -1.0]'), MalformedRecord,
      "responses.jsonl:2: field 'oracle_samples': samples must be positive reals"),
+    (_response_line("c", extra=', "oracle_samples": [1e308, 1e308]'), MalformedRecord,
+     "responses.jsonl:2: field 'oracle_samples': mean inf does not match oracle_score 1.0"),
 ], ids=["bool-score", "missing-score", "empty-id", "unknown-prompt", "duplicate",
         "nan-score", "zero-score", "above-maximum", "text-type", "empty-samples",
-        "bool-sample", "negative-sample"])
+        "bool-sample", "negative-sample", "samples-past-float-range"])
 def test_response_reader_errors(tmp_path, bad_line, error, message):
     directory = write_dataset_dir(tmp_path / "d", [{"prompt_id": "p1", "text": "t"}], [])
     (directory / "responses.jsonl").write_text(
