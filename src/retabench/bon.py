@@ -98,9 +98,6 @@ class BonVariant:
             return _top_m_weights(pool_size, self.param, n)
         return subset_rank_weights(pool_size, n, 1 if self.param is None else self.param)
 
-    def estimate(self, ranked: RankedResponses, n: int) -> float:
-        return float(self.weights(len(ranked), n) @ ranked.oracle_scores)
-
 
 @dataclass
 class BonPoint:
@@ -127,10 +124,16 @@ def default_n_grid(num_responses: int) -> list[int]:
     return grid
 
 
-def _n_grid(variant: BonVariant, pool: int, n_values: Sequence[int] | None) -> list[int]:
-    """The n grid of a curve over pools of size ``pool``: ``n_values``
-    sorted and deduplicated, each inside [variant.min_n, pool], or by
-    default the powers of two in that range; never empty."""
+def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
+              variant: BonVariant | None = None,
+              n_values: Sequence[int] | None = None) -> BonCurve:
+    """Per-n prompt means with standard errors across prompts, plus KL column.
+
+    The n grid is ``n_values`` sorted and deduplicated, each inside
+    [variant.min_n, N], or by default the powers of two in that range.
+    """
+    variant = variant or BonVariant("best_of_n")
+    pool = dataset.responses_per_prompt
     if n_values is None:
         grid = [n for n in default_n_grid(pool) if n >= variant.min_n]
     else:
@@ -140,16 +143,6 @@ def _n_grid(variant: BonVariant, pool: int, n_values: Sequence[int] | None) -> l
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
-    return grid
-
-
-def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
-              variant: BonVariant | None = None,
-              n_values: Sequence[int] | None = None) -> BonCurve:
-    """Per-n prompt means with standard errors across prompts, plus KL column."""
-    variant = variant or BonVariant("best_of_n")
-    pool = dataset.responses_per_prompt
-    grid = _n_grid(variant, pool, n_values)
     oracle = oracle_matrix(dataset, table)
     points = []
     for n in grid:

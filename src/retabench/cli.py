@@ -3,15 +3,15 @@ metric computation, and curve export.
 
 Exit codes: 0 success, 2 input/validation error (a file that cannot be
 read or written counts as one), 3 computation error. Failures emit a
-machine-readable JSON object on stderr. ``main`` applies ``--config``,
-then reads and checks the command's input files and builds its checked
-flag values (each subparser names its reader), those whose check needs
-the dataset's pool size N or the candidate set included, so an input
-error is reported as itself and never touches ``--output-dir``. Only then
-does the command run, into a hidden staging directory inside
+machine-readable JSON object on stderr. Every command computes before it
+writes: ``main`` applies ``--config``, then the command reads its inputs
+and computes its results without touching a file, and returns a step
+that writes them. So any error, in an input file, a flag value or the
+computation, is reported as itself and never touches ``--output-dir``.
+Only then is the write step run, into a hidden staging directory inside
 ``--output-dir``; its files move into place only once it returns, so a
-failed command leaves ``--output-dir`` as it was (and removes it if the
-command created it).
+failed write leaves ``--output-dir`` as it was (and removes it if the
+run created it).
 All randomness in the results flows from the ``--seed`` flag; no result
 depends on the clock, the environment, or OS entropy (only the staging
 directory's name is random, and no output names it), so reruns with the
@@ -29,10 +29,10 @@ import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
-from .bon import BonVariant, _n_grid, bon_curve, write_bon_csv
+from .bon import BonVariant, bon_curve, write_bon_csv
 from .dataset import (
     DEFAULT_MAX_ORACLE_SCORE,
     load_benchmark,
@@ -42,34 +42,29 @@ from .dataset import (
     write_benchmark,
     write_rm_scores,
 )
-from .dpp import DppSampleConfig, _check_subset_size, build_dpp, sample_kdpp
+from .dpp import DppSampleConfig, build_dpp, sample_kdpp
 from .errors import InputError, InvalidConfig, RetabenchError
-from .metrics import (
-    _check_selection_rank,
-    _ground_truth_size,
-    default_hit_rate_cutoffs,
-    load_win_labels,
-    metric_report,
-    write_metrics_csv,
-)
+from .metrics import load_win_labels, metric_report, write_metrics_csv
 from .reta import (
     RetaConfig,
-    _check_etas,
     default_eta_grid,
-    resample_sizes,
     reta_curve,
     write_curve_csv,
     write_per_prompt_csv,
 )
-from .synthetic import DistSpec, _check_args, gen_synthetic
+from .synthetic import DistSpec, gen_synthetic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
+# A command's write step: writes its computed results into a directory (None:
+# ``validate`` prints its report) and returns the exit code.
+Write = Callable[[Path | None], int]
+
 # Keys that exist on the namespace but are not part of a command's tunable
 # config (and so are not overridable from a config file).
-_NON_CONFIG_KEYS = {"command", "func", "read", "config", "parser"}
+_NON_CONFIG_KEYS = {"command", "func", "config", "parser"}
 
 # JSON types a config-file value may take for each argparse ``type``; a
 # flag without a type takes a string, a store_true switch a boolean.
@@ -162,23 +157,8 @@ def _file_part(rm_name: str) -> str:
     return rm_name.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
 
 
-# --- input readers: each returns what its command takes after (args, out_dir) ----
-# A flag value whose check needs the pool size N is checked once the dataset is read.
-
-
-def _read_candidates(args: argparse.Namespace) -> tuple:
-    prompts = load_candidate_prompts(args.candidates)
-    model = build_dpp(prompts)
-    config = DppSampleConfig(k=args.k, seed=args.seed)
-    _check_subset_size(config.k, model.num_candidates)
-    return prompts, model, config
-
-
-def _read_spec(args: argparse.Namespace) -> tuple:
-    spec = DistSpec.from_json(_read_text(args.spec, "spec"))
-    # gen_synthetic checks these again; checked here, they never touch --output-dir
-    _check_args(args.num_prompts, args.num_responses, args.seed, args.rm_name)
-    return (spec,)
+# --- subcommands: each reads its inputs and computes its results without
+# touching a file, then returns the step that writes them into a directory --
 
 
 def _read_dataset(args: argparse.Namespace) -> tuple:
@@ -190,18 +170,53 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
     return dataset, tables
 
 
-def _read_metrics(args: argparse.Namespace) -> tuple:
-    dataset, tables = _read_dataset(args)
-    pool = dataset.responses_per_prompt
-    cutoffs = default_hit_rate_cutoffs(pool)
-    for k in cutoffs:
-        _ground_truth_size(pool, args.eta, k)
-    _check_selection_rank(args.selection_rank, pool)
-    win_labels = load_win_labels(args.win_labels, dataset) if args.win_labels else None
-    return dataset, tables, win_labels, cutoffs
+def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
+    prompts = load_candidate_prompts(args.candidates)
+    model = build_dpp(prompts)
+    selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
+    ids = [prompts[i].prompt_id for i in selected]
+    provenance = {
+        "seed": args.seed,
+        "lambda": model.lam,
+        "k": args.k,
+        "num_candidates": model.num_candidates,
+    }
+
+    def write(out_dir: Path) -> int:
+        (out_dir / "selected_prompts.txt").write_text(
+            "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
+        (out_dir / "sample_provenance.json").write_text(_json_text(provenance),
+                                                        encoding="utf-8")
+        return EXIT_OK
+    return write
 
 
-def _read_reta(args: argparse.Namespace) -> tuple:
+def _cmd_synth(args: argparse.Namespace) -> Write:
+    spec = DistSpec.from_json(_read_text(args.spec, "spec"))
+    dataset, table = gen_synthetic(
+        spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
+
+    def write(out_dir: Path) -> int:
+        write_benchmark(dataset, out_dir)
+        write_rm_scores(table, out_dir / "rm_scores.jsonl")
+        return EXIT_OK
+    return write
+
+
+def _cmd_validate(args: argparse.Namespace) -> Write:
+    report = validate_dataset(*_read_dataset(args), max_oracle_score=args.max_oracle_score)
+    text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
+
+    def write(out_dir: Path | None) -> int:
+        if out_dir is None:
+            sys.stdout.write(text)
+        else:
+            (out_dir / "validation_report.json").write_text(text, encoding="utf-8")
+        return EXIT_OK if report.ok else EXIT_INPUT
+    return write
+
+
+def _cmd_reta(args: argparse.Namespace) -> Write:
     dataset, tables = _read_dataset(args)
     if args.threads < 1:
         raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
@@ -209,98 +224,62 @@ def _read_reta(args: argparse.Namespace) -> tuple:
                         n_range_high_coeff=args.n_high_coeff,
                         n_exponent=args.n_exponent, seed=args.seed)
     etas = args.eta or default_eta_grid()
-    _check_etas(etas)  # before the n grid, whose errors would hide a bad eta
-    resample_sizes(dataset.responses_per_prompt, config)
-    return dataset, tables, etas, config
-
-
-def _read_bon(args: argparse.Namespace) -> tuple:
-    dataset, tables = _read_dataset(args)
-    param = {"rank_k_of_n": args.rank_k, "best_m_of_n": args.best_m}.get(args.variant)
-    variant = BonVariant(args.variant, param)
-    return dataset, tables, variant, _n_grid(variant, dataset.responses_per_prompt,
-                                             args.n_values or None)
-
-
-# --- subcommands ----------------------------------------------------------------
-
-
-def _cmd_sample_prompts(args: argparse.Namespace, out_dir: Path, prompts, model,
-                        config: DppSampleConfig) -> int:
-    selected = sample_kdpp(model, config)
-    ids = [prompts[i].prompt_id for i in selected]
-    (out_dir / "selected_prompts.txt").write_text(
-        "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
-    provenance = {
-        "seed": args.seed,
-        "lambda": model.lam,
-        "k": args.k,
-        "num_candidates": model.num_candidates,
-    }
-    (out_dir / "sample_provenance.json").write_text(_json_text(provenance), encoding="utf-8")
-    return EXIT_OK
-
-
-def _cmd_synth(args: argparse.Namespace, out_dir: Path, spec: DistSpec) -> int:
-    dataset, table = gen_synthetic(
-        spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
-    write_benchmark(dataset, out_dir)
-    write_rm_scores(table, out_dir / "rm_scores.jsonl")
-    return EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace, out_dir: Path | None, dataset, tables) -> int:
-    report = validate_dataset(dataset, tables, max_oracle_score=args.max_oracle_score)
-    text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
-    if out_dir is None:
-        sys.stdout.write(text)
-    else:
-        (out_dir / "validation_report.json").write_text(text, encoding="utf-8")
-    return EXIT_OK if report.ok else EXIT_INPUT
-
-
-def _cmd_reta(args: argparse.Namespace, out_dir: Path, dataset, tables, etas,
-              config: RetaConfig) -> int:
     curves = [reta_curve(dataset, table, etas, config) for table in tables]
     raws = [reta_curve(dataset, table, etas, replace(config, normalize=False))
             for table in tables] if args.raw_variant else []
     provenance = _provenance(args)
-    for curve in curves:
-        stem = f"reta_{_file_part(curve.rm_name)}"
-        write_curve_csv(curve, out_dir / f"{stem}.csv", provenance)
-        write_per_prompt_csv(curve, dataset, out_dir / f"{stem}_per_prompt.csv", provenance)
-    for raw in raws:
-        write_curve_csv(raw, out_dir / f"reta_{_file_part(raw.rm_name)}_unnormalized.csv",
-                        provenance)
-    return EXIT_OK
+
+    def write(out_dir: Path) -> int:
+        for curve in curves:
+            stem = f"reta_{_file_part(curve.rm_name)}"
+            write_curve_csv(curve, out_dir / f"{stem}.csv", provenance)
+            write_per_prompt_csv(curve, dataset, out_dir / f"{stem}_per_prompt.csv", provenance)
+        for raw in raws:
+            write_curve_csv(raw, out_dir / f"reta_{_file_part(raw.rm_name)}_unnormalized.csv",
+                            provenance)
+        return EXIT_OK
+    return write
 
 
-def _cmd_bon(args: argparse.Namespace, out_dir: Path, dataset, tables,
-             variant: BonVariant, n_values: list[int]) -> int:
-    curves = [bon_curve(dataset, table, variant, n_values) for table in tables]
+def _cmd_bon(args: argparse.Namespace) -> Write:
+    dataset, tables = _read_dataset(args)
+    param = {"rank_k_of_n": args.rank_k, "best_m_of_n": args.best_m}.get(args.variant)
+    variant = BonVariant(args.variant, param)
+    curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
     provenance = _provenance(args)
-    for curve in curves:
-        write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
-                      provenance)
-    return EXIT_OK
+
+    def write(out_dir: Path) -> int:
+        for curve in curves:
+            write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
+                          provenance)
+        return EXIT_OK
+    return write
 
 
-def _cmd_metrics(args: argparse.Namespace, out_dir: Path, dataset, tables, win_labels,
-                 cutoffs: list[int]) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> Write:
+    dataset, tables = _read_dataset(args)
+    win_labels = load_win_labels(args.win_labels, dataset) if args.win_labels else None
     reports = [
-        metric_report(dataset, table, eta=args.eta, hit_rate_cutoffs=cutoffs,
-                      selection_rank=args.selection_rank, win_labels=win_labels)
+        metric_report(dataset, table, eta=args.eta, selection_rank=args.selection_rank,
+                      win_labels=win_labels)
         for table in tables
     ]
-    write_metrics_csv(reports, out_dir / "metrics.csv", _provenance(args))
-    return EXIT_OK
+
+    def write(out_dir: Path) -> int:
+        write_metrics_csv(reports, out_dir / "metrics.csv", _provenance(args))
+        return EXIT_OK
+    return write
 
 
-def _cmd_export(args: argparse.Namespace, out_dir: Path, dataset, tables) -> int:
-    write_benchmark(dataset, out_dir)
-    for table in tables:
-        write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
-    return EXIT_OK
+def _cmd_export(args: argparse.Namespace) -> Write:
+    dataset, tables = _read_dataset(args)
+
+    def write(out_dir: Path) -> int:
+        write_benchmark(dataset, out_dir)
+        for table in tables:
+            write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
+        return EXIT_OK
+    return write
 
 
 # --- parser ----------------------------------------------------------------------
@@ -326,18 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-prompts", help="select a diverse prompt subset")
     p.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
     p.add_argument("--k", type=int, required=True, help="number of prompts to select")
-    p.set_defaults(func=_cmd_sample_prompts, read=_read_candidates)
+    p.set_defaults(func=_cmd_sample_prompts)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--spec", required=True, help="distribution spec JSON file")
     p.add_argument("--num-prompts", dest="num_prompts", type=int, required=True)
     p.add_argument("--num-responses", dest="num_responses", type=int, required=True)
     p.add_argument("--rm-name", dest="rm_name", default="synthetic-rm")
-    p.set_defaults(func=_cmd_synth, read=_read_spec)
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("validate", help="check a dataset and score tables")
     _add_dataset_flags(p, scores_required=False)
-    p.set_defaults(func=_cmd_validate, read=_read_dataset)
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("reta", help="reliability curves over an eta grid")
     _add_dataset_flags(p)
@@ -352,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "estimate is exact and computed in one thread")
     p.add_argument("--raw-variant", dest="raw_variant", action="store_true",
                    help="also emit the curve without the per-prompt normalizer")
-    p.set_defaults(func=_cmd_reta, read=_read_reta)
+    p.set_defaults(func=_cmd_reta)
 
     p = sub.add_parser("bon", help="best-of-n style curves with KL column")
     _add_dataset_flags(p)
@@ -364,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m for best_m_of_n")
     p.add_argument("--n-values", dest="n_values", type=int, nargs="*", default=None,
                    help="explicit n grid; default: powers of two up to N")
-    p.set_defaults(func=_cmd_bon, read=_read_bon)
+    p.set_defaults(func=_cmd_bon)
 
     p = sub.add_parser("metrics", help="hit rate / NDCG / MRR / pairwise table")
     _add_dataset_flags(p)
@@ -374,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which RM pick NDCG/MRR evaluate (1 = best)")
     p.add_argument("--win-labels", dest="win_labels", default=None,
                    help="JSONL win/draw/loss labels")
-    p.set_defaults(func=_cmd_metrics, read=_read_metrics)
+    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("export", help="rewrite a dataset and tables canonically")
     _add_dataset_flags(p, scores_required=False)
-    p.set_defaults(func=_cmd_export, read=_read_dataset)
+    p.set_defaults(func=_cmd_export)
 
     for command, p in sub.choices.items():
         if command != "validate":  # no randomness, and it can print its report instead
@@ -393,10 +372,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config_file(args)
-        inputs = args.read(args)
+        write = args.func(args)
         if not args.output_dir:
-            return args.func(args, None, *inputs)
-        return _run_staged(args, Path(args.output_dir), inputs)
+            return write(None)
+        return _run_staged(args, Path(args.output_dir), write)
     except (InputError, OSError) as exc:
         _emit_error(exc)
         return EXIT_INPUT
@@ -405,11 +384,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_COMPUTE
 
 
-def _run_staged(args: argparse.Namespace, out_dir: Path, inputs: tuple) -> int:
-    """Run the command into a hidden staging directory inside ``out_dir``,
+def _run_staged(args: argparse.Namespace, out_dir: Path, write: Write) -> int:
+    """Run the command's write step into a hidden staging directory inside ``out_dir``,
     add its config echo, then move every file into ``out_dir``.
 
-    If the command raises, the staging directory goes, and so does every
+    If the write step raises, the staging directory goes, and so does every
     directory this run created on the way to ``out_dir``. An ``OSError`` names
     the file's place in ``out_dir``, since the staging name is random.
     """
@@ -417,7 +396,7 @@ def _run_staged(args: argparse.Namespace, out_dir: Path, inputs: tuple) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        code = args.func(args, staging, *inputs)
+        code = write(staging)
         echo = staging / f"{args.command.replace('-', '_')}_config.json"
         echo.write_text(_json_text(_canonical_config(args)), encoding="utf-8")
         for entry in staging.iterdir():

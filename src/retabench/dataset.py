@@ -25,6 +25,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -119,9 +120,11 @@ class BenchmarkDataset:
     list keyed by a prompt that is not in ``prompts``.
 
     It then applies the reader's value rules (the ``_*_problem``
-    predicates): ``NonPositiveOracleScore`` for an oracle score that is not
-    positive and finite, and ``MalformedRecord``, naming the dataset and
-    the record, for a response filed under another prompt's id, bad
+    predicates): ``MalformedRecord``, naming the dataset and the record,
+    for an oracle score, sample, embedding entry or perplexity that is not
+    a number (a bool is not one, an int is), ``NonPositiveOracleScore`` for
+    an oracle score that is not positive and finite, and ``MalformedRecord``
+    for a response filed under another prompt's id, bad
     ``oracle_samples``, an embedding that is not finite, unit-norm and of
     the shared dimension, or a perplexity that is not positive and finite.
     """
@@ -159,11 +162,22 @@ class BenchmarkDataset:
         for prompt in self.prompts:
             if prompt.embedding is not None:
                 self._reject(f"prompt {prompt.prompt_id!r}", "embedding",
-                             _embedding_problem(prompt.embedding, dim))
+                             _numbers_problem(prompt.embedding)
+                             or _embedding_problem(prompt.embedding, dim))
                 dim = len(prompt.embedding)
             if prompt.perplexity is not None:
                 self._reject(f"prompt {prompt.prompt_id!r}", "perplexity",
-                             _perplexity_problem(prompt.perplexity))
+                             _number_problem(prompt.perplexity)
+                             or _perplexity_problem(prompt.perplexity))
+        scores = list(map(_oracle_score, chain.from_iterable(self.responses.values())))
+        if not _FLOAT_TYPE.issuperset(map(type, scores)):
+            for pid, rows in self.responses.items():
+                for resp in rows:
+                    self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
+                                 _number_problem(resp.oracle_score))
+        # (prompts, N) oracle scores, responses in id order; read-only
+        self._oracle_scores = _frozen(
+            np.fromiter(scores, np.float64, len(scores)).reshape(self.num_prompts, -1))
         if _oracle_score_problem(self._oracle_scores):
             bad = next(r for rows in self.responses.values() for r in rows
                        if _oracle_score_problem(r.oracle_score))
@@ -175,7 +189,9 @@ class BenchmarkDataset:
                                  f"names prompt {resp.prompt_id!r}")
                 if resp.oracle_samples is not None:
                     self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
-                                 _oracle_samples_problem(resp.oracle_samples, resp.oracle_score))
+                                 _numbers_problem(resp.oracle_samples)
+                                 or _oracle_samples_problem(resp.oracle_samples,
+                                                            resp.oracle_score))
 
     def _reject(self, record: str, key: str, problem: str | None) -> None:
         """MalformedRecord naming the dataset and ``record``, if there is a problem."""
@@ -189,9 +205,6 @@ class BenchmarkDataset:
     def prompt_ids(self) -> list[str]:
         return [p.prompt_id for p in self.prompts]
 
-    def oracle_scores(self, prompt_id: str) -> list[float]:
-        return [r.oracle_score for r in self.responses[prompt_id]]
-
     def iter_pairs(self) -> Iterator[tuple[str, str]]:
         return iter(self._pair_index)
 
@@ -202,12 +215,6 @@ class BenchmarkDataset:
         return dict(zip(pairs, range(self.num_prompts * self.responses_per_prompt)))
 
     @cached_property
-    def _oracle_scores(self) -> np.ndarray:
-        """(prompts, N) oracle scores, responses in id order; read-only."""
-        return _frozen(np.array([[r.oracle_score for r in rows]
-                                 for rows in self.responses.values()], dtype=np.float64))
-
-    @cached_property
     def _oracle_ranks(self) -> np.ndarray:
         """(prompts, N) 0-based oracle rank of each response, ties by
         ascending response id; read-only."""
@@ -216,6 +223,7 @@ class BenchmarkDataset:
 
 _prompt_id = operator.attrgetter("prompt_id")
 _response_id = operator.attrgetter("response_id")
+_oracle_score = operator.attrgetter("oracle_score")
 
 
 def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
@@ -247,13 +255,21 @@ class RmScoreTable:
 
     def __post_init__(self) -> None:
         """Raise what ``ingest_rm_scores`` raises for an unusable ``rm_name``
-        (``MalformedRecord``) or a score that is not finite (``NonFiniteScore``)."""
+        or a score that is not a number (``MalformedRecord``, naming the
+        table and the pair), or a score that is not finite (``NonFiniteScore``)."""
+        source = f"score table {self.rm_name!r}"
         problem = _rm_name_problem(self.rm_name)
         if problem:
-            raise MalformedRecord(f"score table {self.rm_name!r}", None, "rm_name", problem)
-        if not all(map(math.isfinite, self.scores.values())):
-            pair = next(p for p, v in self.scores.items() if not math.isfinite(v))
-            raise NonFiniteScore(pair, self.scores[pair])
+            raise MalformedRecord(source, None, "rm_name", problem)
+        values = self.scores.values()
+        # all floats with a finite sum are all finite
+        if not (_FLOAT_TYPE.issuperset(map(type, values)) and math.isfinite(sum(values))):
+            for pair, value in self.scores.items():
+                problem = _number_problem(value)
+                if problem:
+                    raise MalformedRecord(source, None, "score", f"pair {pair!r}: {problem}")
+                if not math.isfinite(value):
+                    raise NonFiniteScore(pair, value)
 
     def score(self, prompt_id: str, response_id: str) -> float:
         key = (prompt_id, response_id)
@@ -319,7 +335,7 @@ def _req_str(obj: dict, key: str, source: str, line: int) -> str:
 
 def _rm_name_problem(rm_name: str) -> str | None:
     """Why ``rm_name`` cannot name a score table (it goes into file names), or None."""
-    if not rm_name:
+    if not isinstance(rm_name, str) or not rm_name:
         return "required non-empty string"
     if "\0" in rm_name:
         return "contains a NUL character"
@@ -329,12 +345,10 @@ def _rm_name_problem(rm_name: str) -> str | None:
 
 
 def _as_float(value, key: str, source: str, line: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedRecord(source, line, key, "must be a number")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise MalformedRecord(source, line, key, "number too large for a float") from exc
+    problem = _number_problem(value)
+    if problem:
+        raise MalformedRecord(source, line, key, problem)
+    return float(value)
 
 
 def _float_array(raw, key: str, source: str, line: int) -> tuple[float, ...]:
@@ -358,6 +372,25 @@ def _embedding(raw, dim: int | None, source: str, line: int,
 # The value rules. Each says why a value breaks it, or None; the readers
 # raise the problem with the file and line, construction with the dataset
 # and the record's id.
+
+
+def _number_problem(value) -> str | None:
+    """Why ``value`` is not a number that fits a float (a bool is not one), or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    try:
+        float(value)
+    except OverflowError:
+        return "number too large for a float"
+    return None
+
+
+def _numbers_problem(values) -> str | None:
+    """The ``_number_problem`` of the first of ``values`` that has one, or
+    None; values that are all floats pass in one pass."""
+    if _FLOAT_TYPE.issuperset(map(type, values)):
+        return None
+    return next(filter(None, map(_number_problem, values)), None)
 
 
 def _oracle_score_problem(score) -> str | None:

@@ -127,12 +127,6 @@ def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:
     return float(logdet)
 
 
-def _check_subset_size(k: int, total: int) -> None:
-    """A k-subset needs k <= the candidate count ``total``."""
-    if k > total:
-        raise InvalidConfig(f"k={k} exceeds candidate count {total}")
-
-
 def _elementary_symmetric(eigenvalues: np.ndarray, k: int) -> np.ndarray:
     """(k+1, d+1) table whose entry [l, n] is e_l of the first n eigenvalues."""
     table = np.zeros((k + 1, len(eigenvalues) + 1))
@@ -150,7 +144,8 @@ def sample_kdpp(model: DppModel, config: DppSampleConfig) -> list[int]:
     """
     total = model.num_candidates
     k = config.k
-    _check_subset_size(k, total)
+    if k > total:
+        raise InvalidConfig(f"k={k} exceeds candidate count {total}")
     embeddings = model.embeddings
     eigenvalues, vectors = np.linalg.eigh(model.lam * (embeddings.T @ embeddings))
     keep = eigenvalues > _SINGULAR_REL_TOL * eigenvalues[-1]

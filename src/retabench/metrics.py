@@ -75,17 +75,12 @@ def _rankings(dataset: BenchmarkDataset, rm: np.ndarray) -> np.ndarray:
     return np.take_along_axis(dataset._oracle_ranks, _rank_orders(rm), axis=1)
 
 
-def _check_selection_rank(j: int, n: int) -> None:
-    """The selected RM rank j must lie in [1, N] for pool size N."""
-    if j < 1:
-        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
-    if j > n:
-        raise InvalidConfig(f"selection rank {j} exceeds pool size {n}")
-
-
 def _selection_oracle_ranks(rankings: np.ndarray, j: int) -> list[int]:
     """Per prompt, the oracle rank of the RM's j-th ranked response."""
-    _check_selection_rank(j, rankings.shape[1])
+    if j < 1:
+        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
+    if j > rankings.shape[1]:
+        raise InvalidConfig(f"selection rank {j} exceeds pool size {rankings.shape[1]}")
     return (rankings[:, j - 1] + 1).tolist()
 
 

@@ -56,10 +56,6 @@ class RankedResponses:
     def __len__(self) -> int:
         return len(self.order)
 
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
 
 def _build_ranking(prompt_id: str, response_ids: list[str],
                    rm_scores: list[float], oracle_scores: list[float]) -> RankedResponses:

@@ -174,8 +174,15 @@ def _draw_pairs(spec: DistSpec, rng: np.random.Generator,
     return y, j
 
 
-def _check_args(num_prompts: int, responses_per_prompt: int, seed: int, rm_name: str) -> None:
-    """InvalidConfig unless ``gen_synthetic`` accepts these and its files load back."""
+def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
+                  seed: int, *, name: str | None = None,
+                  rm_name: str = "synthetic-rm") -> tuple[BenchmarkDataset, RmScoreTable]:
+    """Draw a benchmark dataset plus matching score table from a spec.
+
+    Deterministic: each prompt gets its own counter-based stream keyed by
+    (seed, prompt index), so generation order cannot change the data.
+    Raises ``InvalidConfig`` for arguments whose files would not load back.
+    """
     if seed < 0:
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if num_prompts < 1:
@@ -186,17 +193,6 @@ def _check_args(num_prompts: int, responses_per_prompt: int, seed: int, rm_name:
     problem = _rm_name_problem(rm_name)
     if problem:
         raise InvalidConfig(f"rm_name {rm_name!r}: {problem}")
-
-
-def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
-                  seed: int, *, name: str | None = None,
-                  rm_name: str = "synthetic-rm") -> tuple[BenchmarkDataset, RmScoreTable]:
-    """Draw a benchmark dataset plus matching score table from a spec.
-
-    Deterministic: each prompt gets its own counter-based stream keyed by
-    (seed, prompt index), so generation order cannot change the data.
-    """
-    _check_args(num_prompts, responses_per_prompt, seed, rm_name)
     prompt_width = max(4, len(str(num_prompts - 1)))
     response_width = max(3, len(str(responses_per_prompt - 1)))
     prompts = []

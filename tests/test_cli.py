@@ -14,13 +14,19 @@ import pytest
 
 import retabench
 from retabench import (
+    BenchmarkDataset,
     DistSpec,
+    PromptRecord,
+    ResponseRecord,
+    RmScoreTable,
     ingest_rm_scores,
     load_benchmark,
     oracle_score_table,
+    write_benchmark,
     write_rm_scores,
 )
 from retabench.cli import main
+from retabench.errors import ComputationError
 
 from conftest import write_jsonl
 
@@ -700,9 +706,21 @@ def _missing(flag: str):
     return lambda tmp_path: [flag, str(tmp_path / "missing")]
 
 
+def _equal_oracle_scores(tmp_path: Path) -> list[str]:
+    """A one-prompt dataset whose oracle scores are all equal, and its table."""
+    flat = tmp_path / "flat"
+    ids = ["a", "b", "c", "d"]
+    write_benchmark(BenchmarkDataset("flat", [PromptRecord("p", "x")], {
+        "p": [ResponseRecord("p", rid, 1.0) for rid in ids]}, len(ids)), flat)
+    write_rm_scores(RmScoreTable("rm", {("p", rid): float(i) for i, rid in enumerate(ids)}),
+                    flat / "rm_scores.jsonl")
+    return ["--dataset", str(flat), "--rm-scores", str(flat / "rm_scores.jsonl")]
+
+
 # case id: (command, flags added to its small run, the error they raise). A
-# command's own name reads a missing input file; the other cases set a flag
-# or input whose check needs the pool size N or the candidate set.
+# command's own name reads a missing input file; most other cases set a flag
+# or input whose check needs the pool size N or the candidate set. The last
+# two give inputs the computation itself fails on (exit 3).
 _INPUT_ERRORS = {
     "bon": ("bon", _missing("--dataset"), "MalformedRecord"),
     "export": ("export", _missing("--dataset"), "MalformedRecord"),
@@ -727,18 +745,24 @@ _INPUT_ERRORS = {
     "sample-prompts-no-embedding": ("sample-prompts", lambda tmp_path: _candidates_with(
         tmp_path, [{"prompt_id": "a", "text": "x", "embedding": [1.0, 0.0]},
                    {"prompt_id": "b", "text": "y"}]), "MissingEmbedding"),
+    "sample-prompts-rank-1-k-2": ("sample-prompts", lambda tmp_path: [
+        "--k", "2", *_candidates_with(tmp_path, [
+            {"prompt_id": pid, "text": "x", "embedding": [scale, 0.0]}
+            for pid, scale in (("a", 1.0), ("b", 2.0), ("c", 3.0))])], "DegenerateInit"),
+    "metrics-equal-oracle-scores": ("metrics", _equal_oracle_scores, "NoComparablePairs"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
 def test_input_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, case):
     command, flags, expected = _INPUT_ERRORS[case]
+    code = 3 if issubclass(getattr(retabench.errors, expected), ComputationError) else 2
     # a flag given twice takes its last value
     argv = [*_command_argv(command, synth_dir, tmp_path), *flags(tmp_path)]
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
     for out in (blocker, blocker / "sub"):
-        assert main([*argv, "--output-dir", str(out)]) == 2
+        assert main([*argv, "--output-dir", str(out)]) == code
         assert json.loads(capsys.readouterr().err)["error"] == expected
     assert blocker.read_text() == "kept\n"
 

@@ -256,16 +256,16 @@ def test_score_round_trip(tiny_dataset_dir, tmp_path):
 
 
 # ids that exercise every escape json.dumps makes, and values that are not
-# plain floats or sit at the ends of the float range: RM scores (any finite
-# value), positive values (oracle scores, samples and perplexities) and
-# unit-norm embeddings
+# plain floats (ints and numpy floats; a bool is not a number) or sit at the
+# ends of the float range: RM scores (any finite value), positive values
+# (oracle scores, samples and perplexities) and unit-norm embeddings
 ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\t", "na\u00efve \u2028",
            "astral \U0001F600", "/slash"]
-ODD_VALUES = [-0.0, 5e-324, 1e308, np.float64(0.1), np.float64(-0.0), 3, True,
+ODD_VALUES = [-0.0, 5e-324, 1e308, np.float64(0.1), np.float64(-0.0), 3, 1,
               -1e308, -5e-324, 1.7976931348623157e308, 0.1 + 0.2]
-ODD_POSITIVE = [5e-324, 1e308, np.float64(0.1), 3, True, 0.1 + 0.2,
+ODD_POSITIVE = [5e-324, 1e308, np.float64(0.1), 3, 1, 0.1 + 0.2,
                 1.7976931348623157e308, np.float64(2.5), 1e-300, 7, 0.5]
-ODD_EMBEDDINGS = [(-0.0, 5e-324, np.float64(-0.0), True), (0.6, np.float64(0.8), -0.0, 0),
+ODD_EMBEDDINGS = [(-0.0, 5e-324, np.float64(-0.0), 1), (0.6, np.float64(0.8), -0.0, 0),
                   (0, -1, 5e-324, 0.0), (0.1 + 0.2, 0.0, np.float64(0.0), 0.9539392014169456)]
 
 
@@ -385,9 +385,32 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
     ({"rm_score": math.nan}, NonFiniteScore, "score for pair ('p1', 'a') is not finite: nan"),
     ({"rm_name": ""}, MalformedRecord,
      "score table '': field 'rm_name': required non-empty string"),
+    # a value the reader's JSON types rule out, so no writer emits a file
+    # its own reader rejects
+    ({"record": ResponseRecord("p1", "a", "1.5")}, MalformedRecord,
+     "hand-built: field 'oracle_score': response 'p1/a': must be a number"),
+    ({"record": ResponseRecord("p1", "a", True)}, MalformedRecord,
+     "hand-built: field 'oracle_score': response 'p1/a': must be a number"),
+    ({"record": ResponseRecord("p1", "a", 10 ** 400)}, MalformedRecord,
+     "hand-built: field 'oracle_score': response 'p1/a': number too large for a float"),
+    ({"record": ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, "1.0"))}, MalformedRecord,
+     "hand-built: field 'oracle_samples': response 'p1/a': must be a number"),
+    ({"record": PromptRecord("p2", "t", embedding=(1.0, "0.0"))}, MalformedRecord,
+     "hand-built: field 'embedding': prompt 'p2': must be a number"),
+    ({"record": PromptRecord("p2", "t", embedding=(False, True))}, MalformedRecord,
+     "hand-built: field 'embedding': prompt 'p2': must be a number"),
+    ({"record": PromptRecord("p1", "t", perplexity="2")}, MalformedRecord,
+     "hand-built: field 'perplexity': prompt 'p1': must be a number"),
+    ({"rm_score": "0.5"}, MalformedRecord,
+     "score table 'rm': field 'score': pair ('p1', 'a'): must be a number"),
+    ({"rm_score": False}, MalformedRecord,
+     "score table 'rm': field 'score': pair ('p1', 'a'): must be a number"),
+    ({"rm_name": 5}, MalformedRecord, "score table 5: field 'rm_name': required non-empty string"),
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
-        "empty-rm-name"])
+        "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
+        "string-sample", "string-embedding", "bool-embedding", "string-perplexity",
+        "string-rm-score", "bool-rm-score", "int-rm-name"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
