@@ -14,6 +14,11 @@ builds each array column once: the oracle matrix when it checks the
 scores, the pair index and the oracle ranks on first use. That relies on
 the immutability: a dataset changed after a column was built would keep
 the stale column.
+
+The readers take a file in the layout the writers give it in blocks of
+lines, one regular-expression pass per block; any other file, and any
+file holding an error, goes line by line through the JSON scanner, which
+gives an equal result and raises or warns with the line number.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .errors import (
     NonFiniteScore,
     NonPositiveOracleScore,
     NonUniformN,
+    RetabenchError,
     UnknownPair,
 )
 
@@ -56,6 +62,7 @@ _RESPONSE_KEYS = frozenset(
     {"prompt_id", "response_id", "text", "oracle_score", "oracle_samples"})
 _SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
 _FLOAT_TYPE = frozenset({float})
+_STR_TYPE = frozenset({str})
 # Fields that reach output files and file names must encode as UTF-8; JSON's
 # "\ud800" escape gives a str with a lone surrogate, which does not.
 _NAME_KEYS = frozenset({"prompt_id", "response_id", "rm_name"})
@@ -119,14 +126,17 @@ class BenchmarkDataset:
     prompt, and ``MalformedRecord`` for no prompts at all or for a response
     list keyed by a prompt that is not in ``prompts``.
 
-    It then applies the reader's value rules (the ``_*_problem``
-    predicates): ``MalformedRecord``, naming the dataset and the record,
-    for an oracle score, sample, embedding entry or perplexity that is not
-    a number (a bool is not one, an int is), ``NonPositiveOracleScore`` for
-    an oracle score that is not positive and finite, and ``MalformedRecord``
-    for a response filed under another prompt's id, bad
-    ``oracle_samples``, an embedding that is not finite, unit-norm and of
-    the shared dimension, or a perplexity that is not positive and finite.
+    It applies the reader's value rules (the ``_*_problem`` predicates)
+    too: ``MalformedRecord``, naming the dataset and the record, for a
+    ``prompt_id``, ``response_id`` or prompt ``text`` that is not a
+    non-empty string (an id must also encode as UTF-8), checked before
+    anything else, and for an oracle score, sample, embedding entry or
+    perplexity that is not a number (a bool is not one, an int is),
+    ``NonPositiveOracleScore`` for an oracle score that is not positive and
+    finite, and ``MalformedRecord`` for a response filed under another
+    prompt's id, bad ``oracle_samples``, an embedding that is not finite,
+    unit-norm and of the shared dimension, or a perplexity that is not
+    positive and finite.
     """
 
     name: str
@@ -136,6 +146,8 @@ class BenchmarkDataset:
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_strings(self.prompts, "prompt_id", _prompt_label)
+        self._check_strings(self.prompts, "text", _prompt_label)
         self.prompts = sorted(self.prompts, key=_prompt_id)
         ids = self.prompt_ids()
         if not ids:
@@ -143,7 +155,10 @@ class BenchmarkDataset:
         _check_unique("prompt", "", ids)
         unknown = self.responses.keys() - set(ids)
         if unknown:
-            raise MalformedRecord(self.name, None, "prompt_id", f"unknown prompt {min(unknown)!r}")
+            raise MalformedRecord(self.name, None, "prompt_id",
+                                  f"unknown prompt {min(unknown, key=str)!r}")
+        self._check_strings(list(chain.from_iterable(self.responses.values())), "response_id",
+                            _response_label)
         size = self.responses_per_prompt
         responses = {pid: sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids}
         for pid, rows in responses.items():
@@ -161,12 +176,12 @@ class BenchmarkDataset:
         dim: int | None = None
         for prompt in self.prompts:
             if prompt.embedding is not None:
-                self._reject(f"prompt {prompt.prompt_id!r}", "embedding",
+                self._reject(_prompt_label(prompt), "embedding",
                              _numbers_problem(prompt.embedding)
                              or _embedding_problem(prompt.embedding, dim))
                 dim = len(prompt.embedding)
             if prompt.perplexity is not None:
-                self._reject(f"prompt {prompt.prompt_id!r}", "perplexity",
+                self._reject(_prompt_label(prompt), "perplexity",
                              _number_problem(prompt.perplexity)
                              or _perplexity_problem(prompt.perplexity))
         scores = list(map(_oracle_score, chain.from_iterable(self.responses.values())))
@@ -198,6 +213,18 @@ class BenchmarkDataset:
         if problem:
             raise MalformedRecord(self.name, None, key, f"{record}: {problem}")
 
+    def _check_strings(self, records: list, key: str, label) -> None:
+        """Raise MalformedRecord, naming the dataset and ``label(record)``, for
+        the first of ``records`` whose field ``key`` breaks the reader's
+        string rule (``_str_problem``); non-empty ASCII strings pass in one
+        pass."""
+        values = list(map(operator.attrgetter(key), records))
+        if (_STR_TYPE.issuperset(map(type, values)) and all(values)
+                and (key not in _NAME_KEYS or "".join(values).isascii())):
+            return
+        for record, value in zip(records, values):
+            self._reject(label(record), key, _str_problem(value, key))
+
     @property
     def num_prompts(self) -> int:
         return len(self.prompts)
@@ -224,6 +251,14 @@ class BenchmarkDataset:
 _prompt_id = operator.attrgetter("prompt_id")
 _response_id = operator.attrgetter("response_id")
 _oracle_score = operator.attrgetter("oracle_score")
+
+
+def _prompt_label(prompt: PromptRecord) -> str:
+    return f"prompt {prompt.prompt_id!r}"
+
+
+def _response_label(resp: ResponseRecord) -> str:
+    return f"response {f'{resp.prompt_id}/{resp.response_id}'!r}"
 
 
 def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
@@ -324,24 +359,107 @@ def _first_undecodable_line(path: Path) -> int | None:
     return None
 
 
+# The block reader: a canonical line is exactly what write_benchmark and
+# write_rm_scores write for a record with printable-ASCII ids, an unescaped
+# text and no optional field other than a response's text. Each pattern
+# matches one whole line of its kind, so a block of lines is canonical when
+# findall matches once per line.
+_ID = r'"([ !#-\[\]-~]+)"'
+_TEXT = r'"([^"\\\x00-\x1f]*)"'
+# a JSON number with a fraction or an exponent: json.loads reads it with float()
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_PROMPT_LINE = re.compile(r'^\{"prompt_id": ' + _ID + r', "text": ' + _TEXT + r'\}\n', re.M)
+_RESPONSE_LINE = re.compile(
+    r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
+    + r'(, "text": ' + _TEXT + r')?\}\n', re.M)
+_SCORE_LINE = re.compile(
+    r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "rm_name": ' + _ID
+    + r', "score": ' + _FLOAT + r'\}\n', re.M)
+# about 160 lines: blocks of 1 << 16 read no faster and left the wide_pool
+# benchmark's peak RSS 1 MB higher than the per-line reader
+_BLOCK_CHARS = 1 << 14
+
+
+class _NotCanonical(Exception):
+    """A file the block reader leaves to the per-line reader."""
+
+
+def _canonical_rows(path: Path, pattern: re.Pattern) -> Iterator[tuple[str, ...]]:
+    """The groups ``pattern`` captures on each line of ``path``, read in
+    blocks of lines, so memory stays bounded by the block size.
+
+    Raises ``_NotCanonical`` at the first block holding a line that the
+    pattern does not match whole (a blank line, CRLF and a missing final
+    newline among them), or bytes that are not UTF-8.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            while lines := fh.readlines(_BLOCK_CHARS):
+                rows = pattern.findall("".join(lines))
+                if len(rows) != len(lines):
+                    raise _NotCanonical
+                yield from rows
+        except UnicodeDecodeError:
+            raise _NotCanonical from None
+
+
+def _load_canonical(directory: Path, max_oracle_score: float,
+                    name: str) -> BenchmarkDataset | None:
+    """What ``load_benchmark`` returns for ``directory`` when both files are
+    canonical and the dataset is valid, else None; never raises or warns."""
+    try:
+        prompts = [PromptRecord(pid, text)
+                   for pid, text in _canonical_rows(directory / PROMPTS_FILE, _PROMPT_LINE)]
+        responses: dict[str, list[ResponseRecord]] = {}
+        for pid, rid, score, has_text, text in _canonical_rows(directory / RESPONSES_FILE,
+                                                               _RESPONSE_LINE):
+            rows = responses.get(pid)
+            if rows is None:
+                rows = responses[pid] = []
+            rows.append(ResponseRecord(pid, rid, float(score), text if has_text else None))
+        if not prompts:
+            return None
+        first = min(map(_prompt_id, prompts))
+        dataset = BenchmarkDataset(name, prompts, responses, len(responses.get(first, ())))
+    except (_NotCanonical, RetabenchError):
+        return None
+    return dataset if dataset._oracle_scores.max() <= max_oracle_score else None
+
+
+def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
+    """What ``ingest_rm_scores`` returns for ``path`` when the file is
+    canonical and holds one score for each of the dataset's pairs under one
+    ``rm_name``, else None; never raises or warns."""
+    index = dataset._pair_index
+    values: list[float | None] = [None] * len(index)
+    names = set()
+    try:
+        for pid, rid, rm_name, score in _canonical_rows(path, _SCORE_LINE):
+            position = index.get((pid, rid))
+            if position is None or values[position] is not None:
+                return None
+            values[position] = float(score)
+            names.add(rm_name)
+        if len(names) != 1 or None in values:
+            return None
+        return RmScoreTable(names.pop(), dict(zip(index, values)))
+    except (_NotCanonical, RetabenchError):
+        return None
+
+
 def _req_str(obj: dict, key: str, source: str, line: int) -> str:
     value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise MalformedRecord(source, line, key, "required non-empty string")
-    if key in _NAME_KEYS and _SURROGATE.search(value):
-        raise MalformedRecord(source, line, key, "cannot be encoded as UTF-8")
+    problem = _str_problem(value, key)
+    if problem:
+        raise MalformedRecord(source, line, key, problem)
     return value
 
 
 def _rm_name_problem(rm_name: str) -> str | None:
     """Why ``rm_name`` cannot name a score table (it goes into file names), or None."""
-    if not isinstance(rm_name, str) or not rm_name:
-        return "required non-empty string"
-    if "\0" in rm_name:
+    if isinstance(rm_name, str) and "\0" in rm_name:
         return "contains a NUL character"
-    if _SURROGATE.search(rm_name):
-        return "cannot be encoded as UTF-8"
-    return None
+    return _str_problem(rm_name, "rm_name")
 
 
 def _as_float(value, key: str, source: str, line: int) -> float:
@@ -372,6 +490,16 @@ def _embedding(raw, dim: int | None, source: str, line: int,
 # The value rules. Each says why a value breaks it, or None; the readers
 # raise the problem with the file and line, construction with the dataset
 # and the record's id.
+
+
+def _str_problem(value, key: str) -> str | None:
+    """Why ``value`` cannot be the string field ``key`` (an id or ``rm_name``
+    must also encode as UTF-8), or None."""
+    if not isinstance(value, str) or not value:
+        return "required non-empty string"
+    if key in _NAME_KEYS and _SURROGATE.search(value):
+        return "cannot be encoded as UTF-8"
+    return None
 
 
 def _number_problem(value) -> str | None:
@@ -467,6 +595,9 @@ def load_benchmark(path: str | Path, *,
         raise MalformedRecord(str(directory), None, PROMPTS_FILE, "file not found")
     if not responses_path.is_file():
         raise MalformedRecord(str(directory), None, RESPONSES_FILE, "file not found")
+    dataset = _load_canonical(directory, max_oracle_score, name or directory.name)
+    if dataset is not None:
+        return dataset
 
     warnings: list[ValidationIssue] = []
     prompts: dict[str, PromptRecord] = {}
@@ -640,6 +771,9 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
     score_path = Path(path)
     if not score_path.is_file():
         raise MalformedRecord(str(score_path), None, "-", "file not found")
+    table = _ingest_canonical(dataset, score_path)
+    if table is not None:
+        return table
     warnings: list[ValidationIssue] = []
     index = dataset._pair_index
     values: list[float | None] = [None] * len(index)

@@ -20,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PromptRecord
+from .dataset import PromptRecord, _embedding_problem, _numbers_problem
 from .errors import (
     DegenerateInit,
     InvalidConfig,
+    MalformedRecord,
     MissingEmbedding,
     ZeroMatrix,
 )
@@ -86,10 +87,12 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
 
     The scale is 0.99 / s_max^2 with s_max the largest singular value of
     the embedding matrix, which makes the kernel invariant to a common
-    rescaling of all embeddings. Raises ``ZeroMatrix`` when every embedding
-    is zero, and ``InvalidConfig`` when s_max^2 is not a finite normal
-    float (embeddings so small or so large that the scale underflows or
-    overflows).
+    rescaling of all embeddings. Raises ``MalformedRecord``, naming the
+    prompt, for an embedding the candidate reader rejects (empty, with an
+    entry that is not a number, or not finite), ``ZeroMatrix`` when every
+    embedding is zero, and ``InvalidConfig`` when s_max^2 is not a finite
+    normal float (embeddings so small or so large that the scale
+    underflows or overflows).
     """
     if not prompts:
         raise InvalidConfig("no candidate prompts")
@@ -98,6 +101,8 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     for prompt in prompts:
         if prompt.embedding is None:
             raise MissingEmbedding(prompt.prompt_id)
+        _reject_embedding(prompt, "must be a non-empty array" if not prompt.embedding
+                          else _numbers_problem(prompt.embedding))
         if dim is None:
             dim = len(prompt.embedding)
         elif len(prompt.embedding) != dim:
@@ -105,6 +110,10 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
                 f"embedding dimension mismatch at prompt {prompt.prompt_id!r}")
         rows.append(prompt.embedding)
     embeddings = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(embeddings).all(axis=1)
+    if not finite.all():  # the first non-finite row, named as the reader names it
+        bad = prompts[int(finite.argmin())]
+        _reject_embedding(bad, _embedding_problem(bad.embedding, None, unit_norm=False))
     s_max = float(np.linalg.svd(embeddings, compute_uv=False)[0])
     if s_max == 0.0:
         raise ZeroMatrix("all candidate embeddings are zero")
@@ -113,6 +122,12 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
         raise InvalidConfig(f"embedding scale out of range: the largest singular value "
                             f"{s_max!r} squares to {s_max_squared!r}")
     return DppModel(embeddings=embeddings, lam=_EIGENVALUE_CEILING / s_max_squared)
+
+
+def _reject_embedding(prompt: PromptRecord, problem: str | None) -> None:
+    if problem:
+        raise MalformedRecord("candidate prompts", None, "embedding",
+                              f"prompt {prompt.prompt_id!r}: {problem}")
 
 
 def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,13 @@ from retabench.errors import (
     NonFiniteScore,
     NonPositiveOracleScore,
     NonUniformN,
+    RetabenchError,
     UnknownPair,
 )
+from retabench import dataset as dataset_module
 from retabench.cli import main
 from retabench.ranking import oracle_matrix
+from retabench.synthetic import DistSpec, gen_synthetic
 
 from conftest import build_dataset, build_table, scores_records, write_dataset_dir, write_jsonl
 
@@ -406,11 +410,20 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
     ({"rm_score": False}, MalformedRecord,
      "score table 'rm': field 'score': pair ('p1', 'a'): must be a number"),
     ({"rm_name": 5}, MalformedRecord, "score table 5: field 'rm_name': required non-empty string"),
+    ({"record": PromptRecord("p1", "")}, MalformedRecord,
+     "hand-built: field 'text': prompt 'p1': required non-empty string"),
+    ({"record": PromptRecord("p1", None)}, MalformedRecord,
+     "hand-built: field 'text': prompt 'p1': required non-empty string"),
+    ({"record": ResponseRecord("p1", 5, 1.0)}, MalformedRecord,
+     "hand-built: field 'response_id': response 'p1/5': required non-empty string"),
+    ({"record": ResponseRecord("p1", "a\ud800", 1.0)}, MalformedRecord,
+     "hand-built: field 'response_id': response 'p1/a\\ud800': cannot be encoded as UTF-8"),
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
         "string-sample", "string-embedding", "bool-embedding", "string-perplexity",
-        "string-rm-score", "bool-rm-score", "int-rm-name"])
+        "string-rm-score", "bool-rm-score", "int-rm-name", "empty-prompt-text",
+        "none-prompt-text", "int-response-id", "surrogate-response-id"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
@@ -659,7 +672,20 @@ def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attribut
     (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]}, 2,
      MalformedRecord, {"args": ("hand-built: field 'prompt_id': unknown prompt 'p9'",)}),
     ([], {}, 2, MalformedRecord, {"args": ("hand-built: field '-': no prompt records",)}),
-], ids=["repeated-prompt", "one-response", "unknown-prompt", "no-prompts"])
+    # an id the reader would reject is rejected before the ids are sorted or compared
+    (["p1", 5], {"p1": ["a", "b"]}, 2, MalformedRecord,
+     {"args": ("hand-built: field 'prompt_id': prompt 5: required non-empty string",)}),
+    ([5, 5], {}, 2, MalformedRecord,
+     {"args": ("hand-built: field 'prompt_id': prompt 5: required non-empty string",)}),
+    (["p1", "x\ud800"], {"p1": ["a", "b"]}, 2, MalformedRecord,
+     {"args": ("hand-built: field 'prompt_id': prompt 'x\\ud800': cannot be encoded as UTF-8",)}),
+    (["p1"], {"p1": [7, 7]}, 2, MalformedRecord,
+     {"args": ("hand-built: field 'response_id': response 'p1/7': required non-empty string",)}),
+    (["p1"], {"p1": ["a", "b"], 5: ["a", "b"], "p9": ["a", "b"]}, 2, MalformedRecord,
+     {"args": ("hand-built: field 'prompt_id': unknown prompt 5",)}),
+], ids=["repeated-prompt", "one-response", "unknown-prompt", "no-prompts", "int-prompt-id",
+        "repeated-int-prompt-id", "surrogate-prompt-id", "repeated-int-response-id",
+        "int-unknown-prompt"])
 def test_construction_rejects_bad_prompt_sets_and_sizes(prompt_ids, response_ids, size, error,
                                                          attributes):
     with pytest.raises(error) as raised:
@@ -748,3 +774,123 @@ def test_ids_that_cannot_be_encoded_are_malformed_records(tiny_dataset_dir, tmp_
     with pytest.raises(MalformedRecord) as info:
         read()
     assert str(info.value) == f"{name}:{line}: field '{field}': cannot be encoded as UTF-8"
+
+
+# --- the block reader: canonical files take it, anything else reads as the
+# per-line reader alone reads it
+
+def _canonical_dir(directory: Path) -> Path:
+    """A 3 x 3 dataset, one response with a text, and its score table, as
+    write_benchmark and write_rm_scores write them."""
+    prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(3)]
+    responses = {p.prompt_id: [ResponseRecord(p.prompt_id, f"r{j}", 1.5 + i + j / 4,
+                                              "some text" if (i, j) == (0, 0) else None)
+                               for j in range(3)]
+                 for i, p in enumerate(prompts)}
+    dataset = BenchmarkDataset("readers", prompts, responses, 3)
+    write_benchmark(dataset, directory)
+    scores = {pair: 0.25 * k - 1.0 for k, pair in enumerate(dataset.iter_pairs())}
+    write_rm_scores(RmScoreTable("rm", scores), directory / "rm_scores.jsonl")
+    return directory
+
+
+def _on_line(edit):
+    """An edit of a file's text that applies ``edit`` to its second line."""
+    def apply(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        lines[1] = edit(lines[1])
+        return "".join(lines)
+    return apply
+
+
+def _with_key(key: str, value: str):
+    return _on_line(lambda line: line[:-2] + f', "{key}": {value}}}\n')
+
+
+def _number(value: str):
+    """The line's score or oracle score spelled as ``value``."""
+    return _on_line(lambda line: re.sub(r'("(?:oracle_)?score": )[^,}]+',
+                                        lambda m: m.group(1) + value, line, count=1))
+
+
+_ANY_FILE = {
+    "canonical": lambda text: text,
+    "keys-reordered": _on_line(
+        lambda line: json.dumps(dict(reversed(json.loads(line).items()))) + "\n"),
+    "extra-spaces": _on_line(lambda line: line.replace(", ", " ,  ", 1)),
+    "escaped-prompt-id": _on_line(lambda line: line.replace(': "p', ': "\\u0070', 1)),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "no-final-newline": lambda text: text[:-1],
+    "blank-line": _on_line(lambda line: "\n" + line),
+    "bom": lambda text: "\ufeff" + text,
+    "unknown-key": _with_key("note", "1"),
+    "duplicate-line": _on_line(lambda line: line + line),
+    "junk-line": _on_line(lambda line: line + "x\n"),
+    "missing-line": _on_line(lambda line: ""),
+}
+_NUMBERS = {"int": "2", "401-digit-int": "9" * 401, "upper-exponent": "1E5",
+            "small-exponent": "1e-3", "past-float-range": "1e400", "nan": "NaN",
+            "infinity": "Infinity", "negative-zero": "-0.0", "trailing-zero": "2.50",
+            "plus-sign": "+1.5", "leading-zero": "01.5"}
+_VARIANTS = [
+    *[(name, file, edit) for file in ("prompts.jsonl", "responses.jsonl", "rm_scores.jsonl")
+      for name, edit in _ANY_FILE.items()],
+    *[(f"{name}-score", file, _number(value)) for file in ("responses.jsonl", "rm_scores.jsonl")
+      for name, value in _NUMBERS.items()],
+    *[("escaped-response-id", file, _on_line(lambda line: line.replace(': "r', ': "\\u0072', 1)))
+      for file in ("responses.jsonl", "rm_scores.jsonl")],
+    ("escaped-text", "responses.jsonl", _with_key("text", '"a\\u00e9\\n"')),
+    ("empty-text", "responses.jsonl", _with_key("text", '""')),
+    ("oracle-samples", "responses.jsonl", _on_line(lambda line: json.dumps(
+        dict(json.loads(line), oracle_samples=[json.loads(line)["oracle_score"]] * 2)) + "\n")),
+    ("above-max", "responses.jsonl", _number("11.0")),
+    ("unknown-prompt", "responses.jsonl", _on_line(lambda line: line.replace('"p0"', '"p9"'))),
+    ("empty-text", "prompts.jsonl", _on_line(lambda line: re.sub('"text": "[^"]*"',
+                                                                   '"text": ""', line))),
+    ("perplexity", "prompts.jsonl", _with_key("perplexity", "2.5")),
+    ("unknown-pair", "rm_scores.jsonl", _on_line(lambda line: line.replace('"r1"', '"zz"'))),
+    ("mixed-rm-name", "rm_scores.jsonl", _on_line(lambda line: line.replace('"rm"', '"other"'))),
+]
+
+
+def _read(directory: Path):
+    """The loaded dataset and table with their warnings, or the error's type and text."""
+    try:
+        data = load_benchmark(directory)
+        table = ingest_rm_scores(data, directory / "rm_scores.jsonl")
+    except RetabenchError as exc:
+        return type(exc), str(exc)
+    return data, data.load_warnings, table, table.load_warnings
+
+
+def _decline(path, pattern):
+    raise dataset_module._NotCanonical
+
+
+@pytest.mark.parametrize("name, file, edit", _VARIANTS,
+                         ids=[f"{file.split('.')[0]}-{name}" for name, file, _ in _VARIANTS])
+def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, file, edit):
+    directory = _canonical_dir(tmp_path / "d")
+    path = directory / file
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+    shipped = _read(directory)
+    monkeypatch.setattr(dataset_module, "_canonical_rows", _decline)
+    assert shipped == _read(directory)
+
+
+def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
+    # a pattern that declined every file would pass every other test
+    spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
+    generated, table = gen_synthetic(spec, 3, 512, seed=5, name="synth")
+    write_benchmark(generated, tmp_path / "synth")
+    write_rm_scores(table, tmp_path / "synth" / "rm_scores.jsonl")
+    _canonical_dir(tmp_path / "readers")
+    expected = _read(tmp_path / "readers")
+
+    def per_line_reader(path):
+        raise AssertionError(f"{path} went to the per-line reader")
+    monkeypatch.setattr(dataset_module, "_iter_jsonl", per_line_reader)
+    assert _read(tmp_path / "synth") == (generated, [], table, [])
+    assert _read(tmp_path / "readers") == expected
+    assert expected[0].responses["p0"][0].text == "some text"

@@ -20,7 +20,13 @@ from retabench import (
     subset_log_det,
 )
 from retabench.dpp import _condition
-from retabench.errors import DegenerateInit, InvalidConfig, MissingEmbedding, ZeroMatrix
+from retabench.errors import (
+    DegenerateInit,
+    InvalidConfig,
+    MalformedRecord,
+    MissingEmbedding,
+    ZeroMatrix,
+)
 
 
 def records(matrix) -> list[PromptRecord]:
@@ -45,6 +51,22 @@ def test_build_missing_embedding():
     prompts = records(np.eye(2)) + [PromptRecord("c999", "text", None)]
     with pytest.raises(MissingEmbedding):
         build_dpp(prompts)
+
+
+@pytest.mark.parametrize("embedding, message", [
+    (("1.0", "0"), "must be a number"),
+    (("x", "0"), "must be a number"),
+    ((True, 0.0), "must be a number"),
+    ((math.nan, 1.0), "contains non-finite values"),
+    ((), "must be a non-empty array"),
+], ids=["numeric-string", "string", "bool", "nan", "empty"])
+def test_build_rejects_what_the_candidate_reader_rejects(embedding, message):
+    # hand-built records get the reader's embedding rule, not a silent
+    # conversion or a bare numpy error
+    prompts = records(np.eye(2)) + [PromptRecord("bad", "text", embedding)]
+    with pytest.raises(MalformedRecord) as raised:
+        build_dpp(prompts)
+    assert str(raised.value) == f"candidate prompts: field 'embedding': prompt 'bad': {message}"
 
 
 def test_build_zero_matrix():
