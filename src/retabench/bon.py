@@ -9,8 +9,8 @@ over pool ranks r with hypergeometric weights
 i.e. the probability that the pool's rank-r response lands at subset rank
 k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
-property-tested against brute force. Best-m-of-n sums the first m rows
-of the weight table and builds no others.
+property-tested against brute force. Best-m-of-n reads the top-m sum
+w_1 + ... + w_m, which ``ranking._top_sums`` takes from the row w_m alone.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .ranking import (
     RankedResponses,
     _log_factorials,
     _rank_weights,
+    _top_sums,
     oracle_matrix,
     subset_rank_weights,
 )
@@ -59,7 +60,8 @@ def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
 def _top_m_weights(pool_size: int, m: int, n: int) -> np.ndarray:
     if not 1 <= m <= n <= pool_size:
         raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool_size}")
-    return _rank_weights(_log_factorials(pool_size), n, np.arange(1, m + 1)).sum(axis=0) / m
+    counts = np.array([m])
+    return _top_sums(_rank_weights(_log_factorials(pool_size), n, counts), n, counts)[0] / m
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ The subset-rank weight w_k(r), the probability that pool rank r lands at
 rank k of a uniform n-subset, is the product of a factor in r, a factor
 in k and a factor in r - k. A table of any rows k is therefore one
 gather from a single vector plus two broadcast adds and one exp in log
-space, and callers build only the rows they read.
+space. The top-c sum w_1 + ... + w_c, which RETA and best-m-of-n read,
+comes from the row w_c alone (``_top_sums``), so no caller builds the
+rows above it.
 """
 
 from __future__ import annotations
@@ -151,14 +153,40 @@ def _rank_weights(log_fact: np.ndarray, n: int, ranks: np.ndarray,
     # g(d) for d = r - k in [1-n, N-1], stored at index d + n - 1
     g = np.full(pool_size + n - 1, -np.inf)
     g[n - 1:pool_size] = -(log_fact[:spare + 1] + log_fact[spare::-1])
-    # window n-k is g(r-k) over r = 1..N; mode="clip" never clips (every
-    # index is in range) but lets take write straight into ``out``
-    windows = np.lib.stride_tricks.sliding_window_view(g, pool_size)
+    # window n-k is g(r-k) over r = 1..N, a strided view of g (built
+    # directly: sliding_window_view costs more than the rest of a small
+    # table); mode="clip" never clips (every index is in range) but lets
+    # take write straight into ``out``
+    windows = np.ndarray((n, pool_size), buffer=g, strides=(g.itemsize, g.itemsize))
     log_w = np.take(windows, n - ranks, axis=0, out=out, mode="clip")
     log_w += log_fact[:pool_size] + log_fact[pool_size - 1::-1]  # log (r-1)! (N-r)!
     log_w += (log_fact[n] + log_fact[spare] - log_fact[pool_size]
               - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
     return np.exp(log_w, out=log_w)
+
+
+def _top_sums(rows: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
+    """Top-c sums top_c(r) = w_1(r) + ... + w_c(r), one for each row w_c of
+    ``rows`` (from ``_rank_weights``) with c the matching entry of ``counts``;
+    a row of zeros stands for w_0, whose top sum is zero.
+
+    top_c(r) is the chance that pool rank r is in a uniform n-subset with
+    at most c - 1 members above it. One rank down it loses the subsets
+    holding r, r + 1 and exactly c - 1 members above r, so
+    top_c(r) - top_c(r + 1) = w_c(r) * (n - c) / (N - r): top_c is a
+    reverse cumulative sum of that row over ranks, and every term is
+    non-negative, so nothing cancels. Past rank N - n + c the row, and so
+    the sum, is exactly zero. At c = n every rank reads exactly n/N.
+    """
+    pool_size = rows.shape[1]
+    # the step out of rank r for r = 1..N-1; from rank N there is none,
+    # since w_c(N) = 0 for every c < n
+    steps = np.divide.outer(n - counts, np.arange(pool_size - 1, 0, -1.0))
+    steps *= rows[:, :-1]
+    sums = np.zeros(rows.shape)
+    np.cumsum(steps[:, ::-1], axis=1, out=sums[:, -2::-1])
+    sums[counts == n] = n / pool_size
+    return sums
 
 
 def subset_rank_weights(pool_size: int, n: int, k: int) -> np.ndarray:

@@ -13,12 +13,13 @@ sizes proportional to ``N**(2/3)``.
 
 The expectation is computed exactly rather than sampled, so estimates
 carry no Monte Carlo error and involve no randomness. Each n contributes,
-per eta, one coefficient vector over pool ranks, built from the
-subset-rank weights of ``ranking`` only down to the deepest rank the eta
-grid reads; the vectors are summed over n, and each eta's sum meets the
-(prompts x N) oracle matrix in one matrix-vector product. ``eta == 1`` is
-set exactly. ``exhaustive_reta`` enumerates every subset as an
-independent reference.
+per eta, one coefficient vector over pool ranks, built from two rows of
+the subset-rank weights of ``ranking`` (subset ranks floor(eta*n) and the
+one below it) and the top sum that ``ranking._top_sums`` takes from the
+first of them; the vectors are summed over n, and each eta's sum meets
+the (prompts x N) oracle matrix in one matrix-vector product.
+``eta == 1`` is set exactly. ``exhaustive_reta`` enumerates every subset
+as an independent reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ from .errors import (
     InvalidConfig,
     TooManySubsets,
 )
-from .ranking import RankedResponses, _log_factorials, _rank_weights, eta_parts, oracle_matrix
+from .ranking import (
+    RankedResponses,
+    _log_factorials,
+    _rank_weights,
+    _top_sums,
+    eta_parts,
+    oracle_matrix,
+)
 
 MAX_ENUMERATED_SUBSETS = 1_000_000
 
@@ -132,32 +140,41 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     With eta*n = c + delta, a subset's selection total is its top c oracle
     scores plus delta*(1-delta) times rank c and delta**2 times rank c+1,
     so its expectation weights pool rank r by
-    cum_c(r) + delta*(1-delta)*w_c(r) + delta**2*w_{c+1}(r), with w_k the
-    subset-rank weights and cum_c = w_1 + ... + w_c. Each n's table is
-    built only down to the deepest rank an eta < 1 reads; eta == 1 rows
-    stay zero, since the caller sets them exactly. Every eta's row comes
-    from the same elementwise steps whatever the other etas are.
+    top_c(r) + delta*(1-delta)*w_c(r) + delta**2*w_{c+1}(r), with w_k the
+    subset-rank weights and top_c = w_1 + ... + w_c taken from the row w_c
+    (``ranking._top_sums``). Each n builds only the rows c and c+1 of each
+    eta, in one call; eta == 1 rows stay zero, since the caller sets them
+    exactly. Every eta's row comes from the same elementwise steps whatever
+    the other etas are.
     """
     coefs = np.zeros((len(etas), pool))
     log_fact = _log_factorials(pool)
+    first = int(etas[0] == 1.0)
     for n in grid:
-        parts = [eta_parts(eta, n) for eta in etas]
-        depth = min(n, max((count + 1 for eta, (count, _) in zip(etas, parts) if eta < 1.0),
-                           default=0))
-        # row k is w_k; row 0 stands for the empty rank 0
-        weights = np.empty((depth + 1, pool))
-        weights[0] = 0.0
-        _rank_weights(log_fact, n, np.arange(1, depth + 1), out=weights[1:])
-        cumulative = np.cumsum(weights, axis=0)
-        for coef, eta, (count, delta) in zip(coefs, etas, parts):
-            scaled = count + delta  # eta * n with float noise snapped off
-            if eta == 1.0 or scaled == 0.0:
-                continue
-            term = cumulative[count] + delta * (1.0 - delta) * weights[count]
-            if delta > 0.0:
-                term += delta * delta * weights[count + 1]
-            term /= scaled
-            coef += term
+        # (c, delta) of each eta < 1 down to the first with eta*n == 0; the
+        # etas decrease, so every later one has eta*n == 0 too
+        parts = []
+        for eta in etas[first:]:
+            count, delta = eta_parts(eta, n)
+            if count + delta == 0.0:
+                break
+            parts.append((count, delta))
+        if not parts:
+            continue
+        ranks = sorted({count for count, _ in parts if count}
+                       | {count + 1 for count, delta in parts if delta > 0.0})
+        # row at[k] is w_k; row 0 stands for the empty rank 0
+        at = {0: 0, **{rank: i for i, rank in enumerate(ranks, start=1)}}
+        weights = np.zeros((len(at), pool))
+        _rank_weights(log_fact, n, np.array(ranks), out=weights[1:])
+        top = weights[[at[count] for count, _ in parts]]
+        below = weights[[at[count + 1] if delta > 0.0 else 0 for count, delta in parts]]
+        counts, deltas = np.array(parts).T[:, :, None]  # columns, a row per eta
+        term = _top_sums(top, n, counts[:, 0])
+        term += deltas * (1.0 - deltas) * top
+        term += deltas * deltas * below
+        term /= counts + deltas
+        coefs[first:first + len(parts)] += term
     return coefs
 
 
@@ -252,7 +269,7 @@ def _spread(values: Sequence[float]) -> float:
 def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
                  etas: Sequence[float], config: RetaConfig) -> list[RetaEstimate]:
     """Estimates at every eta, each averaged over the n grid and all prompts;
-    each n's weight table is built once and serves every eta."""
+    each n's weight rows are built once, in one call, for every eta."""
     _check_etas(etas)  # before the grid, whose errors would hide a bad eta
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()

@@ -21,9 +21,12 @@ from retabench.errors import EmptySelection, InvalidConfig, MissingScore
 from retabench.ranking import (
     _log_factorials,
     _rank_orders,
+    _rank_weights,
     _score_matrices,
+    _top_sums,
     oracle_matrix,
 )
+from retabench.reta import default_eta_grid
 
 from conftest import build_dataset, build_table, unordered_ties_dataset
 
@@ -130,3 +133,61 @@ def test_log_factorials_match_gammaln():
     assert log_fact[0] == 0.0 and log_fact[1] == 0.0
     reference = gammaln(np.arange(2, 100_001, dtype=np.float64) + 1.0)
     assert np.max(np.abs(log_fact[2:] - reference) / reference) <= 1e-15
+
+
+def exact_top_numerators(pool, n):
+    """(n + 1) x pool integers: entry [c][r - 1] is
+    sum over k <= c of C(r-1, k-1) * C(N-r, n-k), the top-c sum times C(N, n)."""
+    pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(pool)]
+    columns = []
+    for r in range(1, pool + 1):
+        above, below = pascal[r - 1], pascal[pool - r]
+        column = [0]
+        for k in range(1, n + 1):
+            ways = ((above[k - 1] if k <= r else 0)
+                    * (below[n - k] if n - k <= pool - r else 0))
+            column.append(column[-1] + ways)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def check_top_sums(pool, n, counts):
+    """Top sums from ``_top_sums`` against exact integers; returns the worst
+    relative error. Zeros must be exact past rank N - n + c, and c = n must
+    read exactly n/N."""
+    log_fact = _log_factorials(pool)
+    counts = np.asarray(counts)
+    rows = np.zeros((len(counts), pool))  # a row of zeros stands for w_0
+    rows[counts > 0] = _rank_weights(log_fact, n, counts[counts > 0])
+    sums = _top_sums(rows, n, counts)
+    exact = exact_top_numerators(pool, n)
+    denominator = math.comb(pool, n)
+    worst = 0.0
+    for c, row in zip(counts.tolist(), sums.tolist()):
+        if c == n:
+            assert row == [n / pool] * pool, (pool, n)
+            continue
+        for r, value in enumerate(row, start=1):
+            numerator = exact[c][r - 1]
+            assert (numerator == 0) == (c == 0 or r > pool - n + c), (pool, n, c, r)
+            if numerator == 0:
+                assert value == 0.0, (pool, n, c, r)
+            else:
+                worst = max(worst, abs(value - numerator / denominator) * denominator
+                            / numerator)
+    return worst
+
+
+def test_top_sums_match_exact_binomials_for_every_count():
+    worst = 0.0
+    for pool in (1, 2, 7, 64):
+        for n in range(1, pool + 1):
+            worst = max(worst, check_top_sums(pool, n, np.arange(n + 1)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [121, 201])
+def test_top_sums_match_exact_binomials_at_paper_scale(n):
+    # the counts RETA reads at N = 256: floor(eta*n) over the default grid
+    counts = sorted({0, 1, n} | {eta_parts(eta, n)[0] for eta in default_eta_grid()})
+    assert check_top_sums(256, n, counts) <= 1e-12

@@ -22,7 +22,8 @@ from retabench import (
     DistSpec,
     gen_synthetic,
 )
-from retabench.ranking import RankedResponses, eta_parts
+from retabench.ranking import RankedResponses, eta_parts, subset_rank_table
+from retabench.reta import _coefficients, default_eta_grid
 from retabench.errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -314,6 +315,36 @@ def test_paper_scale_curve_matches_exact_binomials():
             oracle = rank_by_table(dataset, table, pid).oracle_scores.tolist()
             expected = exact_reta_at(oracle, point.eta, grid)
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (point.eta, pid)
+
+
+def running_sum_coefficients(pool, grid, etas):
+    """Independent reference for ``_coefficients``: each n's whole table of
+    subset-rank weights and its running sum over subset ranks, with no top
+    sum taken from a single row."""
+    coefs = np.zeros((len(etas), pool))
+    for n in grid:
+        # row k is w_k; row 0 stands for the empty rank 0
+        weights = np.vstack([np.zeros(pool), subset_rank_table(pool, n)])
+        cumulative = np.cumsum(weights, axis=0)
+        for coef, eta in zip(coefs, etas):
+            count, delta = eta_parts(eta, n)
+            if eta == 1.0 or count + delta == 0.0:
+                continue
+            term = cumulative[count] + delta * (1.0 - delta) * weights[count]
+            if delta > 0.0:
+                term += delta * delta * weights[count + 1]
+            coef += term / (count + delta)
+    return coefs
+
+
+@pytest.mark.parametrize("pool", [64, 128, 256])
+def test_coefficients_match_running_sum_over_whole_tables(pool):
+    etas = default_eta_grid()
+    grid = resample_sizes(pool, RetaConfig())
+    fast, reference = _coefficients(pool, grid, etas), running_sum_coefficients(pool, grid, etas)
+    assert np.array_equal(fast == 0.0, reference == 0.0)
+    nonzero = reference != 0.0
+    assert np.max(np.abs(fast - reference)[nonzero] / reference[nonzero]) <= 1e-12
 
 
 def test_estimate_aggregation_invariants():
