@@ -17,7 +17,6 @@ from .bon import (
     default_n_grid,
     kl_best_of_n,
     rank_k_of_n_estimate,
-    subset_rank_weights,
     write_bon_csv,
 )
 from .dataset import (
@@ -57,7 +56,14 @@ from .metrics import (
     win_rate_aggregate,
     write_metrics_csv,
 )
-from .ranking import RankedResponses, beta_subset, eta_parts, rank_by_oracle, rank_by_table
+from .ranking import (
+    RankedResponses,
+    beta_subset,
+    eta_parts,
+    rank_by_oracle,
+    rank_by_table,
+    subset_rank_weights,
+)
 from .reta import (
     RetaConfig,
     RetaCurve,

@@ -9,8 +9,9 @@ over pool ranks r with hypergeometric weights
 i.e. the probability that the pool's rank-r response lands at subset rank
 k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
-property-tested against brute force. Best-m-of-n reads the top-m sum
-w_1 + ... + w_m, which ``ranking._top_sums`` takes from the row w_m alone.
+property-tested against brute force. Best-m-of-n reads the mean of the
+top m, the selection row ``ranking._selection_weights`` builds at (m, 0).
+Each curve builds one log-factorial table for all of its n.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .ranking import (
     RankedResponses,
     _log_factorials,
     _rank_weights,
-    _top_sums,
+    _selection_weights,
     oracle_matrix,
-    subset_rank_weights,
 )
 from .reta import _spread
 
@@ -40,28 +40,6 @@ def kl_best_of_n(n: int) -> float:
     if n < 1:
         raise InvalidConfig(f"n must be positive, got {n}")
     return math.log(n) - (n - 1) / n
-
-
-def bon_estimate(ranked_all: RankedResponses, n: int) -> float:
-    """Expected oracle score of the RM's best pick within a uniform n-subset."""
-    return rank_k_of_n_estimate(ranked_all, 1, n)
-
-
-def rank_k_of_n_estimate(ranked_all: RankedResponses, k: int, n: int) -> float:
-    """Expected oracle score of the RM's k-th pick within a uniform n-subset."""
-    return float(subset_rank_weights(len(ranked_all), n, k) @ ranked_all.oracle_scores)
-
-
-def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
-    """Expected mean oracle score of the RM's top m within a uniform n-subset."""
-    return float(_top_m_weights(len(ranked_all), m, n) @ ranked_all.oracle_scores)
-
-
-def _top_m_weights(pool_size: int, m: int, n: int) -> np.ndarray:
-    if not 1 <= m <= n <= pool_size:
-        raise InvalidConfig(f"need 1 <= m <= n <= N, got m={m}, n={n}, N={pool_size}")
-    counts = np.array([m])
-    return _top_sums(_rank_weights(_log_factorials(pool_size), n, counts), n, counts)[0] / m
 
 
 @dataclass(frozen=True)
@@ -94,11 +72,34 @@ class BonVariant:
     def min_n(self) -> int:
         return 1 if self.param is None else self.param
 
-    def weights(self, pool_size: int, n: int) -> np.ndarray:
-        """Weights over pool ranks whose dot product with oracle scores is the estimate."""
+    def _weights(self, log_fact: np.ndarray, n: int) -> np.ndarray:
+        """Weights over the ranks of the pool whose ``_log_factorials`` is
+        ``log_fact``; their dot product with oracle scores is the estimate."""
         if self.kind == "best_m_of_n":
-            return _top_m_weights(pool_size, self.param, n)
-        return subset_rank_weights(pool_size, n, 1 if self.param is None else self.param)
+            return _selection_weights(log_fact, n, np.array([self.param]), np.zeros(1))[0]
+        return _rank_weights(log_fact, n, np.array([self.min_n]))[0]
+
+
+def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float:
+    pool = len(ranked_all)
+    if not variant.min_n <= n <= pool:
+        raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
+    return float(variant._weights(_log_factorials(pool), n) @ ranked_all.oracle_scores)
+
+
+def bon_estimate(ranked_all: RankedResponses, n: int) -> float:
+    """Expected oracle score of the RM's best pick within a uniform n-subset."""
+    return _estimate(ranked_all, BonVariant("best_of_n"), n)
+
+
+def rank_k_of_n_estimate(ranked_all: RankedResponses, k: int, n: int) -> float:
+    """Expected oracle score of the RM's k-th pick within a uniform n-subset."""
+    return _estimate(ranked_all, BonVariant("rank_k_of_n", k), n)
+
+
+def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
+    """Expected mean oracle score of the RM's top m within a uniform n-subset."""
+    return _estimate(ranked_all, BonVariant("best_m_of_n", m), n)
 
 
 @dataclass
@@ -146,9 +147,10 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
     oracle = oracle_matrix(dataset, table)
+    log_fact = _log_factorials(pool)
     points = []
     for n in grid:
-        values = (oracle @ variant.weights(pool, n)).tolist()
+        values = (oracle @ variant._weights(log_fact, n)).tolist()
         points.append(BonPoint(n=n, value=math.fsum(values) / len(values),
                                std_error=_spread(values)))
     return BonCurve(

@@ -63,6 +63,7 @@ _RESPONSE_KEYS = frozenset(
 _SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
 _FLOAT_TYPE = frozenset({float})
 _STR_TYPE = frozenset({str})
+_TUPLE_TYPE = frozenset({tuple})
 # Fields that reach output files and file names must encode as UTF-8; JSON's
 # "\ud800" escape gives a str with a lone surrogate, which does not.
 _NAME_KEYS = frozenset({"prompt_id", "response_id", "rm_name"})
@@ -124,14 +125,17 @@ class BenchmarkDataset:
     prompt whose response list is missing or does not hold exactly
     ``responses_per_prompt`` responses, or for fewer than 2 responses per
     prompt, and ``MalformedRecord`` for no prompts at all or for a response
-    list keyed by a prompt that is not in ``prompts``.
+    list keyed by a prompt that is not in ``prompts``. Before all of
+    these it raises ``InvalidConfig`` for a ``responses_per_prompt`` that
+    is not an int (a bool is not one).
 
     It applies the reader's value rules (the ``_*_problem`` predicates)
     too: ``MalformedRecord``, naming the dataset and the record, for a
     ``prompt_id``, ``response_id`` or prompt ``text`` that is not a
     non-empty string (an id must also encode as UTF-8), checked before
-    anything else, and for an oracle score, sample, embedding entry or
-    perplexity that is not a number (a bool is not one, an int is),
+    the shape, for a response ``text`` that is neither None nor a string,
+    and for an oracle score, sample, embedding entry or perplexity that is
+    not a number (a bool is not one, an int is),
     ``NonPositiveOracleScore`` for an oracle score that is not positive and
     finite, and ``MalformedRecord`` for a response filed under another
     prompt's id, bad ``oracle_samples``, an embedding that is not finite,
@@ -146,6 +150,9 @@ class BenchmarkDataset:
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
 
     def __post_init__(self) -> None:
+        size = self.responses_per_prompt
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise InvalidConfig(f"responses_per_prompt must be an int, got {size!r}")
         self._check_strings(self.prompts, "prompt_id", _prompt_label)
         self._check_strings(self.prompts, "text", _prompt_label)
         self.prompts = sorted(self.prompts, key=_prompt_id)
@@ -159,7 +166,6 @@ class BenchmarkDataset:
                                   f"unknown prompt {min(unknown, key=str)!r}")
         self._check_strings(list(chain.from_iterable(self.responses.values())), "response_id",
                             _response_label)
-        size = self.responses_per_prompt
         responses = {pid: sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids}
         for pid, rows in responses.items():
             if len(rows) != size:
@@ -202,6 +208,9 @@ class BenchmarkDataset:
                 if resp.prompt_id != pid:
                     self._reject(f"response {pid + '/' + resp.response_id!r}", "prompt_id",
                                  f"names prompt {resp.prompt_id!r}")
+                if resp.text is not None and not isinstance(resp.text, str):
+                    self._reject(f"response {pid + '/' + resp.response_id!r}", "text",
+                                 "must be a string")
                 if resp.oracle_samples is not None:
                     self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
                                  _numbers_problem(resp.oracle_samples)
@@ -822,7 +831,11 @@ def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
     """Write a score table as rm_scores.jsonl in canonical (sorted) order.
 
     Each line is the bytes ``json.dumps`` gives for the record's dict.
+    Raises ``MalformedRecord``, naming the table and the key, before it
+    touches ``path`` when a key is not a (prompt_id, response_id) pair of
+    ids that ``ingest_rm_scores`` reads back as the same pair.
     """
+    _check_pairs(table)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     rm_name = _json_value(table.rm_name)
@@ -832,6 +845,26 @@ def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
             pid, rid = pair
             fh.write(f'{{"prompt_id": {_json_value(pid)}, "response_id": {_json_value(rid)}, '
                      f'"rm_name": {rm_name}, "score": {_json_value(scores[pair])}}}\n')
+
+
+def _check_pairs(table: RmScoreTable) -> None:
+    """Raise MalformedRecord, naming the table and the key, for the first key
+    of ``table.scores`` that is not a pair of ids passing ``_str_problem``;
+    pairs of non-empty ASCII strings pass in one pass."""
+    keys = list(table.scores)
+    if _TUPLE_TYPE.issuperset(map(type, keys)) and {2}.issuperset(map(len, keys)):
+        ids = list(chain.from_iterable(keys))
+        if _STR_TYPE.issuperset(map(type, ids)) and all(ids) and "".join(ids).isascii():
+            return
+    source = f"score table {table.rm_name!r}"
+    for key in keys:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise MalformedRecord(source, None, "-",
+                                  f"key {key!r}: not a (prompt_id, response_id) pair")
+        for name, value in zip(("prompt_id", "response_id"), key):
+            problem = _str_problem(value, name)
+            if problem:
+                raise MalformedRecord(source, None, name, f"pair {key!r}: {problem}")
 
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:

@@ -10,9 +10,9 @@ The subset-rank weight w_k(r), the probability that pool rank r lands at
 rank k of a uniform n-subset, is the product of a factor in r, a factor
 in k and a factor in r - k. A table of any rows k is therefore one
 gather from a single vector plus two broadcast adds and one exp in log
-space. The top-c sum w_1 + ... + w_c, which RETA and best-m-of-n read,
-comes from the row w_c alone (``_top_sums``), so no caller builds the
-rows above it.
+space. The top-c sum w_1 + ... + w_c comes from the row w_c alone
+(``_top_sums``). ``_selection_weights`` combines the two into the rows
+RETA and best-m-of-n read, on one ``_log_factorials`` table per pool.
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def _log_factorials(pool_size: int) -> np.ndarray:
     return np.array(list(map(math.lgamma, range(1, pool_size + 2))), dtype=np.float64)
 
 
-def _rank_weights(log_fact: np.ndarray, n: int, ranks: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _rank_weights(log_fact: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarray:
     """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n) for subset ranks k in ``ranks``.
 
     ``log_fact`` is ``_log_factorials(N)``; callers that build many tables
@@ -146,7 +145,8 @@ def _rank_weights(log_fact: np.ndarray, n: int, ranks: np.ndarray,
     g(r-k) = -log (r-k)! - log (N-n-(r-k))!, which is -inf where r-k falls
     outside [0, N-n]. The table is therefore one gather from g, two
     broadcast adds and one exp, and impossible placements come out as
-    exp(-inf) = 0 exactly. ``out``, if given, receives the rows.
+    exp(-inf) = 0 exactly. Each row comes from the same elementwise steps
+    whatever the other ranks are.
     """
     pool_size = len(log_fact) - 1
     spare = pool_size - n
@@ -154,15 +154,36 @@ def _rank_weights(log_fact: np.ndarray, n: int, ranks: np.ndarray,
     g = np.full(pool_size + n - 1, -np.inf)
     g[n - 1:pool_size] = -(log_fact[:spare + 1] + log_fact[spare::-1])
     # window n-k is g(r-k) over r = 1..N, a strided view of g (built
-    # directly: sliding_window_view costs more than the rest of a small
-    # table); mode="clip" never clips (every index is in range) but lets
-    # take write straight into ``out``
+    # directly: sliding_window_view costs more than the rest of a small table)
     windows = np.ndarray((n, pool_size), buffer=g, strides=(g.itemsize, g.itemsize))
-    log_w = np.take(windows, n - ranks, axis=0, out=out, mode="clip")
+    log_w = windows[n - ranks]
     log_w += log_fact[:pool_size] + log_fact[pool_size - 1::-1]  # log (r-1)! (N-r)!
     log_w += (log_fact[n] + log_fact[spare] - log_fact[pool_size]
               - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
     return np.exp(log_w, out=log_w)
+
+
+def _selection_weights(log_fact: np.ndarray, n: int, counts: np.ndarray,
+                       deltas: np.ndarray) -> np.ndarray:
+    """Pool-rank weights of a uniform n-subset's top c members plus
+    delta*(1-delta) of its rank c and delta**2 of its rank c+1, over
+    c + delta: rows (top_c + delta*(1-delta)*w_c + delta**2*w_{c+1}) / (c + delta)
+    for the entries of ``counts`` and ``deltas``, with w_0 = top_0 = 0.
+    Needs c + delta > 0, and c < n where delta > 0. Each row comes from the
+    same elementwise steps whatever the other rows are.
+    """
+    # rows w_c, then w_{c+1}; w_1 stands in for w_0 and is zeroed, and w_n
+    # for w_{n+1}, whose weight delta**2 is then zero
+    ranks = np.concatenate((np.maximum(counts, 1), np.minimum(counts + 1, n)))
+    weights = _rank_weights(log_fact, n, ranks)
+    top, below = weights[:len(counts)], weights[len(counts):]
+    top[counts == 0] = 0.0
+    deltas = deltas[:, None]
+    rows = _top_sums(top, n, counts)
+    rows += deltas * (1.0 - deltas) * top
+    rows += deltas * deltas * below
+    rows /= counts[:, None] + deltas
+    return rows
 
 
 def _top_sums(rows: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:

@@ -13,11 +13,10 @@ sizes proportional to ``N**(2/3)``.
 
 The expectation is computed exactly rather than sampled, so estimates
 carry no Monte Carlo error and involve no randomness. Each n contributes,
-per eta, one coefficient vector over pool ranks, built from two rows of
-the subset-rank weights of ``ranking`` (subset ranks floor(eta*n) and the
-one below it) and the top sum that ``ranking._top_sums`` takes from the
-first of them; the vectors are summed over n, and each eta's sum meets
-the (prompts x N) oracle matrix in one matrix-vector product.
+per eta, one coefficient vector over pool ranks, the selection row that
+``ranking._selection_weights`` builds for subset rank floor(eta*n) and
+the fraction past it; the vectors are summed over n, and each eta's sum
+meets the (prompts x N) oracle matrix in one matrix-vector product.
 ``eta == 1`` is set exactly. ``exhaustive_reta`` enumerates every subset
 as an independent reference.
 """
@@ -42,8 +41,7 @@ from .errors import (
 from .ranking import (
     RankedResponses,
     _log_factorials,
-    _rank_weights,
-    _top_sums,
+    _selection_weights,
     eta_parts,
     oracle_matrix,
 )
@@ -138,43 +136,20 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     the sum over n of the expected selection total divided by eta*n.
 
     With eta*n = c + delta, a subset's selection total is its top c oracle
-    scores plus delta*(1-delta) times rank c and delta**2 times rank c+1,
-    so its expectation weights pool rank r by
-    top_c(r) + delta*(1-delta)*w_c(r) + delta**2*w_{c+1}(r), with w_k the
-    subset-rank weights and top_c = w_1 + ... + w_c taken from the row w_c
-    (``ranking._top_sums``). Each n builds only the rows c and c+1 of each
-    eta, in one call; eta == 1 rows stay zero, since the caller sets them
-    exactly. Every eta's row comes from the same elementwise steps whatever
-    the other etas are.
+    scores plus delta*(1-delta) times rank c and delta**2 times rank c+1;
+    ``ranking._selection_weights`` turns that into weights over pool ranks,
+    one row per eta and the same row whatever the other etas are. eta == 1
+    rows stay zero, since the caller sets them exactly.
     """
     coefs = np.zeros((len(etas), pool))
     log_fact = _log_factorials(pool)
     first = int(etas[0] == 1.0)
     for n in grid:
-        # (c, delta) of each eta < 1 down to the first with eta*n == 0; the
-        # etas decrease, so every later one has eta*n == 0 too
-        parts = []
-        for eta in etas[first:]:
-            count, delta = eta_parts(eta, n)
-            if count + delta == 0.0:
-                break
-            parts.append((count, delta))
-        if not parts:
-            continue
-        ranks = sorted({count for count, _ in parts if count}
-                       | {count + 1 for count, delta in parts if delta > 0.0})
-        # row at[k] is w_k; row 0 stands for the empty rank 0
-        at = {0: 0, **{rank: i for i, rank in enumerate(ranks, start=1)}}
-        weights = np.zeros((len(at), pool))
-        _rank_weights(log_fact, n, np.array(ranks), out=weights[1:])
-        top = weights[[at[count] for count, _ in parts]]
-        below = weights[[at[count + 1] if delta > 0.0 else 0 for count, delta in parts]]
-        counts, deltas = np.array(parts).T[:, :, None]  # columns, a row per eta
-        term = _top_sums(top, n, counts[:, 0])
-        term += deltas * (1.0 - deltas) * top
-        term += deltas * deltas * below
-        term /= counts + deltas
-        coefs[first:first + len(parts)] += term
+        # the etas decrease, so those with eta*n == 0 come last
+        parts = [part for part in (eta_parts(eta, n) for eta in etas[first:]) if sum(part) > 0.0]
+        if parts:
+            counts, deltas = map(np.array, zip(*parts))
+            coefs[first:first + len(parts)] += _selection_weights(log_fact, n, counts, deltas)
     return coefs
 
 

@@ -15,6 +15,7 @@ from retabench import (
     bon_estimate,
     default_n_grid,
     kl_best_of_n,
+    rank_by_table,
     rank_k_of_n_estimate,
     subset_rank_weights,
     DistSpec,
@@ -196,7 +197,6 @@ def test_rank_k_curve_endpoint():
     dataset, table = gen_synthetic(spec, 3, 16, seed=8)
     curve = bon_curve(dataset, table, BonVariant("rank_k_of_n", 2))
     assert [p.n for p in curve.points] == [2, 4, 8, 16]
-    from retabench import rank_by_table
     expected = np.mean([
         rank_by_table(dataset, table, pid).oracle_scores[1]
         for pid in dataset.prompt_ids()
@@ -218,3 +218,22 @@ def test_variant_validation():
         BonVariant("nope")
     with pytest.raises(InvalidConfig):
         kl_best_of_n(0)
+
+
+@pytest.mark.parametrize("variant, estimate", [
+    (BonVariant("best_of_n"), bon_estimate),
+    (BonVariant("rank_k_of_n", 2), lambda ranked, n: rank_k_of_n_estimate(ranked, 2, n)),
+    (BonVariant("best_m_of_n", 3), lambda ranked, n: best_m_of_n_estimate(ranked, 3, n)),
+], ids=["best_of_n", "rank_2_of_n", "best_3_of_n"])
+def test_curve_points_are_means_of_per_prompt_estimates(variant, estimate):
+    # the curve's one log-factorial table gives the weights each per-prompt
+    # call builds for itself. The curve takes every prompt in one BLAS
+    # matrix-vector product and a per-prompt estimate one dot product; the
+    # two may sum in different orders, so they agree to a few ulp, not bits.
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 5, 64, seed=3)
+    ranked = [rank_by_table(dataset, table, pid) for pid in dataset.prompt_ids()]
+    curve = bon_curve(dataset, table, variant, n_values=range(variant.min_n, 65))
+    assert [point.n for point in curve.points] == list(range(variant.min_n, 65))
+    for point in curve.points:
+        values = [estimate(r, point.n) for r in ranked]
+        assert point.value == pytest.approx(math.fsum(values) / len(values), rel=1e-14, abs=0.0)

@@ -259,6 +259,27 @@ def test_score_round_trip(tiny_dataset_dir, tmp_path):
     assert reloaded == table
 
 
+@pytest.mark.parametrize("key, field, problem", [
+    (("p", 5), "response_id", "pair ('p', 5): required non-empty string"),
+    (("p", ""), "response_id", "pair ('p', ''): required non-empty string"),
+    ((7, "a"), "prompt_id", "pair (7, 'a'): required non-empty string"),
+    (("p", "a\ud800"), "response_id", "pair ('p', 'a\\ud800'): cannot be encoded as UTF-8"),
+    ("pa", "-", "key 'pa': not a (prompt_id, response_id) pair"),
+    (("p",), "-", "key ('p',): not a (prompt_id, response_id) pair"),
+    (("p", "a", "b"), "-", "key ('p', 'a', 'b'): not a (prompt_id, response_id) pair"),
+], ids=["int-response-id", "empty-response-id", "int-prompt-id", "surrogate-response-id",
+        "string-key", "one-id-key", "three-id-key"])
+def test_score_writer_rejects_keys_the_reader_cannot_read_back(tmp_path, key, field, problem):
+    # such a key would be written as a record ingest_rm_scores rejects, or
+    # (a string key) read back as another pair; nothing is written
+    table = RmScoreTable("rm", {("p", "b"): 0.5, key: 1.0})
+    path = tmp_path / "out" / "rm_scores.jsonl"
+    with pytest.raises(MalformedRecord) as raised:
+        write_rm_scores(table, path)
+    assert str(raised.value) == f"score table 'rm': field '{field}': {problem}"
+    assert not path.parent.exists()
+
+
 # ids that exercise every escape json.dumps makes, and values that are not
 # plain floats (ints and numpy floats; a bool is not a number) or sit at the
 # ends of the float range: RM scores (any finite value), positive values
@@ -418,12 +439,14 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
      "hand-built: field 'response_id': response 'p1/5': required non-empty string"),
     ({"record": ResponseRecord("p1", "a\ud800", 1.0)}, MalformedRecord,
      "hand-built: field 'response_id': response 'p1/a\\ud800': cannot be encoded as UTF-8"),
+    ({"record": ResponseRecord("p1", "a", 1.0, text=5)}, MalformedRecord,
+     "hand-built: field 'text': response 'p1/a': must be a string"),
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
         "string-sample", "string-embedding", "bool-embedding", "string-perplexity",
         "string-rm-score", "bool-rm-score", "int-rm-name", "empty-prompt-text",
-        "none-prompt-text", "int-response-id", "surrogate-response-id"])
+        "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
@@ -683,9 +706,14 @@ def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attribut
      {"args": ("hand-built: field 'response_id': response 'p1/7': required non-empty string",)}),
     (["p1"], {"p1": ["a", "b"], 5: ["a", "b"], "p9": ["a", "b"]}, 2, MalformedRecord,
      {"args": ("hand-built: field 'prompt_id': unknown prompt 5",)}),
+    # a size every estimator reads as a count must be one
+    (["p1"], {"p1": ["a", "b"]}, 2.0, InvalidConfig,
+     {"args": ("responses_per_prompt must be an int, got 2.0",)}),
+    (["p1"], {"p1": ["a", "b"]}, True, InvalidConfig,
+     {"args": ("responses_per_prompt must be an int, got True",)}),
 ], ids=["repeated-prompt", "one-response", "unknown-prompt", "no-prompts", "int-prompt-id",
         "repeated-int-prompt-id", "surrogate-prompt-id", "repeated-int-response-id",
-        "int-unknown-prompt"])
+        "int-unknown-prompt", "float-size", "bool-size"])
 def test_construction_rejects_bad_prompt_sets_and_sizes(prompt_ids, response_ids, size, error,
                                                          attributes):
     with pytest.raises(error) as raised:

@@ -23,6 +23,7 @@ from retabench.ranking import (
     _rank_orders,
     _rank_weights,
     _score_matrices,
+    _selection_weights,
     _top_sums,
     oracle_matrix,
 )
@@ -191,3 +192,52 @@ def test_top_sums_match_exact_binomials_at_paper_scale(n):
     # the counts RETA reads at N = 256: floor(eta*n) over the default grid
     counts = sorted({0, 1, n} | {eta_parts(eta, n)[0] for eta in default_eta_grid()})
     assert check_top_sums(256, n, counts) <= 1e-12
+
+
+def selection_cases(n):
+    """Every (c, delta) kind a selection from an n-subset takes: c = 0 < delta,
+    c >= 1 with delta = 0, c >= 1 with delta > 0, and c = n. delta = 3/8 is
+    exact in binary, so delta*(1-delta) = 15/64 and delta**2 = 9/64 are too."""
+    cases = [(c, 0.0) for c in range(1, n + 1)] + [(c, 0.375) for c in range(n)]
+    counts, deltas = zip(*cases)
+    return np.array(counts), np.array(deltas)
+
+
+def test_selection_weights_match_exact_binomials():
+    # every entry against an exact integer ratio: zeros must be exact, and
+    # the rest within 1e-12 relative
+    worst = 0.0
+    for pool in (2, 7, 64):
+        log_fact = _log_factorials(pool)
+        for n in range(1, pool + 1):
+            top = exact_top_numerators(pool, n)  # top[c][r - 1] * C(N, n)
+            counts, deltas = selection_cases(n)
+            rows = _selection_weights(log_fact, n, counts, deltas)
+            denominator = math.comb(pool, n)
+            for c, delta, row in zip(counts.tolist(), deltas.tolist(), rows.tolist()):
+                for r, value in enumerate(row, start=1):
+                    if delta == 0.0:
+                        numerator, scale = top[c][r - 1], c
+                    else:
+                        at_c = top[c][r - 1] - (top[c - 1][r - 1] if c else 0)
+                        at_next = top[c + 1][r - 1] - top[c][r - 1]
+                        numerator = 64 * top[c][r - 1] + 15 * at_c + 9 * at_next
+                        scale = 64 * c + 24  # 64 * (c + 3/8)
+                    if numerator == 0:
+                        assert value == 0.0, (pool, n, c, delta, r)
+                    else:
+                        exact = numerator / (denominator * scale)  # correctly rounded
+                        worst = max(worst, abs(value - exact) / exact)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("pool", [7, 64, 256])
+def test_selection_row_is_the_same_alone_or_in_a_batch(pool):
+    # a RETA curve point must equal the single-eta estimate, bit for bit
+    log_fact = _log_factorials(pool)
+    for n in sorted({1, 2, pool // 3, pool}):
+        counts, deltas = selection_cases(n)
+        batch = _selection_weights(log_fact, n, counts, deltas)
+        for i in range(len(counts)):
+            alone = _selection_weights(log_fact, n, counts[i:i + 1], deltas[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, counts[i], deltas[i])
