@@ -11,7 +11,8 @@ k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
 property-tested against brute force. Best-m-of-n reads the mean of the
 top m, the selection row ``ranking._selection_weights`` builds at (m, 0).
-Each curve builds one log-factorial table for all of its n.
+Each curve stacks the rows of all its n, on one log-factorial table, into
+one bank that ``ranking._weighted_sums`` applies.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
 from .errors import InvalidConfig
 from .ranking import (
     RankedResponses,
+    _across_prompts,
     _log_factorials,
     _rank_weights,
     _selection_weights,
+    _weighted_sums,
     oracle_matrix,
 )
-from .reta import _spread
 
 
 def kl_best_of_n(n: int) -> float:
@@ -73,18 +75,19 @@ class BonVariant:
         return 1 if self.param is None else self.param
 
     def _weights(self, log_fact: np.ndarray, n: int) -> np.ndarray:
-        """Weights over the ranks of the pool whose ``_log_factorials`` is
-        ``log_fact``; their dot product with oracle scores is the estimate."""
+        """(1, N) weights over the ranks of the pool whose ``_log_factorials``
+        is ``log_fact``; ``ranking._weighted_sums`` applies them."""
         if self.kind == "best_m_of_n":
-            return _selection_weights(log_fact, n, np.array([self.param]), np.zeros(1))[0]
-        return _rank_weights(log_fact, n, np.array([self.min_n]))[0]
+            return _selection_weights(log_fact, n, np.array([self.param]), np.zeros(1))
+        return _rank_weights(log_fact, n, np.array([self.min_n]))
 
 
 def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float:
     pool = len(ranked_all)
     if not variant.min_n <= n <= pool:
         raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
-    return float(variant._weights(_log_factorials(pool), n) @ ranked_all.oracle_scores)
+    weights = variant._weights(_log_factorials(pool), n)
+    return float(_weighted_sums(weights, ranked_all.oracle_scores[None, :])[0, 0])
 
 
 def bon_estimate(ranked_all: RankedResponses, n: int) -> float:
@@ -132,7 +135,7 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
               n_values: Sequence[int] | None = None) -> BonCurve:
     """Per-n prompt means with standard errors across prompts, plus KL column.
 
-    The n grid is ``n_values`` sorted and deduplicated, each inside
+    The n grid is ``n_values`` sorted and deduplicated, each an int inside
     [variant.min_n, N], or by default the powers of two in that range.
     """
     variant = variant or BonVariant("best_of_n")
@@ -140,19 +143,19 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
     if n_values is None:
         grid = [n for n in default_n_grid(pool) if n >= variant.min_n]
     else:
-        grid = sorted(set(int(n) for n in n_values))
+        for n in n_values:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise InvalidConfig(f"n values must be integers, got {n!r}")
+        grid = sorted(set(map(int, n_values)))
         for n in grid:
             if not variant.min_n <= n <= pool:
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
-    oracle = oracle_matrix(dataset, table)
     log_fact = _log_factorials(pool)
-    points = []
-    for n in grid:
-        values = (oracle @ variant._weights(log_fact, n)).tolist()
-        points.append(BonPoint(n=n, value=math.fsum(values) / len(values),
-                               std_error=_spread(values)))
+    bank = np.concatenate([variant._weights(log_fact, n) for n in grid])
+    values = _weighted_sums(bank, oracle_matrix(dataset, table)).tolist()
+    points = [BonPoint(n, *_across_prompts(row)) for n, row in zip(grid, values)]
     return BonCurve(
         rm_name=table.rm_name,
         variant=variant.label,

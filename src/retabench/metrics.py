@@ -46,9 +46,13 @@ def hit_rate(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
     """Percent of the oracle's top floor(eta*N) found in the RM's top K.
 
     The denominator is the ground-truth size floor(eta*N), so K above that
-    size can reach 100 even though the RM's top K contains extras.
+    size can reach 100 even though the RM's top K contains extras. Both
+    rankings must be of one prompt and cover the same responses.
     """
     n = len(ranked_rm)
+    if ranked_rm.prompt_id != ranked_oracle.prompt_id:
+        raise InvalidConfig(f"rankings must be of one prompt, got {ranked_rm.prompt_id!r} "
+                            f"and {ranked_oracle.prompt_id!r}")
     if len(ranked_oracle) != n or set(ranked_rm.response_ids) != set(ranked_oracle.response_ids):
         raise InvalidConfig("rankings must cover the same response set")
     gt_size = _ground_truth_size(n, eta, k)

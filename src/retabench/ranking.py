@@ -13,6 +13,8 @@ gather from a single vector plus two broadcast adds and one exp in log
 space. The top-c sum w_1 + ... + w_c comes from the row w_c alone
 (``_top_sums``). ``_selection_weights`` combines the two into the rows
 RETA and best-m-of-n read, on one ``_log_factorials`` table per pool.
+Every RETA and best-of-n value is one entry of ``_weighted_sums`` of a
+bank of such rows, and ``_across_prompts`` summarizes it over prompts.
 """
 
 from __future__ import annotations
@@ -59,35 +61,29 @@ class RankedResponses:
         return len(self.order)
 
 
-def _build_ranking(prompt_id: str, response_ids: list[str],
-                   rm_scores: list[float], oracle_scores: list[float]) -> RankedResponses:
-    order = sorted(range(len(response_ids)),
-                   key=lambda i: (-rm_scores[i], response_ids[i]))
-    return RankedResponses(
-        prompt_id=prompt_id,
-        order=np.asarray(order, dtype=np.intp),
-        rm_scores=np.asarray([rm_scores[i] for i in order], dtype=np.float64),
-        oracle_scores=np.asarray([oracle_scores[i] for i in order], dtype=np.float64),
-        response_ids=tuple(response_ids[i] for i in order),
-    )
+def _build_ranking(dataset: BenchmarkDataset, prompt_id: str,
+                   rm_scores: list[float]) -> RankedResponses:
+    """Rank one prompt's responses by ``rm_scores``, given in the dataset's
+    id order, with the tie rule of ``_rank_orders``."""
+    responses = dataset.responses[prompt_id]
+    rm = np.asarray(rm_scores, dtype=np.float64)
+    order = _rank_orders(rm[None, :])[0]
+    oracle = np.asarray([r.oracle_score for r in responses], dtype=np.float64)
+    return RankedResponses(prompt_id, order, rm[order], oracle[order],
+                           tuple(responses[i].response_id for i in order))
 
 
 def rank_by_table(dataset: BenchmarkDataset, table: RmScoreTable,
                   prompt_id: str) -> RankedResponses:
     """Rank one prompt's responses by the given score table."""
-    responses = dataset.responses[prompt_id]
-    ids = [r.response_id for r in responses]
-    rm = [table.score(prompt_id, r.response_id) for r in responses]
-    oracle = [r.oracle_score for r in responses]
-    return _build_ranking(prompt_id, ids, rm, oracle)
+    return _build_ranking(dataset, prompt_id, [table.score(prompt_id, r.response_id)
+                                               for r in dataset.responses[prompt_id]])
 
 
 def rank_by_oracle(dataset: BenchmarkDataset, prompt_id: str) -> RankedResponses:
     """Rank one prompt's responses by their oracle scores."""
-    responses = dataset.responses[prompt_id]
-    ids = [r.response_id for r in responses]
-    oracle = [r.oracle_score for r in responses]
-    return _build_ranking(prompt_id, ids, oracle, oracle)
+    return _build_ranking(dataset, prompt_id,
+                          [r.oracle_score for r in dataset.responses[prompt_id]])
 
 
 def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[int]:
@@ -125,6 +121,22 @@ def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:
     """(prompts, N) oracle scores; row i is prompt i ordered by the table's ranking."""
     rm, oracle = _score_matrices(dataset, table)
     return np.take_along_axis(oracle, _rank_orders(rm), axis=1)
+
+
+def _weighted_sums(bank: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """(K, prompts) dot products of the rows of a (K, N) weight bank with the
+    rows of a (prompts, N) oracle matrix in RM-rank order. ``np.einsum``
+    without ``optimize`` sums each entry from its two rows alone, whatever
+    rows share the call; BLAS orders a row's sum by the other rows too."""
+    return np.einsum("kn,pn->kp", bank, oracle)
+
+
+def _across_prompts(values: list[float]) -> tuple[float, float]:
+    """Mean over prompts (an exact ``math.fsum``) and its standard error,
+    sample stddev / sqrt(k); the error is 0 for k == 1."""
+    k = len(values)
+    spread = float(np.std(values, ddof=1)) / math.sqrt(k) if k > 1 else 0.0
+    return math.fsum(values) / k, spread
 
 
 def _log_factorials(pool_size: int) -> np.ndarray:

@@ -15,8 +15,8 @@ The expectation is computed exactly rather than sampled, so estimates
 carry no Monte Carlo error and involve no randomness. Each n contributes,
 per eta, one coefficient vector over pool ranks, the selection row that
 ``ranking._selection_weights`` builds for subset rank floor(eta*n) and
-the fraction past it; the vectors are summed over n, and each eta's sum
-meets the (prompts x N) oracle matrix in one matrix-vector product.
+the fraction past it; their sums over n form one bank that
+``ranking._weighted_sums`` applies to the (prompts x N) oracle matrix.
 ``eta == 1`` is set exactly. ``exhaustive_reta`` enumerates every subset
 as an independent reference.
 """
@@ -40,8 +40,10 @@ from .errors import (
 )
 from .ranking import (
     RankedResponses,
+    _across_prompts,
     _log_factorials,
     _selection_weights,
+    _weighted_sums,
     eta_parts,
     oracle_matrix,
 )
@@ -178,14 +180,11 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
     if degenerate.any():
         prompt_id = prompt_ids[int(np.argmax(degenerate))]
         raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
-    values = np.empty((len(etas), len(oracle)))
-    for row, eta, coef in zip(values, etas, _coefficients(pool, grid, etas)):
-        if eta == 1.0:
-            mean = totals / pool
-            row[:] = mean / mean if normalize else mean
-        else:
-            body = oracle @ coef
-            row[:] = (pool * body / totals if normalize else body) / len(grid)
+    bodies = _weighted_sums(_coefficients(pool, grid, etas), oracle)
+    values = (pool * bodies / totals if normalize else bodies) / len(grid)
+    if etas[0] == 1.0:
+        mean = totals / pool
+        values[0] = mean / mean if normalize else mean
     return values
 
 
@@ -233,14 +232,6 @@ def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
     return total * expectation / ((count + delta) * pool_total)
 
 
-def _spread(values: Sequence[float]) -> float:
-    """Standard error across prompts: sample stddev / sqrt(k); 0 for k == 1."""
-    k = len(values)
-    if k <= 1:
-        return 0.0
-    return float(np.std(np.asarray(values, dtype=np.float64), ddof=1)) / math.sqrt(k)
-
-
 def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
                  etas: Sequence[float], config: RetaConfig) -> list[RetaEstimate]:
     """Estimates at every eta, each averaged over the n grid and all prompts;
@@ -249,16 +240,9 @@ def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
     values = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, config.normalize)
-    points = []
-    for eta, row in zip(etas, values.tolist()):
-        points.append(RetaEstimate(
-            eta=eta,
-            value=math.fsum(row) / len(row),
-            per_prompt=dict(zip(prompt_ids, row)),
-            std_error=_spread(row),
-            n_values_used=list(grid),
-        ))
-    return points
+    rows = values.tolist()
+    return [RetaEstimate(eta, value, dict(zip(prompt_ids, row)), std_error, list(grid))
+            for eta, row, (value, std_error) in zip(etas, rows, map(_across_prompts, rows))]
 
 
 def reta_estimate(dataset: BenchmarkDataset, table: RmScoreTable, eta: float,

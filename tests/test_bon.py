@@ -190,6 +190,11 @@ def test_curve_grid_and_kl():
     assert round(n16, 4) == pytest.approx(1.8351)
     for point, kl in zip(curve.points, curve.kl):
         assert kl == pytest.approx(math.log(point.n) - (point.n - 1) / point.n, abs=1e-12)
+    # an n that is not an int, a bool included, is no grid point
+    for bad in ([2.5], [True], [4, 2.0]):
+        with pytest.raises(InvalidConfig):
+            bon_curve(dataset, table, n_values=bad)
+    assert [p.n for p in bon_curve(dataset, table, n_values=np.array([8, 2])).points] == [2, 8]
 
 
 def test_rank_k_curve_endpoint():
@@ -227,13 +232,11 @@ def test_variant_validation():
 ], ids=["best_of_n", "rank_2_of_n", "best_3_of_n"])
 def test_curve_points_are_means_of_per_prompt_estimates(variant, estimate):
     # the curve's one log-factorial table gives the weights each per-prompt
-    # call builds for itself. The curve takes every prompt in one BLAS
-    # matrix-vector product and a per-prompt estimate one dot product; the
-    # two may sum in different orders, so they agree to a few ulp, not bits.
+    # call builds for itself, and each prompt's value is summed alike
     dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 5, 64, seed=3)
     ranked = [rank_by_table(dataset, table, pid) for pid in dataset.prompt_ids()]
     curve = bon_curve(dataset, table, variant, n_values=range(variant.min_n, 65))
     assert [point.n for point in curve.points] == list(range(variant.min_n, 65))
     for point in curve.points:
         values = [estimate(r, point.n) for r in ranked]
-        assert point.value == pytest.approx(math.fsum(values) / len(values), rel=1e-14, abs=0.0)
+        assert point.value == math.fsum(values) / len(values)

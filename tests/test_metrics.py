@@ -74,6 +74,15 @@ def test_hit_rate_disjoint_is_zero():
     assert hit_rate(rm, orc, 0.5, 2) == 0.0
 
 
+def test_hit_rate_rejects_rankings_of_different_prompts():
+    # synthetic response ids repeat across prompts, so the response sets match
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 2, 16, seed=1)
+    rm = rank_by_table(dataset, table, "p0000")
+    with pytest.raises(InvalidConfig):
+        hit_rate(rm, rank_by_oracle(dataset, "p0001"), 0.25, 4)
+    assert hit_rate(rm, rank_by_oracle(dataset, "p0000"), 0.25, 4) >= 0.0
+
+
 def test_hit_rate_empty_ground_truth():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0]})
     table = build_table({"p": [1.0, 2.0, 3.0]})

@@ -9,12 +9,23 @@ import pytest
 from scipy.special import gammaln
 
 from retabench import (
+    BenchmarkDataset,
+    BonVariant,
+    DistSpec,
+    RetaConfig,
     RmScoreTable,
+    best_m_of_n_estimate,
     beta_subset,
+    bon_curve,
+    bon_estimate,
     eta_parts,
+    gen_synthetic,
     ingest_rm_scores,
     rank_by_oracle,
     rank_by_table,
+    rank_k_of_n_estimate,
+    reta_curve,
+    reta_estimate,
     write_rm_scores,
 )
 from retabench.errors import EmptySelection, InvalidConfig, MissingScore
@@ -25,6 +36,7 @@ from retabench.ranking import (
     _score_matrices,
     _selection_weights,
     _top_sums,
+    _weighted_sums,
     oracle_matrix,
 )
 from retabench.reta import default_eta_grid
@@ -85,6 +97,11 @@ def test_rank_by_oracle_matches_oracle_table():
     assert np.all(by_oracle.rm_scores == by_oracle.oracle_scores)
 
 
+def reference_order(ids, scores):
+    """Score descending, exact ties (0.0 against -0.0 too) by ascending id."""
+    return sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+
+
 def test_batched_orders_match_per_prompt_rankings():
     dataset, table = unordered_ties_dataset()
     assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in table.scores.values())
@@ -92,10 +109,16 @@ def test_batched_orders_match_per_prompt_rankings():
     rm_orders, oracle_orders = _rank_orders(rm), _rank_orders(oracle)
     matrix = oracle_matrix(dataset, table)
     for i, pid in enumerate(dataset.prompt_ids()):
-        by_table, by_oracle = rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid)
-        assert rm_orders[i].tolist() == by_table.order.tolist()
-        assert oracle_orders[i].tolist() == by_oracle.order.tolist()
-        assert matrix[i].tolist() == by_table.oracle_scores.tolist()
+        responses = dataset.responses[pid]
+        ids = [r.response_id for r in responses]
+        by_rm = reference_order(ids, [table.scores[(pid, rid)] for rid in ids])
+        by_oracle = reference_order(ids, [r.oracle_score for r in responses])
+        assert rm_orders[i].tolist() == by_rm
+        assert rank_by_table(dataset, table, pid).order.tolist() == by_rm
+        assert oracle_orders[i].tolist() == by_oracle
+        assert rank_by_oracle(dataset, pid).order.tolist() == by_oracle
+        assert matrix[i].tolist() == [responses[j].oracle_score for j in by_rm]
+        assert rank_by_table(dataset, table, pid).response_ids == tuple(ids[j] for j in by_rm)
 
 
 def test_oracle_matrix_reads_through_score():
@@ -241,3 +264,58 @@ def test_selection_row_is_the_same_alone_or_in_a_batch(pool):
         for i in range(len(counts)):
             alone = _selection_weights(log_fact, n, counts[i:i + 1], deltas[i:i + 1])
             assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, counts[i], deltas[i])
+
+
+def prompt_subset(dataset, table, prompt_ids):
+    """The dataset and score table restricted to ``prompt_ids``."""
+    keep = set(prompt_ids)
+    return (BenchmarkDataset(dataset.name, [p for p in dataset.prompts if p.prompt_id in keep],
+                             {pid: dataset.responses[pid] for pid in keep},
+                             dataset.responses_per_prompt),
+            RmScoreTable(table.rm_name,
+                         {pair: v for pair, v in table.scores.items() if pair[0] in keep}))
+
+
+def test_found_case_reads_the_same_alone_and_in_its_batch():
+    # with a BLAS matrix-vector product, p0004 read 1.0694472503355736 here in
+    # the 5-prompt curve and 1.0694472503355739 alone (eta = 0.354 = 2**-1.5)
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 5, 64, seed=3)
+    batch = reta_estimate(dataset, table, 2 ** -1.5)
+    alone = reta_estimate(*prompt_subset(dataset, table, ["p0004"]), 2 ** -1.5)
+    assert alone.per_prompt["p0004"] == batch.per_prompt["p0004"]
+
+
+@pytest.mark.parametrize("pool", [7, 65, 257])
+def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
+    # a per-prompt RETA or best-of-n value depends on its prompt alone, not
+    # on which other prompts share the computation
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 15, pool, seed=5)
+    prompt_ids = dataset.prompt_ids()
+    groups = [prompt_ids[start:start + 7] for start in (0, 4, 8)]
+    groups += [[pid] for pid in prompt_ids]
+    for normalize in (True, False):
+        config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0, normalize=normalize)
+        batch = reta_curve(dataset, table, config=config)
+        for group in groups:
+            part = reta_curve(*prompt_subset(dataset, table, group), config=config)
+            for point, whole in zip(part.points, batch.points):
+                assert point.per_prompt == {pid: whole.per_prompt[pid] for pid in group}
+    oracle = oracle_matrix(dataset, table)
+    ranked = [rank_by_table(dataset, table, pid) for pid in prompt_ids]
+    log_fact = _log_factorials(pool)
+    for variant, estimate in [
+        (BonVariant("best_of_n"), bon_estimate),
+        (BonVariant("rank_k_of_n", 2), lambda r, n: rank_k_of_n_estimate(r, 2, n)),
+        (BonVariant("best_m_of_n", 3), lambda r, n: best_m_of_n_estimate(r, 3, n)),
+    ]:
+        grid = sorted(set(range(variant.min_n, pool + 1, 8)) | {pool})
+        # the bank bon_curve applies: one weight row per n
+        bank = np.concatenate([variant._weights(log_fact, n) for n in grid])
+        values = _weighted_sums(bank, oracle)
+        for start in (0, 4, 8):
+            assert _weighted_sums(bank, oracle[start:start + 7]).tobytes() == \
+                values[:, start:start + 7].tobytes()
+        for i, (pid, by_rm) in enumerate(zip(prompt_ids, ranked)):
+            assert [estimate(by_rm, n) for n in grid] == values[:, i].tolist()
+            alone = bon_curve(*prompt_subset(dataset, table, [pid]), variant, grid)
+            assert [point.value for point in alone.points] == values[:, i].tolist()
