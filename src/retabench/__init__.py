@@ -72,6 +72,7 @@ from .reta import (
     exhaustive_reta,
     resample_sizes,
     reta_curve,
+    reta_curve_pair,
     reta_estimate,
     reta_point_estimate,
     write_curve_csv,

@@ -29,6 +29,7 @@ from .errors import InvalidConfig
 from .ranking import (
     RankedResponses,
     _across_prompts,
+    _check_int,
     _log_factorials,
     _rank_weights,
     _selection_weights,
@@ -53,14 +54,14 @@ class BonVariant:
         if self.kind == "best_of_n":
             if self.param is not None:
                 raise InvalidConfig("best_of_n takes no parameter")
-        elif self.kind == "rank_k_of_n":
-            if self.param is None or self.param < 1:
-                raise InvalidConfig("rank_k_of_n requires k >= 1")
-        elif self.kind == "best_m_of_n":
-            if self.param is None or self.param < 1:
-                raise InvalidConfig("best_m_of_n requires m >= 1")
-        else:
+            return
+        letter = {"rank_k_of_n": "k", "best_m_of_n": "m"}.get(self.kind)
+        if letter is None:
             raise InvalidConfig(f"unknown variant kind {self.kind!r}")
+        if self.param is not None:
+            _check_int(self.param, letter)
+        if self.param is None or self.param < 1:
+            raise InvalidConfig(f"{self.kind} requires {letter} >= 1")
 
     @property
     def label(self) -> str:
@@ -84,6 +85,7 @@ class BonVariant:
 
 def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float:
     pool = len(ranked_all)
+    _check_int(n, "n")
     if not variant.min_n <= n <= pool:
         raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     weights = variant._weights(_log_factorials(pool), n)
@@ -144,8 +146,7 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
         grid = [n for n in default_n_grid(pool) if n >= variant.min_n]
     else:
         for n in n_values:
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise InvalidConfig(f"n values must be integers, got {n!r}")
+            _check_int(n, "n")
         grid = sorted(set(map(int, n_values)))
         for n in grid:
             if not variant.min_n <= n <= pool:

@@ -27,7 +27,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,6 +49,7 @@ from .reta import (
     RetaConfig,
     default_eta_grid,
     reta_curve,
+    reta_curve_pair,
     write_curve_csv,
     write_per_prompt_csv,
 )
@@ -224,9 +225,10 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
                         n_range_high_coeff=args.n_high_coeff,
                         n_exponent=args.n_exponent, seed=args.seed)
     etas = args.eta or default_eta_grid()
-    curves = [reta_curve(dataset, table, etas, config) for table in tables]
-    raws = [reta_curve(dataset, table, etas, replace(config, normalize=False))
-            for table in tables] if args.raw_variant else []
+    if args.raw_variant:
+        curves, raws = zip(*(reta_curve_pair(dataset, table, etas, config) for table in tables))
+    else:
+        curves, raws = [reta_curve(dataset, table, etas, config) for table in tables], []
     provenance = _provenance(args)
 
     def write(out_dir: Path) -> int:

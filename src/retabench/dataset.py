@@ -10,15 +10,20 @@ A ``BenchmarkDataset`` is canonical by construction: it stores prompts
 and responses in id order and checks their shape and values, so two
 loads of the same directory yield identical in-memory objects. Datasets
 and tables are immutable and safe to share across threads. A dataset
-builds each array column once: the oracle matrix when it checks the
-scores, the pair index and the oracle ranks on first use. That relies on
-the immutability: a dataset changed after a column was built would keep
-the stale column.
+builds each column once: a dataset built from records makes the oracle
+matrix when it checks the scores, and the pair index, the pair id
+columns and the oracle ranks on first use. That relies on the
+immutability: a dataset changed after a column was built would keep the
+stale column.
 
-The readers take a file in the layout the writers give it in blocks of
-lines, one regular-expression pass per block; any other file, and any
-file holding an error, goes line by line through the JSON scanner, which
-gives an equal result and raises or warns with the line number.
+The readers take a file that holds exactly what the writers write, in
+the writers' line order, in blocks of lines: one ``re.split`` per block,
+whose slices are the columns. ``load_benchmark`` then builds the oracle
+matrix, the pair index and the pair id columns from the columns and no
+``ResponseRecord``; the dataset's ``responses`` are built from the
+columns on first access. Any other file, and any file holding an error,
+goes line by line through the JSON scanner, which gives an equal result
+and raises or warns with the line number.
 """
 
 from __future__ import annotations
@@ -141,6 +146,14 @@ class BenchmarkDataset:
     prompt's id, bad ``oracle_samples``, an embedding that is not finite,
     unit-norm and of the shared dimension, or a perplexity that is not
     positive and finite.
+
+    ``load_benchmark`` builds a dataset from the block reader's columns
+    without this constructor, after checking the same rules on them: its
+    oracle matrix, pair index and pair id columns are built at load, and
+    its ``responses`` on first access, from the columns (``__getattr__``).
+    Equality, repr and every later read are those of the dataset built
+    from records. Two threads racing that first access each build the
+    records and store equal lists.
     """
 
     name: str
@@ -234,6 +247,38 @@ class BenchmarkDataset:
         for record, value in zip(records, values):
             self._reject(label(record), key, _str_problem(value, key))
 
+    @classmethod
+    def _from_columns(cls, name: str, prompts: list[PromptRecord], oracle: np.ndarray,
+                      pairs: list[tuple[str, str]], pair_ids: tuple[list[str], list[str]],
+                      texts: list[str | None]) -> BenchmarkDataset:
+        """The dataset of ``prompts`` and the (prompts, N) read-only ``oracle``
+        matrix, whose pairs, their two id columns and the response texts are
+        ``pairs``, ``pair_ids`` and ``texts``, in id order. The caller has
+        checked every rule of construction."""
+        dataset = cls.__new__(cls)
+        dataset.name = name
+        dataset.prompts = prompts
+        dataset.responses_per_prompt = oracle.shape[1]
+        dataset.load_warnings = []
+        dataset._oracle_scores = oracle
+        dataset._pair_index = dict(zip(pairs, range(len(pairs))))
+        dataset._pair_ids = pair_ids
+        dataset._response_texts = texts
+        return dataset
+
+    def __getattr__(self, name: str):
+        """``responses`` of a dataset from ``_from_columns``, built on first access."""
+        texts = self.__dict__.get("_response_texts")
+        if name != "responses" or texts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        size = self.responses_per_prompt
+        records = list(map(ResponseRecord, *self._pair_ids,
+                           self._oracle_scores.ravel().tolist(), texts))
+        responses = {pid: records[i * size:(i + 1) * size]
+                     for i, pid in enumerate(self.prompt_ids())}
+        self.responses = responses
+        return responses
+
     @property
     def num_prompts(self) -> int:
         return len(self.prompts)
@@ -249,6 +294,12 @@ class BenchmarkDataset:
         """Flat position of each (prompt_id, response_id), in id order."""
         pairs = ((pid, r.response_id) for pid, rows in self.responses.items() for r in rows)
         return dict(zip(pairs, range(self.num_prompts * self.responses_per_prompt)))
+
+    @cached_property
+    def _pair_ids(self) -> tuple[list[str], list[str]]:
+        """The prompt ids and the response ids of ``_pair_index``'s pairs, in its order."""
+        return (list(map(operator.itemgetter(0), self._pair_index)),
+                list(map(operator.itemgetter(1), self._pair_index)))
 
     @cached_property
     def _oracle_ranks(self) -> np.ndarray:
@@ -371,16 +422,18 @@ def _first_undecodable_line(path: Path) -> int | None:
 # The block reader: a canonical line is exactly what write_benchmark and
 # write_rm_scores write for a record with printable-ASCII ids, an unescaped
 # text and no optional field other than a response's text. Each pattern
-# matches one whole line of its kind, so a block of lines is canonical when
-# findall matches once per line.
+# matches one whole line of its kind, and no group spans a line end, so a
+# block of lines is canonical when its split has one match per line and
+# nothing between them.
 _ID = r'"([ !#-\[\]-~]+)"'
 _TEXT = r'"([^"\\\x00-\x1f]*)"'
 # a JSON number with a fraction or an exponent: json.loads reads it with float()
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 _PROMPT_LINE = re.compile(r'^\{"prompt_id": ' + _ID + r', "text": ' + _TEXT + r'\}\n', re.M)
+# the text group is None on a line without a text
 _RESPONSE_LINE = re.compile(
     r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
-    + r'(, "text": ' + _TEXT + r')?\}\n', re.M)
+    + r'(?:, "text": ' + _TEXT + r')?\}\n', re.M)
 _SCORE_LINE = re.compile(
     r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "rm_name": ' + _ID
     + r', "score": ' + _FLOAT + r'\}\n', re.M)
@@ -393,21 +446,26 @@ class _NotCanonical(Exception):
     """A file the block reader leaves to the per-line reader."""
 
 
-def _canonical_rows(path: Path, pattern: re.Pattern) -> Iterator[tuple[str, ...]]:
-    """The groups ``pattern`` captures on each line of ``path``, read in
-    blocks of lines, so memory stays bounded by the block size.
+def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[str | None]]:
+    """``pattern.split`` of each block of whole lines of ``path``, so memory
+    stays bounded by the block size. With ``width`` one more than the
+    pattern's group count, ``parts[k::width]`` is the block's column of
+    group k.
 
     Raises ``_NotCanonical`` at the first block holding a line that the
     pattern does not match whole (a blank line, CRLF and a missing final
     newline among them), or bytes that are not UTF-8.
     """
+    width = pattern.groups + 1
     with open(path, encoding="utf-8", newline="") as fh:
         try:
-            while lines := fh.readlines(_BLOCK_CHARS):
-                rows = pattern.findall("".join(lines))
-                if len(rows) != len(lines):
+            while block := fh.read(_BLOCK_CHARS):
+                block += fh.readline()
+                parts = pattern.split(block)
+                # every match is one line: empty separators leave no line unmatched
+                if any(parts[::width]):
                     raise _NotCanonical
-                yield from rows
+                yield parts
         except UnicodeDecodeError:
             raise _NotCanonical from None
 
@@ -415,43 +473,62 @@ def _canonical_rows(path: Path, pattern: re.Pattern) -> Iterator[tuple[str, ...]
 def _load_canonical(directory: Path, max_oracle_score: float,
                     name: str) -> BenchmarkDataset | None:
     """What ``load_benchmark`` returns for ``directory`` when both files are
-    canonical and the dataset is valid, else None; never raises or warns."""
+    canonical and the dataset is valid, else None; never raises or warns.
+
+    Every check is one operation on whole columns. Prompt ids and
+    (prompt, response) pairs in strictly increasing order are unique and
+    in the order the dataset stores them. Then, with N the number of
+    responses over the number of prompts, the prompt ids of responses
+    1, N + 1, ... and of responses N, 2N, ... both equal to the prompt ids
+    give each prompt exactly N responses.
+    """
+    ids: list[str] = []
+    texts: list[str] = []
+    pids: list[str] = []
+    rids: list[str] = []
+    scores: list[float] = []
+    response_texts: list[str | None] = []
     try:
-        prompts = [PromptRecord(pid, text)
-                   for pid, text in _canonical_rows(directory / PROMPTS_FILE, _PROMPT_LINE)]
-        responses: dict[str, list[ResponseRecord]] = {}
-        for pid, rid, score, has_text, text in _canonical_rows(directory / RESPONSES_FILE,
-                                                               _RESPONSE_LINE):
-            rows = responses.get(pid)
-            if rows is None:
-                rows = responses[pid] = []
-            rows.append(ResponseRecord(pid, rid, float(score), text if has_text else None))
-        if not prompts:
-            return None
-        first = min(map(_prompt_id, prompts))
-        dataset = BenchmarkDataset(name, prompts, responses, len(responses.get(first, ())))
-    except (_NotCanonical, RetabenchError):
+        for parts in _canonical_blocks(directory / PROMPTS_FILE, _PROMPT_LINE):
+            ids += parts[1::3]
+            texts += parts[2::3]
+        for parts in _canonical_blocks(directory / RESPONSES_FILE, _RESPONSE_LINE):
+            pids += parts[1::5]
+            rids += parts[2::5]
+            scores += map(float, parts[3::5])
+            response_texts += parts[4::5]
+    except _NotCanonical:
         return None
-    return dataset if dataset._oracle_scores.max() <= max_oracle_score else None
+    size = len(pids) // len(ids) if ids else 0
+    pairs = list(zip(pids, rids))
+    if not (size >= 2 and all(texts) and pids[::size] == ids and pids[size - 1::size] == ids
+            and all(map(operator.lt, ids, ids[1:])) and all(map(operator.lt, pairs, pairs[1:]))):
+        return None
+    oracle = np.array(scores).reshape(len(ids), size)
+    if _oracle_score_problem(oracle) or oracle.max() > max_oracle_score:
+        return None
+    return BenchmarkDataset._from_columns(name, list(map(PromptRecord, ids, texts)),
+                                          _frozen(oracle), pairs, (pids, rids), response_texts)
 
 
 def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
     """What ``ingest_rm_scores`` returns for ``path`` when the file is
-    canonical and holds one score for each of the dataset's pairs under one
-    ``rm_name``, else None; never raises or warns."""
-    index = dataset._pair_index
-    values: list[float | None] = [None] * len(index)
-    names = set()
+    canonical and holds one score for each of the dataset's pairs, in its
+    pair order, under one ``rm_name``, else None; never raises or warns."""
+    pids, rids = dataset._pair_ids
+    values: list[float] = []
+    names: set[str] = set()
     try:
-        for pid, rid, rm_name, score in _canonical_rows(path, _SCORE_LINE):
-            position = index.get((pid, rid))
-            if position is None or values[position] is not None:
+        for parts in _canonical_blocks(path, _SCORE_LINE):
+            # parts[1::5] to parts[4::5]: prompt ids, response ids, rm names, scores
+            start, stop = len(values), len(values) + len(parts) // 5
+            if parts[1::5] != pids[start:stop] or parts[2::5] != rids[start:stop]:
                 return None
-            values[position] = float(score)
-            names.add(rm_name)
-        if len(names) != 1 or None in values:
+            names.update(parts[3::5])
+            values += map(float, parts[4::5])
+        if len(values) != len(pids) or len(names) != 1:
             return None
-        return RmScoreTable(names.pop(), dict(zip(index, values)))
+        return RmScoreTable(names.pop(), dict(zip(dataset._pair_index, values)))
     except (_NotCanonical, RetabenchError):
         return None
 
@@ -869,11 +946,7 @@ def _check_pairs(table: RmScoreTable) -> None:
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:
     """A score table whose scores equal the oracle scores (the ideal model)."""
-    scores = {
-        (resp.prompt_id, resp.response_id): resp.oracle_score
-        for pid in dataset.prompt_ids()
-        for resp in dataset.responses[pid]
-    }
+    scores = dict(zip(dataset._pair_index, dataset._oracle_scores.ravel().tolist()))
     return RmScoreTable(rm_name=rm_name, scores=scores)
 
 
@@ -893,12 +966,10 @@ def validate_dataset(dataset: BenchmarkDataset,
     _check_max_oracle_score(max_oracle_score)
     issues: list[ValidationIssue] = list(dataset.load_warnings)
 
-    rows = list(dataset.responses.values())
-    for i, j in np.argwhere(dataset._oracle_scores > max_oracle_score).tolist():
-        resp = rows[i][j]
-        issues.append(ValidationIssue(
-            "error", f"response:{resp.prompt_id}/{resp.response_id}",
-            f"oracle score exceeds maximum {max_oracle_score}"))
+    pids, rids = dataset._pair_ids
+    for i in np.flatnonzero(dataset._oracle_scores > max_oracle_score).tolist():
+        issues.append(ValidationIssue("error", f"response:{pids[i]}/{rids[i]}",
+                                      f"oracle score exceeds maximum {max_oracle_score}"))
 
     expected_pairs = dataset._pair_index.keys()
     seen_rm_names: set[str] = set()

@@ -162,7 +162,7 @@ def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
         pid = _req_str(obj, "prompt_id", source, line_no)
         rid = _req_str(obj, "response_id", source, line_no)
         if (pid, rid) not in dataset._pair_index:
-            if pid not in dataset.responses:
+            if pid not in dataset.prompt_ids():
                 raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
             raise MalformedRecord(source, line_no, "response_id",
                                   f"unknown response {pid + '/' + rid!r}")

@@ -32,6 +32,12 @@ from .errors import EmptySelection, InvalidConfig, MissingScore
 _INTEGER_SNAP_TOL = 1e-9
 
 
+def _check_int(value, name: str) -> None:
+    """InvalidConfig unless ``value`` is an int or a numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an int, got {value!r}")
+
+
 def eta_parts(eta: float, n: int) -> tuple[int, float]:
     """Split eta*n into (floor, fractional part), snapping float noise."""
     x = eta * n

@@ -41,6 +41,7 @@ from .errors import (
 from .ranking import (
     RankedResponses,
     _across_prompts,
+    _check_int,
     _log_factorials,
     _selection_weights,
     _weighted_sums,
@@ -167,8 +168,10 @@ def _check_etas(etas: Sequence[float]) -> None:
 
 
 def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
-            etas: Sequence[float], normalize: bool) -> np.ndarray:
-    """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts).
+            etas: Sequence[float], normalizations: Sequence[bool]) -> list[np.ndarray]:
+    """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts),
+    one array for each entry of ``normalizations``, all from one coefficient
+    bank and one product.
 
     Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
     At eta == 1 the expected total of a uniform n-subset is exactly n/N of
@@ -181,21 +184,25 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
         prompt_id = prompt_ids[int(np.argmax(degenerate))]
         raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
     bodies = _weighted_sums(_coefficients(pool, grid, etas), oracle)
-    values = (pool * bodies / totals if normalize else bodies) / len(grid)
-    if etas[0] == 1.0:
-        mean = totals / pool
-        values[0] = mean / mean if normalize else mean
-    return values
+    mean = totals / pool
+    arrays = []
+    for normalize in normalizations:
+        values = (pool * bodies / totals if normalize else bodies) / len(grid)
+        if etas[0] == 1.0:
+            values[0] = mean / mean if normalize else mean
+        arrays.append(values)
+    return arrays
 
 
 def reta_point_estimate(ranked_all: RankedResponses, eta: float, n: int,
                         config: RetaConfig) -> float:
     """Exact RETA at a single (eta, n) for one prompt's full ranked pool."""
+    _check_int(n, "n")
     if not 1 <= n <= len(ranked_all):
         raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={len(ranked_all)}")
     _check_etas([eta])
-    values = _values(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
-                     [n], [eta], config.normalize)
+    [values] = _values(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
+                       [n], [eta], [config.normalize])
     return float(values[0, 0])
 
 
@@ -232,32 +239,49 @@ def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
     return total * expectation / ((count + delta) * pool_total)
 
 
-def _reta_points(dataset: BenchmarkDataset, table: RmScoreTable,
-                 etas: Sequence[float], config: RetaConfig) -> list[RetaEstimate]:
-    """Estimates at every eta, each averaged over the n grid and all prompts;
-    each n's weight rows are built once, in one call, for every eta."""
+def _reta_curves(dataset: BenchmarkDataset, table: RmScoreTable,
+                 eta_grid: Sequence[float] | None, config: RetaConfig,
+                 normalizations: Sequence[bool]) -> list[RetaCurve]:
+    """One curve for each entry of ``normalizations``, each point averaged
+    over the n grid and all prompts; each n's weight rows are built once,
+    in one call, for every eta and every curve."""
+    etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
     _check_etas(etas)  # before the grid, whose errors would hide a bad eta
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
-    values = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, config.normalize)
-    rows = values.tolist()
-    return [RetaEstimate(eta, value, dict(zip(prompt_ids, row)), std_error, list(grid))
-            for eta, row, (value, std_error) in zip(etas, rows, map(_across_prompts, rows))]
+    arrays = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, normalizations)
+    curves = []
+    for values in arrays:
+        rows = values.tolist()
+        curves.append(RetaCurve(table.rm_name, [
+            RetaEstimate(eta, value, dict(zip(prompt_ids, row)), std_error, list(grid))
+            for eta, row, (value, std_error) in zip(etas, rows, map(_across_prompts, rows))]))
+    return curves
 
 
 def reta_estimate(dataset: BenchmarkDataset, table: RmScoreTable, eta: float,
                   config: RetaConfig | None = None) -> RetaEstimate:
     """Full estimate at one eta: averaged over the n grid and all prompts."""
-    return _reta_points(dataset, table, [eta], config or RetaConfig())[0]
+    config = config or RetaConfig()
+    return _reta_curves(dataset, table, [eta], config, [config.normalize])[0].points[0]
 
 
 def reta_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                eta_grid: Sequence[float] | None = None,
                config: RetaConfig | None = None) -> RetaCurve:
     """One estimate per eta over a strictly decreasing grid in (0, 1]."""
-    etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
-    return RetaCurve(rm_name=table.rm_name,
-                     points=_reta_points(dataset, table, etas, config or RetaConfig()))
+    config = config or RetaConfig()
+    return _reta_curves(dataset, table, eta_grid, config, [config.normalize])[0]
+
+
+def reta_curve_pair(dataset: BenchmarkDataset, table: RmScoreTable,
+                    eta_grid: Sequence[float] | None = None,
+                    config: RetaConfig | None = None) -> tuple[RetaCurve, RetaCurve]:
+    """``reta_curve`` normalized and unnormalized, whatever ``config.normalize``
+    says, from one coefficient bank and one product."""
+    normalized, raw = _reta_curves(dataset, table, eta_grid, config or RetaConfig(),
+                                   [True, False])
+    return normalized, raw
 
 
 def write_curve_csv(curve: RetaCurve, path: str | Path,

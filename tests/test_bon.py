@@ -225,6 +225,27 @@ def test_variant_validation():
         kl_best_of_n(0)
 
 
+@pytest.mark.parametrize("kind", ["rank_k_of_n", "best_m_of_n"])
+@pytest.mark.parametrize("param", [2.5, 2.0, True, "2"])
+def test_variant_param_must_be_an_int(kind, param):
+    with pytest.raises(InvalidConfig, match="must be an int"):
+        BonVariant(kind, param)
+    assert BonVariant(kind, np.int64(2)).min_n == 2
+
+
+@pytest.mark.parametrize("estimate", [
+    bon_estimate,
+    lambda ranked, n: rank_k_of_n_estimate(ranked, 1, n),
+    lambda ranked, n: best_m_of_n_estimate(ranked, 1, n),
+], ids=["bon_estimate", "rank_k_of_n_estimate", "best_m_of_n_estimate"])
+def test_estimators_reject_an_n_that_is_not_an_int(estimate):
+    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+    for n in (2.5, 2.0, True):
+        with pytest.raises(InvalidConfig, match="n must be an int"):
+            estimate(ranked, n)
+    assert estimate(ranked, np.int64(2)) == estimate(ranked, 2)
+
+
 @pytest.mark.parametrize("variant, estimate", [
     (BonVariant("best_of_n"), bon_estimate),
     (BonVariant("rank_k_of_n", 2), lambda ranked, n: rank_k_of_n_estimate(ranked, 2, n)),

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from retabench import (
     ingest_rm_scores,
     load_benchmark,
     load_candidate_prompts,
+    load_win_labels,
     metric_report,
     oracle_score_table,
     validate_dataset,
@@ -822,13 +825,21 @@ def _canonical_dir(directory: Path) -> Path:
     return directory
 
 
-def _on_line(edit):
-    """An edit of a file's text that applies ``edit`` to its second line."""
+def _on_line(edit, index: int = 1):
+    """An edit of a file's text that applies ``edit`` to its line ``index``
+    (from 0), by default the second."""
     def apply(text: str) -> str:
         lines = text.splitlines(keepends=True)
-        lines[1] = edit(lines[1])
+        lines[index] = edit(lines[index])
         return "".join(lines)
     return apply
+
+
+def _swap_lines(text: str) -> str:
+    """The text with its second and third lines swapped."""
+    lines = text.splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    return "".join(lines)
 
 
 def _with_key(key: str, value: str):
@@ -855,7 +866,10 @@ _ANY_FILE = {
     "unknown-key": _with_key("note", "1"),
     "duplicate-line": _on_line(lambda line: line + line),
     "junk-line": _on_line(lambda line: line + "x\n"),
+    "junk-after-last-line": lambda text: text + "x",
     "missing-line": _on_line(lambda line: ""),
+    "swapped-lines": _swap_lines,
+    "reversed-lines": lambda text: "".join(reversed(text.splitlines(keepends=True))),
 }
 _NUMBERS = {"int": "2", "401-digit-int": "9" * 401, "upper-exponent": "1E5",
             "small-exponent": "1e-3", "past-float-range": "1e400", "nan": "NaN",
@@ -873,7 +887,12 @@ _VARIANTS = [
     ("oracle-samples", "responses.jsonl", _on_line(lambda line: json.dumps(
         dict(json.loads(line), oracle_samples=[json.loads(line)["oracle_score"]] * 2)) + "\n")),
     ("above-max", "responses.jsonl", _number("11.0")),
-    ("unknown-prompt", "responses.jsonl", _on_line(lambda line: line.replace('"p0"', '"p9"'))),
+    *[("unknown-prompt", file, _on_line(lambda line: line.replace('"p0"', '"p9"')))
+      for file in ("responses.jsonl", "rm_scores.jsonl")],
+    # p0 gets 4 responses and p1 2, the prompt ids of the first and last of
+    # each run of 3 staying those of the prompts
+    ("moved-response", "responses.jsonl", _on_line(
+        lambda line: line.replace('"p1", "response_id": "r0"', '"p0", "response_id": "r3"'), 3)),
     ("empty-text", "prompts.jsonl", _on_line(lambda line: re.sub('"text": "[^"]*"',
                                                                    '"text": ""', line))),
     ("perplexity", "prompts.jsonl", _with_key("perplexity", "2.5")),
@@ -903,8 +922,106 @@ def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, f
     path = directory / file
     path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
     shipped = _read(directory)
-    monkeypatch.setattr(dataset_module, "_canonical_rows", _decline)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert shipped == _read(directory)
+
+
+@pytest.mark.parametrize("prompt_ids, response_pairs", [
+    (["p0", "p1"], [("p0", "r0"), ("p1", "r0")]),  # one response per prompt
+    (["p0", "p0"], [("p0", f"r{j}") for j in range(4)]),  # a repeated prompt
+], ids=["one-response-per-prompt", "repeated-prompt"])
+def test_block_reader_leaves_shapes_it_cannot_hold_to_the_per_line_reader(
+        tmp_path, monkeypatch, prompt_ids, response_pairs):
+    # files in the writers' layout and order that no dataset could have written
+    directory = write_dataset_dir(
+        tmp_path / "d", [{"prompt_id": pid, "text": "t"} for pid in prompt_ids],
+        [{"prompt_id": pid, "response_id": rid, "oracle_score": 1.5}
+         for pid, rid in response_pairs])
+    write_jsonl(directory / "rm_scores.jsonl", scores_records(response_pairs,
+                                                              [0.5] * len(response_pairs)))
+    assert dataset_module._load_canonical(directory, 10.0, "d") is None
+    shipped = _read(directory)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert shipped == _read(directory)
+    assert shipped[0] in (NonUniformN, DuplicateId)
+
+
+@pytest.mark.parametrize("file", ["prompts.jsonl", "responses.jsonl", "rm_scores.jsonl"])
+@pytest.mark.parametrize("order", ["swapped-lines", "reversed-lines"])
+def test_block_reader_takes_lines_only_in_writer_order(tmp_path, file, order):
+    directory = _canonical_dir(tmp_path / "d")
+    path = directory / file
+    path.write_text(_ANY_FILE[order](path.read_text(encoding="utf-8")), encoding="utf-8")
+    if file == "rm_scores.jsonl":
+        assert dataset_module._ingest_canonical(load_benchmark(directory), path) is None
+    else:
+        assert dataset_module._load_canonical(directory, 10.0, "d") is None
+
+
+def test_columns_read_to_the_per_line_readers_dataset(tmp_path, monkeypatch):
+    directory = _canonical_dir(tmp_path / "d")
+    columns = load_benchmark(directory)
+    assert "responses" not in vars(columns)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    records = load_benchmark(directory)
+    # repr builds the records from the columns, so it comes first
+    assert repr(columns) == repr(records)
+    assert columns.responses == records.responses
+    assert columns == records and records == columns
+    assert columns.responses is columns.responses
+    assert list(columns.iter_pairs()) == list(records.iter_pairs())
+    assert columns._pair_ids == records._pair_ids
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        columns.absent
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        records.absent
+
+
+def test_threads_racing_the_first_responses_access_read_equal_records(tmp_path):
+    directory = _canonical_dir(tmp_path / "d")
+    expected = load_benchmark(directory).responses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            dataset = load_benchmark(directory)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: dataset.responses) for _ in range(8)]
+                results = [future.result(timeout=10) for future in futures]
+            assert all(result == expected for result in results)
+            assert dataset.responses == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_estimator_commands_build_no_response_records(tmp_path, monkeypatch):
+    spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
+    generated, table = gen_synthetic(spec, 3, 64, seed=5, name="synth")
+    directory = tmp_path / "synth"
+    write_benchmark(generated, directory)
+    write_rm_scores(table, directory / "rm_scores.jsonl")
+    args = ["--dataset", str(directory), "--rm-scores", str(directory / "rm_scores.jsonl")]
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a ResponseRecord was built")
+    monkeypatch.setattr(ResponseRecord, "__init__", no_records)
+    commands = [["reta", "--raw-variant"], ["bon"],
+                ["bon", "--variant", "best_m_of_n", "--best-m", "2"], ["metrics"], ["validate"]]
+    for i, command in enumerate(commands):
+        assert main([*command, *args, "--output-dir", str(tmp_path / f"out{i}")]) == 0
+    dataset = load_benchmark(directory)
+    assert oracle_score_table(dataset).scores == {
+        (r.prompt_id, r.response_id): r.oracle_score
+        for rows in generated.responses.values() for r in rows}
+    # a label file's unknown pair is named from the ids alone
+    labels = tmp_path / "labels.jsonl"
+    for pid, message in (("nope", "unknown prompt"), (generated.prompt_ids()[0],
+                                                      "unknown response")):
+        write_jsonl(labels, [{"prompt_id": pid, "response_id": "zz", "outcome": "win"}])
+        with pytest.raises(MalformedRecord, match=message):
+            load_win_labels(labels, dataset)
+    with pytest.raises(AssertionError, match="ResponseRecord was built"):
+        load_benchmark(directory).responses
 
 
 def test_written_files_take_the_block_reader(tmp_path, monkeypatch):

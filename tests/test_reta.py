@@ -15,6 +15,7 @@ from retabench import (
     rank_by_table,
     resample_sizes,
     reta_curve,
+    reta_curve_pair,
     reta_estimate,
     reta_point_estimate,
     write_curve_csv,
@@ -214,6 +215,15 @@ def test_normalizer_scale_invariance():
         moved = reta_estimate(scaled, table, 0.5, config)
         assert moved.per_prompt["p1"] == pytest.approx(base.per_prompt["p1"], abs=1e-12)
         assert moved.per_prompt["p2"] == base.per_prompt["p2"]
+
+
+def test_curve_pair_is_the_normalized_and_the_unnormalized_curve():
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 3, 64, seed=4)
+    for normalize in (True, False):
+        config = RetaConfig(normalize=normalize)
+        pair = reta_curve_pair(dataset, table, None, config)
+        assert pair == tuple(reta_curve(dataset, table, None, RetaConfig(normalize=flag))
+                             for flag in (True, False))
 
 
 def test_oracle_dominance_per_prompt():
@@ -422,6 +432,15 @@ def test_point_estimate_rejects_subset_size_outside_pool():
             reta_point_estimate(ranked, 0.5, n, RetaConfig())
         with pytest.raises(InvalidConfig):
             reta_point_estimate(ranked, 1.0, n, RetaConfig())
+
+
+def test_point_estimate_rejects_an_n_that_is_not_an_int():
+    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+    for n in (2.5, 2.0, True):
+        with pytest.raises(InvalidConfig, match="n must be an int"):
+            reta_point_estimate(ranked, 0.5, n, RetaConfig())
+    assert (reta_point_estimate(ranked, 0.5, np.int64(2), RetaConfig())
+            == reta_point_estimate(ranked, 0.5, 2, RetaConfig()))
 
 
 def test_too_many_subsets_guard():
