@@ -836,16 +836,31 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
                 line += f', "perplexity": {_json_value(prompt.perplexity)}'
             fh.write(line + "}\n")
     with open(directory / RESPONSES_FILE, "w", encoding="utf-8") as fh:
-        for rows in dataset.responses.values():
-            for resp in rows:
-                line = (f'{{"prompt_id": {_json_value(resp.prompt_id)}, '
-                        f'"response_id": {_json_value(resp.response_id)}, '
-                        f'"oracle_score": {_json_value(resp.oracle_score)}')
-                if resp.text is not None:
-                    line += f', "text": {_json_value(resp.text)}'
-                if resp.oracle_samples is not None:
-                    line += f', "oracle_samples": {_json_list(resp.oracle_samples)}'
-                fh.write(line + "}\n")
+        fh.writelines(_response_lines(dataset))
+
+
+def _response_lines(dataset: BenchmarkDataset) -> Iterator[str]:
+    """The lines of responses.jsonl; a dataset read by the block reader
+    writes them from its columns and builds no ``ResponseRecord``."""
+    texts = dataset.__dict__.get("_response_texts")
+    if texts is not None:
+        # its ids passed _ID, so json.dumps leaves them as they are; its
+        # texts passed only _TEXT, which lets non-ASCII through
+        scores = map(float.__repr__, dataset._oracle_scores.ravel().tolist())
+        for pid, rid, score, text in zip(*dataset._pair_ids, scores, texts):
+            line = f'{{"prompt_id": "{pid}", "response_id": "{rid}", "oracle_score": {score}'
+            yield line + ("}\n" if text is None else f', "text": {_json_str(text)}}}\n')
+        return
+    for rows in dataset.responses.values():
+        for resp in rows:
+            line = (f'{{"prompt_id": {_json_value(resp.prompt_id)}, '
+                    f'"response_id": {_json_value(resp.response_id)}, '
+                    f'"oracle_score": {_json_value(resp.oracle_score)}')
+            if resp.text is not None:
+                line += f', "text": {_json_value(resp.text)}'
+            if resp.oracle_samples is not None:
+                line += f', "oracle_samples": {_json_list(resp.oracle_samples)}'
+            yield line + "}\n"
 
 
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:

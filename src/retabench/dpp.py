@@ -222,5 +222,4 @@ def diversity_score(model: DppModel, subset: Sequence[int]) -> float:
     norms[norms == 0.0] = 1.0  # zero vectors contribute zero similarity
     unit = vectors / norms[:, None]
     cosine = np.abs(unit @ unit.T)
-    upper = np.triu_indices(len(subset), k=1)
-    return float(cosine[upper].mean())
+    return float((cosine.sum() - np.trace(cosine)) / (len(subset) * (len(subset) - 1)))

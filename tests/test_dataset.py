@@ -1024,6 +1024,27 @@ def test_estimator_commands_build_no_response_records(tmp_path, monkeypatch):
         load_benchmark(directory).responses
 
 
+def test_export_of_a_canonical_read_dataset_builds_no_response_records(tmp_path, monkeypatch):
+    directory = _canonical_dir(tmp_path / "data")
+    # the block reader takes a text with non-ASCII in it, which json.dumps escapes
+    raw = "caf\u00e9 \x7f"
+    responses = directory / "responses.jsonl"
+    written = responses.read_text(encoding="utf-8")
+    responses.write_text(written.replace('"some text"', f'"{raw}"'), encoding="utf-8")
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a ResponseRecord was built")
+    monkeypatch.setattr(ResponseRecord, "__init__", no_records)
+    assert main(["export", "--dataset", str(directory), "--rm-scores",
+                 str(directory / "rm_scores.jsonl"), "--output-dir", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    assert (out / "prompts.jsonl").read_bytes() == (directory / "prompts.jsonl").read_bytes()
+    assert (out / "rm_scores_rm.jsonl").read_bytes() == (
+        directory / "rm_scores.jsonl").read_bytes()
+    assert (out / "responses.jsonl").read_text(encoding="utf-8") == written.replace(
+        '"some text"', json.dumps(raw))
+
+
 def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
     # a pattern that declined every file would pass every other test
     spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
 from retabench import (
     DistSpec,
@@ -157,6 +158,12 @@ def test_pairwise_accuracy_no_comparable():
     table = build_table({"p": [1.0, 2.0, 3.0]})
     with pytest.raises(NoComparablePairs):
         pairwise_accuracy(table, dataset)
+    # of two prompts whose oracle ties every pair, the first in id order is named
+    dataset = build_dataset({"p2": [2.0, 2.0, 2.0], "p0": [1.0, 2.0, 3.0],
+                             "p1": [5.0, 5.0, 5.0]})
+    table = build_table({pid: [1.0, 2.0, 3.0] for pid in ("p0", "p1", "p2")})
+    with pytest.raises(NoComparablePairs, match="prompt 'p1'"):
+        pairwise_accuracy(table, dataset)
 
 
 def test_win_rate_examples():
@@ -269,6 +276,59 @@ def reference_pairwise_accuracy(table, dataset) -> float:
         rm_ties = int((comparable & (rm_sign == 0)).sum())
         per_prompt.append(100.0 * (agree + 0.5 * rm_ties) / int(comparable.sum()))
     return math.fsum(per_prompt) / len(per_prompt)
+
+
+def _tie_case(rng, case: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(oracle, RM) scores of one prompt of N responses, with the ties that
+    ``case`` names; the oracle always has two distinct values."""
+    continuous = rng.uniform(1.0, 9.0, n)
+    levels = rng.integers(1, 4, n).astype(float)
+    levels[:2] = 1.0, 2.0
+    if case == "none":
+        return continuous, rng.standard_normal(n)
+    if case == "oracle":
+        return levels, rng.standard_normal(n)
+    if case == "rm":
+        return continuous, rng.integers(0, 3, n).astype(float)
+    if case == "joint":
+        return levels, levels + rng.integers(0, 2, n)
+    return levels, np.full(n, 0.5)  # "constant": the RM ties every pair
+
+
+def _tie_pairs(scores: np.ndarray) -> int:
+    counts = np.unique(scores, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _kendall_pairwise_accuracy(oracle: np.ndarray, rm: np.ndarray) -> float:
+    """One prompt's pairwise accuracy from scipy's tau-b: the comparable
+    pairs C and n_c - n_d = tau_b * sqrt(C * (P - T_rm)) give
+    100 * (C + n_c - n_d) / (2C)."""
+    pairs = len(oracle) * (len(oracle) - 1) // 2
+    comparable = pairs - _tie_pairs(oracle)
+    tau = kendalltau(oracle, rm)[0]
+    net = tau * math.sqrt(comparable * (pairs - _tie_pairs(rm)))
+    return 50.0 * (comparable + net) / comparable
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 257, 1024])
+@pytest.mark.parametrize("case", ["none", "oracle", "rm", "joint", "constant"])
+def test_pairwise_accuracy_matches_pair_loop_and_kendall_tau(case, n):
+    rng = np.random.default_rng(n)
+    rows = {f"p{i}": _tie_case(rng, case, n) for i in range(3)}
+    dataset = build_dataset({pid: oracle for pid, (oracle, _) in rows.items()})
+    table = build_table({pid: rm for pid, (_, rm) in rows.items()})
+    batch = pairwise_accuracy(table, dataset)
+    assert batch == reference_pairwise_accuracy(table, dataset)
+    alone = [pairwise_accuracy(build_table({pid: rm}), build_dataset({pid: oracle}))
+             for pid, (oracle, rm) in rows.items()]
+    # a prompt's value does not depend on the prompts batched with it
+    assert batch == math.fsum(alone) / len(alone)
+    for value, (oracle, rm) in zip(alone, rows.values()):
+        if np.all(rm == rm[0]):  # tau-b is undefined
+            assert value == 50.0
+        else:
+            assert value == pytest.approx(_kendall_pairwise_accuracy(oracle, rm), abs=1e-12)
 
 
 @pytest.mark.parametrize("selection_rank", [1, 2, 5])
