@@ -223,7 +223,7 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
         raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
     config = RetaConfig(n_range_low_coeff=args.n_low_coeff,
                         n_range_high_coeff=args.n_high_coeff,
-                        n_exponent=args.n_exponent, seed=args.seed)
+                        n_exponent=args.n_exponent)
     etas = args.eta or default_eta_grid()
     if args.raw_variant:
         curves, raws = zip(*(reta_curve_pair(dataset, table, etas, config) for table in tables))

@@ -9,21 +9,24 @@ model.
 A ``BenchmarkDataset`` is canonical by construction: it stores prompts
 and responses in id order and checks their shape and values, so two
 loads of the same directory yield identical in-memory objects. Datasets
-and tables are immutable and safe to share across threads. A dataset
-builds each column once: a dataset built from records makes the oracle
-matrix when it checks the scores, and the pair index, the pair id
-columns and the oracle ranks on first use. That relies on the
-immutability: a dataset changed after a column was built would keep the
-stale column.
+and tables are immutable and safe to share across threads.
 
-The readers take a file that holds exactly what the writers write, in
-the writers' line order, in blocks of lines: one ``re.split`` per block,
-whose slices are the columns. ``load_benchmark`` then builds the oracle
-matrix, the pair index and the pair id columns from the columns and no
-``ResponseRecord``; the dataset's ``responses`` are built from the
-columns on first access. Any other file, and any file holding an error,
-goes line by line through the JSON scanner, which gives an equal result
-and raises or warns with the line number.
+Every dataset holds its responses as columns in id order: the prompt
+and response id of each response, the read-only (prompts, N) oracle
+matrix, the response texts and the oracle samples (None when no
+response has any). Every reader, writer and estimator reads those
+columns. ``ResponseRecord`` is an input format and a view: construction
+takes records and keeps only their columns, and a dataset builds its
+records from the columns once ``dataset.responses`` is read. The pair
+index and the oracle ranks are built from the columns on first use; that
+relies on the immutability.
+
+The readers take a file in the writers' layout and line order in blocks
+of lines: one ``re.split`` per block, whose slices are the columns. A
+text there may also hold literal non-ASCII and DEL, which the writers
+escape. Any other file, and any file holding an error, goes line by
+line through the JSON scanner, which builds records, gives an equal
+dataset and raises or warns with the line number.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -147,13 +150,14 @@ class BenchmarkDataset:
     unit-norm and of the shared dimension, or a perplexity that is not
     positive and finite.
 
-    ``load_benchmark`` builds a dataset from the block reader's columns
-    without this constructor, after checking the same rules on them: its
-    oracle matrix, pair index and pair id columns are built at load, and
-    its ``responses`` on first access, from the columns (``__getattr__``).
-    Equality, repr and every later read are those of the dataset built
-    from records. Two threads racing that first access each build the
-    records and store equal lists.
+    Construction keeps the records' columns (``_store``), not the records.
+    The block reader and ``gen_synthetic`` build a dataset from columns
+    without this constructor (``_from_columns``), after checking the same
+    rules on them. Every dataset builds its ``responses`` from the columns
+    on first access (``__getattr__``), with float oracle scores, so
+    equality and repr do not depend on how a dataset was built. Two
+    threads racing that first access each build the records and store
+    equal lists.
     """
 
     name: str
@@ -186,12 +190,19 @@ class BenchmarkDataset:
             _check_unique("response", f"{pid}/", [r.response_id for r in rows])
         if size < 2:
             raise NonUniformN(ids[0], size, 2)
-        self.responses = responses
-        self._check_values()
+        pids = [pid for pid in ids for _ in range(size)]
+        records = list(chain.from_iterable(responses.values()))
+        oracle = self._check_values(pids, records)
+        samples = list(map(_oracle_samples, records))
+        self._store((pids, list(map(_response_id, records))), oracle,
+                    list(map(_text, records)), samples if any(samples) else None)
+        del self.responses  # the columns hold them now
 
-    def _check_values(self) -> None:
-        """Raise for the first record that breaks a value rule: the reader's
-        error type, naming the dataset and the record's id."""
+    def _check_values(self, pids: list[str], records: list[ResponseRecord]) -> np.ndarray:
+        """Raise for the first prompt, then the first of ``records`` (filed
+        under ``pids``, in id order), that breaks a value rule: the reader's
+        error type, naming the dataset and the record's id. Returns the
+        (prompts, N) read-only oracle matrix."""
         dim: int | None = None
         for prompt in self.prompts:
             if prompt.embedding is not None:
@@ -203,32 +214,27 @@ class BenchmarkDataset:
                 self._reject(_prompt_label(prompt), "perplexity",
                              _number_problem(prompt.perplexity)
                              or _perplexity_problem(prompt.perplexity))
-        scores = list(map(_oracle_score, chain.from_iterable(self.responses.values())))
+        scores = list(map(_oracle_score, records))
         if not _FLOAT_TYPE.issuperset(map(type, scores)):
-            for pid, rows in self.responses.items():
-                for resp in rows:
-                    self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
-                                 _number_problem(resp.oracle_score))
-        # (prompts, N) oracle scores, responses in id order; read-only
-        self._oracle_scores = _frozen(
-            np.fromiter(scores, np.float64, len(scores)).reshape(self.num_prompts, -1))
-        if _oracle_score_problem(self._oracle_scores):
-            bad = next(r for rows in self.responses.values() for r in rows
-                       if _oracle_score_problem(r.oracle_score))
+            for pid, resp in zip(pids, records):
+                self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
+                             _number_problem(resp.oracle_score))
+        oracle = _frozen(np.fromiter(scores, np.float64, len(scores)).reshape(self.num_prompts, -1))
+        if _oracle_score_problem(oracle):
+            bad = next(r for r in records if _oracle_score_problem(r.oracle_score))
             raise NonPositiveOracleScore(bad.prompt_id, bad.response_id, bad.oracle_score)
-        for pid, rows in self.responses.items():
-            for resp in rows:
-                if resp.prompt_id != pid:
-                    self._reject(f"response {pid + '/' + resp.response_id!r}", "prompt_id",
-                                 f"names prompt {resp.prompt_id!r}")
-                if resp.text is not None and not isinstance(resp.text, str):
-                    self._reject(f"response {pid + '/' + resp.response_id!r}", "text",
-                                 "must be a string")
-                if resp.oracle_samples is not None:
-                    self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
-                                 _numbers_problem(resp.oracle_samples)
-                                 or _oracle_samples_problem(resp.oracle_samples,
-                                                            resp.oracle_score))
+        for pid, resp in zip(pids, records):
+            if resp.prompt_id != pid:
+                self._reject(f"response {pid + '/' + resp.response_id!r}", "prompt_id",
+                             f"names prompt {resp.prompt_id!r}")
+            if resp.text is not None and not isinstance(resp.text, str):
+                self._reject(f"response {pid + '/' + resp.response_id!r}", "text",
+                             "must be a string")
+            if resp.oracle_samples is not None:
+                self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
+                             _numbers_problem(resp.oracle_samples)
+                             or _oracle_samples_problem(resp.oracle_samples, resp.oracle_score))
+        return oracle
 
     def _reject(self, record: str, key: str, problem: str | None) -> None:
         """MalformedRecord naming the dataset and ``record``, if there is a problem."""
@@ -247,33 +253,37 @@ class BenchmarkDataset:
         for record, value in zip(records, values):
             self._reject(label(record), key, _str_problem(value, key))
 
+    def _store(self, pair_ids: tuple[list[str], list[str]], oracle: np.ndarray,
+               texts: list[str | None], samples: list[tuple[float, ...] | None] | None) -> None:
+        """Keep the response columns, each in id order: the prompt and the
+        response id of each response, the (prompts, N) read-only oracle
+        matrix, the texts, and the oracle samples or None when there are none."""
+        self._pair_ids = pair_ids
+        self._oracle_scores = oracle
+        self._response_texts = texts
+        self._oracle_samples = samples
+
     @classmethod
     def _from_columns(cls, name: str, prompts: list[PromptRecord], oracle: np.ndarray,
-                      pairs: list[tuple[str, str]], pair_ids: tuple[list[str], list[str]],
-                      texts: list[str | None]) -> BenchmarkDataset:
-        """The dataset of ``prompts`` and the (prompts, N) read-only ``oracle``
-        matrix, whose pairs, their two id columns and the response texts are
-        ``pairs``, ``pair_ids`` and ``texts``, in id order. The caller has
-        checked every rule of construction."""
+                      pair_ids: tuple[list[str], list[str]], texts: list[str | None],
+                      samples: list[tuple[float, ...] | None] | None = None) -> BenchmarkDataset:
+        """The dataset of ``prompts`` and the columns ``_store`` keeps. The
+        caller has checked every rule of construction."""
         dataset = cls.__new__(cls)
         dataset.name = name
         dataset.prompts = prompts
         dataset.responses_per_prompt = oracle.shape[1]
         dataset.load_warnings = []
-        dataset._oracle_scores = oracle
-        dataset._pair_index = dict(zip(pairs, range(len(pairs))))
-        dataset._pair_ids = pair_ids
-        dataset._response_texts = texts
+        dataset._store(pair_ids, oracle, texts, samples)
         return dataset
 
     def __getattr__(self, name: str):
-        """``responses`` of a dataset from ``_from_columns``, built on first access."""
-        texts = self.__dict__.get("_response_texts")
-        if name != "responses" or texts is None:
+        """``responses``, built from the columns on first access."""
+        if name != "responses" or "_response_texts" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         size = self.responses_per_prompt
-        records = list(map(ResponseRecord, *self._pair_ids,
-                           self._oracle_scores.ravel().tolist(), texts))
+        records = list(map(ResponseRecord, *self._pair_ids, self._oracle_scores.ravel().tolist(),
+                           self._response_texts, self._oracle_samples or repeat(None)))
         responses = {pid: records[i * size:(i + 1) * size]
                      for i, pid in enumerate(self.prompt_ids())}
         self.responses = responses
@@ -292,14 +302,7 @@ class BenchmarkDataset:
     @cached_property
     def _pair_index(self) -> dict[tuple[str, str], int]:
         """Flat position of each (prompt_id, response_id), in id order."""
-        pairs = ((pid, r.response_id) for pid, rows in self.responses.items() for r in rows)
-        return dict(zip(pairs, range(self.num_prompts * self.responses_per_prompt)))
-
-    @cached_property
-    def _pair_ids(self) -> tuple[list[str], list[str]]:
-        """The prompt ids and the response ids of ``_pair_index``'s pairs, in its order."""
-        return (list(map(operator.itemgetter(0), self._pair_index)),
-                list(map(operator.itemgetter(1), self._pair_index)))
+        return dict(zip(zip(*self._pair_ids), range(len(self._response_texts))))
 
     @cached_property
     def _oracle_ranks(self) -> np.ndarray:
@@ -311,6 +314,8 @@ class BenchmarkDataset:
 _prompt_id = operator.attrgetter("prompt_id")
 _response_id = operator.attrgetter("response_id")
 _oracle_score = operator.attrgetter("oracle_score")
+_oracle_samples = operator.attrgetter("oracle_samples")
+_text = operator.attrgetter("text")
 
 
 def _prompt_label(prompt: PromptRecord) -> str:
@@ -419,9 +424,11 @@ def _first_undecodable_line(path: Path) -> int | None:
     return None
 
 
-# The block reader: a canonical line is exactly what write_benchmark and
-# write_rm_scores write for a record with printable-ASCII ids, an unescaped
-# text and no optional field other than a response's text. Each pattern
+# The block reader: a canonical line is what write_benchmark and
+# write_rm_scores write for a record with printable-ASCII ids, a text
+# without escapes and no optional field other than a response's text; its
+# text may also hold literal non-ASCII and DEL, which json.loads reads to
+# the same value and the writers escape. Each pattern
 # matches one whole line of its kind, and no group spans a line end, so a
 # block of lines is canonical when its split has one match per line and
 # nothing between them.
@@ -508,7 +515,7 @@ def _load_canonical(directory: Path, max_oracle_score: float,
     if _oracle_score_problem(oracle) or oracle.max() > max_oracle_score:
         return None
     return BenchmarkDataset._from_columns(name, list(map(PromptRecord, ids, texts)),
-                                          _frozen(oracle), pairs, (pids, rids), response_texts)
+                                          _frozen(oracle), (pids, rids), response_texts)
 
 
 def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
@@ -840,27 +847,18 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
 
 
 def _response_lines(dataset: BenchmarkDataset) -> Iterator[str]:
-    """The lines of responses.jsonl; a dataset read by the block reader
-    writes them from its columns and builds no ``ResponseRecord``."""
-    texts = dataset.__dict__.get("_response_texts")
-    if texts is not None:
-        # its ids passed _ID, so json.dumps leaves them as they are; its
-        # texts passed only _TEXT, which lets non-ASCII through
-        scores = map(float.__repr__, dataset._oracle_scores.ravel().tolist())
-        for pid, rid, score, text in zip(*dataset._pair_ids, scores, texts):
-            line = f'{{"prompt_id": "{pid}", "response_id": "{rid}", "oracle_score": {score}'
-            yield line + ("}\n" if text is None else f', "text": {_json_str(text)}}}\n')
-        return
-    for rows in dataset.responses.values():
-        for resp in rows:
-            line = (f'{{"prompt_id": {_json_value(resp.prompt_id)}, '
-                    f'"response_id": {_json_value(resp.response_id)}, '
-                    f'"oracle_score": {_json_value(resp.oracle_score)}')
-            if resp.text is not None:
-                line += f', "text": {_json_value(resp.text)}'
-            if resp.oracle_samples is not None:
-                line += f', "oracle_samples": {_json_list(resp.oracle_samples)}'
-            yield line + "}\n"
+    """The lines of responses.jsonl, from the dataset's columns."""
+    pids, rids = dataset._pair_ids
+    scores = map(float.__repr__, dataset._oracle_scores.ravel().tolist())
+    for pid, rid, score, text, samples in zip(
+            map(_json_str, pids), map(_json_str, rids), scores, dataset._response_texts,
+            dataset._oracle_samples or repeat(None)):
+        line = f'{{"prompt_id": {pid}, "response_id": {rid}, "oracle_score": {score}'
+        if text is not None:
+            line += f', "text": {_json_str(text)}'
+        if samples is not None:
+            line += f', "oracle_samples": {_json_list(samples)}'
+        yield line + "}\n"
 
 
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:

@@ -52,27 +52,25 @@ class OfflineLabeler(Labeler):
     """Scores previously recorded in a benchmark dataset; never calls out."""
 
     def __init__(self, dataset: BenchmarkDataset):
-        self._records = {
-            (resp.prompt_id, resp.response_id): resp
-            for pid in dataset.prompt_ids()
-            for resp in dataset.responses[pid]
-        }
+        self._index = dataset._pair_index
+        self._scores = dataset._oracle_scores.ravel().tolist()
+        self._samples = dataset._oracle_samples
 
     @classmethod
     def from_directory(cls, path: str | Path, **load_kwargs) -> "OfflineLabeler":
         return cls(load_benchmark(path, **load_kwargs))
 
-    def _record(self, prompt_id: str, response_id: str):
+    def _position(self, prompt_id: str, response_id: str) -> int:
         key = (prompt_id, response_id)
-        if key not in self._records:
+        if key not in self._index:
             raise MissingScore(key)
-        return self._records[key]
+        return self._index[key]
 
     def oracle_score(self, prompt_id: str, response_id: str) -> float:
-        return self._record(prompt_id, response_id).oracle_score
+        return self._scores[self._position(prompt_id, response_id)]
 
     def oracle_samples(self, prompt_id: str, response_id: str) -> tuple[float, ...]:
-        record = self._record(prompt_id, response_id)
-        if record.oracle_samples is not None:
-            return record.oracle_samples
-        return (record.oracle_score,)
+        position = self._position(prompt_id, response_id)
+        if self._samples is not None and self._samples[position] is not None:
+            return self._samples[position]
+        return (self._scores[position],)

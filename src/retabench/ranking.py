@@ -68,28 +68,33 @@ class RankedResponses:
 
 
 def _build_ranking(dataset: BenchmarkDataset, prompt_id: str,
-                   rm_scores: list[float]) -> RankedResponses:
-    """Rank one prompt's responses by ``rm_scores``, given in the dataset's
-    id order, with the tie rule of ``_rank_orders``."""
-    responses = dataset.responses[prompt_id]
-    rm = np.asarray(rm_scores, dtype=np.float64)
+                   table: RmScoreTable | None) -> RankedResponses:
+    """Rank one prompt's responses by ``table``'s scores, or by their oracle
+    scores when ``table`` is None, with the tie rule of ``_rank_orders``;
+    read from the dataset's columns."""
+    try:
+        row = dataset.prompt_ids().index(prompt_id)
+    except ValueError:
+        raise InvalidConfig(f"unknown prompt {prompt_id!r}") from None
+    size = dataset.responses_per_prompt
+    response_ids = dataset._pair_ids[1][row * size:(row + 1) * size]
+    oracle = dataset._oracle_scores[row]
+    rm = oracle if table is None else np.array(
+        [table.score(prompt_id, rid) for rid in response_ids], dtype=np.float64)
     order = _rank_orders(rm[None, :])[0]
-    oracle = np.asarray([r.oracle_score for r in responses], dtype=np.float64)
     return RankedResponses(prompt_id, order, rm[order], oracle[order],
-                           tuple(responses[i].response_id for i in order))
+                           tuple(response_ids[i] for i in order))
 
 
 def rank_by_table(dataset: BenchmarkDataset, table: RmScoreTable,
                   prompt_id: str) -> RankedResponses:
     """Rank one prompt's responses by the given score table."""
-    return _build_ranking(dataset, prompt_id, [table.score(prompt_id, r.response_id)
-                                               for r in dataset.responses[prompt_id]])
+    return _build_ranking(dataset, prompt_id, table)
 
 
 def rank_by_oracle(dataset: BenchmarkDataset, prompt_id: str) -> RankedResponses:
     """Rank one prompt's responses by their oracle scores."""
-    return _build_ranking(dataset, prompt_id,
-                          [r.oracle_score for r in dataset.responses[prompt_id]])
+    return _build_ranking(dataset, prompt_id, None)
 
 
 def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[int]:

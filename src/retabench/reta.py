@@ -63,15 +63,13 @@ class RetaConfig:
     Subset sizes run over ``[ceil(lo * N**e), floor(hi * N**e)]`` with
     ``lo``, ``hi`` and ``e`` the ``n_range_*`` coefficients and
     ``n_exponent``. ``normalize=False`` reports the selection's mean oracle
-    score without dividing by the pool mean. The estimate is exact and does
-    not depend on ``seed``; ``convergence_experiment`` derives its
-    synthetic datasets from it.
+    score without dividing by the pool mean. The estimate is exact and
+    uses no randomness.
     """
 
     n_range_low_coeff: float = 3.0
     n_range_high_coeff: float = 5.0
     n_exponent: float = 2.0 / 3.0
-    seed: int = 0
     normalize: bool = True
 
     def __post_init__(self) -> None:
@@ -81,8 +79,6 @@ class RetaConfig:
             raise InvalidConfig("n_range_low_coeff must not exceed n_range_high_coeff")
         if not 0.0 < self.n_exponent <= 1.0:
             raise InvalidConfig(f"n_exponent must be in (0, 1], got {self.n_exponent}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidConfig("seed must fit in 64 unsigned bits")
 
 
 @dataclass

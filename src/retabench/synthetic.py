@@ -21,8 +21,8 @@ import numpy as np
 from .dataset import (
     BenchmarkDataset,
     PromptRecord,
-    ResponseRecord,
     RmScoreTable,
+    _frozen,
     _rm_name_problem,
     _write_csv,
 )
@@ -195,27 +195,21 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
         raise InvalidConfig(f"rm_name {rm_name!r}: {problem}")
     prompt_width = max(4, len(str(num_prompts - 1)))
     response_width = max(3, len(str(responses_per_prompt - 1)))
-    prompts = []
-    responses: dict[str, list[ResponseRecord]] = {}
-    scores: dict[tuple[str, str], float] = {}
-    for p_idx in range(num_prompts):
-        prompt_id = f"p{p_idx:0{prompt_width}d}"
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, p_idx])))
-        y, j = _draw_pairs(spec, rng, responses_per_prompt)
-        prompts.append(PromptRecord(prompt_id, f"synthetic prompt {p_idx}"))
-        row = []
-        for r_idx in range(responses_per_prompt):
-            response_id = f"r{r_idx:0{response_width}d}"
-            row.append(ResponseRecord(prompt_id, response_id, float(j[r_idx])))
-            scores[(prompt_id, response_id)] = float(y[r_idx])
-        responses[prompt_id] = row
-    dataset = BenchmarkDataset(
-        name=name or f"synthetic-{spec.kind}",
-        prompts=prompts,
-        responses=responses,
-        responses_per_prompt=responses_per_prompt,
-    )
-    return dataset, RmScoreTable(rm_name=rm_name, scores=scores)
+    prompt_ids = [f"p{p_idx:0{prompt_width}d}" for p_idx in range(num_prompts)]
+    response_ids = [f"r{r_idx:0{response_width}d}" for r_idx in range(responses_per_prompt)]
+    draws = [_draw_pairs(spec, np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, p_idx]))), responses_per_prompt)
+        for p_idx in range(num_prompts)]
+    # each prompt's (rm, oracle) rows, stacked into two (prompts, N) matrices
+    rm, oracle = map(np.stack, zip(*draws))
+    pair_ids = ([pid for pid in prompt_ids for _ in response_ids],
+                response_ids * num_prompts)
+    dataset = BenchmarkDataset._from_columns(
+        name or f"synthetic-{spec.kind}",
+        [PromptRecord(pid, f"synthetic prompt {p_idx}") for p_idx, pid in enumerate(prompt_ids)],
+        _frozen(oracle), pair_ids, [None] * len(response_ids) * num_prompts)
+    return dataset, RmScoreTable(rm_name=rm_name,
+                                 scores=dict(zip(zip(*pair_ids), rm.ravel().tolist())))
 
 
 def analytic_reta(spec: DistSpec, eta: float) -> float:
@@ -270,14 +264,15 @@ class ConvergencePoint:
 
 
 def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
-                           num_prompts: int,
-                           config: RetaConfig | None = None) -> list[ConvergencePoint]:
-    """Estimate at each pool size N and report the gap to the analytic limit."""
+                           num_prompts: int, config: RetaConfig | None = None, *,
+                           seed: int = 0) -> list[ConvergencePoint]:
+    """Estimate at each pool size N and report the gap to the analytic limit;
+    the dataset of pool size N is ``gen_synthetic``'s at seed ``seed + N``."""
     config = config or RetaConfig()
     limit = analytic_reta(spec, eta)
     points = []
     for pool_size in n_list:
-        dataset_seed = config.seed + pool_size  # distinct data per pool size
+        dataset_seed = seed + pool_size  # distinct data per pool size
         dataset, table = gen_synthetic(spec, num_prompts, pool_size, dataset_seed)
         estimate = reta_estimate(dataset, table, eta, config)
         points.append(ConvergencePoint(

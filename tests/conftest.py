@@ -39,6 +39,13 @@ def build_table(scores_by_prompt: dict[str, list[float]],
     return RmScoreTable(rm_name=rm_name, scores=scores)
 
 
+def forbid_response_records(monkeypatch) -> None:
+    """Make every later ``ResponseRecord(...)`` raise, until the patch is undone."""
+    def no_records(*args, **kwargs):
+        raise AssertionError("a ResponseRecord was built")
+    monkeypatch.setattr(ResponseRecord, "__init__", no_records)
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:

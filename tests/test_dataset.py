@@ -52,9 +52,17 @@ from retabench.errors import (
 from retabench import dataset as dataset_module
 from retabench.cli import main
 from retabench.ranking import oracle_matrix
+from retabench import synthetic as synthetic_module
 from retabench.synthetic import DistSpec, gen_synthetic
 
-from conftest import build_dataset, build_table, scores_records, write_dataset_dir, write_jsonl
+from conftest import (
+    build_dataset,
+    build_table,
+    forbid_response_records,
+    scores_records,
+    write_dataset_dir,
+    write_jsonl,
+)
 
 
 def test_load_minimal_dataset(tiny_dataset_dir):
@@ -1001,18 +1009,17 @@ def test_estimator_commands_build_no_response_records(tmp_path, monkeypatch):
     write_benchmark(generated, directory)
     write_rm_scores(table, directory / "rm_scores.jsonl")
     args = ["--dataset", str(directory), "--rm-scores", str(directory / "rm_scores.jsonl")]
+    # the records of the generated dataset are built before the patch
+    expected = {(r.prompt_id, r.response_id): r.oracle_score
+                for rows in generated.responses.values() for r in rows}
 
-    def no_records(*args, **kwargs):
-        raise AssertionError("a ResponseRecord was built")
-    monkeypatch.setattr(ResponseRecord, "__init__", no_records)
+    forbid_response_records(monkeypatch)
     commands = [["reta", "--raw-variant"], ["bon"],
                 ["bon", "--variant", "best_m_of_n", "--best-m", "2"], ["metrics"], ["validate"]]
     for i, command in enumerate(commands):
         assert main([*command, *args, "--output-dir", str(tmp_path / f"out{i}")]) == 0
     dataset = load_benchmark(directory)
-    assert oracle_score_table(dataset).scores == {
-        (r.prompt_id, r.response_id): r.oracle_score
-        for rows in generated.responses.values() for r in rows}
+    assert oracle_score_table(dataset).scores == expected
     # a label file's unknown pair is named from the ids alone
     labels = tmp_path / "labels.jsonl"
     for pid, message in (("nope", "unknown prompt"), (generated.prompt_ids()[0],
@@ -1024,6 +1031,28 @@ def test_estimator_commands_build_no_response_records(tmp_path, monkeypatch):
         load_benchmark(directory).responses
 
 
+def test_synth_builds_and_writes_no_response_records(tmp_path, monkeypatch):
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+
+    forbid_response_records(monkeypatch)
+    generated, table = gen_synthetic(spec, 11, 16, seed=4, name="synth")
+    write_benchmark(generated, tmp_path / "synth")
+    write_rm_scores(table, tmp_path / "synth" / "rm_scores.jsonl")
+    monkeypatch.undo()
+    # the records of each prompt's own Philox stream
+    prompts, responses, scores = [], {}, {}
+    for p_idx in range(11):
+        pid = f"p{p_idx:04d}"
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([4, p_idx])))
+        rm, oracle = synthetic_module._draw_pairs(spec, rng, 16)
+        prompts.append(PromptRecord(pid, f"synthetic prompt {p_idx}"))
+        responses[pid] = [ResponseRecord(pid, f"r{j:03d}", float(oracle[j])) for j in range(16)]
+        scores.update({(pid, f"r{j:03d}"): float(rm[j]) for j in range(16)})
+    expected = BenchmarkDataset("synth", prompts, responses, 16)
+    assert generated == expected and table == RmScoreTable("synthetic-rm", scores)
+    assert _read(tmp_path / "synth") == (expected, [], table, [])
+
+
 def test_export_of_a_canonical_read_dataset_builds_no_response_records(tmp_path, monkeypatch):
     directory = _canonical_dir(tmp_path / "data")
     # the block reader takes a text with non-ASCII in it, which json.dumps escapes
@@ -1032,9 +1061,7 @@ def test_export_of_a_canonical_read_dataset_builds_no_response_records(tmp_path,
     written = responses.read_text(encoding="utf-8")
     responses.write_text(written.replace('"some text"', f'"{raw}"'), encoding="utf-8")
 
-    def no_records(*args, **kwargs):
-        raise AssertionError("a ResponseRecord was built")
-    monkeypatch.setattr(ResponseRecord, "__init__", no_records)
+    forbid_response_records(monkeypatch)
     assert main(["export", "--dataset", str(directory), "--rm-scores",
                  str(directory / "rm_scores.jsonl"), "--output-dir", str(tmp_path / "out")]) == 0
     out = tmp_path / "out"

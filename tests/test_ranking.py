@@ -21,11 +21,13 @@ from retabench import (
     eta_parts,
     gen_synthetic,
     ingest_rm_scores,
+    load_benchmark,
     rank_by_oracle,
     rank_by_table,
     rank_k_of_n_estimate,
     reta_curve,
     reta_estimate,
+    write_benchmark,
     write_rm_scores,
 )
 from retabench.errors import EmptySelection, InvalidConfig, MissingScore
@@ -41,7 +43,7 @@ from retabench.ranking import (
 )
 from retabench.reta import default_eta_grid
 
-from conftest import build_dataset, build_table, unordered_ties_dataset
+from conftest import build_dataset, build_table, forbid_response_records, unordered_ties_dataset
 
 
 def test_rank_by_table_orders_descending():
@@ -102,7 +104,12 @@ def reference_order(ids, scores):
     return sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
 
 
-def test_batched_orders_match_per_prompt_rankings():
+def _ranking_bits(ranked) -> tuple:
+    return (ranked.prompt_id, ranked.order.tobytes(), ranked.rm_scores.tobytes(),
+            ranked.oracle_scores.tobytes(), ranked.response_ids)
+
+
+def test_batched_orders_match_per_prompt_rankings(tmp_path, monkeypatch):
     dataset, table = unordered_ties_dataset()
     assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in table.scores.values())
     rm, oracle = _score_matrices(dataset, table)
@@ -119,6 +126,28 @@ def test_batched_orders_match_per_prompt_rankings():
         assert rank_by_oracle(dataset, pid).order.tolist() == by_oracle
         assert matrix[i].tolist() == [responses[j].oracle_score for j in by_rm]
         assert rank_by_table(dataset, table, pid).response_ids == tuple(ids[j] for j in by_rm)
+    # the block reader's copy ranks from its columns, builds no record and
+    # gives the same rankings, bit for bit
+    write_benchmark(dataset, tmp_path / "d")
+    write_rm_scores(table, tmp_path / "d" / "rm_scores.jsonl")
+
+    forbid_response_records(monkeypatch)
+    read = load_benchmark(tmp_path / "d")
+    read_table = ingest_rm_scores(read, tmp_path / "d" / "rm_scores.jsonl")
+    for pid in dataset.prompt_ids():
+        assert _ranking_bits(rank_by_table(read, read_table, pid)) == \
+            _ranking_bits(rank_by_table(dataset, table, pid))
+        assert _ranking_bits(rank_by_oracle(read, pid)) == \
+            _ranking_bits(rank_by_oracle(dataset, pid))
+
+
+def test_rankers_name_an_unknown_prompt():
+    dataset = build_dataset({"p": [1.0, 2.0]})
+    table = build_table({"p": [0.5, 0.1]})
+    with pytest.raises(InvalidConfig, match="unknown prompt 'q'"):
+        rank_by_table(dataset, table, "q")
+    with pytest.raises(InvalidConfig, match="unknown prompt 'q'"):
+        rank_by_oracle(dataset, "q")
 
 
 def test_oracle_matrix_reads_through_score():

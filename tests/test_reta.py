@@ -23,6 +23,8 @@ from retabench import (
     DistSpec,
     gen_synthetic,
 )
+from retabench.cli import main
+from retabench.dataset import write_benchmark, write_rm_scores
 from retabench.ranking import RankedResponses, eta_parts, subset_rank_table
 from retabench.reta import _coefficients, default_eta_grid
 from retabench.errors import (
@@ -83,9 +85,9 @@ def test_eta_one_identity_is_exact():
     for size in (4, 16, 33):
         ranked = random_ranked(rng, size)
         for n in (1, size // 2 + 1, size):
-            value = reta_point_estimate(ranked, 1.0, n, RetaConfig(seed=3))
+            value = reta_point_estimate(ranked, 1.0, n, RetaConfig())
             assert value == 1.0
-        raw = reta_point_estimate(ranked, 1.0, 2, RetaConfig(seed=3, normalize=False))
+        raw = reta_point_estimate(ranked, 1.0, 2, RetaConfig(normalize=False))
         assert raw == float(np.sum(ranked.oracle_scores)) / size
 
 
@@ -186,7 +188,7 @@ def test_point_estimate_deepest_ranks_match_exhaustive():
 def test_monotone_transform_bit_identical():
     spec = DistSpec.noisy_gaussian(0.6, 7.0)
     dataset, table = gen_synthetic(spec, 6, 24, seed=11)
-    config = RetaConfig(seed=5, n_range_low_coeff=0.5, n_range_high_coeff=1.0,
+    config = RetaConfig(n_range_low_coeff=0.5, n_range_high_coeff=1.0,
                         n_exponent=1.0)
     base = reta_estimate(dataset, table, 0.3, config)
     for transform in (lambda y: 2.0 * y + 7.0, np.exp, np.arctan):
@@ -204,7 +206,7 @@ def test_monotone_transform_bit_identical():
 def test_normalizer_scale_invariance():
     dataset = build_dataset({"p1": [1.0, 5.0, 2.0, 8.0], "p2": [3.0, 4.0, 9.0, 0.5]})
     table = build_table({"p1": [0.4, 0.1, 0.3, 0.2], "p2": [0.1, 0.4, 0.2, 0.3]})
-    config = RetaConfig(seed=2, n_range_low_coeff=0.5, n_range_high_coeff=1.0,
+    config = RetaConfig(n_range_low_coeff=0.5, n_range_high_coeff=1.0,
                         n_exponent=1.0)
     base = reta_estimate(dataset, table, 0.5, config)
     for c in (0.5, 3.0):
@@ -230,7 +232,7 @@ def test_oracle_dominance_per_prompt():
     spec = DistSpec.noisy_gaussian(0.7, 7.0)
     dataset, rm_table = gen_synthetic(spec, 8, 32, seed=23)
     oracle = oracle_score_table(dataset)
-    config = RetaConfig(seed=9)
+    config = RetaConfig()
     for eta in (0.5, 0.25):
         top = reta_estimate(dataset, oracle, eta, config)
         tested = reta_estimate(dataset, rm_table, eta, config)
@@ -241,25 +243,36 @@ def test_oracle_dominance_per_prompt():
 def test_seed_determinism_and_threads():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 6, 32, seed=4)
-    config = RetaConfig(seed=77)
+    config = RetaConfig()
     one = reta_estimate(dataset, table, 0.25, config)
     again = reta_estimate(dataset, table, 0.25, config)
     assert one.value == again.value
     assert one.per_prompt == again.per_prompt
 
 
-def test_seed_does_not_change_estimate():
+def test_seed_does_not_change_estimate(tmp_path):
+    # reta takes --seed as every command does, but the exact estimate draws
+    # nothing: any seed, -1 included, gives the same rows
     spec = DistSpec.noisy_gaussian(0.5, 7.0)
     dataset, table = gen_synthetic(spec, 5, 32, seed=8)
-    first = reta_estimate(dataset, table, 0.3, RetaConfig(seed=1))
-    second = reta_estimate(dataset, table, 0.3, RetaConfig(seed=2))
-    assert first.per_prompt == second.per_prompt
+    write_benchmark(dataset, tmp_path / "data")
+    write_rm_scores(table, tmp_path / "data" / "rm_scores.jsonl")
+    rows = []
+    for seed in ("1", "2", "-1"):
+        out = tmp_path / f"out{seed}"
+        assert main(["reta", "--dataset", str(tmp_path / "data"), "--rm-scores",
+                     str(tmp_path / "data" / "rm_scores.jsonl"), "--eta", "0.3",
+                     "--max-oracle-score", "20", "--seed", seed, "--output-dir", str(out)]) == 0
+        rows.append([line for name in ("reta_synthetic-rm.csv", "reta_synthetic-rm_per_prompt.csv")
+                     for line in (out / name).read_text().splitlines()
+                     if not line.startswith("#")])
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_curve_points_equal_single_estimates():
     spec = DistSpec.noisy_gaussian(0.6, 7.0)
     dataset, table = gen_synthetic(spec, 6, 64, seed=12)
-    config = RetaConfig(seed=3)
+    config = RetaConfig()
     curve = reta_curve(dataset, table, None, config)
     for point in curve.points:
         single = reta_estimate(dataset, table, point.eta, config)
@@ -360,7 +373,7 @@ def test_coefficients_match_running_sum_over_whole_tables(pool):
 def test_estimate_aggregation_invariants():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 5, 16, seed=6)
-    config = RetaConfig(seed=1, n_range_low_coeff=1.0, n_range_high_coeff=2.0)
+    config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0)
     estimate = reta_estimate(dataset, table, 0.5, config)
     values = list(estimate.per_prompt.values())
     assert estimate.value == pytest.approx(sum(values) / len(values), abs=1e-15)
@@ -372,7 +385,7 @@ def test_estimate_aggregation_invariants():
 def test_independent_rm_near_random_baseline():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 24, 32, seed=42)
-    estimate = reta_estimate(dataset, table, 0.25, RetaConfig(seed=8))
+    estimate = reta_estimate(dataset, table, 0.25, RetaConfig())
     assert abs(estimate.value - 1.0) <= 3.0 * estimate.std_error
 
 
@@ -380,7 +393,7 @@ def test_independent_rm_curve_hugs_baseline():
     # every point of the default 15-point grid stays within 3 standard errors
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 12, 256, seed=13)
-    curve = reta_curve(dataset, table, None, RetaConfig(seed=21))
+    curve = reta_curve(dataset, table, None, RetaConfig())
     assert len(curve.points) == 15
     for point in curve.points:
         margin = max(3.0 * point.std_error, 0.01)  # eta=1 has zero spread
@@ -390,7 +403,7 @@ def test_independent_rm_curve_hugs_baseline():
 def test_default_curve_shape():
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
     dataset, table = gen_synthetic(spec, 3, 16, seed=1)
-    config = RetaConfig(seed=2, n_range_low_coeff=1.0, n_range_high_coeff=2.0,
+    config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0,
                         n_exponent=0.5)
     curve = reta_curve(dataset, table, None, config)
     assert len(curve.points) == 15
@@ -453,7 +466,7 @@ def test_too_many_subsets_guard():
 def test_csv_exports(tmp_path):
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
     dataset, table = gen_synthetic(spec, 3, 8, seed=5)
-    config = RetaConfig(seed=1, n_range_low_coeff=0.5, n_range_high_coeff=1.0,
+    config = RetaConfig(n_range_low_coeff=0.5, n_range_high_coeff=1.0,
                         n_exponent=1.0)
     curve = reta_curve(dataset, table, [1.0, 0.5], config)
     curve_path = tmp_path / "curve.csv"

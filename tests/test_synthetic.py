@@ -15,6 +15,7 @@ from retabench import (
     convergence_experiment,
     gen_synthetic,
     pairwise_accuracy,
+    reta_estimate,
     validate_dataset,
     write_convergence_csv,
 )
@@ -182,9 +183,9 @@ def test_convergence_error_shrinks_with_pool_size():
     for pool in (8, 32):
         errors = []
         for seed in range(10):
-            config = RetaConfig(seed=seed, n_range_low_coeff=1.0,
+            config = RetaConfig(n_range_low_coeff=1.0,
                                 n_range_high_coeff=2.0, n_exponent=0.5)
-            point = convergence_experiment(spec, 0.25, [pool], 12, config)[0]
+            point = convergence_experiment(spec, 0.25, [pool], 12, config, seed=seed)[0]
             errors.append(point.abs_error)
         mean_errors.append(sum(errors) / len(errors))
     assert mean_errors[1] <= mean_errors[0]
@@ -192,10 +193,14 @@ def test_convergence_error_shrinks_with_pool_size():
 
 def test_convergence_experiment_rows(tmp_path):
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
-    config = RetaConfig(seed=1, n_range_low_coeff=1.0,
+    config = RetaConfig(n_range_low_coeff=1.0,
                         n_range_high_coeff=2.0, n_exponent=0.5)
-    points = convergence_experiment(spec, 0.25, [16, 32], 8, config)
+    points = convergence_experiment(spec, 0.25, [16, 32], 8, config, seed=1)
     assert [p.responses_per_prompt for p in points] == [16, 32]
+    # the dataset of pool size N is the one drawn at seed 1 + N
+    assert [p.seed for p in points] == [17, 33]
+    dataset, table = gen_synthetic(spec, 8, 32, 33)
+    assert points[1].estimate == reta_estimate(dataset, table, 0.25, config).value
     limit = analytic_reta(spec, 0.25)
     for point in points:
         assert point.analytic == limit
