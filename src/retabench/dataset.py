@@ -154,10 +154,10 @@ class BenchmarkDataset:
     The block reader and ``gen_synthetic`` build a dataset from columns
     without this constructor (``_from_columns``), after checking the same
     rules on them. Every dataset builds its ``responses`` from the columns
-    on first access (``__getattr__``), with float oracle scores, so
-    equality and repr do not depend on how a dataset was built. Two
+    on first access (``__getattr__``), with float oracle scores. Two
     threads racing that first access each build the records and store
-    equal lists.
+    equal lists. Equality compares the columns and repr shows the shape,
+    so neither builds records or depends on how a dataset was built.
     """
 
     name: str
@@ -289,6 +289,22 @@ class BenchmarkDataset:
         self.responses = responses
         return responses
 
+    def __eq__(self, other) -> bool:
+        """Equal name, prompts, N and response columns, which is what equal
+        records mean."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.prompts == other.prompts
+                and self.responses_per_prompt == other.responses_per_prompt
+                and self._pair_ids == other._pair_ids
+                and np.array_equal(self._oracle_scores, other._oracle_scores)
+                and self._response_texts == other._response_texts
+                and self._oracle_samples == other._oracle_samples)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(name={self.name!r}, prompts={self.num_prompts}, "
+                f"responses_per_prompt={self.responses_per_prompt})")
+
     @property
     def num_prompts(self) -> int:
         return len(self.prompts)
@@ -297,7 +313,7 @@ class BenchmarkDataset:
         return [p.prompt_id for p in self.prompts]
 
     def iter_pairs(self) -> Iterator[tuple[str, str]]:
-        return iter(self._pair_index)
+        return zip(*self._pair_ids)
 
     @cached_property
     def _pair_index(self) -> dict[tuple[str, str], int]:
@@ -347,11 +363,24 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RmScoreTable:
-    """Scalar scores of one tested reward model for every (prompt, response)."""
+    """Scalar scores of one tested reward model for every (prompt, response).
+
+    A table built in code from a ``scores`` dict keeps that dict. A table
+    that the readers, ``gen_synthetic`` or ``oracle_score_table`` build
+    holds columns instead (``_from_columns``): the dataset's own pair id
+    lists and a read-only float64 score column in their order. Its
+    ``scores`` dict is built from the columns on first read
+    (``__getattr__``), as a dataset builds its ``responses``; two threads
+    racing that read each build an equal dict. Equality compares the name
+    and the (pair, score) content, however a table was built.
+    """
 
     rm_name: str
     scores: dict[tuple[str, str], float]
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
+
+    # the pair id lists of a column table; None for a table built from a dict
+    _pair_ids = None
 
     def __post_init__(self) -> None:
         """Raise what ``ingest_rm_scores`` raises for an unusable ``rm_name``
@@ -370,6 +399,38 @@ class RmScoreTable:
                     raise MalformedRecord(source, None, "score", f"pair {pair!r}: {problem}")
                 if not math.isfinite(value):
                     raise NonFiniteScore(pair, value)
+
+    @classmethod
+    def _from_columns(cls, rm_name: str, pair_ids: tuple[list[str], list[str]],
+                      values: np.ndarray,
+                      load_warnings: list[ValidationIssue] | None = None) -> RmScoreTable:
+        """The table of ``values``, a float64 score column in the order of
+        ``pair_ids`` (a dataset's), which it keeps read-only. Raises what
+        construction raises for the same scores."""
+        if _rm_name_problem(rm_name) or not np.isfinite(values).all():
+            cls(rm_name, dict(zip(zip(*pair_ids), values.tolist())))  # raises the error
+        table = cls.__new__(cls)
+        for name, value in (("rm_name", rm_name), ("load_warnings", load_warnings or []),
+                            ("_pair_ids", pair_ids), ("_values", _frozen(values))):
+            object.__setattr__(table, name, value)
+        return table
+
+    def __getattr__(self, name: str):
+        """``scores``, built from the columns on first access."""
+        if name != "scores" or "_values" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scores = dict(zip(zip(*self._pair_ids), self._values.tolist()))
+        object.__setattr__(self, "scores", scores)
+        return scores
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rm_name == other.rm_name and self.scores == other.scores
+
+    def __repr__(self) -> str:
+        size = len(self.scores) if self._pair_ids is None else len(self._values)
+        return f"{type(self).__name__}(rm_name={self.rm_name!r}, pairs={size})"
 
     def score(self, prompt_id: str, response_id: str) -> float:
         key = (prompt_id, response_id)
@@ -535,7 +596,7 @@ def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | N
             values += map(float, parts[4::5])
         if len(values) != len(pids) or len(names) != 1:
             return None
-        return RmScoreTable(names.pop(), dict(zip(dataset._pair_index, values)))
+        return RmScoreTable._from_columns(names.pop(), dataset._pair_ids, np.array(values))
     except (_NotCanonical, RetabenchError):
         return None
 
@@ -913,28 +974,33 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
         raise MalformedRecord(source, None, "-", "no score records")
     if None in values:
         raise MissingScore(next(pair for pair, value in zip(index, values) if value is None))
-    return RmScoreTable(rm_name=rm_name, scores=dict(zip(index, values)),
-                        load_warnings=warnings)
+    return RmScoreTable._from_columns(rm_name, dataset._pair_ids, np.array(values), warnings)
 
 
 def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
     """Write a score table as rm_scores.jsonl in canonical (sorted) order.
 
     Each line is the bytes ``json.dumps`` gives for the record's dict.
-    Raises ``MalformedRecord``, naming the table and the key, before it
-    touches ``path`` when a key is not a (prompt_id, response_id) pair of
-    ids that ``ingest_rm_scores`` reads back as the same pair.
+    A column table is written from its columns, already in that order.
+    For a table built from a dict, raises ``MalformedRecord``, naming the
+    table and the key, before it touches ``path`` when a key is not a
+    (prompt_id, response_id) pair of ids that ``ingest_rm_scores`` reads
+    back as the same pair.
     """
-    _check_pairs(table)
+    if table._pair_ids is None:
+        _check_pairs(table)
+        pairs = sorted(table.scores)
+        pids, rids = [pid for pid, _ in pairs], [rid for _, rid in pairs]
+        values = map(_json_value, map(table.scores.__getitem__, pairs))
+    else:  # finite floats
+        (pids, rids), values = table._pair_ids, map(float.__repr__, table._values.tolist())
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     rm_name = _json_value(table.rm_name)
-    scores = table.scores
     with open(out, "w", encoding="utf-8") as fh:
-        for pair in sorted(scores):
-            pid, rid = pair
-            fh.write(f'{{"prompt_id": {_json_value(pid)}, "response_id": {_json_value(rid)}, '
-                     f'"rm_name": {rm_name}, "score": {_json_value(scores[pair])}}}\n')
+        for pid, rid, value in zip(map(_json_str, pids), map(_json_str, rids), values):
+            fh.write(f'{{"prompt_id": {pid}, "response_id": {rid}, '
+                     f'"rm_name": {rm_name}, "score": {value}}}\n')
 
 
 def _check_pairs(table: RmScoreTable) -> None:
@@ -959,8 +1025,7 @@ def _check_pairs(table: RmScoreTable) -> None:
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:
     """A score table whose scores equal the oracle scores (the ideal model)."""
-    scores = dict(zip(dataset._pair_index, dataset._oracle_scores.ravel().tolist()))
-    return RmScoreTable(rm_name=rm_name, scores=scores)
+    return RmScoreTable._from_columns(rm_name, dataset._pair_ids, dataset._oracle_scores.ravel())
 
 
 def validate_dataset(dataset: BenchmarkDataset,
@@ -984,7 +1049,6 @@ def validate_dataset(dataset: BenchmarkDataset,
         issues.append(ValidationIssue("error", f"response:{pids[i]}/{rids[i]}",
                                       f"oracle score exceeds maximum {max_oracle_score}"))
 
-    expected_pairs = dataset._pair_index.keys()
     seen_rm_names: set[str] = set()
     for table in tables:
         loc = f"table:{table.rm_name}"
@@ -992,6 +1056,9 @@ def validate_dataset(dataset: BenchmarkDataset,
         if table.rm_name in seen_rm_names:
             issues.append(ValidationIssue("error", loc, "duplicate rm_name"))
         seen_rm_names.add(table.rm_name)
+        if table._pair_ids == dataset._pair_ids:
+            continue  # a column table holds exactly the dataset's pairs
+        expected_pairs = dataset._pair_index.keys()
         pairs = set(table.scores)
         missing = expected_pairs - pairs
         extra = pairs - expected_pairs

@@ -71,7 +71,7 @@ def _build_ranking(dataset: BenchmarkDataset, prompt_id: str,
                    table: RmScoreTable | None) -> RankedResponses:
     """Rank one prompt's responses by ``table``'s scores, or by their oracle
     scores when ``table`` is None, with the tie rule of ``_rank_orders``;
-    read from the dataset's columns."""
+    read from the dataset's columns and the table's aligned row."""
     try:
         row = dataset.prompt_ids().index(prompt_id)
     except ValueError:
@@ -79,8 +79,7 @@ def _build_ranking(dataset: BenchmarkDataset, prompt_id: str,
     size = dataset.responses_per_prompt
     response_ids = dataset._pair_ids[1][row * size:(row + 1) * size]
     oracle = dataset._oracle_scores[row]
-    rm = oracle if table is None else np.array(
-        [table.score(prompt_id, rid) for rid in response_ids], dtype=np.float64)
+    rm = oracle if table is None else _score_matrices(dataset, table, slice(row, row + 1))[0][0]
     order = _rank_orders(rm[None, :])[0]
     return RankedResponses(prompt_id, order, rm[order], oracle[order],
                            tuple(response_ids[i] for i in order))
@@ -114,18 +113,26 @@ def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[i
     return [int(i) for i in ranked.order[:count]]
 
 
-def _score_matrices(dataset: BenchmarkDataset,
-                    table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
-    """(table scores, oracle scores), each (prompts, N) with responses in id
-    order; the oracle matrix is the dataset's read-only column. A missing
-    score names the smallest missing pair, as ``ingest_rm_scores`` does."""
+def _score_matrices(dataset: BenchmarkDataset, table: RmScoreTable,
+                    rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(table scores, oracle scores) of the prompts in ``rows``, each
+    (prompts, N) with responses in id order; the oracle matrix is a view of
+    the dataset's read-only column. A table holding the dataset's pairs is
+    a view of its score column; any other table is gathered through its
+    ``scores`` dict, and a missing score names the smallest missing pair,
+    as ``ingest_rm_scores`` does."""
     oracle = dataset._oracle_scores
-    index = dataset._pair_index
+    if table._pair_ids == dataset._pair_ids:
+        return table._values.reshape(oracle.shape)[rows], oracle[rows]
+    start, stop, _ = rows.indices(len(oracle))
+    size = oracle.shape[1]
+    pairs = list(zip(*(ids[start * size:stop * size] for ids in dataset._pair_ids)))
+    scores = table.scores
     try:
-        rm = np.fromiter(map(table.scores.__getitem__, index), np.float64, count=len(index))
+        rm = np.fromiter(map(scores.__getitem__, pairs), np.float64, count=len(pairs))
     except KeyError:
-        raise MissingScore(next(pair for pair in index if pair not in table.scores)) from None
-    return rm.reshape(oracle.shape), oracle
+        raise MissingScore(next(pair for pair in pairs if pair not in scores)) from None
+    return rm.reshape(-1, size), oracle[rows]
 
 
 def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:

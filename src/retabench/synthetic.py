@@ -208,8 +208,7 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
         name or f"synthetic-{spec.kind}",
         [PromptRecord(pid, f"synthetic prompt {p_idx}") for p_idx, pid in enumerate(prompt_ids)],
         _frozen(oracle), pair_ids, [None] * len(response_ids) * num_prompts)
-    return dataset, RmScoreTable(rm_name=rm_name,
-                                 scores=dict(zip(zip(*pair_ids), rm.ravel().tolist())))
+    return dataset, RmScoreTable._from_columns(rm_name, pair_ids, rm.ravel())
 
 
 def analytic_reta(spec: DistSpec, eta: float) -> float:

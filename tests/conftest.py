@@ -46,6 +46,22 @@ def forbid_response_records(monkeypatch) -> None:
     monkeypatch.setattr(ResponseRecord, "__init__", no_records)
 
 
+def forbid_score_dicts(monkeypatch) -> None:
+    """Make every later build of a column table's ``scores`` dict or of a
+    dataset's pair index raise, until the patch is undone."""
+    build_scores = RmScoreTable.__getattr__
+
+    def no_scores(self, name):
+        if name == "scores":
+            raise AssertionError("a scores dict was built")
+        return build_scores(self, name)
+
+    def no_index(self):
+        raise AssertionError("a pair index was built")
+    monkeypatch.setattr(RmScoreTable, "__getattr__", no_scores)
+    monkeypatch.setattr(BenchmarkDataset, "_pair_index", property(no_index))
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:

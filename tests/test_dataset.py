@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -28,6 +29,7 @@ from retabench import (
     load_win_labels,
     metric_report,
     oracle_score_table,
+    reta_curve_pair,
     validate_dataset,
     write_benchmark,
     write_bon_csv,
@@ -59,6 +61,7 @@ from conftest import (
     build_dataset,
     build_table,
     forbid_response_records,
+    forbid_score_dicts,
     scores_records,
     write_dataset_dir,
     write_jsonl,
@@ -972,8 +975,8 @@ def test_columns_read_to_the_per_line_readers_dataset(tmp_path, monkeypatch):
     assert "responses" not in vars(columns)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     records = load_benchmark(directory)
-    # repr builds the records from the columns, so it comes first
-    assert repr(columns) == repr(records)
+    assert repr(columns) == repr(records) == (
+        "BenchmarkDataset(name='d', prompts=3, responses_per_prompt=3)")
     assert columns.responses == records.responses
     assert columns == records and records == columns
     assert columns.responses is columns.responses
@@ -1087,3 +1090,110 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
     assert _read(tmp_path / "synth") == (generated, [], table, [])
     assert _read(tmp_path / "readers") == expected
     assert expected[0].responses["p0"][0].text == "some text"
+
+
+def test_equality_of_block_read_datasets_builds_no_records(tmp_path, monkeypatch):
+    directory = _canonical_dir(tmp_path / "d")
+    first, second = load_benchmark(directory), load_benchmark(directory)
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+    generated, _ = gen_synthetic(spec, 3, 3, seed=1, name="d")
+    forbid_response_records(monkeypatch)
+    assert first == second and first != generated
+    assert repr(first) == "BenchmarkDataset(name='d', prompts=3, responses_per_prompt=3)"
+    assert "responses" not in vars(first) and "responses" not in vars(second)
+    monkeypatch.undo()
+    # the columns are equal exactly when the records are: change one field
+    # of one record at a time
+    records = first.responses
+    for change in ({"oracle_score": 2.5}, {"text": "other"}, {"text": None},
+                   {"oracle_samples": (1.0, 2.0)}, {"response_id": "r9"}):
+        rows = [dataclasses.replace(records["p0"][0], **change), *records["p0"][1:]]
+        changed = BenchmarkDataset("d", first.prompts, {**records, "p0": rows}, 3)
+        assert changed != first and first != changed and changed.responses != records
+    assert BenchmarkDataset("d", first.prompts, records, 3) == second
+
+
+def test_commands_on_a_canonical_table_build_no_score_dict_or_pair_index(tmp_path, monkeypatch):
+    spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
+    generated, table = gen_synthetic(spec, 3, 64, seed=5, name="synth")
+    directory = tmp_path / "synth"
+    write_benchmark(generated, directory)
+    write_rm_scores(table, directory / "rm_scores.jsonl")
+    args = ["--dataset", str(directory), "--rm-scores", str(directory / "rm_scores.jsonl")]
+
+    forbid_score_dicts(monkeypatch)
+    commands = [["reta", "--raw-variant"], ["bon"], ["bon", "--variant", "rank_k_of_n",
+                                                     "--rank-k", "2"],
+                ["metrics"], ["validate"], ["export"]]
+    for i, command in enumerate(commands):
+        assert main([*command, *args, "--output-dir", str(tmp_path / f"out{i}")]) == 0
+    assert (tmp_path / "out5" / "rm_scores_synthetic-rm.jsonl").read_bytes() == (
+        directory / "rm_scores.jsonl").read_bytes()
+    dataset = load_benchmark(directory)
+    read = ingest_rm_scores(dataset, directory / "rm_scores.jsonl")
+    oracle = oracle_score_table(dataset)
+    assert repr(read) == "RmScoreTable(rm_name='synthetic-rm', pairs=192)"
+    assert validate_dataset(dataset, [read, oracle]).ok
+    with pytest.raises(AssertionError, match="scores dict was built"):
+        read.scores
+    monkeypatch.undo()
+    assert read == table and read != oracle
+    assert read.scores == table.scores and read.scores is read.scores
+    assert list(read.scores) == list(dataset.iter_pairs())
+
+
+def _result_files(dataset, table, directory: Path) -> dict[str, bytes]:
+    """The bytes of the score file and of every result CSV of ``table``."""
+    normalized, raw = reta_curve_pair(dataset, table)
+    write_curve_csv(normalized, directory / "reta.csv")
+    write_curve_csv(raw, directory / "reta_raw.csv")
+    write_per_prompt_csv(normalized, dataset, directory / "per_prompt.csv")
+    for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2)):
+        write_bon_csv(bon_curve(dataset, table, variant), directory / f"{variant.label}.csv")
+    write_metrics_csv([metric_report(dataset, table)], directory / "metrics.csv")
+    write_rm_scores(table, directory / "rm_scores.jsonl")
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_dict_and_column_tables_give_the_same_bytes(tmp_path):
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 4, 32, seed=2)
+    pairs = list(table.scores.items())
+    shuffled = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+    by_dict = RmScoreTable(table.rm_name, dict(shuffled))
+    assert list(by_dict.scores) != list(table.scores)
+    assert by_dict == table and table == by_dict
+    assert repr(by_dict) == repr(table) == "RmScoreTable(rm_name='synthetic-rm', pairs=128)"
+    columns = _result_files(dataset, table, tmp_path / "columns")
+    assert len(columns) == 7
+    assert _result_files(dataset, by_dict, tmp_path / "dict") == columns
+
+
+def test_column_tables_raise_the_dict_tables_errors():
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 2, 4, seed=2)
+    values = np.array(list(table.scores.values()))
+    values[[5, 2]] = math.inf, -math.inf
+    for rm_name, column in (("rm", values), ("", values), ("a\0b", table._values)):
+        with pytest.raises(RetabenchError) as from_columns:
+            RmScoreTable._from_columns(rm_name, dataset._pair_ids, column)
+        with pytest.raises(RetabenchError) as from_dict:
+            RmScoreTable(rm_name, dict(zip(dataset.iter_pairs(), column.tolist())))
+        assert (type(from_columns.value), str(from_columns.value)) == (
+            type(from_dict.value), str(from_dict.value))
+    assert isinstance(from_columns.value, MalformedRecord)
+    with pytest.raises(MalformedRecord, match="rm_name"):
+        oracle_score_table(dataset, "")
+
+
+def test_validate_reports_the_pairs_a_hand_built_table_misses_or_adds(tiny_dataset_dir):
+    dataset = load_benchmark(tiny_dataset_dir)
+    scores = dict(oracle_score_table(dataset).scores)
+    del scores[("p2", "b")], scores[("p1", "c")]
+    scores[("p3", "a")] = scores[("p9", "z")] = 1.0
+    report = validate_dataset(dataset, [RmScoreTable("rm", scores)])
+    assert [(i.severity, i.location, i.message) for i in report.issues] == [
+        ("error", "table:rm", "2 pairs missing (e.g. ('p1', 'c'))"),
+        ("error", "table:rm", "2 unknown pairs (e.g. ('p3', 'a'))")]
+    # a column table of another dataset is checked pair by pair too
+    other = load_benchmark(tiny_dataset_dir, name="other")
+    report = validate_dataset(other, [oracle_score_table(dataset)])
+    assert report.ok and other._pair_ids is not dataset._pair_ids

@@ -43,7 +43,13 @@ from retabench.ranking import (
 )
 from retabench.reta import default_eta_grid
 
-from conftest import build_dataset, build_table, forbid_response_records, unordered_ties_dataset
+from conftest import (
+    build_dataset,
+    build_table,
+    forbid_response_records,
+    forbid_score_dicts,
+    unordered_ties_dataset,
+)
 
 
 def test_rank_by_table_orders_descending():
@@ -134,6 +140,8 @@ def test_batched_orders_match_per_prompt_rankings(tmp_path, monkeypatch):
     forbid_response_records(monkeypatch)
     read = load_benchmark(tmp_path / "d")
     read_table = ingest_rm_scores(read, tmp_path / "d" / "rm_scores.jsonl")
+    # and the table's aligned rows, building no scores dict
+    forbid_score_dicts(monkeypatch)
     for pid in dataset.prompt_ids():
         assert _ranking_bits(rank_by_table(read, read_table, pid)) == \
             _ranking_bits(rank_by_table(dataset, table, pid))
@@ -171,6 +179,55 @@ def test_score_matrices_name_the_first_missing_pair_in_dataset_order(tmp_path):
     with pytest.raises(MissingScore) as from_ingest:
         ingest_rm_scores(dataset, tmp_path / "rm_scores.jsonl")
     assert from_matrices.value.pair == from_ingest.value.pair == ("p2", "r03")
+
+
+def test_a_column_table_on_another_dataset_reads_as_its_dict_does(tmp_path):
+    dataset, table = unordered_ties_dataset()
+    write_benchmark(dataset, tmp_path / "full")
+    full = load_benchmark(tmp_path / "full")
+    subset, _ = prompt_subset(full, table, ["p1", "p4"])
+    # each table holds the columns of the dataset it was ingested against
+    tables = {}
+    for name, data in (("full", full), ("subset", subset)):
+        keep = set(data.prompt_ids())
+        path = tmp_path / f"{name}.jsonl"
+        write_rm_scores(RmScoreTable("rm", {pair: v for pair, v in table.scores.items()
+                                             if pair[0] in keep}), path)
+        tables[name] = ingest_rm_scores(data, path)
+        assert tables[name]._pair_ids is data._pair_ids
+    # on the superset the subset's table misses p0's scores, and every
+    # reader names its first pair in id order, as for the table's dict
+    as_dict = RmScoreTable("rm", dict(tables["subset"].scores))
+    errors = []
+    for call in (lambda t: _score_matrices(full, t), lambda t: oracle_matrix(full, t),
+                 lambda t: rank_by_table(full, t, "p0"), lambda t: bon_curve(full, t)):
+        for source in (tables["subset"], as_dict):
+            with pytest.raises(MissingScore) as info:
+                call(source)
+            errors.append(info.value.pair)
+    assert errors == [("p0", "r00")] * 8
+    # on the subset a table of every prompt reads the subset's rows
+    for rows in (slice(None), slice(1, 2)):
+        expected = _score_matrices(subset, tables["subset"], rows)
+        for source in (tables["full"], RmScoreTable("rm", dict(tables["full"].scores))):
+            got = _score_matrices(subset, source, rows)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    assert _ranking_bits(rank_by_table(subset, tables["full"], "p4")) == \
+        _ranking_bits(rank_by_table(subset, tables["subset"], "p4"))
+
+
+def test_rank_by_table_names_a_missing_score_of_its_prompt_only():
+    dataset, table = unordered_ties_dataset()
+    missing = dict(table.scores)
+    del missing[("p2", "r05")], missing[("p2", "r01")]
+    partial = RmScoreTable("rm", missing)
+    assert rank_by_table(dataset, partial, "p1").order.tolist() == \
+        rank_by_table(dataset, table, "p1").order.tolist()
+    with pytest.raises(MissingScore) as info:
+        rank_by_table(dataset, partial, "p2")
+    assert info.value.pair == ("p2", "r01")
+    with pytest.raises(InvalidConfig, match="unknown prompt 'p9'"):
+        rank_by_table(dataset, partial, "p9")
 
 
 def test_cached_oracle_ranks_match_rank_by_oracle():
