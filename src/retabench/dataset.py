@@ -9,24 +9,15 @@ model.
 A ``BenchmarkDataset`` is canonical by construction: it stores prompts
 and responses in id order and checks their shape and values, so two
 loads of the same directory yield identical in-memory objects. Datasets
-and tables are immutable and safe to share across threads.
-
-Every dataset holds its responses as columns in id order: the prompt
-and response id of each response, the read-only (prompts, N) oracle
-matrix, the response texts and the oracle samples (None when no
-response has any). Every reader, writer and estimator reads those
-columns. ``ResponseRecord`` is an input format and a view: construction
-takes records and keeps only their columns, and a dataset builds its
-records from the columns once ``dataset.responses`` is read. The pair
-index and the oracle ranks are built from the columns on first use; that
-relies on the immutability.
+and tables are immutable and safe to share across threads. Each holds
+columns, which every reader, writer and estimator reads, and builds its
+records or dict, pair index and ranks from them on first use.
 
 The readers take a file in the writers' layout and line order in blocks
-of lines: one ``re.split`` per block, whose slices are the columns. A
-text there may also hold literal non-ASCII and DEL, which the writers
-escape. Any other file, and any file holding an error, goes line by
-line through the JSON scanner, which builds records, gives an equal
-dataset and raises or warns with the line number.
+of lines, one ``re.split`` per block (``_canonical_blocks``). Any other
+file, and any file holding an error, goes line by line through the JSON
+scanner, which gives an equal dataset or table and raises or warns with
+the line number.
 """
 
 from __future__ import annotations
@@ -150,14 +141,12 @@ class BenchmarkDataset:
     unit-norm and of the shared dimension, or a perplexity that is not
     positive and finite.
 
-    Construction keeps the records' columns (``_store``), not the records.
-    The block reader and ``gen_synthetic`` build a dataset from columns
-    without this constructor (``_from_columns``), after checking the same
-    rules on them. Every dataset builds its ``responses`` from the columns
-    on first access (``__getattr__``), with float oracle scores. Two
-    threads racing that first access each build the records and store
-    equal lists. Equality compares the columns and repr shows the shape,
-    so neither builds records or depends on how a dataset was built.
+    Construction keeps the records' columns (``_store``), not the records;
+    the block reader and ``gen_synthetic`` check the same rules on columns
+    and call ``_from_columns``. ``responses`` is built from the columns on
+    first access (``__getattr__``), with float oracle scores; two threads
+    racing that access store equal lists. Equality compares the columns
+    and repr shows the shape, so neither builds records.
     """
 
     name: str
@@ -321,6 +310,11 @@ class BenchmarkDataset:
         return dict(zip(zip(*self._pair_ids), range(len(self._response_texts))))
 
     @cached_property
+    def _verbatim_ids(self) -> bool:
+        """Whether the writers spell every id as itself between quotes."""
+        return bool(_verbatim("".join(chain(*self._pair_ids))))
+
+    @cached_property
     def _oracle_ranks(self) -> np.ndarray:
         """(prompts, N) 0-based oracle rank of each response, ties by
         ascending response id; read-only."""
@@ -361,7 +355,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmScoreTable:
     """Scalar scores of one tested reward model for every (prompt, response).
 
@@ -370,9 +364,11 @@ class RmScoreTable:
     holds columns instead (``_from_columns``): the dataset's own pair id
     lists and a read-only float64 score column in their order. Its
     ``scores`` dict is built from the columns on first read
-    (``__getattr__``), as a dataset builds its ``responses``; two threads
-    racing that read each build an equal dict. Equality compares the name
-    and the (pair, score) content, however a table was built.
+    (``__getattr__``), as a dataset's ``responses`` are; two threads racing
+    that read build equal dicts. Equality compares the name and the
+    (pair, score) content; for two column tables over equal pair id lists,
+    that is their columns. A table holds mutable containers, so it is
+    unhashable.
     """
 
     rm_name: str
@@ -426,7 +422,10 @@ class RmScoreTable:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.rm_name == other.rm_name and self.scores == other.scores
+        return self.rm_name == other.rm_name and (
+            np.array_equal(self._values, other._values)
+            if self._pair_ids is not None and self._pair_ids == other._pair_ids
+            else self.scores == other.scores)
 
     def __repr__(self) -> str:
         size = len(self.scores) if self._pair_ids is None else len(self._values)
@@ -445,10 +444,9 @@ _scan_once = json.JSONDecoder().scan_once
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file.
 
-    Each stripped line is decoded by one call of the C scanner behind
-    ``json.loads``; on a stripped line it accepts exactly what
-    ``json.loads`` accepts, so ``json.loads`` runs only on a line the
-    scanner rejects, to raise the same error text.
+    Each stripped line goes through the C scanner behind ``json.loads``,
+    which accepts exactly what ``json.loads`` accepts; ``json.loads`` runs
+    only on a line the scanner rejects, to raise the same error text.
     """
     source = path.name
     with open(path, encoding="utf-8") as fh:
@@ -489,11 +487,12 @@ def _first_undecodable_line(path: Path) -> int | None:
 # write_rm_scores write for a record with printable-ASCII ids, a text
 # without escapes and no optional field other than a response's text; its
 # text may also hold literal non-ASCII and DEL, which json.loads reads to
-# the same value and the writers escape. Each pattern
-# matches one whole line of its kind, and no group spans a line end, so a
-# block of lines is canonical when its split has one match per line and
-# nothing between them.
-_ID = r'"([ !#-\[\]-~]+)"'
+# the same value and the writers escape. A line pattern matches one whole
+# line and no group spans a line end, so a block is canonical when its
+# split has one match per line and nothing between them.
+_VERBATIM = r'[ !#-\[\]-~]+'  # printable ASCII but '"' and '\\': json.dumps keeps it
+_verbatim = re.compile(_VERBATIM).fullmatch
+_ID = f'"({_VERBATIM})"'
 _TEXT = r'"([^"\\\x00-\x1f]*)"'
 # a JSON number with a fraction or an exponent: json.loads reads it with float()
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
@@ -502,9 +501,7 @@ _PROMPT_LINE = re.compile(r'^\{"prompt_id": ' + _ID + r', "text": ' + _TEXT + r'
 _RESPONSE_LINE = re.compile(
     r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
     + r'(?:, "text": ' + _TEXT + r')?\}\n', re.M)
-_SCORE_LINE = re.compile(
-    r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "rm_name": ' + _ID
-    + r', "score": ' + _FLOAT + r'\}\n', re.M)
+_SCORE = re.compile(r'"score": ' + _FLOAT + r'\}\n')
 # about 160 lines: blocks of 1 << 16 read no faster and left the wide_pool
 # benchmark's peak RSS 1 MB higher than the per-line reader
 _BLOCK_CHARS = 1 << 14
@@ -516,24 +513,14 @@ class _NotCanonical(Exception):
 
 def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[str | None]]:
     """``pattern.split`` of each block of whole lines of ``path``, so memory
-    stays bounded by the block size. With ``width`` one more than the
-    pattern's group count, ``parts[k::width]`` is the block's column of
-    group k.
-
-    Raises ``_NotCanonical`` at the first block holding a line that the
-    pattern does not match whole (a blank line, CRLF and a missing final
-    newline among them), or bytes that are not UTF-8.
-    """
-    width = pattern.groups + 1
+    stays bounded by the block size. With ``width`` the group count plus
+    one, ``parts[k::width]`` is the column of group k; the caller checks
+    the separators ``parts[::width]``. Raises ``_NotCanonical`` at the
+    first block that is not UTF-8."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             while block := fh.read(_BLOCK_CHARS):
-                block += fh.readline()
-                parts = pattern.split(block)
-                # every match is one line: empty separators leave no line unmatched
-                if any(parts[::width]):
-                    raise _NotCanonical
-                yield parts
+                yield pattern.split(block + fh.readline())
         except UnicodeDecodeError:
             raise _NotCanonical from None
 
@@ -543,36 +530,36 @@ def _load_canonical(directory: Path, max_oracle_score: float,
     """What ``load_benchmark`` returns for ``directory`` when both files are
     canonical and the dataset is valid, else None; never raises or warns.
 
-    Every check is one operation on whole columns. Prompt ids and
-    (prompt, response) pairs in strictly increasing order are unique and
-    in the order the dataset stores them. Then, with N the number of
-    responses over the number of prompts, the prompt ids of responses
-    1, N + 1, ... and of responses N, 2N, ... both equal to the prompt ids
-    give each prompt exactly N responses.
+    Each check is one operation on whole columns. With N the number of
+    responses per prompt, read the id columns as (prompts, N) matrices:
+    rising prompt ids equal to each matrix column of prompt ids give each
+    prompt one run of N responses, and each column of response ids above
+    the one before it puts the pairs in the dataset's order.
     """
-    ids: list[str] = []
-    texts: list[str] = []
-    pids: list[str] = []
-    rids: list[str] = []
-    scores: list[float] = []
-    response_texts: list[str | None] = []
+    ids, texts, pids, rids, response_texts = [], [], [], [], []
+    scores: list[np.ndarray] = []
     try:
         for parts in _canonical_blocks(directory / PROMPTS_FILE, _PROMPT_LINE):
+            if any(parts[::3]):
+                return None
             ids += parts[1::3]
             texts += parts[2::3]
         for parts in _canonical_blocks(directory / RESPONSES_FILE, _RESPONSE_LINE):
+            if any(parts[::5]):
+                return None
             pids += parts[1::5]
             rids += parts[2::5]
-            scores += map(float, parts[3::5])
+            scores.append(np.array(parts[3::5], dtype=np.float64))
             response_texts += parts[4::5]
     except _NotCanonical:
         return None
     size = len(pids) // len(ids) if ids else 0
-    pairs = list(zip(pids, rids))
-    if not (size >= 2 and all(texts) and pids[::size] == ids and pids[size - 1::size] == ids
-            and all(map(operator.lt, ids, ids[1:])) and all(map(operator.lt, pairs, pairs[1:]))):
+    if not (size >= 2 and all(texts) and all(map(operator.lt, ids, ids[1:]))
+            and all(pids[k::size] == ids for k in range(size))
+            and all(all(map(operator.lt, rids[k - 1::size], rids[k::size]))
+                    for k in range(1, size))):
         return None
-    oracle = np.array(scores).reshape(len(ids), size)
+    oracle = np.concatenate(scores).reshape(len(ids), size)
     if _oracle_score_problem(oracle) or oracle.max() > max_oracle_score:
         return None
     return BenchmarkDataset._from_columns(name, list(map(PromptRecord, ids, texts)),
@@ -582,21 +569,31 @@ def _load_canonical(directory: Path, max_oracle_score: float,
 def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
     """What ``ingest_rm_scores`` returns for ``path`` when the file is
     canonical and holds one score for each of the dataset's pairs, in its
-    pair order, under one ``rm_name``, else None; never raises or warns."""
+    pair order, under the ``rm_name`` of its first line, else None; never
+    raises or warns. Each line's head is spelled from the dataset's ids,
+    so each id must be one the writers spell as itself."""
+    if not dataset._verbatim_ids:
+        return None
     pids, rids = dataset._pair_ids
-    values: list[float] = []
-    names: set[str] = set()
+    columns, start = [], 0
     try:
-        for parts in _canonical_blocks(path, _SCORE_LINE):
-            # parts[1::5] to parts[4::5]: prompt ids, response ids, rm names, scores
-            start, stop = len(values), len(values) + len(parts) // 5
-            if parts[1::5] != pids[start:stop] or parts[2::5] != rids[start:stop]:
+        for parts in _canonical_blocks(path, _SCORE):
+            if not start:
+                rm_name = parts[0].rpartition('"rm_name": "')[2][:-3]
+                if not _verbatim(rm_name):
+                    return None
+                tail = f'", "rm_name": "{rm_name}", '
+            stop = start + len(parts) // 2
+            # each line up to its score, as write_rm_scores writes it
+            heads = [f'{{"prompt_id": "{pid}", "response_id": "{rid}{tail}'
+                     for pid, rid in zip(pids[start:stop], rids[start:stop])]
+            if parts[-1] or parts[:-1:2] != heads:
                 return None
-            names.update(parts[3::5])
-            values += map(float, parts[4::5])
-        if len(values) != len(pids) or len(names) != 1:
+            columns.append(np.array(parts[1::2], dtype=np.float64))
+            start = stop
+        if start != len(pids):
             return None
-        return RmScoreTable._from_columns(names.pop(), dataset._pair_ids, np.array(values))
+        return RmScoreTable._from_columns(rm_name, dataset._pair_ids, np.concatenate(columns))
     except (_NotCanonical, RetabenchError):
         return None
 

@@ -846,11 +846,13 @@ def _on_line(edit, index: int = 1):
     return apply
 
 
-def _swap_lines(text: str) -> str:
-    """The text with its second and third lines swapped."""
-    lines = text.splitlines(keepends=True)
-    lines[1], lines[2] = lines[2], lines[1]
-    return "".join(lines)
+def _swap_lines(index: int = 1):
+    """An edit that swaps a file's lines ``index`` and ``index + 1`` (from 0)."""
+    def apply(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        lines[index], lines[index + 1] = lines[index + 1], lines[index]
+        return "".join(lines)
+    return apply
 
 
 def _with_key(key: str, value: str):
@@ -879,7 +881,7 @@ _ANY_FILE = {
     "junk-line": _on_line(lambda line: line + "x\n"),
     "junk-after-last-line": lambda text: text + "x",
     "missing-line": _on_line(lambda line: ""),
-    "swapped-lines": _swap_lines,
+    "swapped-lines": _swap_lines(),
     "reversed-lines": lambda text: "".join(reversed(text.splitlines(keepends=True))),
 }
 _NUMBERS = {"int": "2", "401-digit-int": "9" * 401, "upper-exponent": "1E5",
@@ -909,6 +911,17 @@ _VARIANTS = [
     ("perplexity", "prompts.jsonl", _with_key("perplexity", "2.5")),
     ("unknown-pair", "rm_scores.jsonl", _on_line(lambda line: line.replace('"r1"', '"zz"'))),
     ("mixed-rm-name", "rm_scores.jsonl", _on_line(lambda line: line.replace('"rm"', '"other"'))),
+    # the score pattern matches '"score": <number>}' at a line's end only
+    ("score-rm-name", "rm_scores.jsonl", lambda text: text.replace('"rm"', '"score"')),
+    # decodes to "rm" on every line
+    ("escaped-rm-name", "rm_scores.jsonl", lambda text: text.replace('"rm"', '"r\\u006d"')),
+    # p1's middle response filed under p2, the first and last of each run
+    # keeping their prompt ids
+    *[("middle-prompt-id", file, _on_line(lambda line: line.replace('"p1"', '"p2"'), 4))
+      for file in ("responses.jsonl", "rm_scores.jsonl")],
+    # the last two responses of the last prompt swapped
+    *[("response-out-of-order", file, _swap_lines(7))
+      for file in ("responses.jsonl", "rm_scores.jsonl")],
 ]
 
 
@@ -935,6 +948,52 @@ def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, f
     shipped = _read(directory)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert shipped == _read(directory)
+
+
+def test_declined_blocks_leave_both_files_and_tables_to_the_per_line_reader(
+        tmp_path, monkeypatch):
+    # the parity tests compare the two readers only while this holds
+    directory = _canonical_dir(tmp_path / "d")
+    dataset = load_benchmark(directory)
+    path = directory / "rm_scores.jsonl"
+    assert dataset_module._ingest_canonical(dataset, path) == ingest_rm_scores(dataset, path)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert dataset_module._load_canonical(directory, 10.0, "d") is None
+    assert dataset_module._ingest_canonical(dataset, path) is None
+
+
+@pytest.mark.parametrize("rm_name", ["score", "{rm}", "a b", "'~"])
+def test_score_block_reader_takes_every_rm_name_written_as_itself(tmp_path, monkeypatch,
+                                                                   rm_name):
+    directory = _canonical_dir(tmp_path / "d")
+    dataset = load_benchmark(directory)
+    path = directory / "rm_scores.jsonl"
+    write_rm_scores(RmScoreTable(rm_name, ingest_rm_scores(dataset, path).scores), path)
+    table = dataset_module._ingest_canonical(dataset, path)
+    assert table.rm_name == rm_name and "scores" not in vars(table)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert ingest_rm_scores(dataset, path) == table
+
+
+def test_score_block_reader_leaves_ids_the_writers_escape_to_the_per_line_reader(
+        tmp_path, monkeypatch):
+    # the dataset's response id is the 7 characters r\u0030, which the
+    # writers escape; a score file in the writers' layout and order that
+    # spells it as itself names "r0", a response the dataset lacks
+    directory = tmp_path / "d"
+    prompts = [PromptRecord("p0", "t")]
+    responses = {"p0": [ResponseRecord("p0", rid, 1.5) for rid in ("r\\u0030", "r1")]}
+    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    write_benchmark(dataset, directory)
+    path = directory / "rm_scores.jsonl"
+    write_rm_scores(oracle_score_table(dataset, "rm"), path)
+    text = path.read_text(encoding="utf-8")
+    assert '"r\\\\u0030"' in text
+    path.write_text(text.replace("\\\\", "\\"), encoding="utf-8")
+    shipped = _read(directory)
+    assert shipped == (UnknownPair, str(UnknownPair(("p0", "r0"))))
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert _read(directory) == shipped
 
 
 @pytest.mark.parametrize("prompt_ids, response_pairs", [
@@ -1134,10 +1193,10 @@ def test_commands_on_a_canonical_table_build_no_score_dict_or_pair_index(tmp_pat
     oracle = oracle_score_table(dataset)
     assert repr(read) == "RmScoreTable(rm_name='synthetic-rm', pairs=192)"
     assert validate_dataset(dataset, [read, oracle]).ok
+    assert read == table and read != oracle
     with pytest.raises(AssertionError, match="scores dict was built"):
         read.scores
     monkeypatch.undo()
-    assert read == table and read != oracle
     assert read.scores == table.scores and read.scores is read.scores
     assert list(read.scores) == list(dataset.iter_pairs())
 
@@ -1166,6 +1225,24 @@ def test_dict_and_column_tables_give_the_same_bytes(tmp_path):
     columns = _result_files(dataset, table, tmp_path / "columns")
     assert len(columns) == 7
     assert _result_files(dataset, by_dict, tmp_path / "dict") == columns
+
+
+def test_score_tables_compare_without_building_dicts_and_are_unhashable(tmp_path):
+    directory = _canonical_dir(tmp_path / "d")
+    dataset = load_benchmark(directory)
+    first, second = (ingest_rm_scores(dataset, directory / "rm_scores.jsonl") for _ in range(2))
+    other = load_benchmark(directory)  # equal pair id lists, not the same ones
+    oracle = oracle_score_table(other, "rm")
+    assert first == second and first != oracle and oracle != first
+    with pytest.raises(TypeError, match="unhashable type: 'RmScoreTable'"):
+        hash(first)
+    assert not any("scores" in vars(table) for table in (first, second, oracle))
+    # a dict table compares by content, and is unhashable too
+    by_dict = RmScoreTable("rm", dict(reversed(first.scores.items())))
+    assert by_dict == first and first == by_dict
+    assert by_dict != RmScoreTable("other", by_dict.scores)
+    with pytest.raises(TypeError, match="unhashable type: 'RmScoreTable'"):
+        hash(by_dict)
 
 
 def test_column_tables_raise_the_dict_tables_errors():
