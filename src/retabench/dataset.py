@@ -27,7 +27,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -134,19 +134,23 @@ class BenchmarkDataset:
     non-empty string (an id must also encode as UTF-8), checked before
     the shape, for a response ``text`` that is neither None nor a string,
     and for an oracle score, sample, embedding entry or perplexity that is
-    not a number (a bool is not one, an int is),
+    not a number (a bool is not one, an int is), or an embedding or
+    ``oracle_samples`` that is not a non-empty list or tuple,
     ``NonPositiveOracleScore`` for an oracle score that is not positive and
     finite, and ``MalformedRecord`` for a response filed under another
     prompt's id, bad ``oracle_samples``, an embedding that is not finite,
     unit-norm and of the shared dimension, or a perplexity that is not
     positive and finite.
 
-    Construction keeps the records' columns (``_store``), not the records;
-    the block reader and ``gen_synthetic`` check the same rules on columns
-    and call ``_from_columns``. ``responses`` is built from the columns on
-    first access (``__getattr__``), with float oracle scores; two threads
-    racing that access store equal lists. Equality compares the columns
-    and repr shows the shape, so neither builds records.
+    Construction serves hand-built datasets. It keeps the records' columns
+    (``_store``), not the records, with embeddings and samples as tuples.
+    Both readers and ``gen_synthetic`` build no record: they check the
+    same rules on columns or lines, the per-line reader through the same
+    shape check (``_check_shape``), and call ``_from_columns``.
+    ``responses`` is built from the columns on first access
+    (``__getattr__``), with float oracle scores; two threads racing that
+    access store equal lists. Equality compares the columns and repr shows
+    the shape, so neither builds records.
     """
 
     name: str
@@ -159,8 +163,9 @@ class BenchmarkDataset:
         size = self.responses_per_prompt
         if isinstance(size, bool) or not isinstance(size, int):
             raise InvalidConfig(f"responses_per_prompt must be an int, got {size!r}")
-        self._check_strings(self.prompts, "prompt_id", _prompt_label)
-        self._check_strings(self.prompts, "text", _prompt_label)
+        for key in ("prompt_id", "text"):
+            for prompt in self.prompts:
+                self._reject(_prompt_label(prompt), key, _str_problem(getattr(prompt, key), key))
         self.prompts = sorted(self.prompts, key=_prompt_id)
         ids = self.prompt_ids()
         if not ids:
@@ -170,58 +175,55 @@ class BenchmarkDataset:
         if unknown:
             raise MalformedRecord(self.name, None, "prompt_id",
                                   f"unknown prompt {min(unknown, key=str)!r}")
-        self._check_strings(list(chain.from_iterable(self.responses.values())), "response_id",
-                            _response_label)
-        responses = {pid: sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids}
-        for pid, rows in responses.items():
-            if len(rows) != size:
-                raise NonUniformN(pid, len(rows), size)
-            _check_unique("response", f"{pid}/", [r.response_id for r in rows])
-        if size < 2:
-            raise NonUniformN(ids[0], size, 2)
+        for resp in chain.from_iterable(self.responses.values()):
+            self._reject(_response_label(resp), "response_id",
+                         _str_problem(resp.response_id, "response_id"))
+        rows = [sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids]
+        rids = [list(map(_response_id, row)) for row in rows]
+        _check_shape(ids, rids, size)
         pids = [pid for pid in ids for _ in range(size)]
-        records = list(chain.from_iterable(responses.values()))
+        records = list(chain.from_iterable(rows))
         oracle = self._check_values(pids, records)
-        samples = list(map(_oracle_samples, records))
-        self._store((pids, list(map(_response_id, records))), oracle,
+        # tuples, so the caller's lists can change without changing the dataset
+        samples = [None if r.oracle_samples is None else tuple(r.oracle_samples) for r in records]
+        self._store((pids, list(chain.from_iterable(rids))), oracle,
                     list(map(_text, records)), samples if any(samples) else None)
         del self.responses  # the columns hold them now
 
     def _check_values(self, pids: list[str], records: list[ResponseRecord]) -> np.ndarray:
         """Raise for the first prompt, then the first of ``records`` (filed
         under ``pids``, in id order), that breaks a value rule: the reader's
-        error type, naming the dataset and the record's id. Returns the
-        (prompts, N) read-only oracle matrix."""
+        error type, naming the dataset and the record's id. Stores each
+        embedding as a tuple, and returns the (prompts, N) read-only oracle
+        matrix."""
         dim: int | None = None
-        for prompt in self.prompts:
+        for i, prompt in enumerate(self.prompts):
             if prompt.embedding is not None:
                 self._reject(_prompt_label(prompt), "embedding",
                              _numbers_problem(prompt.embedding)
                              or _embedding_problem(prompt.embedding, dim))
                 dim = len(prompt.embedding)
+                self.prompts[i] = replace(prompt, embedding=tuple(prompt.embedding))
             if prompt.perplexity is not None:
                 self._reject(_prompt_label(prompt), "perplexity",
                              _number_problem(prompt.perplexity)
                              or _perplexity_problem(prompt.perplexity))
-        scores = list(map(_oracle_score, records))
-        if not _FLOAT_TYPE.issuperset(map(type, scores)):
-            for pid, resp in zip(pids, records):
-                self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
-                             _number_problem(resp.oracle_score))
-        oracle = _frozen(np.fromiter(scores, np.float64, len(scores)).reshape(self.num_prompts, -1))
+        for pid, resp in zip(pids, records):
+            self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
+                         _number_problem(resp.oracle_score))
+        scores = np.fromiter(map(_oracle_score, records), np.float64, len(records))
+        oracle = _frozen(scores.reshape(self.num_prompts, -1))
         if _oracle_score_problem(oracle):
             bad = next(r for r in records if _oracle_score_problem(r.oracle_score))
             raise NonPositiveOracleScore(bad.prompt_id, bad.response_id, bad.oracle_score)
         for pid, resp in zip(pids, records):
+            label = f"response {pid + '/' + resp.response_id!r}"
             if resp.prompt_id != pid:
-                self._reject(f"response {pid + '/' + resp.response_id!r}", "prompt_id",
-                             f"names prompt {resp.prompt_id!r}")
+                self._reject(label, "prompt_id", f"names prompt {resp.prompt_id!r}")
             if resp.text is not None and not isinstance(resp.text, str):
-                self._reject(f"response {pid + '/' + resp.response_id!r}", "text",
-                             "must be a string")
+                self._reject(label, "text", "must be a string")
             if resp.oracle_samples is not None:
-                self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_samples",
-                             _numbers_problem(resp.oracle_samples)
+                self._reject(label, "oracle_samples", _numbers_problem(resp.oracle_samples)
                              or _oracle_samples_problem(resp.oracle_samples, resp.oracle_score))
         return oracle
 
@@ -229,18 +231,6 @@ class BenchmarkDataset:
         """MalformedRecord naming the dataset and ``record``, if there is a problem."""
         if problem:
             raise MalformedRecord(self.name, None, key, f"{record}: {problem}")
-
-    def _check_strings(self, records: list, key: str, label) -> None:
-        """Raise MalformedRecord, naming the dataset and ``label(record)``, for
-        the first of ``records`` whose field ``key`` breaks the reader's
-        string rule (``_str_problem``); non-empty ASCII strings pass in one
-        pass."""
-        values = list(map(operator.attrgetter(key), records))
-        if (_STR_TYPE.issuperset(map(type, values)) and all(values)
-                and (key not in _NAME_KEYS or "".join(values).isascii())):
-            return
-        for record, value in zip(records, values):
-            self._reject(label(record), key, _str_problem(value, key))
 
     def _store(self, pair_ids: tuple[list[str], list[str]], oracle: np.ndarray,
                texts: list[str | None], samples: list[tuple[float, ...] | None] | None) -> None:
@@ -255,14 +245,15 @@ class BenchmarkDataset:
     @classmethod
     def _from_columns(cls, name: str, prompts: list[PromptRecord], oracle: np.ndarray,
                       pair_ids: tuple[list[str], list[str]], texts: list[str | None],
-                      samples: list[tuple[float, ...] | None] | None = None) -> BenchmarkDataset:
+                      samples: list[tuple[float, ...] | None] | None = None,
+                      load_warnings: list[ValidationIssue] | None = None) -> BenchmarkDataset:
         """The dataset of ``prompts`` and the columns ``_store`` keeps. The
         caller has checked every rule of construction."""
         dataset = cls.__new__(cls)
         dataset.name = name
         dataset.prompts = prompts
         dataset.responses_per_prompt = oracle.shape[1]
-        dataset.load_warnings = []
+        dataset.load_warnings = load_warnings or []
         dataset._store(pair_ids, oracle, texts, samples)
         return dataset
 
@@ -324,7 +315,6 @@ class BenchmarkDataset:
 _prompt_id = operator.attrgetter("prompt_id")
 _response_id = operator.attrgetter("response_id")
 _oracle_score = operator.attrgetter("oracle_score")
-_oracle_samples = operator.attrgetter("oracle_samples")
 _text = operator.attrgetter("text")
 
 
@@ -341,6 +331,18 @@ def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise DuplicateId(kind, prefix + a)
+
+
+def _check_shape(ids: list[str], response_ids: list[list[str]], size: int) -> None:
+    """Raise for the first of the sorted prompt ``ids`` whose sorted
+    ``response_ids`` are not ``size`` in number (``NonUniformN``) or repeat
+    one (``DuplicateId``), then ``NonUniformN`` for a ``size`` below 2."""
+    for pid, rids in zip(ids, response_ids):
+        if len(rids) != size:
+            raise NonUniformN(pid, len(rids), size)
+        _check_unique("response", f"{pid}/", rids)
+    if size < 2:
+        raise NonUniformN(ids[0], size, 2)
 
 
 def _rank_orders(scores: np.ndarray) -> np.ndarray:
@@ -452,7 +454,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.strip(" \t\n\r")  # JSON's whitespace, and no other
                 if not line:
                     continue
                 try:
@@ -598,12 +600,23 @@ def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | N
         return None
 
 
-def _req_str(obj: dict, key: str, source: str, line: int) -> str:
-    value = obj.get(key)
-    problem = _str_problem(value, key)
+def _reject_line(source: str, line: int, key: str, problem: str | None) -> None:
+    """MalformedRecord naming ``source``, ``line`` and ``key``, if there is a problem."""
     if problem:
         raise MalformedRecord(source, line, key, problem)
-    return value
+
+
+def _req_strs(obj: dict, keys: tuple[str, ...], source: str, line: int) -> list[str]:
+    """The values of ``obj``'s string fields ``keys``; raises MalformedRecord
+    for the first that breaks ``_str_problem``, which runs only on a value
+    that is not a non-empty ASCII string."""
+    values = []
+    for key in keys:
+        value = obj.get(key)
+        if not (type(value) is str and value and value.isascii()):
+            _reject_line(source, line, key, _str_problem(value, key))
+        values.append(value)
+    return values
 
 
 def _rm_name_problem(rm_name: str) -> str | None:
@@ -613,28 +626,30 @@ def _rm_name_problem(rm_name: str) -> str | None:
     return _str_problem(rm_name, "rm_name")
 
 
-def _as_float(value, key: str, source: str, line: int) -> float:
-    problem = _number_problem(value)
-    if problem:
-        raise MalformedRecord(source, line, key, problem)
+def _req_float(obj: dict, key: str, source: str, line: int) -> float:
+    """``obj``'s number field ``key`` as a float; raises MalformedRecord
+    when it is missing or breaks ``_number_problem``."""
+    value = obj.get(key)
+    if type(value) is float:
+        return value
+    if key not in obj:
+        raise MalformedRecord(source, line, key, "required")
+    _reject_line(source, line, key, _number_problem(value))
     return float(value)
 
 
 def _float_array(raw, key: str, source: str, line: int) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise MalformedRecord(source, line, key, "must be a non-empty array")
-    if _FLOAT_TYPE.issuperset(map(type, raw)):
+    if type(raw) is list and raw and _FLOAT_TYPE.issuperset(map(type, raw)):
         return tuple(raw)
-    return tuple(_as_float(v, key, source, line) for v in raw)
+    _reject_line(source, line, key, _numbers_problem(raw))
+    return tuple(map(float, raw))
 
 
 def _embedding(raw, dim: int | None, source: str, line: int,
                unit_norm: bool) -> tuple[float, ...]:
     """The embedding read from ``raw``, checked by ``_embedding_problem``."""
     embedding = _float_array(raw, "embedding", source, line)
-    problem = _embedding_problem(embedding, dim, unit_norm)
-    if problem:
-        raise MalformedRecord(source, line, "embedding", problem)
+    _reject_line(source, line, "embedding", _embedding_problem(embedding, dim, unit_norm))
     return embedding
 
 
@@ -665,8 +680,11 @@ def _number_problem(value) -> str | None:
 
 
 def _numbers_problem(values) -> str | None:
-    """The ``_number_problem`` of the first of ``values`` that has one, or
-    None; values that are all floats pass in one pass."""
+    """Why ``values`` is not a non-empty list or tuple, or the
+    ``_number_problem`` of the first of them that has one, or None; values
+    that are all floats pass in one pass."""
+    if not isinstance(values, (list, tuple)) or not values:
+        return "must be a non-empty array"
     if _FLOAT_TYPE.issuperset(map(type, values)):
         return None
     return next(filter(None, map(_number_problem, values)), None)
@@ -682,8 +700,6 @@ def _oracle_score_problem(score) -> str | None:
 
 def _oracle_samples_problem(samples: tuple[float, ...], score: float) -> str | None:
     """Why ``samples`` cannot be the judge scores averaged into ``score``, or None."""
-    if not samples:
-        return "must be a non-empty array"
     if not all(0.0 < v < math.inf for v in samples):
         return "samples must be positive reals"
     try:
@@ -736,7 +752,9 @@ def load_benchmark(path: str | Path, *,
     than ``max_oracle_score`` (scores are judge outputs on a bounded
     scale, and boundedness is required by the estimators downstream).
     All prompts must carry the same number of responses, counted against
-    the prompt with the smallest id; the dataset checks that shape.
+    the prompt with the smallest id, as construction counts them
+    (``_check_shape``). A file the block reader declines is read line by
+    line into the same columns, with no record built.
     """
     _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
@@ -754,15 +772,10 @@ def load_benchmark(path: str | Path, *,
     prompts: dict[str, PromptRecord] = {}
     embedding_dim: int | None = None
     source = PROMPTS_FILE
-    # Each record loop tests the common valid case in one expression and
-    # falls back to the checking helpers, in their order, only when it fails.
     for line_no, obj in _iter_jsonl(prompts_path):
         if not _PROMPT_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
-        pid, text = obj.get("prompt_id"), obj.get("text")
-        if not (type(pid) is str and pid and pid.isascii() and type(text) is str and text):
-            pid = _req_str(obj, "prompt_id", source, line_no)
-            text = _req_str(obj, "text", source, line_no)
+        pid, text = _req_strs(obj, ("prompt_id", "text"), source, line_no)
         if pid in prompts:
             raise DuplicateId("prompt", pid)
         embedding = obj.get("embedding")
@@ -771,35 +784,27 @@ def load_benchmark(path: str | Path, *,
             embedding_dim = len(embedding)
         perplexity = obj.get("perplexity")
         if perplexity is not None:
-            perplexity = _as_float(perplexity, "perplexity", source, line_no)
-            problem = _perplexity_problem(perplexity)
-            if problem:
-                raise MalformedRecord(source, line_no, "perplexity", problem)
+            perplexity = _req_float(obj, "perplexity", source, line_no)
+            _reject_line(source, line_no, "perplexity", _perplexity_problem(perplexity))
         prompts[pid] = PromptRecord(pid, text, embedding, perplexity)
 
     if not prompts:
         raise MalformedRecord(PROMPTS_FILE, None, "-", "no prompt records")
 
-    responses: dict[str, dict[str, ResponseRecord]] = {pid: {} for pid in prompts}
+    # each prompt's {response_id: line's position in ``rows``}
+    positions: dict[str, dict[str, int]] = {pid: {} for pid in prompts}
+    rows: list[tuple[float, str | None, tuple[float, ...] | None]] = []
     source = RESPONSES_FILE
     for line_no, obj in _iter_jsonl(responses_path):
         if not _RESPONSE_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
-        pid, rid = obj.get("prompt_id"), obj.get("response_id")
-        if not (type(pid) is str and pid and pid.isascii()
-                and type(rid) is str and rid and rid.isascii()):
-            pid = _req_str(obj, "prompt_id", source, line_no)
-            rid = _req_str(obj, "response_id", source, line_no)
-        by_id = responses.get(pid)
+        pid, rid = _req_strs(obj, ("prompt_id", "response_id"), source, line_no)
+        by_id = positions.get(pid)
         if by_id is None:
             raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
         if rid in by_id:
             raise DuplicateId("response", f"{pid}/{rid}")
-        score = obj.get("oracle_score")
-        if type(score) is not float:
-            if "oracle_score" not in obj:
-                raise MalformedRecord(source, line_no, "oracle_score", "required")
-            score = _as_float(score, "oracle_score", source, line_no)
+        score = _req_float(obj, "oracle_score", source, line_no)
         if not 0.0 < score <= max_oracle_score:
             if _oracle_score_problem(score):
                 raise NonPositiveOracleScore(pid, rid, score)
@@ -811,18 +816,20 @@ def load_benchmark(path: str | Path, *,
         samples = obj.get("oracle_samples")
         if samples is not None:
             samples = _float_array(samples, "oracle_samples", source, line_no)
-            problem = _oracle_samples_problem(samples, score)
-            if problem:
-                raise MalformedRecord(source, line_no, "oracle_samples", problem)
-        by_id[rid] = ResponseRecord(pid, rid, score, text, samples)
+            _reject_line(source, line_no, "oracle_samples", _oracle_samples_problem(samples, score))
+        by_id[rid] = len(rows)
+        rows.append((score, text, samples))
 
-    return BenchmarkDataset(
-        name=name or directory.name,
-        prompts=list(prompts.values()),
-        responses={pid: list(by_id.values()) for pid, by_id in responses.items()},
-        responses_per_prompt=len(responses[min(prompts)]),
-        load_warnings=warnings,
-    )
+    ids = sorted(prompts)
+    rids = [sorted(positions[pid]) for pid in ids]
+    _check_shape(ids, rids, len(rids[0]))
+    pids = [pid for pid, row in zip(ids, rids) for _ in row]
+    scores, texts, samples = zip(*[rows[positions[pid][rid]]
+                                   for pid, row in zip(ids, rids) for rid in row])
+    return BenchmarkDataset._from_columns(
+        name or directory.name, list(map(prompts.__getitem__, ids)),
+        _frozen(np.array(scores).reshape(len(ids), -1)), (pids, list(chain.from_iterable(rids))),
+        list(texts), list(samples) if any(samples) else None, warnings)
 
 
 def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
@@ -839,9 +846,8 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
     seen: set[str] = set()
     dim: int | None = None
     for line_no, obj in _iter_jsonl(source_path):
-        pid, text = obj.get("prompt_id"), obj.get("text", "")
-        if not (type(pid) is str and pid and pid.isascii()):
-            pid = _req_str(obj, "prompt_id", source, line_no)
+        [pid] = _req_strs(obj, ("prompt_id",), source, line_no)
+        text = obj.get("text", "")
         if pid in seen:
             raise DuplicateId("prompt", pid)
         seen.add(pid)
@@ -939,25 +945,15 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
     for line_no, obj in _iter_jsonl(score_path):
         if not _SCORE_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _SCORE_KEYS, source, line_no, warnings)
-        pid, rid, this_rm = obj.get("prompt_id"), obj.get("response_id"), obj.get("rm_name")
-        if not (type(pid) is str and pid and pid.isascii() and type(rid) is str and rid
-                and rid.isascii() and type(this_rm) is str and this_rm and this_rm.isascii()):
-            pid = _req_str(obj, "prompt_id", source, line_no)
-            rid = _req_str(obj, "response_id", source, line_no)
-            this_rm = _req_str(obj, "rm_name", source, line_no)
+        pid, rid, this_rm = _req_strs(obj, ("prompt_id", "response_id", "rm_name"), source,
+                                      line_no)
         if this_rm != rm_name:
             if rm_name is not None:
                 raise MalformedRecord(source, line_no, "rm_name",
                                       f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
-            problem = _rm_name_problem(this_rm)
-            if problem:
-                raise MalformedRecord(source, line_no, "rm_name", problem)
+            _reject_line(source, line_no, "rm_name", _rm_name_problem(this_rm))
             rm_name = this_rm
-        value = obj.get("score")
-        if type(value) is not float:
-            if "score" not in obj:
-                raise MalformedRecord(source, line_no, "score", "required")
-            value = _as_float(value, "score", source, line_no)
+        value = _req_float(obj, "score", source, line_no)
         pair = (pid, rid)
         position = index.get(pair)
         if position is None:

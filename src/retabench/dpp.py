@@ -101,8 +101,7 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     for prompt in prompts:
         if prompt.embedding is None:
             raise MissingEmbedding(prompt.prompt_id)
-        _reject_embedding(prompt, "must be a non-empty array" if not prompt.embedding
-                          else _numbers_problem(prompt.embedding))
+        _reject_embedding(prompt, _numbers_problem(prompt.embedding))
         if dim is None:
             dim = len(prompt.embedding)
         elif len(prompt.embedding) != dim:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _iter_jsonl, _req_str, _write_csv
+from .dataset import BenchmarkDataset, RmScoreTable, _iter_jsonl, _req_strs, _write_csv
 from .errors import (
     EmptyGroundTruth,
     EmptyLabels,
@@ -222,14 +222,13 @@ def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
     labels = []
     source = label_path.name
     for line_no, obj in _iter_jsonl(label_path):
-        pid = _req_str(obj, "prompt_id", source, line_no)
-        rid = _req_str(obj, "response_id", source, line_no)
+        pid, rid = _req_strs(obj, ("prompt_id", "response_id"), source, line_no)
         if (pid, rid) not in dataset._pair_index:
             if pid not in dataset.prompt_ids():
                 raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
             raise MalformedRecord(source, line_no, "response_id",
                                   f"unknown response {pid + '/' + rid!r}")
-        outcome = _req_str(obj, "outcome", source, line_no)
+        [outcome] = _req_strs(obj, ("outcome",), source, line_no)
         if outcome not in _OUTCOME_VALUE:
             raise MalformedRecord(source, line_no, "outcome",
                                   f"must be one of {OUTCOMES}, got {outcome!r}")

@@ -17,6 +17,7 @@ from retabench import (
     BenchmarkDataset,
     BonVariant,
     ConvergencePoint,
+    OfflineLabeler,
     PromptRecord,
     ResponseRecord,
     RetaCurve,
@@ -455,18 +456,41 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
      "hand-built: field 'response_id': response 'p1/a\\ud800': cannot be encoded as UTF-8"),
     ({"record": ResponseRecord("p1", "a", 1.0, text=5)}, MalformedRecord,
      "hand-built: field 'text': response 'p1/a': must be a string"),
+    # the reader's array rule: a JSON array, so a non-empty list or tuple
+    *[({"record": ResponseRecord("p1", "a", 1.0, oracle_samples=samples)}, MalformedRecord,
+       "hand-built: field 'oracle_samples': response 'p1/a': must be a non-empty array")
+      for samples in (5, {1.0}, ())],
+    *[({"record": PromptRecord("p2", "t", embedding=embedding)}, MalformedRecord,
+       "hand-built: field 'embedding': prompt 'p2': must be a non-empty array")
+      for embedding in (5, {1.0: 0.0}, ())],
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
         "string-sample", "string-embedding", "bool-embedding", "string-perplexity",
         "string-rm-score", "bool-rm-score", "int-rm-name", "empty-prompt-text",
-        "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text"])
+        "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text",
+        "int-samples", "set-samples", "empty-samples", "int-embedding", "dict-embedding",
+        "empty-embedding"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
     with pytest.raises(error) as raised:
         _hand_built_pair(**change)
     assert str(raised.value) == message
+
+
+def test_construction_keeps_copies_of_the_callers_lists(tmp_path):
+    embedding, samples = [0.6, 0.8], [0.5, 1.5]
+    prompts = [PromptRecord("p1", "t", embedding=embedding)]
+    responses = {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=samples),
+                        ResponseRecord("p1", "b", 2.0)]}
+    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    write_benchmark(dataset, tmp_path / "d")
+    embedding[0] = samples[0] = 9.0
+    assert dataset.prompts[0].embedding == (0.6, 0.8)
+    assert dataset.responses["p1"][0].oracle_samples == (0.5, 1.5)
+    assert OfflineLabeler(dataset).oracle_samples("p1", "a") == (0.5, 1.5)
+    assert load_benchmark(tmp_path / "d") == dataset
 
 
 def test_validate_reports_each_oracle_score_above_the_bound():
@@ -655,7 +679,16 @@ def test_embedding_errors(tmp_path, embedding, message):
      "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
     (b'{"prompt_id": "p1", "response_id": "\xff"}', "-", "not valid UTF-8: invalid start byte"),
     (b"[" * 100_000, "-", "invalid JSON: maximum recursion depth exceeded"),
-], ids=["401-digit-score", "5001-digit-score", "byte-0xff", "deep-nesting"])
+    # only space, tab, CR and LF are JSON whitespace: str.strip() would take these too
+    *[(_score_line("p1", "b").encode() + space.encode(), "-", "invalid JSON: Extra data")
+      for space in ("\x0b", "\x0c", "\x1f", "\xa0", "\u2028")],
+    *[(space.encode() + _score_line("p1", "b").encode(), "-", "invalid JSON: Expecting value")
+      for space in ("\x1c", "\u3000")],
+    (b"\x0c", "-", "invalid JSON: Expecting value"),
+], ids=["401-digit-score", "5001-digit-score", "byte-0xff", "deep-nesting",
+        "trailing-vertical-tab", "trailing-form-feed", "trailing-unit-separator",
+        "trailing-no-break-space", "trailing-line-separator", "leading-file-separator",
+        "leading-ideographic-space", "form-feed-line"])
 def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_line, field,
                                                 message):
     dataset = load_benchmark(tiny_dataset_dir)
@@ -946,8 +979,35 @@ def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, f
     path = directory / file
     path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
     shipped = _read(directory)
+    forbid_response_records(monkeypatch)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert shipped == _read(directory)
+
+
+def test_per_line_reader_orders_shuffled_lines_with_texts_and_samples(tmp_path, monkeypatch):
+    # no _VARIANTS case moves a line that holds a text or samples
+    rng = np.random.default_rng(7)
+    prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(4)]
+    responses = {}
+    for p in prompts:
+        scores = rng.uniform(1.0, 9.0, 5).tolist()
+        responses[p.prompt_id] = [
+            ResponseRecord(p.prompt_id, f"r{j}", score, f"text {j}" if j % 2 else None,
+                           (score - 0.5, score + 0.5) if j % 3 == 0 else None)
+            for j, score in enumerate(scores)]
+    dataset = BenchmarkDataset("d", prompts, responses, 5)
+    write_benchmark(dataset, tmp_path / "d")
+    path = tmp_path / "d" / "responses.jsonl"
+    written = path.read_bytes()
+    lines = written.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[i] for i in rng.permutation(len(lines))))
+    assert path.read_bytes() != written
+
+    forbid_response_records(monkeypatch)
+    loaded = load_benchmark(path.parent)
+    assert loaded == dataset
+    write_benchmark(loaded, tmp_path / "out")
+    assert (tmp_path / "out" / "responses.jsonl").read_bytes() == written
 
 
 def test_declined_blocks_leave_both_files_and_tables_to_the_per_line_reader(

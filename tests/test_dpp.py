@@ -59,7 +59,10 @@ def test_build_missing_embedding():
     ((True, 0.0), "must be a number"),
     ((math.nan, 1.0), "contains non-finite values"),
     ((), "must be a non-empty array"),
-], ids=["numeric-string", "string", "bool", "nan", "empty"])
+    (5, "must be a non-empty array"),
+    ({1.0: 0.0}, "must be a non-empty array"),
+    ({1.0, 0.0}, "must be a non-empty array"),
+], ids=["numeric-string", "string", "bool", "nan", "empty", "int", "dict", "set"])
 def test_build_rejects_what_the_candidate_reader_rejects(embedding, message):
     # hand-built records get the reader's embedding rule, not a silent
     # conversion or a bare numpy error
