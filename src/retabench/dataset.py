@@ -61,8 +61,6 @@ _RESPONSE_KEYS = frozenset(
     {"prompt_id", "response_id", "text", "oracle_score", "oracle_samples"})
 _SCORE_KEYS = frozenset({"prompt_id", "response_id", "rm_name", "score"})
 _FLOAT_TYPE = frozenset({float})
-_STR_TYPE = frozenset({str})
-_TUPLE_TYPE = frozenset({tuple})
 # Fields that reach output files and file names must encode as UTF-8; JSON's
 # "\ud800" escape gives a str with a lone surrogate, which does not.
 _NAME_KEYS = frozenset({"prompt_id", "response_id", "rm_name"})
@@ -126,7 +124,9 @@ class BenchmarkDataset:
     prompt, and ``MalformedRecord`` for no prompts at all or for a response
     list keyed by a prompt that is not in ``prompts``. Before all of
     these it raises ``InvalidConfig`` for a ``responses_per_prompt`` that
-    is not an int (a bool is not one).
+    is not an int (a bool is not one), then ``MalformedRecord``, naming
+    the dataset and the item, for ``prompts`` that are not a list or tuple
+    of ``PromptRecord`` or ``responses`` that are not a dict of them.
 
     It applies the reader's value rules (the ``_*_problem`` predicates)
     too: ``MalformedRecord``, naming the dataset and the record, for a
@@ -163,9 +163,16 @@ class BenchmarkDataset:
         size = self.responses_per_prompt
         if isinstance(size, bool) or not isinstance(size, int):
             raise InvalidConfig(f"responses_per_prompt must be an int, got {size!r}")
+        self._reject("prompts", "-", _records_problem(self.prompts, PromptRecord))
         for key in ("prompt_id", "text"):
             for prompt in self.prompts:
                 self._reject(_prompt_label(prompt), key, _str_problem(getattr(prompt, key), key))
+        self._reject("responses", "-", None if isinstance(self.responses, dict) else "not a dict")
+        for pid, rows in self.responses.items():
+            self._reject(f"responses of {pid!r}", "-", _records_problem(rows, ResponseRecord))
+            for resp in rows:
+                self._reject(f"response {f'{resp.prompt_id}/{resp.response_id}'!r}", "response_id",
+                             _str_problem(resp.response_id, "response_id"))
         self.prompts = sorted(self.prompts, key=_prompt_id)
         ids = self.prompt_ids()
         if not ids:
@@ -175,9 +182,6 @@ class BenchmarkDataset:
         if unknown:
             raise MalformedRecord(self.name, None, "prompt_id",
                                   f"unknown prompt {min(unknown, key=str)!r}")
-        for resp in chain.from_iterable(self.responses.values()):
-            self._reject(_response_label(resp), "response_id",
-                         _str_problem(resp.response_id, "response_id"))
         rows = [sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids]
         rids = [list(map(_response_id, row)) for row in rows]
         _check_shape(ids, rids, size)
@@ -322,8 +326,12 @@ def _prompt_label(prompt: PromptRecord) -> str:
     return f"prompt {prompt.prompt_id!r}"
 
 
-def _response_label(resp: ResponseRecord) -> str:
-    return f"response {f'{resp.prompt_id}/{resp.response_id}'!r}"
+def _records_problem(records, kind: type) -> str | None:
+    """Why ``records`` is not a list or tuple of ``kind``, naming the item, or None."""
+    if not isinstance(records, (list, tuple)):
+        return f"{records!r} is not a list or tuple"
+    bad = [record for record in records if not isinstance(record, kind)]
+    return f"item {bad[0]!r} is not a {kind.__name__}" if bad else None
 
 
 def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
@@ -361,56 +369,69 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class RmScoreTable:
     """Scalar scores of one tested reward model for every (prompt, response).
 
-    A table built in code from a ``scores`` dict keeps that dict. A table
-    that the readers, ``gen_synthetic`` or ``oracle_score_table`` build
-    holds columns instead (``_from_columns``): the dataset's own pair id
-    lists and a read-only float64 score column in their order. Its
-    ``scores`` dict is built from the columns on first read
-    (``__getattr__``), as a dataset's ``responses`` are; two threads racing
-    that read build equal dicts. Equality compares the name and the
-    (pair, score) content; for two column tables over equal pair id lists,
-    that is their columns. A table holds mutable containers, so it is
-    unhashable.
+    A table holds columns: pair id lists in the dataset's (id) order and a
+    read-only float64 score column in that order. Built from a ``scores``
+    dict, it raises what ``ingest_rm_scores`` raises for an unusable
+    ``rm_name``, a key that is not a pair of ids the reader accepts or a
+    score that is not a number (``MalformedRecord``, naming the table and
+    the key), or a score that is not finite (``NonFiniteScore``, for the
+    smallest such pair), and keeps the sorted columns, not the dict. The
+    readers pass the dataset's own pair id lists to ``_from_columns``.
+    ``scores`` is built from the columns on first read (``__getattr__``);
+    two threads racing that read build equal dicts. Equality compares the
+    name and the columns; a table is unhashable.
     """
 
     rm_name: str
     scores: dict[tuple[str, str], float]
     load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
 
-    # the pair id lists of a column table; None for a table built from a dict
-    _pair_ids = None
-
     def __post_init__(self) -> None:
-        """Raise what ``ingest_rm_scores`` raises for an unusable ``rm_name``
-        or a score that is not a number (``MalformedRecord``, naming the
-        table and the pair), or a score that is not finite (``NonFiniteScore``)."""
-        source = f"score table {self.rm_name!r}"
-        problem = _rm_name_problem(self.rm_name)
-        if problem:
-            raise MalformedRecord(source, None, "rm_name", problem)
-        values = self.scores.values()
-        # all floats with a finite sum are all finite
-        if not (_FLOAT_TYPE.issuperset(map(type, values)) and math.isfinite(sum(values))):
-            for pair, value in self.scores.items():
-                problem = _number_problem(value)
+        source = _score_table_source(self.rm_name)
+        keys = list(self.scores)
+        # keys that are pairs of non-empty ASCII strings pass in one pass
+        ids = (list(chain.from_iterable(keys)) if {tuple}.issuperset(map(type, keys))
+               and {2}.issuperset(map(len, keys)) else [None])
+        if not ({str}.issuperset(map(type, ids)) and all(ids) and "".join(ids).isascii()):
+            for key in keys:
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise MalformedRecord(source, None, "-",
+                                          f"key {key!r}: not a (prompt_id, response_id) pair")
+                for name, value in zip(("prompt_id", "response_id"), key):
+                    problem = _str_problem(value, name)
+                    if problem:
+                        raise MalformedRecord(source, None, name, f"pair {key!r}: {problem}")
+        pairs = sorted(keys)
+        values = list(map(self.scores.__getitem__, pairs))
+        if not _FLOAT_TYPE.issuperset(map(type, values)):
+            for pair, problem in zip(pairs, map(_number_problem, values)):
                 if problem:
                     raise MalformedRecord(source, None, "score", f"pair {pair!r}: {problem}")
-                if not math.isfinite(value):
-                    raise NonFiniteScore(pair, value)
+        self._store(([pid for pid, _ in pairs], [rid for _, rid in pairs]),
+                    np.array(values, dtype=np.float64))
+        object.__delattr__(self, "scores")  # the columns hold them now
+
+    def _store(self, pair_ids: tuple[list[str], list[str]], values: np.ndarray) -> None:
+        """Keep ``pair_ids`` and their float64 score column ``values``, read-only;
+        raises ``NonFiniteScore`` for the first pair whose score is not finite."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteScore((pair_ids[0][i], pair_ids[1][i]), float(values[i]))
+        object.__setattr__(self, "_pair_ids", pair_ids)
+        object.__setattr__(self, "_values", _frozen(values))
 
     @classmethod
     def _from_columns(cls, rm_name: str, pair_ids: tuple[list[str], list[str]],
                       values: np.ndarray,
                       load_warnings: list[ValidationIssue] | None = None) -> RmScoreTable:
         """The table of ``values``, a float64 score column in the order of
-        ``pair_ids`` (a dataset's), which it keeps read-only. Raises what
-        construction raises for the same scores."""
-        if _rm_name_problem(rm_name) or not np.isfinite(values).all():
-            cls(rm_name, dict(zip(zip(*pair_ids), values.tolist())))  # raises the error
+        ``pair_ids`` (a dataset's); raises what construction raises for them."""
+        _score_table_source(rm_name)
         table = cls.__new__(cls)
-        for name, value in (("rm_name", rm_name), ("load_warnings", load_warnings or []),
-                            ("_pair_ids", pair_ids), ("_values", _frozen(values))):
-            object.__setattr__(table, name, value)
+        object.__setattr__(table, "rm_name", rm_name)
+        object.__setattr__(table, "load_warnings", load_warnings or [])
+        table._store(pair_ids, values)
         return table
 
     def __getattr__(self, name: str):
@@ -424,20 +445,26 @@ class RmScoreTable:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.rm_name == other.rm_name and (
-            np.array_equal(self._values, other._values)
-            if self._pair_ids is not None and self._pair_ids == other._pair_ids
-            else self.scores == other.scores)
+        return (self.rm_name == other.rm_name and self._pair_ids == other._pair_ids
+                and np.array_equal(self._values, other._values))
 
     def __repr__(self) -> str:
-        size = len(self.scores) if self._pair_ids is None else len(self._values)
-        return f"{type(self).__name__}(rm_name={self.rm_name!r}, pairs={size})"
+        return f"{type(self).__name__}(rm_name={self.rm_name!r}, pairs={len(self._values)})"
 
     def score(self, prompt_id: str, response_id: str) -> float:
         key = (prompt_id, response_id)
         if key not in self.scores:
             raise MissingScore(key)
         return self.scores[key]
+
+
+def _score_table_source(rm_name: str) -> str:
+    """How errors name the table; raises MalformedRecord for a bad ``rm_name``."""
+    source = f"score table {rm_name!r}"
+    problem = _rm_name_problem(rm_name)
+    if problem:
+        raise MalformedRecord(source, None, "rm_name", problem)
+    return source
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -971,49 +998,19 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
 
 
 def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
-    """Write a score table as rm_scores.jsonl in canonical (sorted) order.
-
-    Each line is the bytes ``json.dumps`` gives for the record's dict.
-    A column table is written from its columns, already in that order.
-    For a table built from a dict, raises ``MalformedRecord``, naming the
-    table and the key, before it touches ``path`` when a key is not a
-    (prompt_id, response_id) pair of ids that ``ingest_rm_scores`` reads
-    back as the same pair.
-    """
-    if table._pair_ids is None:
-        _check_pairs(table)
-        pairs = sorted(table.scores)
-        pids, rids = [pid for pid, _ in pairs], [rid for _, rid in pairs]
-        values = map(_json_value, map(table.scores.__getitem__, pairs))
-    else:  # finite floats
-        (pids, rids), values = table._pair_ids, map(float.__repr__, table._values.tolist())
+    """Write a score table as rm_scores.jsonl in canonical (sorted) order,
+    the order of its columns. Each line is the bytes ``json.dumps`` gives
+    for the record's dict; scores are stored as float64, so an int score
+    is written as ``3.0``."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     rm_name = _json_value(table.rm_name)
+    pids, rids = table._pair_ids
     with open(out, "w", encoding="utf-8") as fh:
-        for pid, rid, value in zip(map(_json_str, pids), map(_json_str, rids), values):
+        for pid, rid, value in zip(map(_json_str, pids), map(_json_str, rids),
+                                   map(float.__repr__, table._values.tolist())):
             fh.write(f'{{"prompt_id": {pid}, "response_id": {rid}, '
                      f'"rm_name": {rm_name}, "score": {value}}}\n')
-
-
-def _check_pairs(table: RmScoreTable) -> None:
-    """Raise MalformedRecord, naming the table and the key, for the first key
-    of ``table.scores`` that is not a pair of ids passing ``_str_problem``;
-    pairs of non-empty ASCII strings pass in one pass."""
-    keys = list(table.scores)
-    if _TUPLE_TYPE.issuperset(map(type, keys)) and {2}.issuperset(map(len, keys)):
-        ids = list(chain.from_iterable(keys))
-        if _STR_TYPE.issuperset(map(type, ids)) and all(ids) and "".join(ids).isascii():
-            return
-    source = f"score table {table.rm_name!r}"
-    for key in keys:
-        if not (isinstance(key, tuple) and len(key) == 2):
-            raise MalformedRecord(source, None, "-",
-                                  f"key {key!r}: not a (prompt_id, response_id) pair")
-        for name, value in zip(("prompt_id", "response_id"), key):
-            problem = _str_problem(value, name)
-            if problem:
-                raise MalformedRecord(source, None, name, f"pair {key!r}: {problem}")
 
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:
@@ -1050,9 +1047,9 @@ def validate_dataset(dataset: BenchmarkDataset,
             issues.append(ValidationIssue("error", loc, "duplicate rm_name"))
         seen_rm_names.add(table.rm_name)
         if table._pair_ids == dataset._pair_ids:
-            continue  # a column table holds exactly the dataset's pairs
+            continue  # the table holds exactly the dataset's pairs
         expected_pairs = dataset._pair_index.keys()
-        pairs = set(table.scores)
+        pairs = set(zip(*table._pair_ids))
         missing = expected_pairs - pairs
         extra = pairs - expected_pairs
         if missing:

@@ -117,10 +117,12 @@ def _score_matrices(dataset: BenchmarkDataset, table: RmScoreTable,
                     rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(table scores, oracle scores) of the prompts in ``rows``, each
     (prompts, N) with responses in id order; the oracle matrix is a view of
-    the dataset's read-only column. A table holding the dataset's pairs is
-    a view of its score column; any other table is gathered through its
-    ``scores`` dict, and a missing score names the smallest missing pair,
-    as ``ingest_rm_scores`` does."""
+    the dataset's read-only column. Every table keeps its pairs sorted in
+    the dataset's id order, so one holding exactly the dataset's pairs,
+    read or built from a dict, is a view of its score column; a partial
+    table or one over other pairs is gathered through its ``scores`` dict,
+    and a missing score names the smallest missing pair, as
+    ``ingest_rm_scores`` does."""
     oracle = dataset._oracle_scores
     if table._pair_ids == dataset._pair_ids:
         return table._values.reshape(oracle.shape)[rows], oracle[rows]

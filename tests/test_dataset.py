@@ -30,6 +30,7 @@ from retabench import (
     load_win_labels,
     metric_report,
     oracle_score_table,
+    reta_curve,
     reta_curve_pair,
     validate_dataset,
     write_benchmark,
@@ -284,15 +285,13 @@ def test_score_round_trip(tiny_dataset_dir, tmp_path):
     (("p", "a", "b"), "-", "key ('p', 'a', 'b'): not a (prompt_id, response_id) pair"),
 ], ids=["int-response-id", "empty-response-id", "int-prompt-id", "surrogate-response-id",
         "string-key", "one-id-key", "three-id-key"])
-def test_score_writer_rejects_keys_the_reader_cannot_read_back(tmp_path, key, field, problem):
+def test_score_writer_rejects_keys_the_reader_cannot_read_back(key, field, problem):
     # such a key would be written as a record ingest_rm_scores rejects, or
-    # (a string key) read back as another pair; nothing is written
-    table = RmScoreTable("rm", {("p", "b"): 0.5, key: 1.0})
-    path = tmp_path / "out" / "rm_scores.jsonl"
+    # (a string key) read back as another pair; the table is refused when
+    # it is built, before its keys are sorted, so no writer ever sees it
     with pytest.raises(MalformedRecord) as raised:
-        write_rm_scores(table, path)
+        RmScoreTable("rm", {("p", "b"): 0.5, key: 1.0})
     assert str(raised.value) == f"score table 'rm': field '{field}': {problem}"
-    assert not path.parent.exists()
 
 
 # ids that exercise every escape json.dumps makes, and values that are not
@@ -387,10 +386,11 @@ def test_validate_duplicate_rm_name(tiny_dataset_dir):
     assert any("duplicate rm_name" in issue.message for issue in report.errors())
 
 
-def _hand_built_pair(record=None, rm_name: str = "rm",
-                     rm_score: float = 0.5) -> tuple[BenchmarkDataset, RmScoreTable]:
+def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
+                     **items) -> tuple[BenchmarkDataset, RmScoreTable]:
     """A valid 2 x 2 dataset and its table, with ``record`` in place of the
-    prompt of its id or of p1's first response, and ``rm_name`` and
+    prompt of its id or of p1's first response, ``items`` (``prompts`` or
+    ``responses``) in place of the dataset's own, and ``rm_name`` and
     ``rm_score`` (for pair p1/a) in the table."""
     prompts = [PromptRecord("p1", "t", embedding=(0.6, 0.8), perplexity=2.0),
                PromptRecord("p2", "t", embedding=(1.0, 0.0))]
@@ -400,7 +400,8 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
                        for rid in ("a", "b")] for pid in ("p1", "p2")}
     if isinstance(record, ResponseRecord):
         responses["p1"][0] = record
-    dataset = BenchmarkDataset("hand-built", prompts, responses, 2)
+    dataset = BenchmarkDataset("hand-built", items.get("prompts", prompts),
+                               items.get("responses", responses), 2)
     scores = dict.fromkeys(dataset.iter_pairs(), 0.5)
     scores[("p1", "a")] = rm_score
     return dataset, RmScoreTable(rm_name, scores)
@@ -463,6 +464,18 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
     *[({"record": PromptRecord("p2", "t", embedding=embedding)}, MalformedRecord,
        "hand-built: field 'embedding': prompt 'p2': must be a non-empty array")
       for embedding in (5, {1.0: 0.0}, ())],
+    # an item that is not a record, or a container of the wrong kind
+    ({"prompts": [("p1", "t")]}, MalformedRecord,
+     "hand-built: field '-': prompts: item ('p1', 't') is not a PromptRecord"),
+    ({"prompts": PromptRecord("p1", "t")}, MalformedRecord,
+     "hand-built: field '-': prompts: PromptRecord(prompt_id='p1', text='t', embedding=None, "
+     "perplexity=None) is not a list or tuple"),
+    ({"responses": {"p1": [("a", 1.0), ("b", 2.0)]}}, MalformedRecord,
+     "hand-built: field '-': responses of 'p1': item ('a', 1.0) is not a ResponseRecord"),
+    ({"responses": {"p1": None}}, MalformedRecord,
+     "hand-built: field '-': responses of 'p1': None is not a list or tuple"),
+    ({"responses": [ResponseRecord("p1", "a", 1.0)]}, MalformedRecord,
+     "hand-built: field '-': responses: not a dict"),
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
@@ -470,7 +483,8 @@ def _hand_built_pair(record=None, rm_name: str = "rm",
         "string-rm-score", "bool-rm-score", "int-rm-name", "empty-prompt-text",
         "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text",
         "int-samples", "set-samples", "empty-samples", "int-embedding", "dict-embedding",
-        "empty-embedding"])
+        "empty-embedding", "tuple-prompt", "bare-prompt-record", "tuple-response",
+        "none-response-list", "list-of-responses"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
@@ -1279,12 +1293,61 @@ def test_dict_and_column_tables_give_the_same_bytes(tmp_path):
     pairs = list(table.scores.items())
     shuffled = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
     by_dict = RmScoreTable(table.rm_name, dict(shuffled))
-    assert list(by_dict.scores) != list(table.scores)
+    # the dict's key order is gone: the table holds the dataset's pair order
+    assert [pair for pair, _ in shuffled] != list(table.scores)
+    assert by_dict._pair_ids == dataset._pair_ids and list(by_dict.scores) == list(table.scores)
     assert by_dict == table and table == by_dict
     assert repr(by_dict) == repr(table) == "RmScoreTable(rm_name='synthetic-rm', pairs=128)"
     columns = _result_files(dataset, table, tmp_path / "columns")
     assert len(columns) == 7
     assert _result_files(dataset, by_dict, tmp_path / "dict") == columns
+
+
+def test_hand_built_table_over_the_datasets_pairs_is_read_as_a_reshape(tmp_path, monkeypatch):
+    # built from a dict in shuffled key order, a table over exactly the
+    # dataset's pairs holds the dataset's sorted pair id lists, so the
+    # estimators and validation read its score column and build no dict
+    generated, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 4, 32, seed=3)
+    write_benchmark(generated, tmp_path / "d")
+    write_rm_scores(table, tmp_path / "d" / "rm_scores.jsonl")
+    dataset = load_benchmark(tmp_path / "d", max_oracle_score=20.0)
+    ingested = ingest_rm_scores(dataset, tmp_path / "d" / "rm_scores.jsonl")
+    pairs, values = list(dataset.iter_pairs()), ingested._values.tolist()
+    order = np.random.default_rng(0).permutation(len(pairs))
+    by_dict = RmScoreTable(ingested.rm_name, {pairs[i]: values[i] for i in order})
+    forbid_score_dicts(monkeypatch)
+    assert by_dict._pair_ids == dataset._pair_ids and by_dict == ingested
+    assert reta_curve(dataset, by_dict) == reta_curve(dataset, ingested)
+    for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2)):
+        assert bon_curve(dataset, by_dict, variant) == bon_curve(dataset, ingested, variant)
+    assert metric_report(dataset, by_dict) == metric_report(dataset, ingested)
+    assert validate_dataset(dataset, [by_dict], max_oracle_score=20.0).ok
+    assert "scores" not in vars(by_dict)
+
+
+def test_a_table_keeps_no_reference_to_the_callers_dict(tmp_path):
+    dataset = build_dataset({"p1": [1.0, 2.0], "p2": [3.0, 4.0]})
+    scores = {pair: 0.5 for pair in dataset.iter_pairs()}
+    table = RmScoreTable("rm", scores)
+    scores[("p1", "r000")] = math.nan
+    del scores[("p2", "r001")]
+    assert table.scores == dict.fromkeys(dataset.iter_pairs(), 0.5)
+    write_rm_scores(table, tmp_path / "rm_scores.jsonl")
+    assert ingest_rm_scores(dataset, tmp_path / "rm_scores.jsonl") == table
+
+
+def test_int_scores_are_held_written_and_read_back_as_floats(tmp_path):
+    dataset = build_dataset({"p1": [1.0, 2.0], "p2": [3.0, 4.0]})
+    ints = [3, 2 ** 60 + 1, -7, 0]
+    table = RmScoreTable("rm", dict(zip(dataset.iter_pairs(), ints)))
+    assert [type(v) for v in table.scores.values()] == [float] * 4
+    assert list(table.scores.values()) == list(map(float, ints))
+    path = tmp_path / "rm_scores.jsonl"
+    write_rm_scores(table, path)
+    text = path.read_text()
+    assert [json.loads(line)["score"] for line in text.splitlines()] == list(map(float, ints))
+    assert '"score": 3.0}' in text and '"score": 1.152921504606847e+18}' in text
+    assert ingest_rm_scores(dataset, path) == table
 
 
 def test_score_tables_compare_without_building_dicts_and_are_unhashable(tmp_path):
