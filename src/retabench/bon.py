@@ -11,8 +11,8 @@ k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
 property-tested against brute force. Best-m-of-n reads the mean of the
 top m, the selection row ``ranking._selection_weights`` builds at (m, 0).
-Each curve stacks the rows of all its n, on one log-factorial table, into
-one bank that ``ranking._weighted_sums`` applies.
+Each curve builds the rows of all its n in one kernel call, into one bank
+that ``ranking._weighted_sums`` applies.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .ranking import (
     RankedResponses,
     _across_prompts,
     _check_int,
-    _log_factorials,
     _rank_weights,
     _selection_weights,
     _weighted_sums,
@@ -75,12 +74,13 @@ class BonVariant:
     def min_n(self) -> int:
         return 1 if self.param is None else self.param
 
-    def _weights(self, log_fact: np.ndarray, n: int) -> np.ndarray:
-        """(1, N) weights over the ranks of the pool whose ``_log_factorials``
-        is ``log_fact``; ``ranking._weighted_sums`` applies them."""
+    def _weights(self, pool: int, ns: Sequence[int]) -> np.ndarray:
+        """(len(ns), N) weights over the ranks of a pool of N = ``pool``, one
+        row for each n of ``ns``, from one kernel call;
+        ``ranking._weighted_sums`` applies them."""
         if self.kind == "best_m_of_n":
-            return _selection_weights(log_fact, n, np.array([self.param]), np.zeros(1))
-        return _rank_weights(log_fact, n, np.array([self.min_n]))
+            return _selection_weights(pool, ns, self.param, 0.0)
+        return _rank_weights(pool, ns, self.min_n)
 
 
 def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float:
@@ -88,7 +88,7 @@ def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float
     _check_int(n, "n")
     if not variant.min_n <= n <= pool:
         raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
-    weights = variant._weights(_log_factorials(pool), n)
+    weights = variant._weights(pool, [n])
     return float(_weighted_sums(weights, ranked_all.oracle_scores[None, :])[0, 0])
 
 
@@ -153,8 +153,7 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
-    log_fact = _log_factorials(pool)
-    bank = np.concatenate([variant._weights(log_fact, n) for n in grid])
+    bank = variant._weights(pool, grid)
     values = _weighted_sums(bank, oracle_matrix(dataset, table)).tolist()
     points = [BonPoint(n, *_across_prompts(row)) for n, row in zip(grid, values)]
     return BonCurve(

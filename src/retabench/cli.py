@@ -173,7 +173,7 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
 
 def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
     prompts = load_candidate_prompts(args.candidates)
-    model = build_dpp(prompts)
+    model = build_dpp(prompts, checked=True)
     selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
     ids = [prompts[i].prompt_id for i in selected]
     provenance = {
@@ -297,81 +297,100 @@ def _add_dataset_flags(parser: argparse.ArgumentParser, scores_required: bool = 
                         help="upper bound accepted for oracle scores")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _sample_prompts_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
+    parser.add_argument("--k", type=int, required=True, help="number of prompts to select")
+
+
+def _synth_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", required=True, help="distribution spec JSON file")
+    parser.add_argument("--num-prompts", dest="num_prompts", type=int, required=True)
+    parser.add_argument("--num-responses", dest="num_responses", type=int, required=True)
+    parser.add_argument("--rm-name", dest="rm_name", default="synthetic-rm")
+
+
+def _reta_flags(parser: argparse.ArgumentParser) -> None:
+    _add_dataset_flags(parser)
+    parser.add_argument("--eta", type=float, action="append", default=None,
+                        help="curve point (repeatable, strictly decreasing); "
+                             "default: 15-point log grid from 1 to 1/128")
+    parser.add_argument("--n-low-coeff", dest="n_low_coeff", type=float, default=3.0)
+    parser.add_argument("--n-high-coeff", dest="n_high_coeff", type=float, default=5.0)
+    parser.add_argument("--n-exponent", dest="n_exponent", type=float, default=2.0 / 3.0)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect, since the "
+                             "estimate is exact and computed in one thread")
+    parser.add_argument("--raw-variant", dest="raw_variant", action="store_true",
+                        help="also emit the curve without the per-prompt normalizer")
+
+
+def _bon_flags(parser: argparse.ArgumentParser) -> None:
+    _add_dataset_flags(parser)
+    parser.add_argument("--variant", choices=["best_of_n", "rank_k_of_n", "best_m_of_n"],
+                        default="best_of_n")
+    parser.add_argument("--rank-k", dest="rank_k", type=int, default=2,
+                        help="k for rank_k_of_n")
+    parser.add_argument("--best-m", dest="best_m", type=int, default=32,
+                        help="m for best_m_of_n")
+    parser.add_argument("--n-values", dest="n_values", type=int, nargs="*", default=None,
+                        help="explicit n grid; default: powers of two up to N")
+
+
+def _metrics_flags(parser: argparse.ArgumentParser) -> None:
+    _add_dataset_flags(parser)
+    parser.add_argument("--eta", type=float, default=0.25,
+                        help="ground-truth quantile for hit rates")
+    parser.add_argument("--selection-rank", dest="selection_rank", type=int, default=1,
+                        help="which RM pick NDCG/MRR evaluate (1 = best)")
+    parser.add_argument("--win-labels", dest="win_labels", default=None,
+                        help="JSONL win/draw/loss labels")
+
+
+def _optional_scores_flags(parser: argparse.ArgumentParser) -> None:
+    _add_dataset_flags(parser, scores_required=False)
+
+
+# Each command's help line and the flags it adds before the shared ones, in
+# the order the help lists the commands.
+_COMMANDS = {
+    "sample-prompts": ("select a diverse prompt subset", _sample_prompts_flags),
+    "synth": ("generate a synthetic benchmark", _synth_flags),
+    "validate": ("check a dataset and score tables", _optional_scores_flags),
+    "reta": ("reliability curves over an eta grid", _reta_flags),
+    "bon": ("best-of-n style curves with KL column", _bon_flags),
+    "metrics": ("hit rate / NDCG / MRR / pairwise table", _metrics_flags),
+    "export": ("rewrite a dataset and tables canonically", _optional_scores_flags),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser for ``argv``. When its first item names a
+    command, only that command's subparser is built, which parses, helps
+    and fails exactly as in the full parser; otherwise (no arguments,
+    ``--help``, ``--version``, an unknown command) every command's is, so
+    the top-level help, usage and errors list them all."""
     parser = argparse.ArgumentParser(
         prog="retabench",
         description="Reliability benchmarking for reward models.")
     parser.add_argument("--version", action="version", version=f"retabench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample-prompts", help="select a diverse prompt subset")
-    p.add_argument("--candidates", required=True, help="prompts.jsonl with embeddings")
-    p.add_argument("--k", type=int, required=True, help="number of prompts to select")
-    p.set_defaults(func=_cmd_sample_prompts)
-
-    p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p.add_argument("--spec", required=True, help="distribution spec JSON file")
-    p.add_argument("--num-prompts", dest="num_prompts", type=int, required=True)
-    p.add_argument("--num-responses", dest="num_responses", type=int, required=True)
-    p.add_argument("--rm-name", dest="rm_name", default="synthetic-rm")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("validate", help="check a dataset and score tables")
-    _add_dataset_flags(p, scores_required=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("reta", help="reliability curves over an eta grid")
-    _add_dataset_flags(p)
-    p.add_argument("--eta", type=float, action="append", default=None,
-                   help="curve point (repeatable, strictly decreasing); "
-                        "default: 15-point log grid from 1 to 1/128")
-    p.add_argument("--n-low-coeff", dest="n_low_coeff", type=float, default=3.0)
-    p.add_argument("--n-high-coeff", dest="n_high_coeff", type=float, default=5.0)
-    p.add_argument("--n-exponent", dest="n_exponent", type=float, default=2.0 / 3.0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect, since the "
-                        "estimate is exact and computed in one thread")
-    p.add_argument("--raw-variant", dest="raw_variant", action="store_true",
-                   help="also emit the curve without the per-prompt normalizer")
-    p.set_defaults(func=_cmd_reta)
-
-    p = sub.add_parser("bon", help="best-of-n style curves with KL column")
-    _add_dataset_flags(p)
-    p.add_argument("--variant", choices=["best_of_n", "rank_k_of_n", "best_m_of_n"],
-                   default="best_of_n")
-    p.add_argument("--rank-k", dest="rank_k", type=int, default=2,
-                   help="k for rank_k_of_n")
-    p.add_argument("--best-m", dest="best_m", type=int, default=32,
-                   help="m for best_m_of_n")
-    p.add_argument("--n-values", dest="n_values", type=int, nargs="*", default=None,
-                   help="explicit n grid; default: powers of two up to N")
-    p.set_defaults(func=_cmd_bon)
-
-    p = sub.add_parser("metrics", help="hit rate / NDCG / MRR / pairwise table")
-    _add_dataset_flags(p)
-    p.add_argument("--eta", type=float, default=0.25,
-                   help="ground-truth quantile for hit rates")
-    p.add_argument("--selection-rank", dest="selection_rank", type=int, default=1,
-                   help="which RM pick NDCG/MRR evaluate (1 = best)")
-    p.add_argument("--win-labels", dest="win_labels", default=None,
-                   help="JSONL win/draw/loss labels")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("export", help="rewrite a dataset and tables canonically")
-    _add_dataset_flags(p, scores_required=False)
-    p.set_defaults(func=_cmd_export)
-
-    for command, p in sub.choices.items():
+    for command in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, add_flags = _COMMANDS[command]
+        p = sub.add_parser(command, help=help_text)
+        add_flags(p)
         if command != "validate":  # no randomness, and it can print its report instead
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output-dir", dest="output_dir", required=command != "validate")
         p.add_argument("--config", default=None, help="JSON config overriding flags")
-        p.set_defaults(parser=p)
+        # looked up by name now, so a wrapper installed over a ``_cmd_*``
+        # function (a tracer's, a test's) is what runs
+        p.set_defaults(func=globals()[f"_cmd_{command.replace('-', '_')}"], parser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         _apply_config_file(args)
         write = args.func(args)

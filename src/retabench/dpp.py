@@ -82,7 +82,7 @@ class DppSampleConfig:
             raise InvalidConfig("seed must fit in 64 unsigned bits")
 
 
-def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
+def build_dpp(prompts: Sequence[PromptRecord], *, checked: bool = False) -> DppModel:
     """Kernel from candidate embeddings, scaled so eigenvalues stay below 1.
 
     The scale is 0.99 / s_max^2 with s_max the largest singular value of
@@ -92,7 +92,10 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     entry that is not a number, or not finite), ``ZeroMatrix`` when every
     embedding is zero, and ``InvalidConfig`` when s_max^2 is not a finite
     normal float (embeddings so small or so large that the scale
-    underflows or overflows).
+    underflows or overflows). ``checked=True`` says that every embedding
+    has passed the candidate reader's checks already, as those that
+    ``load_candidate_prompts`` returns have, so their entries are not
+    type-checked a second time.
     """
     if not prompts:
         raise InvalidConfig("no candidate prompts")
@@ -101,7 +104,8 @@ def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     for prompt in prompts:
         if prompt.embedding is None:
             raise MissingEmbedding(prompt.prompt_id)
-        _reject_embedding(prompt, _numbers_problem(prompt.embedding))
+        if not checked:
+            _reject_embedding(prompt, _numbers_problem(prompt.embedding))
         if dim is None:
             dim = len(prompt.embedding)
         elif len(prompt.embedding) != dim:

@@ -22,9 +22,10 @@ from retabench import (
     gen_synthetic,
 )
 from retabench.errors import InvalidConfig
-from retabench.ranking import subset_rank_table
+from retabench.ranking import _log_factorials, subset_rank_table
 
 from conftest import build_table, random_ranked
+from test_ranking import full_width_selection_rows
 from test_reta import make_ranked
 
 
@@ -160,6 +161,25 @@ def test_rank_table_matches_exact_binomials():
                         exact = ways / denominator  # correctly rounded
                         worst = max(worst, abs(row[r - 1] - exact) / exact)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("pool", [2, 3, 64, 256])
+def test_curve_bank_is_its_per_n_rows(pool):
+    # bon_curve builds the rows of its whole n grid in one kernel call: each
+    # row has the bytes of its n alone, and of a full-width row
+    log_fact = _log_factorials(pool)
+    for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2),
+                    BonVariant("best_m_of_n", 2)):
+        grid = list(range(variant.min_n, pool + 1))
+        bank = variant._weights(pool, grid)
+        alone = np.concatenate([variant._weights(pool, [n]) for n in grid])
+        assert bank.tobytes() == alone.tobytes(), (pool, variant)
+        if variant.kind == "best_m_of_n":
+            reference = np.concatenate([full_width_selection_rows(
+                log_fact, n, np.array([variant.param]), np.zeros(1)) for n in grid])
+        else:
+            reference = np.stack([subset_rank_weights(pool, n, variant.min_n) for n in grid])
+        assert bank.tobytes() == reference.tobytes(), (pool, variant)
 
 
 def test_monotone_transform_invariance():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -25,7 +26,7 @@ from retabench import (
     write_benchmark,
     write_rm_scores,
 )
-from retabench.cli import main
+from retabench.cli import build_parser, main
 from retabench.errors import ComputationError
 
 from conftest import write_jsonl
@@ -170,6 +171,54 @@ def test_sample_prompts_rank_deficient_exits_3(tmp_path, capsys):
     assert error["error"] == "DegenerateInit"
 
 
+COMMANDS = ["sample-prompts", "synth", "validate", "reta", "bon", "metrics", "export"]
+
+
+def parser_exit(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser`` on ``argv``, which must end it."""
+    with pytest.raises(SystemExit) as exited:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+def subparsers(parser):
+    """The command names ``parser`` holds, each with its subparser."""
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_invoked_command_parser_speaks_as_the_full_parser(command, capsys, monkeypatch):
+    # only the invoked command's subparser is built, and its help and its
+    # missing-flag error are the full parser's, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(subparsers(build_parser([command]))) == [command]
+    for argv, expected_code in (([command, "--help"], 0), ([command], 2)):
+        code, out, err = parser_exit(build_parser(argv), argv, capsys)
+        assert (code, out, err) == parser_exit(build_parser(), argv, capsys), argv
+        assert code == expected_code
+        assert (err if code else out).startswith(f"usage: retabench {command} [-h]"), argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_invoked_command_parser_has_the_full_parsers_flags(command):
+    # a --config file is checked against these actions, so they must match
+    def flags(parser):
+        return [(a.dest, a.option_strings, a.type, a.nargs, a.default, a.required, a.choices)
+                for a in subparsers(parser)[command]._actions]
+    assert flags(build_parser([command])) == flags(build_parser())
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nope"]])
+def test_top_level_parser_holds_every_command(argv, capsys):
+    parser = build_parser(argv)
+    assert list(subparsers(parser)) == COMMANDS
+    if argv == ["--help"]:
+        help_text = parser_exit(parser, argv, capsys)[1]
+        assert all(f"\n    {command} " in help_text for command in COMMANDS), help_text
+
+
 def test_config_file_overrides_flags(synth_dir, tmp_path):
     config_path = tmp_path / "override.json"
     config_path.write_text(json.dumps({"eta": [1.0]}))
@@ -247,6 +296,7 @@ def run_with_config(synth_dir, tmp_path, overrides, command):
     ("reta", {"eta": 0.25}),
     ("reta", {"threads": "4"}),
     ("bon", {"best_m": "4"}),
+    ("bon", {"n_values": [2, "4"]}),
 ])
 def test_config_file_wrong_type_exits_2(synth_dir, tmp_path, capsys, command, overrides):
     code, out = run_with_config(synth_dir, tmp_path, overrides, command)

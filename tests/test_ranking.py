@@ -265,11 +265,10 @@ def check_top_sums(pool, n, counts):
     """Top sums from ``_top_sums`` against exact integers; returns the worst
     relative error. Zeros must be exact past rank N - n + c, and c = n must
     read exactly n/N."""
-    log_fact = _log_factorials(pool)
     counts = np.asarray(counts)
     rows = np.zeros((len(counts), pool))  # a row of zeros stands for w_0
-    rows[counts > 0] = _rank_weights(log_fact, n, counts[counts > 0])
-    sums = _top_sums(rows, n, counts)
+    rows[counts > 0] = _rank_weights(pool, n, counts[counts > 0])
+    sums = _top_sums(rows, pool, np.full(len(counts), n), counts, np.ones(len(counts), int))
     exact = exact_top_numerators(pool, n)
     denominator = math.comb(pool, n)
     worst = 0.0
@@ -317,11 +316,10 @@ def test_selection_weights_match_exact_binomials():
     # the rest within 1e-12 relative
     worst = 0.0
     for pool in (2, 7, 64):
-        log_fact = _log_factorials(pool)
         for n in range(1, pool + 1):
             top = exact_top_numerators(pool, n)  # top[c][r - 1] * C(N, n)
             counts, deltas = selection_cases(n)
-            rows = _selection_weights(log_fact, n, counts, deltas)
+            rows = _selection_weights(pool, n, counts, deltas)
             denominator = math.comb(pool, n)
             for c, delta, row in zip(counts.tolist(), deltas.tolist(), rows.tolist()):
                 for r, value in enumerate(row, start=1):
@@ -340,16 +338,52 @@ def test_selection_weights_match_exact_binomials():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("pool", [7, 64, 256])
+def full_width_selection_rows(log_fact, n, counts, deltas):
+    """Reference for ``_selection_weights`` at one n: every step on whole
+    rows over all N ranks, with no window, no offsets and no placement."""
+    pool = len(log_fact) - 1
+    spare = pool - n
+    # g(d) = -log d! - log (N-n-d)! at index d + n - 1, -inf off [0, N-n]
+    g = np.full(pool + n - 1, -np.inf)
+    g[n - 1:pool] = -(log_fact[:spare + 1] + log_fact[spare::-1])
+    ranks = np.concatenate((np.maximum(counts, 1), np.minimum(counts + 1, n)))
+    log_w = np.lib.stride_tricks.sliding_window_view(g, pool)[n - ranks]
+    log_w += log_fact[:pool] + log_fact[pool - 1::-1]
+    log_w += (log_fact[n] + log_fact[spare] - log_fact[pool]
+              - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
+    weights = np.exp(log_w)
+    top, below = weights[:len(counts)], weights[len(counts):]
+    top[counts == 0] = 0.0
+    steps = np.divide.outer(n - counts, np.arange(pool - 1, 0, -1.0)) * top[:, :-1]
+    rows = np.zeros(top.shape)
+    np.cumsum(steps[:, ::-1], axis=1, out=rows[:, -2::-1])
+    rows[counts == n] = n / pool
+    deltas = deltas[:, None]
+    rows += deltas * (1.0 - deltas) * top
+    rows += deltas * deltas * below
+    return rows / (counts[:, None] + deltas)
+
+
+@pytest.mark.parametrize("pool", [2, 3, 7, 64, 256])
 def test_selection_row_is_the_same_alone_or_in_a_batch(pool):
-    # a RETA curve point must equal the single-eta estimate, bit for bit
+    # a RETA curve point must equal the single-eta estimate, bit for bit:
+    # one batch mixing every n, c = 0, c = n, delta = 0 and eta*n = 0 (c =
+    # delta = 0, a zero row) gives each row the bytes it has alone and the
+    # bytes of a full-width row
     log_fact = _log_factorials(pool)
-    for n in sorted({1, 2, pool // 3, pool}):
-        counts, deltas = selection_cases(n)
-        batch = _selection_weights(log_fact, n, counts, deltas)
-        for i in range(len(counts)):
-            alone = _selection_weights(log_fact, n, counts[i:i + 1], deltas[i:i + 1])
-            assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, counts[i], deltas[i])
+    sizes = sorted({1, 2, 3, pool // 3, pool - 1, pool} & set(range(1, pool + 1)))
+    cases = [(n, *case) for n in sizes for case in zip(*selection_cases(n))]
+    cases += [(n, 0, 0.0) for n in sizes]
+    ns, counts, deltas = map(np.array, zip(*cases[::-1]))  # the n out of order
+    batch = _selection_weights(pool, ns, counts, deltas)
+    for i, (n, c, delta) in enumerate(zip(ns, counts, deltas)):
+        alone = _selection_weights(pool, n, counts[i:i + 1], deltas[i:i + 1])
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, c, delta)
+        if c + delta == 0.0:
+            assert alone.tobytes() == bytes(8 * pool), (pool, n)
+        else:
+            reference = full_width_selection_rows(log_fact, n, counts[i:i + 1], deltas[i:i + 1])
+            assert alone.tobytes() == reference.tobytes(), (pool, n, c, delta)
 
 
 def prompt_subset(dataset, table, prompt_ids):
@@ -388,7 +422,6 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
                 assert point.per_prompt == {pid: whole.per_prompt[pid] for pid in group}
     oracle = oracle_matrix(dataset, table)
     ranked = [rank_by_table(dataset, table, pid) for pid in prompt_ids]
-    log_fact = _log_factorials(pool)
     for variant, estimate in [
         (BonVariant("best_of_n"), bon_estimate),
         (BonVariant("rank_k_of_n", 2), lambda r, n: rank_k_of_n_estimate(r, 2, n)),
@@ -396,7 +429,7 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
     ]:
         grid = sorted(set(range(variant.min_n, pool + 1, 8)) | {pool})
         # the bank bon_curve applies: one weight row per n
-        bank = np.concatenate([variant._weights(log_fact, n) for n in grid])
+        bank = np.concatenate([variant._weights(pool, [n]) for n in grid])
         values = _weighted_sums(bank, oracle)
         for start in (0, 4, 8):
             assert _weighted_sums(bank, oracle[start:start + 7]).tobytes() == \

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from retabench import (
 )
 from retabench.cli import main
 from retabench.dataset import write_benchmark, write_rm_scores
-from retabench.ranking import RankedResponses, eta_parts, subset_rank_table
+from retabench import reta as reta_module
+from retabench.ranking import (
+    RankedResponses,
+    _selection_weights,
+    eta_parts,
+    subset_rank_table,
+)
 from retabench.reta import _coefficients, default_eta_grid
 from retabench.errors import (
     DegenerateDenominator,
@@ -368,6 +375,43 @@ def test_coefficients_match_running_sum_over_whole_tables(pool):
     assert np.array_equal(fast == 0.0, reference == 0.0)
     nonzero = reference != 0.0
     assert np.max(np.abs(fast - reference)[nonzero] / reference[nonzero]) <= 1e-12
+
+
+def in_order_coefficients(pool, grid, etas):
+    """``_coefficients`` the long way: one kernel call per n, each n's rows
+    added to the running sums in increasing n."""
+    coefs = np.zeros((len(etas), pool))
+    rest = etas[int(etas[0] == 1.0):]  # the eta == 1 row stays zero
+    for n in grid if rest else []:
+        counts, deltas = map(np.array, zip(*(eta_parts(eta, n) for eta in rest)))
+        coefs[len(etas) - len(rest):] += _selection_weights(pool, n, counts, deltas)
+    return coefs
+
+
+@pytest.mark.parametrize("pool", [2, 3, 64, 256])
+@pytest.mark.parametrize("group_entries", [1, None, 1 << 30])
+def test_coefficients_add_each_n_in_order_whatever_the_groups(pool, group_entries, monkeypatch):
+    # one n per kernel call, the default groups, or the whole grid in one
+    # call: the same bytes as one call per n summed in increasing n
+    if group_entries is not None:
+        monkeypatch.setattr(reta_module, "_GROUP_ENTRIES", group_entries)
+    grid = list(range(1, pool + 1)) if pool < 64 else resample_sizes(pool, RetaConfig())
+    for etas in (default_eta_grid(), [0.25], [1.0], default_eta_grid(40, 12.0)):
+        fast = _coefficients(pool, grid, etas)
+        assert fast.tobytes() == in_order_coefficients(pool, grid, etas).tobytes(), etas
+
+
+def test_default_bank_stays_under_one_mebibyte():
+    # the n grid is built in groups, so no temporary holds the whole bank
+    grid, etas = resample_sizes(256, RetaConfig()), default_eta_grid()
+    _coefficients(256, grid, etas)
+    tracemalloc.start()
+    try:
+        _coefficients(256, grid, etas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_estimate_aggregation_invariants():
