@@ -11,12 +11,9 @@ from .bon import (
     BonCurve,
     BonPoint,
     BonVariant,
-    best_m_of_n_estimate,
     bon_curve,
-    bon_estimate,
     default_n_grid,
     kl_best_of_n,
-    rank_k_of_n_estimate,
     write_bon_csv,
 )
 from .dataset import (
@@ -43,11 +40,9 @@ from .dpp import (
     sample_kdpp,
     subset_log_det,
 )
-from .labeler import JUDGE_TEMPLATE, Labeler, OfflineLabeler
 from .metrics import (
     MetricReport,
     default_hit_rate_cutoffs,
-    hit_rate,
     load_win_labels,
     metric_report,
     mrr_at_selection,
@@ -56,14 +51,7 @@ from .metrics import (
     win_rate_aggregate,
     write_metrics_csv,
 )
-from .ranking import (
-    RankedResponses,
-    beta_subset,
-    eta_parts,
-    rank_by_oracle,
-    rank_by_table,
-    subset_rank_weights,
-)
+from .ranking import eta_parts, subset_rank_weights
 from .reta import (
     RetaConfig,
     RetaCurve,
@@ -74,7 +62,6 @@ from .reta import (
     reta_curve,
     reta_curve_pair,
     reta_estimate,
-    reta_point_estimate,
     write_curve_csv,
     write_per_prompt_csv,
 )

@@ -27,7 +27,6 @@ import numpy as np
 from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
 from .errors import InvalidConfig
 from .ranking import (
-    RankedResponses,
     _across_prompts,
     _check_int,
     _rank_weights,
@@ -81,30 +80,6 @@ class BonVariant:
         if self.kind == "best_m_of_n":
             return _selection_weights(pool, ns, self.param, 0.0)
         return _rank_weights(pool, ns, self.min_n)
-
-
-def _estimate(ranked_all: RankedResponses, variant: BonVariant, n: int) -> float:
-    pool = len(ranked_all)
-    _check_int(n, "n")
-    if not variant.min_n <= n <= pool:
-        raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
-    weights = variant._weights(pool, [n])
-    return float(_weighted_sums(weights, ranked_all.oracle_scores[None, :])[0, 0])
-
-
-def bon_estimate(ranked_all: RankedResponses, n: int) -> float:
-    """Expected oracle score of the RM's best pick within a uniform n-subset."""
-    return _estimate(ranked_all, BonVariant("best_of_n"), n)
-
-
-def rank_k_of_n_estimate(ranked_all: RankedResponses, k: int, n: int) -> float:
-    """Expected oracle score of the RM's k-th pick within a uniform n-subset."""
-    return _estimate(ranked_all, BonVariant("rank_k_of_n", k), n)
-
-
-def best_m_of_n_estimate(ranked_all: RankedResponses, m: int, n: int) -> float:
-    """Expected mean oracle score of the RM's top m within a uniform n-subset."""
-    return _estimate(ranked_all, BonVariant("best_m_of_n", m), n)
 
 
 @dataclass

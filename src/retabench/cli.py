@@ -205,6 +205,10 @@ def _cmd_synth(args: argparse.Namespace) -> Write:
 
 
 def _cmd_validate(args: argparse.Namespace) -> Write:
+    """Loads, plus warnings: any invalid input (a value, a shape, an oracle
+    score above ``--max-oracle-score``, a repeated ``rm_name``) is raised
+    by the readers, so it exits 2 with a JSON error before a report
+    exists; the report lists the load warnings (unknown keys)."""
     report = validate_dataset(*_read_dataset(args), max_oracle_score=args.max_oracle_score)
     text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
 
@@ -355,7 +359,8 @@ def _optional_scores_flags(parser: argparse.ArgumentParser) -> None:
 _COMMANDS = {
     "sample-prompts": ("select a diverse prompt subset", _sample_prompts_flags),
     "synth": ("generate a synthetic benchmark", _synth_flags),
-    "validate": ("check a dataset and score tables", _optional_scores_flags),
+    "validate": ("load a dataset and score tables; invalid input exits 2, "
+                 "the report lists load warnings", _optional_scores_flags),
     "reta": ("reliability curves over an eta grid", _reta_flags),
     "bon": ("best-of-n style curves with KL column", _bon_flags),
     "metrics": ("hit rate / NDCG / MRR / pairwise table", _metrics_flags),

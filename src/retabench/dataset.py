@@ -554,45 +554,56 @@ def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[str | No
             raise _NotCanonical from None
 
 
-def _load_canonical(directory: Path, max_oracle_score: float,
-                    name: str) -> BenchmarkDataset | None:
-    """What ``load_benchmark`` returns for ``directory`` when both files are
-    canonical and the dataset is valid, else None; never raises or warns.
-
-    Each check is one operation on whole columns. With N the number of
-    responses per prompt, read the id columns as (prompts, N) matrices:
-    rising prompt ids equal to each matrix column of prompt ids give each
-    prompt one run of N responses, and each column of response ids above
-    the one before it puts the pairs in the dataset's order.
-    """
-    ids, texts, pids, rids, response_texts = [], [], [], [], []
-    scores: list[np.ndarray] = []
+def _canonical_prompts(path: Path) -> list[PromptRecord] | None:
+    """The prompts of ``path`` when every line is canonical, the ids rise
+    and no text is empty, else None; never raises or warns."""
+    ids, texts = [], []
     try:
-        for parts in _canonical_blocks(directory / PROMPTS_FILE, _PROMPT_LINE):
+        for parts in _canonical_blocks(path, _PROMPT_LINE):
             if any(parts[::3]):
                 return None
             ids += parts[1::3]
             texts += parts[2::3]
-        for parts in _canonical_blocks(directory / RESPONSES_FILE, _RESPONSE_LINE):
+    except _NotCanonical:
+        return None
+    if ids and all(texts) and all(map(operator.lt, ids, ids[1:])):
+        return list(map(PromptRecord, ids, texts))
+    return None
+
+
+def _canonical_responses(path: Path, ids: list[str], max_oracle_score: float) -> tuple | None:
+    """The response columns ``_from_columns`` takes (oracle matrix, pair
+    ids, texts, no samples) when every line of ``path`` is canonical and
+    the lines are a valid dataset's responses to the sorted prompt
+    ``ids``, else None; never raises or warns.
+
+    Each check is one operation on whole columns. With N the number of
+    responses per prompt, read the id columns as (prompts, N) matrices:
+    each matrix column of prompt ids equal to ``ids`` gives each prompt
+    one run of N responses, and each column of response ids above the one
+    before it puts the pairs in the dataset's order.
+    """
+    pids, rids, texts = [], [], []
+    scores: list[np.ndarray] = []
+    try:
+        for parts in _canonical_blocks(path, _RESPONSE_LINE):
             if any(parts[::5]):
                 return None
             pids += parts[1::5]
             rids += parts[2::5]
             scores.append(np.array(parts[3::5], dtype=np.float64))
-            response_texts += parts[4::5]
+            texts += parts[4::5]
     except _NotCanonical:
         return None
-    size = len(pids) // len(ids) if ids else 0
-    if not (size >= 2 and all(texts) and all(map(operator.lt, ids, ids[1:]))
-            and all(pids[k::size] == ids for k in range(size))
+    size = len(pids) // len(ids)
+    if not (size >= 2 and all(pids[k::size] == ids for k in range(size))
             and all(all(map(operator.lt, rids[k - 1::size], rids[k::size]))
                     for k in range(1, size))):
         return None
     oracle = np.concatenate(scores).reshape(len(ids), size)
     if _oracle_score_problem(oracle) or oracle.max() > max_oracle_score:
         return None
-    return BenchmarkDataset._from_columns(name, list(map(PromptRecord, ids, texts)),
-                                          _frozen(oracle), (pids, rids), response_texts)
+    return _frozen(oracle), (pids, rids), texts, None
 
 
 def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
@@ -780,8 +791,10 @@ def load_benchmark(path: str | Path, *,
     scale, and boundedness is required by the estimators downstream).
     All prompts must carry the same number of responses, counted against
     the prompt with the smallest id, as construction counts them
-    (``_check_shape``). A file the block reader declines is read line by
-    line into the same columns, with no record built.
+    (``_check_shape``). Each file the block reader declines is read line
+    by line into the same columns, with no record built; the responses
+    are offered to the block reader whichever reader read the prompts, so
+    prompts with embeddings or perplexities leave them on it.
     """
     _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
@@ -791,15 +804,22 @@ def load_benchmark(path: str | Path, *,
         raise MalformedRecord(str(directory), None, PROMPTS_FILE, "file not found")
     if not responses_path.is_file():
         raise MalformedRecord(str(directory), None, RESPONSES_FILE, "file not found")
-    dataset = _load_canonical(directory, max_oracle_score, name or directory.name)
-    if dataset is not None:
-        return dataset
-
     warnings: list[ValidationIssue] = []
+    prompts = _canonical_prompts(prompts_path) or _read_prompt_lines(prompts_path, warnings)
+    ids = [p.prompt_id for p in prompts]
+    columns = (_canonical_responses(responses_path, ids, max_oracle_score)
+               or _read_response_lines(responses_path, ids, max_oracle_score, warnings))
+    return BenchmarkDataset._from_columns(name or directory.name, prompts, *columns,
+                                          load_warnings=warnings)
+
+
+def _read_prompt_lines(path: Path, warnings: list[ValidationIssue]) -> list[PromptRecord]:
+    """The prompts of ``path``, read line by line, in id order; adds each
+    unknown key to ``warnings`` and raises at the first bad line."""
     prompts: dict[str, PromptRecord] = {}
     embedding_dim: int | None = None
     source = PROMPTS_FILE
-    for line_no, obj in _iter_jsonl(prompts_path):
+    for line_no, obj in _iter_jsonl(path):
         if not _PROMPT_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
         pid, text = _req_strs(obj, ("prompt_id", "text"), source, line_no)
@@ -814,15 +834,21 @@ def load_benchmark(path: str | Path, *,
             perplexity = _req_float(obj, "perplexity", source, line_no)
             _reject_line(source, line_no, "perplexity", _perplexity_problem(perplexity))
         prompts[pid] = PromptRecord(pid, text, embedding, perplexity)
-
     if not prompts:
         raise MalformedRecord(PROMPTS_FILE, None, "-", "no prompt records")
+    return [prompts[pid] for pid in sorted(prompts)]
 
+
+def _read_response_lines(path: Path, ids: list[str], max_oracle_score: float,
+                         warnings: list[ValidationIssue]) -> tuple:
+    """The response columns ``_from_columns`` takes, read line by line from
+    ``path`` for the sorted prompt ``ids``; adds each unknown key to
+    ``warnings`` and raises at the first bad line, then for the shape."""
     # each prompt's {response_id: line's position in ``rows``}
-    positions: dict[str, dict[str, int]] = {pid: {} for pid in prompts}
+    positions: dict[str, dict[str, int]] = {pid: {} for pid in ids}
     rows: list[tuple[float, str | None, tuple[float, ...] | None]] = []
     source = RESPONSES_FILE
-    for line_no, obj in _iter_jsonl(responses_path):
+    for line_no, obj in _iter_jsonl(path):
         if not _RESPONSE_KEYS.issuperset(obj):
             _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
         pid, rid = _req_strs(obj, ("prompt_id", "response_id"), source, line_no)
@@ -847,16 +873,14 @@ def load_benchmark(path: str | Path, *,
         by_id[rid] = len(rows)
         rows.append((score, text, samples))
 
-    ids = sorted(prompts)
     rids = [sorted(positions[pid]) for pid in ids]
     _check_shape(ids, rids, len(rids[0]))
     pids = [pid for pid, row in zip(ids, rids) for _ in row]
     scores, texts, samples = zip(*[rows[positions[pid][rid]]
                                    for pid, row in zip(ids, rids) for rid in row])
-    return BenchmarkDataset._from_columns(
-        name or directory.name, list(map(prompts.__getitem__, ids)),
-        _frozen(np.array(scores).reshape(len(ids), -1)), (pids, list(chain.from_iterable(rids))),
-        list(texts), list(samples) if any(samples) else None, warnings)
+    return (_frozen(np.array(scores).reshape(len(ids), -1)),
+            (pids, list(chain.from_iterable(rids))), list(texts),
+            list(samples) if any(samples) else None)
 
 
 def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:

@@ -91,10 +91,6 @@ class InvalidConfig(InputError):
 
 # --- estimation ---------------------------------------------------------------
 
-class EmptySelection(ComputationError):
-    """The top fraction rounds down to zero responses and no smoothing applies."""
-
-
 class DegenerateDenominator(ComputationError):
     """The oracle-score total of a prompt is zero; nothing can be normalized."""
 

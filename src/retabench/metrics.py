@@ -32,7 +32,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import RankedResponses, _rank_orders, _score_matrices, eta_parts
+from .ranking import _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
 _OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}
@@ -49,26 +49,6 @@ class MetricReport:
     selection_rank_j: int
     pairwise_accuracy: float
     win_rate: float | None = None
-
-
-def hit_rate(ranked_rm: RankedResponses, ranked_oracle: RankedResponses,
-             eta: float, k: int) -> float:
-    """Percent of the oracle's top floor(eta*N) found in the RM's top K.
-
-    The denominator is the ground-truth size floor(eta*N), so K above that
-    size can reach 100 even though the RM's top K contains extras. Both
-    rankings must be of one prompt and cover the same responses.
-    """
-    n = len(ranked_rm)
-    if ranked_rm.prompt_id != ranked_oracle.prompt_id:
-        raise InvalidConfig(f"rankings must be of one prompt, got {ranked_rm.prompt_id!r} "
-                            f"and {ranked_oracle.prompt_id!r}")
-    if len(ranked_oracle) != n or set(ranked_rm.response_ids) != set(ranked_oracle.response_ids):
-        raise InvalidConfig("rankings must cover the same response set")
-    gt_size = _ground_truth_size(n, eta, k)
-    ground_truth = set(ranked_oracle.response_ids[:gt_size])
-    hits = sum(1 for rid in ranked_rm.response_ids[:k] if rid in ground_truth)
-    return 100.0 * hits / gt_size
 
 
 def _ground_truth_size(n: int, eta: float, k: int) -> int:

@@ -26,14 +26,13 @@ prompts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import BenchmarkDataset, RmScoreTable, _rank_orders
-from .errors import EmptySelection, InvalidConfig, MissingScore
+from .errors import InvalidConfig, MissingScore
 
 # eta*n computed in floats can land a few ulp away from an exact integer
 # (e.g. (1/3)*3 == 0.999...); snap within this tolerance before flooring.
@@ -62,93 +61,25 @@ def _eta_parts(etas, ns) -> tuple[np.ndarray, np.ndarray]:
     return floor.astype(np.int64), x - floor
 
 
-@dataclass(frozen=True)
-class RankedResponses:
-    """One prompt's responses sorted by RM score descending.
-
-    ``order[j]`` is the index (into the dataset's response list) of the
-    response at rank j+1; ``rm_scores`` / ``oracle_scores`` /
-    ``response_ids`` are aligned to that order.
-    """
-
-    prompt_id: str
-    order: np.ndarray
-    rm_scores: np.ndarray
-    oracle_scores: np.ndarray
-    response_ids: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-def _build_ranking(dataset: BenchmarkDataset, prompt_id: str,
-                   table: RmScoreTable | None) -> RankedResponses:
-    """Rank one prompt's responses by ``table``'s scores, or by their oracle
-    scores when ``table`` is None, with the tie rule of ``_rank_orders``;
-    read from the dataset's columns and the table's aligned row."""
-    try:
-        row = dataset.prompt_ids().index(prompt_id)
-    except ValueError:
-        raise InvalidConfig(f"unknown prompt {prompt_id!r}") from None
-    size = dataset.responses_per_prompt
-    response_ids = dataset._pair_ids[1][row * size:(row + 1) * size]
-    oracle = dataset._oracle_scores[row]
-    rm = oracle if table is None else _score_matrices(dataset, table, slice(row, row + 1))[0][0]
-    order = _rank_orders(rm[None, :])[0]
-    return RankedResponses(prompt_id, order, rm[order], oracle[order],
-                           tuple(response_ids[i] for i in order))
-
-
-def rank_by_table(dataset: BenchmarkDataset, table: RmScoreTable,
-                  prompt_id: str) -> RankedResponses:
-    """Rank one prompt's responses by the given score table."""
-    return _build_ranking(dataset, prompt_id, table)
-
-
-def rank_by_oracle(dataset: BenchmarkDataset, prompt_id: str) -> RankedResponses:
-    """Rank one prompt's responses by their oracle scores."""
-    return _build_ranking(dataset, prompt_id, None)
-
-
-def beta_subset(ranked: RankedResponses, eta: float, subset_size: int) -> list[int]:
-    """Indices of the top floor(eta*n) responses by RM score.
-
-    ``subset_size`` must equal the number of ranked entries; ties are
-    already resolved by the ranking's stable id order.
-    """
-    n = len(ranked)
-    if subset_size != n:
-        raise InvalidConfig(f"subset_size {subset_size} != ranked size {n}")
-    if not 0.0 < eta <= 1.0:
-        raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
-    count, _ = eta_parts(eta, n)
-    if count == 0:
-        raise EmptySelection(f"floor(eta*n) = 0 for eta={eta}, n={n}")
-    return [int(i) for i in ranked.order[:count]]
-
-
-def _score_matrices(dataset: BenchmarkDataset, table: RmScoreTable,
-                    rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """(table scores, oracle scores) of the prompts in ``rows``, each
-    (prompts, N) with responses in id order; the oracle matrix is a view of
-    the dataset's read-only column. Every table keeps its pairs sorted in
-    the dataset's id order, so one holding exactly the dataset's pairs,
-    read or built from a dict, is a view of its score column; a partial
-    table or one over other pairs is gathered through its ``scores`` dict,
-    and a missing score names the smallest missing pair, as
-    ``ingest_rm_scores`` does."""
+def _score_matrices(dataset: BenchmarkDataset,
+                    table: RmScoreTable) -> tuple[np.ndarray, np.ndarray]:
+    """(table scores, oracle scores), each (prompts, N) with responses in id
+    order; the oracle matrix is the dataset's read-only column. Every table
+    keeps its pairs sorted in the dataset's id order, so one holding
+    exactly the dataset's pairs, read or built from a dict, is a view of
+    its score column; a partial table or one over other pairs is gathered
+    through its ``scores`` dict, and a missing score names the smallest
+    missing pair, as ``ingest_rm_scores`` does."""
     oracle = dataset._oracle_scores
     if table._pair_ids == dataset._pair_ids:
-        return table._values.reshape(oracle.shape)[rows], oracle[rows]
-    start, stop, _ = rows.indices(len(oracle))
-    size = oracle.shape[1]
-    pairs = list(zip(*(ids[start * size:stop * size] for ids in dataset._pair_ids)))
+        return table._values.reshape(oracle.shape), oracle
+    pairs = list(dataset.iter_pairs())
     scores = table.scores
     try:
         rm = np.fromiter(map(scores.__getitem__, pairs), np.float64, count=len(pairs))
     except KeyError:
         raise MissingScore(next(pair for pair in pairs if pair not in scores)) from None
-    return rm.reshape(-1, size), oracle[rows]
+    return rm.reshape(oracle.shape), oracle
 
 
 def oracle_matrix(dataset: BenchmarkDataset, table: RmScoreTable) -> np.ndarray:

@@ -40,9 +40,7 @@ from .errors import (
     TooManySubsets,
 )
 from .ranking import (
-    RankedResponses,
     _across_prompts,
-    _check_int,
     _eta_parts,
     _selection_weights,
     _weighted_sums,
@@ -208,25 +206,16 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
     return arrays
 
 
-def reta_point_estimate(ranked_all: RankedResponses, eta: float, n: int,
-                        config: RetaConfig) -> float:
-    """Exact RETA at a single (eta, n) for one prompt's full ranked pool."""
-    _check_int(n, "n")
-    if not 1 <= n <= len(ranked_all):
-        raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={len(ranked_all)}")
-    _check_etas([eta])
-    [values] = _values(ranked_all.oracle_scores[None, :], [ranked_all.prompt_id],
-                       [n], [eta], [config.normalize])
-    return float(values[0, 0])
-
-
-def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
-    """Reference value by direct enumeration of every n-subset.
+def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> float:
+    """Reference value by direct enumeration of every n-subset of one
+    prompt's pool, given its oracle scores in RM-rank order (a row of
+    ``ranking.oracle_matrix``).
 
     Deliberately naive (plain loops, exact summation); kept independent of
     the vectorized estimator so the two can cross-check each other.
     """
-    total = len(ranked_all)
+    scores = [float(v) for v in oracle_by_rank]
+    total = len(scores)
     if not 1 <= n <= total:
         raise InvalidConfig(f"n={n} outside [1, {total}]")
     if not 0.0 < eta <= 1.0:
@@ -234,10 +223,9 @@ def exhaustive_reta(ranked_all: RankedResponses, eta: float, n: int) -> float:
     num_subsets = math.comb(total, n)
     if num_subsets > MAX_ENUMERATED_SUBSETS:
         raise TooManySubsets(f"C({total},{n}) = {num_subsets} exceeds {MAX_ENUMERATED_SUBSETS}")
-    scores = [float(v) for v in ranked_all.oracle_scores]
     pool_total = math.fsum(scores)
     if pool_total <= 0.0:
-        raise DegenerateDenominator(f"prompt {ranked_all.prompt_id!r} has zero total oracle score")
+        raise DegenerateDenominator("the pool has zero total oracle score")
     count, delta = eta_parts(eta, n)
     if count == 0 and delta == 0.0:
         return 0.0

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retabench import BenchmarkDataset, PromptRecord, ResponseRecord, RmScoreTable
+from retabench import (
+    BenchmarkDataset,
+    PromptRecord,
+    ResponseRecord,
+    RetaConfig,
+    RmScoreTable,
+    bon_curve,
+    reta_curve,
+)
 
 
 def build_dataset(oracle_by_prompt: dict[str, list[float]],
@@ -103,14 +111,44 @@ def scores_records(dataset_pairs: list[tuple[str, str]], values: list[float],
     ]
 
 
-def random_ranked(rng: np.random.Generator, size: int, prompt_id: str = "p0"):
-    """A RankedResponses over distinct random oracle scores, scrambled RM order."""
-    from retabench import rank_by_table
-    oracle = rng.uniform(0.5, 9.5, size=size)
-    rm = rng.standard_normal(size)
-    dataset = build_dataset({prompt_id: list(oracle)})
-    table = build_table({prompt_id: list(rm)})
-    return rank_by_table(dataset, table, prompt_id)
+def one_prompt(oracle_scores, rm_scores=None, prompt_id: str = "p0"):
+    """A one-prompt dataset and its score table; the RM scores default to
+    the oracle scores, so scores given in descending order are in rank order."""
+    dataset = build_dataset({prompt_id: list(oracle_scores)})
+    table = build_table({prompt_id: list(oracle_scores if rm_scores is None else rm_scores)})
+    return dataset, table
+
+
+def random_prompt(rng: np.random.Generator, size: int, prompt_id: str = "p0"):
+    """``one_prompt`` over distinct random oracle scores, in a scrambled RM order."""
+    return one_prompt(rng.uniform(0.5, 9.5, size=size), rng.standard_normal(size), prompt_id)
+
+
+def reta_at(dataset: BenchmarkDataset, table: RmScoreTable, eta: float, n: int,
+            normalize: bool = True) -> float:
+    """A one-prompt dataset's RETA at the single subset size ``n``: the n
+    grid [n/N * N**1, n/N * N**1] holds n alone."""
+    ratio = n / dataset.responses_per_prompt
+    [point] = reta_curve(dataset, table, [eta], RetaConfig(ratio, ratio, 1.0, normalize)).points
+    assert point.n_values_used == [n]
+    [value] = point.per_prompt.values()
+    return value
+
+
+def bon_at(dataset: BenchmarkDataset, table: RmScoreTable, variant, n: int) -> float:
+    """A one-prompt dataset's best-of-n family value at ``n`` alone."""
+    [point] = bon_curve(dataset, table, variant, [n]).points
+    return point.value
+
+
+def prompt_subset(dataset: BenchmarkDataset, table: RmScoreTable, prompt_ids):
+    """The dataset and score table restricted to ``prompt_ids``."""
+    keep = set(prompt_ids)
+    return (BenchmarkDataset(dataset.name, [p for p in dataset.prompts if p.prompt_id in keep],
+                             {pid: dataset.responses[pid] for pid in keep},
+                             dataset.responses_per_prompt),
+            RmScoreTable(table.rm_name,
+                         {pair: v for pair, v in table.scores.items() if pair[0] in keep}))
 
 
 def unordered_ties_dataset(seed: int = 3, prompts: int = 6, size: int = 12):

@@ -18,10 +18,10 @@ from scipy.stats import chi2
 
 import retabench as rb
 from retabench.cli import main as cli_main
+from retabench.ranking import oracle_matrix
 
-from conftest import build_table, write_jsonl
+from conftest import bon_at, build_table, one_prompt, prompt_subset, reta_at, write_jsonl
 from test_bon import brute_force_best_m, brute_force_rank_k
-from test_reta import make_ranked
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -60,15 +60,13 @@ def test_c03_estimator_exactness():
     worst = 0.0
     checked = 0
     full_pool = empty_floor = 0
-    config = rb.RetaConfig()
     for size in range(2, 9):
-        oracle = rng.uniform(0.5, 9.5, size=size)
-        rm = rng.standard_normal(size)
-        ranked = make_ranked(list(oracle), list(rm))
+        pool = one_prompt(rng.uniform(0.5, 9.5, size=size), rng.standard_normal(size))
+        [by_rank] = oracle_matrix(*pool)
         for n in range(1, size + 1):
             for eta in (0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0):
-                fast = rb.reta_point_estimate(ranked, eta, n, config)
-                slow = rb.exhaustive_reta(ranked, eta, n)
+                fast = reta_at(*pool, eta, n)
+                slow = rb.exhaustive_reta(by_rank, eta, n)
                 worst = max(worst, abs(fast - slow))
                 checked += 1
                 full_pool += n == size
@@ -101,22 +99,20 @@ def test_c05_bon_family_exactness():
     worst_weight_sum = 0.0
     worst_vandermonde = 0.0
     for size in (4, 7, 10):
-        oracle = rng.uniform(0.5, 9.5, size=size)
-        rm = rng.standard_normal(size)
-        ranked = make_ranked(list(oracle), list(rm))
-        by_rank = list(ranked.oracle_scores)
+        pool = one_prompt(rng.uniform(0.5, 9.5, size=size), rng.standard_normal(size))
+        by_rank = oracle_matrix(*pool)[0].tolist()
         for n in range(1, size + 1):
             worst_estimate = max(worst_estimate, abs(
-                rb.bon_estimate(ranked, n) - brute_force_rank_k(by_rank, 1, n)))
+                bon_at(*pool, rb.BonVariant("best_of_n"), n) - brute_force_rank_k(by_rank, 1, n)))
             for k in range(1, n + 1):
                 worst_estimate = max(worst_estimate, abs(
-                    rb.rank_k_of_n_estimate(ranked, k, n)
+                    bon_at(*pool, rb.BonVariant("rank_k_of_n", k), n)
                     - brute_force_rank_k(by_rank, k, n)))
                 weights = rb.subset_rank_weights(size, n, k)
                 worst_weight_sum = max(worst_weight_sum, abs(float(weights.sum()) - 1.0))
             for m in range(1, n + 1):
                 worst_estimate = max(worst_estimate, abs(
-                    rb.best_m_of_n_estimate(ranked, m, n)
+                    bon_at(*pool, rb.BonVariant("best_m_of_n", m), n)
                     - brute_force_best_m(by_rank, m, n)))
             stacked = sum(rb.subset_rank_weights(size, n, k) for k in range(1, n + 1))
             worst_vandermonde = max(worst_vandermonde,
@@ -145,7 +141,7 @@ def test_c07_monotone_transform_and_scale_invariance():
     dataset, table = rb.gen_synthetic(spec, 8, 64, seed=17)
     config = rb.RetaConfig()
     base_reta = rb.reta_estimate(dataset, table, 0.25, config)
-    base_bon = [rb.bon_estimate(rb.rank_by_table(dataset, table, pid), 8)
+    base_bon = [bon_at(*prompt_subset(dataset, table, [pid]), rb.BonVariant("best_of_n"), 8)
                 for pid in dataset.prompt_ids()]
     base_metrics = rb.metric_report(dataset, table, eta=0.25)
 
@@ -161,7 +157,7 @@ def test_c07_monotone_transform_and_scale_invariance():
             moved_reta.value == base_reta.value
             and moved_reta.per_prompt == base_reta.per_prompt
             and moved_reta.std_error == base_reta.std_error)
-        moved_bon = [rb.bon_estimate(rb.rank_by_table(dataset, mapped, pid), 8)
+        moved_bon = [bon_at(*prompt_subset(dataset, mapped, [pid]), rb.BonVariant("best_of_n"), 8)
                      for pid in dataset.prompt_ids()]
         bit_identical = bit_identical and moved_bon == base_bon
         moved_metrics = rb.metric_report(dataset, mapped, eta=0.25)

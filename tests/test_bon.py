@@ -10,23 +10,28 @@ import pytest
 
 from retabench import (
     BonVariant,
-    best_m_of_n_estimate,
     bon_curve,
-    bon_estimate,
     default_n_grid,
     kl_best_of_n,
-    rank_by_table,
-    rank_k_of_n_estimate,
     subset_rank_weights,
     DistSpec,
     gen_synthetic,
 )
 from retabench.errors import InvalidConfig
-from retabench.ranking import _log_factorials, subset_rank_table
+from retabench.ranking import _log_factorials, oracle_matrix, subset_rank_table
 
-from conftest import build_table, random_ranked
+from conftest import bon_at, build_table, one_prompt, prompt_subset, random_prompt
 from test_ranking import full_width_selection_rows
-from test_reta import make_ranked
+
+BEST = BonVariant("best_of_n")
+
+
+def rank_k(k):
+    return BonVariant("rank_k_of_n", k)
+
+
+def best_m(m):
+    return BonVariant("best_m_of_n", m)
 
 
 def brute_force_rank_k(oracle_by_rank, k, n):
@@ -47,72 +52,72 @@ def brute_force_best_m(oracle_by_rank, m, n):
 
 
 def test_best_of_n_edge_cases():
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
-    assert bon_estimate(ranked, 1) == pytest.approx(2.5, abs=1e-12)  # plain mean
-    assert bon_estimate(ranked, 4) == pytest.approx(4.0, abs=1e-12)  # top pick
+    pool = one_prompt([4.0, 3.0, 2.0, 1.0])
+    assert bon_at(*pool, BEST, 1) == pytest.approx(2.5, abs=1e-12)  # plain mean
+    assert bon_at(*pool, BEST, 4) == pytest.approx(4.0, abs=1e-12)  # top pick
 
 
 def test_best_of_n_hand_example():
     # N=3, oracle by RM rank [1.0, 0.5, 0.2], n=2:
     # pairs {1,2}->1.0, {1,3}->1.0, {2,3}->0.5 -> 2.5/3
-    ranked = make_ranked([1.0, 0.5, 0.2])
+    pool = one_prompt([1.0, 0.5, 0.2])
     expected = brute_force_rank_k([1.0, 0.5, 0.2], 1, 2)
     assert expected == pytest.approx(2.5 / 3.0, abs=1e-15)
-    assert bon_estimate(ranked, 2) == pytest.approx(expected, abs=1e-12)
+    assert bon_at(*pool, BEST, 2) == pytest.approx(expected, abs=1e-12)
 
 
 def test_rank_k_hand_example():
     # same pool, k=2, n=2: worse of each pair -> (0.5 + 0.2 + 0.2)/3 = 0.3
-    ranked = make_ranked([1.0, 0.5, 0.2])
+    pool = one_prompt([1.0, 0.5, 0.2])
     expected = brute_force_rank_k([1.0, 0.5, 0.2], 2, 2)
     assert expected == pytest.approx(0.3, abs=1e-15)
-    assert rank_k_of_n_estimate(ranked, 2, 2) == pytest.approx(0.3, abs=1e-12)
+    assert bon_at(*pool, rank_k(2), 2) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_rank_k_reductions():
     rng = np.random.default_rng(1)
-    ranked = random_ranked(rng, 7)
+    pool = random_prompt(rng, 7)
     for n in (1, 3, 7):
-        assert rank_k_of_n_estimate(ranked, 1, n) == pytest.approx(
-            bon_estimate(ranked, n), abs=1e-14)
+        assert bon_at(*pool, rank_k(1), n) == pytest.approx(bon_at(*pool, BEST, n), abs=1e-14)
     # k = n = N: the single subset's worst pick
-    assert rank_k_of_n_estimate(ranked, 7, 7) == pytest.approx(
-        float(ranked.oracle_scores[-1]), abs=1e-14)
+    assert bon_at(*pool, rank_k(7), 7) == pytest.approx(
+        float(oracle_matrix(*pool)[0, -1]), abs=1e-14)
 
 
 def test_best_m_reductions():
     rng = np.random.default_rng(2)
-    ranked = random_ranked(rng, 6)
-    mean_score = float(np.mean(ranked.oracle_scores))
+    pool = random_prompt(rng, 6)
+    mean_score = float(np.mean(oracle_matrix(*pool)))
     for n in (2, 4, 6):
-        assert best_m_of_n_estimate(ranked, n, n) == pytest.approx(mean_score, abs=1e-12)
+        assert bon_at(*pool, best_m(n), n) == pytest.approx(mean_score, abs=1e-12)
     for n in (1, 3, 6):
-        assert best_m_of_n_estimate(ranked, 1, n) == pytest.approx(
-            bon_estimate(ranked, n), abs=1e-14)
+        assert bon_at(*pool, best_m(1), n) == pytest.approx(bon_at(*pool, BEST, n), abs=1e-14)
 
 
 def test_best_m_hand_example():
     # N=4, oracle by rank [4,3,2,1], m=2, n=2: every pair is fully averaged,
     # so the value is the pool mean 2.5
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+    pool = one_prompt([4.0, 3.0, 2.0, 1.0])
     expected = brute_force_best_m([4.0, 3.0, 2.0, 1.0], 2, 2)
     assert expected == pytest.approx(2.5, abs=1e-15)
-    assert best_m_of_n_estimate(ranked, 2, 2) == pytest.approx(2.5, abs=1e-12)
+    assert bon_at(*pool, best_m(2), 2) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_estimators_match_brute_force():
+    # every (k, n) and (m, n) of one-prompt pools: a prompt's value is its
+    # slice of the batch, so the one-prompt curve is the per-prompt estimate
     rng = np.random.default_rng(14)
     for size in (5, 8, 10):
-        ranked = random_ranked(rng, size)
-        scores = list(ranked.oracle_scores)
+        pool = random_prompt(rng, size)
+        scores = oracle_matrix(*pool)[0].tolist()
         for n in range(1, size + 1):
-            assert bon_estimate(ranked, n) == pytest.approx(
+            assert bon_at(*pool, BEST, n) == pytest.approx(
                 brute_force_rank_k(scores, 1, n), abs=1e-12)
             for k in range(1, n + 1):
-                assert rank_k_of_n_estimate(ranked, k, n) == pytest.approx(
+                assert bon_at(*pool, rank_k(k), n) == pytest.approx(
                     brute_force_rank_k(scores, k, n), abs=1e-12)
             for m in range(1, n + 1):
-                assert best_m_of_n_estimate(ranked, m, n) == pytest.approx(
+                assert bon_at(*pool, best_m(m), n) == pytest.approx(
                     brute_force_best_m(scores, m, n), abs=1e-12)
 
 
@@ -222,10 +227,7 @@ def test_rank_k_curve_endpoint():
     dataset, table = gen_synthetic(spec, 3, 16, seed=8)
     curve = bon_curve(dataset, table, BonVariant("rank_k_of_n", 2))
     assert [p.n for p in curve.points] == [2, 4, 8, 16]
-    expected = np.mean([
-        rank_by_table(dataset, table, pid).oracle_scores[1]
-        for pid in dataset.prompt_ids()
-    ])
+    expected = np.mean(oracle_matrix(dataset, table)[:, 1])
     assert curve.points[-1].value == pytest.approx(float(expected), abs=1e-12)
 
 
@@ -253,31 +255,27 @@ def test_variant_param_must_be_an_int(kind, param):
     assert BonVariant(kind, np.int64(2)).min_n == 2
 
 
-@pytest.mark.parametrize("estimate", [
-    bon_estimate,
-    lambda ranked, n: rank_k_of_n_estimate(ranked, 1, n),
-    lambda ranked, n: best_m_of_n_estimate(ranked, 1, n),
-], ids=["bon_estimate", "rank_k_of_n_estimate", "best_m_of_n_estimate"])
-def test_estimators_reject_an_n_that_is_not_an_int(estimate):
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+@pytest.mark.parametrize("variant", [BEST, rank_k(1), best_m(1)],
+                         ids=["best_of_n", "rank_k_of_n", "best_m_of_n"])
+def test_estimators_reject_an_n_that_is_not_an_int(variant):
+    pool = one_prompt([4.0, 3.0, 2.0, 1.0])
     for n in (2.5, 2.0, True):
         with pytest.raises(InvalidConfig, match="n must be an int"):
-            estimate(ranked, n)
-    assert estimate(ranked, np.int64(2)) == estimate(ranked, 2)
+            bon_at(*pool, variant, n)
+    assert bon_at(*pool, variant, np.int64(2)) == bon_at(*pool, variant, 2)
 
 
-@pytest.mark.parametrize("variant, estimate", [
-    (BonVariant("best_of_n"), bon_estimate),
-    (BonVariant("rank_k_of_n", 2), lambda ranked, n: rank_k_of_n_estimate(ranked, 2, n)),
-    (BonVariant("best_m_of_n", 3), lambda ranked, n: best_m_of_n_estimate(ranked, 3, n)),
-], ids=["best_of_n", "rank_2_of_n", "best_3_of_n"])
-def test_curve_points_are_means_of_per_prompt_estimates(variant, estimate):
-    # the curve's one log-factorial table gives the weights each per-prompt
-    # call builds for itself, and each prompt's value is summed alike
+@pytest.mark.parametrize("variant", [BEST, rank_k(2), best_m(3)],
+                         ids=["best_of_n", "rank_2_of_n", "best_3_of_n"])
+def test_curve_points_are_means_of_per_prompt_estimates(variant):
+    # each point is the exact mean of the prompts' values, and each prompt's
+    # value is the one its one-prompt dataset gives
     dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 5, 64, seed=3)
-    ranked = [rank_by_table(dataset, table, pid) for pid in dataset.prompt_ids()]
-    curve = bon_curve(dataset, table, variant, n_values=range(variant.min_n, 65))
-    assert [point.n for point in curve.points] == list(range(variant.min_n, 65))
-    for point in curve.points:
-        values = [estimate(r, point.n) for r in ranked]
+    alone = [prompt_subset(dataset, table, [pid]) for pid in dataset.prompt_ids()]
+    grid = range(variant.min_n, 65)
+    curve = bon_curve(dataset, table, variant, n_values=grid)
+    assert [point.n for point in curve.points] == list(grid)
+    per_prompt = [[point.value for point in bon_curve(*pool, variant, grid).points]
+                  for pool in alone]
+    for point, values in zip(curve.points, zip(*per_prompt)):
         assert point.value == math.fsum(values) / len(values)

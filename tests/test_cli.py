@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from retabench import (
 from retabench.cli import build_parser, main
 from retabench.errors import ComputationError
 
-from conftest import write_jsonl
+from conftest import write_dataset_dir, write_jsonl
 
 
 @pytest.fixture
@@ -524,6 +525,127 @@ def test_commands_run_without_scipy(tmp_path):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+_REFUSE_SCIPY = """\
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path):
+    # the interpreter itself refuses scipy from start-up on, as on a
+    # numpy-only install, and the package runs through ``python -m``
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(_REFUSE_SCIPY, encoding="utf-8")
+    src = str(Path(retabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(site), src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+    refused = run("-c", "import scipy")
+    assert refused.returncode != 0 and "scipy is refused" in refused.stderr
+    version = run("-m", "retabench.cli", "--version")
+    assert (version.returncode, version.stdout) == (0, f"retabench {retabench.__version__}\n")
+    (tmp_path / "spec.json").write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
+    synth = run("-m", "retabench.cli", "synth", "--spec", "spec.json", "--num-prompts", "2",
+                "--num-responses", "64", "--output-dir", "data")
+    assert synth.returncode == 0, synth.stderr
+    reta = run("-m", "retabench.cli", "reta", "--dataset", "data", "--rm-scores",
+               "data/rm_scores.jsonl", "--max-oracle-score", "20", "--output-dir", "reta")
+    assert reta.returncode == 0, reta.stderr
+    assert len((tmp_path / "reta" / "reta_synthetic-rm.csv").read_text().splitlines()) == 17
+
+
+def test_validate_reports_load_warnings_and_exits_2_on_invalid_input(tmp_path, capsys):
+    # loads, plus warnings: an unknown key is a warning in an ok report, and
+    # an oracle score above --max-oracle-score is an input error raised
+    # before any report exists
+    data = write_dataset_dir(
+        tmp_path / "data", [{"prompt_id": "p", "text": "t", "extra": 1}],
+        [{"prompt_id": "p", "response_id": "a", "oracle_score": 2.0},
+         {"prompt_id": "p", "response_id": "b", "oracle_score": 15.0}])
+    out = tmp_path / "out"
+    assert main(["validate", "--dataset", str(data), "--max-oracle-score", "20",
+                 "--output-dir", str(out)]) == 0
+    assert json.loads((out / "validation_report.json").read_text()) == {"ok": True, "issues": [
+        {"severity": "warning", "location": "prompts.jsonl:1",
+         "message": "unknown key 'extra' ignored"}]}
+    bounded = tmp_path / "bounded"
+    assert main(["validate", "--dataset", str(data), "--max-oracle-score", "10",
+                 "--output-dir", str(bounded)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "MalformedRecord", "message": (
+        "responses.jsonl:2: field 'oracle_score': 15.0 exceeds configured maximum 10.0")}
+    assert not bounded.exists()
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    """The rows of a CSV the commands write, after its provenance comment."""
+    return list(csv.DictReader(path.read_text().splitlines()[1:]))
+
+
+def test_a_1024_response_pool_stays_finite_and_exact(tmp_path):
+    # at N = 1024 the subset-rank weights underflow to exact zeros at deep
+    # ranks: every value stays finite, eta = 1 reads exactly 1.0, best-of-1
+    # and best-64-of-64 are the pool mean, and pairwise accuracy is, to the
+    # last bit, the mean of each prompt's N x N sign-matrix count
+    spec = tmp_path / "spec.json"
+    spec.write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
+    data = tmp_path / "large"
+    assert main(["synth", "--spec", str(spec), "--num-prompts", "2", "--num-responses", "1024",
+                 "--output-dir", str(data)]) == 0
+    common = ["--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl"),
+              "--max-oracle-score", "20"]
+    runs = {"reta": ["reta", "--raw-variant"],
+            "bon": ["bon", "--variant", "best_m_of_n", "--best-m", "64"],
+            "best": ["bon"],
+            "rank": ["bon", "--variant", "rank_k_of_n", "--rank-k", "2"],
+            "metrics": ["metrics"]}
+    for name, argv in runs.items():
+        assert main([*argv, *common, "--output-dir", str(tmp_path / name)]) == 0, name
+    tables = {path.relative_to(tmp_path).as_posix(): _csv_rows(path)
+              for name in runs for path in (tmp_path / name).glob("*.csv")}
+    assert len(tables) == 7, sorted(tables)
+    for path, rows in tables.items():
+        for row in rows:
+            assert all(math.isfinite(float(row[key])) for key in ("value", "std_error")
+                       if key in row), (path, row)
+    top = tables["reta/reta_synthetic-rm.csv"][0]
+    assert (top["eta"], top["value"]) == ("1.0", "1.0"), top
+    def column(name: str, key: str) -> np.ndarray:
+        # both files list the pairs in one order, by prompt and response id
+        lines = (data / name).read_text().splitlines()
+        return np.array([json.loads(line)[key] for line in lines]).reshape(2, -1)
+    oracle_scores = column("responses.jsonl", "oracle_score")
+    pool_mean = math.fsum(oracle_scores.ravel().tolist()) / oracle_scores.size
+    best_m = tables["bon/bon_synthetic-rm_best_64_of_n.csv"][0]
+    best_1 = tables["best/bon_synthetic-rm_best_of_n.csv"][0]
+    assert (best_m["n"], best_1["n"]) == ("64", "1")
+    assert abs(float(best_m["value"]) - pool_mean) <= 1e-9, best_m
+    assert abs(float(best_1["value"]) - pool_mean) <= 1e-9, best_1
+    per_prompt = []
+    for oracle, rm in zip(oracle_scores, column("rm_scores.jsonl", "score")):
+        oracle_sign = np.sign(oracle[:, None] - oracle[None, :])
+        rm_sign = np.sign(rm[:, None] - rm[None, :])
+        comparable = np.triu(oracle_sign != 0, k=1)
+        agree = int((comparable & (rm_sign == oracle_sign)).sum())
+        rm_ties = int((comparable & (rm_sign == 0)).sum())
+        per_prompt.append(100.0 * (agree + 0.5 * rm_ties) / int(comparable.sum()))
+    [metrics] = tables["metrics/metrics.csv"]
+    assert metrics["pairwise_accuracy"] == repr(math.fsum(per_prompt) / len(per_prompt))
 
 
 def _renamed_scores(synth_dir: Path, path: Path, rm_name: str) -> Path:

@@ -17,7 +17,6 @@ from retabench import (
     BenchmarkDataset,
     BonVariant,
     ConvergencePoint,
-    OfflineLabeler,
     PromptRecord,
     ResponseRecord,
     RetaCurve,
@@ -503,7 +502,6 @@ def test_construction_keeps_copies_of_the_callers_lists(tmp_path):
     embedding[0] = samples[0] = 9.0
     assert dataset.prompts[0].embedding == (0.6, 0.8)
     assert dataset.responses["p1"][0].oracle_samples == (0.5, 1.5)
-    assert OfflineLabeler(dataset).oracle_samples("p1", "a") == (0.5, 1.5)
     assert load_benchmark(tmp_path / "d") == dataset
 
 
@@ -986,6 +984,13 @@ def _decline(path, pattern):
     raise dataset_module._NotCanonical
 
 
+def _block_read(directory: Path) -> bool:
+    """Whether the block reader takes both of the dataset's files."""
+    prompts = dataset_module._canonical_prompts(directory / "prompts.jsonl")
+    return prompts is not None and dataset_module._canonical_responses(
+        directory / "responses.jsonl", [p.prompt_id for p in prompts], 10.0) is not None
+
+
 @pytest.mark.parametrize("name, file, edit", _VARIANTS,
                          ids=[f"{file.split('.')[0]}-{name}" for name, file, _ in _VARIANTS])
 def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, file, edit):
@@ -996,6 +1001,48 @@ def test_block_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, f
     forbid_response_records(monkeypatch)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert shipped == _read(directory)
+
+
+def _with_prompt_fields(text: str) -> str:
+    """prompts.jsonl with an embedding and a perplexity on each line, and an
+    unknown key on the second, so the block reader declines it."""
+    lines = []
+    for i, line in enumerate(text.splitlines()):
+        record = dict(json.loads(line), embedding=[0.6, 0.8] if i % 2 else [1.0, 0.0],
+                      perplexity=2.5 + i)
+        lines.append(json.dumps(dict(record, extra=1) if i == 1 else record) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name, edit", [("canonical", None)] + [
+    (name, edit) for name, file, edit in _VARIANTS if file == "responses.jsonl"])
+def test_prompts_with_embeddings_leave_responses_on_the_block_reader(
+        tmp_path, monkeypatch, name, edit):
+    # prompts read line by line, then the responses offered to the block
+    # reader against their ids: the same dataset, warnings and errors as
+    # reading both files line by line
+    directory = _canonical_dir(tmp_path / "d")
+    prompts = directory / "prompts.jsonl"
+    prompts.write_text(_with_prompt_fields(prompts.read_text(encoding="utf-8")),
+                       encoding="utf-8")
+    responses = directory / "responses.jsonl"
+    if edit is not None:
+        responses.write_bytes(edit(responses.read_text(encoding="utf-8")).encode("utf-8"))
+    shipped = _read(directory)
+    if edit is None:
+        assert shipped[0].prompts[1].embedding == (0.6, 0.8)
+        assert [issue.location for issue in shipped[1]] == ["prompts.jsonl:2"]
+        read_lines = dataset_module._iter_jsonl
+
+        def prompts_only(path):
+            assert path.name != "responses.jsonl", "responses went to the per-line reader"
+            return read_lines(path)
+        monkeypatch.setattr(dataset_module, "_iter_jsonl", prompts_only)
+        assert _read(directory) == shipped
+        monkeypatch.undo()
+    forbid_response_records(monkeypatch)
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert _read(directory) == shipped
 
 
 def test_per_line_reader_orders_shuffled_lines_with_texts_and_samples(tmp_path, monkeypatch):
@@ -1032,7 +1079,7 @@ def test_declined_blocks_leave_both_files_and_tables_to_the_per_line_reader(
     path = directory / "rm_scores.jsonl"
     assert dataset_module._ingest_canonical(dataset, path) == ingest_rm_scores(dataset, path)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
-    assert dataset_module._load_canonical(directory, 10.0, "d") is None
+    assert not _block_read(directory)
     assert dataset_module._ingest_canonical(dataset, path) is None
 
 
@@ -1083,7 +1130,7 @@ def test_block_reader_leaves_shapes_it_cannot_hold_to_the_per_line_reader(
          for pid, rid in response_pairs])
     write_jsonl(directory / "rm_scores.jsonl", scores_records(response_pairs,
                                                               [0.5] * len(response_pairs)))
-    assert dataset_module._load_canonical(directory, 10.0, "d") is None
+    assert not _block_read(directory)
     shipped = _read(directory)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert shipped == _read(directory)
@@ -1099,7 +1146,7 @@ def test_block_reader_takes_lines_only_in_writer_order(tmp_path, file, order):
     if file == "rm_scores.jsonl":
         assert dataset_module._ingest_canonical(load_benchmark(directory), path) is None
     else:
-        assert dataset_module._load_canonical(directory, 10.0, "d") is None
+        assert not _block_read(directory)
 
 
 def test_columns_read_to_the_per_line_readers_dataset(tmp_path, monkeypatch):

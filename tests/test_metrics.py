@@ -12,15 +12,12 @@ from retabench import (
     DistSpec,
     default_hit_rate_cutoffs,
     gen_synthetic,
-    hit_rate,
     load_win_labels,
     metric_report,
     mrr_at_selection,
     ndcg_at_selection,
     oracle_score_table,
     pairwise_accuracy,
-    rank_by_oracle,
-    rank_by_table,
     win_rate_aggregate,
     write_metrics_csv,
 )
@@ -32,7 +29,13 @@ from retabench.errors import (
     NoComparablePairs,
 )
 
-from conftest import build_dataset, build_table, unordered_ties_dataset, write_jsonl
+from conftest import (
+    build_dataset,
+    build_table,
+    prompt_subset,
+    unordered_ties_dataset,
+    write_jsonl,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,55 +45,57 @@ def big_uniform():
     return dataset
 
 
+def by_score(scores) -> list[int]:
+    """Positions by score descending, exact ties by ascending position (id order)."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def reference_hit_rate(oracle, rm, eta: float, k: int) -> float:
+    """One prompt's hit rate by plain loops: the percent of the oracle's top
+    floor(eta*N) responses found in the RM's top K."""
+    ground_truth = set(by_score(oracle)[:math.floor(eta * len(oracle))])
+    hits = sum(1 for i in by_score(rm)[:k] if i in ground_truth)
+    return 100.0 * hits / len(ground_truth)
+
+
+def prompt_scores(dataset, table, prompt_id):
+    """(oracle, RM) scores of one prompt's responses, in id order."""
+    responses = dataset.responses[prompt_id]
+    return ([r.oracle_score for r in responses],
+            [table.score(prompt_id, r.response_id) for r in responses])
+
+
 def test_oracle_hit_rate_anchors(big_uniform):
     dataset = big_uniform
     oracle = oracle_score_table(dataset)
     for prompt_id in dataset.prompt_ids():
-        rm = rank_by_table(dataset, oracle, prompt_id)
-        orc = rank_by_oracle(dataset, prompt_id)
-        assert hit_rate(rm, orc, 0.25, 32) == 50.0
-        assert hit_rate(rm, orc, 0.25, 64) == 100.0
-        assert hit_rate(rm, orc, 0.25, 128) == 100.0
+        report = metric_report(*prompt_subset(dataset, oracle, [prompt_id]), eta=0.25)
+        assert report.hit_rate == {32: 50.0, 64: 100.0, 128: 100.0}
 
 
 def test_hit_rate_oracle_identity_sweep(big_uniform):
     # for the oracle itself, hits are min(K, G) out of G by construction
     dataset = big_uniform
-    oracle = oracle_score_table(dataset)
-    prompt_id = dataset.prompt_ids()[0]
-    rm = rank_by_table(dataset, oracle, prompt_id)
-    orc = rank_by_oracle(dataset, prompt_id)
+    alone = prompt_subset(dataset, oracle_score_table(dataset), dataset.prompt_ids()[:1])
+    cutoffs = (1, 9, 63, 64, 65, 200, 256)
     for eta in (0.1, 0.25, 0.5):
         gt = math.floor(eta * 256)
-        for k in (1, 9, 63, 64, 65, 200, 256):
-            assert hit_rate(rm, orc, eta, k) == 100.0 * min(k, gt) / gt
+        report = metric_report(*alone, eta=eta, hit_rate_cutoffs=cutoffs)
+        assert report.hit_rate == {k: 100.0 * min(k, gt) / gt for k in cutoffs}
 
 
 def test_hit_rate_disjoint_is_zero():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0, 1.0]})
     # RM ranks the oracle's bottom two on top
     table = build_table({"p": [0.1, 0.2, 0.9, 0.8]})
-    rm = rank_by_table(dataset, table, "p")
-    orc = rank_by_oracle(dataset, "p")
-    assert hit_rate(rm, orc, 0.5, 2) == 0.0
-
-
-def test_hit_rate_rejects_rankings_of_different_prompts():
-    # synthetic response ids repeat across prompts, so the response sets match
-    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 2, 16, seed=1)
-    rm = rank_by_table(dataset, table, "p0000")
-    with pytest.raises(InvalidConfig):
-        hit_rate(rm, rank_by_oracle(dataset, "p0001"), 0.25, 4)
-    assert hit_rate(rm, rank_by_oracle(dataset, "p0000"), 0.25, 4) >= 0.0
+    assert metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[2]).hit_rate == {2: 0.0}
 
 
 def test_hit_rate_empty_ground_truth():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0]})
     table = build_table({"p": [1.0, 2.0, 3.0]})
-    rm = rank_by_table(dataset, table, "p")
-    orc = rank_by_oracle(dataset, "p")
     with pytest.raises(EmptyGroundTruth):
-        hit_rate(rm, orc, 0.1, 2)
+        metric_report(dataset, table, eta=0.1, hit_rate_cutoffs=[2])
 
 
 def test_mrr_anchors(big_uniform):
@@ -243,10 +248,9 @@ def test_metric_report_matches_standalone_metrics(big_uniform):
     assert report.ndcg == ndcg_at_selection(dataset, scrambled, 2)
     assert report.pairwise_accuracy == pairwise_accuracy(scrambled, dataset)
     assert 0.0 < report.mrr < 1.0 and 0.0 < report.ndcg < 1.0
+    scores = [prompt_scores(dataset, scrambled, pid) for pid in dataset.prompt_ids()]
     for k in (32, 64, 128):
-        per_prompt = [hit_rate(rank_by_table(dataset, scrambled, pid),
-                               rank_by_oracle(dataset, pid), 0.25, k)
-                      for pid in dataset.prompt_ids()]
+        per_prompt = [reference_hit_rate(oracle, rm, 0.25, k) for oracle, rm in scores]
         assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
 
 
@@ -335,13 +339,12 @@ def test_pairwise_accuracy_matches_pair_loop_and_kendall_tau(case, n):
 def test_batched_metrics_match_per_prompt_rankings(selection_rank):
     dataset, table = unordered_ties_dataset()
     report = metric_report(dataset, table, eta=0.5, selection_rank=selection_rank)
-    pids = dataset.prompt_ids()
-    pairs = [(rank_by_table(dataset, table, pid), rank_by_oracle(dataset, pid)) for pid in pids]
+    scores = [prompt_scores(dataset, table, pid) for pid in dataset.prompt_ids()]
     for k in (1, 3, 6):
-        per_prompt = [hit_rate(rm, orc, 0.5, k) for rm, orc in pairs]
+        per_prompt = [reference_hit_rate(oracle, rm, 0.5, k) for oracle, rm in scores]
         assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
-    ranks = [orc.response_ids.index(rm.response_ids[selection_rank - 1]) + 1
-             for rm, orc in pairs]
+    ranks = [by_score(oracle).index(by_score(rm)[selection_rank - 1]) + 1
+             for oracle, rm in scores]
     assert report.mrr == math.fsum(1.0 / r for r in ranks) / len(ranks)
     ideal = 1.0 / math.log2(1 + selection_rank)
     assert report.ndcg == math.fsum(

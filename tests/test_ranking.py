@@ -9,28 +9,22 @@ import pytest
 from scipy.special import gammaln
 
 from retabench import (
-    BenchmarkDataset,
     BonVariant,
     DistSpec,
     RetaConfig,
     RmScoreTable,
-    best_m_of_n_estimate,
-    beta_subset,
     bon_curve,
-    bon_estimate,
     eta_parts,
     gen_synthetic,
     ingest_rm_scores,
     load_benchmark,
-    rank_by_oracle,
-    rank_by_table,
-    rank_k_of_n_estimate,
+    oracle_score_table,
     reta_curve,
     reta_estimate,
     write_benchmark,
     write_rm_scores,
 )
-from retabench.errors import EmptySelection, InvalidConfig, MissingScore
+from retabench.errors import MissingScore
 from retabench.ranking import (
     _log_factorials,
     _rank_orders,
@@ -48,6 +42,7 @@ from conftest import (
     build_table,
     forbid_response_records,
     forbid_score_dicts,
+    prompt_subset,
     unordered_ties_dataset,
 )
 
@@ -55,38 +50,16 @@ from conftest import (
 def test_rank_by_table_orders_descending():
     dataset = build_dataset({"p": [1.0, 2.0, 3.0]})
     table = build_table({"p": [0.2, 0.9, 0.5]})
-    ranked = rank_by_table(dataset, table, "p")
-    assert list(ranked.order) == [1, 2, 0]
-    assert list(ranked.rm_scores) == [0.9, 0.5, 0.2]
-    assert list(ranked.oracle_scores) == [2.0, 3.0, 1.0]
-    assert ranked.response_ids == ("r001", "r002", "r000")
+    assert _rank_orders(_score_matrices(dataset, table)[0]).tolist() == [[1, 2, 0]]
+    assert oracle_matrix(dataset, table).tolist() == [[2.0, 3.0, 1.0]]
 
 
 def test_tie_break_by_response_id():
     # equal top scores: the smaller response_id ranks first
     dataset = build_dataset({"p": [1.0, 2.0, 3.0]})
     table = build_table({"p": [5.0, 5.0, 1.0]})
-    ranked = rank_by_table(dataset, table, "p")
-    assert ranked.response_ids[:2] == ("r000", "r001")
-    assert beta_subset(ranked, 1.0 / 3.0, 3) == [0]
-
-
-def test_beta_subset_examples():
-    dataset = build_dataset({"p": [9.0, 8.0, 7.0]})
-    table = build_table({"p": [3.0, 1.0, 2.0]})
-    ranked = rank_by_table(dataset, table, "p")
-    assert beta_subset(ranked, 1.0 / 3.0, 3) == [0]  # argmax
-    assert sorted(beta_subset(ranked, 1.0, 3)) == [0, 1, 2]  # full set
-
-
-def test_beta_subset_empty_selection():
-    dataset = build_dataset({"p": [1.0, 2.0, 3.0, 4.0]})
-    table = build_table({"p": [1.0, 2.0, 3.0, 4.0]})
-    ranked = rank_by_table(dataset, table, "p")
-    with pytest.raises(EmptySelection):
-        beta_subset(ranked, 0.1, 4)
-    with pytest.raises(InvalidConfig):
-        beta_subset(ranked, 0.5, 3)  # size mismatch
+    assert _rank_orders(_score_matrices(dataset, table)[0]).tolist() == [[0, 1, 2]]
+    assert oracle_matrix(dataset, table).tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_eta_parts_snaps_float_noise():
@@ -99,10 +72,13 @@ def test_eta_parts_snaps_float_noise():
 
 
 def test_rank_by_oracle_matches_oracle_table():
+    # the oracle ranks the metrics read are the oracle score table's ranking
     dataset = build_dataset({"p": [4.0, 1.0, 3.5]})
-    by_oracle = rank_by_oracle(dataset, "p")
-    assert list(by_oracle.oracle_scores) == [4.0, 3.5, 1.0]
-    assert np.all(by_oracle.rm_scores == by_oracle.oracle_scores)
+    by_oracle = _rank_orders(dataset._oracle_scores)
+    assert by_oracle.tolist() == [[0, 2, 1]]
+    oracle = oracle_score_table(dataset)
+    assert _rank_orders(_score_matrices(dataset, oracle)[0]).tolist() == by_oracle.tolist()
+    assert oracle_matrix(dataset, oracle).tolist() == [[4.0, 3.5, 1.0]]
 
 
 def reference_order(ids, scores):
@@ -110,9 +86,10 @@ def reference_order(ids, scores):
     return sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
 
 
-def _ranking_bits(ranked) -> tuple:
-    return (ranked.prompt_id, ranked.order.tobytes(), ranked.rm_scores.tobytes(),
-            ranked.oracle_scores.tobytes(), ranked.response_ids)
+def _ranking_bits(dataset, table) -> tuple:
+    rm, oracle = _score_matrices(dataset, table)
+    return (dataset.prompt_ids(), _rank_orders(rm).tobytes(), _rank_orders(oracle).tobytes(),
+            oracle_matrix(dataset, table).tobytes(), dataset._oracle_ranks.tobytes())
 
 
 def test_batched_orders_match_per_prompt_rankings(tmp_path, monkeypatch):
@@ -127,11 +104,11 @@ def test_batched_orders_match_per_prompt_rankings(tmp_path, monkeypatch):
         by_rm = reference_order(ids, [table.scores[(pid, rid)] for rid in ids])
         by_oracle = reference_order(ids, [r.oracle_score for r in responses])
         assert rm_orders[i].tolist() == by_rm
-        assert rank_by_table(dataset, table, pid).order.tolist() == by_rm
         assert oracle_orders[i].tolist() == by_oracle
-        assert rank_by_oracle(dataset, pid).order.tolist() == by_oracle
         assert matrix[i].tolist() == [responses[j].oracle_score for j in by_rm]
-        assert rank_by_table(dataset, table, pid).response_ids == tuple(ids[j] for j in by_rm)
+        # a one-prompt dataset ranks its prompt as the batch does
+        alone = oracle_matrix(*prompt_subset(dataset, table, [pid]))
+        assert alone.tobytes() == matrix[i].tobytes()
     # the block reader's copy ranks from its columns, builds no record and
     # gives the same rankings, bit for bit
     write_benchmark(dataset, tmp_path / "d")
@@ -142,20 +119,7 @@ def test_batched_orders_match_per_prompt_rankings(tmp_path, monkeypatch):
     read_table = ingest_rm_scores(read, tmp_path / "d" / "rm_scores.jsonl")
     # and the table's aligned rows, building no scores dict
     forbid_score_dicts(monkeypatch)
-    for pid in dataset.prompt_ids():
-        assert _ranking_bits(rank_by_table(read, read_table, pid)) == \
-            _ranking_bits(rank_by_table(dataset, table, pid))
-        assert _ranking_bits(rank_by_oracle(read, pid)) == \
-            _ranking_bits(rank_by_oracle(dataset, pid))
-
-
-def test_rankers_name_an_unknown_prompt():
-    dataset = build_dataset({"p": [1.0, 2.0]})
-    table = build_table({"p": [0.5, 0.1]})
-    with pytest.raises(InvalidConfig, match="unknown prompt 'q'"):
-        rank_by_table(dataset, table, "q")
-    with pytest.raises(InvalidConfig, match="unknown prompt 'q'"):
-        rank_by_oracle(dataset, "q")
+    assert _ranking_bits(read, read_table) == _ranking_bits(dataset, table)
 
 
 def test_oracle_matrix_reads_through_score():
@@ -200,40 +164,40 @@ def test_a_column_table_on_another_dataset_reads_as_its_dict_does(tmp_path):
     as_dict = RmScoreTable("rm", dict(tables["subset"].scores))
     errors = []
     for call in (lambda t: _score_matrices(full, t), lambda t: oracle_matrix(full, t),
-                 lambda t: rank_by_table(full, t, "p0"), lambda t: bon_curve(full, t)):
+                 lambda t: bon_curve(full, t)):
         for source in (tables["subset"], as_dict):
             with pytest.raises(MissingScore) as info:
                 call(source)
             errors.append(info.value.pair)
-    assert errors == [("p0", "r00")] * 8
+    assert errors == [("p0", "r00")] * 6
     # on the subset a table of every prompt reads the subset's rows
-    for rows in (slice(None), slice(1, 2)):
-        expected = _score_matrices(subset, tables["subset"], rows)
-        for source in (tables["full"], RmScoreTable("rm", dict(tables["full"].scores))):
-            got = _score_matrices(subset, source, rows)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-    assert _ranking_bits(rank_by_table(subset, tables["full"], "p4")) == \
-        _ranking_bits(rank_by_table(subset, tables["subset"], "p4"))
+    expected = _score_matrices(subset, tables["subset"])
+    for source in (tables["full"], RmScoreTable("rm", dict(tables["full"].scores))):
+        got = _score_matrices(subset, source)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert _ranking_bits(subset, source) == _ranking_bits(subset, tables["subset"])
 
 
 def test_rank_by_table_names_a_missing_score_of_its_prompt_only():
+    # a table over more pairs than a one-prompt dataset reads that prompt's
+    # scores alone; a score missing there names its first missing pair
     dataset, table = unordered_ties_dataset()
     missing = dict(table.scores)
     del missing[("p2", "r05")], missing[("p2", "r01")]
     partial = RmScoreTable("rm", missing)
-    assert rank_by_table(dataset, partial, "p1").order.tolist() == \
-        rank_by_table(dataset, table, "p1").order.tolist()
+    p1, p2 = (prompt_subset(dataset, table, [pid])[0] for pid in ("p1", "p2"))
+    assert oracle_matrix(p1, partial).tobytes() == oracle_matrix(p1, table).tobytes()
     with pytest.raises(MissingScore) as info:
-        rank_by_table(dataset, partial, "p2")
+        oracle_matrix(p2, partial)
     assert info.value.pair == ("p2", "r01")
-    with pytest.raises(InvalidConfig, match="unknown prompt 'p9'"):
-        rank_by_table(dataset, partial, "p9")
 
 
 def test_cached_oracle_ranks_match_rank_by_oracle():
     dataset, _ = unordered_ties_dataset()
     for i, pid in enumerate(dataset.prompt_ids()):
-        order = rank_by_oracle(dataset, pid).order
+        responses = dataset.responses[pid]
+        order = reference_order([r.response_id for r in responses],
+                                [r.oracle_score for r in responses])
         assert dataset._oracle_ranks[i][order].tolist() == list(range(len(order)))
 
 
@@ -386,16 +350,6 @@ def test_selection_row_is_the_same_alone_or_in_a_batch(pool):
             assert alone.tobytes() == reference.tobytes(), (pool, n, c, delta)
 
 
-def prompt_subset(dataset, table, prompt_ids):
-    """The dataset and score table restricted to ``prompt_ids``."""
-    keep = set(prompt_ids)
-    return (BenchmarkDataset(dataset.name, [p for p in dataset.prompts if p.prompt_id in keep],
-                             {pid: dataset.responses[pid] for pid in keep},
-                             dataset.responses_per_prompt),
-            RmScoreTable(table.rm_name,
-                         {pair: v for pair, v in table.scores.items() if pair[0] in keep}))
-
-
 def test_found_case_reads_the_same_alone_and_in_its_batch():
     # with a BLAS matrix-vector product, p0004 read 1.0694472503355736 here in
     # the 5-prompt curve and 1.0694472503355739 alone (eta = 0.354 = 2**-1.5)
@@ -421,12 +375,8 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
             for point, whole in zip(part.points, batch.points):
                 assert point.per_prompt == {pid: whole.per_prompt[pid] for pid in group}
     oracle = oracle_matrix(dataset, table)
-    ranked = [rank_by_table(dataset, table, pid) for pid in prompt_ids]
-    for variant, estimate in [
-        (BonVariant("best_of_n"), bon_estimate),
-        (BonVariant("rank_k_of_n", 2), lambda r, n: rank_k_of_n_estimate(r, 2, n)),
-        (BonVariant("best_m_of_n", 3), lambda r, n: best_m_of_n_estimate(r, 3, n)),
-    ]:
+    for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2),
+                    BonVariant("best_m_of_n", 3)):
         grid = sorted(set(range(variant.min_n, pool + 1, 8)) | {pool})
         # the bank bon_curve applies: one weight row per n
         bank = np.concatenate([variant._weights(pool, [n]) for n in grid])
@@ -434,7 +384,6 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
         for start in (0, 4, 8):
             assert _weighted_sums(bank, oracle[start:start + 7]).tobytes() == \
                 values[:, start:start + 7].tobytes()
-        for i, (pid, by_rm) in enumerate(zip(prompt_ids, ranked)):
-            assert [estimate(by_rm, n) for n in grid] == values[:, i].tolist()
+        for i, pid in enumerate(prompt_ids):
             alone = bon_curve(*prompt_subset(dataset, table, [pid]), variant, grid)
             assert [point.value for point in alone.points] == values[:, i].tolist()

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from retabench import (
+    BenchmarkDataset,
+    PromptRecord,
     RetaConfig,
     exhaustive_reta,
     oracle_score_table,
-    rank_by_table,
     resample_sizes,
     reta_curve,
     reta_curve_pair,
     reta_estimate,
-    reta_point_estimate,
     write_curve_csv,
     write_per_prompt_csv,
     DistSpec,
@@ -28,9 +28,9 @@ from retabench.cli import main
 from retabench.dataset import write_benchmark, write_rm_scores
 from retabench import reta as reta_module
 from retabench.ranking import (
-    RankedResponses,
     _selection_weights,
     eta_parts,
+    oracle_matrix,
     subset_rank_table,
 )
 from retabench.reta import _coefficients, default_eta_grid
@@ -41,13 +41,7 @@ from retabench.errors import (
     TooManySubsets,
 )
 
-from conftest import build_dataset, build_table, random_ranked
-
-
-def make_ranked(oracle_scores, rm_scores=None, prompt_id="p0"):
-    dataset = build_dataset({prompt_id: list(oracle_scores)})
-    table = build_table({prompt_id: list(rm_scores or oracle_scores)})
-    return rank_by_table(dataset, table, prompt_id)
+from conftest import build_dataset, build_table, one_prompt, random_prompt, reta_at
 
 
 def enumeration_oracle(oracle_by_rank, eta, n):
@@ -71,31 +65,28 @@ def enumeration_oracle(oracle_by_rank, eta, n):
 def test_exhaustive_matches_hand_example():
     # N=4, oracle [4,3,2,1], RM agrees, eta=1/2, n=2: all six pairs select
     # their better member -> (4/1) * ((4+4+4+3+3+2)/6) / 10 = 4/3
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
     expected = enumeration_oracle([4.0, 3.0, 2.0, 1.0], 0.5, 2)
     assert expected == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert exhaustive_reta(ranked, 0.5, 2) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    value = reta_point_estimate(ranked, 0.5, 2, RetaConfig())
+    assert exhaustive_reta([4.0, 3.0, 2.0, 1.0], 0.5, 2) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    value = reta_at(*one_prompt([4.0, 3.0, 2.0, 1.0]), 0.5, 2)
     assert value == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_exhaustive_single_subset_case():
-    ranked = make_ranked([5.0, 2.0, 1.0])
     # n = N: one subset; selection is the top floor(eta*n) of the pool
-    value = exhaustive_reta(ranked, 1.0 / 3.0, 3)
+    value = exhaustive_reta([5.0, 2.0, 1.0], 1.0 / 3.0, 3)
     assert value == pytest.approx(3.0 * 5.0 / (1.0 * 8.0), abs=1e-12)
-    assert exhaustive_reta(ranked, 1.0, 3) == pytest.approx(1.0, abs=1e-12)
+    assert exhaustive_reta([5.0, 2.0, 1.0], 1.0, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eta_one_identity_is_exact():
     rng = np.random.default_rng(0)
     for size in (4, 16, 33):
-        ranked = random_ranked(rng, size)
+        pool = random_prompt(rng, size)
         for n in (1, size // 2 + 1, size):
-            value = reta_point_estimate(ranked, 1.0, n, RetaConfig())
-            assert value == 1.0
-        raw = reta_point_estimate(ranked, 1.0, 2, RetaConfig(normalize=False))
-        assert raw == float(np.sum(ranked.oracle_scores)) / size
+            assert reta_at(*pool, 1.0, n) == 1.0
+        raw = reta_at(*pool, 1.0, 2, normalize=False)
+        assert raw == float(np.sum(oracle_matrix(*pool))) / size
 
 
 def test_eta_one_estimate_zero_spread():
@@ -111,13 +102,13 @@ def test_eta_one_estimate_zero_spread():
 def test_enumeration_mode_matches_exhaustive_small():
     # n runs up to N, and eta = 0.1 keeps floor(eta*n) = 0 for every n here
     rng = np.random.default_rng(7)
-    config = RetaConfig()
     for size in (4, 6):
-        ranked = random_ranked(rng, size)
+        pool = random_prompt(rng, size)
+        [by_rank] = oracle_matrix(*pool)
         for n in range(1, size + 1):
             for eta in (0.1, 0.25, 1.0 / 3.0, 0.7, 1.0):
-                fast = reta_point_estimate(ranked, eta, n, config)
-                slow = exhaustive_reta(ranked, eta, n)
+                fast = reta_at(*pool, eta, n)
+                slow = exhaustive_reta(by_rank, eta, n)
                 assert fast == pytest.approx(slow, abs=1e-12), (size, n, eta)
 
 
@@ -125,45 +116,43 @@ def test_integer_path_equals_plain_top_count():
     # when eta*n is an integer the fractional terms vanish identically
     rng = np.random.default_rng(21)
     for size, n, eta in [(6, 4, 0.5), (6, 3, 1.0 / 3.0), (8, 5, 0.2), (8, 5, 0.4)]:
-        ranked = random_ranked(rng, size)
-        expected = enumeration_oracle(list(ranked.oracle_scores), eta, n)
-        assert exhaustive_reta(ranked, eta, n) == expected
+        [by_rank] = oracle_matrix(*random_prompt(rng, size))
+        expected = enumeration_oracle(by_rank.tolist(), eta, n)
+        assert exhaustive_reta(by_rank, eta, n) == expected
 
 
 def test_fractional_path_enumeration():
     # eta*n = 1.5 over N=3, n=2: selection is rank 1 plus half-weighted blend
     scores = [3.0, 2.0, 1.0]
-    ranked = make_ranked(scores)
     delta = 0.5
     bodies = []
     for combo in itertools.combinations(range(3), 2):
         top = scores[combo[0]]
         bodies.append(top + delta * (delta * scores[combo[1]] + (1 - delta) * top))
     expected = 3.0 * (math.fsum(bodies) / 3.0) / (1.5 * 6.0)
-    assert exhaustive_reta(ranked, 0.75, 2) == pytest.approx(expected, abs=1e-15)
+    assert exhaustive_reta(scores, 0.75, 2) == pytest.approx(expected, abs=1e-15)
 
 
 def test_floor_zero_uses_residual_only():
     # eta*n < 1: only the top response contributes, weighted by delta^2
     scores = [4.0, 2.0]
-    ranked = make_ranked(scores)
     eta, n = 0.25, 2
     delta = 0.5
     body = delta * delta * 4.0  # single subset (n = N), best response
     expected = 2.0 * body / (0.5 * 6.0)
-    assert exhaustive_reta(ranked, eta, n) == pytest.approx(expected, abs=1e-15)
+    assert exhaustive_reta(scores, eta, n) == pytest.approx(expected, abs=1e-15)
 
 
 def test_smoothing_continuity_across_integer_boundary():
     rng = np.random.default_rng(3)
-    ranked = random_ranked(rng, 6)
+    [by_rank] = oracle_matrix(*random_prompt(rng, 6))
     n = 4
-    total = float(np.sum(ranked.oracle_scores))
-    max_score = float(np.max(ranked.oracle_scores))
+    total = float(np.sum(by_rank))
+    max_score = float(np.max(by_rank))
     step = 0.002
     etas = np.arange(0.40, 0.60, step)  # eta*n sweeps 1.6 -> 2.4 across 2
-    values = [exhaustive_reta(ranked, float(e), n) for e in etas]
-    bound = 4.0 * max_score * len(ranked) * (step * n) / (0.4 * n * total)
+    values = [exhaustive_reta(by_rank, float(e), n) for e in etas]
+    bound = 4.0 * max_score * len(by_rank) * (step * n) / (0.4 * n * total)
     for a, b in zip(values, values[1:]):
         assert abs(b - a) <= bound
 
@@ -185,11 +174,12 @@ def test_resample_sizes_clip_overflowed_ends():
 def test_point_estimate_deepest_ranks_match_exhaustive():
     # eta just below 1 reads the table's last rank; 1 - 1e-12 snaps eta*n to n
     rng = np.random.default_rng(31)
-    ranked = random_ranked(rng, 7)
+    pool = random_prompt(rng, 7)
+    [by_rank] = oracle_matrix(*pool)
     for n in range(1, 8):
         for eta in (0.999, 1.0 - 1e-12):
-            fast = reta_point_estimate(ranked, eta, n, RetaConfig())
-            assert fast == pytest.approx(exhaustive_reta(ranked, eta, n), abs=1e-12), (n, eta)
+            fast = reta_at(*pool, eta, n)
+            assert fast == pytest.approx(exhaustive_reta(by_rank, eta, n), abs=1e-12), (n, eta)
 
 
 def test_monotone_transform_bit_identical():
@@ -299,9 +289,9 @@ def test_raw_curve_points_equal_single_estimates():
         assert point.std_error == single.std_error, point.eta
         assert point.per_prompt == single.per_prompt, point.eta
     assert curve.points[0].eta == 1.0
-    for pid, value in curve.points[0].per_prompt.items():
-        pool_mean = float(np.sum(rank_by_table(dataset, table, pid).oracle_scores)) / 64
-        assert value == pool_mean, pid
+    for pid, value, row in zip(dataset.prompt_ids(), curve.points[0].per_prompt.values(),
+                               oracle_matrix(dataset, table)):
+        assert value == float(np.sum(row)) / 64, pid
 
 
 def exact_reta_at(oracle_by_rank, eta, grid):
@@ -341,9 +331,8 @@ def test_paper_scale_curve_matches_exact_binomials():
     smallest = curve.points[-2:]
     assert any(eta_parts(smallest[-1].eta, n)[0] == 0 for n in grid)
     for point in smallest:
-        for pid, value in point.per_prompt.items():
-            oracle = rank_by_table(dataset, table, pid).oracle_scores.tolist()
-            expected = exact_reta_at(oracle, point.eta, grid)
+        for (pid, value), row in zip(point.per_prompt.items(), oracle_matrix(dataset, table)):
+            expected = exact_reta_at(row.tolist(), point.eta, grid)
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (point.eta, pid)
 
 
@@ -469,42 +458,33 @@ def test_curve_rejects_bad_grids():
 
 
 def test_degenerate_denominator_guard():
-    ranked = RankedResponses(
-        prompt_id="z",
-        order=np.arange(2),
-        rm_scores=np.array([1.0, 0.0]),
-        oracle_scores=np.array([0.0, 0.0]),
-        response_ids=("a", "b"),
-    )
+    # no reader or constructor takes a zero oracle score: build the columns directly
+    dataset = BenchmarkDataset._from_columns("d", [PromptRecord("p", "t")], np.zeros((1, 2)),
+                                             (["p", "p"], ["r000", "r001"]), [None, None])
+    with pytest.raises(DegenerateDenominator, match="prompt 'p'"):
+        reta_at(dataset, build_table({"p": [1.0, 0.0]}), 0.5, 2)
     with pytest.raises(DegenerateDenominator):
-        reta_point_estimate(ranked, 0.5, 2, RetaConfig())
-    with pytest.raises(DegenerateDenominator):
-        exhaustive_reta(ranked, 0.5, 2)
+        exhaustive_reta([0.0, 0.0], 0.5, 2)
 
 
 def test_point_estimate_rejects_subset_size_outside_pool():
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
+    pool = one_prompt([4.0, 3.0, 2.0, 1.0])
     for n in (0, 5):
         with pytest.raises(InvalidConfig):
-            reta_point_estimate(ranked, 0.5, n, RetaConfig())
+            exhaustive_reta([4.0, 3.0, 2.0, 1.0], 0.5, n)
+    # the estimate's n grid is clipped to [1, N]: a range past N is empty
+    for eta in (0.5, 1.0):
         with pytest.raises(InvalidConfig):
-            reta_point_estimate(ranked, 1.0, n, RetaConfig())
-
-
-def test_point_estimate_rejects_an_n_that_is_not_an_int():
-    ranked = make_ranked([4.0, 3.0, 2.0, 1.0])
-    for n in (2.5, 2.0, True):
-        with pytest.raises(InvalidConfig, match="n must be an int"):
-            reta_point_estimate(ranked, 0.5, n, RetaConfig())
-    assert (reta_point_estimate(ranked, 0.5, np.int64(2), RetaConfig())
-            == reta_point_estimate(ranked, 0.5, 2, RetaConfig()))
+            reta_at(*pool, eta, 0)  # a zero n-range coefficient
+        with pytest.raises(EmptyNRange):
+            reta_at(*pool, eta, 5)
 
 
 def test_too_many_subsets_guard():
     rng = np.random.default_rng(9)
-    ranked = random_ranked(rng, 40)
+    [by_rank] = oracle_matrix(*random_prompt(rng, 40))
     with pytest.raises(TooManySubsets):
-        exhaustive_reta(ranked, 0.5, 20)
+        exhaustive_reta(by_rank, 0.5, 20)
 
 
 def test_csv_exports(tmp_path):

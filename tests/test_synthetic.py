@@ -109,8 +109,9 @@ def test_analytic_custom_table():
 def test_custom_table_estimator_converges_to_analytic():
     atoms = [(0.0, 1.0, 0.25), (1.0, 2.0, 0.25), (2.0, 3.0, 0.25), (3.0, 4.0, 0.25)]
     spec = DistSpec.custom_table(atoms)
-    from retabench import exhaustive_reta, rank_by_table
-    from conftest import build_dataset, build_table
+    from retabench import exhaustive_reta
+    from retabench.ranking import oracle_matrix
+    from conftest import one_prompt
 
     eta = 0.4
     limit = analytic_reta(spec, eta)
@@ -121,10 +122,8 @@ def test_custom_table_estimator_converges_to_analytic():
         for y, j, _ in sorted(atoms, reverse=True):
             oracle += [j] * per_level
             rm += [y] * per_level
-        dataset = build_dataset({"p": oracle})
-        table = build_table({"p": rm})
-        ranked = rank_by_table(dataset, table, "p")
-        errors.append(abs(exhaustive_reta(ranked, eta, pool) - limit))
+        [by_rank] = oracle_matrix(*one_prompt(oracle, rm))
+        errors.append(abs(exhaustive_reta(by_rank, eta, pool) - limit))
     assert errors[-1] <= errors[0] + 1e-12
     assert errors[-1] <= 0.02
 
