@@ -45,13 +45,10 @@ from .metrics import (
     default_hit_rate_cutoffs,
     load_win_labels,
     metric_report,
-    mrr_at_selection,
-    ndcg_at_selection,
-    pairwise_accuracy,
     win_rate_aggregate,
     write_metrics_csv,
 )
-from .ranking import eta_parts, subset_rank_weights
+from .ranking import eta_parts
 from .reta import (
     RetaConfig,
     RetaCurve,

@@ -7,7 +7,7 @@ over pool ranks r with hypergeometric weights
     w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n),
 
 i.e. the probability that the pool's rank-r response lands at subset rank
-k (``ranking.subset_rank_weights``). This turns an O(C(N, n)) enumeration
+k (``ranking._rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
 property-tested against brute force. Best-m-of-n reads the mean of the
 top m, the selection row ``ranking._selection_weights`` builds at (m, 0).

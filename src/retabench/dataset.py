@@ -13,11 +13,12 @@ and tables are immutable and safe to share across threads. Each holds
 columns, which every reader, writer and estimator reads, and builds its
 records or dict, pair index and ranks from them on first use.
 
-The readers take a file in the writers' layout and line order in blocks
-of lines, one ``re.split`` per block (``_canonical_blocks``). Any other
-file, and any file holding an error, goes line by line through the JSON
-scanner, which gives an equal dataset or table and raises or warns with
-the line number.
+Prompts are read line by line through the JSON scanner. A responses
+file or score table in the writers' layout and line order is read in
+blocks of lines, one ``re.split`` per block (``_canonical_blocks``). Any
+other such file, and any file holding an error, goes line by line through
+the scanner too, which gives an equal dataset or table and raises or warns
+with the line number.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not any(i.severity == "error" for i in self.issues)
-
-    def errors(self) -> list[ValidationIssue]:
-        return [i for i in self.issues if i.severity == "error"]
 
 
 @dataclass
@@ -451,12 +449,6 @@ class RmScoreTable:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rm_name={self.rm_name!r}, pairs={len(self._values)})"
 
-    def score(self, prompt_id: str, response_id: str) -> float:
-        key = (prompt_id, response_id)
-        if key not in self.scores:
-            raise MissingScore(key)
-        return self.scores[key]
-
 
 def _score_table_source(rm_name: str) -> str:
     """How errors name the table; raises MalformedRecord for a bad ``rm_name``."""
@@ -513,8 +505,8 @@ def _first_undecodable_line(path: Path) -> int | None:
 
 
 # The block reader: a canonical line is what write_benchmark and
-# write_rm_scores write for a record with printable-ASCII ids, a text
-# without escapes and no optional field other than a response's text; its
+# write_rm_scores write for a response or score record with printable-ASCII
+# ids, a text without escapes and no optional field other than the text; its
 # text may also hold literal non-ASCII and DEL, which json.loads reads to
 # the same value and the writers escape. A line pattern matches one whole
 # line and no group spans a line end, so a block is canonical when its
@@ -525,7 +517,6 @@ _ID = f'"({_VERBATIM})"'
 _TEXT = r'"([^"\\\x00-\x1f]*)"'
 # a JSON number with a fraction or an exponent: json.loads reads it with float()
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-_PROMPT_LINE = re.compile(r'^\{"prompt_id": ' + _ID + r', "text": ' + _TEXT + r'\}\n', re.M)
 # the text group is None on a line without a text
 _RESPONSE_LINE = re.compile(
     r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
@@ -552,23 +543,6 @@ def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[str | No
                 yield pattern.split(block + fh.readline())
         except UnicodeDecodeError:
             raise _NotCanonical from None
-
-
-def _canonical_prompts(path: Path) -> list[PromptRecord] | None:
-    """The prompts of ``path`` when every line is canonical, the ids rise
-    and no text is empty, else None; never raises or warns."""
-    ids, texts = [], []
-    try:
-        for parts in _canonical_blocks(path, _PROMPT_LINE):
-            if any(parts[::3]):
-                return None
-            ids += parts[1::3]
-            texts += parts[2::3]
-    except _NotCanonical:
-        return None
-    if ids and all(texts) and all(map(operator.lt, ids, ids[1:])):
-        return list(map(PromptRecord, ids, texts))
-    return None
 
 
 def _canonical_responses(path: Path, ids: list[str], max_oracle_score: float) -> tuple | None:
@@ -791,10 +765,9 @@ def load_benchmark(path: str | Path, *,
     scale, and boundedness is required by the estimators downstream).
     All prompts must carry the same number of responses, counted against
     the prompt with the smallest id, as construction counts them
-    (``_check_shape``). Each file the block reader declines is read line
-    by line into the same columns, with no record built; the responses
-    are offered to the block reader whichever reader read the prompts, so
-    prompts with embeddings or perplexities leave them on it.
+    (``_check_shape``). The prompts are read line by line; the responses
+    go to the block reader and, if it declines them, line by line into the
+    same columns, with no record built.
     """
     _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
@@ -805,7 +778,7 @@ def load_benchmark(path: str | Path, *,
     if not responses_path.is_file():
         raise MalformedRecord(str(directory), None, RESPONSES_FILE, "file not found")
     warnings: list[ValidationIssue] = []
-    prompts = _canonical_prompts(prompts_path) or _read_prompt_lines(prompts_path, warnings)
+    prompts = _read_prompt_lines(prompts_path, warnings)
     ids = [p.prompt_id for p in prompts]
     columns = (_canonical_responses(responses_path, ids, max_oracle_score)
                or _read_response_lines(responses_path, ids, max_oracle_score, warnings))

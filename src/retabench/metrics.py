@@ -32,7 +32,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import _rank_orders, _score_matrices, eta_parts
+from .ranking import _check_int, _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
 _OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}
@@ -55,61 +55,13 @@ def _ground_truth_size(n: int, eta: float, k: int) -> int:
     """floor(eta*N), after checking eta and the cutoff K against the pool size N."""
     if not 0.0 < eta < 1.0:
         raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
+    _check_int(k, "K")
     if not 1 <= k <= n:
         raise InvalidConfig(f"K={k} outside [1, {n}]")
     gt_size, _ = eta_parts(eta, n)
     if gt_size == 0:
         raise EmptyGroundTruth(f"floor(eta*N) = 0 for eta={eta}, N={n}")
     return gt_size
-
-
-def _rankings(dataset: BenchmarkDataset, rm: np.ndarray) -> np.ndarray:
-    """(prompts, N) array whose entry [i, r] is the 0-based oracle rank of
-    the response that prompt i's RM scores ``rm`` rank at r + 1."""
-    return np.take_along_axis(dataset._oracle_ranks, _rank_orders(rm), axis=1)
-
-
-def _selection_oracle_ranks(rankings: np.ndarray, j: int) -> list[int]:
-    """Per prompt, the oracle rank of the RM's j-th ranked response."""
-    if j < 1:
-        raise InvalidConfig(f"selection rank must be >= 1, got {j}")
-    if j > rankings.shape[1]:
-        raise InvalidConfig(f"selection rank {j} exceeds pool size {rankings.shape[1]}")
-    return (rankings[:, j - 1] + 1).tolist()
-
-
-def _mrr(ranks: list[int]) -> float:
-    return math.fsum(1.0 / rank for rank in ranks) / len(ranks)
-
-
-def _ndcg(ranks: list[int], j: int) -> float:
-    ideal = 1.0 / math.log2(1 + j)
-    return math.fsum((1.0 / math.log2(1 + rank)) / ideal for rank in ranks) / len(ranks)
-
-
-def mrr_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
-    """Mean reciprocal oracle rank of the RM's j-th ranked response."""
-    rankings = _rankings(dataset, _score_matrices(dataset, table)[0])
-    return _mrr(_selection_oracle_ranks(rankings, j))
-
-
-def ndcg_at_selection(dataset: BenchmarkDataset, table: RmScoreTable, j: int = 1) -> float:
-    """Positional gain of the RM's j-th pick against the ideal pick at rank j.
-
-    A selection at oracle rank r scores 1/log2(1+r), normalized by
-    1/log2(1+j); for j = 1 this lies in [0, 1] with 1.0 for a perfect model.
-    """
-    rankings = _rankings(dataset, _score_matrices(dataset, table)[0])
-    return _ndcg(_selection_oracle_ranks(rankings, j), j)
-
-
-def pairwise_accuracy(table: RmScoreTable, dataset: BenchmarkDataset) -> float:
-    """Percent of response pairs the RM orders like the oracle.
-
-    Pairs with equal oracle scores are excluded; pairs the RM scores
-    equally count half.
-    """
-    return _pairwise_accuracy(dataset, *_score_matrices(dataset, table))
 
 
 def _pairwise_accuracy(dataset: BenchmarkDataset, rm: np.ndarray, oracle: np.ndarray) -> float:
@@ -230,23 +182,41 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
                   hit_rate_cutoffs: Sequence[int] | None = None,
                   selection_rank: int = 1,
                   win_labels: Sequence[str] | None = None) -> MetricReport:
-    """All comparison metrics for one RM, averaged across prompts."""
+    """All comparison metrics for one RM, averaged across prompts.
+
+    The hit rate at K is the percent of the oracle's top floor(eta*N)
+    responses among the RM's top K. MRR and NDCG score the RM's
+    ``selection_rank``-th pick j by its oracle rank r: 1/r, and
+    1/log2(1+r) over the ideal pick's 1/log2(1+j), which for j = 1 lies
+    in [0, 1] with 1.0 for a perfect model. Pairwise accuracy is the
+    percent of response pairs the RM orders like the oracle: pairs with
+    equal oracle scores are excluded, and pairs the RM scores equally
+    count half.
+    """
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
                else default_hit_rate_cutoffs(dataset.responses_per_prompt))
     rm, oracle = _score_matrices(dataset, table)
-    rankings = _rankings(dataset, rm)
+    # [i, r]: the 0-based oracle rank of the response prompt i's RM ranks at r + 1
+    rankings = np.take_along_axis(dataset._oracle_ranks, _rank_orders(rm), axis=1)
+    pool = rankings.shape[1]
     hit_rates = {}
     for k in cutoffs:
-        gt_size = _ground_truth_size(rankings.shape[1], eta, k)
+        gt_size = _ground_truth_size(pool, eta, k)
         hits = (rankings[:, :k] < gt_size).sum(axis=1)
         hit_rates[k] = math.fsum((100.0 * hits / gt_size).tolist()) / len(rankings)
-    ranks = _selection_oracle_ranks(rankings, selection_rank)
+    _check_int(selection_rank, "selection rank")
+    if selection_rank < 1:
+        raise InvalidConfig(f"selection rank must be >= 1, got {selection_rank}")
+    if selection_rank > pool:
+        raise InvalidConfig(f"selection rank {selection_rank} exceeds pool size {pool}")
+    ranks = (rankings[:, selection_rank - 1] + 1).tolist()
+    ideal = 1.0 / math.log2(1 + selection_rank)
     win = win_rate_aggregate(win_labels)[0] if win_labels is not None else None
     return MetricReport(
         rm_name=table.rm_name,
         hit_rate=hit_rates,
-        mrr=_mrr(ranks),
-        ndcg=_ndcg(ranks, selection_rank),
+        mrr=math.fsum(1.0 / rank for rank in ranks) / len(ranks),
+        ndcg=math.fsum((1.0 / math.log2(1 + rank)) / ideal for rank in ranks) / len(ranks),
         selection_rank_j=selection_rank,
         pairwise_accuracy=_pairwise_accuracy(dataset, rm, oracle),
         win_rate=win,

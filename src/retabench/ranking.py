@@ -264,16 +264,3 @@ def _place(above: np.ndarray, rows: np.ndarray, starts: np.ndarray, pool: int) -
     return _windows(lines.reshape(-1), pool)[
         np.arange(lead + 1, lines.size, lines.shape[1]) - starts]
 
-
-def subset_rank_weights(pool_size: int, n: int, k: int) -> np.ndarray:
-    """Probability that pool rank r (1-based) is subset rank k; length pool_size."""
-    if not 1 <= k <= n <= pool_size:
-        raise InvalidConfig(f"need 1 <= k <= n <= N, got k={k}, n={n}, N={pool_size}")
-    return _rank_weights(pool_size, n, np.array([k]))[0]
-
-
-def subset_rank_table(pool_size: int, n: int) -> np.ndarray:
-    """(n, pool_size) array whose row k-1 is ``subset_rank_weights(pool_size, n, k)``."""
-    if not 1 <= n <= pool_size:
-        raise InvalidConfig(f"need 1 <= n <= N, got n={n}, N={pool_size}")
-    return _rank_weights(pool_size, n, np.arange(1, n + 1))

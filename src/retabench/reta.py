@@ -41,6 +41,7 @@ from .errors import (
 )
 from .ranking import (
     _across_prompts,
+    _check_int,
     _eta_parts,
     _selection_weights,
     _weighted_sums,
@@ -68,15 +69,12 @@ class RetaConfig:
 
     Subset sizes run over ``[ceil(lo * N**e), floor(hi * N**e)]`` with
     ``lo``, ``hi`` and ``e`` the ``n_range_*`` coefficients and
-    ``n_exponent``. ``normalize=False`` reports the selection's mean oracle
-    score without dividing by the pool mean. The estimate is exact and
-    uses no randomness.
+    ``n_exponent``. The estimate is exact and uses no randomness.
     """
 
     n_range_low_coeff: float = 3.0
     n_range_high_coeff: float = 5.0
     n_exponent: float = 2.0 / 3.0
-    normalize: bool = True
 
     def __post_init__(self) -> None:
         if not (0 < self.n_range_low_coeff < math.inf and 0 < self.n_range_high_coeff < math.inf):
@@ -180,10 +178,10 @@ def _check_etas(etas: Sequence[float]) -> None:
 
 
 def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
-            etas: Sequence[float], normalizations: Sequence[bool]) -> list[np.ndarray]:
+            etas: Sequence[float], raw: bool) -> list[np.ndarray]:
     """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts),
-    one array for each entry of ``normalizations``, all from one coefficient
-    bank and one product.
+    then, if ``raw``, the same without dividing by each prompt's pool mean,
+    both from one coefficient bank and one product.
 
     Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
     At eta == 1 the expected total of a uniform n-subset is exactly n/N of
@@ -196,13 +194,11 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
         prompt_id = prompt_ids[int(np.argmax(degenerate))]
         raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
     bodies = _weighted_sums(_coefficients(pool, grid, etas), oracle)
-    mean = totals / pool
-    arrays = []
-    for normalize in normalizations:
-        values = (pool * bodies / totals if normalize else bodies) / len(grid)
-        if etas[0] == 1.0:
-            values[0] = mean / mean if normalize else mean
-        arrays.append(values)
+    arrays = [pool * bodies / totals / len(grid)] + ([bodies / len(grid)] if raw else [])
+    if etas[0] == 1.0:
+        arrays[0][0] = 1.0
+        if raw:
+            arrays[1][0] = totals / pool
     return arrays
 
 
@@ -216,6 +212,7 @@ def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> floa
     """
     scores = [float(v) for v in oracle_by_rank]
     total = len(scores)
+    _check_int(n, "n")
     if not 1 <= n <= total:
         raise InvalidConfig(f"n={n} outside [1, {total}]")
     if not 0.0 < eta <= 1.0:
@@ -243,15 +240,15 @@ def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> floa
 
 def _reta_curves(dataset: BenchmarkDataset, table: RmScoreTable,
                  eta_grid: Sequence[float] | None, config: RetaConfig,
-                 normalizations: Sequence[bool]) -> list[RetaCurve]:
-    """One curve for each entry of ``normalizations``, each point averaged
-    over the n grid and all prompts; each n's weight rows are built once,
-    in one call, for every eta and every curve."""
+                 raw: bool) -> list[RetaCurve]:
+    """The normalized curve, then, if ``raw``, the unnormalized one, each
+    point averaged over the n grid and all prompts; each n's weight rows
+    are built once, in one call, for every eta and both curves."""
     etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
     _check_etas(etas)  # before the grid, whose errors would hide a bad eta
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
-    arrays = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, normalizations)
+    arrays = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, raw)
     curves = []
     for values in arrays:
         rows = values.tolist()
@@ -264,25 +261,23 @@ def _reta_curves(dataset: BenchmarkDataset, table: RmScoreTable,
 def reta_estimate(dataset: BenchmarkDataset, table: RmScoreTable, eta: float,
                   config: RetaConfig | None = None) -> RetaEstimate:
     """Full estimate at one eta: averaged over the n grid and all prompts."""
-    config = config or RetaConfig()
-    return _reta_curves(dataset, table, [eta], config, [config.normalize])[0].points[0]
+    return _reta_curves(dataset, table, [eta], config or RetaConfig(), False)[0].points[0]
 
 
 def reta_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                eta_grid: Sequence[float] | None = None,
                config: RetaConfig | None = None) -> RetaCurve:
     """One estimate per eta over a strictly decreasing grid in (0, 1]."""
-    config = config or RetaConfig()
-    return _reta_curves(dataset, table, eta_grid, config, [config.normalize])[0]
+    return _reta_curves(dataset, table, eta_grid, config or RetaConfig(), False)[0]
 
 
 def reta_curve_pair(dataset: BenchmarkDataset, table: RmScoreTable,
                     eta_grid: Sequence[float] | None = None,
                     config: RetaConfig | None = None) -> tuple[RetaCurve, RetaCurve]:
-    """``reta_curve`` normalized and unnormalized, whatever ``config.normalize``
-    says, from one coefficient bank and one product."""
-    normalized, raw = _reta_curves(dataset, table, eta_grid, config or RetaConfig(),
-                                   [True, False])
+    """``reta_curve``, and the same curve without dividing by each prompt's
+    pool mean (the selection's mean oracle score), from one coefficient
+    bank and one product."""
+    normalized, raw = _reta_curves(dataset, table, eta_grid, config or RetaConfig(), True)
     return normalized, raw
 
 

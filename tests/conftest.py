@@ -16,6 +16,7 @@ from retabench import (
     RmScoreTable,
     bon_curve,
     reta_curve,
+    reta_curve_pair,
 )
 
 
@@ -127,9 +128,13 @@ def random_prompt(rng: np.random.Generator, size: int, prompt_id: str = "p0"):
 def reta_at(dataset: BenchmarkDataset, table: RmScoreTable, eta: float, n: int,
             normalize: bool = True) -> float:
     """A one-prompt dataset's RETA at the single subset size ``n``: the n
-    grid [n/N * N**1, n/N * N**1] holds n alone."""
+    grid [n/N * N**1, n/N * N**1] holds n alone. ``normalize=False`` reads
+    the unnormalized curve of ``reta_curve_pair``."""
     ratio = n / dataset.responses_per_prompt
-    [point] = reta_curve(dataset, table, [eta], RetaConfig(ratio, ratio, 1.0, normalize)).points
+    config = RetaConfig(ratio, ratio, 1.0)
+    curve = (reta_curve(dataset, table, [eta], config) if normalize
+             else reta_curve_pair(dataset, table, [eta], config)[1])
+    [point] = curve.points
     assert point.n_values_used == [n]
     [value] = point.per_prompt.values()
     return value

@@ -99,24 +99,29 @@ def test_c05_bon_family_exactness():
     worst_weight_sum = 0.0
     worst_vandermonde = 0.0
     for size in (4, 7, 10):
-        pool = one_prompt(rng.uniform(0.5, 9.5, size=size), rng.standard_normal(size))
+        rm = rng.standard_normal(size)
+        pool = one_prompt(rng.uniform(0.5, 9.5, size=size), rm)
+        # a pool of equal oracle scores reads each rank-k row's weight sum
+        flat = one_prompt(np.ones(size), rm)
         by_rank = oracle_matrix(*pool)[0].tolist()
         for n in range(1, size + 1):
             worst_estimate = max(worst_estimate, abs(
                 bon_at(*pool, rb.BonVariant("best_of_n"), n) - brute_force_rank_k(by_rank, 1, n)))
+            rank_values = []
             for k in range(1, n + 1):
+                rank_values.append(bon_at(*pool, rb.BonVariant("rank_k_of_n", k), n))
                 worst_estimate = max(worst_estimate, abs(
-                    bon_at(*pool, rb.BonVariant("rank_k_of_n", k), n)
-                    - brute_force_rank_k(by_rank, k, n)))
-                weights = rb.subset_rank_weights(size, n, k)
-                worst_weight_sum = max(worst_weight_sum, abs(float(weights.sum()) - 1.0))
+                    rank_values[-1] - brute_force_rank_k(by_rank, k, n)))
+                worst_weight_sum = max(worst_weight_sum, abs(
+                    bon_at(*flat, rb.BonVariant("rank_k_of_n", k), n) - 1.0))
             for m in range(1, n + 1):
                 worst_estimate = max(worst_estimate, abs(
                     bon_at(*pool, rb.BonVariant("best_m_of_n", m), n)
                     - brute_force_best_m(by_rank, m, n)))
-            stacked = sum(rb.subset_rank_weights(size, n, k) for k in range(1, n + 1))
-            worst_vandermonde = max(worst_vandermonde,
-                                    float(np.max(np.abs(stacked - n / size))))
+            # each pool item appears in a uniform n-subset with probability
+            # n/N, so the n subset ranks together read n times the pool mean
+            worst_vandermonde = max(worst_vandermonde, abs(
+                math.fsum(rank_values) - n * math.fsum(by_rank) / size))
     ok = (worst_estimate <= 1e-12 and worst_weight_sum <= 1e-12
           and worst_vandermonde <= 1e-12)
     report("criterion 5 (bon family exactness)", ok,

@@ -13,12 +13,11 @@ from retabench import (
     bon_curve,
     default_n_grid,
     kl_best_of_n,
-    subset_rank_weights,
     DistSpec,
     gen_synthetic,
 )
 from retabench.errors import InvalidConfig
-from retabench.ranking import _log_factorials, oracle_matrix, subset_rank_table
+from retabench.ranking import _log_factorials, _rank_weights, oracle_matrix
 
 from conftest import bon_at, build_table, one_prompt, prompt_subset, random_prompt
 from test_ranking import full_width_selection_rows
@@ -49,6 +48,20 @@ def brute_force_best_m(oracle_by_rank, m, n):
         for combo in itertools.combinations(range(len(oracle_by_rank)), n)
     ]
     return math.fsum(values) / len(values)
+
+
+def exact_rank_rows(pool, n, ks) -> np.ndarray:
+    """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n) over the pool ranks
+    r = 1..N, one for each k of ``ks``, each the correctly rounded quotient
+    of exact integers."""
+    denominator = math.comb(pool, n)
+    return np.array([[math.comb(r - 1, k - 1) * math.comb(pool - r, n - k) / denominator
+                      for r in range(1, pool + 1)] for k in ks])
+
+
+def rank_table(pool, n) -> np.ndarray:
+    """The kernel's (n, N) table of w_1 .. w_n for one n."""
+    return _rank_weights(pool, n, np.arange(1, n + 1))
 
 
 def test_best_of_n_edge_cases():
@@ -125,19 +138,20 @@ def test_estimators_match_brute_force():
 def test_weight_identities(pool):
     for n in {1, 2, pool // 3, pool // 2, pool}:
         n = max(1, n)
+        table = rank_table(pool, n)
         for k in {1, n // 2 + 1, n}:
-            weights = subset_rank_weights(pool, n, k)
+            weights = table[k - 1]
             assert np.all(weights >= 0.0)
             assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
         # each pool item appears in a uniform n-subset with probability n/N
-        stacked = sum(subset_rank_weights(pool, n, k) for k in range(1, n + 1))
+        stacked = table.sum(axis=0)
         assert np.max(np.abs(stacked - n / pool)) <= 1e-12
 
 
 def test_log_space_path_matches_exact():
     # pool of 60 uses the log-gamma path; pin it against exact integers
     pool, n, k = 60, 17, 5
-    weights = subset_rank_weights(pool, n, k)
+    weights = rank_table(pool, n)[k - 1]
     denominator = math.comb(pool, n)
     for r in (1, 5, 23, 44, 60):
         exact = math.comb(r - 1, k - 1) * math.comb(pool - r, n - k) / denominator
@@ -151,7 +165,7 @@ def test_rank_table_matches_exact_binomials():
     for pool in (2, 7, 64, 256):
         pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(pool)]
         for n in sorted({1, pool // 2, 121, 201, pool} & set(range(1, pool + 1))):
-            table = subset_rank_table(pool, n)
+            table = rank_table(pool, n)
             assert table.shape == (n, pool)
             denominator = math.comb(pool, n)
             for k in range(1, n + 1):
@@ -171,7 +185,8 @@ def test_rank_table_matches_exact_binomials():
 @pytest.mark.parametrize("pool", [2, 3, 64, 256])
 def test_curve_bank_is_its_per_n_rows(pool):
     # bon_curve builds the rows of its whole n grid in one kernel call: each
-    # row has the bytes of its n alone, and of a full-width row
+    # row has the bytes of its n alone, and of a full-width row built
+    # another way, or, for a w_k row, its exact binomials
     log_fact = _log_factorials(pool)
     for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2),
                     BonVariant("best_m_of_n", 2)):
@@ -182,9 +197,14 @@ def test_curve_bank_is_its_per_n_rows(pool):
         if variant.kind == "best_m_of_n":
             reference = np.concatenate([full_width_selection_rows(
                 log_fact, n, np.array([variant.param]), np.zeros(1)) for n in grid])
+            assert bank.tobytes() == reference.tobytes(), (pool, variant)
         else:
-            reference = np.stack([subset_rank_weights(pool, n, variant.min_n) for n in grid])
-        assert bank.tobytes() == reference.tobytes(), (pool, variant)
+            reference = np.concatenate([exact_rank_rows(pool, n, [variant.min_n])
+                                        for n in grid])
+            # impossible placements are exact zeros
+            assert np.array_equal(bank == 0.0, reference == 0.0), (pool, variant)
+            nonzero = reference != 0.0
+            assert np.max(np.abs(bank - reference)[nonzero] / reference[nonzero]) <= 1e-12
 
 
 def test_monotone_transform_invariance():

@@ -27,6 +27,7 @@ from retabench import (
     write_benchmark,
     write_rm_scores,
 )
+from retabench import dataset as dataset_module
 from retabench.cli import build_parser, main
 from retabench.errors import ComputationError
 
@@ -1007,3 +1008,74 @@ def test_flag_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, 
                      "--output-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
     assert blocker.read_text() == "kept\n"
+
+
+def _copy_with_lines(source: Path, target: Path, edit) -> Path:
+    """A copy of a dataset directory whose response and score lines are
+    ``edit(lines)``; the prompts are copied as they are."""
+    target.mkdir()
+    (target / "prompts.jsonl").write_bytes((source / "prompts.jsonl").read_bytes())
+    for name in ("responses.jsonl", "rm_scores.jsonl"):
+        lines = (source / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (target / name).write_text("".join(edit(lines)), encoding="utf-8")
+    return target
+
+
+def _run_inside(monkeypatch, directory: Path, command: str, out: Path) -> dict[str, bytes]:
+    """``command`` on the dataset and table of ``directory``, run from inside
+    it so that every copy's provenance line names the same paths; returns
+    the output files' bytes."""
+    monkeypatch.chdir(directory)
+    assert main([command, "--dataset", ".", "--rm-scores", "rm_scores.jsonl",
+                 "--max-oracle-score", "20", "--output-dir", str(out)]) == 0
+    return read_all_bytes(out)
+
+
+def test_per_line_and_block_readers_give_the_same_output_bytes(tmp_path, monkeypatch):
+    # a dataset with oracle samples, non-ASCII texts and ids holding '"' goes
+    # to the per-line scanner, and so does its score table, whose ids the
+    # writers escape; export writes every line as json.dumps writes its record
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    prompts = [{"prompt_id": 'q"1', "text": "café"}, {"prompt_id": "q2", "text": "t"}]
+    responses = [dict(prompt_id=p["prompt_id"], response_id=rid, oracle_score=score, **extra)
+                 for p in prompts
+                 for rid, score, extra in (("a", 2.5, {"text": "naïve \x7f"}),
+                                           ('b"', 3.0, {"oracle_samples": [2.0, 4.0]}))]
+    scores = [dict(prompt_id=r["prompt_id"], response_id=r["response_id"], rm_name="odd-rm",
+                   score=score) for r, score in zip(responses, (0.5, -1.25, 3.0, 1e-07))]
+    for name, records in (("prompts.jsonl", prompts), ("responses.jsonl", responses),
+                          ("rm_scores.jsonl", scores)):
+        write_jsonl(odd / name, records)
+    exported = _run_inside(monkeypatch, odd, "export", tmp_path / "odd-export")
+    for name, source in (("prompts.jsonl", "prompts.jsonl"),
+                         ("responses.jsonl", "responses.jsonl"),
+                         ("rm_scores_odd-rm.jsonl", "rm_scores.jsonl")):
+        assert exported[name] == (odd / source).read_bytes(), name
+    # with its lines in reverse order, the per-line reader puts the texts,
+    # samples and escaped ids back in the dataset's order
+    odd_reversed = _copy_with_lines(odd, tmp_path / "odd-reversed", lambda lines: lines[::-1])
+    assert _run_inside(monkeypatch, odd_reversed, "export",
+                       tmp_path / "odd-reversed-export") == exported
+
+    # synth's files take the block reader; copies with each record's keys in
+    # reverse order, or with the lines in reverse order, take the per-line
+    # scanner, and every command that reads a table writes the same bytes
+    spec = tmp_path / "spec.json"
+    spec.write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec), "--num-prompts", "4", "--num-responses", "64",
+                 "--output-dir", str(data)]) == 0
+    keys_reversed = _copy_with_lines(data, tmp_path / "keys-reversed", lambda lines: [
+        json.dumps(dict(reversed(json.loads(line).items()))) + "\n" for line in lines])
+    lines_reversed = _copy_with_lines(data, tmp_path / "lines-reversed", lambda lines: lines[::-1])
+    ids = load_benchmark(data, max_oracle_score=20.0).prompt_ids()
+    for copy in (data, keys_reversed, lines_reversed):
+        block_read = dataset_module._canonical_responses(copy / "responses.jsonl", ids, 20.0)
+        assert (block_read is not None) == (copy == data), copy.name
+    for command in ("reta", "bon", "metrics", "export"):
+        expected = _run_inside(monkeypatch, data, command, tmp_path / f"data-{command}")
+        assert expected
+        for copy in (keys_reversed, lines_reversed):
+            assert _run_inside(monkeypatch, copy, command,
+                               tmp_path / f"{copy.name}-{command}") == expected, (copy, command)

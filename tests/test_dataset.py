@@ -373,7 +373,7 @@ def test_validate_ok(tiny_dataset_dir, tmp_path):
     table = oracle_score_table(dataset)
     report = validate_dataset(dataset, [table])
     assert report.ok
-    assert report.errors() == []
+    assert [issue for issue in report.issues if issue.severity == "error"] == []
 
 
 def test_validate_duplicate_rm_name(tiny_dataset_dir):
@@ -382,7 +382,8 @@ def test_validate_duplicate_rm_name(tiny_dataset_dir):
     other = oracle_score_table(dataset, rm_name="same")
     report = validate_dataset(dataset, [table, other])
     assert not report.ok
-    assert any("duplicate rm_name" in issue.message for issue in report.errors())
+    assert any(issue.severity == "error" and "duplicate rm_name" in issue.message
+               for issue in report.issues)
 
 
 def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
@@ -985,9 +986,13 @@ def _decline(path, pattern):
 
 
 def _block_read(directory: Path) -> bool:
-    """Whether the block reader takes both of the dataset's files."""
-    prompts = dataset_module._canonical_prompts(directory / "prompts.jsonl")
-    return prompts is not None and dataset_module._canonical_responses(
+    """Whether the block reader takes the dataset's responses, which it is
+    offered once the prompts read line by line."""
+    try:
+        prompts = dataset_module._read_prompt_lines(directory / "prompts.jsonl", [])
+    except RetabenchError:
+        return False
+    return dataset_module._canonical_responses(
         directory / "responses.jsonl", [p.prompt_id for p in prompts], 10.0) is not None
 
 
@@ -1137,7 +1142,7 @@ def test_block_reader_leaves_shapes_it_cannot_hold_to_the_per_line_reader(
     assert shipped[0] in (NonUniformN, DuplicateId)
 
 
-@pytest.mark.parametrize("file", ["prompts.jsonl", "responses.jsonl", "rm_scores.jsonl"])
+@pytest.mark.parametrize("file", ["responses.jsonl", "rm_scores.jsonl"])
 @pytest.mark.parametrize("order", ["swapped-lines", "reversed-lines"])
 def test_block_reader_takes_lines_only_in_writer_order(tmp_path, file, order):
     directory = _canonical_dir(tmp_path / "d")
@@ -1264,9 +1269,13 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
     _canonical_dir(tmp_path / "readers")
     expected = _read(tmp_path / "readers")
 
-    def per_line_reader(path):
-        raise AssertionError(f"{path} went to the per-line reader")
-    monkeypatch.setattr(dataset_module, "_iter_jsonl", per_line_reader)
+    read_lines = dataset_module._iter_jsonl
+
+    def prompts_only(path):
+        # prompts have no block reader
+        assert path.name == "prompts.jsonl", f"{path} went to the per-line reader"
+        return read_lines(path)
+    monkeypatch.setattr(dataset_module, "_iter_jsonl", prompts_only)
     assert _read(tmp_path / "synth") == (generated, [], table, [])
     assert _read(tmp_path / "readers") == expected
     assert expected[0].responses["p0"][0].text == "some text"

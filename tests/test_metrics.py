@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -14,10 +15,7 @@ from retabench import (
     gen_synthetic,
     load_win_labels,
     metric_report,
-    mrr_at_selection,
-    ndcg_at_selection,
     oracle_score_table,
-    pairwise_accuracy,
     win_rate_aggregate,
     write_metrics_csv,
 )
@@ -62,7 +60,17 @@ def prompt_scores(dataset, table, prompt_id):
     """(oracle, RM) scores of one prompt's responses, in id order."""
     responses = dataset.responses[prompt_id]
     return ([r.oracle_score for r in responses],
-            [table.score(prompt_id, r.response_id) for r in responses])
+            [table.scores[(prompt_id, r.response_id)] for r in responses])
+
+
+def selection_rank_of(oracle, rm, j: int) -> int:
+    """One prompt's 1-based oracle rank of the RM's j-th pick, by plain loops."""
+    return by_score(oracle).index(by_score(rm)[j - 1]) + 1
+
+
+def pairwise(dataset, table) -> float:
+    """``metric_report``'s pairwise accuracy, at settings any pool of N >= 2 takes."""
+    return metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[1]).pairwise_accuracy
 
 
 def test_oracle_hit_rate_anchors(big_uniform):
@@ -101,44 +109,44 @@ def test_hit_rate_empty_ground_truth():
 def test_mrr_anchors(big_uniform):
     dataset = big_uniform
     oracle = oracle_score_table(dataset)
-    assert mrr_at_selection(dataset, oracle, 1) == 1.0
-    assert mrr_at_selection(dataset, oracle, 2) == 0.5
+    assert metric_report(dataset, oracle, selection_rank=1).mrr == 1.0
+    assert metric_report(dataset, oracle, selection_rank=2).mrr == 0.5
 
 
 def test_mrr_worst_pick():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0, 1.0]})
     # top RM pick is the oracle's worst response
     table = build_table({"p": [1.0, 2.0, 3.0, 9.0]})
-    assert mrr_at_selection(dataset, table, 1) == 0.25
+    assert metric_report(dataset, table, eta=0.5).mrr == 0.25
 
 
 def test_ndcg_anchors(big_uniform):
     dataset = big_uniform
     oracle = oracle_score_table(dataset)
-    assert ndcg_at_selection(dataset, oracle, 1) == 1.0
-    assert ndcg_at_selection(dataset, oracle, 2) == 1.0
+    assert metric_report(dataset, oracle, selection_rank=1).ndcg == 1.0
+    assert metric_report(dataset, oracle, selection_rank=2).ndcg == 1.0
 
 
 def test_ndcg_fixed_rank():
     # selected response always lands at oracle rank 3: 1/log2(4) = 0.5
     dataset = build_dataset({"p": [4.0, 3.0, 2.0, 1.0]})
     table = build_table({"p": [1.0, 2.0, 9.0, 3.0]})
-    assert ndcg_at_selection(dataset, table, 1) == pytest.approx(0.5, abs=1e-15)
+    assert metric_report(dataset, table, eta=0.5).ndcg == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pairwise_accuracy_extremes():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0, 1.0]})
     aligned = build_table({"p": [9.0, 8.0, 7.0, 6.0]})
     reversed_table = build_table({"p": [6.0, 7.0, 8.0, 9.0]})
-    assert pairwise_accuracy(aligned, dataset) == 100.0
-    assert pairwise_accuracy(reversed_table, dataset) == 0.0
+    assert pairwise(dataset, aligned) == 100.0
+    assert pairwise(dataset, reversed_table) == 0.0
 
 
 def test_pairwise_accuracy_hand_example():
     # oracle [3,2,1] vs RM [3,1,2]: pairs (0,1) and (0,2) agree, (1,2) flips
     dataset = build_dataset({"p": [3.0, 2.0, 1.0]})
     table = build_table({"p": [3.0, 1.0, 2.0]})
-    assert pairwise_accuracy(table, dataset) == pytest.approx(200.0 / 3.0, abs=1e-9)
+    assert pairwise(dataset, table) == pytest.approx(200.0 / 3.0, abs=1e-9)
 
 
 def test_pairwise_accuracy_tie_handling():
@@ -146,7 +154,7 @@ def test_pairwise_accuracy_tie_handling():
     dataset = build_dataset({"p": [2.0, 2.0, 1.0]})
     table = build_table({"p": [5.0, 5.0, 5.0]})
     # comparable pairs: (0,2) and (1,2); both RM-tied -> 50
-    assert pairwise_accuracy(table, dataset) == 50.0
+    assert pairwise(dataset, table) == 50.0
 
 
 def test_pairwise_accuracy_reversal_complement():
@@ -154,7 +162,7 @@ def test_pairwise_accuracy_reversal_complement():
     table = build_table({"p1": [0.3, 0.1, 0.4, 0.2], "p2": [0.2, 0.4, 0.3, 0.1]})
     flipped = build_table({
         "p1": [-0.3, -0.1, -0.4, -0.2], "p2": [-0.2, -0.4, -0.3, -0.1]})
-    total = pairwise_accuracy(table, dataset) + pairwise_accuracy(flipped, dataset)
+    total = pairwise(dataset, table) + pairwise(dataset, flipped)
     assert total == pytest.approx(100.0, abs=1e-9)
 
 
@@ -162,13 +170,13 @@ def test_pairwise_accuracy_no_comparable():
     dataset = build_dataset({"p": [2.0, 2.0, 2.0]})
     table = build_table({"p": [1.0, 2.0, 3.0]})
     with pytest.raises(NoComparablePairs):
-        pairwise_accuracy(table, dataset)
+        pairwise(dataset, table)
     # of two prompts whose oracle ties every pair, the first in id order is named
     dataset = build_dataset({"p2": [2.0, 2.0, 2.0], "p0": [1.0, 2.0, 3.0],
                              "p1": [5.0, 5.0, 5.0]})
     table = build_table({pid: [1.0, 2.0, 3.0] for pid in ("p0", "p1", "p2")})
     with pytest.raises(NoComparablePairs, match="prompt 'p1'"):
-        pairwise_accuracy(table, dataset)
+        pairwise(dataset, table)
 
 
 def test_win_rate_examples():
@@ -236,7 +244,7 @@ def test_metric_report_and_csv(big_uniform, tmp_path):
     assert lines[2].startswith("oracle,50.0,100.0,100.0,1.0,1.0,1,100.0,50.0")
 
 
-def test_metric_report_matches_standalone_metrics(big_uniform):
+def test_metric_report_matches_plain_loops(big_uniform):
     dataset = big_uniform
     # a scrambled RM: scores follow no monotone map of the oracle
     scrambled = build_table({
@@ -244,11 +252,13 @@ def test_metric_report_matches_standalone_metrics(big_uniform):
         for pid in dataset.prompt_ids()
     }, rm_name="scrambled")
     report = metric_report(dataset, scrambled, eta=0.25, selection_rank=2)
-    assert report.mrr == mrr_at_selection(dataset, scrambled, 2)
-    assert report.ndcg == ndcg_at_selection(dataset, scrambled, 2)
-    assert report.pairwise_accuracy == pairwise_accuracy(scrambled, dataset)
-    assert 0.0 < report.mrr < 1.0 and 0.0 < report.ndcg < 1.0
     scores = [prompt_scores(dataset, scrambled, pid) for pid in dataset.prompt_ids()]
+    ranks = [selection_rank_of(oracle, rm, 2) for oracle, rm in scores]
+    assert report.mrr == math.fsum(1.0 / r for r in ranks) / len(ranks)
+    ideal = 1.0 / math.log2(3)
+    assert report.ndcg == math.fsum((1.0 / math.log2(1 + r)) / ideal for r in ranks) / len(ranks)
+    assert report.pairwise_accuracy == reference_pairwise_accuracy(scrambled, dataset)
+    assert 0.0 < report.mrr < 1.0 and 0.0 < report.ndcg < 1.0
     for k in (32, 64, 128):
         per_prompt = [reference_hit_rate(oracle, rm, 0.25, k) for oracle, rm in scores]
         assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
@@ -261,9 +271,11 @@ def test_metrics_invariant_under_monotone_transform(big_uniform):
         pid: [math.atan(r.oracle_score) for r in dataset.responses[pid]]
         for pid in dataset.prompt_ids()
     }, rm_name="atan")
-    assert mrr_at_selection(dataset, transformed, 1) == mrr_at_selection(dataset, oracle, 1)
-    assert ndcg_at_selection(dataset, transformed, 2) == ndcg_at_selection(dataset, oracle, 2)
-    assert pairwise_accuracy(transformed, dataset) == pairwise_accuracy(oracle, dataset)
+    for j in (1, 2):
+        moved = metric_report(dataset, transformed, selection_rank=j)
+        base = metric_report(dataset, oracle, selection_rank=j)
+        assert (moved.hit_rate, moved.mrr, moved.ndcg, moved.pairwise_accuracy) == \
+            (base.hit_rate, base.mrr, base.ndcg, base.pairwise_accuracy)
 
 
 def reference_pairwise_accuracy(table, dataset) -> float:
@@ -272,7 +284,7 @@ def reference_pairwise_accuracy(table, dataset) -> float:
     for prompt_id in dataset.prompt_ids():
         responses = dataset.responses[prompt_id]
         oracle = np.asarray([r.oracle_score for r in responses])
-        rm = np.asarray([table.score(prompt_id, r.response_id) for r in responses])
+        rm = np.asarray([table.scores[(prompt_id, r.response_id)] for r in responses])
         oracle_sign = np.sign(oracle[:, None] - oracle[None, :])
         rm_sign = np.sign(rm[:, None] - rm[None, :])
         comparable = np.triu(oracle_sign != 0, k=1)
@@ -322,9 +334,9 @@ def test_pairwise_accuracy_matches_pair_loop_and_kendall_tau(case, n):
     rows = {f"p{i}": _tie_case(rng, case, n) for i in range(3)}
     dataset = build_dataset({pid: oracle for pid, (oracle, _) in rows.items()})
     table = build_table({pid: rm for pid, (_, rm) in rows.items()})
-    batch = pairwise_accuracy(table, dataset)
+    batch = pairwise(dataset, table)
     assert batch == reference_pairwise_accuracy(table, dataset)
-    alone = [pairwise_accuracy(build_table({pid: rm}), build_dataset({pid: oracle}))
+    alone = [pairwise(build_dataset({pid: oracle}), build_table({pid: rm}))
              for pid, (oracle, rm) in rows.items()]
     # a prompt's value does not depend on the prompts batched with it
     assert batch == math.fsum(alone) / len(alone)
@@ -343,16 +355,19 @@ def test_batched_metrics_match_per_prompt_rankings(selection_rank):
     for k in (1, 3, 6):
         per_prompt = [reference_hit_rate(oracle, rm, 0.5, k) for oracle, rm in scores]
         assert report.hit_rate[k] == math.fsum(per_prompt) / len(per_prompt)
-    ranks = [by_score(oracle).index(by_score(rm)[selection_rank - 1]) + 1
-             for oracle, rm in scores]
+    ranks = [selection_rank_of(oracle, rm, selection_rank) for oracle, rm in scores]
     assert report.mrr == math.fsum(1.0 / r for r in ranks) / len(ranks)
     ideal = 1.0 / math.log2(1 + selection_rank)
     assert report.ndcg == math.fsum(
         (1.0 / math.log2(1 + r)) / ideal for r in ranks) / len(ranks)
-    assert report.mrr == mrr_at_selection(dataset, table, selection_rank)
-    assert report.ndcg == ndcg_at_selection(dataset, table, selection_rank)
     assert report.pairwise_accuracy == reference_pairwise_accuracy(table, dataset)
-    assert report.pairwise_accuracy == pairwise_accuracy(table, dataset)
+    # each prompt alone: its pick's reciprocal rank and gain, and its pair count
+    for pid, rank in zip(dataset.prompt_ids(), ranks):
+        alone = prompt_subset(dataset, table, [pid])
+        single = metric_report(*alone, eta=0.5, selection_rank=selection_rank)
+        assert single.mrr == 1.0 / rank
+        assert single.ndcg == (1.0 / math.log2(1 + rank)) / ideal
+        assert single.pairwise_accuracy == reference_pairwise_accuracy(alone[1], alone[0])
 
 
 def test_metric_report_check_order():
@@ -365,3 +380,26 @@ def test_metric_report_check_order():
         metric_report(dataset, table, eta=0.01, hit_rate_cutoffs=[2, 99])
     with pytest.raises(InvalidConfig, match="selection rank 13"):
         metric_report(dataset, table, eta=0.5, selection_rank=13)
+
+
+@pytest.mark.parametrize("cutoff", [2.5, 2.0, True])
+def test_hit_rate_cutoffs_must_be_ints(cutoff):
+    dataset, table = unordered_ties_dataset()
+    with pytest.raises(InvalidConfig, match="K must be an int"):
+        metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[1, cutoff])
+    report = metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[np.int64(2)])
+    assert report.hit_rate == metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[2]).hit_rate
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, 2.5])
+def test_selection_rank_must_be_an_int(rank, tmp_path):
+    dataset, table = unordered_ties_dataset()
+    with pytest.raises(InvalidConfig, match="selection rank must be an int"):
+        metric_report(dataset, table, eta=0.5, selection_rank=rank)
+    report = metric_report(dataset, table, eta=0.5, selection_rank=np.int64(2))
+    expected = metric_report(dataset, table, eta=0.5, selection_rank=2)
+    assert (report.mrr, report.ndcg) == (expected.mrr, expected.ndcg)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([report], path)
+    [row] = csv.DictReader(path.read_text(encoding="utf-8").splitlines())
+    assert row["selection_rank"] == "2"

@@ -19,7 +19,7 @@ from retabench import (
     ingest_rm_scores,
     load_benchmark,
     oracle_score_table,
-    reta_curve,
+    reta_curve_pair,
     reta_estimate,
     write_benchmark,
     write_rm_scores,
@@ -367,12 +367,13 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
     prompt_ids = dataset.prompt_ids()
     groups = [prompt_ids[start:start + 7] for start in (0, 4, 8)]
     groups += [[pid] for pid in prompt_ids]
-    for normalize in (True, False):
-        config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0, normalize=normalize)
-        batch = reta_curve(dataset, table, config=config)
-        for group in groups:
-            part = reta_curve(*prompt_subset(dataset, table, group), config=config)
-            for point, whole in zip(part.points, batch.points):
+    config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0)
+    batch = reta_curve_pair(dataset, table, config=config)
+    for group in groups:
+        part = reta_curve_pair(*prompt_subset(dataset, table, group), config=config)
+        # the normalized curve, then the unnormalized one
+        for curve, whole_curve in zip(part, batch):
+            for point, whole in zip(curve.points, whole_curve.points):
                 assert point.per_prompt == {pid: whole.per_prompt[pid] for pid in group}
     oracle = oracle_matrix(dataset, table)
     for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2),

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from retabench import (
     BenchmarkDataset,
@@ -27,12 +28,7 @@ from retabench import (
 from retabench.cli import main
 from retabench.dataset import write_benchmark, write_rm_scores
 from retabench import reta as reta_module
-from retabench.ranking import (
-    _selection_weights,
-    eta_parts,
-    oracle_matrix,
-    subset_rank_table,
-)
+from retabench.ranking import _selection_weights, eta_parts, oracle_matrix
 from retabench.reta import _coefficients, default_eta_grid
 from retabench.errors import (
     DegenerateDenominator,
@@ -218,11 +214,19 @@ def test_normalizer_scale_invariance():
 
 def test_curve_pair_is_the_normalized_and_the_unnormalized_curve():
     dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 3, 64, seed=4)
-    for normalize in (True, False):
-        config = RetaConfig(normalize=normalize)
-        pair = reta_curve_pair(dataset, table, None, config)
-        assert pair == tuple(reta_curve(dataset, table, None, RetaConfig(normalize=flag))
-                             for flag in (True, False))
+    normalized, _ = reta_curve_pair(dataset, table)
+    assert normalized == reta_curve(dataset, table)
+    # at a single subset size the unnormalized value is the enumerated
+    # normalized one times the pool mean
+    rng = np.random.default_rng(4)
+    for size in (4, 6):
+        pool = random_prompt(rng, size)
+        [by_rank] = oracle_matrix(*pool).tolist()
+        for n in range(1, size + 1):
+            for eta in (0.1, 0.25, 1.0 / 3.0, 0.7, 1.0):
+                expected = exhaustive_reta(by_rank, eta, n) * (math.fsum(by_rank) / size)
+                assert reta_at(*pool, eta, n, normalize=False) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-15), (size, n, eta)
 
 
 def test_oracle_dominance_per_prompt():
@@ -281,10 +285,10 @@ def test_curve_points_equal_single_estimates():
 def test_raw_curve_points_equal_single_estimates():
     spec = DistSpec.noisy_gaussian(0.6, 7.0)
     dataset, table = gen_synthetic(spec, 6, 64, seed=12)
-    config = RetaConfig(normalize=False)
-    curve = reta_curve(dataset, table, None, config)
+    config = RetaConfig()
+    curve = reta_curve_pair(dataset, table, None, config)[1]
     for point in curve.points:
-        single = reta_estimate(dataset, table, point.eta, config)
+        [single] = reta_curve_pair(dataset, table, [point.eta], config)[1].points
         assert point.value == single.value, point.eta
         assert point.std_error == single.std_error, point.eta
         assert point.per_prompt == single.per_prompt, point.eta
@@ -336,14 +340,29 @@ def test_paper_scale_curve_matches_exact_binomials():
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (point.eta, pid)
 
 
+def log_binomial(a, b):
+    """log C(a, b) by scipy's gammaln, -inf where b lies outside [0, a]."""
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    inside = (0 <= b) & (b <= a)
+    out = np.full(a.shape, -np.inf)
+    out[inside] = (gammaln(a[inside] + 1) - gammaln(b[inside] + 1)
+                   - gammaln(a[inside] - b[inside] + 1))
+    return out
+
+
 def running_sum_coefficients(pool, grid, etas):
     """Independent reference for ``_coefficients``: each n's whole table of
-    subset-rank weights and its running sum over subset ranks, with no top
+    subset-rank weights w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n), from
+    scipy's log-gamma, and its running sum over subset ranks, with no top
     sum taken from a single row."""
     coefs = np.zeros((len(etas), pool))
+    ranks = np.arange(1, pool + 1)
     for n in grid:
         # row k is w_k; row 0 stands for the empty rank 0
-        weights = np.vstack([np.zeros(pool), subset_rank_table(pool, n)])
+        k = np.arange(1, n + 1)[:, None]
+        weights = np.vstack([np.zeros(pool), np.exp(
+            log_binomial(ranks - 1, k - 1) + log_binomial(pool - ranks, n - k)
+            - log_binomial(pool, n))])
         cumulative = np.cumsum(weights, axis=0)
         for coef, eta in zip(coefs, etas):
             count, delta = eta_parts(eta, n)
@@ -478,6 +497,14 @@ def test_point_estimate_rejects_subset_size_outside_pool():
             reta_at(*pool, eta, 0)  # a zero n-range coefficient
         with pytest.raises(EmptyNRange):
             reta_at(*pool, eta, 5)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True])
+def test_exhaustive_reta_takes_only_an_int_subset_size(n):
+    scores = [4.0, 3.0, 2.0, 1.0]
+    with pytest.raises(InvalidConfig, match="n must be an int"):
+        exhaustive_reta(scores, 0.5, n)
+    assert exhaustive_reta(scores, 0.5, np.int64(2)) == exhaustive_reta(scores, 0.5, 2)
 
 
 def test_too_many_subsets_guard():

@@ -14,7 +14,7 @@ from retabench import (
     analytic_reta,
     convergence_experiment,
     gen_synthetic,
-    pairwise_accuracy,
+    metric_report,
     reta_estimate,
     validate_dataset,
     write_convergence_csv,
@@ -160,19 +160,19 @@ def test_generator_determinism_and_validity():
 def test_deterministic_uniform_rankings_agree():
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
     dataset, table = gen_synthetic(spec, 3, 32, seed=2)
-    assert pairwise_accuracy(table, dataset) == 100.0
+    assert metric_report(dataset, table).pairwise_accuracy == 100.0
 
 
 def test_noisy_gaussian_high_rho_mostly_agrees():
     spec = DistSpec.noisy_gaussian(0.99, 7.0)
     dataset, table = gen_synthetic(spec, 4, 64, seed=3)
-    assert pairwise_accuracy(table, dataset) > 90.0
+    assert metric_report(dataset, table).pairwise_accuracy > 90.0
 
 
 def test_independent_zero_correlation_in_expectation():
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = gen_synthetic(spec, 40, 32, seed=7)
-    accuracy = pairwise_accuracy(table, dataset)
+    accuracy = metric_report(dataset, table).pairwise_accuracy
     assert abs(accuracy - 50.0) < 5.0
 
 
