@@ -38,6 +38,7 @@ from .ranking import (
 
 def kl_best_of_n(n: int) -> float:
     """KL divergence of best-of-n selection against a single random draw."""
+    _check_int(n, "n")
     if n < 1:
         raise InvalidConfig(f"n must be positive, got {n}")
     return math.log(n) - (n - 1) / n

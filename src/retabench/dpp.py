@@ -28,6 +28,7 @@ from .errors import (
     MissingEmbedding,
     ZeroMatrix,
 )
+from .ranking import _check_int
 
 _EIGENVALUE_CEILING = 0.99
 # dual-kernel eigenvalues at or below this fraction of the largest are
@@ -72,6 +73,8 @@ class DppSampleConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        _check_int(self.k, "k")
+        _check_int(self.seed, "seed")
         if self.k < 1:
             raise InvalidConfig(f"k must be positive, got {self.k}")
         if not 0.0 < self.epsilon < 1.0:

@@ -52,9 +52,7 @@ class MetricReport:
 
 
 def _ground_truth_size(n: int, eta: float, k: int) -> int:
-    """floor(eta*N), after checking eta and the cutoff K against the pool size N."""
-    if not 0.0 < eta < 1.0:
-        raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
+    """floor(eta*N), after checking the cutoff K against the pool size N."""
     _check_int(k, "K")
     if not 1 <= k <= n:
         raise InvalidConfig(f"K={k} outside [1, {n}]")
@@ -193,6 +191,8 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     equal oracle scores are excluded, and pairs the RM scores equally
     count half.
     """
+    if not 0.0 < eta < 1.0:
+        raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
                else default_hit_rate_cutoffs(dataset.responses_per_prompt))
     rm, oracle = _score_matrices(dataset, table)

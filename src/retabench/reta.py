@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
+from .dataset import BenchmarkDataset, RmScoreTable, _number_problem, _write_csv
 from .errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -166,15 +166,22 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     return coefs
 
 
-def _check_etas(etas: Sequence[float]) -> None:
-    """An eta grid must be non-empty, strictly decreasing and inside (0, 1]."""
+def _check_etas(etas: Sequence[float]) -> list[float]:
+    """The eta grid as floats, once it is checked: non-empty, numbers (a
+    bool is not one), strictly decreasing and inside (0, 1]."""
     if not etas:
         raise InvalidConfig("eta grid is empty")
+    for eta in etas:
+        problem = _number_problem(eta)
+        if problem:
+            raise InvalidConfig(f"eta {eta!r}: {problem}")
+    etas = [float(eta) for eta in etas]
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidConfig("eta grid must be strictly decreasing")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
+    return etas
 
 
 def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
@@ -244,8 +251,8 @@ def _reta_curves(dataset: BenchmarkDataset, table: RmScoreTable,
     """The normalized curve, then, if ``raw``, the unnormalized one, each
     point averaged over the n grid and all prompts; each n's weight rows
     are built once, in one call, for every eta and both curves."""
-    etas = list(eta_grid) if eta_grid is not None else default_eta_grid()
-    _check_etas(etas)  # before the grid, whose errors would hide a bad eta
+    # before the grid, whose errors would hide a bad eta
+    etas = _check_etas(list(eta_grid) if eta_grid is not None else default_eta_grid())
     grid = resample_sizes(dataset.responses_per_prompt, config)
     prompt_ids = dataset.prompt_ids()
     arrays = _values(oracle_matrix(dataset, table), prompt_ids, grid, etas, raw)

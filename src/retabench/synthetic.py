@@ -27,6 +27,7 @@ from .dataset import (
     _write_csv,
 )
 from .errors import InvalidConfig, UnsupportedSpec
+from .ranking import _check_int
 from .reta import RetaConfig, reta_estimate
 
 KINDS = ("deterministic_uniform", "independent", "noisy_gaussian", "custom_table")
@@ -183,6 +184,9 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
     (seed, prompt index), so generation order cannot change the data.
     Raises ``InvalidConfig`` for arguments whose files would not load back.
     """
+    _check_int(seed, "seed")
+    _check_int(num_prompts, "num_prompts")
+    _check_int(responses_per_prompt, "responses_per_prompt")
     if seed < 0:
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if num_prompts < 1:

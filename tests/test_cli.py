@@ -466,108 +466,90 @@ def test_bad_eta_is_reported_before_the_n_grid(tmp_path, capsys, eta):
     assert not out.exists()
 
 
-# Runs every command with any import of scipy failing: the package needs
-# numpy only, and scipy stays a test dependency.
-_WITHOUT_SCIPY = r"""
-import json
-import math
+# A numpy-only install, the runtime pyproject.toml declares: from start-up
+# on, the interpreter refuses every top-level import outside the standard
+# library, numpy and the package. What site's .pth hooks loaded before this
+# file runs stays allowed, and so does usercustomize, which site imports next.
+_NUMPY_ONLY = """\
 import sys
-from pathlib import Path
+
+ALLOWED = (set(sys.stdlib_module_names) | {"numpy", "retabench", "usercustomize"}
+           | {name.partition(".")[0] for name in sys.modules})
 
 
-class BlockScipy:
+class NumpyOnly:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is blocked")
+        top = name.partition(".")[0]
+        if top not in ALLOWED:
+            raise ModuleNotFoundError(f"{top} is not in a numpy-only install", name=top)
         return None
 
 
-sys.meta_path.insert(0, BlockScipy())
-import retabench
-from retabench.cli import main
-
-root = Path(sys.argv[1])
-spec = root / "spec.json"
-spec.write_text(retabench.DistSpec.deterministic_uniform(1.0, 5.0).to_json())
-assert retabench.analytic_reta(retabench.DistSpec.noisy_gaussian(0.5), 0.25) > 1.0
-data = root / "data"
-tables = ["--dataset", str(data), "--rm-scores", str(data / "rm_scores.jsonl")]
-with open(root / "candidates.jsonl", "w", encoding="utf-8") as fh:
-    for i in range(12):  # unit vectors spiralling over the sphere
-        z = (i + 0.5) / 6.0 - 1.0
-        r = math.sqrt(1.0 - z * z)
-        fh.write(json.dumps({"prompt_id": f"c{i:02d}", "text": "t",
-                             "embedding": [r * math.cos(2.4 * i), r * math.sin(2.4 * i), z]})
-                 + "\n")
-runs = [
-    ["synth", "--spec", str(spec), "--num-prompts", "3", "--num-responses", "32",
-     "--output-dir", str(data)],
-    ["validate", *tables],
-    ["reta", *tables, "--raw-variant", "--output-dir", str(root / "reta")],
-    ["bon", *tables, "--variant", "best_m_of_n", "--best-m", "4",
-     "--output-dir", str(root / "bon")],
-    ["metrics", *tables, "--output-dir", str(root / "metrics")],
-    ["export", *tables, "--output-dir", str(root / "export")],
-    ["sample-prompts", "--candidates", str(root / "candidates.jsonl"), "--k", "3",
-     "--output-dir", str(root / "sample")],
-]
-for argv in runs:
-    assert main(argv) == 0, argv
-assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
-print("ok")
+sys.meta_path.insert(0, NumpyOnly())
 """
 
 
-def test_commands_run_without_scipy(tmp_path):
-    src = str(Path(retabench.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "ok"
-
-
-_REFUSE_SCIPY = """\
-import sys
-
-
-class RefuseScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is refused")
-        return None
-
-
-sys.meta_path.insert(0, RefuseScipy())
-"""
-
-
-def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path):
-    # the interpreter itself refuses scipy from start-up on, as on a
-    # numpy-only install, and the package runs through ``python -m``
+def test_every_command_runs_on_a_numpy_only_install(tmp_path):
+    # each command runs through ``python -m`` under that rule, so no import
+    # of scipy, pytest or any other test dependency can hide in the package
     site = tmp_path / "site"
     site.mkdir()
-    (site / "sitecustomize.py").write_text(_REFUSE_SCIPY, encoding="utf-8")
+    (site / "sitecustomize.py").write_text(_NUMPY_ONLY, encoding="utf-8")
     src = str(Path(retabench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(site), src, os.environ.get("PYTHONPATH")]))}
 
-    def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
-    refused = run("-c", "import scipy")
-    assert refused.returncode != 0 and "scipy is refused" in refused.stderr
-    version = run("-m", "retabench.cli", "--version")
-    assert (version.returncode, version.stdout) == (0, f"retabench {retabench.__version__}\n")
+    def run(*argvs: list[str]) -> list[tuple[int, str, str]]:
+        """(exit code, stdout, stderr) of ``python *argv`` for each argv, all
+        started at once."""
+        children = [subprocess.Popen([sys.executable, *argv], env=env, cwd=tmp_path,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                    for argv in argvs]
+        results = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            results.append((child.returncode, out, err))
+        return results
+
+    cli = ["-m", "retabench.cli"]
     (tmp_path / "spec.json").write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
-    synth = run("-m", "retabench.cli", "synth", "--spec", "spec.json", "--num-prompts", "2",
-                "--num-responses", "64", "--output-dir", "data")
-    assert synth.returncode == 0, synth.stderr
-    reta = run("-m", "retabench.cli", "reta", "--dataset", "data", "--rm-scores",
-               "data/rm_scores.jsonl", "--max-oracle-score", "20", "--output-dir", "reta")
-    assert reta.returncode == 0, reta.stderr
+    candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+    # analytic_reta, which no command calls, runs too, and then scipy is refused
+    probe, version, top_help, *made = run(
+        ["-c", "import retabench as rb; print(rb.analytic_reta("
+               "rb.DistSpec.noisy_gaussian(0.5), 0.25)); import scipy"],
+        [*cli, "--version"], [*cli, "--help"],
+        [*cli, "synth", "--spec", "spec.json", "--num-prompts", "2", "--num-responses", "64",
+         "--output-dir", "data"],
+        [*cli, "sample-prompts", "--candidates", "candidates.jsonl", "--k", "3",
+         "--output-dir", "sample"])
+    assert float(probe[1]) > 1.0
+    assert probe[0] != 0 and "scipy is not in a numpy-only install" in probe[2]
+    for code, _, err in (version, top_help, *made):
+        assert code == 0, err
+    assert version[1] == f"retabench {retabench.__version__}\n"
+    assert all(f"\n    {command} " in top_help[1] for command in COMMANDS), top_help
+    assert len((tmp_path / "sample" / "selected_prompts.txt").read_text().split()) == 3
+
+    # a --config file sets a command's own flags, and the variant names the file
+    (tmp_path / "bon.json").write_text(json.dumps({"variant": "rank_k_of_n", "rank_k": 2}))
+    tables = ["--dataset", "data", "--rm-scores", "data/rm_scores.jsonl",
+              "--max-oracle-score", "20"]
+    for code, _, err in run([*cli, "validate", *tables],
+                            [*cli, "reta", *tables, "--raw-variant", "--output-dir", "reta"],
+                            [*cli, "bon", *tables, "--config", "bon.json", "--output-dir", "bon"],
+                            [*cli, "metrics", *tables, "--output-dir", "metrics"],
+                            [*cli, "export", *tables, "--output-dir", "export"]):
+        assert code == 0, err
     assert len((tmp_path / "reta" / "reta_synthetic-rm.csv").read_text().splitlines()) == 17
+    assert (tmp_path / "bon" / "bon_synthetic-rm_rank_2_of_n.csv").is_file()
+    assert (tmp_path / "metrics" / "metrics.csv").is_file()
+    # export rewrites the dataset and table canonically: synth's bytes
+    for name, source in (("prompts.jsonl", "prompts.jsonl"),
+                         ("responses.jsonl", "responses.jsonl"),
+                         ("rm_scores_synthetic-rm.jsonl", "rm_scores.jsonl")):
+        assert (tmp_path / "export" / name).read_bytes() == \
+            (tmp_path / "data" / source).read_bytes(), name
 
 
 def test_validate_reports_load_warnings_and_exits_2_on_invalid_input(tmp_path, capsys):
@@ -1011,11 +993,10 @@ def test_flag_errors_come_before_output_dir_errors(synth_dir, tmp_path, capsys, 
 
 
 def _copy_with_lines(source: Path, target: Path, edit) -> Path:
-    """A copy of a dataset directory whose response and score lines are
-    ``edit(lines)``; the prompts are copied as they are."""
+    """A copy of a dataset directory and its score table whose lines are
+    ``edit(lines)`` in each file."""
     target.mkdir()
-    (target / "prompts.jsonl").write_bytes((source / "prompts.jsonl").read_bytes())
-    for name in ("responses.jsonl", "rm_scores.jsonl"):
+    for name in ("prompts.jsonl", "responses.jsonl", "rm_scores.jsonl"):
         lines = (source / name).read_text(encoding="utf-8").splitlines(keepends=True)
         (target / name).write_text("".join(edit(lines)), encoding="utf-8")
     return target
@@ -1079,3 +1060,14 @@ def test_per_line_and_block_readers_give_the_same_output_bytes(tmp_path, monkeyp
         for copy in (keys_reversed, lines_reversed):
             assert _run_inside(monkeypatch, copy, command,
                                tmp_path / f"{copy.name}-{command}") == expected, (copy, command)
+
+    # a per-prompt value depends on its prompt alone: a copy holding only
+    # p0000 gives that prompt's per-prompt rows byte for byte
+    one_prompt = _copy_with_lines(data, tmp_path / "one-prompt", lambda lines: [
+        line for line in lines if json.loads(line)["prompt_id"] == "p0000"])
+    per_prompt = "reta_synthetic-rm_per_prompt.csv"
+    lines = (tmp_path / "data-reta" / per_prompt).read_bytes().splitlines(keepends=True)
+    expected = b"".join(lines[:2] + [line for line in lines if line.startswith(b"p0000,")])
+    assert len(expected.splitlines()) == 2 + 15
+    assert _run_inside(monkeypatch, one_prompt, "reta",
+                       tmp_path / "one-prompt-reta")[per_prompt] == expected

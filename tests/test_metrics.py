@@ -382,6 +382,16 @@ def test_metric_report_check_order():
         metric_report(dataset, table, eta=0.5, selection_rank=13)
 
 
+@pytest.mark.parametrize("eta", [5.0, 1.0, 0.0, -0.5])
+def test_metric_report_checks_eta_with_no_hit_rate_cutoffs(eta):
+    # eta is checked once, before the cutoffs, so an empty cutoff list
+    # lets no eta through
+    dataset, table = unordered_ties_dataset()
+    with pytest.raises(InvalidConfig, match=r"eta must be in \(0, 1\)"):
+        metric_report(dataset, table, eta=eta, hit_rate_cutoffs=[])
+    assert metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[]).hit_rate == {}
+
+
 @pytest.mark.parametrize("cutoff", [2.5, 2.0, True])
 def test_hit_rate_cutoffs_must_be_ints(cutoff):
     dataset, table = unordered_ties_dataset()

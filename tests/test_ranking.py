@@ -11,20 +11,25 @@ from scipy.special import gammaln
 from retabench import (
     BonVariant,
     DistSpec,
+    DppSampleConfig,
+    PromptRecord,
     RetaConfig,
     RmScoreTable,
     bon_curve,
+    build_dpp,
     eta_parts,
     gen_synthetic,
     ingest_rm_scores,
+    kl_best_of_n,
     load_benchmark,
     oracle_score_table,
     reta_curve_pair,
     reta_estimate,
+    sample_kdpp,
     write_benchmark,
     write_rm_scores,
 )
-from retabench.errors import MissingScore
+from retabench.errors import InvalidConfig, MissingScore
 from retabench.ranking import (
     _log_factorials,
     _rank_orders,
@@ -388,3 +393,29 @@ def test_per_prompt_values_are_the_same_alone_in_a_slice_or_in_the_batch(pool):
         for i, pid in enumerate(prompt_ids):
             alone = bon_curve(*prompt_subset(dataset, table, [pid]), variant, grid)
             assert [point.value for point in alone.points] == values[:, i].tolist()
+
+
+def _sample(k=2, seed=0) -> list[int]:
+    candidates = [PromptRecord(f"c{i}", "t", tuple(row)) for i, row in enumerate(np.eye(3))]
+    return sample_kdpp(build_dpp(candidates), DppSampleConfig(k=k, seed=seed))
+
+
+_SPEC = DistSpec.noisy_gaussian(0.5, 7.0)
+
+
+# the sampler's, the generator's and the KL column's counts take the one
+# _check_int rule: an int or a numpy integer, and never a bool
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda value: _sample(k=value)),
+    ("seed", lambda value: _sample(seed=value)),
+    ("num_prompts", lambda value: gen_synthetic(_SPEC, value, 4, 0)),
+    ("responses_per_prompt", lambda value: gen_synthetic(_SPEC, 2, value, 0)),
+    ("seed", lambda value: gen_synthetic(_SPEC, 2, 4, value)),
+    ("n", kl_best_of_n),
+], ids=["dpp-k", "dpp-seed", "synthetic-num-prompts", "synthetic-responses-per-prompt",
+        "synthetic-seed", "kl-best-of-n"])
+def test_counts_take_an_int_or_a_numpy_integer_but_no_bool(name, call):
+    for value in (2.5, 2.0, True):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be an int, got {value!r}$"):
+            call(value)
+    assert call(np.int64(2)) == call(2)

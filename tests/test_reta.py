@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -474,6 +475,23 @@ def test_curve_rejects_bad_grids():
         reta_curve(dataset, table, [0.25, 0.5], config)
     with pytest.raises(InvalidConfig):
         reta_curve(dataset, table, [1.5, 0.5], config)
+
+
+@pytest.mark.parametrize("eta", [True, "0.5", None, 10 ** 400],
+                         ids=["bool", "string", "none", "int-past-float"])
+def test_eta_grid_takes_numbers_and_keeps_them_as_floats(eta, tmp_path):
+    spec = DistSpec.deterministic_uniform(0.0, 1.0)
+    dataset, table = gen_synthetic(spec, 2, 8, seed=1)
+    config = RetaConfig(n_range_low_coeff=0.5, n_range_high_coeff=1.0, n_exponent=1.0)
+    with pytest.raises(InvalidConfig, match=re.escape(f"eta {eta!r}: ")):
+        reta_curve(dataset, table, [1.0, eta], config)
+    # an int or a numpy float is written as the float it equals
+    curve = reta_curve(dataset, table, [1, np.float64(0.5)], config)
+    assert curve == reta_curve(dataset, table, [1.0, 0.5], config)
+    assert [type(point.eta) for point in curve.points] == [float, float]
+    write_curve_csv(curve, tmp_path / "curve.csv")
+    rows = tmp_path.joinpath("curve.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1.0", "0.5"]
 
 
 def test_degenerate_denominator_guard():
