@@ -489,9 +489,11 @@ sys.meta_path.insert(0, NumpyOnly())
 """
 
 
-def test_every_command_runs_on_a_numpy_only_install(tmp_path):
-    # each command runs through ``python -m`` under that rule, so no import
-    # of scipy, pytest or any other test dependency can hide in the package
+@pytest.fixture
+def numpy_only(tmp_path):
+    """Runs ``python *argv`` for each argv it is given, all started at once in
+    tmp_path under the numpy-only rule, and gives (exit code, stdout, stderr)
+    of each."""
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(_NUMPY_ONLY, encoding="utf-8")
@@ -500,8 +502,6 @@ def test_every_command_runs_on_a_numpy_only_install(tmp_path):
         filter(None, [str(site), src, os.environ.get("PYTHONPATH")]))}
 
     def run(*argvs: list[str]) -> list[tuple[int, str, str]]:
-        """(exit code, stdout, stderr) of ``python *argv`` for each argv, all
-        started at once."""
         children = [subprocess.Popen([sys.executable, *argv], env=env, cwd=tmp_path,
                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
                     for argv in argvs]
@@ -510,19 +510,35 @@ def test_every_command_runs_on_a_numpy_only_install(tmp_path):
             out, err = child.communicate(timeout=120)
             results.append((child.returncode, out, err))
         return results
+    return run
 
-    cli = ["-m", "retabench.cli"]
+
+_CLI = ["-m", "retabench.cli"]
+_TABLES = ["--dataset", "data", "--rm-scores", "data/rm_scores.jsonl",
+           "--max-oracle-score", "20"]
+
+
+def _synth(tmp_path: Path, run) -> None:
+    """synth's 2 x 64 dataset in tmp_path/data, made under ``run``."""
     (tmp_path / "spec.json").write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
-    candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+    [(code, _, err)] = run([*_CLI, "synth", "--spec", "spec.json", "--num-prompts", "2",
+                            "--num-responses", "64", "--output-dir", "data"])
+    assert code == 0, err
+
+
+def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path, numpy_only):
+    # the interpreter refuses scipy, pytest and every other test dependency
+    # from start-up on, and the package runs through ``python -m``;
     # analytic_reta, which no command calls, runs too, and then scipy is refused
-    probe, version, top_help, *made = run(
+    _synth(tmp_path, numpy_only)
+    candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+    probe, version, top_help, *made = numpy_only(
         ["-c", "import retabench as rb; print(rb.analytic_reta("
                "rb.DistSpec.noisy_gaussian(0.5), 0.25)); import scipy"],
-        [*cli, "--version"], [*cli, "--help"],
-        [*cli, "synth", "--spec", "spec.json", "--num-prompts", "2", "--num-responses", "64",
-         "--output-dir", "data"],
-        [*cli, "sample-prompts", "--candidates", "candidates.jsonl", "--k", "3",
-         "--output-dir", "sample"])
+        [*_CLI, "--version"], [*_CLI, "--help"],
+        [*_CLI, "sample-prompts", "--candidates", "candidates.jsonl", "--k", "3",
+         "--output-dir", "sample"],
+        [*_CLI, "reta", *_TABLES, "--raw-variant", "--output-dir", "reta"])
     assert float(probe[1]) > 1.0
     assert probe[0] != 0 and "scipy is not in a numpy-only install" in probe[2]
     for code, _, err in (version, top_help, *made):
@@ -530,18 +546,20 @@ def test_every_command_runs_on_a_numpy_only_install(tmp_path):
     assert version[1] == f"retabench {retabench.__version__}\n"
     assert all(f"\n    {command} " in top_help[1] for command in COMMANDS), top_help
     assert len((tmp_path / "sample" / "selected_prompts.txt").read_text().split()) == 3
-
-    # a --config file sets a command's own flags, and the variant names the file
-    (tmp_path / "bon.json").write_text(json.dumps({"variant": "rank_k_of_n", "rank_k": 2}))
-    tables = ["--dataset", "data", "--rm-scores", "data/rm_scores.jsonl",
-              "--max-oracle-score", "20"]
-    for code, _, err in run([*cli, "validate", *tables],
-                            [*cli, "reta", *tables, "--raw-variant", "--output-dir", "reta"],
-                            [*cli, "bon", *tables, "--config", "bon.json", "--output-dir", "bon"],
-                            [*cli, "metrics", *tables, "--output-dir", "metrics"],
-                            [*cli, "export", *tables, "--output-dir", "export"]):
-        assert code == 0, err
     assert len((tmp_path / "reta" / "reta_synthetic-rm.csv").read_text().splitlines()) == 17
+
+
+def test_commands_run_without_scipy(tmp_path, numpy_only):
+    # the commands the test above leaves out, under the same numpy-only rule;
+    # a --config file sets a command's own flags, and the variant names the file
+    _synth(tmp_path, numpy_only)
+    (tmp_path / "bon.json").write_text(json.dumps({"variant": "rank_k_of_n", "rank_k": 2}))
+    for code, _, err in numpy_only(
+            [*_CLI, "validate", *_TABLES],
+            [*_CLI, "bon", *_TABLES, "--config", "bon.json", "--output-dir", "bon"],
+            [*_CLI, "metrics", *_TABLES, "--output-dir", "metrics"],
+            [*_CLI, "export", *_TABLES, "--output-dir", "export"]):
+        assert code == 0, err
     assert (tmp_path / "bon" / "bon_synthetic-rm_rank_2_of_n.csv").is_file()
     assert (tmp_path / "metrics" / "metrics.csv").is_file()
     # export rewrites the dataset and table canonically: synth's bytes
