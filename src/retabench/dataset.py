@@ -28,11 +28,11 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,39 +112,25 @@ class ValidationReport:
 class BenchmarkDataset:
     """The frozen evaluation substrate: prompts, responses, oracle scores.
 
-    Construction puts the dataset in canonical form and checks its shape,
-    whatever order the records come in: ``prompts`` are stored by
-    ``prompt_id`` and each prompt's responses by ``response_id``. It raises
-    what ``load_benchmark`` raises for the same shape: ``DuplicateId`` for
-    a repeated prompt or (prompt, response) id, ``NonUniformN`` for a
-    prompt whose response list is missing or does not hold exactly
-    ``responses_per_prompt`` responses, or for fewer than 2 responses per
-    prompt, and ``MalformedRecord`` for no prompts at all or for a response
-    list keyed by a prompt that is not in ``prompts``. Before all of
-    these it raises ``InvalidConfig`` for a ``responses_per_prompt`` that
-    is not an int (a bool is not one), then ``MalformedRecord``, naming
-    the dataset and the item, for ``prompts`` that are not a list or tuple
-    of ``PromptRecord`` or ``responses`` that are not a dict of them.
+    Construction checks the records with the per-line reader's own loops
+    (``_read_prompts``, ``_read_responses``), in input order, passing each
+    record as the field dict its line would hold, labelled ``prompt 'p1'``
+    or ``response 'p1/a'``. So it raises what ``load_benchmark`` raises for
+    the first bad record, naming the dataset and the label where the
+    reader names the file and the line, with no ``max_oracle_score``
+    bound, which the dataset does not know. Before that it checks only
+    what a file cannot express: ``InvalidConfig`` for a
+    ``responses_per_prompt`` that is not an int (a bool is not one), then
+    ``MalformedRecord`` for ``prompts`` that are not a list or tuple of
+    ``PromptRecord`` or ``responses`` that are not a dict of them, naming
+    the item; and, once the prompts pass, ``MalformedRecord`` for a
+    ``responses`` key that names no prompt or a response filed under
+    another prompt's key.
 
-    It applies the reader's value rules (the ``_*_problem`` predicates)
-    too: ``MalformedRecord``, naming the dataset and the record, for a
-    ``prompt_id``, ``response_id`` or prompt ``text`` that is not a
-    non-empty string (an id must also encode as UTF-8), checked before
-    the shape, for a response ``text`` that is neither None nor a string,
-    and for an oracle score, sample, embedding entry or perplexity that is
-    not a number (a bool is not one, an int is), or an embedding or
-    ``oracle_samples`` that is not a non-empty list or tuple,
-    ``NonPositiveOracleScore`` for an oracle score that is not positive and
-    finite, and ``MalformedRecord`` for a response filed under another
-    prompt's id, bad ``oracle_samples``, an embedding that is not finite,
-    unit-norm and of the shared dimension, or a perplexity that is not
-    positive and finite.
-
-    Construction serves hand-built datasets. It keeps the records' columns
-    (``_store``), not the records, with embeddings and samples as tuples.
-    Both readers and ``gen_synthetic`` build no record: they check the
-    same rules on columns or lines, the per-line reader through the same
-    shape check (``_check_shape``), and call ``_from_columns``.
+    Construction keeps the columns the loops return (``_store``), not the
+    records: prompts by ``prompt_id``, each prompt's responses by
+    ``response_id``, embeddings and samples as tuples of floats. Both
+    readers and ``gen_synthetic`` call ``_from_columns`` instead.
     ``responses`` is built from the columns on first access
     (``__getattr__``), with float oracle scores; two threads racing that
     access store equal lists. Equality compares the columns and repr shows
@@ -161,84 +147,28 @@ class BenchmarkDataset:
         size = self.responses_per_prompt
         if isinstance(size, bool) or not isinstance(size, int):
             raise InvalidConfig(f"responses_per_prompt must be an int, got {size!r}")
-        self._reject("prompts", "-", _records_problem(self.prompts, PromptRecord))
-        for key in ("prompt_id", "text"):
-            for prompt in self.prompts:
-                self._reject(_prompt_label(prompt), key, _str_problem(getattr(prompt, key), key))
-        self._reject("responses", "-", None if isinstance(self.responses, dict) else "not a dict")
+        _reject(self.name, "prompts", "-", _records_problem(self.prompts, PromptRecord))
+        _reject(self.name, "responses", "-",
+                None if isinstance(self.responses, dict) else "not a dict")
         for pid, rows in self.responses.items():
-            self._reject(f"responses of {pid!r}", "-", _records_problem(rows, ResponseRecord))
-            for resp in rows:
-                self._reject(f"response {f'{resp.prompt_id}/{resp.response_id}'!r}", "response_id",
-                             _str_problem(resp.response_id, "response_id"))
-        self.prompts = sorted(self.prompts, key=_prompt_id)
+            _reject(self.name, f"responses of {pid!r}", "-",
+                    _records_problem(rows, ResponseRecord))
+        self.prompts = _read_prompts(((f"prompt {p.prompt_id!r}", vars(p)) for p in self.prompts),
+                                     self.name, [])
         ids = self.prompt_ids()
-        if not ids:
-            raise MalformedRecord(self.name, None, "-", "no prompt records")
-        _check_unique("prompt", "", ids)
         unknown = self.responses.keys() - set(ids)
         if unknown:
             raise MalformedRecord(self.name, None, "prompt_id",
                                   f"unknown prompt {min(unknown, key=str)!r}")
-        rows = [sorted(self.responses.get(pid, ()), key=_response_id) for pid in ids]
-        rids = [list(map(_response_id, row)) for row in rows]
-        _check_shape(ids, rids, size)
-        pids = [pid for pid in ids for _ in range(size)]
-        records = list(chain.from_iterable(rows))
-        oracle = self._check_values(pids, records)
-        # tuples, so the caller's lists can change without changing the dataset
-        samples = [None if r.oracle_samples is None else tuple(r.oracle_samples) for r in records]
-        self._store((pids, list(chain.from_iterable(rids))), oracle,
-                    list(map(_text, records)), samples if any(samples) else None)
+        self._store(*_read_responses(_response_objects(self.name, self.responses), self.name,
+                                     ids, size, math.inf, []))
         del self.responses  # the columns hold them now
 
-    def _check_values(self, pids: list[str], records: list[ResponseRecord]) -> np.ndarray:
-        """Raise for the first prompt, then the first of ``records`` (filed
-        under ``pids``, in id order), that breaks a value rule: the reader's
-        error type, naming the dataset and the record's id. Stores each
-        embedding as a tuple, and returns the (prompts, N) read-only oracle
-        matrix."""
-        dim: int | None = None
-        for i, prompt in enumerate(self.prompts):
-            if prompt.embedding is not None:
-                self._reject(_prompt_label(prompt), "embedding",
-                             _numbers_problem(prompt.embedding)
-                             or _embedding_problem(prompt.embedding, dim))
-                dim = len(prompt.embedding)
-                self.prompts[i] = replace(prompt, embedding=tuple(prompt.embedding))
-            if prompt.perplexity is not None:
-                self._reject(_prompt_label(prompt), "perplexity",
-                             _number_problem(prompt.perplexity)
-                             or _perplexity_problem(prompt.perplexity))
-        for pid, resp in zip(pids, records):
-            self._reject(f"response {pid + '/' + resp.response_id!r}", "oracle_score",
-                         _number_problem(resp.oracle_score))
-        scores = np.fromiter(map(_oracle_score, records), np.float64, len(records))
-        oracle = _frozen(scores.reshape(self.num_prompts, -1))
-        if _oracle_score_problem(oracle):
-            bad = next(r for r in records if _oracle_score_problem(r.oracle_score))
-            raise NonPositiveOracleScore(bad.prompt_id, bad.response_id, bad.oracle_score)
-        for pid, resp in zip(pids, records):
-            label = f"response {pid + '/' + resp.response_id!r}"
-            if resp.prompt_id != pid:
-                self._reject(label, "prompt_id", f"names prompt {resp.prompt_id!r}")
-            if resp.text is not None and not isinstance(resp.text, str):
-                self._reject(label, "text", "must be a string")
-            if resp.oracle_samples is not None:
-                self._reject(label, "oracle_samples", _numbers_problem(resp.oracle_samples)
-                             or _oracle_samples_problem(resp.oracle_samples, resp.oracle_score))
-        return oracle
-
-    def _reject(self, record: str, key: str, problem: str | None) -> None:
-        """MalformedRecord naming the dataset and ``record``, if there is a problem."""
-        if problem:
-            raise MalformedRecord(self.name, None, key, f"{record}: {problem}")
-
-    def _store(self, pair_ids: tuple[list[str], list[str]], oracle: np.ndarray,
+    def _store(self, oracle: np.ndarray, pair_ids: tuple[list[str], list[str]],
                texts: list[str | None], samples: list[tuple[float, ...] | None] | None) -> None:
-        """Keep the response columns, each in id order: the prompt and the
-        response id of each response, the (prompts, N) read-only oracle
-        matrix, the texts, and the oracle samples or None when there are none."""
+        """Keep the response columns, each in id order: the (prompts, N)
+        read-only oracle matrix, the prompt and the response id of each
+        response, the texts, and the oracle samples or None when there are none."""
         self._pair_ids = pair_ids
         self._oracle_scores = oracle
         self._response_texts = texts
@@ -256,7 +186,7 @@ class BenchmarkDataset:
         dataset.prompts = prompts
         dataset.responses_per_prompt = oracle.shape[1]
         dataset.load_warnings = load_warnings or []
-        dataset._store(pair_ids, oracle, texts, samples)
+        dataset._store(oracle, pair_ids, texts, samples)
         return dataset
 
     def __getattr__(self, name: str):
@@ -314,16 +244,6 @@ class BenchmarkDataset:
         return _frozen(np.argsort(_rank_orders(self._oracle_scores), axis=1))
 
 
-_prompt_id = operator.attrgetter("prompt_id")
-_response_id = operator.attrgetter("response_id")
-_oracle_score = operator.attrgetter("oracle_score")
-_text = operator.attrgetter("text")
-
-
-def _prompt_label(prompt: PromptRecord) -> str:
-    return f"prompt {prompt.prompt_id!r}"
-
-
 def _records_problem(records, kind: type) -> str | None:
     """Why ``records`` is not a list or tuple of ``kind``, naming the item, or None."""
     if not isinstance(records, (list, tuple)):
@@ -332,23 +252,17 @@ def _records_problem(records, kind: type) -> str | None:
     return f"item {bad[0]!r} is not a {kind.__name__}" if bad else None
 
 
-def _check_unique(kind: str, prefix: str, ids: list[str]) -> None:
-    """DuplicateId for the first repeated id of the sorted ``ids``."""
-    for a, b in zip(ids, ids[1:]):
-        if a == b:
-            raise DuplicateId(kind, prefix + a)
-
-
-def _check_shape(ids: list[str], response_ids: list[list[str]], size: int) -> None:
-    """Raise for the first of the sorted prompt ``ids`` whose sorted
-    ``response_ids`` are not ``size`` in number (``NonUniformN``) or repeat
-    one (``DuplicateId``), then ``NonUniformN`` for a ``size`` below 2."""
-    for pid, rids in zip(ids, response_ids):
-        if len(rids) != size:
-            raise NonUniformN(pid, len(rids), size)
-        _check_unique("response", f"{pid}/", rids)
-    if size < 2:
-        raise NonUniformN(ids[0], size, 2)
+def _response_objects(source: str, responses: dict) -> Iterator[tuple[str, dict]]:
+    """(label, field dict) of each response built in code, in input order;
+    raises for one filed under another prompt's key."""
+    for pid, rows in responses.items():
+        for resp in rows:
+            label = f"response {f'{pid}/{resp.response_id}'!r}"
+            if resp.prompt_id != pid:
+                _reject(source, label, "prompt_id", f"names prompt {resp.prompt_id!r}")
+            yield label, {"prompt_id": pid, "response_id": resp.response_id,
+                          "oracle_score": resp.oracle_score, "text": resp.text,
+                          "oracle_samples": resp.oracle_samples}
 
 
 def _rank_orders(scores: np.ndarray) -> np.ndarray:
@@ -612,13 +526,16 @@ def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | N
         return None
 
 
-def _reject_line(source: str, line: int, key: str, problem: str | None) -> None:
-    """MalformedRecord naming ``source``, ``line`` and ``key``, if there is a problem."""
+def _reject(source: str, where: int | str, key: str, problem: str | None) -> None:
+    """MalformedRecord naming ``source``, then ``where`` (a line number, or
+    the label of a record built in code) and ``key``, if there is a problem."""
     if problem:
-        raise MalformedRecord(source, line, key, problem)
+        if isinstance(where, int):
+            raise MalformedRecord(source, where, key, problem)
+        raise MalformedRecord(source, None, key, f"{where}: {problem}")
 
 
-def _req_strs(obj: dict, keys: tuple[str, ...], source: str, line: int) -> list[str]:
+def _req_strs(obj: dict, keys: tuple[str, ...], source: str, where: int | str) -> list[str]:
     """The values of ``obj``'s string fields ``keys``; raises MalformedRecord
     for the first that breaks ``_str_problem``, which runs only on a value
     that is not a non-empty ASCII string."""
@@ -626,7 +543,7 @@ def _req_strs(obj: dict, keys: tuple[str, ...], source: str, line: int) -> list[
     for key in keys:
         value = obj.get(key)
         if not (type(value) is str and value and value.isascii()):
-            _reject_line(source, line, key, _str_problem(value, key))
+            _reject(source, where, key, _str_problem(value, key))
         values.append(value)
     return values
 
@@ -638,36 +555,34 @@ def _rm_name_problem(rm_name: str) -> str | None:
     return _str_problem(rm_name, "rm_name")
 
 
-def _req_float(obj: dict, key: str, source: str, line: int) -> float:
+def _req_float(obj: dict, key: str, source: str, where: int | str) -> float:
     """``obj``'s number field ``key`` as a float; raises MalformedRecord
     when it is missing or breaks ``_number_problem``."""
     value = obj.get(key)
     if type(value) is float:
         return value
-    if key not in obj:
-        raise MalformedRecord(source, line, key, "required")
-    _reject_line(source, line, key, _number_problem(value))
+    _reject(source, where, key, "required" if key not in obj else _number_problem(value))
     return float(value)
 
 
-def _float_array(raw, key: str, source: str, line: int) -> tuple[float, ...]:
+def _float_array(raw, key: str, source: str, where: int | str) -> tuple[float, ...]:
     if type(raw) is list and raw and _FLOAT_TYPE.issuperset(map(type, raw)):
         return tuple(raw)
-    _reject_line(source, line, key, _numbers_problem(raw))
+    _reject(source, where, key, _numbers_problem(raw))
     return tuple(map(float, raw))
 
 
-def _embedding(raw, dim: int | None, source: str, line: int,
+def _embedding(raw, dim: int | None, source: str, where: int | str,
                unit_norm: bool) -> tuple[float, ...]:
     """The embedding read from ``raw``, checked by ``_embedding_problem``."""
-    embedding = _float_array(raw, "embedding", source, line)
-    _reject_line(source, line, "embedding", _embedding_problem(embedding, dim, unit_norm))
+    embedding = _float_array(raw, "embedding", source, where)
+    _reject(source, where, "embedding", _embedding_problem(embedding, dim, unit_norm))
     return embedding
 
 
 # The value rules. Each says why a value breaks it, or None; the readers
 # raise the problem with the file and line, construction with the dataset
-# and the record's id.
+# and the record's label.
 
 
 def _str_problem(value, key: str) -> str | None:
@@ -691,6 +606,13 @@ def _number_problem(value) -> str | None:
     return None
 
 
+def _check_number(value, name: str) -> None:
+    """InvalidConfig naming ``name`` unless ``value`` passes ``_number_problem``."""
+    problem = _number_problem(value)
+    if problem:
+        raise InvalidConfig(f"{name} {value!r}: {problem}")
+
+
 def _numbers_problem(values) -> str | None:
     """Why ``values`` is not a non-empty list or tuple, or the
     ``_number_problem`` of the first of them that has one, or None; values
@@ -702,10 +624,10 @@ def _numbers_problem(values) -> str | None:
     return next(filter(None, map(_number_problem, values)), None)
 
 
-def _oracle_score_problem(score) -> str | None:
-    """Why ``score`` (one oracle score, or an array of them checked in one
-    pass) is not positive and finite, or None."""
-    if 0.0 < np.min(score) and np.max(score) < math.inf:
+def _oracle_score_problem(scores: np.ndarray) -> str | None:
+    """Why the array ``scores``, checked in one pass, is not all positive
+    and finite, or None."""
+    if 0.0 < np.min(scores) and np.max(scores) < math.inf:
         return None
     return "must be positive and finite"
 
@@ -743,14 +665,15 @@ def _perplexity_problem(perplexity: float) -> str | None:
     return None if 0.0 < perplexity < math.inf else "must be a positive real"
 
 
-def _warn_unknown_keys(obj: dict, known: frozenset[str], source: str, line: int,
+def _warn_unknown_keys(obj: dict, known: frozenset[str], source: str, where: int | str,
                        sink: list[ValidationIssue]) -> None:
     for key in sorted(set(obj) - known):
-        sink.append(ValidationIssue("warning", f"{source}:{line}",
+        sink.append(ValidationIssue("warning", f"{source}:{where}",
                                     f"unknown key {key!r} ignored"))
 
 
 def _check_max_oracle_score(value: float) -> None:
+    _check_number(value, "max_oracle_score")
     if not 0.0 < value < math.inf:
         raise InvalidConfig(f"max_oracle_score must be positive and finite, got {value}")
 
@@ -764,10 +687,9 @@ def load_benchmark(path: str | Path, *,
     than ``max_oracle_score`` (scores are judge outputs on a bounded
     scale, and boundedness is required by the estimators downstream).
     All prompts must carry the same number of responses, counted against
-    the prompt with the smallest id, as construction counts them
-    (``_check_shape``). The prompts are read line by line; the responses
-    go to the block reader and, if it declines them, line by line into the
-    same columns, with no record built.
+    the prompt with the smallest id. The prompts are read line by line;
+    the responses go to the block reader and, if it declines them, line by
+    line into the same columns, with no record built.
     """
     _check_max_oracle_score(max_oracle_score)
     directory = Path(path)
@@ -778,77 +700,87 @@ def load_benchmark(path: str | Path, *,
     if not responses_path.is_file():
         raise MalformedRecord(str(directory), None, RESPONSES_FILE, "file not found")
     warnings: list[ValidationIssue] = []
-    prompts = _read_prompt_lines(prompts_path, warnings)
+    prompts = _read_prompts(_iter_jsonl(prompts_path), PROMPTS_FILE, warnings)
     ids = [p.prompt_id for p in prompts]
     columns = (_canonical_responses(responses_path, ids, max_oracle_score)
-               or _read_response_lines(responses_path, ids, max_oracle_score, warnings))
+               or _read_responses(_iter_jsonl(responses_path), RESPONSES_FILE, ids, None,
+                                  max_oracle_score, warnings))
     return BenchmarkDataset._from_columns(name or directory.name, prompts, *columns,
                                           load_warnings=warnings)
 
 
-def _read_prompt_lines(path: Path, warnings: list[ValidationIssue]) -> list[PromptRecord]:
-    """The prompts of ``path``, read line by line, in id order; adds each
-    unknown key to ``warnings`` and raises at the first bad line."""
+def _read_prompts(objects: Iterable[tuple[int | str, dict]], source: str,
+                  warnings: list[ValidationIssue]) -> list[PromptRecord]:
+    """The prompts of ``objects``, (line number or label, field dict) pairs,
+    in id order; adds each unknown key to ``warnings`` and raises at the
+    first bad object, naming ``source`` and its line or label."""
     prompts: dict[str, PromptRecord] = {}
     embedding_dim: int | None = None
-    source = PROMPTS_FILE
-    for line_no, obj in _iter_jsonl(path):
+    for where, obj in objects:
         if not _PROMPT_KEYS.issuperset(obj):
-            _warn_unknown_keys(obj, _PROMPT_KEYS, source, line_no, warnings)
-        pid, text = _req_strs(obj, ("prompt_id", "text"), source, line_no)
+            _warn_unknown_keys(obj, _PROMPT_KEYS, source, where, warnings)
+        pid, text = _req_strs(obj, ("prompt_id", "text"), source, where)
         if pid in prompts:
             raise DuplicateId("prompt", pid)
         embedding = obj.get("embedding")
         if embedding is not None:
-            embedding = _embedding(embedding, embedding_dim, source, line_no, unit_norm=True)
+            embedding = _embedding(embedding, embedding_dim, source, where, unit_norm=True)
             embedding_dim = len(embedding)
         perplexity = obj.get("perplexity")
         if perplexity is not None:
-            perplexity = _req_float(obj, "perplexity", source, line_no)
-            _reject_line(source, line_no, "perplexity", _perplexity_problem(perplexity))
+            perplexity = _req_float(obj, "perplexity", source, where)
+            _reject(source, where, "perplexity", _perplexity_problem(perplexity))
         prompts[pid] = PromptRecord(pid, text, embedding, perplexity)
     if not prompts:
-        raise MalformedRecord(PROMPTS_FILE, None, "-", "no prompt records")
+        raise MalformedRecord(source, None, "-", "no prompt records")
     return [prompts[pid] for pid in sorted(prompts)]
 
 
-def _read_response_lines(path: Path, ids: list[str], max_oracle_score: float,
-                         warnings: list[ValidationIssue]) -> tuple:
-    """The response columns ``_from_columns`` takes, read line by line from
-    ``path`` for the sorted prompt ``ids``; adds each unknown key to
-    ``warnings`` and raises at the first bad line, then for the shape."""
-    # each prompt's {response_id: line's position in ``rows``}
+def _read_responses(objects: Iterable[tuple[int | str, dict]], source: str, ids: list[str],
+                    size: int | None, max_oracle_score: float,
+                    warnings: list[ValidationIssue]) -> tuple:
+    """The response columns ``_from_columns`` takes, from ``objects``
+    ((line number or label, field dict) pairs) for the sorted prompt
+    ``ids``; adds each unknown key to ``warnings`` and raises at the first
+    bad object, naming ``source`` and its line or label, then for a prompt
+    without ``size`` responses (None: as many as the first prompt has) or
+    a ``size`` below 2."""
+    # each prompt's {response_id: object's position in ``rows``}
     positions: dict[str, dict[str, int]] = {pid: {} for pid in ids}
     rows: list[tuple[float, str | None, tuple[float, ...] | None]] = []
-    source = RESPONSES_FILE
-    for line_no, obj in _iter_jsonl(path):
+    for where, obj in objects:
         if not _RESPONSE_KEYS.issuperset(obj):
-            _warn_unknown_keys(obj, _RESPONSE_KEYS, source, line_no, warnings)
-        pid, rid = _req_strs(obj, ("prompt_id", "response_id"), source, line_no)
+            _warn_unknown_keys(obj, _RESPONSE_KEYS, source, where, warnings)
+        pid, rid = _req_strs(obj, ("prompt_id", "response_id"), source, where)
         by_id = positions.get(pid)
         if by_id is None:
-            raise MalformedRecord(source, line_no, "prompt_id", f"unknown prompt {pid!r}")
+            _reject(source, where, "prompt_id", f"unknown prompt {pid!r}")
         if rid in by_id:
             raise DuplicateId("response", f"{pid}/{rid}")
-        score = _req_float(obj, "oracle_score", source, line_no)
-        if not 0.0 < score <= max_oracle_score:
-            if _oracle_score_problem(score):
-                raise NonPositiveOracleScore(pid, rid, score)
-            raise MalformedRecord(source, line_no, "oracle_score",
-                                  f"{score} exceeds configured maximum {max_oracle_score}")
+        score = _req_float(obj, "oracle_score", source, where)
+        if not 0.0 < score < math.inf:
+            raise NonPositiveOracleScore(pid, rid, score)
+        if score > max_oracle_score:
+            _reject(source, where, "oracle_score",
+                    f"{score} exceeds configured maximum {max_oracle_score}")
         text = obj.get("text")
-        if text is not None and type(text) is not str:
-            raise MalformedRecord(source, line_no, "text", "must be a string")
+        if text is not None and not isinstance(text, str):
+            _reject(source, where, "text", "must be a string")
         samples = obj.get("oracle_samples")
         if samples is not None:
-            samples = _float_array(samples, "oracle_samples", source, line_no)
-            _reject_line(source, line_no, "oracle_samples", _oracle_samples_problem(samples, score))
+            samples = _float_array(samples, "oracle_samples", source, where)
+            _reject(source, where, "oracle_samples", _oracle_samples_problem(samples, score))
         by_id[rid] = len(rows)
         rows.append((score, text, samples))
 
     rids = [sorted(positions[pid]) for pid in ids]
-    _check_shape(ids, rids, len(rids[0]))
-    pids = [pid for pid, row in zip(ids, rids) for _ in row]
+    size = len(rids[0]) if size is None else size
+    for pid, row in zip(ids, rids):
+        if len(row) != size:
+            raise NonUniformN(pid, len(row), size)
+    if size < 2:
+        raise NonUniformN(ids[0], size, 2)
+    pids = [pid for pid in ids for _ in range(size)]
     scores, texts, samples = zip(*[rows[positions[pid][rid]]
                                    for pid, row in zip(ids, rids) for rid in row])
     return (_frozen(np.array(scores).reshape(len(ids), -1)),
@@ -975,7 +907,7 @@ def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTabl
             if rm_name is not None:
                 raise MalformedRecord(source, line_no, "rm_name",
                                       f"mixed rm names in one file: {rm_name!r} vs {this_rm!r}")
-            _reject_line(source, line_no, "rm_name", _rm_name_problem(this_rm))
+            _reject(source, line_no, "rm_name", _rm_name_problem(this_rm))
             rm_name = this_rm
         value = _req_float(obj, "score", source, line_no)
         pair = (pid, rid)

@@ -136,12 +136,26 @@ def _reject_embedding(prompt: PromptRecord, problem: str | None) -> None:
                               f"prompt {prompt.prompt_id!r}: {problem}")
 
 
+def _subset_rows(model: DppModel, subset: Sequence[int]) -> np.ndarray:
+    """The embedding rows of ``subset``, in index order; InvalidConfig
+    unless it holds distinct int indices in [0, num_candidates)."""
+    total = model.num_candidates
+    for index in subset:
+        _check_int(index, "subset index")
+        if not 0 <= index < total:
+            raise InvalidConfig(f"subset index {index} outside [0, {total})")
+    if len(set(subset)) != len(subset):
+        raise InvalidConfig(f"subset indices must be distinct, got {list(subset)!r}")
+    return model.embeddings[np.asarray(sorted(subset), dtype=np.intp)]
+
+
 def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:
-    """log det of the kernel restricted to ``subset``; -inf if singular.
+    """log det of the kernel restricted to ``subset``, distinct candidate
+    indices; -inf if singular.
 
     Only the |subset| x |subset| block is built, from the subset's rows.
     """
-    rows = model.embeddings[np.asarray(sorted(subset), dtype=np.intp)]
+    rows = _subset_rows(model, subset)
     sign, logdet = np.linalg.slogdet(model.lam * (rows @ rows.T))
     if sign <= 0:
         return -math.inf
@@ -218,12 +232,13 @@ def _condition(basis: np.ndarray, item: int) -> np.ndarray:
 
 
 def diversity_score(model: DppModel, subset: Sequence[int]) -> float:
-    """Mean absolute cosine similarity over distinct pairs (0 for a singleton)."""
+    """Mean absolute cosine similarity over distinct pairs of ``subset``,
+    distinct candidate indices (0 for a singleton)."""
     if len(subset) == 0:
         raise InvalidConfig("subset must be non-empty")
+    vectors = _subset_rows(model, subset)
     if len(subset) == 1:
         return 0.0
-    vectors = model.embeddings[np.asarray(sorted(subset), dtype=np.intp)]
     norms = np.linalg.norm(vectors, axis=1)
     norms[norms == 0.0] = 1.0  # zero vectors contribute zero similarity
     unit = vectors / norms[:, None]

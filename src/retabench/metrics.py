@@ -24,7 +24,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _iter_jsonl, _req_strs, _write_csv
+from .dataset import (
+    BenchmarkDataset,
+    RmScoreTable,
+    _check_number,
+    _iter_jsonl,
+    _req_strs,
+    _write_csv,
+)
 from .errors import (
     EmptyGroundTruth,
     EmptyLabels,
@@ -191,6 +198,7 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     equal oracle scores are excluded, and pairs the RM scores equally
     count half.
     """
+    _check_number(eta, "eta")
     if not 0.0 < eta < 1.0:
         raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
     cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _number_problem, _write_csv
+from .dataset import BenchmarkDataset, RmScoreTable, _check_number, _write_csv
 from .errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -77,6 +77,8 @@ class RetaConfig:
     n_exponent: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
+        for name in ("n_range_low_coeff", "n_range_high_coeff", "n_exponent"):
+            _check_number(getattr(self, name), name)
         if not (0 < self.n_range_low_coeff < math.inf and 0 < self.n_range_high_coeff < math.inf):
             raise InvalidConfig("n-range coefficients must be positive and finite")
         if self.n_range_low_coeff > self.n_range_high_coeff:
@@ -172,9 +174,7 @@ def _check_etas(etas: Sequence[float]) -> list[float]:
     if not etas:
         raise InvalidConfig("eta grid is empty")
     for eta in etas:
-        problem = _number_problem(eta)
-        if problem:
-            raise InvalidConfig(f"eta {eta!r}: {problem}")
+        _check_number(eta, "eta")
     etas = [float(eta) for eta in etas]
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidConfig("eta grid must be strictly decreasing")
@@ -222,6 +222,7 @@ def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> floa
     _check_int(n, "n")
     if not 1 <= n <= total:
         raise InvalidConfig(f"n={n} outside [1, {total}]")
+    _check_number(eta, "eta")
     if not 0.0 < eta <= 1.0:
         raise InvalidConfig(f"eta must be in (0, 1], got {eta}")
     num_subsets = math.comb(total, n)

@@ -22,6 +22,7 @@ from .dataset import (
     BenchmarkDataset,
     PromptRecord,
     RmScoreTable,
+    _check_number,
     _frozen,
     _rm_name_problem,
     _write_csv,
@@ -30,7 +31,10 @@ from .errors import InvalidConfig, UnsupportedSpec
 from .ranking import _check_int
 from .reta import RetaConfig, reta_estimate
 
-KINDS = ("deterministic_uniform", "independent", "noisy_gaussian", "custom_table")
+# each kind and the params it reads; any other key is an error, not ignored
+_PARAM_KEYS = {"deterministic_uniform": {"low", "high"}, "independent": {"low", "high"},
+               "noisy_gaussian": {"rho", "offset"}, "custom_table": {"atoms"}}
+KINDS = tuple(_PARAM_KEYS)
 
 # Offset >= 6 keeps P(J <= 0) below 1e-9, so the closed-form limit (which
 # ignores truncation) is accurate to well under 1e-6.
@@ -51,6 +55,9 @@ class DistSpec:
         p = self.params
         if not isinstance(p, dict):
             raise InvalidConfig(f"spec params must be an object, got {p!r}")
+        unknown = p.keys() - _PARAM_KEYS[self.kind]
+        if unknown:
+            raise InvalidConfig(f"unknown {self.kind} params: {sorted(unknown, key=str)}")
         if self.kind in ("deterministic_uniform", "independent"):
             low, high = p.get("low"), p.get("high")
             if low is None or high is None or not (
@@ -217,6 +224,7 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
 
 def analytic_reta(spec: DistSpec, eta: float) -> float:
     """Closed-form limiting reliability at eta: E[J | Y >= theta(eta)] / E[J]."""
+    _check_number(eta, "eta")
     if not 0.0 < eta < 1.0:
         raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
     p = spec.params

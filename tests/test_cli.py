@@ -434,8 +434,10 @@ def test_unreadable_config_file_exits_2_without_output(synth_dir, tmp_path, caps
     b'{"kind": "custom_table", "params": {"atoms": [5]}}',
     b'{"kind": "custom_table", "params": {"atoms": [[1.0, "x", 1.0]]}}',
     b'{"kind": "independent", "params": {"low": 0.0, "high": 1.0}}\xff',
+    b'{"kind": "noisy_gaussian", "params": {"rho": 0.5, "offset": 7.0, "sigma": "x"}}',
 ], ids=["truncated", "params-int", "params-null", "rho-string", "offset-401-digits",
-        "high-5001-digits", "low-bool", "atom-int", "atom-string", "byte-0xff"])
+        "high-5001-digits", "low-bool", "atom-int", "atom-string", "byte-0xff",
+        "unknown-param"])
 def test_bad_spec_exits_2_without_output(tmp_path, capsys, content):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(content)

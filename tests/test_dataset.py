@@ -476,6 +476,14 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
      "hand-built: field '-': responses of 'p1': None is not a list or tuple"),
     ({"responses": [ResponseRecord("p1", "a", 1.0)]}, MalformedRecord,
      "hand-built: field '-': responses: not a dict"),
+    # with several faults, the first bad record in input order is named, as
+    # the reader names the first bad line
+    ({"prompts": [PromptRecord("p2", "t", embedding=(1.0, 0.0)),
+                  PromptRecord("p1", "t", embedding=(1.0, 0.0, 0.0))]}, MalformedRecord,
+     "hand-built: field 'embedding': prompt 'p1': dimension 3 != 2"),
+    ({"responses": {"p1": [ResponseRecord("p1", "a", -1.0)],
+                    "p2": [ResponseRecord("p2", rid, 1.0) for rid in ("a", "b")]}},
+     NonPositiveOracleScore, "oracle score for ('p1', 'a') is -1.0, must be > 0"),
 ], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
@@ -484,7 +492,8 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
         "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text",
         "int-samples", "set-samples", "empty-samples", "int-embedding", "dict-embedding",
         "empty-embedding", "tuple-prompt", "bare-prompt-record", "tuple-response",
-        "none-response-list", "list-of-responses"])
+        "none-response-list", "list-of-responses", "second-embedding-dimension",
+        "negative-score-in-short-pool"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
     # dataset or table is built, so no estimator or validation sees it
@@ -504,6 +513,23 @@ def test_construction_keeps_copies_of_the_callers_lists(tmp_path):
     assert dataset.prompts[0].embedding == (0.6, 0.8)
     assert dataset.responses["p1"][0].oracle_samples == (0.5, 1.5)
     assert load_benchmark(tmp_path / "d") == dataset
+
+
+def test_construction_stores_number_entries_as_floats():
+    # as the reader stores them: equality is unchanged, and so are the bytes
+    # write_benchmark gives for ints and floats alike
+    prompts = [PromptRecord("p1", "t", embedding=(1, 0), perplexity=2)]
+    responses = {"p1": [ResponseRecord("p1", "a", 1, oracle_samples=[1, 1]),
+                        ResponseRecord("p1", "b", 2.0)]}
+    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    [prompt] = dataset.prompts
+    values = [*prompt.embedding, prompt.perplexity,
+              *dataset.responses["p1"][0].oracle_samples]
+    assert [type(value) for value in values] == [float] * 5
+    assert dataset == BenchmarkDataset(
+        "d", [PromptRecord("p1", "t", embedding=(1.0, 0.0), perplexity=2.0)],
+        {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 1.0)),
+                ResponseRecord("p1", "b", 2.0)]}, 2)
 
 
 def test_validate_reports_each_oracle_score_above_the_bound():
@@ -989,7 +1015,8 @@ def _block_read(directory: Path) -> bool:
     """Whether the block reader takes the dataset's responses, which it is
     offered once the prompts read line by line."""
     try:
-        prompts = dataset_module._read_prompt_lines(directory / "prompts.jsonl", [])
+        prompts = dataset_module._read_prompts(
+            dataset_module._iter_jsonl(directory / "prompts.jsonl"), "prompts.jsonl", [])
     except RetabenchError:
         return False
     return dataset_module._canonical_responses(

@@ -125,6 +125,23 @@ def test_diversity_score_values():
         diversity_score(model, [])
 
 
+@pytest.mark.parametrize("subset, message", [
+    ([0, 0], "subset indices must be distinct, got [0, 0]"),
+    ([-1, 0], "subset index -1 outside [0, 2)"),
+    ([5], "subset index 5 outside [0, 2)"),
+    ([0, 5], "subset index 5 outside [0, 2)"),
+    ([True, 0], "subset index must be an int, got True"),
+    ([0.0, 1], "subset index must be an int, got 0.0"),
+])
+@pytest.mark.parametrize("score", [diversity_score, subset_log_det])
+def test_subsets_hold_distinct_candidate_indices(score, subset, message):
+    model = build_dpp(records(np.eye(2)))
+    with pytest.raises(InvalidConfig) as raised:
+        score(model, subset)
+    assert str(raised.value) == message
+    assert score(model, [np.int64(1), 0]) == score(model, (0, 1))
+
+
 def test_sampled_subsets_are_valid():
     rng = np.random.default_rng(11)
     model = build_dpp(records(rng.standard_normal((20, 8))))

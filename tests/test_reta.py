@@ -15,7 +15,12 @@ from retabench import (
     BenchmarkDataset,
     PromptRecord,
     RetaConfig,
+    analytic_reta,
+    convergence_experiment,
     exhaustive_reta,
+    load_benchmark,
+    metric_report,
+    validate_dataset,
     oracle_score_table,
     resample_sizes,
     reta_curve,
@@ -523,6 +528,39 @@ def test_exhaustive_reta_takes_only_an_int_subset_size(n):
     with pytest.raises(InvalidConfig, match="n must be an int"):
         exhaustive_reta(scores, 0.5, n)
     assert exhaustive_reta(scores, 0.5, np.int64(2)) == exhaustive_reta(scores, 0.5, 2)
+
+
+_SCALAR_ARGUMENTS = {
+    "metric_report-eta": ("eta", lambda v: metric_report(*_pair(), eta=v)),
+    "exhaustive_reta-eta": ("eta", lambda v: exhaustive_reta([4.0, 3.0, 2.0, 1.0], v, 2)),
+    "analytic_reta-eta": ("eta", lambda v: analytic_reta(DistSpec.noisy_gaussian(0.5), v)),
+    "convergence_experiment-eta": (
+        "eta", lambda v: convergence_experiment(DistSpec.noisy_gaussian(0.5), v, [8], 2)),
+    **{f"RetaConfig-{name}": (name, lambda v, name=name: RetaConfig(**{name: v}))
+       for name in ("n_range_low_coeff", "n_range_high_coeff", "n_exponent")},
+    "load_benchmark-max_oracle_score": (
+        "max_oracle_score", lambda v: load_benchmark("missing", max_oracle_score=v)),
+    "validate_dataset-max_oracle_score": (
+        "max_oracle_score", lambda v: validate_dataset(_pair()[0], max_oracle_score=v)),
+}
+
+
+def _pair():
+    return (build_dataset({"p1": [1.0, 2.0, 3.0, 4.0], "p2": [4.0, 1.0, 3.0, 2.0]}),
+            build_table({"p1": [0.1, 0.4, 0.2, 0.3], "p2": [0.3, 0.1, 0.2, 0.4]}))
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, 10 ** 400],
+                         ids=["string", "none", "bool", "huge-int"])
+@pytest.mark.parametrize("argument", list(_SCALAR_ARGUMENTS))
+def test_scalar_arguments_must_be_numbers(argument, value):
+    # each is checked as a number before its range, so no value ends in a
+    # bare TypeError and a bool is not taken as 0 or 1
+    name, call = _SCALAR_ARGUMENTS[argument]
+    with pytest.raises(InvalidConfig) as raised:
+        call(value)
+    problem = "number too large for a float" if value == 10 ** 400 else "must be a number"
+    assert str(raised.value) == f"{name} {value!r}: {problem}"
 
 
 def test_too_many_subsets_guard():

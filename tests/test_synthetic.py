@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,19 @@ def test_spec_validation():
         DistSpec.custom_table([(1.0, -1.0, 1.0)])
     with pytest.raises(InvalidConfig):
         DistSpec.custom_table([(1.0, 1.0, 0.4)])  # probabilities must sum to 1
+
+
+@pytest.mark.parametrize("kind, params, unknown", [
+    ("deterministic_uniform", {"low": 0.0, "high": 1.0, "rho": 0.5}, "['rho']"),
+    ("independent", {"low": 0.0, "high": 1.0, "atoms": []}, "['atoms']"),
+    ("noisy_gaussian", {"rho": 0.5, "offset": 7.0, "sigma": "x"}, "['sigma']"),
+    ("custom_table", {"atoms": [[0.0, 1.0, 1.0]], "low": 0.0, "high": 1.0}, "['high', 'low']"),
+])
+def test_spec_rejects_params_its_kind_does_not_use(kind, params, unknown):
+    text = json.dumps({"kind": kind, "params": params})
+    with pytest.raises(InvalidConfig) as raised:
+        DistSpec.from_json(text)
+    assert str(raised.value) == f"unknown {kind} params: {unknown}"
 
 
 def test_spec_json_round_trip():
