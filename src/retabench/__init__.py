@@ -5,70 +5,96 @@ oracle's quality judgments: quantile reliability curves computed as exact
 expectations over response subsets, closed-form best-of-n curve families,
 classical ranking metrics, diverse prompt selection, and synthetic
 distributions with known limits for end-to-end validation.
+
+``import retabench`` loads no submodule. Each public name is imported from
+its module on first use (PEP 562), so a program, and each command of the
+CLI, loads only the modules it runs.
 """
 
-from .bon import (
-    BonCurve,
-    BonPoint,
-    BonVariant,
-    bon_curve,
-    default_n_grid,
-    kl_best_of_n,
-    write_bon_csv,
-)
-from .dataset import (
-    BenchmarkDataset,
-    DEFAULT_MAX_ORACLE_SCORE,
-    PromptRecord,
-    ResponseRecord,
-    RmScoreTable,
-    ValidationIssue,
-    ValidationReport,
-    ingest_rm_scores,
-    load_benchmark,
-    load_candidate_prompts,
-    oracle_score_table,
-    validate_dataset,
-    write_benchmark,
-    write_rm_scores,
-)
-from .dpp import (
-    DppModel,
-    DppSampleConfig,
-    build_dpp,
-    diversity_score,
-    sample_kdpp,
-    subset_log_det,
-)
-from .metrics import (
-    MetricReport,
-    default_hit_rate_cutoffs,
-    load_win_labels,
-    metric_report,
-    win_rate_aggregate,
-    write_metrics_csv,
-)
-from .ranking import eta_parts
-from .reta import (
-    RetaConfig,
-    RetaCurve,
-    RetaEstimate,
-    default_eta_grid,
-    exhaustive_reta,
-    resample_sizes,
-    reta_curve,
-    reta_curve_pair,
-    reta_estimate,
-    write_curve_csv,
-    write_per_prompt_csv,
-)
-from .synthetic import (
-    ConvergencePoint,
-    DistSpec,
-    analytic_reta,
-    convergence_experiment,
-    gen_synthetic,
-    write_convergence_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "bon": (
+        "BonCurve",
+        "BonPoint",
+        "BonVariant",
+        "bon_curve",
+        "default_n_grid",
+        "kl_best_of_n",
+        "write_bon_csv",
+    ),
+    "dataset": (
+        "BenchmarkDataset",
+        "DEFAULT_MAX_ORACLE_SCORE",
+        "PromptRecord",
+        "ResponseRecord",
+        "RmScoreTable",
+        "ValidationIssue",
+        "ValidationReport",
+        "ingest_rm_scores",
+        "load_benchmark",
+        "load_candidate_prompts",
+        "oracle_score_table",
+        "validate_dataset",
+        "write_benchmark",
+        "write_rm_scores",
+    ),
+    "dpp": (
+        "DppModel",
+        "DppSampleConfig",
+        "build_dpp",
+        "diversity_score",
+        "sample_kdpp",
+        "subset_log_det",
+    ),
+    "metrics": (
+        "MetricReport",
+        "default_hit_rate_cutoffs",
+        "load_win_labels",
+        "metric_report",
+        "win_rate_aggregate",
+        "write_metrics_csv",
+    ),
+    "ranking": ("eta_parts",),
+    "reta": (
+        "RetaConfig",
+        "RetaCurve",
+        "RetaEstimate",
+        "default_eta_grid",
+        "exhaustive_reta",
+        "resample_sizes",
+        "reta_curve",
+        "reta_curve_pair",
+        "reta_estimate",
+        "write_curve_csv",
+        "write_per_prompt_csv",
+    ),
+    "synthetic": (
+        "ConvergencePoint",
+        "DistSpec",
+        "analytic_reta",
+        "convergence_experiment",
+        "gen_synthetic",
+        "write_convergence_csv",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .bon import BonVariant, bon_curve, write_bon_csv
 from .dataset import (
     DEFAULT_MAX_ORACLE_SCORE,
     load_benchmark,
@@ -42,18 +41,7 @@ from .dataset import (
     write_benchmark,
     write_rm_scores,
 )
-from .dpp import DppSampleConfig, build_dpp, sample_kdpp
 from .errors import InputError, InvalidConfig, RetabenchError
-from .metrics import load_win_labels, metric_report, write_metrics_csv
-from .reta import (
-    RetaConfig,
-    default_eta_grid,
-    reta_curve,
-    reta_curve_pair,
-    write_curve_csv,
-    write_per_prompt_csv,
-)
-from .synthetic import DistSpec, gen_synthetic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -160,6 +148,8 @@ def _file_part(rm_name: str) -> str:
 
 # --- subcommands: each reads its inputs and computes its results without
 # touching a file, then returns the step that writes them into a directory --
+# Each imports the modules that only it uses when it runs, so a command loads
+# only what it runs.
 
 
 def _read_dataset(args: argparse.Namespace) -> tuple:
@@ -172,6 +162,8 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
+    from .dpp import DppSampleConfig, build_dpp, sample_kdpp
+
     prompts = load_candidate_prompts(args.candidates)
     model = build_dpp(prompts, checked=True)
     selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
@@ -193,6 +185,8 @@ def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
 
 
 def _cmd_synth(args: argparse.Namespace) -> Write:
+    from .synthetic import DistSpec, gen_synthetic
+
     spec = DistSpec.from_json(_read_text(args.spec, "spec"))
     dataset, table = gen_synthetic(
         spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
@@ -222,6 +216,15 @@ def _cmd_validate(args: argparse.Namespace) -> Write:
 
 
 def _cmd_reta(args: argparse.Namespace) -> Write:
+    from .reta import (
+        RetaConfig,
+        default_eta_grid,
+        reta_curve,
+        reta_curve_pair,
+        write_curve_csv,
+        write_per_prompt_csv,
+    )
+
     dataset, tables = _read_dataset(args)
     if args.threads < 1:
         raise InvalidConfig(f"--threads must be at least 1, got {args.threads}")
@@ -248,6 +251,8 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
 
 
 def _cmd_bon(args: argparse.Namespace) -> Write:
+    from .bon import BonVariant, bon_curve, write_bon_csv
+
     dataset, tables = _read_dataset(args)
     param = {"rank_k_of_n": args.rank_k, "best_m_of_n": args.best_m}.get(args.variant)
     variant = BonVariant(args.variant, param)
@@ -263,6 +268,8 @@ def _cmd_bon(args: argparse.Namespace) -> Write:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> Write:
+    from .metrics import load_win_labels, metric_report, write_metrics_csv
+
     dataset, tables = _read_dataset(args)
     win_labels = load_win_labels(args.win_labels, dataset) if args.win_labels else None
     reports = [

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PromptRecord, _embedding_problem, _numbers_problem
+from .dataset import PromptRecord, _check_number, _embedding_problem, _numbers_problem
 from .errors import (
     DegenerateInit,
     InvalidConfig,
@@ -75,6 +75,9 @@ class DppSampleConfig:
     def __post_init__(self) -> None:
         _check_int(self.k, "k")
         _check_int(self.seed, "seed")
+        _check_number(self.epsilon, "epsilon")
+        if self.max_steps is not None:
+            _check_int(self.max_steps, "max_steps")
         if self.k < 1:
             raise InvalidConfig(f"k must be positive, got {self.k}")
         if not 0.0 < self.epsilon < 1.0:

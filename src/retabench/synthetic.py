@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .dataset import (
 )
 from .errors import InvalidConfig, UnsupportedSpec
 from .ranking import _check_int
-from .reta import RetaConfig, reta_estimate
+
+if TYPE_CHECKING:
+    from .reta import RetaConfig
 
 # each kind and the params it reads; any other key is an error, not ignored
 _PARAM_KEYS = {"deterministic_uniform": {"low", "high"}, "independent": {"low", "high"},
@@ -279,6 +281,8 @@ def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
                            seed: int = 0) -> list[ConvergencePoint]:
     """Estimate at each pool size N and report the gap to the analytic limit;
     the dataset of pool size N is ``gen_synthetic``'s at seed ``seed + N``."""
+    from .reta import RetaConfig, reta_estimate  # here, so ``synth`` does not load reta
+
     config = config or RetaConfig()
     limit = analytic_reta(spec, eta)
     points = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -472,7 +473,9 @@ def test_bad_eta_is_reported_before_the_n_grid(tmp_path, capsys, eta):
 # on, the interpreter refuses every top-level import outside the standard
 # library, numpy and the package. What site's .pth hooks loaded before this
 # file runs stays allowed, and so does usercustomize, which site imports next.
+# At exit it writes, as the last line of stderr, the retabench modules loaded.
 _NUMPY_ONLY = """\
+import atexit
 import sys
 
 ALLOWED = (set(sys.stdlib_module_names) | {"numpy", "retabench", "usercustomize"}
@@ -488,6 +491,8 @@ class NumpyOnly:
 
 
 sys.meta_path.insert(0, NumpyOnly())
+atexit.register(lambda: sys.stderr.write("retabench modules: " + " ".join(sorted(
+    name for name in sys.modules if name.partition(".")[0] == "retabench")) + "\\n"))
 """
 
 
@@ -520,31 +525,90 @@ _TABLES = ["--dataset", "data", "--rm-scores", "data/rm_scores.jsonl",
            "--max-oracle-score", "20"]
 
 
-def _synth(tmp_path: Path, run) -> None:
-    """synth's 2 x 64 dataset in tmp_path/data, made under ``run``."""
+def _loaded(stderr: str) -> set[str]:
+    """The retabench modules a ``numpy_only`` child had loaded at exit."""
+    *_, last = stderr.splitlines()
+    assert last.startswith("retabench modules:"), stderr
+    return set(last.split()[2:])
+
+
+def _loads(*modules: str) -> set[str]:
+    """What a command loads: the package, the cli's own imports and ``modules``.
+    ``python -m`` runs the cli module itself as ``__main__``."""
+    return {"retabench", "retabench.dataset", "retabench.errors",
+            *(f"retabench.{module}" for module in modules)}
+
+
+def _synth(tmp_path: Path, run) -> set[str]:
+    """synth's 2 x 64 dataset in tmp_path/data, made under ``run``; gives the
+    modules synth loaded."""
     (tmp_path / "spec.json").write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
     [(code, _, err)] = run([*_CLI, "synth", "--spec", "spec.json", "--num-prompts", "2",
                             "--num-responses", "64", "--output-dir", "data"])
     assert code == 0, err
+    return _loaded(err)
+
+
+# The package's public names, by the module that defines them.
+_PUBLIC = {
+    "bon": ["BonCurve", "BonPoint", "BonVariant", "bon_curve", "default_n_grid",
+            "kl_best_of_n", "write_bon_csv"],
+    "dataset": ["BenchmarkDataset", "DEFAULT_MAX_ORACLE_SCORE", "PromptRecord",
+                "ResponseRecord", "RmScoreTable", "ValidationIssue", "ValidationReport",
+                "ingest_rm_scores", "load_benchmark", "load_candidate_prompts",
+                "oracle_score_table", "validate_dataset", "write_benchmark", "write_rm_scores"],
+    "dpp": ["DppModel", "DppSampleConfig", "build_dpp", "diversity_score", "sample_kdpp",
+            "subset_log_det"],
+    "metrics": ["MetricReport", "default_hit_rate_cutoffs", "load_win_labels", "metric_report",
+                "win_rate_aggregate", "write_metrics_csv"],
+    "ranking": ["eta_parts"],
+    "reta": ["RetaConfig", "RetaCurve", "RetaEstimate", "default_eta_grid", "exhaustive_reta",
+             "resample_sizes", "reta_curve", "reta_curve_pair", "reta_estimate",
+             "write_curve_csv", "write_per_prompt_csv"],
+    "synthetic": ["ConvergencePoint", "DistSpec", "analytic_reta", "convergence_experiment",
+                  "gen_synthetic", "write_convergence_csv"],
+}
+
+
+def test_package_serves_each_public_name_from_its_module():
+    names = [name for module_names in _PUBLIC.values() for name in module_names]
+    assert sorted(retabench.__all__) == sorted(names)
+    for module, module_names in _PUBLIC.items():
+        home = importlib.import_module(f"retabench.{module}")
+        for name in module_names:
+            assert getattr(retabench, name) is getattr(home, name), name
+    assert set(names) | {"__version__"} <= set(dir(retabench))
+    with pytest.raises(AttributeError, match="module 'retabench' has no attribute 'reta_curv'"):
+        retabench.reta_curv
+    assert not hasattr(retabench, "_cmd_reta")
+    star: dict = {}
+    exec("from retabench import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
 
 
 def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path, numpy_only):
     # the interpreter refuses scipy, pytest and every other test dependency
     # from start-up on, and the package runs through ``python -m``;
-    # analytic_reta, which no command calls, runs too, and then scipy is refused
-    _synth(tmp_path, numpy_only)
+    # analytic_reta, which no command calls, runs too, and then scipy is refused;
+    # each command loads only the modules it runs, and the package none
+    assert _synth(tmp_path, numpy_only) == _loads("ranking", "synthetic")
     candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
-    probe, version, top_help, *made = numpy_only(
+    probe, bare, version, top_help, sample, reta = numpy_only(
         ["-c", "import retabench as rb; print(rb.analytic_reta("
                "rb.DistSpec.noisy_gaussian(0.5), 0.25)); import scipy"],
+        ["-c", "import retabench"],
         [*_CLI, "--version"], [*_CLI, "--help"],
         [*_CLI, "sample-prompts", "--candidates", "candidates.jsonl", "--k", "3",
          "--output-dir", "sample"],
         [*_CLI, "reta", *_TABLES, "--raw-variant", "--output-dir", "reta"])
     assert float(probe[1]) > 1.0
     assert probe[0] != 0 and "scipy is not in a numpy-only install" in probe[2]
-    for code, _, err in (version, top_help, *made):
+    for code, _, err in (bare, version, top_help, sample, reta):
         assert code == 0, err
+    assert _loaded(bare[2]) == {"retabench"}
+    assert _loaded(version[2]) == _loaded(top_help[2]) == _loads()
+    assert _loaded(sample[2]) == _loads("dpp", "ranking")
+    assert _loaded(reta[2]) == _loads("ranking", "reta")
     assert version[1] == f"retabench {retabench.__version__}\n"
     assert all(f"\n    {command} " in top_help[1] for command in COMMANDS), top_help
     assert len((tmp_path / "sample" / "selected_prompts.txt").read_text().split()) == 3
@@ -556,12 +620,15 @@ def test_commands_run_without_scipy(tmp_path, numpy_only):
     # a --config file sets a command's own flags, and the variant names the file
     _synth(tmp_path, numpy_only)
     (tmp_path / "bon.json").write_text(json.dumps({"variant": "rank_k_of_n", "rank_k": 2}))
-    for code, _, err in numpy_only(
-            [*_CLI, "validate", *_TABLES],
-            [*_CLI, "bon", *_TABLES, "--config", "bon.json", "--output-dir", "bon"],
-            [*_CLI, "metrics", *_TABLES, "--output-dir", "metrics"],
-            [*_CLI, "export", *_TABLES, "--output-dir", "export"]):
+    runs = numpy_only(
+        [*_CLI, "validate", *_TABLES],
+        [*_CLI, "bon", *_TABLES, "--config", "bon.json", "--output-dir", "bon"],
+        [*_CLI, "metrics", *_TABLES, "--output-dir", "metrics"],
+        [*_CLI, "export", *_TABLES, "--output-dir", "export"])
+    for (code, _, err), loads in zip(runs, [_loads(), _loads("bon", "ranking"),
+                                            _loads("metrics", "ranking"), _loads()]):
         assert code == 0, err
+        assert _loaded(err) == loads
     assert (tmp_path / "bon" / "bon_synthetic-rm_rank_2_of_n.csv").is_file()
     assert (tmp_path / "metrics" / "metrics.csv").is_file()
     # export rewrites the dataset and table canonically: synth's bytes

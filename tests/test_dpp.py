@@ -110,10 +110,10 @@ def test_seed_determinism():
 def test_chain_steps_default():
     config = DppSampleConfig(k=3, seed=0)
     assert config.max_steps is None
-    with pytest.raises(InvalidConfig):
-        DppSampleConfig(k=0, seed=0)
-    with pytest.raises(InvalidConfig):
-        DppSampleConfig(k=2, seed=0, epsilon=1.5)
+    for bad in ({"k": 0}, {"epsilon": 1.5}, {"epsilon": "0.5"}, {"epsilon": None},
+                {"max_steps": "3"}, {"max_steps": 2.5}, {"max_steps": True}):
+        with pytest.raises(InvalidConfig):
+            DppSampleConfig(**{"k": 2, "seed": 0, **bad})
 
 
 def test_diversity_score_values():

@@ -499,6 +499,28 @@ def test_eta_grid_takes_numbers_and_keeps_them_as_floats(eta, tmp_path):
     assert [row.split(",")[1] for row in rows] == ["1.0", "0.5"]
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"points": "3"}, "points must be an int, got '3'"),
+    ({"points": True}, "points must be an int, got True"),
+    ({"points": 0}, "points must be positive, got 0"),
+    ({"points": -1}, "points must be positive, got -1"),
+    ({"max_log2": "7"}, "max_log2 '7': must be a number"),
+    ({"max_log2": 10 ** 400}, "max_log2 1" + "0" * 400 + ": number too large for a float"),
+    ({"max_log2": -1}, "max_log2 must be finite and non-negative, got -1"),
+    ({"max_log2": math.nan}, "max_log2 must be finite and non-negative, got nan"),
+    ({"max_log2": math.inf}, "max_log2 must be finite and non-negative, got inf"),
+    ({"max_log2": 0.0}, "eta grid must be strictly decreasing"),
+    ({"max_log2": 1100.0}, "eta must be in (0, 1], got 0.0"),
+], ids=["points-string", "points-bool", "points-zero", "points-negative", "max-string",
+        "max-past-float", "max-negative", "max-nan", "max-inf", "one-eta-twice", "eta-zero"])
+def test_default_eta_grid_rejects_an_unusable_grid(kwargs, message):
+    with pytest.raises(InvalidConfig) as raised:
+        default_eta_grid(**kwargs)
+    assert str(raised.value) == message
+    assert default_eta_grid(np.int64(3), 2) == [1.0, 0.5, 0.25]
+    assert default_eta_grid(1, 0) == [1.0]
+
+
 def test_degenerate_denominator_guard():
     # no reader or constructor takes a zero oracle score: build the columns directly
     dataset = BenchmarkDataset._from_columns("d", [PromptRecord("p", "t")], np.zeros((1, 2)),
