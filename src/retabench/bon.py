@@ -24,11 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _write_csv
+from .dataset import BenchmarkDataset, RmScoreTable, _check_int, _write_csv
 from .errors import InvalidConfig
 from .ranking import (
     _across_prompts,
-    _check_int,
     _rank_weights,
     _selection_weights,
     _weighted_sums,

@@ -14,11 +14,14 @@ columns, which every reader, writer and estimator reads, and builds its
 records or dict, pair index and ranks from them on first use.
 
 Prompts are read line by line through the JSON scanner. A responses
-file or score table in the writers' layout and line order is read in
-blocks of lines, one ``re.split`` per block (``_canonical_blocks``). Any
-other such file, and any file holding an error, goes line by line through
-the scanner too, which gives an equal dataset or table and raises or warns
-with the line number.
+file or score table in the writers' layout and line order is read as
+bytes, in blocks of lines, one ``re.split`` per block
+(``_canonical_blocks``); only the columns that become strings are
+decoded, and each score line's head must be the one its dataset builds
+once for all of its tables (``_score_heads``). Any other such file, and
+any file holding an error, goes line by line through the scanner too,
+which gives an equal dataset or table and raises or warns with the line
+number. The writers format and write a block of lines at a time.
 """
 
 from __future__ import annotations
@@ -234,8 +237,25 @@ class BenchmarkDataset:
 
     @cached_property
     def _verbatim_ids(self) -> bool:
-        """Whether the writers spell every id as itself between quotes."""
+        """Whether the writers spell every id as itself between quotes;
+        ``load_benchmark`` sets it for a block-read dataset, whose ids are."""
         return bool(_verbatim("".join(chain(*self._pair_ids))))
+
+    @cached_property
+    def _score_heads(self) -> bytes | None:
+        """Each pair's score line up to the closing quote of its response
+        id, as ``write_rm_scores`` writes it, and a newline, in pair order
+        in one bytes object, built a block at a time and once for every
+        table the block reader reads against the dataset; None when the
+        writers escape an id."""
+        if not self._verbatim_ids:
+            return None
+        pids, rids = self._pair_ids
+        heads = bytearray()
+        for block in _line_blocks(len(pids)):
+            heads += "".join([f'{{"prompt_id": "{pid}", "response_id": "{rid}\n'
+                              for pid, rid in zip(pids[block], rids[block])]).encode()
+        return bytes(heads)
 
     @cached_property
     def _oracle_ranks(self) -> np.ndarray:
@@ -422,41 +442,46 @@ def _first_undecodable_line(path: Path) -> int | None:
 # write_rm_scores write for a response or score record with printable-ASCII
 # ids, a text without escapes and no optional field other than the text; its
 # text may also hold literal non-ASCII and DEL, which json.loads reads to
-# the same value and the writers escape. A line pattern matches one whole
-# line and no group spans a line end, so a block is canonical when its
-# split has one match per line and nothing between them.
+# the same value and the writers escape. The patterns are bytes patterns
+# over the file's raw bytes. A line pattern matches one whole line and no
+# group spans a line end, so a block is canonical when its split has one
+# match per line and nothing between them.
 _VERBATIM = r'[ !#-\[\]-~]+'  # printable ASCII but '"' and '\\': json.dumps keeps it
 _verbatim = re.compile(_VERBATIM).fullmatch
 _ID = f'"({_VERBATIM})"'
+# any bytes but '"', '\\' and controls; the reader decodes the group as UTF-8
 _TEXT = r'"([^"\\\x00-\x1f]*)"'
 # a JSON number with a fraction or an exponent: json.loads reads it with float()
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 # the text group is None on a line without a text
-_RESPONSE_LINE = re.compile(
+_RESPONSE_LINE = re.compile((
     r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
-    + r'(?:, "text": ' + _TEXT + r')?\}\n', re.M)
-_SCORE = re.compile(r'"score": ' + _FLOAT + r'\}\n')
+    + r'(?:, "text": ' + _TEXT + r')?\}\n').encode(), re.M)
+# a score line's rm_name, read from the table's first line
+_RM_NAME = re.compile(f'", "rm_name": "({_VERBATIM})", "score": '.encode())
 # about 160 lines: blocks of 1 << 16 read no faster and left the wide_pool
 # benchmark's peak RSS 1 MB higher than the per-line reader
-_BLOCK_CHARS = 1 << 14
+_BLOCK_BYTES = 1 << 14
+# the writers and _score_heads format this many lines at a time, so memory
+# stays bounded; blocks of 1 << 10 lines left the wide_pool benchmark's
+# peak RSS 0.3 MB higher
+_BLOCK_LINES = 1 << 8
 
 
-class _NotCanonical(Exception):
-    """A file the block reader leaves to the per-line reader."""
+def _line_blocks(count: int) -> Iterator[slice]:
+    """The slices of ``count`` lines taken ``_BLOCK_LINES`` at a time."""
+    return (slice(start, start + _BLOCK_LINES) for start in range(0, count, _BLOCK_LINES))
 
 
-def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[str | None]]:
-    """``pattern.split`` of each block of whole lines of ``path``, so memory
-    stays bounded by the block size. With ``width`` the group count plus
-    one, ``parts[k::width]`` is the column of group k; the caller checks
-    the separators ``parts[::width]``. Raises ``_NotCanonical`` at the
-    first block that is not UTF-8."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            while block := fh.read(_BLOCK_CHARS):
-                yield pattern.split(block + fh.readline())
-        except UnicodeDecodeError:
-            raise _NotCanonical from None
+def _canonical_blocks(path: Path, pattern: re.Pattern) -> Iterator[list[bytes | None]]:
+    """``pattern.split`` of each block of whole lines of ``path``'s bytes,
+    so memory stays bounded by the block size and no block is decoded.
+    With ``width`` the group count plus one, ``parts[k::width]`` is the
+    column of group k; the caller checks the separators ``parts[::width]``
+    and decodes the columns it keeps as text."""
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            yield pattern.split(block + fh.readline())
 
 
 def _canonical_responses(path: Path, ids: list[str], max_oracle_score: float) -> tuple | None:
@@ -469,7 +494,9 @@ def _canonical_responses(path: Path, ids: list[str], max_oracle_score: float) ->
     responses per prompt, read the id columns as (prompts, N) matrices:
     each matrix column of prompt ids equal to ``ids`` gives each prompt
     one run of N responses, and each column of response ids above the one
-    before it puts the pairs in the dataset's order.
+    before it puts the pairs in the dataset's order. The prompt ids are
+    compared as bytes and kept as ``ids``' own strings; each block's
+    response ids are decoded with one call, its texts one by one.
     """
     pids, rids, texts = [], [], []
     scores: list[np.ndarray] = []
@@ -478,51 +505,60 @@ def _canonical_responses(path: Path, ids: list[str], max_oracle_score: float) ->
             if any(parts[::5]):
                 return None
             pids += parts[1::5]
-            rids += parts[2::5]
+            # the verbatim ids hold no newline
+            rids += b"\n".join(parts[2::5]).decode("ascii").split("\n")
             scores.append(np.array(parts[3::5], dtype=np.float64))
-            texts += parts[4::5]
-    except _NotCanonical:
+            block_texts = parts[4::5]
+            if block_texts.count(None) != len(block_texts):
+                block_texts = [None if text is None else text.decode("utf-8")
+                               for text in block_texts]
+            texts += block_texts
+    except UnicodeDecodeError:
         return None
     size = len(pids) // len(ids)
-    if not (size >= 2 and all(pids[k::size] == ids for k in range(size))
+    keys = [pid.encode("utf-8") for pid in ids]
+    if not (size >= 2 and all(pids[k::size] == keys for k in range(size))
             and all(all(map(operator.lt, rids[k - 1::size], rids[k::size]))
                     for k in range(1, size))):
         return None
     oracle = np.concatenate(scores).reshape(len(ids), size)
     if _oracle_score_problem(oracle) or oracle.max() > max_oracle_score:
         return None
-    return _frozen(oracle), (pids, rids), texts, None
+    return _frozen(oracle), ([pid for pid in ids for _ in range(size)], rids), texts, None
 
 
 def _ingest_canonical(dataset: BenchmarkDataset, path: Path) -> RmScoreTable | None:
     """What ``ingest_rm_scores`` returns for ``path`` when the file is
     canonical and holds one score for each of the dataset's pairs, in its
     pair order, under the ``rm_name`` of its first line, else None; never
-    raises or warns. Each line's head is spelled from the dataset's ids,
-    so each id must be one the writers spell as itself."""
-    if not dataset._verbatim_ids:
+    raises or warns. The table's pattern spells that ``rm_name``, so the
+    separators its split leaves, each with a newline, must run through
+    the dataset's ``_score_heads``. With one separator per pair, they hold
+    all of the heads' newlines, so no separator holds one of its own and
+    each is its pair's head."""
+    heads = dataset._score_heads
+    if heads is None:
         return None
-    pids, rids = dataset._pair_ids
-    columns, start = [], 0
+    with open(path, "rb") as fh:
+        name = _RM_NAME.search(fh.readline())
+    if name is None:
+        return None
+    pattern = re.compile(b'", "rm_name": "' + re.escape(name[1]) + b'", "score": '
+                         + _FLOAT.encode() + rb'\}\n')
+    columns, lines, position = [], 0, 0
     try:
-        for parts in _canonical_blocks(path, _SCORE):
-            if not start:
-                rm_name = parts[0].rpartition('"rm_name": "')[2][:-3]
-                if not _verbatim(rm_name):
-                    return None
-                tail = f'", "rm_name": "{rm_name}", '
-            stop = start + len(parts) // 2
-            # each line up to its score, as write_rm_scores writes it
-            heads = [f'{{"prompt_id": "{pid}", "response_id": "{rid}{tail}'
-                     for pid, rid in zip(pids[start:stop], rids[start:stop])]
-            if parts[-1] or parts[:-1:2] != heads:
+        for parts in _canonical_blocks(path, pattern):
+            block_heads = b"\n".join([*parts[:-1:2], b""])
+            if parts[-1] or not heads.startswith(block_heads, position):
                 return None
+            position += len(block_heads)
+            lines += len(parts) // 2
             columns.append(np.array(parts[1::2], dtype=np.float64))
-            start = stop
-        if start != len(pids):
+        if lines != len(dataset._response_texts):
             return None
-        return RmScoreTable._from_columns(rm_name, dataset._pair_ids, np.concatenate(columns))
-    except (_NotCanonical, RetabenchError):
+        return RmScoreTable._from_columns(name[1].decode("ascii"), dataset._pair_ids,
+                                          np.concatenate(columns))
+    except RetabenchError:
         return None
 
 
@@ -611,6 +647,12 @@ def _check_number(value, name: str) -> None:
     problem = _number_problem(value)
     if problem:
         raise InvalidConfig(f"{name} {value!r}: {problem}")
+
+
+def _check_int(value, name: str) -> None:
+    """InvalidConfig unless ``value`` is an int or a numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an int, got {value!r}")
 
 
 def _numbers_problem(values) -> str | None:
@@ -702,11 +744,14 @@ def load_benchmark(path: str | Path, *,
     warnings: list[ValidationIssue] = []
     prompts = _read_prompts(_iter_jsonl(prompts_path), PROMPTS_FILE, warnings)
     ids = [p.prompt_id for p in prompts]
-    columns = (_canonical_responses(responses_path, ids, max_oracle_score)
-               or _read_responses(_iter_jsonl(responses_path), RESPONSES_FILE, ids, None,
-                                  max_oracle_score, warnings))
-    return BenchmarkDataset._from_columns(name or directory.name, prompts, *columns,
-                                          load_warnings=warnings)
+    block_read = _canonical_responses(responses_path, ids, max_oracle_score)
+    columns = block_read or _read_responses(_iter_jsonl(responses_path), RESPONSES_FILE, ids,
+                                            None, max_oracle_score, warnings)
+    dataset = BenchmarkDataset._from_columns(name or directory.name, prompts, *columns,
+                                             load_warnings=warnings)
+    if block_read:
+        dataset._verbatim_ids = True  # the block reader's id pattern takes no other id
+    return dataset
 
 
 def _read_prompts(objects: Iterable[tuple[int | str, dict]], source: str,
@@ -863,22 +908,33 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
                 line += f', "perplexity": {_json_value(prompt.perplexity)}'
             fh.write(line + "}\n")
     with open(directory / RESPONSES_FILE, "w", encoding="utf-8") as fh:
-        fh.writelines(_response_lines(dataset))
+        for block in _response_lines(dataset):
+            fh.write(block)
 
 
 def _response_lines(dataset: BenchmarkDataset) -> Iterator[str]:
-    """The lines of responses.jsonl, from the dataset's columns."""
+    """The lines of responses.jsonl, from the dataset's columns, joined
+    ``_BLOCK_LINES`` at a time."""
     pids, rids = dataset._pair_ids
-    scores = map(float.__repr__, dataset._oracle_scores.ravel().tolist())
-    for pid, rid, score, text, samples in zip(
-            map(_json_str, pids), map(_json_str, rids), scores, dataset._response_texts,
-            dataset._oracle_samples or repeat(None)):
-        line = f'{{"prompt_id": {pid}, "response_id": {rid}, "oracle_score": {score}'
-        if text is not None:
-            line += f', "text": {_json_str(text)}'
-        if samples is not None:
-            line += f', "oracle_samples": {_json_list(samples)}'
-        yield line + "}\n"
+    texts, samples = dataset._response_texts, dataset._oracle_samples
+    scores = dataset._oracle_scores.ravel()
+    for block in _line_blocks(len(texts)):
+        block_texts = texts[block]
+        if samples is None and block_texts.count(None) == len(block_texts):
+            ends = repeat("}\n")
+        else:
+            ends = map(_response_end, block_texts, samples[block] if samples else repeat(None))
+        yield "".join([f'{{"prompt_id": {pid}, "response_id": {rid}, "oracle_score": {score}{end}'
+                       for pid, rid, score, end in zip(
+                           map(_json_str, pids[block]), map(_json_str, rids[block]),
+                           map(float.__repr__, scores[block].tolist()), ends)])
+
+
+def _response_end(text: str | None, samples: tuple[float, ...] | None) -> str:
+    """A response line after its oracle score: the text and samples it holds."""
+    text_field = "" if text is None else f', "text": {_json_str(text)}'
+    samples_field = "" if samples is None else f', "oracle_samples": {_json_list(samples)}'
+    return f"{text_field}{samples_field}}}\n"
 
 
 def ingest_rm_scores(dataset: BenchmarkDataset, path: str | Path) -> RmScoreTable:
@@ -933,13 +989,14 @@ def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
     is written as ``3.0``."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    rm_name = _json_value(table.rm_name)
+    tail = f', "rm_name": {_json_value(table.rm_name)}, "score": '
     pids, rids = table._pair_ids
     with open(out, "w", encoding="utf-8") as fh:
-        for pid, rid, value in zip(map(_json_str, pids), map(_json_str, rids),
-                                   map(float.__repr__, table._values.tolist())):
-            fh.write(f'{{"prompt_id": {pid}, "response_id": {rid}, '
-                     f'"rm_name": {rm_name}, "score": {value}}}\n')
+        for block in _line_blocks(len(pids)):
+            fh.write("".join([f'{{"prompt_id": {pid}, "response_id": {rid}{tail}{value}}}\n'
+                              for pid, rid, value in zip(
+                                  map(_json_str, pids[block]), map(_json_str, rids[block]),
+                                  map(float.__repr__, table._values[block].tolist()))]))
 
 
 def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> RmScoreTable:

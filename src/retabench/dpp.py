@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PromptRecord, _check_number, _embedding_problem, _numbers_problem
+from .dataset import PromptRecord, _check_int, _check_number, _embedding_problem, _numbers_problem
 from .errors import (
     DegenerateInit,
     InvalidConfig,
@@ -28,7 +28,6 @@ from .errors import (
     MissingEmbedding,
     ZeroMatrix,
 )
-from .ranking import _check_int
 
 _EIGENVALUE_CEILING = 0.99
 # dual-kernel eigenvalues at or below this fraction of the largest are

@@ -27,6 +27,7 @@ import numpy as np
 from .dataset import (
     BenchmarkDataset,
     RmScoreTable,
+    _check_int,
     _check_number,
     _iter_jsonl,
     _req_strs,
@@ -39,7 +40,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import _check_int, _rank_orders, _score_matrices, eta_parts
+from .ranking import _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
 _OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}

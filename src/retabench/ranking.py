@@ -32,17 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import BenchmarkDataset, RmScoreTable, _rank_orders
-from .errors import InvalidConfig, MissingScore
+from .errors import MissingScore
 
 # eta*n computed in floats can land a few ulp away from an exact integer
 # (e.g. (1/3)*3 == 0.999...); snap within this tolerance before flooring.
 _INTEGER_SNAP_TOL = 1e-9
-
-
-def _check_int(value, name: str) -> None:
-    """InvalidConfig unless ``value`` is an int or a numpy integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an int, got {value!r}")
 
 
 def eta_parts(eta: float, n: int) -> tuple[int, float]:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BenchmarkDataset, RmScoreTable, _check_number, _write_csv
+from .dataset import BenchmarkDataset, RmScoreTable, _check_int, _check_number, _write_csv
 from .errors import (
     DegenerateDenominator,
     EmptyNRange,
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .ranking import (
     _across_prompts,
-    _check_int,
     _eta_parts,
     _selection_weights,
     _weighted_sums,

@@ -22,13 +22,13 @@ from .dataset import (
     BenchmarkDataset,
     PromptRecord,
     RmScoreTable,
+    _check_int,
     _check_number,
     _frozen,
     _rm_name_problem,
     _write_csv,
 )
 from .errors import InvalidConfig, UnsupportedSpec
-from .ranking import _check_int
 
 if TYPE_CHECKING:
     from .reta import RetaConfig

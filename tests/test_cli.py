@@ -591,7 +591,7 @@ def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path, numpy
     # from start-up on, and the package runs through ``python -m``;
     # analytic_reta, which no command calls, runs too, and then scipy is refused;
     # each command loads only the modules it runs, and the package none
-    assert _synth(tmp_path, numpy_only) == _loads("ranking", "synthetic")
+    assert _synth(tmp_path, numpy_only) == _loads("synthetic")
     candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
     probe, bare, version, top_help, sample, reta = numpy_only(
         ["-c", "import retabench as rb; print(rb.analytic_reta("
@@ -607,7 +607,7 @@ def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path, numpy
         assert code == 0, err
     assert _loaded(bare[2]) == {"retabench"}
     assert _loaded(version[2]) == _loaded(top_help[2]) == _loads()
-    assert _loaded(sample[2]) == _loads("dpp", "ranking")
+    assert _loaded(sample[2]) == _loads("dpp")
     assert _loaded(reta[2]) == _loads("ranking", "reta")
     assert version[1] == f"retabench {retabench.__version__}\n"
     assert all(f"\n    {command} " in top_help[1] for command in COMMANDS), top_help

@@ -968,6 +968,9 @@ _VARIANTS = [
     *[("escaped-response-id", file, _on_line(lambda line: line.replace(': "r', ': "\\u0072', 1)))
       for file in ("responses.jsonl", "rm_scores.jsonl")],
     ("escaped-text", "responses.jsonl", _with_key("text", '"a\\u00e9\\n"')),
+    # json.loads reads literal non-ASCII and DEL as themselves
+    ("literal-non-ascii-text", "responses.jsonl",
+     _with_key("text", '"caf\u00e9 \u65e5\U0001f600 \x7f"')),
     ("empty-text", "responses.jsonl", _with_key("text", '""')),
     ("oracle-samples", "responses.jsonl", _on_line(lambda line: json.dumps(
         dict(json.loads(line), oracle_samples=[json.loads(line)["oracle_score"]] * 2)) + "\n")),
@@ -991,6 +994,11 @@ _VARIANTS = [
     # keeping their prompt ids
     *[("middle-prompt-id", file, _on_line(lambda line: line.replace('"p1"', '"p2"'), 4))
       for file in ("responses.jsonl", "rm_scores.jsonl")],
+    # a line cut after its response id: the score split leaves it in the
+    # next line's separator, which then holds two heads and a newline
+    *[("cut-after-response-id", file, _on_line(
+        lambda line: line[:line.index('", "', line.index("response_id"))] + "\n"))
+      for file in ("responses.jsonl", "rm_scores.jsonl")],
     # the last two responses of the last prompt swapped
     *[("response-out-of-order", file, _swap_lines(7))
       for file in ("responses.jsonl", "rm_scores.jsonl")],
@@ -1008,7 +1016,9 @@ def _read(directory: Path):
 
 
 def _decline(path, pattern):
-    raise dataset_module._NotCanonical
+    """Stands in for ``_canonical_blocks``: one block that no line pattern
+    matches, which every block reader declines."""
+    return iter([[b"not a canonical line\n"]])
 
 
 def _block_read(directory: Path) -> bool:
@@ -1115,7 +1125,7 @@ def test_declined_blocks_leave_both_files_and_tables_to_the_per_line_reader(
     assert dataset_module._ingest_canonical(dataset, path) is None
 
 
-@pytest.mark.parametrize("rm_name", ["score", "{rm}", "a b", "'~"])
+@pytest.mark.parametrize("rm_name", ["score", "{rm}", "a b", "'~", "a.b*(c)+?[d]|e^$"])
 def test_score_block_reader_takes_every_rm_name_written_as_itself(tmp_path, monkeypatch,
                                                                    rm_name):
     directory = _canonical_dir(tmp_path / "d")
@@ -1145,6 +1155,62 @@ def test_score_block_reader_leaves_ids_the_writers_escape_to_the_per_line_reader
     path.write_text(text.replace("\\\\", "\\"), encoding="utf-8")
     shipped = _read(directory)
     assert shipped == (UnknownPair, str(UnknownPair(("p0", "r0"))))
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert _read(directory) == shipped
+
+
+@pytest.mark.parametrize("file, edit", [
+    ("responses.jsonl", lambda line: line[:-2] + b', "text": "a\xffb"}\n'),
+    ("responses.jsonl", lambda line: line.replace(b'"r1"', b'"r\xff1"')),
+    ("rm_scores.jsonl", lambda line: line.replace(b'"r1"', b'"r\xff1"')),
+], ids=["response-text", "response-id", "score-response-id"])
+def test_block_reader_declines_bytes_that_are_not_utf8(tmp_path, monkeypatch, file, edit):
+    # the block reader splits bytes; a byte no UTF-8 text holds leaves the
+    # file to the per-line reader, which names its line
+    directory = _canonical_dir(tmp_path / "d")
+    path = directory / file
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = edit(lines[1])
+    path.write_bytes(b"".join(lines))
+    if file == "responses.jsonl":
+        assert not _block_read(directory)
+    else:
+        assert dataset_module._ingest_canonical(load_benchmark(directory), path) is None
+    shipped = _read(directory)
+    assert shipped == (MalformedRecord,
+                       f"{file}:2: field '-': not valid UTF-8: invalid start byte")
+    monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
+    assert _read(directory) == shipped
+
+
+def test_block_reader_takes_files_of_many_blocks_with_multibyte_texts(tmp_path, monkeypatch):
+    # literal multi-byte texts and DEL on every line, and a read of
+    # _BLOCK_BYTES that ends inside a character
+    prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(4)]
+    responses = {p.prompt_id: [ResponseRecord(p.prompt_id, f"r{j:02d}", 1.0 + j / 8,
+                                              f"{j} caf\u00e9 \u65e5\u672c\U0001f600\x7f" * 4)
+                               for j in range(64)]
+                 for p in prompts}
+    directory = tmp_path / "d"
+    write_benchmark(BenchmarkDataset("d", prompts, responses, 64), directory)
+    path = directory / "responses.jsonl"
+    data = "".join(json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+                   for line in path.read_text(encoding="utf-8").splitlines()).encode("utf-8")
+    block = dataset_module._BLOCK_BYTES
+    pad = next(pad for pad in range(200) if 0x80 <= data[block - pad] < 0xc0)
+    path.write_bytes(data.replace(b'"text": "', b'"text": "' + b"x" * pad, 1))
+    scores = {(pid, f"r{j:02d}"): j / 4 - 3.0 for pid in responses for j in range(64)}
+    write_rm_scores(RmScoreTable("rm", scores), directory / "rm_scores.jsonl")
+    assert min(path.stat().st_size, (directory / "rm_scores.jsonl").stat().st_size) > block
+    assert 0x80 <= path.read_bytes()[block] < 0xc0
+
+    dataset = load_benchmark(directory)
+    assert _block_read(directory)
+    table = dataset_module._ingest_canonical(dataset, directory / "rm_scores.jsonl")
+    assert table is not None and dict(table.scores) == scores
+    texts = [r.text for rows in responses.values() for r in rows]
+    assert dataset._response_texts == ["x" * pad + texts[0], *texts[1:]]
+    shipped = _read(directory)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
     assert _read(directory) == shipped
 

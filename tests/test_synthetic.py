@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.stats import norm
 
 from retabench import (
@@ -79,7 +80,7 @@ def test_analytic_uniform_against_quadrature():
     for eta in (0.1, 0.25, 0.6):
         threshold = high - eta * (high - low)
         grid = np.linspace(threshold, high, 200001)
-        conditional = np.trapezoid(grid, grid) / (high - threshold)
+        conditional = trapezoid(grid, grid) / (high - threshold)
         expected = conditional / ((low + high) / 2.0)
         assert analytic_reta(spec, eta) == pytest.approx(expected, abs=1e-9)
 
