@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -82,6 +83,17 @@ class BonVariant:
         return _rank_weights(pool, ns, self.min_n)
 
 
+# at most 8 banks of len(ns) * N * 8 bytes each: 18 KiB at N = 256 and
+# the default n grid
+@lru_cache(maxsize=8)
+def _bank(variant: BonVariant, pool: int, ns: tuple[int, ...]) -> np.ndarray:
+    """``variant._weights``, built once for each (variant, N, n grid) and
+    read-only, so every table and call that has them shares one bank."""
+    bank = variant._weights(pool, list(ns))
+    bank.flags.writeable = False
+    return bank
+
+
 @dataclass
 class BonPoint:
     n: int
@@ -114,6 +126,9 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
 
     The n grid is ``n_values`` sorted and deduplicated, each an int inside
     [variant.min_n, N], or by default the powers of two in that range.
+    The weight bank depends on the variant, N and the n grid alone, so it
+    comes from ``_bank``: a K-table command or a loop of calls builds it
+    once.
     """
     variant = variant or BonVariant("best_of_n")
     pool = dataset.responses_per_prompt
@@ -128,7 +143,7 @@ def bon_curve(dataset: BenchmarkDataset, table: RmScoreTable,
                 raise InvalidConfig(f"n={n} outside [{variant.min_n}, {pool}]")
     if not grid:
         raise InvalidConfig(f"no usable n values for variant {variant.label}")
-    bank = variant._weights(pool, grid)
+    bank = _bank(variant, pool, tuple(grid))
     values = _weighted_sums(bank, oracle_matrix(dataset, table)).tolist()
     points = [BonPoint(n, *_across_prompts(row)) for n, row in zip(grid, values)]
     return BonCurve(

@@ -21,7 +21,6 @@ same arguments produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -123,6 +122,8 @@ def _config_value(action: argparse.Action, value):
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # here, so only the commands that write provenance load OpenSSL
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 

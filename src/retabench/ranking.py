@@ -20,7 +20,10 @@ zeros and the constant top sum above that window into the full row at
 the end; every entry keeps the bits a full-width row of its own would
 have. Every RETA and best-of-n value is one entry of ``_weighted_sums``
 of a bank of such rows, and ``_across_prompts`` summarizes it over
-prompts.
+prompts. A bank depends on N and the grids alone, never on the scores,
+so ``reta._bank`` and ``bon._bank`` each keep the last 8 they built,
+read-only, and every table and call with the same key reads one of them,
+as every kernel call with the same N reads one ``_pool_tables``.
 """
 
 from __future__ import annotations

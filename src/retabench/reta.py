@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -175,6 +176,17 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     return coefs
 
 
+# at most 8 banks of len(etas) * N * 8 bytes each: 30 KiB at N = 256 and
+# the default 15 etas
+@lru_cache(maxsize=8)
+def _bank(pool: int, grid: tuple[int, ...], etas: tuple[float, ...]) -> np.ndarray:
+    """``_coefficients``, built once for each (N, n grid, eta grid) and
+    read-only, so every table and call that has them shares one bank."""
+    bank = _coefficients(pool, grid, etas)
+    bank.flags.writeable = False
+    return bank
+
+
 def _check_etas(etas: Sequence[float]) -> list[float]:
     """The eta grid as floats, once it is checked: non-empty, numbers (a
     bool is not one), strictly decreasing and inside (0, 1]."""
@@ -195,7 +207,9 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
             etas: Sequence[float], raw: bool) -> list[np.ndarray]:
     """RETA averaged over the n grid for every (eta, prompt), shape (len(etas), prompts),
     then, if ``raw``, the same without dividing by each prompt's pool mean,
-    both from one coefficient bank and one product.
+    both from one coefficient bank and one product. The bank depends on
+    N, the n grid and the eta grid alone, so it comes from ``_bank``: a
+    K-table command or a loop of calls builds it once.
 
     Row i of ``oracle`` holds prompt i's oracle scores ordered by RM rank.
     At eta == 1 the expected total of a uniform n-subset is exactly n/N of
@@ -207,7 +221,7 @@ def _values(oracle: np.ndarray, prompt_ids: Sequence[str], grid: Sequence[int],
     if degenerate.any():
         prompt_id = prompt_ids[int(np.argmax(degenerate))]
         raise DegenerateDenominator(f"prompt {prompt_id!r} has zero total oracle score")
-    bodies = _weighted_sums(_coefficients(pool, grid, etas), oracle)
+    bodies = _weighted_sums(_bank(pool, tuple(grid), tuple(etas)), oracle)
     arrays = [pool * bodies / totals / len(grid)] + ([bodies / len(grid)] if raw else [])
     if etas[0] == 1.0:
         arrays[0][0] = 1.0

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -237,6 +236,8 @@ def analytic_reta(spec: DistSpec, eta: float) -> float:
         return 1.0
     if spec.kind == "noisy_gaussian":
         # Y is standard normal; E[Z | Y >= z_eta] = rho * pdf(z_eta) / eta.
+        from statistics import NormalDist  # here, so no command loads statistics
+
         z_eta = -NormalDist().inv_cdf(eta)
         return (p["offset"] + p["rho"] * NormalDist().pdf(z_eta) / eta) / p["offset"]
     if spec.kind == "custom_table":

@@ -16,6 +16,7 @@ from retabench import (
     DistSpec,
     gen_synthetic,
 )
+from retabench import bon as bon_module
 from retabench.errors import InvalidConfig
 from retabench.ranking import _log_factorials, _rank_weights, oracle_matrix
 
@@ -299,3 +300,36 @@ def test_curve_points_are_means_of_per_prompt_estimates(variant):
                   for pool in alone]
     for point, values in zip(curve.points, zip(*per_prompt)):
         assert point.value == math.fsum(values) / len(values)
+
+
+def test_bank_cache_keys_on_variant_pool_and_n_grid():
+    # calls interleaved over three variants that share a parameter value, two
+    # pool sizes and two n grids, then in reverse (12 keys, so banks are evicted):
+    # each curve has the bytes of a cold build made after the cache is emptied
+    bon_module._bank.cache_clear()
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+    pools = {pool: gen_synthetic(spec, 3, pool, seed=pool) for pool in (32, 64)}
+    variants = (best_m(2), best_m(3), rank_k(2))
+    calls = [(variant, pool, grid) for grid in (None, [4, 8, 16]) for pool in pools
+             for variant in variants]
+
+    def run(variant, pool, grid):
+        curve = bon_curve(*pools[pool], variant, grid)
+        return np.array([[p.value, p.std_error] for p in curve.points]).tobytes()
+
+    warm = [run(*call) for call in calls + calls[::-1]]
+    info = bon_module._bank.cache_info()
+    assert info.hits > 0 and info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    for call, result in zip(calls + calls[::-1], warm):
+        bon_module._bank.cache_clear()
+        assert run(*call) == result, call
+    # the three variants read three different banks, each the uncached build
+    # and read-only
+    banks = [bon_module._bank(variant, 64, (4, 8, 16)) for variant in variants]
+    for variant, bank in zip(variants, banks):
+        assert bank.tobytes() == variant._weights(64, [4, 8, 16]).tobytes(), variant
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 0.0
+    assert len({bank.tobytes() for bank in banks}) == 3
+    assert bon_module._bank.cache_info().currsize <= bon_module._bank.cache_info().maxsize

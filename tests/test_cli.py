@@ -28,7 +28,9 @@ from retabench import (
     write_benchmark,
     write_rm_scores,
 )
+from retabench import bon as bon_module
 from retabench import dataset as dataset_module
+from retabench import reta as reta_module
 from retabench.cli import build_parser, main
 from retabench.errors import ComputationError
 
@@ -637,6 +639,115 @@ def test_commands_run_without_scipy(tmp_path, numpy_only):
                          ("rm_scores_synthetic-rm.jsonl", "rm_scores.jsonl")):
         assert (tmp_path / "export" / name).read_bytes() == \
             (tmp_path / "data" / source).read_bytes(), name
+
+
+# Run in a child after numpy is loaded: it prints, on one line, the modules
+# that importing the cli and running validate, export and --help load beyond
+# numpy's own, then, on the next, those that synth and sample-prompts load.
+_LOADED_BEYOND_NUMPY = """\
+import contextlib
+import sys
+
+import numpy
+
+seen = set(sys.modules)
+
+
+def loaded(*argvs):
+    from retabench.cli import main
+
+    for argv in argvs:
+        with contextlib.redirect_stdout(None), contextlib.suppress(SystemExit):
+            assert main(argv) == 0, argv
+    print(*sorted(set(sys.modules) - seen))
+    seen.update(sys.modules)
+
+
+loaded(["validate", "--dataset", "data", "--rm-scores", "data/rm_scores.jsonl",
+        "--max-oracle-score", "20", "--output-dir", "validate"],
+       ["export", "--dataset", "data", "--max-oracle-score", "20", "--output-dir", "export"],
+       ["--help"])
+loaded(["synth", "--spec", "spec.json", "--num-prompts", "2", "--num-responses", "16",
+        "--output-dir", "synth"],
+       ["sample-prompts", "--candidates", "candidates.jsonl", "--k", "3",
+        "--output-dir", "sample"])
+"""
+
+
+def test_commands_without_provenance_load_neither_hashlib_nor_statistics(tmp_path):
+    # hashlib (with OpenSSL) serves only the provenance hash of reta, bon and
+    # metrics, and statistics only analytic_reta, which no command calls.
+    # synth and sample-prompts draw from numpy.random, which loads hashlib
+    # (through secrets) on any numpy, so for them only statistics is checked.
+    spec = tmp_path / "spec.json"
+    spec.write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
+    assert main(["synth", "--spec", str(spec), "--num-prompts", "2", "--num-responses", "16",
+                 "--output-dir", str(tmp_path / "data")]) == 0
+    candidates_file(tmp_path / "candidates.jsonl", count=12, dim=4)
+    src = str(Path(retabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _LOADED_BEYOND_NUMPY], env=env,
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    reading, drawing = (set(line.split()) for line in child.stdout.splitlines())
+    assert "retabench.cli" in reading
+    assert "retabench.synthetic" in drawing and "retabench.dpp" in drawing
+    assert not reading & {"hashlib", "_hashlib", "statistics"}, sorted(reading)
+    assert "statistics" not in drawing, sorted(drawing)
+    assert (tmp_path / "export" / "prompts.jsonl").is_file()
+    assert (tmp_path / "sample" / "selected_prompts.txt").is_file()
+
+
+def test_a_k_table_command_builds_each_bank_once_and_writes_each_table_as_alone(
+        tmp_path, monkeypatch):
+    # reta --raw-variant and bon best_m_of_n over three tables (synth's, the
+    # oracle's and a seeded random one) build the uncached bank once, as a
+    # one-table run does, and write each table's files as its one-table run
+    # does, past the provenance line, whose config hash names the score files
+    spec = tmp_path / "spec.json"
+    spec.write_text(DistSpec.noisy_gaussian(0.5, 7.0).to_json())
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec), "--num-prompts", "4", "--num-responses", "64",
+                 "--output-dir", str(data)]) == 0
+    dataset = load_benchmark(data, max_oracle_score=20.0)
+    write_rm_scores(oracle_score_table(dataset), data / "oracle.jsonl")
+    random = np.random.default_rng(5).standard_normal(4 * 64).tolist()
+    write_rm_scores(RmScoreTable("random", dict(zip(dataset.iter_pairs(), random))),
+                    data / "random.jsonl")
+    tables = ["rm_scores.jsonl", "oracle.jsonl", "random.jsonl"]
+    builds = []
+
+    def counted(builder):
+        def build(*args):
+            builds.append(builder.__name__)
+            return builder(*args)
+        return build
+    monkeypatch.setattr(reta_module, "_coefficients", counted(reta_module._coefficients))
+    monkeypatch.setattr(bon_module.BonVariant, "_weights",
+                        counted(bon_module.BonVariant._weights))
+    monkeypatch.chdir(data)
+
+    def run(command: list[str], scores: list[str], out: str) -> dict[str, list[bytes]]:
+        reta_module._bank.cache_clear()
+        bon_module._bank.cache_clear()
+        builds.clear()
+        assert main([*command, "--dataset", ".", "--rm-scores", *scores,
+                     "--max-oracle-score", "20", "--output-dir", str(tmp_path / out)]) == 0
+        assert builds == [{"reta": "_coefficients", "bon": "_weights"}[command[0]]]
+        return {name: content.splitlines(keepends=True)[1:]
+                for name, content in read_all_bytes(tmp_path / out).items()
+                if name.endswith(".csv")}
+
+    for command in (["reta", "--raw-variant"], ["bon", "--variant", "best_m_of_n"]):
+        together = run(command, tables, f"{command[0]}-all")
+        alone = {}
+        for i, scores in enumerate(tables):
+            files = run(command, [scores], f"{command[0]}-{i}")
+            assert not files.keys() & alone.keys()
+            alone.update(files)
+        assert len(together) == 3 * (3 if command[0] == "reta" else 1)
+        assert together == alone, command
 
 
 def test_validate_reports_load_warnings_and_exits_2_on_invalid_input(tmp_path, capsys):

@@ -409,6 +409,8 @@ def test_coefficients_add_each_n_in_order_whatever_the_groups(pool, group_entrie
     # call: the same bytes as one call per n summed in increasing n
     if group_entries is not None:
         monkeypatch.setattr(reta_module, "_GROUP_ENTRIES", group_entries)
+    # the uncached builder, so no bank built under other groups is reused
+    assert not hasattr(_coefficients, "cache_info")
     grid = list(range(1, pool + 1)) if pool < 64 else resample_sizes(pool, RetaConfig())
     for etas in (default_eta_grid(), [0.25], [1.0], default_eta_grid(40, 12.0)):
         fast = _coefficients(pool, grid, etas)
@@ -418,6 +420,8 @@ def test_coefficients_add_each_n_in_order_whatever_the_groups(pool, group_entrie
 def test_default_bank_stays_under_one_mebibyte():
     # the n grid is built in groups, so no temporary holds the whole bank
     grid, etas = resample_sizes(256, RetaConfig()), default_eta_grid()
+    # the uncached builder, so the traced call builds the bank again
+    assert not hasattr(_coefficients, "cache_info")
     _coefficients(256, grid, etas)
     tracemalloc.start()
     try:
@@ -426,6 +430,53 @@ def test_default_bank_stays_under_one_mebibyte():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def _curve_bytes(curve) -> bytes:
+    """Every number of a curve: each point's value, standard error and
+    per-prompt values."""
+    return np.array([[p.value, p.std_error, *p.per_prompt.values()]
+                     for p in curve.points]).tobytes()
+
+
+def test_bank_cache_keys_on_pool_n_grid_and_eta_grid():
+    # calls interleaved over two pool sizes, two n ranges, two eta grids, one
+    # eta alone and both curve kinds, then in reverse, so later calls read banks
+    # built for earlier ones (and some banks are evicted): each result has
+    # the bytes of a cold build made after the cache is emptied
+    reta_module._bank.cache_clear()
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+    pools = {pool: gen_synthetic(spec, 3, pool, seed=pool) for pool in (64, 256)}
+    configs = (RetaConfig(), RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0))
+
+    def run(pool, config, etas, kind):
+        dataset, table = pools[pool]
+        if kind == "pair":
+            return [_curve_bytes(c) for c in reta_curve_pair(dataset, table, etas, config)]
+        if kind == "estimate":
+            return reta_estimate(dataset, table, etas[0], config).per_prompt
+        return [_curve_bytes(reta_curve(dataset, table, etas, config))]
+
+    calls = [(pool, config, etas, kind)
+             for kind, grids in (("curve", (None, [0.5, 0.3, 0.1])),
+                                 ("pair", (None, [0.5, 0.3, 0.1])), ("estimate", ([0.25],)))
+             for etas in grids for config in configs for pool in pools]
+    warm = [run(*call) for call in calls + calls[::-1]]
+    info = reta_module._bank.cache_info()
+    assert info.hits > 0 and info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    for call, result in zip(calls + calls[::-1], warm):
+        reta_module._bank.cache_clear()
+        assert run(*call) == result, call
+    # every key's bank is the uncached build, and no caller can write into it
+    for pool, config, etas in {(c[0], c[1], tuple(c[2] or default_eta_grid())) for c in calls}:
+        grid = tuple(resample_sizes(pool, config))
+        bank = reta_module._bank(pool, grid, etas)
+        assert bank is reta_module._bank(pool, grid, etas)
+        assert bank.tobytes() == _coefficients(pool, grid, etas).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            bank[-1, 0] = 0.0
+    assert reta_module._bank.cache_info().currsize <= reta_module._bank.cache_info().maxsize
 
 
 def test_estimate_aggregation_invariants():
