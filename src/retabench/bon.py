@@ -11,8 +11,8 @@ k (``ranking._rank_weights``). This turns an O(C(N, n)) enumeration
 into an O(N) dot product per (n, prompt); the equivalence is
 property-tested against brute force. Best-m-of-n reads the mean of the
 top m, the selection row ``ranking._selection_weights`` builds at (m, 0).
-Each curve builds the rows of all its n in one kernel call, into one bank
-that ``ranking._weighted_sums`` applies.
+Each curve stacks one row per n, built one n per kernel call, into one
+bank that ``ranking._weighted_sums`` applies.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ class BonVariant:
 
     def _weights(self, pool: int, ns: Sequence[int]) -> np.ndarray:
         """(len(ns), N) weights over the ranks of a pool of N = ``pool``, one
-        row for each n of ``ns``, from one kernel call;
+        row for each n of ``ns``, each from a kernel call of its own;
         ``ranking._weighted_sums`` applies them."""
         if self.kind == "best_m_of_n":
-            return _selection_weights(pool, ns, self.param, 0.0)
-        return _rank_weights(pool, ns, self.min_n)
+            return np.concatenate([_selection_weights(pool, n, [self.param], 0.0) for n in ns])
+        return np.concatenate([_rank_weights(pool, n, [self.min_n]) for n in ns])
 
 
 # at most 8 banks of len(ns) * N * 8 bytes each: 18 KiB at N = 256 and
@@ -111,6 +111,9 @@ class BonCurve:
 
 def default_n_grid(num_responses: int) -> list[int]:
     """Powers of two from 1 up to N inclusive."""
+    _check_int(num_responses, "num_responses")
+    if num_responses < 1:
+        raise InvalidConfig(f"num_responses must be positive, got {num_responses}")
     grid = []
     n = 1
     while n <= num_responses:

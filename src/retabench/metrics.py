@@ -178,9 +178,10 @@ def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
 
 def default_hit_rate_cutoffs(num_responses: int) -> list[int]:
     """Cutoffs at N/8, N/4, and N/2 (deduplicated, at least 1)."""
-    cutoffs = sorted({max(1, num_responses // 8), max(1, num_responses // 4),
-                      max(1, num_responses // 2)})
-    return cutoffs
+    _check_int(num_responses, "num_responses")
+    if num_responses < 1:
+        raise InvalidConfig(f"num_responses must be positive, got {num_responses}")
+    return sorted({max(1, int(num_responses) // part) for part in (8, 4, 2)})
 
 
 def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,

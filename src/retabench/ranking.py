@@ -8,29 +8,24 @@ reproducible permutation.
 
 The subset-rank weight w_k(r), the probability that pool rank r lands at
 rank k of a uniform n-subset, is the product of a factor in r, a factor
-in (n, k) and a factor in (n, r - k). A table of any rows (n, k), with
-its own n on each row, is therefore two row gathers from small tables
-plus two adds and one exp in log space (``_rank_weights``). The top-c
-sum w_1 + ... + w_c comes from the row w_c alone (``_top_sums``).
-``_selection_weights`` combines the two into the rows RETA and
-best-m-of-n read, for any mix of (n, c, delta) in one call, from
-tables built once per pool size (``_pool_tables``). It works each row out only where it
-varies, the N - n + 2 ranks from max(c, 1) on, and places the exact
-zeros and the constant top sum above that window into the full row at
-the end; every entry keeps the bits a full-width row of its own would
-have. Every RETA and best-of-n value is one entry of ``_weighted_sums``
-of a bank of such rows, and ``_across_prompts`` summarizes it over
-prompts. A bank depends on N and the grids alone, never on the scores,
-so ``reta._bank`` and ``bon._bank`` each keep the last 8 they built,
-read-only, and every table and call with the same key reads one of them,
-as every kernel call with the same N reads one ``_pool_tables``.
+in (n, k) and a factor in (n, r - k). A table of rows k for one n is
+therefore one row gather plus two adds and one exp in log space
+(``_rank_weights``). The top-c sum w_1 + ... + w_c comes from the row w_c
+alone (``_top_sums``). ``_selection_weights`` combines the two into the
+rows RETA and best-m-of-n read, for any (c, delta) at one n, each row
+over every pool rank. Every RETA and best-of-n value is one entry of
+``_weighted_sums`` of a bank of such rows, and ``_across_prompts``
+summarizes it over prompts. A bank depends on N and the grids alone,
+never on the scores, so ``reta._bank`` and ``bon._bank`` each keep the
+last 8 they built, read-only, and every table and call with the same
+key reads one of them, as every row of one N reads one
+``_log_factorials`` table.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,40 +96,17 @@ def _across_prompts(values: list[float]) -> tuple[float, float]:
     return math.fsum(values) / k, spread
 
 
+@lru_cache(maxsize=4)
 def _log_factorials(pool_size: int) -> np.ndarray:
-    """log m! for m = 0..pool_size, exact zeros at 0! and 1!.
+    """log m! for m = 0..pool_size, exact zeros at 0! and 1!, built once per
+    pool size and read-only, as every later weight row of that size reads it.
 
     ``math.lgamma`` per entry stays within 1e-15 relative, where a running
     sum of logs drifts by about 1e-12 at m = 256.
     """
-    return np.array(list(map(math.lgamma, range(1, pool_size + 2))), dtype=np.float64)
-
-
-class _PoolTables(NamedTuple):
-    """Read-only vectors of one pool of N that every weight table reads,
-    each padded so that any window a kernel reads stays inside it."""
-
-    log_fact: np.ndarray  # log m! for m = 0..N
-    low: np.ndarray  # log d! at index d + N, +inf for d < 0 or d > N
-    high: np.ndarray  # log (N - j)! at index j, +inf for j > N
-    ends: np.ndarray  # log (r-1)! + log (N-r)! at index r - 1, 0 past rank N
-    spans: np.ndarray  # N - r at index r - 1, 1 from rank N on
-
-
-@lru_cache(maxsize=4)
-def _pool_tables(pool: int) -> _PoolTables:
-    """The ``_PoolTables`` of a pool of ``pool``, built once per pool size."""
-    log_fact = _log_factorials(pool)
-    inf = np.full(2 * pool + 2, np.inf)
-    tables = _PoolTables(
-        log_fact,
-        np.concatenate((inf[:pool], log_fact, inf)),
-        np.concatenate((log_fact[::-1], inf)),
-        np.concatenate((log_fact[:pool] + log_fact[pool - 1::-1], np.zeros(pool + 2))),
-        np.concatenate((np.arange(pool - 1, 0, -1.0), np.ones(pool + 2))))
-    for vector in tables:
-        vector.setflags(write=False)
-    return tables
+    log_fact = np.array(list(map(math.lgamma, range(1, pool_size + 2))), dtype=np.float64)
+    log_fact.flags.writeable = False
+    return log_fact
 
 
 def _windows(values: np.ndarray, width: int) -> np.ndarray:
@@ -144,85 +116,63 @@ def _windows(values: np.ndarray, width: int) -> np.ndarray:
                       strides=(values.itemsize, values.itemsize))
 
 
-def _rank_weights(pool: int, ns, ranks, starts=1, width: int | None = None) -> np.ndarray:
-    """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n), one for each subset
-    rank k in ``ranks`` of a uniform n-subset of a pool of N = ``pool``,
-    with n the matching entry of ``ns``, over the ``width`` pool ranks r
-    from the matching entry of ``starts`` on (by default every rank).
-    ``ns``, ``ranks`` and ``starts`` broadcast to one 1-D shape, and need
-    1 <= k <= n <= N and a window that ends by rank 2N.
+def _rank_weights(pool: int, n: int, ranks) -> np.ndarray:
+    """Rows w_k(r) = C(r-1, k-1) * C(N-r, n-k) / C(N, n) over the pool ranks
+    r = 1..N, one for each subset rank k of the 1-D ``ranks`` of a uniform
+    n-subset of a pool of N = ``pool``; needs 1 <= k <= n <= N.
 
     In log space, so large pools cannot overflow, log w_k(r) splits into a
     term in r, a term in (n, k) and a term g(r-k) = -log (r-k)! -
-    log (N-n-(r-k))!, which is -inf where r-k falls outside [0, N-n] (and
-    so past rank N). g is built once for each distinct n, the term in r
-    once for the pool (``_pool_tables``), and each row reads a window of
-    both at its own offset, so the table is two row gathers, two adds and
-    one exp, and impossible placements come out as exp(-inf) = 0 exactly.
-    Each entry comes from the same elementwise steps whatever the other
-    rows, the window or its width are.
+    log (N-n-(r-k))!, which is -inf where r-k falls outside [0, N-n].
+    Row k reads g at its own offset, so the table is one row gather, two
+    adds and one exp, and impossible placements come out as exp(-inf) = 0
+    exactly. Each entry comes from the same elementwise steps whatever
+    the other rows are.
     """
-    tables = _pool_tables(pool)
-    log_fact = tables.log_fact
-    width = pool if width is None else width
-    offsets = np.subtract(starts, ranks)  # r - k at each row's first rank
-    low = int(offsets.min())
-    sizes, which = np.unique(ns, return_inverse=True)
-    # g(d) for d from ``low`` on, one row for each distinct n
-    d = np.arange(low, int(offsets.max()) + width)
-    g = tables.low[d + pool] + tables.high[sizes[:, None] + d]
-    np.negative(g, out=g)
-    log_w = _windows(g.reshape(-1), width)[which * g.shape[1] + offsets - low]
-    log_w += _windows(tables.ends, width)[np.subtract(starts, 1)]
-    log_w += (log_fact[ns] + log_fact[np.subtract(pool, ns)] - log_fact[pool]
-              - log_fact[np.subtract(ranks, 1)] - log_fact[np.subtract(ns, ranks)])[:, None]
+    log_fact = _log_factorials(pool)
+    ranks = np.asarray(ranks)
+    spare = pool - n
+    # g(d) at index d + n - 1, for d from 1 - n to N - 1
+    g = np.full(pool + n - 1, -np.inf)
+    np.negative(log_fact[:spare + 1] + log_fact[spare::-1], out=g[n - 1:pool])
+    log_w = _windows(g, pool)[n - ranks]
+    log_w += log_fact[:pool] + log_fact[pool - 1::-1]  # log (r-1)! + log (N-r)!
+    log_w += (log_fact[n] + log_fact[spare] - log_fact[pool]
+              - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
     return np.exp(log_w, out=log_w)
 
 
-def _selection_weights(pool: int, ns, counts, deltas) -> np.ndarray:
+def _selection_weights(pool: int, n: int, counts, deltas) -> np.ndarray:
     """Pool-rank weights of a uniform n-subset's top c members plus
     delta*(1-delta) of its rank c and delta**2 of its rank c+1, over
     c + delta: rows (top_c + delta*(1-delta)*w_c + delta**2*w_{c+1}) / (c + delta)
-    for the entries of ``ns``, ``counts`` and ``deltas``, which broadcast
-    to one 1-D shape, in a pool of N = ``pool``, with w_0 = top_0 = 0.
-    Needs c < n where delta > 0;
-    a row with c + delta = 0 selects nothing and is zero.
-
-    One call builds the rows of any mix of n. Each row is worked out only
-    on the ranks k .. k + N - n + 1 with k = max(c, 1), which hold the
-    support of w_c and w_{c+1}; every rank above k reads the top sum at k,
-    and every rank past the window reads exactly zero. Each entry comes
-    from the same elementwise steps whatever the other rows are.
+    over every rank of a pool of N = ``pool``, one for each entry of the
+    1-D ``counts`` and ``deltas``, which broadcast against each other,
+    with w_0 = top_0 = 0. Needs c < n where delta > 0; a row with
+    c + delta = 0 selects nothing and is zero. Each entry comes from the
+    same elementwise steps whatever the other rows are.
     """
-    ns, counts, deltas = np.broadcast_arrays(ns, counts, deltas)
-    firsts = np.maximum(counts, 1)
+    counts, deltas = np.broadcast_arrays(counts, deltas)
     # rows w_c, then w_{c+1}; w_1 stands in for w_0 and is zeroed, and w_n
     # for w_{n+1}, whose weight delta**2 is then zero
-    weights = _rank_weights(pool, np.concatenate((ns, ns)),
-                            np.concatenate((firsts, np.minimum(counts + 1, ns))),
-                            np.concatenate((firsts, firsts)), pool - int(ns.min()) + 2)
+    weights = _rank_weights(pool, n, np.concatenate((np.maximum(counts, 1),
+                                                     np.minimum(counts + 1, n))))
     top, below = weights[:len(counts)], weights[len(counts):]
     top[counts == 0] = 0.0
-    rows = _top_sums(top, pool, ns, counts, firsts)
+    rows = _top_sums(top, n, counts)
     scale = counts + deltas
     scale[scale == 0.0] = np.inf  # c + delta = 0 selects nothing: each weight is 0 / inf
-    # above its window a row's w_c and w_{c+1} are zero: x + 0.0 = x
-    above = rows[:, 0] / scale
-    top *= (deltas * (1.0 - deltas))[:, None]
-    rows += top
-    below *= (deltas * deltas)[:, None]
-    rows += below
+    rows += (deltas * (1.0 - deltas))[:, None] * top
+    rows += (deltas * deltas)[:, None] * below
     rows /= scale[:, None]
-    return _place(above, rows, firsts, pool)
+    return rows
 
 
-def _top_sums(rows: np.ndarray, pool: int, ns: np.ndarray, counts: np.ndarray,
-              starts: np.ndarray) -> np.ndarray:
-    """Top-c sums top_c(r) = w_1(r) + ... + w_c(r), one for each row w_c of
-    ``rows`` (from ``_rank_weights``) with n, c and its first rank the
-    matching entries of ``ns``, ``counts`` and ``starts``; a row of zeros
-    stands for w_0, whose top sum is zero. Each row must hold all of w_c's
-    support, the ranks c .. N - n + c, and the sum is read there alone.
+def _top_sums(rows: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
+    """Top-c sums top_c(r) = w_1(r) + ... + w_c(r) over every pool rank, one
+    for each row w_c of ``rows`` (from ``_rank_weights``) with c the
+    matching entry of ``counts``; a row of zeros stands for w_0, whose top
+    sum is zero.
 
     top_c(r) is the chance that pool rank r is in a uniform n-subset with
     at most c - 1 members above it. One rank down it loses the subsets
@@ -233,31 +183,12 @@ def _top_sums(rows: np.ndarray, pool: int, ns: np.ndarray, counts: np.ndarray,
     the sum, is exactly zero; above rank c it stays at its value at c. At
     c = n every rank reads exactly n/N.
     """
-    # N - r for the step out of rank r; from rank N on there is none (w_c is
-    # zero there for every c < n), so any finite span does
-    steps = _windows(_pool_tables(pool).spans, rows.shape[1])[starts - 1]
-    np.divide((ns - counts)[:, None], steps, out=steps)
-    steps *= rows
-    sums = np.empty(rows.shape)
-    np.cumsum(steps[:, ::-1], axis=1, out=sums[:, ::-1])
-    full = counts == ns
-    if full.any():
-        sums[full] = (ns[full] / pool)[:, None]
+    pool = rows.shape[1]
+    # N - r for the step out of rank r < N; w_c(N) is zero for every c < n,
+    # so rank N reads zero
+    steps = np.divide.outer(n - counts, np.arange(pool - 1, 0, -1.0))
+    steps *= rows[:, :-1]
+    sums = np.zeros(rows.shape)
+    np.cumsum(steps[:, ::-1], axis=1, out=sums[:, -2::-1])
+    sums[counts == n] = n / pool
     return sums
-
-
-def _place(above: np.ndarray, rows: np.ndarray, starts: np.ndarray, pool: int) -> np.ndarray:
-    """(len(rows), pool) rows over every pool rank: row i reads ``above[i]``
-    at the ranks before ``starts[i]``, then ``rows[i]`` (whose columns past
-    rank N are dropped), then zero."""
-    count, width = rows.shape
-    # each row laid out after enough copies of its ``above`` and before
-    # enough zeros that every start reads a whole pool from it
-    lead, tail = int(starts.max()) - 1, max(0, pool + 1 - int(starts.min()) - width)
-    lines = np.empty((count, lead + width + tail))
-    lines[:, :lead] = above[:, None]
-    lines[:, lead:lead + width] = rows
-    lines[:, lead + width:] = 0.0
-    return _windows(lines.reshape(-1), pool)[
-        np.arange(lead + 1, lines.size, lines.shape[1]) - starts]
-

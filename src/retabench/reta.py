@@ -15,9 +15,9 @@ The expectation is computed exactly rather than sampled, so estimates
 carry no Monte Carlo error and involve no randomness. Each n contributes,
 per eta, one coefficient vector over pool ranks, the selection row that
 ``ranking._selection_weights`` builds for subset rank floor(eta*n) and
-the fraction past it, for a group of n in one call; their sums over n
-form one bank that ``ranking._weighted_sums`` applies to the
-(prompts x N) oracle matrix.
+the fraction past it, in one call per n; their sums over n form one bank
+that ``ranking._weighted_sums`` applies to the (prompts x N) oracle
+matrix.
 ``eta == 1`` is set exactly. ``exhaustive_reta`` enumerates every subset
 as an independent reference.
 """
@@ -54,14 +54,6 @@ MAX_ENUMERATED_SUBSETS = 1_000_000
 # c * N**e computed in floats can land a hair off an exact integer; snap
 # before ceil/floor so grid endpoints are stable (e.g. 5 * 64**(2/3) -> 80).
 _GRID_SNAP_TOL = 1e-9
-
-# Float64 entries (192 KiB) in the block ``_coefficients`` reduces for one
-# group of n, the running sums and the group's rows: it bounds each
-# temporary of the bank whatever the n grid's length. At N = 256 and 14
-# etas that is 5 n per kernel call, which peaks near 600 KiB in all; twice
-# as many n per call gained no time and page-faulted on every call.
-_GROUP_ENTRIES = 24576
-
 
 @dataclass(frozen=True)
 class RetaConfig:
@@ -130,6 +122,9 @@ def _snap(x: float) -> float:
 
 def resample_sizes(num_responses: int, config: RetaConfig) -> list[int]:
     """Integer subset-size grid: ceil(c_lo*N^e) .. floor(c_hi*N^e), clipped to [1, N]."""
+    _check_int(num_responses, "num_responses")
+    if num_responses < 1:
+        raise InvalidConfig(f"num_responses must be positive, got {num_responses}")
     scale = num_responses ** config.n_exponent
     # every end past N acts alike; capping there also keeps a product that
     # overflowed to inf out of round() and ceil()
@@ -151,28 +146,16 @@ def _coefficients(pool: int, grid: Sequence[int], etas: Sequence[float]) -> np.n
     With eta*n = c + delta, a subset's selection total is its top c oracle
     scores plus delta*(1-delta) times rank c and delta**2 times rank c+1;
     ``ranking._selection_weights`` turns that into weights over pool ranks,
-    one row per (n, eta), the same row whatever the other rows are. The
-    rows of a group of n, about ``_GROUP_ENTRIES`` entries in all, come
-    from one call, and are added in increasing n, as one sum per n would
-    add them. eta == 1 rows stay zero, since the caller sets them exactly,
-    and so does each (n, eta) with eta*n == 0, which selects nothing.
+    one row per eta for one n at a time, and each n's rows are added to
+    the running sums in increasing n. eta == 1 rows stay zero, since the
+    caller sets them exactly, and so does each (n, eta) with eta*n == 0,
+    which selects nothing.
     """
     coefs = np.zeros((len(etas), pool))
     sums = coefs[int(etas[0] == 1.0):]
-    if not len(sums):
-        return coefs
-    # one entry for each (n, eta), n-major, so that each run of them is a
-    # group of n
-    counts, deltas = _eta_parts(etas[len(etas) - len(sums):], np.array(grid)[:, None])
-    ns, counts, deltas = np.repeat(grid, len(sums)), counts.ravel(), deltas.ravel()
-    step = max(1, _GROUP_ENTRIES // sums.size - 1) * len(sums)
-    for start in range(0, len(ns), step):
-        group = slice(start, start + step)
-        # the running sums, then each n's rows, reduced in that order; one
-        # statement, so no group's rows outlive it
-        np.add.reduce(np.concatenate((sums[None], _selection_weights(
-            pool, ns[group], counts[group], deltas[group]).reshape(-1, *sums.shape))),
-            axis=0, out=sums)
+    rest = etas[len(etas) - len(sums):]
+    for n in grid if rest else ():
+        sums += _selection_weights(pool, n, *_eta_parts(rest, n))
     return coefs
 
 

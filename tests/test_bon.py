@@ -18,10 +18,10 @@ from retabench import (
 )
 from retabench import bon as bon_module
 from retabench.errors import InvalidConfig
-from retabench.ranking import _log_factorials, _rank_weights, oracle_matrix
+from retabench.ranking import _rank_weights, oracle_matrix
 
 from conftest import bon_at, build_table, one_prompt, prompt_subset, random_prompt
-from test_ranking import full_width_selection_rows
+from test_ranking import exact_top_numerators
 
 BEST = BonVariant("best_of_n")
 
@@ -185,10 +185,9 @@ def test_rank_table_matches_exact_binomials():
 
 @pytest.mark.parametrize("pool", [2, 3, 64, 256])
 def test_curve_bank_is_its_per_n_rows(pool):
-    # bon_curve builds the rows of its whole n grid in one kernel call: each
-    # row has the bytes of its n alone, and of a full-width row built
-    # another way, or, for a w_k row, its exact binomials
-    log_fact = _log_factorials(pool)
+    # bon_curve's bank holds one row for each n of its grid, the bytes of
+    # that n alone: a w_k row against its exact binomials, and a best-m row,
+    # top_m / m, against the exact top-m sum
     for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2),
                     BonVariant("best_m_of_n", 2)):
         grid = list(range(variant.min_n, pool + 1))
@@ -196,16 +195,17 @@ def test_curve_bank_is_its_per_n_rows(pool):
         alone = np.concatenate([variant._weights(pool, [n]) for n in grid])
         assert bank.tobytes() == alone.tobytes(), (pool, variant)
         if variant.kind == "best_m_of_n":
-            reference = np.concatenate([full_width_selection_rows(
-                log_fact, n, np.array([variant.param]), np.zeros(1)) for n in grid])
-            assert bank.tobytes() == reference.tobytes(), (pool, variant)
+            m = variant.param
+            reference = np.array([[top / (math.comb(pool, n) * m)  # correctly rounded
+                                   for top in exact_top_numerators(pool, n)[m]]
+                                  for n in grid])
         else:
             reference = np.concatenate([exact_rank_rows(pool, n, [variant.min_n])
                                         for n in grid])
-            # impossible placements are exact zeros
-            assert np.array_equal(bank == 0.0, reference == 0.0), (pool, variant)
-            nonzero = reference != 0.0
-            assert np.max(np.abs(bank - reference)[nonzero] / reference[nonzero]) <= 1e-12
+        # impossible placements are exact zeros
+        assert np.array_equal(bank == 0.0, reference == 0.0), (pool, variant)
+        nonzero = reference != 0.0
+        assert np.max(np.abs(bank - reference)[nonzero] / reference[nonzero]) <= 1e-12
 
 
 def test_monotone_transform_invariance():

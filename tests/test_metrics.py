@@ -236,6 +236,8 @@ def test_metric_report_and_csv(big_uniform, tmp_path):
     assert report.pairwise_accuracy == 100.0
     assert report.win_rate == 50.0
     assert default_hit_rate_cutoffs(256) == [32, 64, 128]
+    # plain ints from a numpy count too, so a JSON echo of them works
+    assert list(map(type, default_hit_rate_cutoffs(np.int64(256)))) == [int] * 3
     path = tmp_path / "metrics.csv"
     write_metrics_csv([report], path, "prov")
     lines = path.read_text().splitlines()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,12 +18,15 @@ from retabench import (
     RmScoreTable,
     bon_curve,
     build_dpp,
+    default_hit_rate_cutoffs,
+    default_n_grid,
     eta_parts,
     gen_synthetic,
     ingest_rm_scores,
     kl_best_of_n,
     load_benchmark,
     oracle_score_table,
+    resample_sizes,
     reta_curve_pair,
     reta_estimate,
     sample_kdpp,
@@ -214,10 +218,25 @@ def test_log_factorials_match_gammaln():
     assert np.max(np.abs(log_fact[2:] - reference) / reference) <= 1e-15
 
 
+def test_log_factorials_are_built_once_and_read_only():
+    # every later weight row of a pool size reads the one table, so no
+    # caller may write into it
+    log_fact = _log_factorials(37)
+    assert _log_factorials(37) is log_fact
+    with pytest.raises(ValueError, match="read-only"):
+        log_fact[2] = 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def pascal_rows(size):
+    """Rows 0 .. size - 1 of Pascal's triangle, built once for each size."""
+    return tuple(tuple(math.comb(a, b) for b in range(a + 1)) for a in range(size))
+
+
 def exact_top_numerators(pool, n):
     """(n + 1) x pool integers: entry [c][r - 1] is
     sum over k <= c of C(r-1, k-1) * C(N-r, n-k), the top-c sum times C(N, n)."""
-    pascal = [[math.comb(a, b) for b in range(a + 1)] for a in range(pool)]
+    pascal = pascal_rows(pool)
     columns = []
     for r in range(1, pool + 1):
         above, below = pascal[r - 1], pascal[pool - r]
@@ -237,7 +256,7 @@ def check_top_sums(pool, n, counts):
     counts = np.asarray(counts)
     rows = np.zeros((len(counts), pool))  # a row of zeros stands for w_0
     rows[counts > 0] = _rank_weights(pool, n, counts[counts > 0])
-    sums = _top_sums(rows, pool, np.full(len(counts), n), counts, np.ones(len(counts), int))
+    sums = _top_sums(rows, n, counts)
     exact = exact_top_numerators(pool, n)
     denominator = math.comb(pool, n)
     worst = 0.0
@@ -307,52 +326,19 @@ def test_selection_weights_match_exact_binomials():
     assert worst <= 1e-12
 
 
-def full_width_selection_rows(log_fact, n, counts, deltas):
-    """Reference for ``_selection_weights`` at one n: every step on whole
-    rows over all N ranks, with no window, no offsets and no placement."""
-    pool = len(log_fact) - 1
-    spare = pool - n
-    # g(d) = -log d! - log (N-n-d)! at index d + n - 1, -inf off [0, N-n]
-    g = np.full(pool + n - 1, -np.inf)
-    g[n - 1:pool] = -(log_fact[:spare + 1] + log_fact[spare::-1])
-    ranks = np.concatenate((np.maximum(counts, 1), np.minimum(counts + 1, n)))
-    log_w = np.lib.stride_tricks.sliding_window_view(g, pool)[n - ranks]
-    log_w += log_fact[:pool] + log_fact[pool - 1::-1]
-    log_w += (log_fact[n] + log_fact[spare] - log_fact[pool]
-              - log_fact[ranks - 1] - log_fact[n - ranks])[:, None]
-    weights = np.exp(log_w)
-    top, below = weights[:len(counts)], weights[len(counts):]
-    top[counts == 0] = 0.0
-    steps = np.divide.outer(n - counts, np.arange(pool - 1, 0, -1.0)) * top[:, :-1]
-    rows = np.zeros(top.shape)
-    np.cumsum(steps[:, ::-1], axis=1, out=rows[:, -2::-1])
-    rows[counts == n] = n / pool
-    deltas = deltas[:, None]
-    rows += deltas * (1.0 - deltas) * top
-    rows += deltas * deltas * below
-    return rows / (counts[:, None] + deltas)
-
-
 @pytest.mark.parametrize("pool", [2, 3, 7, 64, 256])
 def test_selection_row_is_the_same_alone_or_in_a_batch(pool):
-    # a RETA curve point must equal the single-eta estimate, bit for bit:
-    # one batch mixing every n, c = 0, c = n, delta = 0 and eta*n = 0 (c =
-    # delta = 0, a zero row) gives each row the bytes it has alone and the
-    # bytes of a full-width row
-    log_fact = _log_factorials(pool)
-    sizes = sorted({1, 2, 3, pool // 3, pool - 1, pool} & set(range(1, pool + 1)))
-    cases = [(n, *case) for n in sizes for case in zip(*selection_cases(n))]
-    cases += [(n, 0, 0.0) for n in sizes]
-    ns, counts, deltas = map(np.array, zip(*cases[::-1]))  # the n out of order
-    batch = _selection_weights(pool, ns, counts, deltas)
-    for i, (n, c, delta) in enumerate(zip(ns, counts, deltas)):
-        alone = _selection_weights(pool, n, counts[i:i + 1], deltas[i:i + 1])
-        assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, c, delta)
-        if c + delta == 0.0:
-            assert alone.tobytes() == bytes(8 * pool), (pool, n)
-        else:
-            reference = full_width_selection_rows(log_fact, n, counts[i:i + 1], deltas[i:i + 1])
-            assert alone.tobytes() == reference.tobytes(), (pool, n, c, delta)
+    # a RETA curve point must equal the single-eta estimate, bit for bit: at
+    # one n, a batch of every (c, delta) kind, eta*n = 0 (c = delta = 0, a
+    # zero row) among them, gives each row the bytes it has alone
+    for n in sorted({1, 2, 3, pool // 3, pool - 1, pool} & set(range(1, pool + 1))):
+        counts, deltas = selection_cases(n)
+        counts, deltas = np.append(counts, 0)[::-1], np.append(deltas, 0.0)[::-1]
+        batch = _selection_weights(pool, n, counts, deltas)
+        for i, (c, delta) in enumerate(zip(counts, deltas)):
+            alone = _selection_weights(pool, n, counts[i:i + 1], deltas[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), (pool, n, c, delta)
+        assert batch[0].tobytes() == bytes(8 * pool), (pool, n)
 
 
 def test_found_case_reads_the_same_alone_and_in_its_batch():
@@ -403,8 +389,9 @@ def _sample(k=2, seed=0) -> list[int]:
 _SPEC = DistSpec.noisy_gaussian(0.5, 7.0)
 
 
-# the sampler's, the generator's and the KL column's counts take the one
-# _check_int rule: an int or a numpy integer, and never a bool
+# the sampler's, the generator's, the KL column's and the default grids'
+# counts take the one _check_int rule: an int or a numpy integer, and never
+# a bool; a negative count is InvalidConfig too
 @pytest.mark.parametrize("name, call", [
     ("k", lambda value: _sample(k=value)),
     ("seed", lambda value: _sample(seed=value)),
@@ -412,10 +399,17 @@ _SPEC = DistSpec.noisy_gaussian(0.5, 7.0)
     ("responses_per_prompt", lambda value: gen_synthetic(_SPEC, 2, value, 0)),
     ("seed", lambda value: gen_synthetic(_SPEC, 2, 4, value)),
     ("n", kl_best_of_n),
+    # a grid of n = 2 alone at N = 2
+    ("num_responses", lambda value: resample_sizes(value, RetaConfig(1.0, 1.0, 1.0))),
+    ("num_responses", default_n_grid),
+    ("num_responses", default_hit_rate_cutoffs),
 ], ids=["dpp-k", "dpp-seed", "synthetic-num-prompts", "synthetic-responses-per-prompt",
-        "synthetic-seed", "kl-best-of-n"])
+        "synthetic-seed", "kl-best-of-n", "resample-sizes", "default-n-grid",
+        "default-hit-rate-cutoffs"])
 def test_counts_take_an_int_or_a_numpy_integer_but_no_bool(name, call):
-    for value in (2.5, 2.0, True):
+    for value in (2.5, 2.0, True, 64.5, 64.0):
         with pytest.raises(InvalidConfig, match=f"^{name} must be an int, got {value!r}$"):
             call(value)
+    with pytest.raises(InvalidConfig):
+        call(-3)
     assert call(np.int64(2)) == call(2)
