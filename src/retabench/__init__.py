@@ -46,16 +46,13 @@ _EXPORTS = {
         "DppModel",
         "DppSampleConfig",
         "build_dpp",
-        "diversity_score",
         "sample_kdpp",
-        "subset_log_det",
     ),
     "metrics": (
         "MetricReport",
         "default_hit_rate_cutoffs",
         "load_win_labels",
         "metric_report",
-        "win_rate_aggregate",
         "write_metrics_csv",
     ),
     "ranking": ("eta_parts",),
@@ -73,12 +70,9 @@ _EXPORTS = {
         "write_per_prompt_csv",
     ),
     "synthetic": (
-        "ConvergencePoint",
         "DistSpec",
         "analytic_reta",
-        "convergence_experiment",
         "gen_synthetic",
-        "write_convergence_csv",
     ),
 }
 

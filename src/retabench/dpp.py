@@ -13,7 +13,6 @@ O(N k^3) for the projection rounds, with no step count or mixing time.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,10 +36,11 @@ _SINGULAR_REL_TOL = 1e-12
 
 @dataclass
 class DppModel:
-    """Candidate embeddings with the derived kernel ``lam * E @ E.T``.
+    """Candidate embeddings E and the scale ``lam`` of the kernel
+    ``lam * E @ E.T``.
 
-    The model keeps O(N d) state: ``kernel`` is built on each access, and
-    the sampler and ``subset_log_det`` never build it.
+    The model keeps O(N d) state: the N x N kernel is never built, as the
+    sampler works on the d x d dual kernel ``lam * E.T @ E``.
     """
 
     embeddings: np.ndarray  # (num_candidates, dim)
@@ -49,11 +49,6 @@ class DppModel:
     @property
     def num_candidates(self) -> int:
         return self.embeddings.shape[0]
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """(num_candidates, num_candidates) kernel ``lam * E @ E.T``."""
-        return self.lam * (self.embeddings @ self.embeddings.T)
 
 
 @dataclass(frozen=True)
@@ -138,32 +133,6 @@ def _reject_embedding(prompt: PromptRecord, problem: str | None) -> None:
                               f"prompt {prompt.prompt_id!r}: {problem}")
 
 
-def _subset_rows(model: DppModel, subset: Sequence[int]) -> np.ndarray:
-    """The embedding rows of ``subset``, in index order; InvalidConfig
-    unless it holds distinct int indices in [0, num_candidates)."""
-    total = model.num_candidates
-    for index in subset:
-        _check_int(index, "subset index")
-        if not 0 <= index < total:
-            raise InvalidConfig(f"subset index {index} outside [0, {total})")
-    if len(set(subset)) != len(subset):
-        raise InvalidConfig(f"subset indices must be distinct, got {list(subset)!r}")
-    return model.embeddings[np.asarray(sorted(subset), dtype=np.intp)]
-
-
-def subset_log_det(model: DppModel, subset: Sequence[int]) -> float:
-    """log det of the kernel restricted to ``subset``, distinct candidate
-    indices; -inf if singular.
-
-    Only the |subset| x |subset| block is built, from the subset's rows.
-    """
-    rows = _subset_rows(model, subset)
-    sign, logdet = np.linalg.slogdet(model.lam * (rows @ rows.T))
-    if sign <= 0:
-        return -math.inf
-    return float(logdet)
-
-
 def _elementary_symmetric(eigenvalues: np.ndarray, k: int) -> np.ndarray:
     """(k+1, d+1) table whose entry [l, n] is e_l of the first n eigenvalues."""
     table = np.zeros((k + 1, len(eigenvalues) + 1))
@@ -231,18 +200,3 @@ def _condition(basis: np.ndarray, item: int) -> np.ndarray:
     basis = basis - np.outer(basis[:, pivot] / basis[item, pivot], basis[item])
     basis, _ = np.linalg.qr(np.delete(basis, pivot, axis=1))
     return basis
-
-
-def diversity_score(model: DppModel, subset: Sequence[int]) -> float:
-    """Mean absolute cosine similarity over distinct pairs of ``subset``,
-    distinct candidate indices (0 for a singleton)."""
-    if len(subset) == 0:
-        raise InvalidConfig("subset must be non-empty")
-    vectors = _subset_rows(model, subset)
-    if len(subset) == 1:
-        return 0.0
-    norms = np.linalg.norm(vectors, axis=1)
-    norms[norms == 0.0] = 1.0  # zero vectors contribute zero similarity
-    unit = vectors / norms[:, None]
-    cosine = np.abs(unit @ unit.T)
-    return float((cosine.sum() - np.trace(cosine)) / (len(subset) * (len(subset) - 1)))

@@ -43,7 +43,6 @@ from .errors import (
 from .ranking import _rank_orders, _score_matrices, eta_parts
 
 OUTCOMES = ("win", "draw", "loss")
-_OUTCOME_VALUE = {"win": 1.0, "draw": 0.0, "loss": -1.0}
 
 
 @dataclass
@@ -139,18 +138,6 @@ def _inversions(ranks: np.ndarray) -> np.ndarray:
     return count
 
 
-def win_rate_aggregate(labels: Sequence[str]) -> tuple[float, float]:
-    """(win percent, mean of the {1, 0, -1} encoding) over outcome labels."""
-    if not labels:
-        raise EmptyLabels("no outcome labels")
-    for label in labels:
-        if label not in _OUTCOME_VALUE:
-            raise InvalidConfig(f"unknown outcome {label!r}, expected one of {OUTCOMES}")
-    wins = sum(1 for label in labels if label == "win")
-    mean = math.fsum(_OUTCOME_VALUE[label] for label in labels) / len(labels)
-    return 100.0 * wins / len(labels), mean
-
-
 def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
     """Read win/draw/loss outcomes from a JSONL labels file whose every
     (prompt_id, response_id) is a pair of ``dataset``."""
@@ -167,7 +154,7 @@ def load_win_labels(path: str | Path, dataset: BenchmarkDataset) -> list[str]:
             raise MalformedRecord(source, line_no, "response_id",
                                   f"unknown response {pid + '/' + rid!r}")
         [outcome] = _req_strs(obj, ("outcome",), source, line_no)
-        if outcome not in _OUTCOME_VALUE:
+        if outcome not in OUTCOMES:
             raise MalformedRecord(source, line_no, "outcome",
                                   f"must be one of {OUTCOMES}, got {outcome!r}")
         labels.append(outcome)
@@ -198,7 +185,8 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
     in [0, 1] with 1.0 for a perfect model. Pairwise accuracy is the
     percent of response pairs the RM orders like the oracle: pairs with
     equal oracle scores are excluded, and pairs the RM scores equally
-    count half.
+    count half. The win rate is the percent of ``win_labels`` that are
+    "win"; each must be one of ``OUTCOMES``.
     """
     _check_number(eta, "eta")
     if not 0.0 < eta < 1.0:
@@ -221,7 +209,14 @@ def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
         raise InvalidConfig(f"selection rank {selection_rank} exceeds pool size {pool}")
     ranks = (rankings[:, selection_rank - 1] + 1).tolist()
     ideal = 1.0 / math.log2(1 + selection_rank)
-    win = win_rate_aggregate(win_labels)[0] if win_labels is not None else None
+    win = None
+    if win_labels is not None:
+        if not win_labels:
+            raise EmptyLabels("no outcome labels")
+        for label in win_labels:
+            if label not in OUTCOMES:
+                raise InvalidConfig(f"unknown outcome {label!r}, expected one of {OUTCOMES}")
+        win = 100.0 * win_labels.count("win") / len(win_labels)
     return MetricReport(
         rm_name=table.rm_name,
         hit_rate=hit_rates,

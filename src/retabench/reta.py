@@ -95,9 +95,6 @@ class RetaCurve:
     rm_name: str
     points: list[RetaEstimate]
 
-    def etas(self) -> list[float]:
-        return [p.eta for p in self.points]
-
 
 def default_eta_grid(points: int = 15, max_log2: float = 7.0) -> list[float]:
     """Log-uniform eta grid from 1 down to 2**-max_log2 (15 points by default);
@@ -219,9 +216,15 @@ def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> floa
     ``ranking.oracle_matrix``).
 
     Deliberately naive (plain loops, exact summation); kept independent of
-    the vectorized estimator so the two can cross-check each other.
+    the vectorized estimator so the two can cross-check each other. Each
+    score must be a finite number (a bool is not one).
     """
-    scores = [float(v) for v in oracle_by_rank]
+    scores = []
+    for value in oracle_by_rank:
+        _check_number(value, "oracle score")
+        if not math.isfinite(value):
+            raise InvalidConfig(f"oracle score {value!r}: must be finite")
+        scores.append(float(value))
     total = len(scores)
     _check_int(n, "n")
     if not 1 <= n <= total:

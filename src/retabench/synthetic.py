@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +24,8 @@ from .dataset import (
     _check_number,
     _frozen,
     _rm_name_problem,
-    _write_csv,
 )
 from .errors import InvalidConfig, UnsupportedSpec
-
-if TYPE_CHECKING:
-    from .reta import RetaConfig
 
 # each kind and the params it reads; any other key is an error, not ignored
 _PARAM_KEYS = {"deterministic_uniform": {"low", "high"}, "independent": {"low", "high"},
@@ -264,49 +259,3 @@ def analytic_reta(spec: DistSpec, eta: float) -> float:
         mean = math.fsum(j * prob for _, j, prob in atoms) / total
         return (numerator / eta) / mean
     raise UnsupportedSpec(f"no analytic value for kind {spec.kind!r}")
-
-
-@dataclass
-class ConvergencePoint:
-    responses_per_prompt: int
-    eta: float
-    estimate: float
-    analytic: float
-    abs_error: float
-    std_error: float
-    seed: int
-
-
-def convergence_experiment(spec: DistSpec, eta: float, n_list: Sequence[int],
-                           num_prompts: int, config: RetaConfig | None = None, *,
-                           seed: int = 0) -> list[ConvergencePoint]:
-    """Estimate at each pool size N and report the gap to the analytic limit;
-    the dataset of pool size N is ``gen_synthetic``'s at seed ``seed + N``."""
-    from .reta import RetaConfig, reta_estimate  # here, so ``synth`` does not load reta
-
-    config = config or RetaConfig()
-    limit = analytic_reta(spec, eta)
-    points = []
-    for pool_size in n_list:
-        dataset_seed = seed + pool_size  # distinct data per pool size
-        dataset, table = gen_synthetic(spec, num_prompts, pool_size, dataset_seed)
-        estimate = reta_estimate(dataset, table, eta, config)
-        points.append(ConvergencePoint(
-            responses_per_prompt=pool_size,
-            eta=eta,
-            estimate=estimate.value,
-            analytic=limit,
-            abs_error=abs(estimate.value - limit),
-            std_error=estimate.std_error,
-            seed=dataset_seed,
-        ))
-    return points
-
-
-def write_convergence_csv(points: Sequence[ConvergencePoint], path: str | Path,
-                          header_comment: str | None = None) -> None:
-    _write_csv(path, header_comment,
-               ["N", "eta", "estimate", "analytic", "abs_error", "std_error", "seed"],
-               ([point.responses_per_prompt, repr(point.eta), repr(point.estimate),
-                 repr(point.analytic), repr(point.abs_error), repr(point.std_error), point.seed]
-                for point in points))

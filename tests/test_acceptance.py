@@ -219,6 +219,14 @@ def _orthonormal_records(count: int):
             for i in range(count)]
 
 
+def _mean_abs_cosine(model, subset) -> float:
+    """Mean |cosine similarity| over the distinct pairs of ``subset``."""
+    rows = model.embeddings[sorted(subset)]
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    cosine = np.abs(unit @ unit.T)
+    return float((cosine.sum() - np.trace(cosine)) / (len(subset) * (len(subset) - 1)))
+
+
 def test_c09_dpp_properties():
     # duplicate-embedding exclusion over 1000 seeded samples
     dup_model = rb.build_dpp([
@@ -254,11 +262,11 @@ def test_c09_dpp_properties():
     cluster_model = rb.build_dpp([
         rb.PromptRecord(f"c{i:02d}", "t", tuple(matrix[i])) for i in range(18)])
     dpp_mean = np.mean([
-        rb.diversity_score(cluster_model,
-                           rb.sample_kdpp(cluster_model, rb.DppSampleConfig(k=6, seed=s)))
+        _mean_abs_cosine(cluster_model,
+                         rb.sample_kdpp(cluster_model, rb.DppSampleConfig(k=6, seed=s)))
         for s in range(500)])
     uniform_mean = np.mean([
-        rb.diversity_score(cluster_model, [
+        _mean_abs_cosine(cluster_model, [
             int(i) for i in np.random.Generator(
                 np.random.Philox(np.random.SeedSequence([s, 1]))
             ).choice(18, 6, replace=False)])

@@ -559,16 +559,14 @@ _PUBLIC = {
                 "ResponseRecord", "RmScoreTable", "ValidationIssue", "ValidationReport",
                 "ingest_rm_scores", "load_benchmark", "load_candidate_prompts",
                 "oracle_score_table", "validate_dataset", "write_benchmark", "write_rm_scores"],
-    "dpp": ["DppModel", "DppSampleConfig", "build_dpp", "diversity_score", "sample_kdpp",
-            "subset_log_det"],
+    "dpp": ["DppModel", "DppSampleConfig", "build_dpp", "sample_kdpp"],
     "metrics": ["MetricReport", "default_hit_rate_cutoffs", "load_win_labels", "metric_report",
-                "win_rate_aggregate", "write_metrics_csv"],
+                "write_metrics_csv"],
     "ranking": ["eta_parts"],
     "reta": ["RetaConfig", "RetaCurve", "RetaEstimate", "default_eta_grid", "exhaustive_reta",
              "resample_sizes", "reta_curve", "reta_curve_pair", "reta_estimate",
              "write_curve_csv", "write_per_prompt_csv"],
-    "synthetic": ["ConvergencePoint", "DistSpec", "analytic_reta", "convergence_experiment",
-                  "gen_synthetic", "write_convergence_csv"],
+    "synthetic": ["DistSpec", "analytic_reta", "gen_synthetic"],
 }
 
 

@@ -16,7 +16,6 @@ import pytest
 from retabench import (
     BenchmarkDataset,
     BonVariant,
-    ConvergencePoint,
     PromptRecord,
     ResponseRecord,
     RetaCurve,
@@ -34,7 +33,6 @@ from retabench import (
     validate_dataset,
     write_benchmark,
     write_bon_csv,
-    write_convergence_csv,
     write_curve_csv,
     write_metrics_csv,
     write_per_prompt_csv,
@@ -838,7 +836,6 @@ def test_every_csv_writer_creates_its_parent_directory(tmp_path):
     dataset = build_dataset({"p1": [1.0, 2.0, 3.0, 4.0], "p2": [4.0, 1.0, 3.0, 2.0]})
     table = build_table({"p1": [0.1, 0.4, 0.2, 0.3], "p2": [0.3, 0.1, 0.2, 0.4]})
     curve = RetaCurve("rm", [RetaEstimate(0.5, 1.1, {"p1": 1.0, "p2": 1.2}, 0.1, [2, 3])])
-    point = ConvergencePoint(4, 0.5, 1.2, 1.1, 0.1, 0.05, 7)
     writers = {
         "curve.csv": (lambda p: write_curve_csv(curve, p, "note"), "rm_name,eta,"),
         "per_prompt.csv": (lambda p: write_per_prompt_csv(curve, dataset, p, "note"),
@@ -847,7 +844,6 @@ def test_every_csv_writer_creates_its_parent_directory(tmp_path):
             bon_curve(dataset, table, BonVariant("best_of_n")), p, "note"), "rm_name,variant,"),
         "metrics.csv": (lambda p: write_metrics_csv([metric_report(dataset, table)], p, "note"),
                         "rm_name,hit_rate_at_"),
-        "convergence.csv": (lambda p: write_convergence_csv([point], p, "note"), "N,eta,"),
     }
     for name, (write, header) in writers.items():
         path = tmp_path / name / "a" / "b" / name

@@ -16,7 +16,6 @@ from retabench import (
     load_win_labels,
     metric_report,
     oracle_score_table,
-    win_rate_aggregate,
     write_metrics_csv,
 )
 from retabench.errors import (
@@ -180,13 +179,22 @@ def test_pairwise_accuracy_no_comparable():
 
 
 def test_win_rate_examples():
-    assert win_rate_aggregate(["win", "loss", "draw", "win"]) == (50.0, 0.25)
-    assert win_rate_aggregate(["draw", "draw"]) == (0.0, 0.0)
-    assert win_rate_aggregate(["win", "win"]) == (100.0, 1.0)
+    dataset = build_dataset({"p": [1.0, 2.0, 3.0]})
+    table = build_table({"p": [1.0, 2.0, 3.0]})
+
+    def win_rate(labels):
+        return metric_report(dataset, table, eta=0.5, win_labels=labels).win_rate
+
+    assert win_rate(["win", "loss", "draw", "win"]) == 50.0
+    assert win_rate(["draw", "draw"]) == 0.0
+    assert win_rate(["win", "win"]) == 100.0
+    assert win_rate(("win", "loss", "loss")) == 100.0 / 3.0
     with pytest.raises(EmptyLabels):
-        win_rate_aggregate([])
-    with pytest.raises(InvalidConfig):
-        win_rate_aggregate(["victory"])
+        win_rate([])
+    # an unhashable label is an unknown outcome too, not a bare TypeError
+    for labels in (["victory"], [["win"]], [{}], ["win", None]):
+        with pytest.raises(InvalidConfig, match="^unknown outcome "):
+            win_rate(labels)
 
 
 def test_load_win_labels(tmp_path):

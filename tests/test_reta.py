@@ -16,7 +16,6 @@ from retabench import (
     PromptRecord,
     RetaConfig,
     analytic_reta,
-    convergence_experiment,
     exhaustive_reta,
     load_benchmark,
     metric_report,
@@ -500,7 +499,7 @@ def test_default_curve_shape():
     assert len(curve.points) == 15
     assert curve.points[0].eta == 1.0
     assert curve.points[0].value == 1.0
-    etas = curve.etas()
+    etas = [p.eta for p in curve.points]
     assert all(b < a for a, b in zip(etas, etas[1:]))
     assert etas[-1] == pytest.approx(1.0 / 128.0, abs=1e-15)
 
@@ -585,12 +584,21 @@ def test_exhaustive_reta_takes_only_an_int_subset_size(n):
     assert exhaustive_reta(scores, 0.5, np.int64(2)) == exhaustive_reta(scores, 0.5, 2)
 
 
+@pytest.mark.parametrize("score, problem", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+    ("x", "must be a number"), (True, "must be a number"),
+], ids=["nan", "inf", "minus-inf", "string", "bool"])
+def test_exhaustive_reta_takes_only_finite_number_scores(score, problem):
+    # a score it cannot sum ends in InvalidConfig, never a nan value or a bare ValueError
+    with pytest.raises(InvalidConfig) as raised:
+        exhaustive_reta([score, 1.0], 0.5, 2)
+    assert str(raised.value) == f"oracle score {score!r}: {problem}"
+
+
 _SCALAR_ARGUMENTS = {
     "metric_report-eta": ("eta", lambda v: metric_report(*_pair(), eta=v)),
     "exhaustive_reta-eta": ("eta", lambda v: exhaustive_reta([4.0, 3.0, 2.0, 1.0], v, 2)),
     "analytic_reta-eta": ("eta", lambda v: analytic_reta(DistSpec.noisy_gaussian(0.5), v)),
-    "convergence_experiment-eta": (
-        "eta", lambda v: convergence_experiment(DistSpec.noisy_gaussian(0.5), v, [8], 2)),
     **{f"RetaConfig-{name}": (name, lambda v, name=name: RetaConfig(**{name: v}))
        for name in ("n_range_low_coeff", "n_range_high_coeff", "n_exponent")},
     "load_benchmark-max_oracle_score": (

@@ -1,4 +1,4 @@
-"""Synthetic distributions: generators, closed-form limits, convergence runs."""
+"""Synthetic distributions: generators, closed-form limits, convergence to them."""
 
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from retabench import (
     DistSpec,
     RetaConfig,
     analytic_reta,
-    convergence_experiment,
     gen_synthetic,
     metric_report,
     reta_estimate,
     validate_dataset,
-    write_convergence_csv,
 )
 from retabench.errors import InvalidConfig, UnsupportedSpec
 
@@ -193,39 +191,17 @@ def test_independent_zero_correlation_in_expectation():
 
 def test_convergence_error_shrinks_with_pool_size():
     spec = DistSpec.deterministic_uniform(0.0, 1.0)
+    config = RetaConfig(n_range_low_coeff=1.0, n_range_high_coeff=2.0, n_exponent=0.5)
+    limit = analytic_reta(spec, 0.25)
     mean_errors = []
     for pool in (8, 32):
         errors = []
         for seed in range(10):
-            config = RetaConfig(n_range_low_coeff=1.0,
-                                n_range_high_coeff=2.0, n_exponent=0.5)
-            point = convergence_experiment(spec, 0.25, [pool], 12, config, seed=seed)[0]
-            errors.append(point.abs_error)
+            # 12 prompts of pool size N, drawn at seed + N
+            dataset, table = gen_synthetic(spec, 12, pool, seed + pool)
+            errors.append(abs(reta_estimate(dataset, table, 0.25, config).value - limit))
         mean_errors.append(sum(errors) / len(errors))
     assert mean_errors[1] <= mean_errors[0]
-
-
-def test_convergence_experiment_rows(tmp_path):
-    spec = DistSpec.deterministic_uniform(0.0, 1.0)
-    config = RetaConfig(n_range_low_coeff=1.0,
-                        n_range_high_coeff=2.0, n_exponent=0.5)
-    points = convergence_experiment(spec, 0.25, [16, 32], 8, config, seed=1)
-    assert [p.responses_per_prompt for p in points] == [16, 32]
-    # the dataset of pool size N is the one drawn at seed 1 + N
-    assert [p.seed for p in points] == [17, 33]
-    dataset, table = gen_synthetic(spec, 8, 32, 33)
-    assert points[1].estimate == reta_estimate(dataset, table, 0.25, config).value
-    limit = analytic_reta(spec, 0.25)
-    for point in points:
-        assert point.analytic == limit
-        assert point.abs_error == pytest.approx(abs(point.estimate - limit), abs=1e-15)
-        assert point.std_error >= 0.0
-    path = tmp_path / "convergence.csv"
-    write_convergence_csv(points, path, "prov")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# prov"
-    assert lines[1] == "N,eta,estimate,analytic,abs_error,std_error,seed"
-    assert len(lines) == 4
 
 
 @pytest.mark.parametrize("rm_name", ["", "a\u0000b", "\udcff"], ids=["empty", "nul", "surrogate"])
