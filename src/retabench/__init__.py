@@ -33,12 +33,10 @@ _EXPORTS = {
         "ResponseRecord",
         "RmScoreTable",
         "ValidationIssue",
-        "ValidationReport",
         "ingest_rm_scores",
         "load_benchmark",
         "load_candidate_prompts",
         "oracle_score_table",
-        "validate_dataset",
         "write_benchmark",
         "write_rm_scores",
     ),
@@ -55,7 +53,6 @@ _EXPORTS = {
         "metric_report",
         "write_metrics_csv",
     ),
-    "ranking": ("eta_parts",),
     "reta": (
         "RetaConfig",
         "RetaCurve",

@@ -36,7 +36,6 @@ from .dataset import (
     load_benchmark,
     load_candidate_prompts,
     ingest_rm_scores,
-    validate_dataset,
     write_benchmark,
     write_rm_scores,
 )
@@ -47,8 +46,8 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
 # A command's write step: writes its computed results into a directory (None:
-# ``validate`` prints its report) and returns the exit code.
-Write = Callable[[Path | None], int]
+# ``validate`` prints its report).
+Write = Callable[[Path | None], None]
 
 # Keys that exist on the namespace but are not part of a command's tunable
 # config (and so are not overridable from a config file).
@@ -176,12 +175,11 @@ def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
         "num_candidates": model.num_candidates,
     }
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         (out_dir / "selected_prompts.txt").write_text(
             "".join(f"{pid}\n" for pid in ids), encoding="utf-8")
         (out_dir / "sample_provenance.json").write_text(_json_text(provenance),
                                                         encoding="utf-8")
-        return EXIT_OK
     return write
 
 
@@ -192,10 +190,9 @@ def _cmd_synth(args: argparse.Namespace) -> Write:
     dataset, table = gen_synthetic(
         spec, args.num_prompts, args.num_responses, args.seed, rm_name=args.rm_name)
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         write_benchmark(dataset, out_dir)
         write_rm_scores(table, out_dir / "rm_scores.jsonl")
-        return EXIT_OK
     return write
 
 
@@ -203,16 +200,17 @@ def _cmd_validate(args: argparse.Namespace) -> Write:
     """Loads, plus warnings: any invalid input (a value, a shape, an oracle
     score above ``--max-oracle-score``, a repeated ``rm_name``) is raised
     by the readers, so it exits 2 with a JSON error before a report
-    exists; the report lists the load warnings (unknown keys)."""
-    report = validate_dataset(*_read_dataset(args), max_oracle_score=args.max_oracle_score)
-    text = _json_text({"ok": report.ok, "issues": [asdict(i) for i in report.issues]})
+    exists; the report lists the load warnings (unknown keys), the
+    dataset's and then each table's, and is always ``ok``."""
+    dataset, tables = _read_dataset(args)
+    warnings = dataset.load_warnings + [w for t in tables for w in t.load_warnings]
+    text = _json_text({"ok": True, "issues": [asdict(w) for w in warnings]})
 
-    def write(out_dir: Path | None) -> int:
+    def write(out_dir: Path | None) -> None:
         if out_dir is None:
             sys.stdout.write(text)
         else:
             (out_dir / "validation_report.json").write_text(text, encoding="utf-8")
-        return EXIT_OK if report.ok else EXIT_INPUT
     return write
 
 
@@ -239,7 +237,7 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
         curves, raws = [reta_curve(dataset, table, etas, config) for table in tables], []
     provenance = _provenance(args)
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         for curve in curves:
             stem = f"reta_{_file_part(curve.rm_name)}"
             write_curve_csv(curve, out_dir / f"{stem}.csv", provenance)
@@ -247,7 +245,6 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
         for raw in raws:
             write_curve_csv(raw, out_dir / f"reta_{_file_part(raw.rm_name)}_unnormalized.csv",
                             provenance)
-        return EXIT_OK
     return write
 
 
@@ -260,11 +257,10 @@ def _cmd_bon(args: argparse.Namespace) -> Write:
     curves = [bon_curve(dataset, table, variant, args.n_values or None) for table in tables]
     provenance = _provenance(args)
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         for curve in curves:
             write_bon_csv(curve, out_dir / f"bon_{_file_part(curve.rm_name)}_{variant.label}.csv",
                           provenance)
-        return EXIT_OK
     return write
 
 
@@ -279,20 +275,18 @@ def _cmd_metrics(args: argparse.Namespace) -> Write:
         for table in tables
     ]
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         write_metrics_csv(reports, out_dir / "metrics.csv", _provenance(args))
-        return EXIT_OK
     return write
 
 
 def _cmd_export(args: argparse.Namespace) -> Write:
     dataset, tables = _read_dataset(args)
 
-    def write(out_dir: Path) -> int:
+    def write(out_dir: Path) -> None:
         write_benchmark(dataset, out_dir)
         for table in tables:
             write_rm_scores(table, out_dir / f"rm_scores_{_file_part(table.rm_name)}.jsonl")
-        return EXIT_OK
     return write
 
 
@@ -407,9 +401,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config_file(args)
         write = args.func(args)
-        if not args.output_dir:
-            return write(None)
-        return _run_staged(args, Path(args.output_dir), write)
+        if args.output_dir:
+            _run_staged(args, Path(args.output_dir), write)
+        else:
+            write(None)
+        return EXIT_OK
     except (InputError, OSError) as exc:
         _emit_error(exc)
         return EXIT_INPUT
@@ -418,7 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_COMPUTE
 
 
-def _run_staged(args: argparse.Namespace, out_dir: Path, write: Write) -> int:
+def _run_staged(args: argparse.Namespace, out_dir: Path, write: Write) -> None:
     """Run the command's write step into a hidden staging directory inside ``out_dir``,
     add its config echo, then move every file into ``out_dir``.
 
@@ -430,7 +426,7 @@ def _run_staged(args: argparse.Namespace, out_dir: Path, write: Write) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        code = write(staging)
+        write(staging)
         echo = staging / f"{args.command.replace('-', '_')}_config.json"
         echo.write_text(_json_text(_canonical_config(args)), encoding="utf-8")
         for entry in staging.iterdir():
@@ -441,7 +437,6 @@ def _run_staged(args: argparse.Namespace, out_dir: Path, write: Write) -> int:
             exc.filename = str(out_dir) + str(exc.filename)[len(str(staging)):]
         raise
     staging.rmdir()
-    return code
 
 
 def _emit_error(exc: Exception) -> None:

@@ -97,18 +97,9 @@ class ResponseRecord:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "error" or "warning"
+    severity: str  # "warning": a reader records an unknown key, and raises every error
     location: str
     message: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue]
-
-    @property
-    def ok(self) -> bool:
-        return not any(i.severity == "error" for i in self.issues)
 
 
 @dataclass
@@ -1003,46 +994,3 @@ def oracle_score_table(dataset: BenchmarkDataset, rm_name: str = "oracle") -> Rm
     """A score table whose scores equal the oracle scores (the ideal model)."""
     return RmScoreTable._from_columns(rm_name, dataset._pair_ids, dataset._oracle_scores.ravel())
 
-
-def validate_dataset(dataset: BenchmarkDataset,
-                     tables: Sequence[RmScoreTable] = (),
-                     *,
-                     max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE) -> ValidationReport:
-    """The checks a dataset and its tables cannot make on their own.
-
-    Its errors are oracle scores above ``max_oracle_score``, a repeated
-    ``rm_name`` and a table that misses or adds pairs; its warnings are
-    the load warnings (unknown keys). The readers raise each of those
-    errors first, so for loaded data the report holds only warnings.
-    Never mutates; raises only ``InvalidConfig`` for a
-    ``max_oracle_score`` that is not positive and finite.
-    """
-    _check_max_oracle_score(max_oracle_score)
-    issues: list[ValidationIssue] = list(dataset.load_warnings)
-
-    pids, rids = dataset._pair_ids
-    for i in np.flatnonzero(dataset._oracle_scores > max_oracle_score).tolist():
-        issues.append(ValidationIssue("error", f"response:{pids[i]}/{rids[i]}",
-                                      f"oracle score exceeds maximum {max_oracle_score}"))
-
-    seen_rm_names: set[str] = set()
-    for table in tables:
-        loc = f"table:{table.rm_name}"
-        issues.extend(table.load_warnings)
-        if table.rm_name in seen_rm_names:
-            issues.append(ValidationIssue("error", loc, "duplicate rm_name"))
-        seen_rm_names.add(table.rm_name)
-        if table._pair_ids == dataset._pair_ids:
-            continue  # the table holds exactly the dataset's pairs
-        expected_pairs = dataset._pair_index.keys()
-        pairs = set(zip(*table._pair_ids))
-        missing = expected_pairs - pairs
-        extra = pairs - expected_pairs
-        if missing:
-            issues.append(ValidationIssue(
-                "error", loc, f"{len(missing)} pairs missing (e.g. {min(missing)!r})"))
-        if extra:
-            issues.append(ValidationIssue(
-                "error", loc, f"{len(extra)} unknown pairs (e.g. {min(extra)!r})"))
-
-    return ValidationReport(issues=issues)

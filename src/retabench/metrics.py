@@ -40,7 +40,7 @@ from .errors import (
     MalformedRecord,
     NoComparablePairs,
 )
-from .ranking import _rank_orders, _score_matrices, eta_parts
+from .ranking import _eta_parts, _rank_orders, _score_matrices
 
 OUTCOMES = ("win", "draw", "loss")
 
@@ -63,7 +63,7 @@ def _ground_truth_size(n: int, eta: float, k: int) -> int:
     _check_int(k, "K")
     if not 1 <= k <= n:
         raise InvalidConfig(f"K={k} outside [1, {n}]")
-    gt_size, _ = eta_parts(eta, n)
+    gt_size = int(_eta_parts(eta, n)[0])
     if gt_size == 0:
         raise EmptyGroundTruth(f"floor(eta*N) = 0 for eta={eta}, N={n}")
     return gt_size

@@ -37,15 +37,10 @@ from .errors import MissingScore
 _INTEGER_SNAP_TOL = 1e-9
 
 
-def eta_parts(eta: float, n: int) -> tuple[int, float]:
-    """Split eta*n into (floor, fractional part), snapping float noise."""
-    floor, fraction = _eta_parts(eta, n)
-    return int(floor), float(fraction)
-
-
 def _eta_parts(etas, ns) -> tuple[np.ndarray, np.ndarray]:
-    """``eta_parts`` of every entry of ``etas`` and ``ns`` broadcast against
-    each other: (integer floors, fractional parts)."""
+    """eta*n split into (integer floor, fractional part), snapping float
+    noise, for every entry of ``etas`` and ``ns`` broadcast against each
+    other."""
     x = np.multiply(etas, ns, dtype=np.float64)
     nearest = np.rint(x)
     x = np.where(np.abs(x - nearest) <= _INTEGER_SNAP_TOL, nearest, x)

@@ -45,7 +45,6 @@ from .ranking import (
     _eta_parts,
     _selection_weights,
     _weighted_sums,
-    eta_parts,
     oracle_matrix,
 )
 
@@ -238,7 +237,8 @@ def exhaustive_reta(oracle_by_rank: Sequence[float], eta: float, n: int) -> floa
     pool_total = math.fsum(scores)
     if pool_total <= 0.0:
         raise DegenerateDenominator("the pool has zero total oracle score")
-    count, delta = eta_parts(eta, n)
+    count, delta = _eta_parts(eta, n)
+    count, delta = int(count), float(delta)
     if count == 0 and delta == 0.0:
         return 0.0
     bodies = []

@@ -18,7 +18,7 @@ from scipy.stats import chi2
 
 import retabench as rb
 from retabench.cli import main as cli_main
-from retabench.ranking import oracle_matrix
+from retabench.ranking import _eta_parts, oracle_matrix
 
 from conftest import bon_at, build_table, one_prompt, prompt_subset, reta_at, write_jsonl
 from test_bon import brute_force_best_m, brute_force_rank_k
@@ -70,7 +70,7 @@ def test_c03_estimator_exactness():
                 worst = max(worst, abs(fast - slow))
                 checked += 1
                 full_pool += n == size
-                empty_floor += rb.eta_parts(eta, n)[0] == 0
+                empty_floor += _eta_parts(eta, n)[0] == 0
     report("criterion 3 (estimator exactness)",
            worst <= 1e-12 and full_pool > 0 and empty_floor > 0,
            f"{checked} (N, n, eta) cases ({full_pool} with n = N, {empty_floor} with "

@@ -30,7 +30,6 @@ from retabench import (
     oracle_score_table,
     reta_curve,
     reta_curve_pair,
-    validate_dataset,
     write_benchmark,
     write_bon_csv,
     write_curve_csv,
@@ -128,12 +127,9 @@ def test_oracle_score_above_bound_rejected(tmp_path):
 
 
 def test_bad_max_oracle_score_rejected(tiny_dataset_dir):
-    dataset = load_benchmark(tiny_dataset_dir)
     for bound in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(InvalidConfig):
             load_benchmark(tiny_dataset_dir, max_oracle_score=bound)
-        with pytest.raises(InvalidConfig):
-            validate_dataset(dataset, max_oracle_score=bound)
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -366,22 +362,32 @@ def test_writers_match_json_dumps_bytes(tmp_path):
             (tmp_path / "reference" / name).read_bytes()
 
 
-def test_validate_ok(tiny_dataset_dir, tmp_path):
+def test_validate_ok(tiny_dataset_dir, tmp_path, capsys):
+    # a dataset and its oracle table that load with no warning give an
+    # ok report with no issue
     dataset = load_benchmark(tiny_dataset_dir)
-    table = oracle_score_table(dataset)
-    report = validate_dataset(dataset, [table])
-    assert report.ok
-    assert [issue for issue in report.issues if issue.severity == "error"] == []
+    write_rm_scores(oracle_score_table(dataset), tmp_path / "oracle.jsonl")
+    assert main(["validate", "--dataset", str(tiny_dataset_dir),
+                 "--rm-scores", str(tmp_path / "oracle.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "issues": []}
 
 
-def test_validate_duplicate_rm_name(tiny_dataset_dir):
+def test_validate_duplicate_rm_name(tiny_dataset_dir, tmp_path, capsys):
+    # a repeated rm_name is refused where the score files are read
+    # together, by every command, before --output-dir exists
     dataset = load_benchmark(tiny_dataset_dir)
-    table = oracle_score_table(dataset, rm_name="same")
-    other = oracle_score_table(dataset, rm_name="same")
-    report = validate_dataset(dataset, [table, other])
-    assert not report.ok
-    assert any(issue.severity == "error" and "duplicate rm_name" in issue.message
-               for issue in report.issues)
+    scores = []
+    for i in range(2):
+        write_rm_scores(oracle_score_table(dataset, rm_name="same"), tmp_path / f"{i}.jsonl")
+        scores.append(str(tmp_path / f"{i}.jsonl"))
+    for command in ("validate", "reta"):
+        out = tmp_path / command
+        assert main([command, "--dataset", str(tiny_dataset_dir), "--rm-scores", *scores,
+                     "--output-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidConfig",
+            "message": "duplicate rm_name among score files: ['same', 'same']"}
+        assert not out.exists()
 
 
 def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
@@ -528,14 +534,6 @@ def test_construction_stores_number_entries_as_floats():
         "d", [PromptRecord("p1", "t", embedding=(1.0, 0.0), perplexity=2.0)],
         {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 1.0)),
                 ResponseRecord("p1", "b", 2.0)]}, 2)
-
-
-def test_validate_reports_each_oracle_score_above_the_bound():
-    dataset = build_dataset({"p1": [1.0, 5.0], "p2": [6.0, 2.0]})
-    report = validate_dataset(dataset, max_oracle_score=4.0)
-    assert [(i.severity, i.location, i.message) for i in report.issues] == [
-        ("error", f"response:{pair}", "oracle score exceeds maximum 4.0")
-        for pair in ("p1/r001", "p2/r000")]
 
 
 def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
@@ -1411,7 +1409,7 @@ def test_commands_on_a_canonical_table_build_no_score_dict_or_pair_index(tmp_pat
     read = ingest_rm_scores(dataset, directory / "rm_scores.jsonl")
     oracle = oracle_score_table(dataset)
     assert repr(read) == "RmScoreTable(rm_name='synthetic-rm', pairs=192)"
-    assert validate_dataset(dataset, [read, oracle]).ok
+    assert read.load_warnings == [] and dataset.load_warnings == []
     assert read == table and read != oracle
     with pytest.raises(AssertionError, match="scores dict was built"):
         read.scores
@@ -1451,7 +1449,7 @@ def test_dict_and_column_tables_give_the_same_bytes(tmp_path):
 def test_hand_built_table_over_the_datasets_pairs_is_read_as_a_reshape(tmp_path, monkeypatch):
     # built from a dict in shuffled key order, a table over exactly the
     # dataset's pairs holds the dataset's sorted pair id lists, so the
-    # estimators and validation read its score column and build no dict
+    # estimators read its score column and build no dict
     generated, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 4, 32, seed=3)
     write_benchmark(generated, tmp_path / "d")
     write_rm_scores(table, tmp_path / "d" / "rm_scores.jsonl")
@@ -1466,7 +1464,6 @@ def test_hand_built_table_over_the_datasets_pairs_is_read_as_a_reshape(tmp_path,
     for variant in (BonVariant("best_of_n"), BonVariant("rank_k_of_n", 2)):
         assert bon_curve(dataset, by_dict, variant) == bon_curve(dataset, ingested, variant)
     assert metric_report(dataset, by_dict) == metric_report(dataset, ingested)
-    assert validate_dataset(dataset, [by_dict], max_oracle_score=20.0).ok
     assert "scores" not in vars(by_dict)
 
 
@@ -1527,18 +1524,3 @@ def test_column_tables_raise_the_dict_tables_errors():
     assert isinstance(from_columns.value, MalformedRecord)
     with pytest.raises(MalformedRecord, match="rm_name"):
         oracle_score_table(dataset, "")
-
-
-def test_validate_reports_the_pairs_a_hand_built_table_misses_or_adds(tiny_dataset_dir):
-    dataset = load_benchmark(tiny_dataset_dir)
-    scores = dict(oracle_score_table(dataset).scores)
-    del scores[("p2", "b")], scores[("p1", "c")]
-    scores[("p3", "a")] = scores[("p9", "z")] = 1.0
-    report = validate_dataset(dataset, [RmScoreTable("rm", scores)])
-    assert [(i.severity, i.location, i.message) for i in report.issues] == [
-        ("error", "table:rm", "2 pairs missing (e.g. ('p1', 'c'))"),
-        ("error", "table:rm", "2 unknown pairs (e.g. ('p3', 'a'))")]
-    # a column table of another dataset is checked pair by pair too
-    other = load_benchmark(tiny_dataset_dir, name="other")
-    report = validate_dataset(other, [oracle_score_table(dataset)])
-    assert report.ok and other._pair_ids is not dataset._pair_ids

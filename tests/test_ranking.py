@@ -20,7 +20,6 @@ from retabench import (
     build_dpp,
     default_hit_rate_cutoffs,
     default_n_grid,
-    eta_parts,
     gen_synthetic,
     ingest_rm_scores,
     kl_best_of_n,
@@ -35,6 +34,7 @@ from retabench import (
 )
 from retabench.errors import InvalidConfig, MissingScore
 from retabench.ranking import (
+    _eta_parts,
     _log_factorials,
     _rank_orders,
     _rank_weights,
@@ -72,10 +72,10 @@ def test_tie_break_by_response_id():
 
 
 def test_eta_parts_snaps_float_noise():
-    assert eta_parts(1.0 / 3.0, 3) == (1, 0.0)
-    assert eta_parts(0.2, 5) == (1, 0.0)
-    assert eta_parts(0.7, 10) == (7, 0.0)
-    floor, delta = eta_parts(1.0 / 3.0, 4)
+    assert _eta_parts(1.0 / 3.0, 3) == (1, 0.0)
+    assert _eta_parts(0.2, 5) == (1, 0.0)
+    assert _eta_parts(0.7, 10) == (7, 0.0)
+    floor, delta = _eta_parts(1.0 / 3.0, 4)
     assert floor == 1
     assert delta == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -286,7 +286,7 @@ def test_top_sums_match_exact_binomials_for_every_count():
 @pytest.mark.parametrize("n", [121, 201])
 def test_top_sums_match_exact_binomials_at_paper_scale(n):
     # the counts RETA reads at N = 256: floor(eta*n) over the default grid
-    counts = sorted({0, 1, n} | {eta_parts(eta, n)[0] for eta in default_eta_grid()})
+    counts = sorted({0, 1, n} | {int(_eta_parts(eta, n)[0]) for eta in default_eta_grid()})
     assert check_top_sums(256, n, counts) <= 1e-12
 
 

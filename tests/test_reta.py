@@ -19,7 +19,6 @@ from retabench import (
     exhaustive_reta,
     load_benchmark,
     metric_report,
-    validate_dataset,
     oracle_score_table,
     resample_sizes,
     reta_curve,
@@ -33,7 +32,7 @@ from retabench import (
 from retabench.cli import main
 from retabench.dataset import write_benchmark, write_rm_scores
 from retabench import reta as reta_module
-from retabench.ranking import eta_parts, oracle_matrix
+from retabench.ranking import _eta_parts, oracle_matrix
 from retabench.reta import _coefficients, default_eta_grid
 from retabench.errors import (
     DegenerateDenominator,
@@ -310,7 +309,7 @@ def exact_reta_at(oracle_by_rank, eta, grid):
     total = math.fsum(oracle_by_rank)
     per_n = []
     for n in grid:
-        count, delta = eta_parts(eta, n)
+        count, delta = _eta_parts(eta, n)
         denominator = math.comb(pool, n)
 
         def weight(k, r):
@@ -338,7 +337,7 @@ def test_paper_scale_curve_matches_exact_binomials():
     assert curve.points[0].eta == 1.0
     assert all(v == 1.0 for v in curve.points[0].per_prompt.values())
     smallest = curve.points[-2:]
-    assert any(eta_parts(smallest[-1].eta, n)[0] == 0 for n in grid)
+    assert any(_eta_parts(smallest[-1].eta, n)[0] == 0 for n in grid)
     for point in smallest:
         for (pid, value), row in zip(point.per_prompt.items(), oracle_matrix(dataset, table)):
             expected = exact_reta_at(row.tolist(), point.eta, grid)
@@ -370,7 +369,7 @@ def running_sum_coefficients(pool, grid, etas):
             - log_binomial(pool, n))])
         cumulative = np.cumsum(weights, axis=0)
         for coef, eta in zip(coefs, etas):
-            count, delta = eta_parts(eta, n)
+            count, delta = _eta_parts(eta, n)
             if eta == 1.0 or count + delta == 0.0:
                 continue
             term = cumulative[count] + delta * (1.0 - delta) * weights[count]
@@ -603,8 +602,6 @@ _SCALAR_ARGUMENTS = {
        for name in ("n_range_low_coeff", "n_range_high_coeff", "n_exponent")},
     "load_benchmark-max_oracle_score": (
         "max_oracle_score", lambda v: load_benchmark("missing", max_oracle_score=v)),
-    "validate_dataset-max_oracle_score": (
-        "max_oracle_score", lambda v: validate_dataset(_pair()[0], max_oracle_score=v)),
 }
 
 

@@ -15,9 +15,12 @@ from retabench import (
     RetaConfig,
     analytic_reta,
     gen_synthetic,
+    ingest_rm_scores,
+    load_benchmark,
     metric_report,
     reta_estimate,
-    validate_dataset,
+    write_benchmark,
+    write_rm_scores,
 )
 from retabench.errors import InvalidConfig, UnsupportedSpec
 
@@ -155,7 +158,7 @@ def test_analytic_monotone_in_eta():
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_generator_determinism_and_validity():
+def test_generator_determinism_and_validity(tmp_path):
     spec = DistSpec.noisy_gaussian(0.3, 7.0)
     first = gen_synthetic(spec, 4, 16, seed=5)
     second = gen_synthetic(spec, 4, 16, seed=5)
@@ -166,8 +169,13 @@ def test_generator_determinism_and_validity():
     dataset, table = first
     assert dataset.num_prompts == 4
     assert dataset.responses_per_prompt == 16
-    report = validate_dataset(dataset, [table], max_oracle_score=100.0)
-    assert report.ok
+    # valid: written, both read back equal, with no load warning
+    write_benchmark(dataset, tmp_path)
+    write_rm_scores(table, tmp_path / "rm_scores.jsonl")
+    loaded = load_benchmark(tmp_path, max_oracle_score=100.0, name=dataset.name)
+    read = ingest_rm_scores(loaded, tmp_path / "rm_scores.jsonl")
+    assert loaded == dataset and read == table
+    assert loaded.load_warnings == [] and read.load_warnings == []
 
 
 def test_deterministic_uniform_rankings_agree():
