@@ -112,14 +112,15 @@ class BenchmarkDataset:
     or ``response 'p1/a'``. So it raises what ``load_benchmark`` raises for
     the first bad record, naming the dataset and the label where the
     reader names the file and the line, with no ``max_oracle_score``
-    bound, which the dataset does not know. Before that it checks only
-    what a file cannot express: ``InvalidConfig`` for a
-    ``responses_per_prompt`` that is not an int (a bool is not one), then
+    bound, which the dataset does not know. Like the reader, it counts N,
+    ``responses_per_prompt``, against the prompt with the smallest id.
+    Before that it checks only what a file cannot express:
     ``MalformedRecord`` for ``prompts`` that are not a list or tuple of
     ``PromptRecord`` or ``responses`` that are not a dict of them, naming
     the item; and, once the prompts pass, ``MalformedRecord`` for a
     ``responses`` key that names no prompt or a response filed under
-    another prompt's key.
+    another prompt's key. ``load_warnings`` lists what a reader warned
+    about; a dataset built in code has none.
 
     Construction keeps the columns the loops return (``_store``), not the
     records: prompts by ``prompt_id``, each prompt's responses by
@@ -134,13 +135,9 @@ class BenchmarkDataset:
     name: str
     prompts: list[PromptRecord]
     responses: dict[str, list[ResponseRecord]]
-    responses_per_prompt: int
-    load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
+    load_warnings: list[ValidationIssue] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        size = self.responses_per_prompt
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise InvalidConfig(f"responses_per_prompt must be an int, got {size!r}")
         _reject(self.name, "prompts", "-", _records_problem(self.prompts, PromptRecord))
         _reject(self.name, "responses", "-",
                 None if isinstance(self.responses, dict) else "not a dict")
@@ -155,14 +152,16 @@ class BenchmarkDataset:
             raise MalformedRecord(self.name, None, "prompt_id",
                                   f"unknown prompt {min(unknown, key=str)!r}")
         self._store(*_read_responses(_response_objects(self.name, self.responses), self.name,
-                                     ids, size, math.inf, []))
+                                     ids, math.inf, []))
         del self.responses  # the columns hold them now
 
     def _store(self, oracle: np.ndarray, pair_ids: tuple[list[str], list[str]],
                texts: list[str | None], samples: list[tuple[float, ...] | None] | None) -> None:
-        """Keep the response columns, each in id order: the (prompts, N)
-        read-only oracle matrix, the prompt and the response id of each
-        response, the texts, and the oracle samples or None when there are none."""
+        """Keep N as ``responses_per_prompt`` and the response columns, each
+        in id order: the (prompts, N) read-only oracle matrix, the prompt and
+        the response id of each response, the texts, and the oracle samples
+        or None when there are none."""
+        self.responses_per_prompt = oracle.shape[1]
         self._pair_ids = pair_ids
         self._oracle_scores = oracle
         self._response_texts = texts
@@ -178,7 +177,6 @@ class BenchmarkDataset:
         dataset = cls.__new__(cls)
         dataset.name = name
         dataset.prompts = prompts
-        dataset.responses_per_prompt = oracle.shape[1]
         dataset.load_warnings = load_warnings or []
         dataset._store(oracle, pair_ids, texts, samples)
         return dataset
@@ -196,12 +194,11 @@ class BenchmarkDataset:
         return responses
 
     def __eq__(self, other) -> bool:
-        """Equal name, prompts, N and response columns, which is what equal
+        """Equal name, prompts and response columns, which is what equal
         records mean."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.name == other.name and self.prompts == other.prompts
-                and self.responses_per_prompt == other.responses_per_prompt
                 and self._pair_ids == other._pair_ids
                 and np.array_equal(self._oracle_scores, other._oracle_scores)
                 and self._response_texts == other._response_texts
@@ -299,7 +296,8 @@ class RmScoreTable:
     score that is not a number (``MalformedRecord``, naming the table and
     the key), or a score that is not finite (``NonFiniteScore``, for the
     smallest such pair), and keeps the sorted columns, not the dict. The
-    readers pass the dataset's own pair id lists to ``_from_columns``.
+    readers pass the dataset's own pair id lists, and their warnings
+    (``load_warnings``), to ``_from_columns``; a table built in code has none.
     ``scores`` is built from the columns on first read (``__getattr__``);
     two threads racing that read build equal dicts. Equality compares the
     name and the columns; a table is unhashable.
@@ -307,7 +305,7 @@ class RmScoreTable:
 
     rm_name: str
     scores: dict[tuple[str, str], float]
-    load_warnings: list[ValidationIssue] = field(default_factory=list, compare=False)
+    load_warnings: list[ValidationIssue] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         source = _score_table_source(self.rm_name)
@@ -712,9 +710,8 @@ def _check_max_oracle_score(value: float) -> None:
 
 
 def load_benchmark(path: str | Path, *,
-                   max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE,
-                   name: str | None = None) -> BenchmarkDataset:
-    """Load a benchmark directory containing prompts.jsonl and responses.jsonl.
+                   max_oracle_score: float = DEFAULT_MAX_ORACLE_SCORE) -> BenchmarkDataset:
+    """Load a benchmark directory, prompts.jsonl and responses.jsonl, as a dataset named after it.
 
     Every response must have a strictly positive oracle score no larger
     than ``max_oracle_score`` (scores are judge outputs on a bounded
@@ -737,8 +734,8 @@ def load_benchmark(path: str | Path, *,
     ids = [p.prompt_id for p in prompts]
     block_read = _canonical_responses(responses_path, ids, max_oracle_score)
     columns = block_read or _read_responses(_iter_jsonl(responses_path), RESPONSES_FILE, ids,
-                                            None, max_oracle_score, warnings)
-    dataset = BenchmarkDataset._from_columns(name or directory.name, prompts, *columns,
+                                            max_oracle_score, warnings)
+    dataset = BenchmarkDataset._from_columns(directory.name, prompts, *columns,
                                              load_warnings=warnings)
     if block_read:
         dataset._verbatim_ids = True  # the block reader's id pattern takes no other id
@@ -773,14 +770,12 @@ def _read_prompts(objects: Iterable[tuple[int | str, dict]], source: str,
 
 
 def _read_responses(objects: Iterable[tuple[int | str, dict]], source: str, ids: list[str],
-                    size: int | None, max_oracle_score: float,
-                    warnings: list[ValidationIssue]) -> tuple:
+                    max_oracle_score: float, warnings: list[ValidationIssue]) -> tuple:
     """The response columns ``_from_columns`` takes, from ``objects``
     ((line number or label, field dict) pairs) for the sorted prompt
     ``ids``; adds each unknown key to ``warnings`` and raises at the first
     bad object, naming ``source`` and its line or label, then for a prompt
-    without ``size`` responses (None: as many as the first prompt has) or
-    a ``size`` below 2."""
+    without as many responses as the first prompt has, or fewer than 2."""
     # each prompt's {response_id: object's position in ``rows``}
     positions: dict[str, dict[str, int]] = {pid: {} for pid in ids}
     rows: list[tuple[float, str | None, tuple[float, ...] | None]] = []
@@ -810,7 +805,7 @@ def _read_responses(objects: Iterable[tuple[int | str, dict]], source: str, ids:
         rows.append((score, text, samples))
 
     rids = [sorted(positions[pid]) for pid in ids]
-    size = len(rids[0]) if size is None else size
+    size = len(rids[0])
     for pid, row in zip(ids, rids):
         if len(row) != size:
             raise NonUniformN(pid, len(row), size)

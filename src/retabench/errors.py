@@ -40,14 +40,11 @@ class DuplicateId(InputError):
 
 
 class NonUniformN(InputError):
-    def __init__(self, prompt_id: str, count: int, expected: int | None = None):
+    def __init__(self, prompt_id: str, count: int, expected: int):
         self.prompt_id = prompt_id
         self.count = count
         self.expected = expected
-        msg = f"prompt {prompt_id!r} has {count} responses"
-        if expected is not None:
-            msg += f", expected {expected}"
-        super().__init__(msg)
+        super().__init__(f"prompt {prompt_id!r} has {count} responses, expected {expected}")
 
 
 class NonPositiveOracleScore(InputError):

@@ -11,8 +11,8 @@ in both, C = P - T_o pairs are comparable, the RM ties T_rm - T_joint of
 them, and it orders n_c = C - T_rm + T_joint - n_d like the oracle. The
 discordant count n_d is the number of strict inversions of the RM's ranks
 once each prompt's responses are sorted by (oracle, RM). The value is
-100 * (n_c + 0.5 * (T_rm - T_joint)) / C, the float expression of the pair
-loop it replaced, so ``metrics.csv`` keeps its bytes.
+100 * (n_c + 0.5 * (T_rm - T_joint)) / C, the float expression of a plain
+pair loop, whose value it equals exactly.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ class MetricReport:
     selection_rank_j: int
     pairwise_accuracy: float
     win_rate: float | None = None
-
-
-def _ground_truth_size(n: int, eta: float, k: int) -> int:
-    """floor(eta*N), after checking the cutoff K against the pool size N."""
-    _check_int(k, "K")
-    if not 1 <= k <= n:
-        raise InvalidConfig(f"K={k} outside [1, {n}]")
-    gt_size = int(_eta_parts(eta, n)[0])
-    if gt_size == 0:
-        raise EmptyGroundTruth(f"floor(eta*N) = 0 for eta={eta}, N={n}")
-    return gt_size
 
 
 def _pairwise_accuracy(dataset: BenchmarkDataset, rm: np.ndarray, oracle: np.ndarray) -> float:
@@ -173,33 +162,32 @@ def default_hit_rate_cutoffs(num_responses: int) -> list[int]:
 
 def metric_report(dataset: BenchmarkDataset, table: RmScoreTable, *,
                   eta: float = 0.25,
-                  hit_rate_cutoffs: Sequence[int] | None = None,
                   selection_rank: int = 1,
                   win_labels: Sequence[str] | None = None) -> MetricReport:
     """All comparison metrics for one RM, averaged across prompts.
 
-    The hit rate at K is the percent of the oracle's top floor(eta*N)
-    responses among the RM's top K. MRR and NDCG score the RM's
-    ``selection_rank``-th pick j by its oracle rank r: 1/r, and
-    1/log2(1+r) over the ideal pick's 1/log2(1+j), which for j = 1 lies
-    in [0, 1] with 1.0 for a perfect model. Pairwise accuracy is the
-    percent of response pairs the RM orders like the oracle: pairs with
-    equal oracle scores are excluded, and pairs the RM scores equally
-    count half. The win rate is the percent of ``win_labels`` that are
-    "win"; each must be one of ``OUTCOMES``.
+    The hit rate at K, for each K of ``default_hit_rate_cutoffs(N)``, is
+    the percent of the oracle's top floor(eta*N) responses among the RM's
+    top K. MRR and NDCG score the RM's ``selection_rank``-th pick j by its
+    oracle rank r: 1/r, and 1/log2(1+r) over the ideal pick's 1/log2(1+j),
+    which for j = 1 lies in [0, 1] with 1.0 for a perfect model. Pairwise
+    accuracy is the percent of response pairs the RM orders like the
+    oracle: pairs with equal oracle scores are excluded, and pairs the RM
+    scores equally count half. The win rate is the percent of
+    ``win_labels`` that are "win"; each must be one of ``OUTCOMES``.
     """
     _check_number(eta, "eta")
     if not 0.0 < eta < 1.0:
         raise InvalidConfig(f"eta must be in (0, 1), got {eta}")
-    cutoffs = (list(hit_rate_cutoffs) if hit_rate_cutoffs is not None
-               else default_hit_rate_cutoffs(dataset.responses_per_prompt))
     rm, oracle = _score_matrices(dataset, table)
     # [i, r]: the 0-based oracle rank of the response prompt i's RM ranks at r + 1
     rankings = np.take_along_axis(dataset._oracle_ranks, _rank_orders(rm), axis=1)
     pool = rankings.shape[1]
+    gt_size = int(_eta_parts(eta, pool)[0])  # floor(eta*N)
+    if gt_size == 0:
+        raise EmptyGroundTruth(f"floor(eta*N) = 0 for eta={eta}, N={pool}")
     hit_rates = {}
-    for k in cutoffs:
-        gt_size = _ground_truth_size(pool, eta, k)
+    for k in default_hit_rate_cutoffs(pool):
         hits = (rankings[:, :k] < gt_size).sum(axis=1)
         hit_rates[k] = math.fsum((100.0 * hits / gt_size).tolist()) / len(rankings)
     _check_int(selection_rank, "selection rank")

@@ -179,9 +179,9 @@ def _draw_pairs(spec: DistSpec, rng: np.random.Generator,
 
 
 def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
-                  seed: int, *, name: str | None = None,
+                  seed: int, *,
                   rm_name: str = "synthetic-rm") -> tuple[BenchmarkDataset, RmScoreTable]:
-    """Draw a benchmark dataset plus matching score table from a spec.
+    """Draw a dataset named ``synthetic-<kind>`` plus matching score table from a spec.
 
     Deterministic: each prompt gets its own counter-based stream keyed by
     (seed, prompt index), so generation order cannot change the data.
@@ -212,7 +212,7 @@ def gen_synthetic(spec: DistSpec, num_prompts: int, responses_per_prompt: int,
     pair_ids = ([pid for pid in prompt_ids for _ in response_ids],
                 response_ids * num_prompts)
     dataset = BenchmarkDataset._from_columns(
-        name or f"synthetic-{spec.kind}",
+        f"synthetic-{spec.kind}",
         [PromptRecord(pid, f"synthetic prompt {p_idx}") for p_idx, pid in enumerate(prompt_ids)],
         _frozen(oracle), pair_ids, [None] * len(response_ids) * num_prompts)
     return dataset, RmScoreTable._from_columns(rm_name, pair_ids, rm.ravel())

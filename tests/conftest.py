@@ -31,10 +31,7 @@ def build_dataset(oracle_by_prompt: dict[str, list[float]],
         ]
         for pid in sorted(oracle_by_prompt)
     }
-    sizes = {len(v) for v in responses.values()}
-    assert len(sizes) == 1
-    return BenchmarkDataset(name=name, prompts=prompts, responses=responses,
-                            responses_per_prompt=sizes.pop())
+    return BenchmarkDataset(name=name, prompts=prompts, responses=responses)
 
 
 def build_table(scores_by_prompt: dict[str, list[float]],
@@ -150,8 +147,7 @@ def prompt_subset(dataset: BenchmarkDataset, table: RmScoreTable, prompt_ids):
     """The dataset and score table restricted to ``prompt_ids``."""
     keep = set(prompt_ids)
     return (BenchmarkDataset(dataset.name, [p for p in dataset.prompts if p.prompt_id in keep],
-                             {pid: dataset.responses[pid] for pid in keep},
-                             dataset.responses_per_prompt),
+                             {pid: dataset.responses[pid] for pid in keep}),
             RmScoreTable(table.rm_name,
                          {pair: v for pair, v in table.scores.items() if pair[0] in keep}))
 
@@ -171,5 +167,5 @@ def unordered_ties_dataset(seed: int = 3, prompts: int = 6, size: int = 12):
         responses[pid] = [ResponseRecord(pid, rid, float(o)) for rid, o in zip(ids, oracle)]
         scores.update({(pid, rid): float(v) for rid, v in zip(ids, rm)})
     dataset = BenchmarkDataset("unordered", [PromptRecord(pid, "t") for pid in prompt_ids],
-                               responses, size)
+                               responses)
     return dataset, RmScoreTable("rm", scores)

@@ -183,7 +183,6 @@ def test_c07_monotone_transform_and_scale_invariance():
                        for r in rows] if pid == first else rows)
                 for pid, rows in dataset.responses.items()
             },
-            responses_per_prompt=dataset.responses_per_prompt,
         )
         moved = rb.reta_estimate(scaled, table, 0.25, config)
         scale_worst = max(scale_worst,

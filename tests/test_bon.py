@@ -257,6 +257,14 @@ def test_default_grid():
     assert default_n_grid(5) == [1, 2, 4]
 
 
+def test_default_grid_without_an_n_the_variant_takes():
+    # best-8-of-n needs n >= 8, and the default grid of a 4-response pool stops at 4
+    pool = one_prompt([4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(InvalidConfig) as raised:
+        bon_curve(*pool, best_m(8))
+    assert str(raised.value) == "no usable n values for variant best_8_of_n"
+
+
 def test_variant_validation():
     with pytest.raises(InvalidConfig):
         BonVariant("rank_k_of_n")

@@ -251,14 +251,46 @@ def test_config_file_unknown_key_exits_2(synth_dir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
 
 
+def test_config_file_holding_an_array_exits_2(synth_dir, tmp_path, capsys):
+    code, out = run_with_config(synth_dir, tmp_path, [{"eta": [0.5]}], "reta")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidConfig", "message": "config file must hold a JSON object"}
+    assert not out.exists()
+
+
+def test_config_value_outside_a_flags_choices_exits_2(synth_dir, tmp_path, capsys):
+    code, out = run_with_config(synth_dir, tmp_path, {"variant": "best_of_3"}, "bon")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidConfig",
+        "message": "config value for variant must be one of "
+                   "['best_of_n', 'rank_k_of_n', 'best_m_of_n'], got 'best_of_3'"}
+    assert not out.exists()
+
+
+def test_config_null_resets_a_flag_whose_default_is_none(synth_dir, tmp_path):
+    # the config's null wins over the flag, so the absent label file is never read
+    config_path = tmp_path / "override.json"
+    config_path.write_text(json.dumps({"win_labels": None}))
+    out = tmp_path / "out"
+    assert main(["metrics", "--dataset", str(synth_dir),
+                 "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
+                 "--win-labels", str(tmp_path / "absent.jsonl"),
+                 "--config", str(config_path), "--output-dir", str(out)]) == 0
+    lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    [row] = csv.DictReader(lines[1:])
+    assert row["win_rate"] == ""
+
+
 def test_export_round_trip(synth_dir, tmp_path):
-    out = tmp_path / "exported"
+    out = tmp_path / "exported" / synth_dir.name
     code = main(["export", "--dataset", str(synth_dir),
                  "--rm-scores", str(synth_dir / "rm_scores.jsonl"),
                  "--output-dir", str(out)])
     assert code == 0
     original = load_benchmark(synth_dir)
-    rewritten = load_benchmark(out, name=original.name)
+    rewritten = load_benchmark(out)
     assert rewritten == original
     table = ingest_rm_scores(rewritten, out / "rm_scores_synthetic-rm.jsonl")
     assert table == ingest_rm_scores(original, synth_dir / "rm_scores.jsonl")
@@ -586,13 +618,59 @@ def test_package_serves_each_public_name_from_its_module():
     assert star.keys() - {"__builtins__"} == set(names)
 
 
+def _readme_python_blocks() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+
+
 def test_readme_examples_use_only_public_names():
     # every rb.<name> in README's Python blocks resolves, so a retired name
     # cannot leave a dead example behind
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    blocks = _readme_python_blocks()
     names = {name for block in blocks for name in re.findall(r"\brb\.(\w+)", block)}
     assert names and sorted(names - set(retabench.__all__)) == []
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # every README Python block runs, in order and in one namespace, in a
+    # directory holding the data/ of README's synth step and three more RM
+    # tables, so a retired argument cannot leave a dead example behind either
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(DistSpec.deterministic_uniform(0.0, 1.0).to_json())
+    assert main(["synth", "--spec", "spec.json", "--num-prompts", "4", "--num-responses", "64",
+                 "--seed", "1", "--output-dir", "data"]) == 0
+    pairs = list(load_benchmark("data").iter_pairs())
+    rng = np.random.default_rng(0)
+    for name in ("rm_a", "rm_b", "rm_c"):
+        scores = dict(zip(pairs, rng.standard_normal(len(pairs)).tolist()))
+        write_rm_scores(RmScoreTable(name, scores), Path("data", f"{name}.jsonl"))
+    blocks = _readme_python_blocks()
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert blocks and (tmp_path / "reta.csv").is_file()
+
+
+def test_values_the_inputs_fix_take_no_argument(tmp_path):
+    # N and the load warnings come from the responses and the readers, the
+    # hit-rate cutoffs from N, and the names from the directory or the spec
+    spec = DistSpec.independent(1.0, 9.0)
+    dataset, table = retabench.gen_synthetic(spec, 2, 4, seed=0)
+    assert dataset.name == "synthetic-independent"
+    prompts, responses = dataset.prompts, dataset.responses
+    for call in (
+            lambda: BenchmarkDataset("d", prompts, responses, 4),
+            lambda: BenchmarkDataset("d", prompts, responses, responses_per_prompt=4),
+            lambda: BenchmarkDataset("d", prompts, responses, load_warnings=[]),
+            lambda: RmScoreTable("rm", table.scores, load_warnings=[]),
+            lambda: retabench.metric_report(dataset, table, hit_rate_cutoffs=[1]),
+            lambda: load_benchmark(tmp_path, name="d"),
+            lambda: retabench.gen_synthetic(spec, 2, 4, seed=0, name="d")):
+        with pytest.raises(TypeError):
+            call()
+    built = BenchmarkDataset("d", prompts, responses)
+    assert built.responses_per_prompt == 4 and built.load_warnings == []
+    assert RmScoreTable("rm", table.scores).load_warnings == []
 
 
 def test_cli_module_runs_with_a_sitecustomize_that_refuses_scipy(tmp_path, numpy_only):
@@ -1095,7 +1173,7 @@ def _equal_oracle_scores(tmp_path: Path) -> list[str]:
     flat = tmp_path / "flat"
     ids = ["a", "b", "c", "d"]
     write_benchmark(BenchmarkDataset("flat", [PromptRecord("p", "x")], {
-        "p": [ResponseRecord("p", rid, 1.0) for rid in ids]}, len(ids)), flat)
+        "p": [ResponseRecord("p", rid, 1.0) for rid in ids]}), flat)
     write_rm_scores(RmScoreTable("rm", {("p", rid): float(i) for i, rid in enumerate(ids)}),
                     flat / "rm_scores.jsonl")
     return ["--dataset", str(flat), "--rm-scores", str(flat / "rm_scores.jsonl")]

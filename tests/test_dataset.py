@@ -82,9 +82,9 @@ def test_load_is_deterministic(tiny_dataset_dir):
 
 def test_round_trip(tiny_dataset_dir, tmp_path):
     dataset = load_benchmark(tiny_dataset_dir)
-    out = tmp_path / "rewritten"
+    out = tmp_path / "rewritten" / dataset.name
     write_benchmark(dataset, out)
-    reloaded = load_benchmark(out, name=dataset.name)
+    reloaded = load_benchmark(out)
     assert reloaded == dataset
 
 
@@ -348,8 +348,7 @@ def test_writers_match_json_dumps_bytes(tmp_path):
             for j, rid in enumerate(ODD_IDS)]
         for j, rid in enumerate(ODD_IDS):
             scores[(pid, rid)] = ODD_VALUES[i + j]
-    dataset = BenchmarkDataset(name="odd", prompts=prompts, responses=responses,
-                               responses_per_prompt=len(ODD_IDS))
+    dataset = BenchmarkDataset(name="odd", prompts=prompts, responses=responses)
     table = RmScoreTable(rm_name='rm "\u00e9\U0001F600', scores=scores)
 
     write_rm_scores(table, tmp_path / "scores.jsonl")
@@ -405,7 +404,7 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
     if isinstance(record, ResponseRecord):
         responses["p1"][0] = record
     dataset = BenchmarkDataset("hand-built", items.get("prompts", prompts),
-                               items.get("responses", responses), 2)
+                               items.get("responses", responses))
     scores = dict.fromkeys(dataset.iter_pairs(), 0.5)
     scores[("p1", "a")] = rm_score
     return dataset, RmScoreTable(rm_name, scores)
@@ -511,7 +510,7 @@ def test_construction_keeps_copies_of_the_callers_lists(tmp_path):
     prompts = [PromptRecord("p1", "t", embedding=embedding)]
     responses = {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=samples),
                         ResponseRecord("p1", "b", 2.0)]}
-    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    dataset = BenchmarkDataset("d", prompts, responses)
     write_benchmark(dataset, tmp_path / "d")
     embedding[0] = samples[0] = 9.0
     assert dataset.prompts[0].embedding == (0.6, 0.8)
@@ -525,7 +524,7 @@ def test_construction_stores_number_entries_as_floats():
     prompts = [PromptRecord("p1", "t", embedding=(1, 0), perplexity=2)]
     responses = {"p1": [ResponseRecord("p1", "a", 1, oracle_samples=[1, 1]),
                         ResponseRecord("p1", "b", 2.0)]}
-    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    dataset = BenchmarkDataset("d", prompts, responses)
     [prompt] = dataset.prompts
     values = [*prompt.embedding, prompt.perplexity,
               *dataset.responses["p1"][0].oracle_samples]
@@ -533,7 +532,7 @@ def test_construction_stores_number_entries_as_floats():
     assert dataset == BenchmarkDataset(
         "d", [PromptRecord("p1", "t", embedding=(1.0, 0.0), perplexity=2.0)],
         {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 1.0)),
-                ResponseRecord("p1", "b", 2.0)]}, 2)
+                ResponseRecord("p1", "b", 2.0)]})
 
 
 def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
@@ -563,6 +562,38 @@ def test_load_candidate_prompts(tmp_path):
     assert prompts[0].embedding == (3.0, 4.0)  # no unit-norm requirement
     with pytest.raises(MalformedRecord):
         load_candidate_prompts(tmp_path / "absent.jsonl")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ('{"prompt_id": "a", "text": "x"}\n{"prompt_id": "a", "text": "y"}\n', DuplicateId,
+     "duplicate prompt id: 'a'"),
+    ('{"prompt_id": "a", "text": 5}\n', MalformedRecord,
+     "cands.jsonl:1: field 'text': must be a string"),
+    ("\n  \n", MalformedRecord, "cands.jsonl: field '-': no candidate prompts"),
+], ids=["repeated-id", "int-text", "blank-lines"])
+def test_load_candidate_prompts_rejects_bad_files(tmp_path, text, error, message):
+    path = tmp_path / "cands.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        load_candidate_prompts(path)
+    assert str(info.value) == message
+
+
+def test_missing_and_blank_data_files_are_malformed_records(tiny_dataset_dir, tmp_path):
+    dataset = load_benchmark(tiny_dataset_dir)
+    absent = tmp_path / "absent.jsonl"
+    with pytest.raises(MalformedRecord) as info:
+        ingest_rm_scores(dataset, absent)
+    assert str(info.value) == f"{absent}: field '-': file not found"
+    blank = tmp_path / "rm_scores.jsonl"
+    blank.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        ingest_rm_scores(dataset, blank)
+    assert str(info.value) == "rm_scores.jsonl: field '-': no score records"
+    (tiny_dataset_dir / "responses.jsonl").unlink()
+    with pytest.raises(MalformedRecord) as info:
+        load_benchmark(tiny_dataset_dir)
+    assert str(info.value) == f"{tiny_dataset_dir}: field 'responses.jsonl': file not found"
 
 
 # --- reader parity: every bad line fails as the line-by-line json.loads reader did
@@ -735,27 +766,28 @@ def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_
     assert str(info.value).startswith(f"rm_scores.jsonl:2: field '{field}': {message}")
 
 
-def _hand_built(prompt_ids: list[str], response_ids: dict[str, list[str]],
-                size: int) -> BenchmarkDataset:
+def _hand_built(prompt_ids: list[str], response_ids: dict[str, list[str]]) -> BenchmarkDataset:
     """A dataset with one prompt per id in ``prompt_ids`` and, for each key
     of ``response_ids``, a response list holding those ids."""
     prompts = [PromptRecord(pid, "t") for pid in prompt_ids]
     responses = {pid: [ResponseRecord(pid, rid, 1.0 + i) for i, rid in enumerate(rids)]
                  for pid, rids in response_ids.items()}
-    return BenchmarkDataset("hand-built", prompts, responses, size)
+    return BenchmarkDataset("hand-built", prompts, responses)
 
 
 @pytest.mark.parametrize("shape, error, attributes", [
     ("missing-list", NonUniformN, {"prompt_id": "p2", "count": 0, "expected": 3}),
-    ("long-list", NonUniformN, {"prompt_id": "p1", "count": 4, "expected": 3}),
+    ("long-list", NonUniformN, {"prompt_id": "p2", "count": 4, "expected": 3}),
     ("repeated-id", DuplicateId, {"kind": "response", "identifier": "p1/a"}),
 ])
 @pytest.mark.parametrize("estimator", ["bon_curve", "metric_report", "oracle_matrix"])
 def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attributes, estimator):
-    # a 3-response dataset with one shape load_benchmark rejects is rejected
-    # when it is built, so the estimator never sees it
+    # a dataset whose first prompt has 3 responses, with one shape
+    # load_benchmark rejects, is rejected when it is built, so the estimator
+    # never sees it
     prompt_ids, response_ids = {"missing-list": (["p1", "p2"], {"p1": ["a", "b", "c"]}),
-                                "long-list": (["p1"], {"p1": ["a", "b", "c", "d"]}),
+                                "long-list": (["p1", "p2"], {"p1": ["a", "b", "c"],
+                                                             "p2": ["a", "b", "c", "d"]}),
                                 "repeated-id": (["p1"], {"p1": ["a", "a", "b"]})}[shape]
     table = RmScoreTable("rm", {(pid, rid): 0.5 for pid, rids in response_ids.items()
                                 for rid in rids})
@@ -764,42 +796,40 @@ def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attribut
             "oracle_matrix": lambda d: oracle_matrix(d, table)}[estimator]
     reached = []
     with pytest.raises(error) as raised:
-        reached.append(call(_hand_built(prompt_ids, response_ids, 3)))
+        reached.append(call(_hand_built(prompt_ids, response_ids)))
     assert {key: getattr(raised.value, key) for key in attributes} == attributes
     assert reached == []
 
 
-@pytest.mark.parametrize("prompt_ids, response_ids, size, error, attributes", [
-    (["p2", "p1", "p2"], {"p1": ["a", "b"], "p2": ["a", "b"]}, 2,
+@pytest.mark.parametrize("prompt_ids, response_ids, error, attributes", [
+    (["p2", "p1", "p2"], {"p1": ["a", "b"], "p2": ["a", "b"]},
      DuplicateId, {"kind": "prompt", "identifier": "p2"}),
-    (["p2", "p1"], {"p1": ["a"], "p2": ["b"]}, 1,
+    (["p2", "p1"], {"p1": ["a"], "p2": ["b"]},
      NonUniformN, {"prompt_id": "p1", "count": 1, "expected": 2}),
-    (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]}, 2,
+    (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]},
      MalformedRecord, {"args": ("hand-built: field 'prompt_id': unknown prompt 'p9'",)}),
-    ([], {}, 2, MalformedRecord, {"args": ("hand-built: field '-': no prompt records",)}),
+    ([], {}, MalformedRecord, {"args": ("hand-built: field '-': no prompt records",)}),
     # an id the reader would reject is rejected before the ids are sorted or compared
-    (["p1", 5], {"p1": ["a", "b"]}, 2, MalformedRecord,
+    (["p1", 5], {"p1": ["a", "b"]}, MalformedRecord,
      {"args": ("hand-built: field 'prompt_id': prompt 5: required non-empty string",)}),
-    ([5, 5], {}, 2, MalformedRecord,
+    ([5, 5], {}, MalformedRecord,
      {"args": ("hand-built: field 'prompt_id': prompt 5: required non-empty string",)}),
-    (["p1", "x\ud800"], {"p1": ["a", "b"]}, 2, MalformedRecord,
+    (["p1", "x\ud800"], {"p1": ["a", "b"]}, MalformedRecord,
      {"args": ("hand-built: field 'prompt_id': prompt 'x\\ud800': cannot be encoded as UTF-8",)}),
-    (["p1"], {"p1": [7, 7]}, 2, MalformedRecord,
+    (["p1"], {"p1": [7, 7]}, MalformedRecord,
      {"args": ("hand-built: field 'response_id': response 'p1/7': required non-empty string",)}),
-    (["p1"], {"p1": ["a", "b"], 5: ["a", "b"], "p9": ["a", "b"]}, 2, MalformedRecord,
+    (["p1"], {"p1": ["a", "b"], 5: ["a", "b"], "p9": ["a", "b"]}, MalformedRecord,
      {"args": ("hand-built: field 'prompt_id': unknown prompt 5",)}),
-    # a size every estimator reads as a count must be one
-    (["p1"], {"p1": ["a", "b"]}, 2.0, InvalidConfig,
-     {"args": ("responses_per_prompt must be an int, got 2.0",)}),
-    (["p1"], {"p1": ["a", "b"]}, True, InvalidConfig,
-     {"args": ("responses_per_prompt must be an int, got True",)}),
+    # N is counted against the prompt with the smallest id, whatever the input order
+    (["p2", "p1"], {"p2": ["a", "b"], "p1": ["a", "b", "c"]},
+     NonUniformN, {"prompt_id": "p2", "count": 2, "expected": 3}),
 ], ids=["repeated-prompt", "one-response", "unknown-prompt", "no-prompts", "int-prompt-id",
         "repeated-int-prompt-id", "surrogate-prompt-id", "repeated-int-response-id",
-        "int-unknown-prompt", "float-size", "bool-size"])
-def test_construction_rejects_bad_prompt_sets_and_sizes(prompt_ids, response_ids, size, error,
+        "int-unknown-prompt", "n-of-the-smallest-id"])
+def test_construction_rejects_bad_prompt_sets_and_sizes(prompt_ids, response_ids, error,
                                                          attributes):
     with pytest.raises(error) as raised:
-        _hand_built(prompt_ids, response_ids, size)
+        _hand_built(prompt_ids, response_ids)
     assert {key: getattr(raised.value, key) for key in attributes} == attributes
 
 
@@ -815,7 +845,7 @@ def test_construction_stores_prompts_and_responses_in_id_order(tmp_path):
             rids = list(rng.permutation(sorted(oracle[pid]))) if shuffle else sorted(oracle[pid])
             responses[pid] = [ResponseRecord(pid, rid, oracle[pid][rid]) for rid in rids]
         return BenchmarkDataset("ordered", [PromptRecord(pid, f"text {pid}") for pid in order],
-                                responses, 8)
+                                responses)
 
     canonical = build(prompt_ids, shuffle=False)
     shuffled = build(list(rng.permutation(prompt_ids)), shuffle=True)
@@ -895,7 +925,7 @@ def _canonical_dir(directory: Path) -> Path:
                                               "some text" if (i, j) == (0, 0) else None)
                                for j in range(3)]
                  for i, p in enumerate(prompts)}
-    dataset = BenchmarkDataset("readers", prompts, responses, 3)
+    dataset = BenchmarkDataset("readers", prompts, responses)
     write_benchmark(dataset, directory)
     scores = {pair: 0.25 * k - 1.0 for k, pair in enumerate(dataset.iter_pairs())}
     write_rm_scores(RmScoreTable("rm", scores), directory / "rm_scores.jsonl")
@@ -1092,7 +1122,7 @@ def test_per_line_reader_orders_shuffled_lines_with_texts_and_samples(tmp_path, 
             ResponseRecord(p.prompt_id, f"r{j}", score, f"text {j}" if j % 2 else None,
                            (score - 0.5, score + 0.5) if j % 3 == 0 else None)
             for j, score in enumerate(scores)]
-    dataset = BenchmarkDataset("d", prompts, responses, 5)
+    dataset = BenchmarkDataset("d", prompts, responses)
     write_benchmark(dataset, tmp_path / "d")
     path = tmp_path / "d" / "responses.jsonl"
     written = path.read_bytes()
@@ -1140,7 +1170,7 @@ def test_score_block_reader_leaves_ids_the_writers_escape_to_the_per_line_reader
     directory = tmp_path / "d"
     prompts = [PromptRecord("p0", "t")]
     responses = {"p0": [ResponseRecord("p0", rid, 1.5) for rid in ("r\\u0030", "r1")]}
-    dataset = BenchmarkDataset("d", prompts, responses, 2)
+    dataset = BenchmarkDataset("d", prompts, responses)
     write_benchmark(dataset, directory)
     path = directory / "rm_scores.jsonl"
     write_rm_scores(oracle_score_table(dataset, "rm"), path)
@@ -1186,7 +1216,7 @@ def test_block_reader_takes_files_of_many_blocks_with_multibyte_texts(tmp_path, 
                                for j in range(64)]
                  for p in prompts}
     directory = tmp_path / "d"
-    write_benchmark(BenchmarkDataset("d", prompts, responses, 64), directory)
+    write_benchmark(BenchmarkDataset("d", prompts, responses), directory)
     path = directory / "responses.jsonl"
     data = "".join(json.dumps(json.loads(line), ensure_ascii=False) + "\n"
                    for line in path.read_text(encoding="utf-8").splitlines()).encode("utf-8")
@@ -1279,7 +1309,7 @@ def test_threads_racing_the_first_responses_access_read_equal_records(tmp_path):
 
 def test_estimator_commands_build_no_response_records(tmp_path, monkeypatch):
     spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
-    generated, table = gen_synthetic(spec, 3, 64, seed=5, name="synth")
+    generated, table = gen_synthetic(spec, 3, 64, seed=5)
     directory = tmp_path / "synth"
     write_benchmark(generated, directory)
     write_rm_scores(table, directory / "rm_scores.jsonl")
@@ -1310,9 +1340,10 @@ def test_synth_builds_and_writes_no_response_records(tmp_path, monkeypatch):
     spec = DistSpec.noisy_gaussian(0.5, 7.0)
 
     forbid_response_records(monkeypatch)
-    generated, table = gen_synthetic(spec, 11, 16, seed=4, name="synth")
-    write_benchmark(generated, tmp_path / "synth")
-    write_rm_scores(table, tmp_path / "synth" / "rm_scores.jsonl")
+    generated, table = gen_synthetic(spec, 11, 16, seed=4)
+    directory = tmp_path / "synthetic-noisy_gaussian"
+    write_benchmark(generated, directory)
+    write_rm_scores(table, directory / "rm_scores.jsonl")
     monkeypatch.undo()
     # the records of each prompt's own Philox stream
     prompts, responses, scores = [], {}, {}
@@ -1323,9 +1354,9 @@ def test_synth_builds_and_writes_no_response_records(tmp_path, monkeypatch):
         prompts.append(PromptRecord(pid, f"synthetic prompt {p_idx}"))
         responses[pid] = [ResponseRecord(pid, f"r{j:03d}", float(oracle[j])) for j in range(16)]
         scores.update({(pid, f"r{j:03d}"): float(rm[j]) for j in range(16)})
-    expected = BenchmarkDataset("synth", prompts, responses, 16)
+    expected = BenchmarkDataset("synthetic-noisy_gaussian", prompts, responses)
     assert generated == expected and table == RmScoreTable("synthetic-rm", scores)
-    assert _read(tmp_path / "synth") == (expected, [], table, [])
+    assert _read(directory) == (expected, [], table, [])
 
 
 def test_export_of_a_canonical_read_dataset_builds_no_response_records(tmp_path, monkeypatch):
@@ -1350,9 +1381,10 @@ def test_export_of_a_canonical_read_dataset_builds_no_response_records(tmp_path,
 def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
     # a pattern that declined every file would pass every other test
     spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
-    generated, table = gen_synthetic(spec, 3, 512, seed=5, name="synth")
-    write_benchmark(generated, tmp_path / "synth")
-    write_rm_scores(table, tmp_path / "synth" / "rm_scores.jsonl")
+    generated, table = gen_synthetic(spec, 3, 512, seed=5)
+    directory = tmp_path / "synthetic-independent"
+    write_benchmark(generated, directory)
+    write_rm_scores(table, directory / "rm_scores.jsonl")
     _canonical_dir(tmp_path / "readers")
     expected = _read(tmp_path / "readers")
 
@@ -1363,7 +1395,7 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
         assert path.name == "prompts.jsonl", f"{path} went to the per-line reader"
         return read_lines(path)
     monkeypatch.setattr(dataset_module, "_iter_jsonl", prompts_only)
-    assert _read(tmp_path / "synth") == (generated, [], table, [])
+    assert _read(directory) == (generated, [], table, [])
     assert _read(tmp_path / "readers") == expected
     assert expected[0].responses["p0"][0].text == "some text"
 
@@ -1371,8 +1403,10 @@ def test_written_files_take_the_block_reader(tmp_path, monkeypatch):
 def test_equality_of_block_read_datasets_builds_no_records(tmp_path, monkeypatch):
     directory = _canonical_dir(tmp_path / "d")
     first, second = load_benchmark(directory), load_benchmark(directory)
-    spec = DistSpec.noisy_gaussian(0.5, 7.0)
-    generated, _ = gen_synthetic(spec, 3, 3, seed=1, name="d")
+    # a dataset of the same name and shape, other columns
+    write_benchmark(gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 3, 3, seed=1)[0],
+                    tmp_path / "other" / "d")
+    generated = load_benchmark(tmp_path / "other" / "d")
     forbid_response_records(monkeypatch)
     assert first == second and first != generated
     assert repr(first) == "BenchmarkDataset(name='d', prompts=3, responses_per_prompt=3)"
@@ -1384,14 +1418,14 @@ def test_equality_of_block_read_datasets_builds_no_records(tmp_path, monkeypatch
     for change in ({"oracle_score": 2.5}, {"text": "other"}, {"text": None},
                    {"oracle_samples": (1.0, 2.0)}, {"response_id": "r9"}):
         rows = [dataclasses.replace(records["p0"][0], **change), *records["p0"][1:]]
-        changed = BenchmarkDataset("d", first.prompts, {**records, "p0": rows}, 3)
+        changed = BenchmarkDataset("d", first.prompts, {**records, "p0": rows})
         assert changed != first and first != changed and changed.responses != records
-    assert BenchmarkDataset("d", first.prompts, records, 3) == second
+    assert BenchmarkDataset("d", first.prompts, records) == second
 
 
 def test_commands_on_a_canonical_table_build_no_score_dict_or_pair_index(tmp_path, monkeypatch):
     spec = DistSpec.from_json('{"kind": "independent", "params": {"low": 1.0, "high": 9.0}}')
-    generated, table = gen_synthetic(spec, 3, 64, seed=5, name="synth")
+    generated, table = gen_synthetic(spec, 3, 64, seed=5)
     directory = tmp_path / "synth"
     write_benchmark(generated, directory)
     write_rm_scores(table, directory / "rm_scores.jsonl")

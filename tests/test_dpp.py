@@ -81,6 +81,15 @@ def test_build_rejects_what_the_candidate_reader_rejects(embedding, message):
     assert str(raised.value) == f"candidate prompts: field 'embedding': prompt 'bad': {message}"
 
 
+def test_build_rejects_no_candidates_and_mixed_dimensions():
+    with pytest.raises(InvalidConfig) as raised:
+        build_dpp([])
+    assert str(raised.value) == "no candidate prompts"
+    with pytest.raises(InvalidConfig) as raised:
+        build_dpp(records(np.eye(2)) + [PromptRecord("wide", "text", (1.0, 0.0, 0.0))])
+    assert str(raised.value) == "embedding dimension mismatch at prompt 'wide'"
+
+
 def test_build_zero_matrix():
     with pytest.raises(ZeroMatrix):
         build_dpp(records(np.zeros((3, 4))))

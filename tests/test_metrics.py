@@ -11,6 +11,7 @@ from scipy.stats import kendalltau
 
 from retabench import (
     DistSpec,
+    RmScoreTable,
     default_hit_rate_cutoffs,
     gen_synthetic,
     load_win_labels,
@@ -23,6 +24,7 @@ from retabench.errors import (
     EmptyLabels,
     InvalidConfig,
     MalformedRecord,
+    MissingScore,
     NoComparablePairs,
 )
 
@@ -69,7 +71,7 @@ def selection_rank_of(oracle, rm, j: int) -> int:
 
 def pairwise(dataset, table) -> float:
     """``metric_report``'s pairwise accuracy, at settings any pool of N >= 2 takes."""
-    return metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[1]).pairwise_accuracy
+    return metric_report(dataset, table, eta=0.5).pairwise_accuracy
 
 
 def test_oracle_hit_rate_anchors(big_uniform):
@@ -81,28 +83,28 @@ def test_oracle_hit_rate_anchors(big_uniform):
 
 
 def test_hit_rate_oracle_identity_sweep(big_uniform):
-    # for the oracle itself, hits are min(K, G) out of G by construction
+    # for the oracle itself, hits are min(K, G) out of G by construction; the
+    # etas put G below, at and above each of the cutoffs 32, 64 and 128
     dataset = big_uniform
     alone = prompt_subset(dataset, oracle_score_table(dataset), dataset.prompt_ids()[:1])
-    cutoffs = (1, 9, 63, 64, 65, 200, 256)
-    for eta in (0.1, 0.25, 0.5):
+    for eta in (0.1, 0.25, 0.5, 0.75):
         gt = math.floor(eta * 256)
-        report = metric_report(*alone, eta=eta, hit_rate_cutoffs=cutoffs)
-        assert report.hit_rate == {k: 100.0 * min(k, gt) / gt for k in cutoffs}
+        report = metric_report(*alone, eta=eta)
+        assert report.hit_rate == {k: 100.0 * min(k, gt) / gt for k in (32, 64, 128)}
 
 
 def test_hit_rate_disjoint_is_zero():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0, 1.0]})
     # RM ranks the oracle's bottom two on top
     table = build_table({"p": [0.1, 0.2, 0.9, 0.8]})
-    assert metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[2]).hit_rate == {2: 0.0}
+    assert metric_report(dataset, table, eta=0.5).hit_rate == {1: 0.0, 2: 0.0}
 
 
 def test_hit_rate_empty_ground_truth():
     dataset = build_dataset({"p": [4.0, 3.0, 2.0]})
     table = build_table({"p": [1.0, 2.0, 3.0]})
     with pytest.raises(EmptyGroundTruth):
-        metric_report(dataset, table, eta=0.1, hit_rate_cutoffs=[2])
+        metric_report(dataset, table, eta=0.1)
 
 
 def test_mrr_anchors(big_uniform):
@@ -232,6 +234,27 @@ def test_missing_win_label_file_is_malformed_record(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         load_win_labels(path, build_dataset({"p": [1.0, 2.0]}))
     assert str(info.value) == f"{path}: field '-': file not found"
+
+
+def test_blank_win_label_file_is_empty_labels(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(EmptyLabels) as info:
+        load_win_labels(path, build_dataset({"p": [1.0, 2.0]}))
+    assert str(info.value) == "labels.jsonl: no label records"
+
+
+def test_metrics_csv_needs_reports_of_one_pool_size(tmp_path):
+    # pools of 4 and 16 responses give the cutoffs [1, 2] and [2, 4, 8]
+    reports = [metric_report(build_dataset({"p": oracle}), build_table({"p": oracle}), eta=0.5)
+               for oracle in ([4.0, 3.0, 2.0, 1.0], [float(v) for v in range(1, 17)])]
+    path = tmp_path / "metrics.csv"
+    for chosen, message in (([], "no metric reports to write"),
+                            (reports, "metric reports use different hit-rate cutoffs")):
+        with pytest.raises(InvalidConfig) as info:
+            write_metrics_csv(chosen, path)
+        assert str(info.value) == message
+        assert not path.exists()
 
 
 def test_metric_report_and_csv(big_uniform, tmp_path):
@@ -381,34 +404,31 @@ def test_batched_metrics_match_per_prompt_rankings(selection_rank):
 
 
 def test_metric_report_check_order():
+    # each call also breaks every check after the one it expects: eta, then
+    # the scores, then the ground truth, then the selection rank, then the labels
     dataset, table = unordered_ties_dataset()
-    with pytest.raises(InvalidConfig, match="eta"):
-        metric_report(dataset, table, eta=1.5, hit_rate_cutoffs=[99])
-    with pytest.raises(InvalidConfig, match="K=99"):
-        metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[99, 0])
+    partial = RmScoreTable("rm", dict(list(table.scores.items())[1:]))
+    with pytest.raises(InvalidConfig, match=r"eta must be in \(0, 1\)"):
+        metric_report(dataset, partial, eta=1.5, selection_rank=13, win_labels=[])
+    with pytest.raises(MissingScore):
+        metric_report(dataset, partial, eta=0.01, selection_rank=13, win_labels=[])
     with pytest.raises(EmptyGroundTruth):
-        metric_report(dataset, table, eta=0.01, hit_rate_cutoffs=[2, 99])
+        metric_report(dataset, table, eta=0.01, selection_rank=13, win_labels=[])
     with pytest.raises(InvalidConfig, match="selection rank 13"):
-        metric_report(dataset, table, eta=0.5, selection_rank=13)
+        metric_report(dataset, table, eta=0.5, selection_rank=13, win_labels=[])
+    with pytest.raises(EmptyLabels):
+        metric_report(dataset, table, eta=0.5, win_labels=[])
 
 
 @pytest.mark.parametrize("eta", [5.0, 1.0, 0.0, -0.5])
 def test_metric_report_checks_eta_with_no_hit_rate_cutoffs(eta):
-    # eta is checked once, before the cutoffs, so an empty cutoff list
-    # lets no eta through
+    # no cutoff list is passed: the cutoffs follow from N, and eta is checked
+    # once, before they are used, so no eta outside (0, 1) gets through
     dataset, table = unordered_ties_dataset()
     with pytest.raises(InvalidConfig, match=r"eta must be in \(0, 1\)"):
-        metric_report(dataset, table, eta=eta, hit_rate_cutoffs=[])
-    assert metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[]).hit_rate == {}
-
-
-@pytest.mark.parametrize("cutoff", [2.5, 2.0, True])
-def test_hit_rate_cutoffs_must_be_ints(cutoff):
-    dataset, table = unordered_ties_dataset()
-    with pytest.raises(InvalidConfig, match="K must be an int"):
-        metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[1, cutoff])
-    report = metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[np.int64(2)])
-    assert report.hit_rate == metric_report(dataset, table, eta=0.5, hit_rate_cutoffs=[2]).hit_rate
+        metric_report(dataset, table, eta=eta)
+    hit_rate = metric_report(dataset, table, eta=0.5).hit_rate
+    assert list(hit_rate) == default_hit_rate_cutoffs(dataset.responses_per_prompt) == [1, 3, 6]
 
 
 @pytest.mark.parametrize("rank", [True, 2.0, 2.5])

@@ -171,6 +171,15 @@ def test_resample_sizes_clip_overflowed_ends():
         resample_sizes(256, RetaConfig(n_range_low_coeff=1e308, n_range_high_coeff=1e308))
 
 
+def test_config_rejects_crossed_coefficients_and_an_exponent_above_1():
+    with pytest.raises(InvalidConfig) as raised:
+        RetaConfig(n_range_low_coeff=5.0, n_range_high_coeff=3.0)
+    assert str(raised.value) == "n_range_low_coeff must not exceed n_range_high_coeff"
+    with pytest.raises(InvalidConfig) as raised:
+        RetaConfig(n_exponent=1.5)
+    assert str(raised.value) == "n_exponent must be in (0, 1], got 1.5"
+
+
 def test_point_estimate_deepest_ranks_match_exhaustive():
     # eta just below 1 reads the table's last rank; 1 - 1e-12 snaps eta*n to n
     rng = np.random.default_rng(31)
@@ -511,6 +520,8 @@ def test_curve_rejects_bad_grids():
         reta_curve(dataset, table, [0.25, 0.5], config)
     with pytest.raises(InvalidConfig):
         reta_curve(dataset, table, [1.5, 0.5], config)
+    with pytest.raises(InvalidConfig, match="^eta grid is empty$"):
+        reta_curve(dataset, table, [], config)
 
 
 @pytest.mark.parametrize("eta", [True, "0.5", None, 10 ** 400],

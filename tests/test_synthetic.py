@@ -40,6 +40,21 @@ def test_spec_validation():
         DistSpec.custom_table([(1.0, 1.0, 0.4)])  # probabilities must sum to 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DistSpec("custom_table", {"atoms": 5}), "custom_table requires a non-empty atom list"),
+    # the probabilities sum to 1, so only the per-atom rule rejects the zero
+    (lambda: DistSpec.custom_table([(1.0, 1.0, 1.0), (2.0, 2.0, 0.0)]),
+     "atom probability must be positive, got 0.0"),
+    (lambda: DistSpec.from_json("[]"), "spec file must hold a JSON object"),
+    (lambda: analytic_reta(DistSpec.independent(0.0, 1.0), 1.0),
+     "eta must be in (0, 1), got 1.0"),
+], ids=["atoms-not-a-list", "zero-probability-atom", "spec-array", "analytic-eta-1"])
+def test_spec_and_limit_errors_name_the_rule(call, message):
+    with pytest.raises(InvalidConfig) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("kind, params, unknown", [
     ("deterministic_uniform", {"low": 0.0, "high": 1.0, "rho": 0.5}, "['rho']"),
     ("independent", {"low": 0.0, "high": 1.0, "atoms": []}, "['atoms']"),
@@ -167,13 +182,15 @@ def test_generator_determinism_and_validity(tmp_path):
     different = gen_synthetic(spec, 4, 16, seed=6)
     assert different[1] != first[1]
     dataset, table = first
+    assert dataset.name == "synthetic-noisy_gaussian"
     assert dataset.num_prompts == 4
     assert dataset.responses_per_prompt == 16
     # valid: written, both read back equal, with no load warning
-    write_benchmark(dataset, tmp_path)
-    write_rm_scores(table, tmp_path / "rm_scores.jsonl")
-    loaded = load_benchmark(tmp_path, max_oracle_score=100.0, name=dataset.name)
-    read = ingest_rm_scores(loaded, tmp_path / "rm_scores.jsonl")
+    directory = tmp_path / dataset.name
+    write_benchmark(dataset, directory)
+    write_rm_scores(table, directory / "rm_scores.jsonl")
+    loaded = load_benchmark(directory, max_oracle_score=100.0)
+    read = ingest_rm_scores(loaded, directory / "rm_scores.jsonl")
     assert loaded == dataset and read == table
     assert loaded.load_warnings == [] and read.load_warnings == []
 
