@@ -31,7 +31,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -102,66 +102,59 @@ class ValidationIssue:
     message: str
 
 
-@dataclass
 class BenchmarkDataset:
     """The frozen evaluation substrate: prompts, responses, oracle scores.
 
-    Construction checks the records with the per-line reader's own loops
-    (``_read_prompts``, ``_read_responses``), in input order, passing each
-    record as the field dict its line would hold, labelled ``prompt 'p1'``
-    or ``response 'p1/a'``. So it raises what ``load_benchmark`` raises for
-    the first bad record, naming the dataset and the label where the
-    reader names the file and the line, with no ``max_oracle_score``
-    bound, which the dataset does not know. Like the reader, it counts N,
+    ``BenchmarkDataset(name, prompts, responses)`` takes ``responses`` as
+    one list or tuple of ``ResponseRecord`` in any order, as
+    ``responses.jsonl`` holds them. Construction checks the records with
+    the per-line reader's own loops (``_read_prompts``,
+    ``_read_responses``), in input order, passing each record as the field
+    dict its line would hold, labelled ``prompt 'p1'`` or ``response
+    'p1/a'``. So it raises what ``load_benchmark`` raises for the first bad
+    record, naming the dataset and the label where the reader names the
+    file and the line, with no ``max_oracle_score`` bound, which the
+    dataset does not know. Like the reader, it counts N,
     ``responses_per_prompt``, against the prompt with the smallest id.
     Before that it checks only what a file cannot express:
-    ``MalformedRecord`` for ``prompts`` that are not a list or tuple of
-    ``PromptRecord`` or ``responses`` that are not a dict of them, naming
-    the item; and, once the prompts pass, ``MalformedRecord`` for a
-    ``responses`` key that names no prompt or a response filed under
-    another prompt's key. ``load_warnings`` lists what a reader warned
-    about; a dataset built in code has none.
+    ``MalformedRecord`` for ``prompts`` or ``responses`` that are not a
+    list or tuple of ``PromptRecord`` or ``ResponseRecord``, naming the
+    item. ``load_warnings`` lists what a reader warned about; a dataset
+    built in code has none.
 
     Construction keeps the columns the loops return (``_store``), not the
     records: prompts by ``prompt_id``, each prompt's responses by
     ``response_id``, embeddings and samples as tuples of floats. Both
     readers and ``gen_synthetic`` call ``_from_columns`` instead.
-    ``responses`` is built from the columns on first access
-    (``__getattr__``), with float oracle scores; two threads racing that
-    access store equal lists. Equality compares the columns and repr shows
-    the shape, so neither builds records.
+    ``responses``, each prompt's records by id with float oracle scores,
+    is built from the columns on first read; two threads racing that read
+    build equal dicts. Equality compares the columns and repr shows the
+    shape, so neither builds records.
     """
 
-    name: str
-    prompts: list[PromptRecord]
-    responses: dict[str, list[ResponseRecord]]
-    load_warnings: list[ValidationIssue] = field(default_factory=list, init=False)
+    def __init__(self, name: str, prompts: Sequence[PromptRecord],
+                 responses: Sequence[ResponseRecord]) -> None:
+        _reject(name, "prompts", "-", _records_problem(prompts, PromptRecord))
+        _reject(name, "responses", "-", _records_problem(responses, ResponseRecord))
+        prompts = _read_prompts(((f"prompt {p.prompt_id!r}", vars(p)) for p in prompts), name, [])
+        ids = [p.prompt_id for p in prompts]
+        objects = ((f"response {f'{r.prompt_id}/{r.response_id}'!r}",
+                    {"prompt_id": r.prompt_id, "response_id": r.response_id,
+                     "oracle_score": r.oracle_score, "text": r.text,
+                     "oracle_samples": r.oracle_samples}) for r in responses)
+        self._store(name, prompts, *_read_responses(objects, name, ids, math.inf, []))
 
-    def __post_init__(self) -> None:
-        _reject(self.name, "prompts", "-", _records_problem(self.prompts, PromptRecord))
-        _reject(self.name, "responses", "-",
-                None if isinstance(self.responses, dict) else "not a dict")
-        for pid, rows in self.responses.items():
-            _reject(self.name, f"responses of {pid!r}", "-",
-                    _records_problem(rows, ResponseRecord))
-        self.prompts = _read_prompts(((f"prompt {p.prompt_id!r}", vars(p)) for p in self.prompts),
-                                     self.name, [])
-        ids = self.prompt_ids()
-        unknown = self.responses.keys() - set(ids)
-        if unknown:
-            raise MalformedRecord(self.name, None, "prompt_id",
-                                  f"unknown prompt {min(unknown, key=str)!r}")
-        self._store(*_read_responses(_response_objects(self.name, self.responses), self.name,
-                                     ids, math.inf, []))
-        del self.responses  # the columns hold them now
-
-    def _store(self, oracle: np.ndarray, pair_ids: tuple[list[str], list[str]],
-               texts: list[str | None], samples: list[tuple[float, ...] | None] | None) -> None:
-        """Keep N as ``responses_per_prompt`` and the response columns, each
-        in id order: the (prompts, N) read-only oracle matrix, the prompt and
-        the response id of each response, the texts, and the oracle samples
-        or None when there are none."""
-        self.responses_per_prompt = oracle.shape[1]
+    def _store(self, name: str, prompts: list[PromptRecord], oracle: np.ndarray,
+               pair_ids: tuple[list[str], list[str]], texts: list[str | None],
+               samples: list[tuple[float, ...] | None] | None,
+               load_warnings: list[ValidationIssue] | None = None) -> None:
+        """Keep the name, the prompts in id order, the reader's warnings and
+        the response columns, each in id order: the (prompts, N) read-only
+        oracle matrix, the prompt and the response id of each response, the
+        texts, and the oracle samples or None when there are none."""
+        self.name = name
+        self.prompts = prompts
+        self.load_warnings = load_warnings or []
         self._pair_ids = pair_ids
         self._oracle_scores = oracle
         self._response_texts = texts
@@ -175,23 +168,21 @@ class BenchmarkDataset:
         """The dataset of ``prompts`` and the columns ``_store`` keeps. The
         caller has checked every rule of construction."""
         dataset = cls.__new__(cls)
-        dataset.name = name
-        dataset.prompts = prompts
-        dataset.load_warnings = load_warnings or []
-        dataset._store(oracle, pair_ids, texts, samples)
+        dataset._store(name, prompts, oracle, pair_ids, texts, samples, load_warnings)
         return dataset
 
-    def __getattr__(self, name: str):
-        """``responses``, built from the columns on first access."""
-        if name != "responses" or "_response_texts" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def responses_per_prompt(self) -> int:
+        """N, the number of responses of every prompt."""
+        return self._oracle_scores.shape[1]
+
+    @cached_property
+    def responses(self) -> dict[str, list[ResponseRecord]]:
+        """Each prompt's responses in id order, keyed by ``prompt_id`` in id order."""
         size = self.responses_per_prompt
         records = list(map(ResponseRecord, *self._pair_ids, self._oracle_scores.ravel().tolist(),
                            self._response_texts, self._oracle_samples or repeat(None)))
-        responses = {pid: records[i * size:(i + 1) * size]
-                     for i, pid in enumerate(self.prompt_ids())}
-        self.responses = responses
-        return responses
+        return {pid: records[i * size:(i + 1) * size] for i, pid in enumerate(self.prompt_ids())}
 
     def __eq__(self, other) -> bool:
         """Equal name, prompts and response columns, which is what equal
@@ -260,19 +251,6 @@ def _records_problem(records, kind: type) -> str | None:
     return f"item {bad[0]!r} is not a {kind.__name__}" if bad else None
 
 
-def _response_objects(source: str, responses: dict) -> Iterator[tuple[str, dict]]:
-    """(label, field dict) of each response built in code, in input order;
-    raises for one filed under another prompt's key."""
-    for pid, rows in responses.items():
-        for resp in rows:
-            label = f"response {f'{pid}/{resp.response_id}'!r}"
-            if resp.prompt_id != pid:
-                _reject(source, label, "prompt_id", f"names prompt {resp.prompt_id!r}")
-            yield label, {"prompt_id": pid, "response_id": resp.response_id,
-                          "oracle_score": resp.oracle_score, "text": resp.text,
-                          "oracle_samples": resp.oracle_samples}
-
-
 def _rank_orders(scores: np.ndarray) -> np.ndarray:
     """Row i holds prompt i's response indices by score descending, for every
     prompt in one sort; the sort is stable and responses are stored in id
@@ -285,7 +263,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class RmScoreTable:
     """Scalar scores of one tested reward model for every (prompt, response).
 
@@ -298,18 +276,18 @@ class RmScoreTable:
     smallest such pair), and keeps the sorted columns, not the dict. The
     readers pass the dataset's own pair id lists, and their warnings
     (``load_warnings``), to ``_from_columns``; a table built in code has none.
-    ``scores`` is built from the columns on first read (``__getattr__``);
-    two threads racing that read build equal dicts. Equality compares the
-    name and the columns; a table is unhashable.
+    ``scores`` is built from the columns on first read; two threads racing
+    that read build equal dicts. Equality compares the name and the
+    columns; a table is unhashable, and assigning an attribute raises
+    ``FrozenInstanceError``.
     """
 
     rm_name: str
-    scores: dict[tuple[str, str], float]
-    load_warnings: list[ValidationIssue] = field(default_factory=list, init=False)
+    load_warnings: list[ValidationIssue]
 
-    def __post_init__(self) -> None:
-        source = _score_table_source(self.rm_name)
-        keys = list(self.scores)
+    def __init__(self, rm_name: str, scores: dict[tuple[str, str], float]) -> None:
+        source = _score_table_source(rm_name)
+        keys = list(scores)
         # keys that are pairs of non-empty ASCII strings pass in one pass
         ids = (list(chain.from_iterable(keys)) if {tuple}.issuperset(map(type, keys))
                and {2}.issuperset(map(len, keys)) else [None])
@@ -323,22 +301,25 @@ class RmScoreTable:
                     if problem:
                         raise MalformedRecord(source, None, name, f"pair {key!r}: {problem}")
         pairs = sorted(keys)
-        values = list(map(self.scores.__getitem__, pairs))
+        values = list(map(scores.__getitem__, pairs))
         if not _FLOAT_TYPE.issuperset(map(type, values)):
             for pair, problem in zip(pairs, map(_number_problem, values)):
                 if problem:
                     raise MalformedRecord(source, None, "score", f"pair {pair!r}: {problem}")
-        self._store(([pid for pid, _ in pairs], [rid for _, rid in pairs]),
+        self._store(rm_name, ([pid for pid, _ in pairs], [rid for _, rid in pairs]),
                     np.array(values, dtype=np.float64))
-        object.__delattr__(self, "scores")  # the columns hold them now
 
-    def _store(self, pair_ids: tuple[list[str], list[str]], values: np.ndarray) -> None:
-        """Keep ``pair_ids`` and their float64 score column ``values``, read-only;
-        raises ``NonFiniteScore`` for the first pair whose score is not finite."""
+    def _store(self, rm_name: str, pair_ids: tuple[list[str], list[str]], values: np.ndarray,
+               load_warnings: list[ValidationIssue] | None = None) -> None:
+        """Keep ``rm_name``, the reader's warnings, ``pair_ids`` and their
+        float64 score column ``values``, read-only; raises ``NonFiniteScore``
+        for the first pair whose score is not finite."""
         finite = np.isfinite(values)
         if not finite.all():
             i = int(np.argmin(finite))
             raise NonFiniteScore((pair_ids[0][i], pair_ids[1][i]), float(values[i]))
+        object.__setattr__(self, "rm_name", rm_name)
+        object.__setattr__(self, "load_warnings", load_warnings or [])
         object.__setattr__(self, "_pair_ids", pair_ids)
         object.__setattr__(self, "_values", _frozen(values))
 
@@ -350,18 +331,13 @@ class RmScoreTable:
         ``pair_ids`` (a dataset's); raises what construction raises for them."""
         _score_table_source(rm_name)
         table = cls.__new__(cls)
-        object.__setattr__(table, "rm_name", rm_name)
-        object.__setattr__(table, "load_warnings", load_warnings or [])
-        table._store(pair_ids, values)
+        table._store(rm_name, pair_ids, values, load_warnings)
         return table
 
-    def __getattr__(self, name: str):
-        """``scores``, built from the columns on first access."""
-        if name != "scores" or "_values" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        scores = dict(zip(zip(*self._pair_ids), self._values.tolist()))
-        object.__setattr__(self, "scores", scores)
-        return scores
+    @cached_property
+    def scores(self) -> dict[tuple[str, str], float]:
+        """Each pair's score, keyed in pair order."""
+        return dict(zip(zip(*self._pair_ids), self._values.tolist()))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -774,8 +750,8 @@ def _read_responses(objects: Iterable[tuple[int | str, dict]], source: str, ids:
     """The response columns ``_from_columns`` takes, from ``objects``
     ((line number or label, field dict) pairs) for the sorted prompt
     ``ids``; adds each unknown key to ``warnings`` and raises at the first
-    bad object, naming ``source`` and its line or label, then for a prompt
-    without as many responses as the first prompt has, or fewer than 2."""
+    bad object, naming ``source`` and its line or label, then for a first
+    prompt with fewer than 2 responses, or a prompt without as many as it."""
     # each prompt's {response_id: object's position in ``rows``}
     positions: dict[str, dict[str, int]] = {pid: {} for pid in ids}
     rows: list[tuple[float, str | None, tuple[float, ...] | None]] = []
@@ -806,11 +782,11 @@ def _read_responses(objects: Iterable[tuple[int | str, dict]], source: str, ids:
 
     rids = [sorted(positions[pid]) for pid in ids]
     size = len(rids[0])
+    if size < 2:
+        raise NonUniformN(ids[0], size, 2)
     for pid, row in zip(ids, rids):
         if len(row) != size:
             raise NonUniformN(pid, len(row), size)
-    if size < 2:
-        raise NonUniformN(ids[0], size, 2)
     pids = [pid for pid in ids for _ in range(size)]
     scores, texts, samples = zip(*[rows[positions[pid][rid]]
                                    for pid, row in zip(ids, rids) for rid in row])

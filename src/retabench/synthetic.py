@@ -235,27 +235,26 @@ def analytic_reta(spec: DistSpec, eta: float) -> float:
 
         z_eta = -NormalDist().inv_cdf(eta)
         return (p["offset"] + p["rho"] * NormalDist().pdf(z_eta) / eta) / p["offset"]
-    if spec.kind == "custom_table":
-        # Top-eta tail expectation: walk rm-score levels from the top and,
-        # when eta lands inside a level, draw from it proportionally. This
-        # is what the top-fraction selection converges to; it agrees with
-        # E[J | Y >= threshold] whenever the threshold carries no mass.
-        atoms = p["atoms"]
-        total = math.fsum(a[2] for a in atoms)
-        levels: dict[float, list[float]] = {}
-        for y, j, prob in atoms:
-            mass_j = levels.setdefault(y, [0.0, 0.0])
-            mass_j[0] += prob / total
-            mass_j[1] += j * prob / total
-        remaining = eta
-        numerator = 0.0
-        for y in sorted(levels, reverse=True):
-            mass, j_mass = levels[y]
-            taken = min(remaining, mass)
-            numerator += j_mass * (taken / mass)
-            remaining -= taken
-            if remaining <= 1e-15:
-                break
-        mean = math.fsum(j * prob for _, j, prob in atoms) / total
-        return (numerator / eta) / mean
-    raise UnsupportedSpec(f"no analytic value for kind {spec.kind!r}")
+    # custom_table, the one kind left (DistSpec takes no other): the top-eta
+    # tail expectation. Walk rm-score levels from the top and, when eta
+    # lands inside a level, draw from it proportionally. This is what the
+    # top-fraction selection converges to; it agrees with
+    # E[J | Y >= threshold] whenever the threshold carries no mass.
+    atoms = p["atoms"]
+    total = math.fsum(a[2] for a in atoms)
+    levels: dict[float, list[float]] = {}
+    for y, j, prob in atoms:
+        mass_j = levels.setdefault(y, [0.0, 0.0])
+        mass_j[0] += prob / total
+        mass_j[1] += j * prob / total
+    remaining = eta
+    numerator = 0.0
+    for y in sorted(levels, reverse=True):
+        mass, j_mass = levels[y]
+        taken = min(remaining, mass)
+        numerator += j_mass * (taken / mass)
+        remaining -= taken
+        if remaining <= 1e-15:
+            break
+    mean = math.fsum(j * prob for _, j, prob in atoms) / total
+    return (numerator / eta) / mean

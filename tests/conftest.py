@@ -24,13 +24,11 @@ def build_dataset(oracle_by_prompt: dict[str, list[float]],
                   name: str = "test") -> BenchmarkDataset:
     """Dataset from prompt_id -> oracle scores; ids r000, r001, ..."""
     prompts = [PromptRecord(pid, f"prompt {pid}") for pid in sorted(oracle_by_prompt)]
-    responses = {
-        pid: [
-            ResponseRecord(pid, f"r{i:03d}", float(score))
-            for i, score in enumerate(oracle_by_prompt[pid])
-        ]
+    responses = [
+        ResponseRecord(pid, f"r{i:03d}", float(score))
         for pid in sorted(oracle_by_prompt)
-    }
+        for i, score in enumerate(oracle_by_prompt[pid])
+    ]
     return BenchmarkDataset(name=name, prompts=prompts, responses=responses)
 
 
@@ -53,18 +51,14 @@ def forbid_response_records(monkeypatch) -> None:
 
 
 def forbid_score_dicts(monkeypatch) -> None:
-    """Make every later build of a column table's ``scores`` dict or of a
-    dataset's pair index raise, until the patch is undone."""
-    build_scores = RmScoreTable.__getattr__
-
-    def no_scores(self, name):
-        if name == "scores":
-            raise AssertionError("a scores dict was built")
-        return build_scores(self, name)
+    """Make every later read of a table's ``scores`` dict or of a dataset's
+    pair index raise, until the patch is undone."""
+    def no_scores(self):
+        raise AssertionError("a scores dict was built")
 
     def no_index(self):
         raise AssertionError("a pair index was built")
-    monkeypatch.setattr(RmScoreTable, "__getattr__", no_scores)
+    monkeypatch.setattr(RmScoreTable, "scores", property(no_scores))
     monkeypatch.setattr(BenchmarkDataset, "_pair_index", property(no_index))
 
 
@@ -147,24 +141,24 @@ def prompt_subset(dataset: BenchmarkDataset, table: RmScoreTable, prompt_ids):
     """The dataset and score table restricted to ``prompt_ids``."""
     keep = set(prompt_ids)
     return (BenchmarkDataset(dataset.name, [p for p in dataset.prompts if p.prompt_id in keep],
-                             {pid: dataset.responses[pid] for pid in keep}),
+                             [r for pid in keep for r in dataset.responses[pid]]),
             RmScoreTable(table.rm_name,
                          {pair: v for pair, v in table.scores.items() if pair[0] in keep}))
 
 
 def unordered_ties_dataset(seed: int = 3, prompts: int = 6, size: int = 12):
-    """Hand-built dataset whose response lists are passed out of id order (the
+    """Hand-built dataset whose responses are passed out of id order (the
     dataset stores them sorted), with exact score ties, including 0.0
     against -0.0, on both score sides."""
     rng = np.random.default_rng(seed)
     prompt_ids = [f"p{i}" for i in range(prompts)]
-    responses, scores = {}, {}
+    responses, scores = [], {}
     for pid in prompt_ids:
         ids = [f"r{j:02d}" for j in rng.permutation(size)]
         oracle = rng.integers(1, 4, size).astype(float)
         rm = rng.integers(-1, 2, size) * rng.choice([1.0, 2.0], size)
         rm[rng.random(size) < 0.3] = -0.0
-        responses[pid] = [ResponseRecord(pid, rid, float(o)) for rid, o in zip(ids, oracle)]
+        responses += [ResponseRecord(pid, rid, float(o)) for rid, o in zip(ids, oracle)]
         scores.update({(pid, rid): float(v) for rid, v in zip(ids, rm)})
     dataset = BenchmarkDataset("unordered", [PromptRecord(pid, "t") for pid in prompt_ids],
                                responses)

@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.stats import chi2
 
 import retabench as rb
@@ -178,11 +176,11 @@ def test_c07_monotone_transform_and_scale_invariance():
         scaled = rb.BenchmarkDataset(
             name=dataset.name,
             prompts=dataset.prompts,
-            responses={
-                pid: ([type(r)(r.prompt_id, r.response_id, c * r.oracle_score)
-                       for r in rows] if pid == first else rows)
-                for pid, rows in dataset.responses.items()
-            },
+            responses=[
+                type(r)(r.prompt_id, r.response_id, c * r.oracle_score)
+                if r.prompt_id == first else r
+                for rows in dataset.responses.values() for r in rows
+            ],
         )
         moved = rb.reta_estimate(scaled, table, 0.25, config)
         scale_worst = max(scale_worst,

@@ -657,7 +657,8 @@ def test_values_the_inputs_fix_take_no_argument(tmp_path):
     spec = DistSpec.independent(1.0, 9.0)
     dataset, table = retabench.gen_synthetic(spec, 2, 4, seed=0)
     assert dataset.name == "synthetic-independent"
-    prompts, responses = dataset.prompts, dataset.responses
+    prompts = dataset.prompts
+    responses = [r for rows in dataset.responses.values() for r in rows]
     for call in (
             lambda: BenchmarkDataset("d", prompts, responses, 4),
             lambda: BenchmarkDataset("d", prompts, responses, responses_per_prompt=4),
@@ -1172,8 +1173,8 @@ def _equal_oracle_scores(tmp_path: Path) -> list[str]:
     """A one-prompt dataset whose oracle scores are all equal, and its table."""
     flat = tmp_path / "flat"
     ids = ["a", "b", "c", "d"]
-    write_benchmark(BenchmarkDataset("flat", [PromptRecord("p", "x")], {
-        "p": [ResponseRecord("p", rid, 1.0) for rid in ids]}), flat)
+    write_benchmark(BenchmarkDataset("flat", [PromptRecord("p", "x")],
+                                     [ResponseRecord("p", rid, 1.0) for rid in ids]), flat)
     write_rm_scores(RmScoreTable("rm", {("p", rid): float(i) for i, rid in enumerate(ids)}),
                     flat / "rm_scores.jsonl")
     return ["--dataset", str(flat), "--rm-scores", str(flat / "rm_scores.jsonl")]

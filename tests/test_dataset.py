@@ -335,13 +335,13 @@ def _dumps_benchmark(dataset: BenchmarkDataset, directory: Path) -> None:
 
 
 def test_writers_match_json_dumps_bytes(tmp_path):
-    prompts, responses, scores = [], {}, {}
+    prompts, responses, scores = [], [], {}
     for i, pid in enumerate(ODD_IDS):
         prompts.append(PromptRecord(
             pid, f"text of {pid}",
             embedding=None if i == 0 else ODD_EMBEDDINGS[i % len(ODD_EMBEDDINGS)],
             perplexity=None if i == 1 else ODD_POSITIVE[i]))
-        responses[pid] = [
+        responses += [
             ResponseRecord(pid, rid, ODD_POSITIVE[i + j],
                            text=None if j == 0 else f"{rid} answers {pid}",
                            oracle_samples=None if j == 1 else (ODD_POSITIVE[i + j],))
@@ -392,17 +392,17 @@ def test_validate_duplicate_rm_name(tiny_dataset_dir, tmp_path, capsys):
 def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
                      **items) -> tuple[BenchmarkDataset, RmScoreTable]:
     """A valid 2 x 2 dataset and its table, with ``record`` in place of the
-    prompt of its id or of p1's first response, ``items`` (``prompts`` or
+    prompt of its id or of the first response, p1/a, ``items`` (``prompts`` or
     ``responses``) in place of the dataset's own, and ``rm_name`` and
     ``rm_score`` (for pair p1/a) in the table."""
     prompts = [PromptRecord("p1", "t", embedding=(0.6, 0.8), perplexity=2.0),
                PromptRecord("p2", "t", embedding=(1.0, 0.0))]
     if isinstance(record, PromptRecord):
         prompts = [record if p.prompt_id == record.prompt_id else p for p in prompts]
-    responses = {pid: [ResponseRecord(pid, rid, 1.0, oracle_samples=(0.5, 1.5))
-                       for rid in ("a", "b")] for pid in ("p1", "p2")}
+    responses = [ResponseRecord(pid, rid, 1.0, oracle_samples=(0.5, 1.5))
+                 for pid in ("p1", "p2") for rid in ("a", "b")]
     if isinstance(record, ResponseRecord):
-        responses["p1"][0] = record
+        responses[0] = record
     dataset = BenchmarkDataset("hand-built", items.get("prompts", prompts),
                                items.get("responses", responses))
     scores = dict.fromkeys(dataset.iter_pairs(), 0.5)
@@ -411,8 +411,6 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
 
 
 @pytest.mark.parametrize("change, error, message", [
-    ({"record": ResponseRecord("p2", "a", 1.0)}, MalformedRecord,
-     "hand-built: field 'prompt_id': response 'p1/a': names prompt 'p2'"),
     ({"record": ResponseRecord("p1", "a", math.nan)}, NonPositiveOracleScore,
      "oracle score for ('p1', 'a') is nan, must be > 0"),
     ({"record": ResponseRecord("p1", "a", -1.0)}, NonPositiveOracleScore,
@@ -473,21 +471,19 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
     ({"prompts": PromptRecord("p1", "t")}, MalformedRecord,
      "hand-built: field '-': prompts: PromptRecord(prompt_id='p1', text='t', embedding=None, "
      "perplexity=None) is not a list or tuple"),
-    ({"responses": {"p1": [("a", 1.0), ("b", 2.0)]}}, MalformedRecord,
-     "hand-built: field '-': responses of 'p1': item ('a', 1.0) is not a ResponseRecord"),
-    ({"responses": {"p1": None}}, MalformedRecord,
-     "hand-built: field '-': responses of 'p1': None is not a list or tuple"),
-    ({"responses": [ResponseRecord("p1", "a", 1.0)]}, MalformedRecord,
-     "hand-built: field '-': responses: not a dict"),
+    ({"responses": [("a", 1.0), ("b", 2.0)]}, MalformedRecord,
+     "hand-built: field '-': responses: item ('a', 1.0) is not a ResponseRecord"),
+    ({"responses": None}, MalformedRecord,
+     "hand-built: field '-': responses: None is not a list or tuple"),
     # with several faults, the first bad record in input order is named, as
     # the reader names the first bad line
     ({"prompts": [PromptRecord("p2", "t", embedding=(1.0, 0.0)),
                   PromptRecord("p1", "t", embedding=(1.0, 0.0, 0.0))]}, MalformedRecord,
      "hand-built: field 'embedding': prompt 'p1': dimension 3 != 2"),
-    ({"responses": {"p1": [ResponseRecord("p1", "a", -1.0)],
-                    "p2": [ResponseRecord("p2", rid, 1.0) for rid in ("a", "b")]}},
+    ({"responses": [ResponseRecord("p1", "a", -1.0),
+                    *[ResponseRecord("p2", rid, 1.0) for rid in ("a", "b")]]},
      NonPositiveOracleScore, "oracle score for ('p1', 'a') is -1.0, must be > 0"),
-], ids=["prompt-id-mismatch", "nan-oracle-score", "negative-oracle-score", "samples-mean",
+], ids=["nan-oracle-score", "negative-oracle-score", "samples-mean",
         "embedding-dimension", "embedding-norm", "nan-perplexity", "nan-rm-score",
         "empty-rm-name", "string-oracle-score", "bool-oracle-score", "huge-int-oracle-score",
         "string-sample", "string-embedding", "bool-embedding", "string-perplexity",
@@ -495,7 +491,7 @@ def _hand_built_pair(record=None, rm_name: str = "rm", rm_score: float = 0.5,
         "none-prompt-text", "int-response-id", "surrogate-response-id", "int-response-text",
         "int-samples", "set-samples", "empty-samples", "int-embedding", "dict-embedding",
         "empty-embedding", "tuple-prompt", "bare-prompt-record", "tuple-response",
-        "none-response-list", "list-of-responses", "second-embedding-dimension",
+        "none-response-list", "second-embedding-dimension",
         "negative-score-in-short-pool"])
 def test_construction_rejects_bad_values(change, error, message):
     # what the readers reject line by line is rejected when a hand-built
@@ -508,8 +504,8 @@ def test_construction_rejects_bad_values(change, error, message):
 def test_construction_keeps_copies_of_the_callers_lists(tmp_path):
     embedding, samples = [0.6, 0.8], [0.5, 1.5]
     prompts = [PromptRecord("p1", "t", embedding=embedding)]
-    responses = {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=samples),
-                        ResponseRecord("p1", "b", 2.0)]}
+    responses = [ResponseRecord("p1", "a", 1.0, oracle_samples=samples),
+                 ResponseRecord("p1", "b", 2.0)]
     dataset = BenchmarkDataset("d", prompts, responses)
     write_benchmark(dataset, tmp_path / "d")
     embedding[0] = samples[0] = 9.0
@@ -522,8 +518,8 @@ def test_construction_stores_number_entries_as_floats():
     # as the reader stores them: equality is unchanged, and so are the bytes
     # write_benchmark gives for ints and floats alike
     prompts = [PromptRecord("p1", "t", embedding=(1, 0), perplexity=2)]
-    responses = {"p1": [ResponseRecord("p1", "a", 1, oracle_samples=[1, 1]),
-                        ResponseRecord("p1", "b", 2.0)]}
+    responses = [ResponseRecord("p1", "a", 1, oracle_samples=[1, 1]),
+                 ResponseRecord("p1", "b", 2.0)]
     dataset = BenchmarkDataset("d", prompts, responses)
     [prompt] = dataset.prompts
     values = [*prompt.embedding, prompt.perplexity,
@@ -531,8 +527,8 @@ def test_construction_stores_number_entries_as_floats():
     assert [type(value) for value in values] == [float] * 5
     assert dataset == BenchmarkDataset(
         "d", [PromptRecord("p1", "t", embedding=(1.0, 0.0), perplexity=2.0)],
-        {"p1": [ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 1.0)),
-                ResponseRecord("p1", "b", 2.0)]})
+        [ResponseRecord("p1", "a", 1.0, oracle_samples=(1.0, 1.0)),
+         ResponseRecord("p1", "b", 2.0)])
 
 
 def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
@@ -549,6 +545,27 @@ def test_validate_reports_a_prompt_without_response_list(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["error"] == "NonUniformN"
     assert "p2" in error["message"]
+
+
+@pytest.mark.parametrize("first_count", [0, 1])
+def test_a_first_prompt_with_fewer_than_two_responses_is_the_one_named(tmp_path, capsys,
+                                                                       first_count):
+    # N is counted against p1, the smallest id; when p1 holds fewer than 2
+    # responses, p1 is named, not p2, which holds 2
+    response_ids = {"p1": ["a"][:first_count], "p2": ["a", "b"]}
+    directory = write_dataset_dir(
+        tmp_path / "d", [{"prompt_id": pid, "text": "t"} for pid in response_ids],
+        [{"prompt_id": pid, "response_id": rid, "oracle_score": 1.0}
+         for pid, rids in response_ids.items() for rid in rids])
+    scores = tmp_path / "rm_scores.jsonl"
+    write_jsonl(scores, scores_records([("p2", "a"), ("p2", "b")], [0.0, 1.0]))
+    assert main(["validate", "--dataset", str(directory), "--rm-scores", str(scores)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NonUniformN", "message": f"prompt 'p1' has {first_count} responses, expected 2"}
+    with pytest.raises(NonUniformN) as raised:
+        _hand_built(["p1", "p2"], response_ids)
+    assert (raised.value.prompt_id, raised.value.count, raised.value.expected) == (
+        "p1", first_count, 2)
 
 
 def test_load_candidate_prompts(tmp_path):
@@ -768,10 +785,10 @@ def test_unparsable_lines_are_malformed_records(tiny_dataset_dir, tmp_path, bad_
 
 def _hand_built(prompt_ids: list[str], response_ids: dict[str, list[str]]) -> BenchmarkDataset:
     """A dataset with one prompt per id in ``prompt_ids`` and, for each key
-    of ``response_ids``, a response list holding those ids."""
+    of ``response_ids``, responses to that prompt with those ids, in that order."""
     prompts = [PromptRecord(pid, "t") for pid in prompt_ids]
-    responses = {pid: [ResponseRecord(pid, rid, 1.0 + i) for i, rid in enumerate(rids)]
-                 for pid, rids in response_ids.items()}
+    responses = [ResponseRecord(pid, rid, 1.0 + i) for pid, rids in response_ids.items()
+                 for i, rid in enumerate(rids)]
     return BenchmarkDataset("hand-built", prompts, responses)
 
 
@@ -806,8 +823,8 @@ def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attribut
      DuplicateId, {"kind": "prompt", "identifier": "p2"}),
     (["p2", "p1"], {"p1": ["a"], "p2": ["b"]},
      NonUniformN, {"prompt_id": "p1", "count": 1, "expected": 2}),
-    (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]},
-     MalformedRecord, {"args": ("hand-built: field 'prompt_id': unknown prompt 'p9'",)}),
+    (["p1"], {"p1": ["a", "b"], "p9": ["a", "b"]}, MalformedRecord,
+     {"args": ("hand-built: field 'prompt_id': response 'p9/a': unknown prompt 'p9'",)}),
     ([], {}, MalformedRecord, {"args": ("hand-built: field '-': no prompt records",)}),
     # an id the reader would reject is rejected before the ids are sorted or compared
     (["p1", 5], {"p1": ["a", "b"]}, MalformedRecord,
@@ -819,7 +836,7 @@ def test_malformed_hand_built_dataset_raises_typed_errors(shape, error, attribut
     (["p1"], {"p1": [7, 7]}, MalformedRecord,
      {"args": ("hand-built: field 'response_id': response 'p1/7': required non-empty string",)}),
     (["p1"], {"p1": ["a", "b"], 5: ["a", "b"], "p9": ["a", "b"]}, MalformedRecord,
-     {"args": ("hand-built: field 'prompt_id': unknown prompt 5",)}),
+     {"args": ("hand-built: field 'prompt_id': response '5/a': required non-empty string",)}),
     # N is counted against the prompt with the smallest id, whatever the input order
     (["p2", "p1"], {"p2": ["a", "b"], "p1": ["a", "b", "c"]},
      NonUniformN, {"prompt_id": "p2", "count": 2, "expected": 3}),
@@ -840,10 +857,10 @@ def test_construction_stores_prompts_and_responses_in_id_order(tmp_path):
               for pid in prompt_ids}
 
     def build(order: list[str], shuffle: bool) -> BenchmarkDataset:
-        responses = {}
-        for pid in order:
-            rids = list(rng.permutation(sorted(oracle[pid]))) if shuffle else sorted(oracle[pid])
-            responses[pid] = [ResponseRecord(pid, rid, oracle[pid][rid]) for rid in rids]
+        responses = [ResponseRecord(pid, rid, oracle[pid][rid])
+                     for pid in order for rid in sorted(oracle[pid])]
+        if shuffle:  # across prompts too
+            responses = [responses[i] for i in rng.permutation(len(responses))]
         return BenchmarkDataset("ordered", [PromptRecord(pid, f"text {pid}") for pid in order],
                                 responses)
 
@@ -858,6 +875,51 @@ def test_construction_stores_prompts_and_responses_in_id_order(tmp_path):
     for name in ("prompts.jsonl", "responses.jsonl"):
         assert (tmp_path / "shuffled" / name).read_bytes() == \
             (tmp_path / "canonical" / name).read_bytes()
+
+
+def test_construction_takes_the_responses_as_one_flat_list(tmp_path):
+    # one list or tuple of records in any order, as responses.jsonl holds
+    # them; the per-prompt dict of the responses view is not an input
+    prompts = [PromptRecord(pid, f"text {pid}") for pid in ("p1", "p2")]
+    records = [ResponseRecord(pid, rid, 1.0 + i + j, f"{pid}/{rid}" if j else None)
+               for i, pid in enumerate(("p1", "p2")) for j, rid in enumerate("abc")]
+    dataset = BenchmarkDataset("d", prompts, records)
+    write_benchmark(dataset, tmp_path / "d")
+    assert load_benchmark(tmp_path / "d") == dataset
+    shuffled = [records[i] for i in np.random.default_rng(5).permutation(len(records))]
+    assert shuffled != records
+    assert BenchmarkDataset("d", prompts, shuffled) == dataset
+    assert BenchmarkDataset("d", prompts, tuple(shuffled)) == dataset
+    rebuilt = [r for rows in dataset.responses.values() for r in rows]
+    assert rebuilt == records and BenchmarkDataset("d", prompts, rebuilt) == dataset
+    with pytest.raises(MalformedRecord) as raised:
+        BenchmarkDataset("d", prompts, dataset.responses)
+    assert str(raised.value) == (
+        f"d: field '-': responses: {dataset.responses!r} is not a list or tuple")
+
+
+def test_views_are_cached_properties_of_frozen_unhashable_types(tmp_path):
+    directory = _canonical_dir(tmp_path / "d")
+    dataset = load_benchmark(directory)
+    built = BenchmarkDataset("d", dataset.prompts,
+                             [r for rows in dataset.responses.values() for r in rows])
+    table = ingest_rm_scores(dataset, directory / "rm_scores.jsonl")
+    by_dict = RmScoreTable("rm", table.scores)
+    assert not hasattr(BenchmarkDataset, "__getattr__")
+    assert not hasattr(RmScoreTable, "__getattr__")
+    for value in (dataset, built):
+        assert value.responses is value.responses
+        with pytest.raises(AttributeError):
+            value.responses_per_prompt = 4
+        assert value.responses_per_prompt == 3
+    for value in (table, by_dict):
+        assert value.scores is value.scores
+        for name in ("rm_name", "scores", "load_warnings", "absent"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+    for value in (dataset, built, table, by_dict):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
 
 
 def test_every_csv_writer_creates_its_parent_directory(tmp_path):
@@ -921,10 +983,9 @@ def _canonical_dir(directory: Path) -> Path:
     """A 3 x 3 dataset, one response with a text, and its score table, as
     write_benchmark and write_rm_scores write them."""
     prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(3)]
-    responses = {p.prompt_id: [ResponseRecord(p.prompt_id, f"r{j}", 1.5 + i + j / 4,
-                                              "some text" if (i, j) == (0, 0) else None)
-                               for j in range(3)]
-                 for i, p in enumerate(prompts)}
+    responses = [ResponseRecord(p.prompt_id, f"r{j}", 1.5 + i + j / 4,
+                                "some text" if (i, j) == (0, 0) else None)
+                 for i, p in enumerate(prompts) for j in range(3)]
     dataset = BenchmarkDataset("readers", prompts, responses)
     write_benchmark(dataset, directory)
     scores = {pair: 0.25 * k - 1.0 for k, pair in enumerate(dataset.iter_pairs())}
@@ -1115,10 +1176,10 @@ def test_per_line_reader_orders_shuffled_lines_with_texts_and_samples(tmp_path, 
     # no _VARIANTS case moves a line that holds a text or samples
     rng = np.random.default_rng(7)
     prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(4)]
-    responses = {}
+    responses = []
     for p in prompts:
         scores = rng.uniform(1.0, 9.0, 5).tolist()
-        responses[p.prompt_id] = [
+        responses += [
             ResponseRecord(p.prompt_id, f"r{j}", score, f"text {j}" if j % 2 else None,
                            (score - 0.5, score + 0.5) if j % 3 == 0 else None)
             for j, score in enumerate(scores)]
@@ -1169,7 +1230,7 @@ def test_score_block_reader_leaves_ids_the_writers_escape_to_the_per_line_reader
     # spells it as itself names "r0", a response the dataset lacks
     directory = tmp_path / "d"
     prompts = [PromptRecord("p0", "t")]
-    responses = {"p0": [ResponseRecord("p0", rid, 1.5) for rid in ("r\\u0030", "r1")]}
+    responses = [ResponseRecord("p0", rid, 1.5) for rid in ("r\\u0030", "r1")]
     dataset = BenchmarkDataset("d", prompts, responses)
     write_benchmark(dataset, directory)
     path = directory / "rm_scores.jsonl"
@@ -1211,10 +1272,9 @@ def test_block_reader_takes_files_of_many_blocks_with_multibyte_texts(tmp_path, 
     # literal multi-byte texts and DEL on every line, and a read of
     # _BLOCK_BYTES that ends inside a character
     prompts = [PromptRecord(f"p{i}", f"prompt {i}") for i in range(4)]
-    responses = {p.prompt_id: [ResponseRecord(p.prompt_id, f"r{j:02d}", 1.0 + j / 8,
-                                              f"{j} caf\u00e9 \u65e5\u672c\U0001f600\x7f" * 4)
-                               for j in range(64)]
-                 for p in prompts}
+    responses = [ResponseRecord(p.prompt_id, f"r{j:02d}", 1.0 + j / 8,
+                                f"{j} caf\u00e9 \u65e5\u672c\U0001f600\x7f" * 4)
+                 for p in prompts for j in range(64)]
     directory = tmp_path / "d"
     write_benchmark(BenchmarkDataset("d", prompts, responses), directory)
     path = directory / "responses.jsonl"
@@ -1223,7 +1283,7 @@ def test_block_reader_takes_files_of_many_blocks_with_multibyte_texts(tmp_path, 
     block = dataset_module._BLOCK_BYTES
     pad = next(pad for pad in range(200) if 0x80 <= data[block - pad] < 0xc0)
     path.write_bytes(data.replace(b'"text": "', b'"text": "' + b"x" * pad, 1))
-    scores = {(pid, f"r{j:02d}"): j / 4 - 3.0 for pid in responses for j in range(64)}
+    scores = {(p.prompt_id, f"r{j:02d}"): j / 4 - 3.0 for p in prompts for j in range(64)}
     write_rm_scores(RmScoreTable("rm", scores), directory / "rm_scores.jsonl")
     assert min(path.stat().st_size, (directory / "rm_scores.jsonl").stat().st_size) > block
     assert 0x80 <= path.read_bytes()[block] < 0xc0
@@ -1232,7 +1292,7 @@ def test_block_reader_takes_files_of_many_blocks_with_multibyte_texts(tmp_path, 
     assert _block_read(directory)
     table = dataset_module._ingest_canonical(dataset, directory / "rm_scores.jsonl")
     assert table is not None and dict(table.scores) == scores
-    texts = [r.text for rows in responses.values() for r in rows]
+    texts = [r.text for r in responses]
     assert dataset._response_texts == ["x" * pad + texts[0], *texts[1:]]
     shipped = _read(directory)
     monkeypatch.setattr(dataset_module, "_canonical_blocks", _decline)
@@ -1346,13 +1406,13 @@ def test_synth_builds_and_writes_no_response_records(tmp_path, monkeypatch):
     write_rm_scores(table, directory / "rm_scores.jsonl")
     monkeypatch.undo()
     # the records of each prompt's own Philox stream
-    prompts, responses, scores = [], {}, {}
+    prompts, responses, scores = [], [], {}
     for p_idx in range(11):
         pid = f"p{p_idx:04d}"
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([4, p_idx])))
         rm, oracle = synthetic_module._draw_pairs(spec, rng, 16)
         prompts.append(PromptRecord(pid, f"synthetic prompt {p_idx}"))
-        responses[pid] = [ResponseRecord(pid, f"r{j:03d}", float(oracle[j])) for j in range(16)]
+        responses += [ResponseRecord(pid, f"r{j:03d}", float(oracle[j])) for j in range(16)]
         scores.update({(pid, f"r{j:03d}"): float(rm[j]) for j in range(16)})
     expected = BenchmarkDataset("synthetic-noisy_gaussian", prompts, responses)
     assert generated == expected and table == RmScoreTable("synthetic-rm", scores)
@@ -1414,12 +1474,12 @@ def test_equality_of_block_read_datasets_builds_no_records(tmp_path, monkeypatch
     monkeypatch.undo()
     # the columns are equal exactly when the records are: change one field
     # of one record at a time
-    records = first.responses
+    records = [r for rows in first.responses.values() for r in rows]
     for change in ({"oracle_score": 2.5}, {"text": "other"}, {"text": None},
                    {"oracle_samples": (1.0, 2.0)}, {"response_id": "r9"}):
-        rows = [dataclasses.replace(records["p0"][0], **change), *records["p0"][1:]]
-        changed = BenchmarkDataset("d", first.prompts, {**records, "p0": rows})
-        assert changed != first and first != changed and changed.responses != records
+        changed = BenchmarkDataset("d", first.prompts,
+                                   [dataclasses.replace(records[0], **change), *records[1:]])
+        assert changed != first and first != changed and changed.responses != first.responses
     assert BenchmarkDataset("d", first.prompts, records) == second
 
 
