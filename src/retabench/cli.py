@@ -162,10 +162,10 @@ def _read_dataset(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_sample_prompts(args: argparse.Namespace) -> Write:
-    from .dpp import DppSampleConfig, build_dpp, sample_kdpp
+    from .dpp import DppSampleConfig, _model, sample_kdpp
 
     prompts = load_candidate_prompts(args.candidates)
-    model = build_dpp(prompts, checked=True)
+    model = _model(prompts)  # build_dpp's last step: the reader has checked each prompt
     selected = sample_kdpp(model, DppSampleConfig(k=args.k, seed=args.seed))
     ids = [prompts[i].prompt_id for i in selected]
     provenance = {

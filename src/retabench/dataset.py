@@ -31,6 +31,7 @@ import json
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -224,16 +225,17 @@ class BenchmarkDataset:
     def _score_heads(self) -> bytes | None:
         """Each pair's score line up to the closing quote of its response
         id, as ``write_rm_scores`` writes it, and a newline, in pair order
-        in one bytes object, built a block at a time and once for every
-        table the block reader reads against the dataset; None when the
-        writers escape an id."""
+        in one bytes object, built a prompt at a time, as the pairs run N
+        to a prompt, and once for every table the block reader reads
+        against the dataset; None when the writers escape an id."""
         if not self._verbatim_ids:
             return None
-        pids, rids = self._pair_ids
+        rids = self._pair_ids[1]
+        size = self.responses_per_prompt
         heads = bytearray()
-        for block in _line_blocks(len(pids)):
-            heads += "".join([f'{{"prompt_id": "{pid}", "response_id": "{rid}\n'
-                              for pid, rid in zip(pids[block], rids[block])]).encode()
+        for i, pid in enumerate(self.prompt_ids()):
+            head = f'{{"prompt_id": "{pid}", "response_id": "'
+            heads += (head + f"\n{head}".join(rids[i * size:(i + 1) * size]) + "\n").encode()
         return bytes(heads)
 
     @cached_property
@@ -243,12 +245,18 @@ class BenchmarkDataset:
         return _frozen(np.argsort(_rank_orders(self._oracle_scores), axis=1))
 
 
+# a caller's value as an error shows it: a nested container as [...], and
+# an object's repr cut to 120 characters
+_brief = reprlib.Repr()
+_brief.maxlevel, _brief.maxother = 1, 120
+
+
 def _records_problem(records, kind: type) -> str | None:
     """Why ``records`` is not a list or tuple of ``kind``, naming the item, or None."""
     if not isinstance(records, (list, tuple)):
-        return f"{records!r} is not a list or tuple"
+        return f"{_brief.repr(records)} is not a list or tuple"
     bad = [record for record in records if not isinstance(record, kind)]
-    return f"item {bad[0]!r} is not a {kind.__name__}" if bad else None
+    return f"item {_brief.repr(bad[0])} is not a {kind.__name__}" if bad else None
 
 
 def _rank_orders(scores: np.ndarray) -> np.ndarray:
@@ -410,7 +418,9 @@ def _first_undecodable_line(path: Path) -> int | None:
 # the same value and the writers escape. The patterns are bytes patterns
 # over the file's raw bytes. A line pattern matches one whole line and no
 # group spans a line end, so a block is canonical when its split has one
-# match per line and nothing between them.
+# match per line and nothing between them. Every separator of the split
+# must be empty and every match ends with a newline, so a match can only
+# start a line, and the patterns need no '^'.
 _VERBATIM = r'[ !#-\[\]-~]+'  # printable ASCII but '"' and '\\': json.dumps keeps it
 _verbatim = re.compile(_VERBATIM).fullmatch
 _ID = f'"({_VERBATIM})"'
@@ -420,16 +430,16 @@ _TEXT = r'"([^"\\\x00-\x1f]*)"'
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 # the text group is None on a line without a text
 _RESPONSE_LINE = re.compile((
-    r'^\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
-    + r'(?:, "text": ' + _TEXT + r')?\}\n').encode(), re.M)
+    r'\{"prompt_id": ' + _ID + r', "response_id": ' + _ID + r', "oracle_score": ' + _FLOAT
+    + r'(?:, "text": ' + _TEXT + r')?\}\n').encode())
 # a score line's rm_name, read from the table's first line
 _RM_NAME = re.compile(f'", "rm_name": "({_VERBATIM})", "score": '.encode())
 # about 160 lines: blocks of 1 << 16 read no faster and left the wide_pool
 # benchmark's peak RSS 1 MB higher than the per-line reader
 _BLOCK_BYTES = 1 << 14
-# the writers and _score_heads format this many lines at a time, so memory
-# stays bounded; blocks of 1 << 10 lines left the wide_pool benchmark's
-# peak RSS 0.3 MB higher
+# the writers format this many lines at a time, so memory stays bounded;
+# blocks of 1 << 10 lines left the wide_pool benchmark's peak RSS 0.3 MB
+# higher
 _BLOCK_LINES = 1 << 8
 
 
@@ -804,21 +814,28 @@ def load_candidate_prompts(path: str | Path) -> list[PromptRecord]:
     source_path = Path(path)
     if not source_path.is_file():
         raise MalformedRecord(str(source_path), None, "-", "file not found")
-    source = source_path.name
+    return _read_candidates(_iter_jsonl(source_path), source_path.name)
+
+
+def _read_candidates(objects: Iterable[tuple[int | str, dict]],
+                     source: str) -> list[PromptRecord]:
+    """The candidate prompts of ``objects``, (line number or label, field
+    dict) pairs, in input order; raises at the first bad object, naming
+    ``source`` and its line or label, and when there is no object."""
     prompts: list[PromptRecord] = []
     seen: set[str] = set()
     dim: int | None = None
-    for line_no, obj in _iter_jsonl(source_path):
-        [pid] = _req_strs(obj, ("prompt_id",), source, line_no)
+    for where, obj in objects:
+        [pid] = _req_strs(obj, ("prompt_id",), source, where)
         text = obj.get("text", "")
         if pid in seen:
             raise DuplicateId("prompt", pid)
         seen.add(pid)
         if type(text) is not str:
-            raise MalformedRecord(source, line_no, "text", "must be a string")
+            _reject(source, where, "text", "must be a string")
         embedding = obj.get("embedding")
         if embedding is not None:
-            embedding = _embedding(embedding, dim, source, line_no, unit_norm=False)
+            embedding = _embedding(embedding, dim, source, where, unit_norm=False)
             dim = len(embedding)
         prompts.append(PromptRecord(pid, text, embedding))
     if not prompts:

@@ -19,14 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PromptRecord, _check_int, _check_number, _embedding_problem, _numbers_problem
-from .errors import (
-    DegenerateInit,
-    InvalidConfig,
-    MalformedRecord,
-    MissingEmbedding,
-    ZeroMatrix,
-)
+from .dataset import PromptRecord, _check_int, _read_candidates, _records_problem, _reject
+from .errors import DegenerateInit, InvalidConfig, MissingEmbedding, ZeroMatrix
 
 _EIGENVALUE_CEILING = 0.99
 # dual-kernel eigenvalues at or below this fraction of the largest are
@@ -53,70 +47,60 @@ class DppModel:
 
 @dataclass(frozen=True)
 class DppSampleConfig:
-    """Subset size ``k`` and the ``seed`` of the sampler's Philox stream.
-
-    ``epsilon`` and ``max_steps`` have no effect: the sampler is exact and
-    takes no steps. They are still validated because the benchmark tracer
-    in ``perfbench/tracing.py`` reads both on every traced ``sample_kdpp``
-    call; remove them once it no longer does.
-    """
+    """Subset size ``k`` and the ``seed`` of the sampler's Philox stream."""
 
     k: int
     seed: int = 0
-    epsilon: float = 0.01
-    max_steps: int | None = None
+    # Not fields, and of no effect: the sampler is exact and takes no steps.
+    # The benchmark tracer in perfbench/tracing.py reads both on every
+    # traced sample_kdpp call; delete them once it no longer does.
+    epsilon = 0.01
+    max_steps = None
 
     def __post_init__(self) -> None:
         _check_int(self.k, "k")
         _check_int(self.seed, "seed")
-        _check_number(self.epsilon, "epsilon")
-        if self.max_steps is not None:
-            _check_int(self.max_steps, "max_steps")
         if self.k < 1:
             raise InvalidConfig(f"k must be positive, got {self.k}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidConfig(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise InvalidConfig("max_steps must be non-negative")
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidConfig("seed must fit in 64 unsigned bits")
 
 
-def build_dpp(prompts: Sequence[PromptRecord], *, checked: bool = False) -> DppModel:
+def build_dpp(prompts: Sequence[PromptRecord]) -> DppModel:
     """Kernel from candidate embeddings, scaled so eigenvalues stay below 1.
+
+    ``prompts`` must be a list or tuple of ``PromptRecord``
+    (``MalformedRecord`` otherwise, naming the item). Each record then
+    goes through the candidate reader's own loop (``_read_candidates``)
+    as the field dict its line would hold, labelled ``prompt 'c1'``, so
+    it raises what ``load_candidate_prompts`` raises for the first bad
+    record (a repeated id, a bad id or text, an embedding that is not a
+    non-empty array of numbers, is not finite or has another dimension),
+    naming the label where the reader names the line, and for an empty
+    list. ``_model`` then builds the kernel, raising ``MissingEmbedding``,
+    ``ZeroMatrix`` or ``InvalidConfig`` as it documents.
+    """
+    source = "candidate prompts"
+    _reject(source, "prompts", "-", _records_problem(prompts, PromptRecord))
+    return _model(_read_candidates(((f"prompt {p.prompt_id!r}", vars(p)) for p in prompts),
+                                   source))
+
+
+def _model(prompts: list[PromptRecord]) -> DppModel:
+    """The kernel of candidates the candidate reader has checked.
 
     The scale is 0.99 / s_max^2 with s_max the largest singular value of
     the embedding matrix, which makes the kernel invariant to a common
-    rescaling of all embeddings. Raises ``MalformedRecord``, naming the
-    prompt, for an embedding the candidate reader rejects (empty, with an
-    entry that is not a number, or not finite), ``ZeroMatrix`` when every
-    embedding is zero, and ``InvalidConfig`` when s_max^2 is not a finite
-    normal float (embeddings so small or so large that the scale
-    underflows or overflows). ``checked=True`` says that every embedding
-    has passed the candidate reader's checks already, as those that
-    ``load_candidate_prompts`` returns have, so their entries are not
-    type-checked a second time.
+    rescaling of all embeddings. Raises ``MissingEmbedding`` for the first
+    prompt without an embedding, ``ZeroMatrix`` when every embedding is
+    zero, and ``InvalidConfig`` when s_max^2 is not a finite normal float
+    (embeddings so small or so large that the scale underflows or
+    overflows).
     """
-    if not prompts:
-        raise InvalidConfig("no candidate prompts")
-    dim = None
-    rows = []
     for prompt in prompts:
         if prompt.embedding is None:
             raise MissingEmbedding(prompt.prompt_id)
-        if not checked:
-            _reject_embedding(prompt, _numbers_problem(prompt.embedding))
-        if dim is None:
-            dim = len(prompt.embedding)
-        elif len(prompt.embedding) != dim:
-            raise InvalidConfig(
-                f"embedding dimension mismatch at prompt {prompt.prompt_id!r}")
-        rows.append(prompt.embedding)
-    embeddings = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(embeddings).all(axis=1)
-    if not finite.all():  # the first non-finite row, named as the reader names it
-        bad = prompts[int(finite.argmin())]
-        _reject_embedding(bad, _embedding_problem(bad.embedding, None, unit_norm=False))
+    embeddings = np.asarray([p.embedding for p in prompts], dtype=np.float64)
     s_max = float(np.linalg.svd(embeddings, compute_uv=False)[0])
     if s_max == 0.0:
         raise ZeroMatrix("all candidate embeddings are zero")
@@ -125,12 +109,6 @@ def build_dpp(prompts: Sequence[PromptRecord], *, checked: bool = False) -> DppM
         raise InvalidConfig(f"embedding scale out of range: the largest singular value "
                             f"{s_max!r} squares to {s_max_squared!r}")
     return DppModel(embeddings=embeddings, lam=_EIGENVALUE_CEILING / s_max_squared)
-
-
-def _reject_embedding(prompt: PromptRecord, problem: str | None) -> None:
-    if problem:
-        raise MalformedRecord("candidate prompts", None, "embedding",
-                              f"prompt {prompt.prompt_id!r}: {problem}")
 
 
 def _elementary_symmetric(eigenvalues: np.ndarray, k: int) -> np.ndarray:

@@ -895,7 +895,20 @@ def test_construction_takes_the_responses_as_one_flat_list(tmp_path):
     with pytest.raises(MalformedRecord) as raised:
         BenchmarkDataset("d", prompts, dataset.responses)
     assert str(raised.value) == (
-        f"d: field '-': responses: {dataset.responses!r} is not a list or tuple")
+        "d: field '-': responses: {'p1': [...], 'p2': [...]} is not a list or tuple")
+
+
+def test_a_container_or_item_of_the_wrong_kind_is_named_in_a_bounded_message():
+    # the whole repr of a 100 x 256 dataset's view held 3,052,836 characters
+    dataset = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 100, 256, seed=1)[0]
+    with pytest.raises(MalformedRecord) as raised:
+        BenchmarkDataset("d", dataset.prompts, dataset.responses)
+    assert len(str(raised.value)) < 200
+    assert str(raised.value).endswith("'p0003': [...], ...} is not a list or tuple")
+    with pytest.raises(MalformedRecord) as raised:
+        BenchmarkDataset("d", [ResponseRecord("p1", "a", 1.0, "x" * 10 ** 6)], [])
+    assert len(str(raised.value)) < 200
+    assert str(raised.value).startswith("d: field '-': prompts: item ResponseRecord(")
 
 
 def test_views_are_cached_properties_of_frozen_unhashable_types(tmp_path):
@@ -1196,6 +1209,29 @@ def test_per_line_reader_orders_shuffled_lines_with_texts_and_samples(tmp_path, 
     assert loaded == dataset
     write_benchmark(loaded, tmp_path / "out")
     assert (tmp_path / "out" / "responses.jsonl").read_bytes() == written
+
+
+def test_block_reader_declines_a_line_with_a_leading_space(tmp_path):
+    # the response pattern has no '^': a match after the space would leave
+    # the space as a separator, which declines the block
+    directory = _canonical_dir(tmp_path / "d")
+    expected = load_benchmark(directory)
+    path = directory / "responses.jsonl"
+    path.write_text(_on_line(lambda line: " " + line)(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    assert not _block_read(directory)
+    assert load_benchmark(directory) == expected
+
+
+def test_score_heads_are_each_pairs_score_line_head(tmp_path):
+    # built a prompt at a time, the bytes of the per-pair spelling
+    spec = DistSpec.noisy_gaussian(0.5, 7.0)
+    write_benchmark(gen_synthetic(spec, 5, 7, seed=3)[0], tmp_path / "d")
+    dataset = load_benchmark(tmp_path / "d")
+    assert dataset._score_heads == "".join(
+        f'{{"prompt_id": "{pid}", "response_id": "{rid}\n'
+        for pid, rid in dataset.iter_pairs()).encode()
+    assert dataset._score_heads.count(b"\n") == 35
 
 
 def test_declined_blocks_leave_both_files_and_tables_to_the_per_line_reader(

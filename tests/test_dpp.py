@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import inspect
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -15,6 +18,7 @@ from retabench import (
     DppSampleConfig,
     PromptRecord,
     build_dpp,
+    load_candidate_prompts,
     sample_kdpp,
 )
 from retabench.dpp import _condition
@@ -62,16 +66,19 @@ def test_build_missing_embedding():
         build_dpp(prompts)
 
 
-@pytest.mark.parametrize("embedding, message", [
-    (("1.0", "0"), "must be a number"),
-    (("x", "0"), "must be a number"),
-    ((True, 0.0), "must be a number"),
-    ((math.nan, 1.0), "contains non-finite values"),
-    ((), "must be a non-empty array"),
-    (5, "must be a non-empty array"),
-    ({1.0: 0.0}, "must be a non-empty array"),
-    ({1.0, 0.0}, "must be a non-empty array"),
-], ids=["numeric-string", "string", "bool", "nan", "empty", "int", "dict", "set"])
+_BAD_EMBEDDINGS = {
+    "numeric-string": (("1.0", "0"), "must be a number"),
+    "string": (("x", "0"), "must be a number"),
+    "bool": ((True, 0.0), "must be a number"),
+    "nan": ((math.nan, 1.0), "contains non-finite values"),
+    "empty": ((), "must be a non-empty array"),
+    "int": (5, "must be a non-empty array"),
+    "dict": ({1.0: 0.0}, "must be a non-empty array"),
+    "set": ({1.0, 0.0}, "must be a non-empty array"),
+}
+
+
+@pytest.mark.parametrize("embedding, message", _BAD_EMBEDDINGS.values(), ids=_BAD_EMBEDDINGS)
 def test_build_rejects_what_the_candidate_reader_rejects(embedding, message):
     # hand-built records get the reader's embedding rule, not a silent
     # conversion or a bare numpy error
@@ -81,13 +88,56 @@ def test_build_rejects_what_the_candidate_reader_rejects(embedding, message):
     assert str(raised.value) == f"candidate prompts: field 'embedding': prompt 'bad': {message}"
 
 
-def test_build_rejects_no_candidates_and_mixed_dimensions():
-    with pytest.raises(InvalidConfig) as raised:
-        build_dpp([])
-    assert str(raised.value) == "no candidate prompts"
-    with pytest.raises(InvalidConfig) as raised:
-        build_dpp(records(np.eye(2)) + [PromptRecord("wide", "text", (1.0, 0.0, 0.0))])
-    assert str(raised.value) == "embedding dimension mismatch at prompt 'wide'"
+# the cases of test_load_candidate_prompts_rejects_bad_files and of the
+# embedding rule above, each as records built in code
+_READER_CASES = {
+    "repeated-id": [PromptRecord("a", "x", (1.0, 0.0)), PromptRecord("a", "y", (0.0, 1.0))],
+    "int-text": [PromptRecord("a", 5, (1.0, 0.0))],
+    "blank-lines": [],
+    "mixed-dimensions": records(np.eye(2)) + [PromptRecord("wide", "text", (1.0, 0.0, 0.0))],
+    **{f"embedding-{name}": records(np.eye(2)) + [PromptRecord("bad", "text", embedding)]
+       for name, (embedding, _) in _BAD_EMBEDDINGS.items()},
+}
+
+
+@pytest.mark.parametrize("prompts", _READER_CASES.values(), ids=_READER_CASES)
+def test_build_raises_what_the_candidate_reader_raises(tmp_path, prompts):
+    # each record written as its line would be; JSON has no set, so a set
+    # is written as its repr, a string, which breaks the same rule
+    path = tmp_path / "cands.jsonl"
+    path.write_text("".join(json.dumps(vars(p), default=repr) + "\n" for p in prompts),
+                    encoding="utf-8")
+    with pytest.raises(Exception) as read:
+        load_candidate_prompts(path)
+    with pytest.raises(type(read.value)) as built:
+        build_dpp(prompts)
+    expected = str(read.value)
+    if isinstance(read.value, MalformedRecord):
+        # the reader names the file and the line, build_dpp the record
+        field = f"field '{read.value.field}': "
+        line = read.value.line
+        label = "" if line is None else f"prompt {prompts[line - 1].prompt_id!r}: "
+        expected = f"candidate prompts: {field}{label}{expected.split(field, 1)[1]}"
+    assert str(built.value) == expected
+
+
+def test_build_takes_one_list_or_tuple_of_prompt_records():
+    prompts = records(np.eye(2))
+    assert list(inspect.signature(build_dpp).parameters) == ["prompts"]
+    from_tuple, from_list = build_dpp(tuple(prompts)), build_dpp(prompts)
+    assert from_tuple.lam == from_list.lam
+    assert np.array_equal(from_tuple.embeddings, from_list.embeddings)
+    with pytest.raises(TypeError):
+        build_dpp(prompts, checked=True)
+    with pytest.raises(MalformedRecord) as raised:
+        build_dpp({"c000": prompts[0]})
+    assert str(raised.value) == ("candidate prompts: field '-': prompts: {'c000': "
+                                 "PromptRecord(prompt_id='c000', text='text', embedding=(1.0, "
+                                 "0.0), perplexity=None)} is not a list or tuple")
+    with pytest.raises(MalformedRecord) as raised:
+        build_dpp([*prompts, ("c002", "text")])
+    assert str(raised.value) == ("candidate prompts: field '-': prompts: "
+                                 "item ('c002', 'text') is not a PromptRecord")
 
 
 def test_build_zero_matrix():
@@ -125,13 +175,18 @@ def test_seed_determinism():
     assert isinstance(other, list) and len(other) == 4
 
 
-def test_chain_steps_default():
-    config = DppSampleConfig(k=3, seed=0)
-    assert config.max_steps is None
-    for bad in ({"k": 0}, {"epsilon": 1.5}, {"epsilon": "0.5"}, {"epsilon": None},
-                {"max_steps": "3"}, {"max_steps": 2.5}, {"max_steps": True}):
+def test_sample_config_keeps_only_k_and_seed():
+    assert [field.name for field in dataclasses.fields(DppSampleConfig)] == ["k", "seed"]
+    config = DppSampleConfig(k=2)
+    assert (config.seed, config.epsilon, config.max_steps) == (0, 0.01, None)
+    with pytest.raises(TypeError):
+        DppSampleConfig(k=2, epsilon=0.5)
+    with pytest.raises(TypeError):
+        DppSampleConfig(k=2, max_steps=3)
+    for bad in ({"k": 0}, {"k": "2"}, {"k": True}, {"seed": -1}, {"seed": 2 ** 64},
+                {"seed": 1.0}):
         with pytest.raises(InvalidConfig):
-            DppSampleConfig(**{"k": 2, "seed": 0, **bad})
+            DppSampleConfig(**{"k": 2, **bad})
 
 
 def test_sampled_subsets_are_valid():
