@@ -217,7 +217,6 @@ def _cmd_validate(args: argparse.Namespace) -> Write:
 def _cmd_reta(args: argparse.Namespace) -> Write:
     from .reta import (
         RetaConfig,
-        default_eta_grid,
         reta_curve,
         reta_curve_pair,
         write_curve_csv,
@@ -230,7 +229,7 @@ def _cmd_reta(args: argparse.Namespace) -> Write:
     config = RetaConfig(n_range_low_coeff=args.n_low_coeff,
                         n_range_high_coeff=args.n_high_coeff,
                         n_exponent=args.n_exponent)
-    etas = args.eta or default_eta_grid()
+    etas = args.eta or None  # no --eta, or [] in --config: reta's default grid
     if args.raw_variant:
         curves, raws = zip(*(reta_curve_pair(dataset, table, etas, config) for table in tables))
     else:

@@ -98,7 +98,8 @@ class ResponseRecord:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    severity: str  # "warning": a reader records an unknown key, and raises every error
+    """A load warning: a reader records each unknown key, and raises every error."""
+
     location: str
     message: str
 
@@ -685,8 +686,7 @@ def _perplexity_problem(perplexity: float) -> str | None:
 def _warn_unknown_keys(obj: dict, known: frozenset[str], source: str, where: int | str,
                        sink: list[ValidationIssue]) -> None:
     for key in sorted(set(obj) - known):
-        sink.append(ValidationIssue("warning", f"{source}:{where}",
-                                    f"unknown key {key!r} ignored"))
+        sink.append(ValidationIssue(f"{source}:{where}", f"unknown key {key!r} ignored"))
 
 
 def _check_max_oracle_score(value: float) -> None:
@@ -843,17 +843,9 @@ def _read_candidates(objects: Iterable[tuple[int | str, dict]],
     return prompts
 
 
-def _json_value(value) -> str:
-    """``json.dumps(value)``, with strings and finite floats spelled directly."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
-
-
-def _json_list(values) -> str:
-    return f"[{', '.join(map(_json_value, values))}]"
+def _json_list(values: tuple[float, ...]) -> str:
+    """``json.dumps(list(values))`` for finite floats, which ``float.__repr__`` spells."""
+    return f"[{', '.join(map(float.__repr__, values))}]"
 
 
 def _write_csv(path: str | Path, header_comment: str | None, columns: Sequence[str],
@@ -879,12 +871,12 @@ def write_benchmark(dataset: BenchmarkDataset, path: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / PROMPTS_FILE, "w", encoding="utf-8") as fh:
         for prompt in dataset.prompts:
-            line = (f'{{"prompt_id": {_json_value(prompt.prompt_id)}, '
-                    f'"text": {_json_value(prompt.text)}')
+            line = (f'{{"prompt_id": {_json_str(prompt.prompt_id)}, '
+                    f'"text": {_json_str(prompt.text)}')
             if prompt.embedding is not None:
                 line += f', "embedding": {_json_list(prompt.embedding)}'
             if prompt.perplexity is not None:
-                line += f', "perplexity": {_json_value(prompt.perplexity)}'
+                line += f', "perplexity": {float.__repr__(prompt.perplexity)}'
             fh.write(line + "}\n")
     with open(directory / RESPONSES_FILE, "w", encoding="utf-8") as fh:
         for block in _response_lines(dataset):
@@ -968,7 +960,7 @@ def write_rm_scores(table: RmScoreTable, path: str | Path) -> None:
     is written as ``3.0``."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tail = f', "rm_name": {_json_value(table.rm_name)}, "score": '
+    tail = f', "rm_name": {_json_str(table.rm_name)}, "score": '
     pids, rids = table._pair_ids
     with open(out, "w", encoding="utf-8") as fh:
         for block in _line_blocks(len(pids)):

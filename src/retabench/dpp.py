@@ -28,7 +28,7 @@ _EIGENVALUE_CEILING = 0.99
 _SINGULAR_REL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class DppModel:
     """Candidate embeddings E and the scale ``lam`` of the kernel
     ``lam * E @ E.T``.
@@ -43,6 +43,12 @@ class DppModel:
     @property
     def num_candidates(self) -> int:
         return self.embeddings.shape[0]
+
+    def __eq__(self, other) -> bool:
+        """Equal scale and embeddings, compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lam == other.lam and np.array_equal(self.embeddings, other.embeddings)
 
 
 @dataclass(frozen=True)

@@ -95,18 +95,9 @@ class RetaCurve:
     points: list[RetaEstimate]
 
 
-def default_eta_grid(points: int = 15, max_log2: float = 7.0) -> list[float]:
-    """Log-uniform eta grid from 1 down to 2**-max_log2 (15 points by default);
-    InvalidConfig unless ``points`` is an int, ``max_log2`` a number, and the
-    grid they give one that ``reta_curve`` accepts."""
-    _check_int(points, "points")
-    _check_number(max_log2, "max_log2")
-    if points < 1:
-        raise InvalidConfig(f"points must be positive, got {points}")
-    if not 0.0 <= max_log2 < math.inf:
-        raise InvalidConfig(f"max_log2 must be finite and non-negative, got {max_log2}")
-    ts = np.linspace(0.0, max_log2, points)
-    return _check_etas([float(2.0 ** -t) for t in ts])
+def default_eta_grid() -> list[float]:
+    """The paper's grid: 15 log-uniform etas from 1 down to 2**-7."""
+    return [float(2.0 ** -t) for t in np.linspace(0.0, 7.0, 15)]
 
 
 def _snap(x: float) -> float:

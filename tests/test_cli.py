@@ -23,6 +23,7 @@ from retabench import (
     PromptRecord,
     ResponseRecord,
     RmScoreTable,
+    default_eta_grid,
     ingest_rm_scores,
     load_benchmark,
     oracle_score_table,
@@ -239,6 +240,13 @@ def test_config_file_overrides_flags(synth_dir, tmp_path):
     assert rows[2].split(",")[1] == "1.0"
     echoed = json.loads((out / "reta_config.json").read_text())
     assert echoed["eta"] == [1.0]
+
+
+def test_an_empty_eta_list_in_a_config_file_is_the_default_grid(synth_dir, tmp_path):
+    code, out = run_with_config(synth_dir, tmp_path, {"eta": []}, "reta")
+    assert code == 0
+    rows = (out / "reta_synthetic-rm.csv").read_text().splitlines()[2:]
+    assert [float(row.split(",")[1]) for row in rows] == default_eta_grid()
 
 
 def test_config_file_unknown_key_exits_2(synth_dir, tmp_path, capsys):
@@ -848,8 +856,7 @@ def test_validate_reports_load_warnings_and_exits_2_on_invalid_input(tmp_path, c
     assert main(["validate", "--dataset", str(data), "--max-oracle-score", "20",
                  "--output-dir", str(out)]) == 0
     assert json.loads((out / "validation_report.json").read_text()) == {"ok": True, "issues": [
-        {"severity": "warning", "location": "prompts.jsonl:1",
-         "message": "unknown key 'extra' ignored"}]}
+        {"location": "prompts.jsonl:1", "message": "unknown key 'extra' ignored"}]}
     bounded = tmp_path / "bounded"
     assert main(["validate", "--dataset", str(data), "--max-oracle-score", "10",
                  "--output-dir", str(bounded)]) == 2
@@ -873,13 +880,11 @@ def test_validate_report_bytes_list_dataset_then_table_warnings(tmp_path, capsys
         '  "issues": [\n'
         '    {\n'
         '      "location": "prompts.jsonl:1",\n'
-        '      "message": "unknown key \'extra\' ignored",\n'
-        '      "severity": "warning"\n'
+        '      "message": "unknown key \'extra\' ignored"\n'
         '    },\n'
         '    {\n'
         '      "location": "scores.jsonl:2",\n'
-        '      "message": "unknown key \'note\' ignored",\n'
-        '      "severity": "warning"\n'
+        '      "message": "unknown key \'note\' ignored"\n'
         '    }\n'
         '  ],\n'
         '  "ok": true\n'

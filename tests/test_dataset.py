@@ -21,6 +21,7 @@ from retabench import (
     RetaCurve,
     RetaEstimate,
     RmScoreTable,
+    ValidationIssue,
     bon_curve,
     ingest_rm_scores,
     load_benchmark,
@@ -164,8 +165,8 @@ def test_unknown_keys_become_warnings(tmp_path):
     ]
     directory = write_dataset_dir(tmp_path / "d", prompts, responses)
     dataset = load_benchmark(directory)
-    assert any("extra_field" in issue.message for issue in dataset.load_warnings)
-    assert all(issue.severity == "warning" for issue in dataset.load_warnings)
+    assert dataset.load_warnings == [
+        ValidationIssue("prompts.jsonl:1", "unknown key 'extra_field' ignored")]
 
 
 def test_embedding_norm_enforced(tmp_path):
@@ -673,8 +674,8 @@ def test_score_reader_accepts_padding_int_scores_and_unknown_keys(tiny_dataset_d
     table = ingest_rm_scores(dataset, path)
     assert table.scores == {pair: float(i) for i, pair in enumerate(pairs)}
     assert all(type(v) is float for v in table.scores.values())
-    assert [(w.severity, w.location, w.message) for w in table.load_warnings] == [
-        ("warning", "rm_scores.jsonl:6", "unknown key 'note' ignored")]
+    assert [(w.location, w.message) for w in table.load_warnings] == [
+        ("rm_scores.jsonl:6", "unknown key 'note' ignored")]
 
 
 def _response_line(rid: str, score: str = "1.0", extra: str = "") -> str:
@@ -1517,6 +1518,13 @@ def test_equality_of_block_read_datasets_builds_no_records(tmp_path, monkeypatch
                                    [dataclasses.replace(records[0], **change), *records[1:]])
         assert changed != first and first != changed and changed.responses != first.responses
     assert BenchmarkDataset("d", first.prompts, records) == second
+
+
+def test_a_dataset_or_a_table_never_equals_another_type():
+    dataset, table = gen_synthetic(DistSpec.noisy_gaussian(0.5, 7.0), 2, 3, seed=1)
+    for value in (dataset, table):
+        assert (value == object()) is False and value != object()
+    assert dataset != table and table != dataset
 
 
 def test_commands_on_a_canonical_table_build_no_score_dict_or_pair_index(tmp_path, monkeypatch):

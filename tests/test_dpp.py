@@ -124,9 +124,7 @@ def test_build_raises_what_the_candidate_reader_raises(tmp_path, prompts):
 def test_build_takes_one_list_or_tuple_of_prompt_records():
     prompts = records(np.eye(2))
     assert list(inspect.signature(build_dpp).parameters) == ["prompts"]
-    from_tuple, from_list = build_dpp(tuple(prompts)), build_dpp(prompts)
-    assert from_tuple.lam == from_list.lam
-    assert np.array_equal(from_tuple.embeddings, from_list.embeddings)
+    assert build_dpp(tuple(prompts)) == build_dpp(prompts)
     with pytest.raises(TypeError):
         build_dpp(prompts, checked=True)
     with pytest.raises(MalformedRecord) as raised:
@@ -138,6 +136,19 @@ def test_build_takes_one_list_or_tuple_of_prompt_records():
         build_dpp([*prompts, ("c002", "text")])
     assert str(raised.value) == ("candidate prompts: field '-': prompts: "
                                  "item ('c002', 'text') is not a PromptRecord")
+
+
+def test_models_compare_by_value():
+    # two or more candidates: the generated dataclass __eq__ compared the
+    # arrays with ==, and bool() of that array raised ValueError
+    prompts = records(np.random.default_rng(3).standard_normal((4, 3)))
+    model = build_dpp(prompts)
+    assert model == build_dpp(prompts) and not model != build_dpp(prompts)
+    changed = [*prompts[:-1], dataclasses.replace(prompts[-1], embedding=(1.0, 0.0, 0.0))]
+    assert model != build_dpp(changed) and not model == build_dpp(changed)
+    assert (model == 1) is False and model != 1
+    with pytest.raises(TypeError):
+        hash(model)
 
 
 def test_build_zero_matrix():

@@ -133,6 +133,18 @@ def test_fractional_path_enumeration():
     assert exhaustive_reta(scores, 0.75, 2) == pytest.approx(expected, abs=1e-15)
 
 
+def test_eta_n_that_snaps_to_zero_selects_nothing():
+    # eta*n within float noise of 0 takes no response, at every subset size,
+    # in the reference and in the estimator alike
+    assert exhaustive_reta([4.0, 2.0, 1.0, 3.0], 1e-12, 1) == 0.0
+    assert exhaustive_reta([4.0, 2.0, 1.0, 3.0], 1e-12, 4) == 0.0
+    dataset, table = one_prompt([4.0, 2.0, 1.0, 3.0])
+    config = RetaConfig(n_range_low_coeff=0.25, n_range_high_coeff=0.25, n_exponent=1.0)
+    assert resample_sizes(4, config) == [1]
+    assert [point.value for point in reta_curve(dataset, table, [1.0, 1e-12], config).points] \
+        == [1.0, 0.0]
+
+
 def test_floor_zero_uses_residual_only():
     # eta*n < 1: only the top response contributes, weighted by delta^2
     scores = [4.0, 2.0]
@@ -393,7 +405,8 @@ def test_coefficients_match_running_sum_over_whole_tables(pool):
     # every n of a tiny pool, eta*n < 1 (the 40-point grid reaches 2**-12),
     # and eta == 1 alone, whose bank is all zeros
     grid = list(range(1, pool + 1)) if pool < 64 else resample_sizes(pool, RetaConfig())
-    for etas in (default_eta_grid(), [0.25], [1.0], default_eta_grid(40, 12.0)):
+    deep = [float(2.0 ** -t) for t in np.linspace(0.0, 12.0, 40)]
+    for etas in (default_eta_grid(), [0.25], [1.0], deep):
         fast = _coefficients(pool, grid, etas)
         reference = running_sum_coefficients(pool, grid, etas)
         assert np.array_equal(fast == 0.0, reference == 0.0), etas
@@ -541,26 +554,27 @@ def test_eta_grid_takes_numbers_and_keeps_them_as_floats(eta, tmp_path):
     assert [row.split(",")[1] for row in rows] == ["1.0", "0.5"]
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"points": "3"}, "points must be an int, got '3'"),
-    ({"points": True}, "points must be an int, got True"),
-    ({"points": 0}, "points must be positive, got 0"),
-    ({"points": -1}, "points must be positive, got -1"),
-    ({"max_log2": "7"}, "max_log2 '7': must be a number"),
-    ({"max_log2": 10 ** 400}, "max_log2 1" + "0" * 400 + ": number too large for a float"),
-    ({"max_log2": -1}, "max_log2 must be finite and non-negative, got -1"),
-    ({"max_log2": math.nan}, "max_log2 must be finite and non-negative, got nan"),
-    ({"max_log2": math.inf}, "max_log2 must be finite and non-negative, got inf"),
-    ({"max_log2": 0.0}, "eta grid must be strictly decreasing"),
-    ({"max_log2": 1100.0}, "eta must be in (0, 1], got 0.0"),
+def test_default_eta_grid_is_the_papers_15_point_grid():
+    grid = default_eta_grid()
+    assert grid == [float(2.0 ** -t) for t in np.linspace(0.0, 7.0, 15)]
+    assert grid[0] == 1.0 and grid[-1] == 2.0 ** -7 and grid[2] == 0.5
+    assert all(type(eta) is float for eta in grid)
+    with pytest.raises(TypeError):
+        default_eta_grid(15)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"points": "3"}, {"points": True}, {"points": 0}, {"points": -1}, {"max_log2": "7"},
+    {"max_log2": 10 ** 400}, {"max_log2": -1}, {"max_log2": math.nan}, {"max_log2": math.inf},
+    {"max_log2": 0.0}, {"max_log2": 1100.0},
 ], ids=["points-string", "points-bool", "points-zero", "points-negative", "max-string",
         "max-past-float", "max-negative", "max-nan", "max-inf", "one-eta-twice", "eta-zero"])
-def test_default_eta_grid_rejects_an_unusable_grid(kwargs, message):
-    with pytest.raises(InvalidConfig) as raised:
+def test_default_eta_grid_rejects_an_unusable_grid(kwargs):
+    # the grid takes no knob: any other grid is passed as eta_grid, which
+    # reta_curve checks (test_curve_rejects_bad_grids)
+    [key] = kwargs
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
         default_eta_grid(**kwargs)
-    assert str(raised.value) == message
-    assert default_eta_grid(np.int64(3), 2) == [1.0, 0.5, 0.25]
-    assert default_eta_grid(1, 0) == [1.0]
 
 
 def test_degenerate_denominator_guard():
